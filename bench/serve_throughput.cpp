@@ -653,13 +653,12 @@ ShardSweep run_shard_sweep(fuse::core::FusePipeline& pl, bool smoke) {
 }
 
 /// Session-churn storm (PR 10): sessions open, serve, migrate across the
-/// shards and close continuously while the server is under load, with the
-/// automatic rebalancer adding its own moves on top.  The survival
-/// contract is accounting-shaped: once the storm drains and every session
-/// is closed, the global in-flight gauge must read exactly zero (a leak
-/// means close/migrate dropped or double-counted frames — the gate hard-
-/// fails on any nonzero value), and the p99 of frames served mid-churn is
-/// regression-gated like every other tail.
+/// shards and close continuously while the server is under load.  The
+/// survival contract is accounting-shaped: once the storm drains and every
+/// session is closed, the global in-flight gauge must read exactly zero (a
+/// leak means close/migrate dropped or double-counted frames — the gate
+/// hard-fails on any nonzero value), and the p99 of frames served
+/// mid-churn is regression-gated like every other tail.
 struct ChurnStorm {
   std::size_t rounds = 0;
   std::size_t opens = 0;
@@ -678,8 +677,6 @@ ChurnStorm run_churn_storm(fuse::core::FusePipeline& pl, bool smoke) {
   fuse::serve::ServeConfig cfg;
   cfg.num_shards = 2;
   cfg.max_batch = 8;
-  cfg.rebalance_every = 8;  // the load balancer churns placements too
-  cfg.rebalance_ratio = 2.0;
   cfg.session.queue_capacity = 64;
   cfg.session.results_capacity = 64;
   fuse::serve::Server server(&pl.predictor(), &pl.model(), cfg);
@@ -701,7 +698,7 @@ ChurnStorm run_churn_storm(fuse::core::FusePipeline& pl, bool smoke) {
       out.frames += fuse::serve::accepted(
           server.submit_frame(id, pool[id % kPool][round % kStream]));
     // Ping-pong the oldest session across the shards mid-backlog; the
-    // round's scheduler tick executes the move.
+    // move runs inline and the round's tick serves the replayed frames.
     (void)server.migrate_session(alive.front(), round % 2);
     server.run_once();
     for (const auto id : alive)
@@ -1156,9 +1153,9 @@ int main(int argc, char** argv) {
               shard_sweep.p99_scaling_ok() ? "(ok)" : "(REGRESSED!)");
 
   // ------------------------------------------- session-churn storm ----
-  // Continuous open/serve/migrate/close churn across 2 shards with the
-  // rebalancer live: the survival gate is the in-flight gauge reading
-  // exactly zero after full close-out, plus the mid-churn p99.
+  // Continuous open/serve/migrate/close churn across 2 shards: the
+  // survival gate is the in-flight gauge reading exactly zero after full
+  // close-out, plus the mid-churn p99.
   const auto storm = run_churn_storm(pl, smoke);
   std::printf("\nsession-churn storm (2 shards, %zu rounds: %zu opens, "
               "%zu closes, %llu cross-shard migrations under load):\n"

@@ -196,6 +196,10 @@ Tensor conv_apply_int8(const Tensor& x, const fuse::nn::QuantState& qs,
   Tensor y({n, out_channels, oh, ow});
   const float sx = qs.act.scale;
   const std::int32_t zp = qs.act.zp;
+  // `acc` is thread_local: a pool worker naming it inside the parallel
+  // region would see its own (empty) vector, so hand the workers this
+  // thread's buffer through a plain pointer.
+  const std::int32_t* accp = acc.data();
   fuse::util::parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t nidx = lo; nidx < hi; ++nidx) {
       float* yp = y.data() + nidx * out_channels * hw;
@@ -203,7 +207,7 @@ Tensor conv_apply_int8(const Tensor& x, const fuse::nn::QuantState& qs,
         const float scale = qs.w_scales[oc] * sx;
         const std::int32_t corr = zp * qs.w_row_sums[oc];
         const float bias = b[oc];
-        const std::int32_t* arow = acc.data() + oc * nc + nidx * hw;
+        const std::int32_t* arow = accp + oc * nc + nidx * hw;
         float* yrow = yp + oc * hw;
         for (std::size_t p = 0; p < hw; ++p)
           yrow[p] = scale * static_cast<float>(arow[p] - corr) + bias;

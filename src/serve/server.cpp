@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -64,10 +63,6 @@ void ServeConfig::validate() const {
     throw std::invalid_argument(
         "ServeConfig: num_shards exceeds max_sessions (shards beyond the "
         "session cap can never receive a session)");
-  if (rebalance_every != 0 && rebalance_ratio < 1.0)
-    throw std::invalid_argument(
-        "ServeConfig: rebalance_ratio must be >= 1 when the rebalance "
-        "hook is armed");
   validate_session_config(session);
 }
 
@@ -120,15 +115,37 @@ std::size_t Server::session_count_unlocked() const {
   return total;
 }
 
+template <typename Submit>
+SubmitResult Server::route_submit(SessionId id, Submit&& submit) {
+  // A live session answers kUnknownSession only when a concurrent move
+  // detached it between shard_of() and the shard's lookup.  The commit
+  // records the new placement before it detaches, so a changed shard_of()
+  // means "retry there"; an unchanged one means the id really is gone.
+  std::size_t k = shard_of(id);
+  for (;;) {
+    const SubmitResult r = submit(*shards_[k]);
+    if (r != SubmitResult::kUnknownSession) return r;
+    const std::size_t now = shard_of(id);
+    if (now == k) return r;
+    k = now;
+  }
+}
+
 SubmitResult Server::submit_frame(SessionId id,
                                   const fuse::radar::PointCloud& cloud,
                                   const fuse::human::Pose* label) {
-  return shards_[shard_of(id)]->submit_frame(id, cloud, label);
+  return route_submit(id, [&](Shard& sh) {
+    return sh.submit_frame(id, cloud, label);
+  });
 }
 
 SubmitResult Server::submit_cube(SessionId id, fuse::radar::RadarCube cube,
                                  const fuse::human::Pose* label) {
-  return shards_[shard_of(id)]->submit_cube(id, std::move(cube), label);
+  // Shard::submit_cube moves from `cube` only once it has found the
+  // session, so a retried submit still carries the payload.
+  return route_submit(id, [&](Shard& sh) {
+    return sh.submit_cube(id, std::move(cube), label);
+  });
 }
 
 std::vector<PoseResult> Server::poll_results(SessionId id) {
@@ -166,40 +183,27 @@ void Server::clear_shard_override(SessionId id) {
 bool Server::migrate_session(SessionId id, std::size_t target_shard) {
   if (target_shard >= shards_.size()) return false;
   const std::size_t src = shard_of(id);
-  auto s = shards_[src]->find(id);
-  if (!s) return false;
+  if (!shards_[src]->find(id)) return false;
   if (src == target_shard) return true;
-  if (running_.load(std::memory_order_relaxed)) {
-    // Threaded: execute inline under both shards' pass locks, taken in
-    // index order.  Shard threads only ever take their own pass lock, so
-    // this order cannot form a cycle.
-    auto lock_a = shards_[std::min(src, target_shard)]->lock_pass();
-    auto lock_b = shards_[std::max(src, target_shard)]->lock_pass();
-    // A concurrent migrate may have moved the session while we waited on
-    // the locks; only proceed when it still lives on a locked shard.
-    const std::size_t now_on = shard_of(id);
-    if (now_on != src && now_on != target_shard) return false;
-    return execute_migration(id, target_shard);
-  }
-  // Synchronous: mark now so submits bounce with kMigrating, execute at
-  // the start of the next run_once()/drain() (the tick owns session
-  // state, so the kMigrating window is deterministic and observable).
-  s->begin_migration();
-  std::lock_guard<std::mutex> lock(pending_mu_);
-  pending_migrations_.emplace_back(id, target_shard);
-  return true;
+  // Both serving modes run the move inline under both shards' pass locks,
+  // taken in index order.  A shard pass (its thread, or run_once) only
+  // ever takes its own pass lock, so this order cannot form a cycle.
+  auto lock_a = shards_[std::min(src, target_shard)]->lock_pass();
+  auto lock_b = shards_[std::max(src, target_shard)]->lock_pass();
+  // A concurrent migrate may have moved the session while we waited on
+  // the locks; only proceed when it still lives on a locked shard.
+  const std::size_t now_on = shard_of(id);
+  if (now_on != src && now_on != target_shard) return false;
+  return execute_migration(id, target_shard);
 }
 
 bool Server::execute_migration(SessionId id, std::size_t target_shard) {
   const std::size_t src = shard_of(id);
+  if (src == target_shard) return true;  // a concurrent move got there first
   Shard& from = *shards_[src];
   Shard& to = *shards_[target_shard];
   auto s = from.find(id);
   if (!s) return false;  // closed since the request
-  if (src == target_shard) {
-    s->end_migration();  // deferred no-op move: just unfreeze submits
-    return true;
-  }
   const double t0 = mono_seconds();
   s->begin_migration();
   auto frames = s->drain_queue();
@@ -253,59 +257,15 @@ bool Server::execute_migration(SessionId id, std::size_t target_shard) {
   return true;
 }
 
-void Server::run_pending_migrations() {
-  std::vector<std::pair<SessionId, std::size_t>> pending;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    pending.swap(pending_migrations_);
-  }
-  for (const auto& [id, target] : pending) execute_migration(id, target);
-}
-
-void Server::maybe_rebalance() {
-  if (cfg_.rebalance_every == 0 || shards_.size() < 2) return;
-  if (++ticks_ % cfg_.rebalance_every != 0) return;
-  std::size_t hot = 0, cold = 0;
-  std::size_t hot_depth = 0;
-  std::size_t cold_depth = std::numeric_limits<std::size_t>::max();
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    const std::size_t d =
-        shards_[k]->gauge()->load(std::memory_order_relaxed);
-    if (d > hot_depth) hot = k, hot_depth = d;
-    if (d < cold_depth) cold = k, cold_depth = d;
-  }
-  // Move only on a real imbalance: ratio over the (floored) cold depth
-  // AND at least one queue's worth of absolute gap, so near-idle noise
-  // never triggers churn.
-  if (hot == cold) return;
-  const auto floor_cold = std::max<std::size_t>(cold_depth, 1);
-  if (static_cast<double>(hot_depth) <
-          cfg_.rebalance_ratio * static_cast<double>(floor_cold) ||
-      hot_depth - cold_depth < cfg_.session.queue_capacity)
-    return;
-  const auto depths = shards_[hot]->session_depths();
-  SessionId pick = 0;
-  std::size_t pick_depth = 0;
-  for (const auto& [id, depth] : depths)
-    if (depth > pick_depth) pick = id, pick_depth = depth;
-  if (pick_depth == 0) return;
-  execute_migration(pick, cold);  // synchronous tick: safe inline
-}
-
 std::size_t Server::run_once() {
-  run_pending_migrations();
-  maybe_rebalance();
   std::size_t served = 0;
   for (auto& sh : shards_) served += sh->run_once();
   return served;
 }
 
 std::size_t Server::drain() {
-  // Deferred migrations move frames BETWEEN shards, so run them before
-  // the shard-by-shard drain; after that a shard's queues are only ever
-  // refilled from outside the server, and draining each until empty
-  // drains the whole plane.
-  run_pending_migrations();
+  // Migrations run inline, so a shard's queues are only ever refilled from
+  // outside the server: draining each until empty drains the whole plane.
   std::size_t total = 0;
   for (auto& sh : shards_) total += sh->drain();
   return total;
@@ -515,47 +475,28 @@ std::vector<SessionId> Server::restore_clones(const SessionConfig& scfg) {
 
 namespace {
 
-/// Builds a ServeStats snapshot from per-shard raw stats.  `indices[i]`
-/// is the shard index of `raws[i]` (merged snapshots pass 0..N-1, the
-/// single-shard view passes just {k}).  `in_flight` is the gauge value to
-/// report (the global admission gauge for the merged view, the shard's
-/// own gauge for a per-shard view).
+/// Merges every shard's raw stats (in shard order) into one snapshot;
+/// the caller fills in the global in-flight gauge.
 ServeStats derive_stats(const std::vector<ShardRawStats>& raws,
-                        const std::vector<std::size_t>& indices,
-                        std::size_t in_flight, const ServeConfig& cfg) {
+                        const ServeConfig& cfg) {
   ServeStats out;
   out.shards = raws.size();
   LatencyHistogram latency;
   Telemetry telem;
-  for (std::size_t i = 0; i < raws.size(); ++i) {
-    const auto& raw = raws[i];
-    ShardStatsRow row;
-    row.shard = indices[i];
-    row.sessions = raw.sessions.size();
-    row.in_flight = raw.in_flight;
-    row.batches = raw.batches;
-    row.overload_level = raw.overload_level;
-    row.overload_transitions = raw.overload_transitions;
-    row.latency_p99_ms = raw.latency.p99() * 1e3;
-    row.migrations_in = raw.migrations_in;
-    row.migrations_out = raw.migrations_out;
-    row.migration_failures = raw.migration_failures;
-    row.queue_depth_series = raw.queue_depth_series;
-    for (const auto& ss : raw.sessions) {
-      row.frames_in += ss.frames_in;
-      row.frames_out += ss.frames_out;
-      out.per_session.push_back(ss);
-    }
+  for (const auto& raw : raws) {
+    const ShardStatsRow& row = raw.row;
     out.per_shard.push_back(row);
+    out.per_session.insert(out.per_session.end(), raw.sessions.begin(),
+                           raw.sessions.end());
 
     latency.merge(raw.latency);
     telem.merge(raw.telem);
-    out.batches += raw.batches;
-    out.overload_level = std::max(out.overload_level, raw.overload_level);
-    out.overload_transitions += raw.overload_transitions;
+    out.batches += row.batches;
+    out.overload_level = std::max(out.overload_level, row.overload_level);
+    out.overload_transitions += row.overload_transitions;
     // Each completed move is one adoption, so Σ in = completed moves.
-    out.migrations += raw.migrations_in;
-    out.migration_failures += raw.migration_failures;
+    out.migrations += row.migrations_in;
+    out.migration_failures += row.migration_failures;
 
     out.clone_store.enabled |= raw.clone_store.enabled;
     out.clone_store.hits += raw.clone_store.hits;
@@ -608,7 +549,6 @@ ServeStats derive_stats(const std::vector<ShardRawStats>& raws,
   out.shed_rate = offered ? static_cast<double>(out.deadline_shed) /
                                 static_cast<double>(offered)
                           : 0.0;
-  out.in_flight = in_flight;
   out.overload_level_name =
       overload_level_name(static_cast<OverloadLevel>(out.overload_level));
   out.mean_batch = out.batches ? static_cast<double>(batched_frames) /
@@ -639,25 +579,11 @@ ServeStats derive_stats(const std::vector<ShardRawStats>& raws,
 
 ServeStats Server::stats() const {
   std::vector<ShardRawStats> raws;
-  std::vector<std::size_t> indices;
   raws.reserve(shards_.size());
-  indices.reserve(shards_.size());
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    raws.push_back(shards_[k]->raw_stats());
-    indices.push_back(k);
-  }
-  return derive_stats(raws, indices,
-                      in_flight_.load(std::memory_order_relaxed), cfg_);
-}
-
-ServeStats Server::stats(std::size_t shard) const {
-  if (shard >= shards_.size())
-    throw std::out_of_range("serve::Server::stats: shard index " +
-                            std::to_string(shard) + " out of range");
-  std::vector<ShardRawStats> raws;
-  raws.push_back(shards_[shard]->raw_stats());
-  const std::size_t in_flight = raws.front().in_flight;
-  return derive_stats(raws, {shard}, in_flight, cfg_);
+  for (const auto& sh : shards_) raws.push_back(sh->raw_stats());
+  ServeStats out = derive_stats(raws, cfg_);
+  out.in_flight = in_flight_.load(std::memory_order_relaxed);
+  return out;
 }
 
 }  // namespace fuse::serve

@@ -9,26 +9,22 @@
 // so batching/adaptation work scales with cores instead of capping at
 // one.  Placement is an explicit shard-map table: every session starts
 // on its home shard `(id - 1) % num_shards` (deterministic, stable
-// across close_session/recycle_session), and migrate_session() — or the
-// load-balancer hook, see below — may later record an override moving it
-// elsewhere.  With no migrations the table is empty and shard_of() is
-// exactly the old pure hash; the 1-shard configuration is bit-compatible
-// with the pre-shard scheduler (the equivalence oracle — one shard runs
-// exactly the old single-thread engine).
+// across close_session/recycle_session), and migrate_session() may later
+// record an override moving it elsewhere.  With no migrations the table
+// is empty and shard_of() is exactly the old pure hash; the 1-shard
+// configuration is bit-compatible with the pre-shard scheduler (the
+// equivalence oracle — one shard runs exactly the old single-thread
+// engine).
 //
 // Cross-shard migration (PR 10): migrate_session(id, shard) drains the
 // session's queue, round-trips its adapted clone through the delta codec
 // (nn/delta.h — the same checkpoint format eviction uses), rebinds the
 // session and its gauges on the target shard and replays the drained
-// frames there.  In synchronous mode the move executes at the start of
-// the next run_once() tick (the scheduler tick owns session state);
-// until then — and for the duration of the move — submits to the session
-// return SubmitResult::kMigrating (retry-after semantics).  In threaded
-// mode the move executes inline under both shards' pass locks.  Setting
-// ServeConfig::rebalance_every arms the built-in load balancer: every N
-// synchronous ticks the deepest-backlog session on the hottest shard is
-// migrated to the coldest shard when the depth imbalance exceeds
-// rebalance_ratio.  Migrated placements persist with the clones (a
+// frames there.  In both serving modes the move executes inline, under
+// both shards' pass locks; for its duration submits to the session return
+// SubmitResult::kMigrating (retry-after semantics).  There is no built-in
+// load balancer: a caller that wants balancing reads stats().per_shard and
+// calls migrate_session().  Migrated placements persist with the clones (a
 // `shard_map` file next to the per-shard stores) and are re-installed by
 // restore_clones(); changing num_shards itself remains an offline
 // re-shard (tools/reshard, serve/reshard.h).
@@ -59,7 +55,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/predictor.h"
@@ -90,7 +85,7 @@ enum class SubmitResult {
   kUnknownSession,     ///< no session with that id
   kNoProcessor,        ///< submit_cube without a ServeConfig::processor
   /// The session is mid-move to another shard (its queue is being drained
-  /// for replay there); retry after the move commits — one scheduler tick.
+  /// for replay there); retry after the move commits.
   kMigrating,
 };
 
@@ -152,15 +147,6 @@ struct ServeConfig {
   /// shard's own queue depth (see the contract at the top of this
   /// header).  Disabled by default.
   OverloadConfig overload;
-  /// Load-balancer hook in the synchronous scheduler tick: every
-  /// `rebalance_every` run_once() calls the server compares per-shard
-  /// queue backlogs and migrates the deepest-backlog session from the
-  /// hottest shard to the coldest when hot exceeds cold by more than
-  /// `rebalance_ratio` (and by at least one whole queue's worth of
-  /// frames).  0 (default) disables the hook; threaded deployments drive
-  /// migrate_session() from their own balancer instead.
-  std::size_t rebalance_every = 0;
-  double rebalance_ratio = 2.0;
   SessionConfig session;           ///< defaults for open_session()
 
   /// Consolidated ServeConfig + nested SessionConfig validation; throws
@@ -196,14 +182,15 @@ class Server {
 
   /// Moves the session to `target_shard`: drains its queue, round-trips
   /// the adapted clone through the delta codec, rebinds session + gauges
-  /// on the target and replays the drained frames there.  Synchronous
-  /// mode defers execution to the start of the next run_once()/drain()
-  /// tick (submits return kMigrating until the move commits); threaded
-  /// mode executes inline under both shards' pass locks.  Returns false
-  /// when the session or target does not exist or the move was rolled
-  /// back (injected mid-migration faults; the session then still serves
-  /// intact on its source shard).  A same-shard target is a no-op
-  /// returning true.
+  /// on the target and replays the drained frames there.  Runs inline in
+  /// both serving modes under both shards' pass locks (so it waits for a
+  /// pass in progress on either shard); shard_of() reports the target as
+  /// soon as it returns true.  Submits racing the move from other threads
+  /// return kMigrating.  Returns false when the session or target does
+  /// not exist or the move was rolled back (injected mid-migration
+  /// faults; the session then still serves intact on its source shard).
+  /// A same-shard target is a no-op returning true.  This is also the
+  /// load-balancing hook: the server never moves sessions on its own.
   bool migrate_session(SessionId id, std::size_t target_shard);
 
   // ------------------------------------------------------------ sessions --
@@ -258,9 +245,6 @@ class Server {
   /// rung across shards.  Derived metrics are computed here at read time;
   /// callable from any thread.
   ServeStats stats() const;
-  /// Snapshot of one shard only (shard < num_shards()); its per_shard
-  /// vector carries the single row for `shard`.
-  ServeStats stats(std::size_t shard) const;
   /// stats() serialized as structured JSON (serve::stats_to_json) — the
   /// live-query payload used by examples/clinic_server and the bench's
   /// SERVE_stats.json artifact.
@@ -291,14 +275,13 @@ class Server {
   std::size_t home_shard(SessionId id) const {
     return id == 0 ? 0 : (id - 1) % shards_.size();
   }
-  /// Executes one queued/requested move; see migrate_session.  Callers
-  /// either hold both shards' pass locks (threaded) or are the sole
-  /// scheduler thread (synchronous tick).
+  /// Executes one move; see migrate_session.  The caller holds both
+  /// shards' pass locks.
   bool execute_migration(SessionId id, std::size_t target_shard);
-  /// Runs deferred migrations queued by migrate_session (sync mode only).
-  void run_pending_migrations();
-  /// The load-balancer hook (see ServeConfig::rebalance_every).
-  void maybe_rebalance();
+  /// Calls `submit(shard)` on the session's shard, re-routing when a
+  /// concurrent move re-placed the session mid-call.
+  template <typename Submit>
+  SubmitResult route_submit(SessionId id, Submit&& submit);
   void set_shard_override(SessionId id, std::size_t shard);
   void clear_shard_override(SessionId id);
 
@@ -322,13 +305,6 @@ class Server {
   mutable std::mutex map_mu_;
   std::unordered_map<SessionId, std::size_t> shard_overrides_;
   std::atomic<std::size_t> override_count_{0};
-
-  /// Migrations requested while in synchronous mode, executed at the
-  /// start of the next run_once() tick.
-  std::mutex pending_mu_;
-  std::vector<std::pair<SessionId, std::size_t>> pending_migrations_;
-
-  std::size_t ticks_ = 0;  ///< run_once calls (drives the rebalance hook)
 
   std::atomic<bool> running_{false};
 };

@@ -115,7 +115,7 @@ SubmitResult Shard::submit_frame(SessionId id,
   if (s->migrating()) {
     // Mid-move: the queue is being drained for replay on the target shard;
     // enqueueing here would strand the frame.  Retry-after semantics — the
-    // producer resubmits once the move commits (one scheduler tick).
+    // producer resubmits once the move commits.
     s->note_migration_rejected();
     return SubmitResult::kMigrating;
   }
@@ -144,7 +144,7 @@ SubmitResult Shard::submit_frame(SessionId id,
                           : SubmitResult::kAccepted;
 }
 
-SubmitResult Shard::submit_cube(SessionId id, fuse::radar::RadarCube cube,
+SubmitResult Shard::submit_cube(SessionId id, fuse::radar::RadarCube&& cube,
                                 const fuse::human::Pose* label) {
   if (cfg_.processor == nullptr)  // no DSP front-end wired
     return SubmitResult::kNoProcessor;
@@ -258,7 +258,15 @@ void Shard::stop() {
 void Shard::scheduler_loop() {
   for (;;) {
     const std::size_t served = run_once();
-    if (served > 0) continue;
+    if (served > 0) {
+      // A busy shard re-takes its pass lock the moment it releases it, so
+      // a migration driver blocked in lock_pass() could starve for as long
+      // as producers keep the queues full.  Step aside until it holds the
+      // lock.
+      while (pass_waiters_.load(std::memory_order_relaxed) != 0)
+        std::this_thread::yield();
+      continue;
+    }
     std::unique_lock<std::mutex> lock(wake_mu_);
     if (stop_requested_) {
       // Final sweep so frames submitted just before stop() are served.
@@ -308,24 +316,32 @@ std::vector<SessionId> Shard::restore_clones(const SessionConfig& scfg) {
 
 ShardRawStats Shard::raw_stats() const {
   ShardRawStats out;
+  ShardStatsRow& row = out.row;
   const auto snapshot = snapshot_sessions();
   out.sessions.reserve(snapshot.size());
-  for (const auto& s : snapshot) out.sessions.push_back(s->stats_snapshot());
-  out.in_flight = shard_in_flight_.load(std::memory_order_relaxed);
-  out.overload_level = overload_level_.load(std::memory_order_relaxed);
-  out.overload_transitions =
+  for (const auto& s : snapshot) {
+    out.sessions.push_back(s->stats_snapshot());
+    row.frames_in += out.sessions.back().frames_in;
+    row.frames_out += out.sessions.back().frames_out;
+  }
+  row.shard = index_;
+  row.sessions = out.sessions.size();
+  row.in_flight = shard_in_flight_.load(std::memory_order_relaxed);
+  row.overload_level = overload_level_.load(std::memory_order_relaxed);
+  row.overload_transitions =
       overload_transitions_.load(std::memory_order_relaxed);
-  out.clone_store = clone_store_.stats_snapshot();
-  out.migrations_in = migrations_in_.load(std::memory_order_relaxed);
-  out.migrations_out = migrations_out_.load(std::memory_order_relaxed);
-  out.migration_failures =
+  row.migrations_in = migrations_in_.load(std::memory_order_relaxed);
+  row.migrations_out = migrations_out_.load(std::memory_order_relaxed);
+  row.migration_failures =
       migration_failures_.load(std::memory_order_relaxed);
+  out.clone_store = clone_store_.stats_snapshot();
   std::lock_guard<std::mutex> lock(stats_mu_);
   out.latency = latency_;
   out.telem = telem_;
-  out.batches = batches_;
+  row.batches = batches_;
+  row.latency_p99_ms = latency_.p99() * 1e3;
+  row.queue_depth_series = depth_series_.snapshot();
   out.batched_frames = batched_frames_;
-  out.queue_depth_series = depth_series_.snapshot();
   return out;
 }
 
@@ -341,14 +357,6 @@ std::shared_ptr<Session> Shard::detach_session(SessionId id) {
 void Shard::attach_session(std::shared_ptr<Session> s) {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   sessions_.emplace(s->id(), std::move(s));
-}
-
-std::vector<std::pair<SessionId, std::size_t>> Shard::session_depths() const {
-  const auto snapshot = snapshot_sessions();
-  std::vector<std::pair<SessionId, std::size_t>> out;
-  out.reserve(snapshot.size());
-  for (const auto& s : snapshot) out.emplace_back(s->id(), s->queue_depth());
-  return out;
 }
 
 void Shard::record_migration(double seconds) {

@@ -37,25 +37,16 @@
 
 namespace fuse::serve {
 
-/// Raw per-shard stats surface: everything Server needs to derive either
-/// a per-shard or a merged ServeStats snapshot.  Histograms are carried
-/// whole (not as quantiles) so the merged quantiles are exact.
+/// Raw per-shard stats surface: this shard's finished summary row plus
+/// what Server needs to merge the fleet-wide ServeStats.  Histograms are
+/// carried whole (not as quantiles) so the merged quantiles are exact.
 struct ShardRawStats {
+  ShardStatsRow row;
   std::vector<SessionStats> sessions;  ///< sorted by id
   LatencyHistogram latency;
   Telemetry telem;
-  std::uint64_t batches = 0;
   std::uint64_t batched_frames = 0;
-  std::size_t in_flight = 0;  ///< this shard's queued frames
-  int overload_level = 0;
-  std::uint64_t overload_transitions = 0;
   CloneStoreSnapshot clone_store;
-  // Live cross-shard migration traffic (PR 10).
-  std::uint64_t migrations_in = 0;
-  std::uint64_t migrations_out = 0;
-  std::uint64_t migration_failures = 0;
-  /// Per-tick queue-depth samples, oldest -> newest (bounded ring).
-  std::vector<std::size_t> queue_depth_series;
 };
 
 class Shard {
@@ -84,7 +75,9 @@ class Shard {
   // ------------------------------------------------------------- frames --
   SubmitResult submit_frame(SessionId id, const fuse::radar::PointCloud& cloud,
                             const fuse::human::Pose* label);
-  SubmitResult submit_cube(SessionId id, fuse::radar::RadarCube cube,
+  /// Moves from `cube` only once the session is found, so a caller may
+  /// retry a kUnknownSession answer on another shard with the same cube.
+  SubmitResult submit_cube(SessionId id, fuse::radar::RadarCube&& cube,
                            const fuse::human::Pose* label);
   std::vector<PoseResult> poll_results(SessionId id);
 
@@ -114,7 +107,10 @@ class Shard {
   /// (the migration driver) lock source and target ordered by index —
   /// shard threads only ever take their own, so the order cannot deadlock.
   std::unique_lock<std::mutex> lock_pass() {
-    return std::unique_lock<std::mutex>(pass_mu_);
+    pass_waiters_.fetch_add(1, std::memory_order_relaxed);
+    std::unique_lock<std::mutex> lock(pass_mu_);
+    pass_waiters_.fetch_sub(1, std::memory_order_relaxed);
+    return lock;
   }
   std::shared_ptr<Session> find(SessionId id) const;
   /// Removes the session from this shard's map WITHOUT queueing a
@@ -123,8 +119,6 @@ class Shard {
   void attach_session(std::shared_ptr<Session> s);
   CloneStore& store() { return clone_store_; }
   std::atomic<std::size_t>* gauge() { return &shard_in_flight_; }
-  /// (id, queue depth) per session — the load balancer's pick input.
-  std::vector<std::pair<SessionId, std::size_t>> session_depths() const;
   void note_migration_in() {
     migrations_in_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -178,6 +172,9 @@ class Shard {
 
   /// Held for the full run_once tick; see lock_pass().
   std::mutex pass_mu_;
+  /// Callers blocked in lock_pass(); a busy scheduler thread yields the
+  /// pass lock to them between passes (see scheduler_loop).
+  std::atomic<std::size_t> pass_waiters_{0};
   std::atomic<std::uint64_t> migrations_in_{0};
   std::atomic<std::uint64_t> migrations_out_{0};
   std::atomic<std::uint64_t> migration_failures_{0};

@@ -254,8 +254,7 @@ struct ServeStats {
   std::uint64_t overload_transitions = 0;  ///< rung changes since start
 
   // Sharded serving plane: how many scheduler shards this snapshot spans
-  // (the merged Server::stats() reports num_shards; Server::stats(k)
-  // reports 1) and one summary row per shard covered.
+  // (Server::stats() reports num_shards) and one summary row per shard.
   std::size_t shards = 1;
   std::vector<ShardStatsRow> per_shard;
 

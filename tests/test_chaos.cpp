@@ -619,12 +619,11 @@ TEST(Chaos, LiveMigrationFaultsRollBackWithoutLosingFrames) {
       ASSERT_EQ(server.submit_frame(id, f.cloud), SubmitResult::kAccepted);
       control.submit_frame(cid, f.cloud);
     }
-    ASSERT_TRUE(server.migrate_session(id, 1));
     {
       FaultConfig fc;
       fc.p(point) = 1.0;
       ScopedFaults faults(fc);
-      server.run_once();  // the move dies; the tick keeps serving
+      EXPECT_FALSE(server.migrate_session(id, 1));  // the move dies
     }
     auto stats = server.stats();
     EXPECT_EQ(stats.migration_failures, 1u);
@@ -647,7 +646,6 @@ TEST(Chaos, LiveMigrationFaultsRollBackWithoutLosingFrames) {
 
     // Fault cleared: the same migration now lands, still bit-exact.
     ASSERT_TRUE(server.migrate_session(id, 1));
-    server.run_once();
     EXPECT_EQ(server.shard_of(id), 1u);
     EXPECT_EQ(server.stats().migrations, 1u);
     for (const auto& f : probe) {
