@@ -254,7 +254,34 @@ void BM_Gemm512(benchmark::State& state) {
       static_cast<double>(state.iterations()) * 2.0 * 512 * 512 * 512 * 1e-9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Gemm512)->Unit(benchmark::kMillisecond);
+// Real time: the GEMM runs on the pool, so the calling thread's CPU time
+// would inflate a kIsRate counter.
+BENCHMARK(BM_Gemm512)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_GemmNt(benchmark::State& state) {
+  // The fc1 shape, x [M, 2048] · Wᵀ with W [512, 2048]: M = 1 is the
+  // batch-1 serving path, M = 16 the blocked path.
+  constexpr std::size_t k = 2048, n = 512;
+  const auto m = static_cast<std::size_t>(state.range(0));
+  fuse::util::Rng rng(13);
+  fuse::tensor::Tensor x({m, k}), w({n, k}), y({m, n});
+  for (std::size_t i = 0; i < x.numel(); ++i) x[i] = rng.uniformf(-1, 1);
+  for (std::size_t i = 0; i < w.numel(); ++i) w[i] = rng.uniformf(-1, 1);
+  for (auto _ : state) {
+    fuse::tensor::gemm(fuse::tensor::Trans::kNo, fuse::tensor::Trans::kYes,
+                       1.0f, x, w, 0.0f, y);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 2.0 * m * k * n * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GemmNt)
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(16)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 // ------------------------------------------------------------- pipeline --
 

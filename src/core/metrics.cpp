@@ -21,7 +21,7 @@ MaeCm evaluate(const fuse::nn::Module& model,
                          indices.begin() + static_cast<std::ptrdiff_t>(hi));
     const auto x = feat.make_inputs(fused, chunk);
     const auto y = feat.make_labels(fused, chunk);
-    const auto pred = model.predict(x);
+    const auto pred = model.infer(x);
     const auto mae = fuse::data::mae_per_axis_m(pred, y, feat.label_stats());
     const auto w = static_cast<double>(chunk.size());
     for (std::size_t a = 0; a < 3; ++a) acc[a] += mae[a] * w;
@@ -49,7 +49,7 @@ std::vector<double> per_joint_mae_cm(const fuse::nn::Module& model,
                          indices.begin() + static_cast<std::ptrdiff_t>(hi));
     const auto x = feat.make_inputs(fused, chunk);
     const auto y = feat.make_labels(fused, chunk);
-    const auto pred = model.predict(x);
+    const auto pred = model.infer(x);
     for (std::size_t i = 0; i < chunk.size(); ++i) {
       const float* p = pred.data() + i * fuse::human::kNumCoords;
       const float* t = y.data() + i * fuse::human::kNumCoords;

@@ -502,8 +502,10 @@ Tensor Linear::do_infer(const Tensor& x, Backend backend) const {
     }
     return y;
   }
-  // The FC layers already funnel into the blocked GEMM for every fp32
-  // backend (and for kInt8 on an uncalibrated layer).
+  // Every fp32 backend (and kInt8 on an uncalibrated layer) runs x · Wᵀ
+  // through tensor::gemm: batches up to its small-M crossover (batch-1
+  // serving) take the row kernel that streams W in place, larger ones the
+  // blocked path.
   Tensor y = fuse::tensor::matmul(x, w_, Trans::kNo, Trans::kYes);
   fuse::tensor::add_row_bias(y, b_);
   return y;

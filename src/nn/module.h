@@ -94,8 +94,6 @@ class Module {
   Tensor infer(const Tensor& x, Backend backend) const {
     return do_infer(x, backend);
   }
-  /// Inference entry point for call sites that never backprop.
-  Tensor predict(const Tensor& x) const { return infer(x); }
 
   /// Backend used by the training passes (forward/backward).  Defaults to
   /// kGemm — the batched GEMM kernels — so every training loop (supervised,

@@ -22,22 +22,46 @@ struct MatView {
   std::size_t rows, cols;   // logical (post-transpose) dims
   std::size_t ld;           // leading dimension of the *storage*
   bool trans;               // storage is [cols, rows] if true
-
-  float at(std::size_t r, std::size_t c) const {
-    return trans ? p[c * ld + r] : p[r * ld + c];
-  }
 };
 
-// Packs a [mb x kb] panel of op(A) into contiguous row-major storage.
+// Transposing copy: dst[i * ldd + j] = src[j * lds + i] for i < rows,
+// j < cols.  Walked in kTransposeTile-square tiles so each source row is read
+// contiguously; a plain column walk strides by lds on every load, which for
+// the FC weights (lds = 2048 floats) lands every load in the same L1 set.
+constexpr std::size_t kTransposeTile = 8;
+
+void transpose_into(const float* src, std::size_t lds, std::size_t rows,
+                    std::size_t cols, float* dst, std::size_t ldd) {
+  for (std::size_t j0 = 0; j0 < cols; j0 += kTransposeTile) {
+    const std::size_t j1 = std::min(cols, j0 + kTransposeTile);
+    for (std::size_t i0 = 0; i0 < rows; i0 += kTransposeTile) {
+      const std::size_t i1 = std::min(rows, i0 + kTransposeTile);
+      for (std::size_t j = j0; j < j1; ++j)
+        for (std::size_t i = i0; i < i1; ++i)
+          dst[i * ldd + j] = src[j * lds + i];
+    }
+  }
+}
+
+// Packs the [mb x kb] panel at (r0, c0) of op(A) or op(B) into contiguous
+// row-major storage.
 void pack_panel(const MatView& m, std::size_t r0, std::size_t c0,
                 std::size_t mb, std::size_t kb, float* dst) {
   if (!m.trans) {
     for (std::size_t r = 0; r < mb; ++r)
       std::memcpy(dst + r * kb, m.p + (r0 + r) * m.ld + c0, kb * sizeof(float));
   } else {
-    for (std::size_t r = 0; r < mb; ++r)
-      for (std::size_t c = 0; c < kb; ++c)
-        dst[r * kb + c] = m.p[(c0 + c) * m.ld + (r0 + r)];
+    transpose_into(m.p + c0 * m.ld + r0, m.ld, mb, kb, dst, kb);
+  }
+}
+
+// dst[i] += alpha * acc[i] — the single rounding step that folds a finished
+// accumulator into C, shared by both GEMM paths so they round identically.
+void add_scaled(float* dst, const float* acc, std::size_t len, float alpha) {
+  if (alpha == 1.0f) {
+    for (std::size_t i = 0; i < len; ++i) dst[i] += acc[i];
+  } else {
+    for (std::size_t i = 0; i < len; ++i) dst[i] += alpha * acc[i];
   }
 }
 
@@ -77,6 +101,52 @@ void micro_gemm(std::size_t mb, std::size_t nb, std::size_t kb,
   }
 }
 
+// Small-M NT path: A [m, k] row-major times W [n, k] row-major, transposed.
+// Each output column j is the dot product of A's row with W's contiguous row
+// j, so W is streamed in place (8 rows at a time, sequential k) instead of
+// being transposed into a pack.  The accumulator is the same sequential-k,
+// zero-started mul-then-add sum the blocked path forms, so both paths and
+// every batch size produce bit-identical outputs.
+//
+// kSmallM is the measured crossover on the fc1 shape: the kernel
+// re-transposes W in registers for every row of A, so its cost grows ~M
+// while the blocked path pays one pack per call; they tie at M = 3.
+// kRowMinMacs keeps small layers (fc2) on the calling thread.
+constexpr std::size_t kSmallM = 3;
+constexpr std::size_t kRowBlockN = 8;
+constexpr std::size_t kRowMinMacs = 1 << 16;
+
+void gemm_nt_rows(std::size_t m, std::size_t n, std::size_t k, float alpha,
+                  const float* a, const float* w, float* c) {
+  const std::size_t n_blocks = (n + kRowBlockN - 1) / kRowBlockN;
+  const std::size_t min_chunk =
+      std::max<std::size_t>(1, kRowMinMacs / (m * k * kRowBlockN));
+  // One writer per output column block: deterministic for any worker count.
+  fuse::util::parallel_for(0, n_blocks, [&](std::size_t b0, std::size_t b1) {
+    for (std::size_t jb = b0; jb < b1; ++jb) {
+      const std::size_t j0 = jb * kRowBlockN;
+      const std::size_t nb = std::min(kRowBlockN, n - j0);
+      const float* wb = w + j0 * k;
+      for (std::size_t r = 0; r < m; ++r) {
+        const float* ar = a + r * k;
+        float acc[kRowBlockN] = {};
+        if (nb == kRowBlockN) {
+          for (std::size_t kk = 0; kk < k; ++kk) {
+            const float av = ar[kk];
+            for (std::size_t jj = 0; jj < kRowBlockN; ++jj)
+              acc[jj] += av * wb[jj * k + kk];
+          }
+        } else {
+          for (std::size_t jj = 0; jj < nb; ++jj)
+            for (std::size_t kk = 0; kk < k; ++kk)
+              acc[jj] += ar[kk] * wb[jj * k + kk];
+        }
+        add_scaled(c + r * n + j0, acc, nb, alpha);
+      }
+    }
+  }, min_chunk);
+}
+
 }  // namespace
 
 void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
@@ -105,14 +175,23 @@ void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
   }
   if (m == 0 || n == 0 || k == 0 || alpha == 0.0f) return;
 
-  const MatView va{a.data(), m, k, a.dim(1), ta};
-  const MatView vb{b.data(), k, n, b.dim(1), tb};
   float* cp = c.data();
 
-  // Parallelise over M row-blocks; each task packs its own A panels.  B
-  // panels are packed per (kblock, nblock) inside the task as well — for the
-  // sizes FUSE uses (M up to a few thousand) re-packing B is cheaper than
-  // synchronising a shared pack.
+  // Batch-1 FC layers (x · Wᵀ at M <= kSmallM): with a single M-block the
+  // blocked path below would transpose all of W into its pack on every call
+  // and run on one thread; the row kernel reads W in place instead and
+  // splits the output columns across the pool.
+  if (!ta && tb && m <= kSmallM) {
+    gemm_nt_rows(m, n, k, alpha, a.data(), b.data(), cp);
+    return;
+  }
+
+  const MatView va{a.data(), m, k, a.dim(1), ta};
+  const MatView vb{b.data(), k, n, b.dim(1), tb};
+
+  // Blocked path: parallel over M row-blocks.  Each task packs its own A
+  // and op(B) panels (tile-transposed when stored transposed), so tasks
+  // share nothing; every op(B) pack is reused by up to kBlockM rows.
   const std::size_t n_mblocks = (m + kBlockM - 1) / kBlockM;
   fuse::util::parallel_for(0, n_mblocks, [&](std::size_t b0, std::size_t b1) {
     std::vector<float> apack(kBlockM * kBlockK);
@@ -127,29 +206,11 @@ void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
         for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
           const std::size_t kb = std::min(kBlockK, k - k0);
           pack_panel(va, r0, k0, mb, kb, apack.data());
-          // Pack op(B) block [kb, nb].
-          if (!vb.trans) {
-            for (std::size_t r = 0; r < kb; ++r)
-              std::memcpy(bpack.data() + r * nb,
-                          vb.p + (k0 + r) * vb.ld + c0, nb * sizeof(float));
-          } else {
-            for (std::size_t r = 0; r < kb; ++r)
-              for (std::size_t cc = 0; cc < nb; ++cc)
-                bpack[r * nb + cc] = vb.p[(c0 + cc) * vb.ld + (k0 + r)];
-          }
+          pack_panel(vb, k0, c0, kb, nb, bpack.data());
           micro_gemm(mb, nb, kb, apack.data(), bpack.data(), cacc.data(), nb);
         }
-        // C += alpha * acc
-        for (std::size_t r = 0; r < mb; ++r) {
-          float* crow = cp + (r0 + r) * n + c0;
-          const float* arow = cacc.data() + r * nb;
-          if (alpha == 1.0f) {
-            for (std::size_t cc = 0; cc < nb; ++cc) crow[cc] += arow[cc];
-          } else {
-            for (std::size_t cc = 0; cc < nb; ++cc)
-              crow[cc] += alpha * arow[cc];
-          }
-        }
+        for (std::size_t r = 0; r < mb; ++r)
+          add_scaled(cp + (r0 + r) * n + c0, cacc.data() + r * nb, nb, alpha);
       }
     }
   });

@@ -45,8 +45,8 @@ TEST(Integration, TrainedModelSerializationRoundTrip) {
   // Identical predictions on a real batch.
   const fuse::data::IndexSet batch = {0, 10, 20};
   const auto x = pipeline.featurizer().make_inputs(pipeline.fused(), batch);
-  const auto y1 = pipeline.model().predict(x);
-  const auto y2 = reloaded->predict(x);
+  const auto y1 = pipeline.model().infer(x);
+  const auto y2 = reloaded->infer(x);
   for (std::size_t i = 0; i < y1.numel(); ++i) EXPECT_EQ(y1[i], y2[i]);
   std::remove(path.c_str());
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <sstream>
 
@@ -199,7 +200,36 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{65, 67, 63, false, true, 1.0f, 0.0f},
         GemmCase{128, 300, 70, false, false, 1.0f, 0.0f},
         GemmCase{130, 257, 260, true, true, 0.5f, 2.0f},
-        GemmCase{257, 512, 57, false, true, 1.0f, 0.0f}));
+        GemmCase{257, 512, 57, false, true, 1.0f, 0.0f},
+        // Small-M NT shapes (x · Wᵀ, the batch-1 FC layers) on both sides
+        // of the row-kernel / blocked-path crossover.
+        GemmCase{1, 2048, 512, false, true, 1.0f, 0.0f},
+        GemmCase{3, 2048, 512, false, true, 1.0f, 0.0f},
+        GemmCase{4, 2048, 512, false, true, 1.0f, 0.0f},
+        GemmCase{5, 2048, 512, false, true, 1.0f, 0.0f},
+        GemmCase{1, 512, 57, false, true, 1.0f, 0.0f},
+        GemmCase{3, 7, 13, false, true, 0.5f, 2.0f}));
+
+// Each row of an NT product must be bit-identical to the M = 1 product of
+// that row alone, on either side of the small-M crossover: batched serving
+// and the batch-1 reference both rely on outputs not depending on batch
+// size.
+TEST(Gemm, NtRowsAreBatchInvariantBitExactly) {
+  const std::size_t k = 2048, n = 512;
+  fuse::util::Rng rng(29);
+  const Tensor w = random_tensor({n, k}, rng);
+  for (const std::size_t m : {1, 2, 3, 4, 5, 6, 16, 17}) {
+    const Tensor x = random_tensor({m, k}, rng);
+    const Tensor y = fuse::tensor::matmul(x, w, Trans::kNo, Trans::kYes);
+    for (std::size_t r = 0; r < m; ++r) {
+      Tensor xr({1, k});
+      std::memcpy(xr.data(), x.data() + r * k, k * sizeof(float));
+      const Tensor yr = fuse::tensor::matmul(xr, w, Trans::kNo, Trans::kYes);
+      EXPECT_EQ(std::memcmp(yr.data(), y.data() + r * n, n * sizeof(float)), 0)
+          << "M = " << m << ", row " << r;
+    }
+  }
+}
 
 TEST(Gemm, InnerDimensionMismatchThrows) {
   const Tensor a({2, 3});
