@@ -5,9 +5,11 @@
 // the fleet frame shape (IWR1443 default: 12 virtual channels x 64 chirps
 // x 256 samples).
 //
-// Measured per stage and end to end, 1..N threads (the 1-thread rows run
-// inside a single-worker driver pool so the channel-parallel loop
-// serializes inline and nothing escapes to the global pool):
+// Measured per stage and end to end on one thread — the cost a served
+// frame pays, since a frame runs on the thread that serves it.  The rows
+// run inside a single-worker pool, so the reference path's
+// channel-parallel loop serializes inline too and nothing escapes to the
+// global pool:
 //
 //   range_doppler  both FFT passes, windowed + fftshifted
 //   cfar2d         2-D CA-CFAR on the summed power map
@@ -51,16 +53,9 @@ namespace {
 
 using fuse::radar::RadarCube;
 
-/// Runs `body` confined to exactly `threads` workers: a 1-worker driver
-/// pool makes the processor's channel-parallel loop serialize inline (the
-/// honest single-thread row); larger counts fan out to a dedicated pool.
-void run_confined(std::size_t threads, const std::function<void()>& body) {
-  if (threads > 1) {
-    // Multi-thread rows use the global pool directly (its width is the
-    // host's); rows beyond hardware width are not generated.
-    body();
-    return;
-  }
+/// Runs `body` on a 1-worker pool, where the free parallel_for
+/// serializes inline: the honest single-thread row.
+void run_confined(const std::function<void()>& body) {
   std::exception_ptr error = nullptr;
   fuse::util::ThreadPool driver(1);
   driver.submit([&] {
@@ -216,8 +211,6 @@ int main(int argc, char** argv) {
 
   // ---------------------------------------------------------- throughput --
   const std::size_t hc = std::max(1u, std::thread::hardware_concurrency());
-  std::vector<std::size_t> thread_counts{1};
-  if (hc > 1) thread_counts.push_back(hc);
 
   const std::size_t frame_iters = fuse::util::scaled(20, scale, 5);
   const std::size_t cfar_iters = fuse::util::scaled(300, scale, 60);
@@ -241,60 +234,57 @@ int main(int argc, char** argv) {
   std::vector<StageRow> rows;
   fuse::util::Table table("DSP throughput (frames/sec or maps/sec)");
   table.set_header({"stage", "threads", "naive", "planned", "speedup"});
-  double pipeline_speedup_1t = 0.0;
 
-  for (const std::size_t threads : thread_counts) {
-    StageRow rd{"range_doppler", threads, 0.0, 0.0};
-    StageRow cf{"cfar2d", threads, 0.0, 0.0};
-    StageRow pl{"pipeline", threads, 0.0, 0.0};
+  StageRow rd{"range_doppler", 1, 0.0, 0.0};
+  StageRow cf{"cfar2d", 1, 0.0, 0.0};
+  StageRow pl{"pipeline", 1, 0.0, 0.0};
 
-    run_confined(threads, [&] {
-      // Stage 1: both FFT passes.
-      rd.naive_fps = time_fps(frame_iters, [&](std::size_t i) {
-        const auto out = proc.range_doppler_reference(cubes[i % cubes.size()]);
-        if (out.size() == 0) std::printf("!");  // defeat dead-code elim
-      });
-      fuse::radar::FrameWorkspace ws;
-      rd.planned_fps = time_fps(frame_iters, [&](std::size_t i) {
-        (void)proc.range_doppler(cubes[i % cubes.size()], ws);
-      });
-
-      // Stage 2: 2-D CFAR on the precomputed power maps (single-threaded
-      // in both implementations; repeated per thread row for symmetry).
-      cf.naive_fps = time_fps(cfar_iters, [&](std::size_t i) {
-        const auto dets = fuse::dsp::ca_cfar_2d_reference(
-            power_maps[i % power_maps.size()], proc.n_range_bins(),
-            proc.n_doppler_bins(), ccfg);
-        if (dets.size() == 999999) std::printf("!");
-      });
-      fuse::dsp::CfarScratch scratch;
-      std::vector<fuse::dsp::Detection2d> dets;
-      cf.planned_fps = time_fps(cfar_iters, [&](std::size_t i) {
-        fuse::dsp::ca_cfar_2d(power_maps[i % power_maps.size()],
-                              proc.n_range_bins(), proc.n_doppler_bins(),
-                              ccfg, scratch, dets);
-      });
-
-      // Stage 3: the full cube -> point cloud pipeline.
-      pl.naive_fps = time_fps(frame_iters, [&](std::size_t i) {
-        const auto frame = proc.process_reference(cubes[i % cubes.size()]);
-        if (frame.cloud.points.size() == 999999) std::printf("!");
-      });
-      fuse::radar::ProcessedFrame out;
-      pl.planned_fps = time_fps(frame_iters, [&](std::size_t i) {
-        proc.process(cubes[i % cubes.size()], ws, out);
-      });
+  run_confined([&] {
+    // Stage 1: both FFT passes.
+    rd.naive_fps = time_fps(frame_iters, [&](std::size_t i) {
+      const auto out = proc.range_doppler_reference(cubes[i % cubes.size()]);
+      if (out.size() == 0) std::printf("!");  // defeat dead-code elim
+    });
+    fuse::radar::FrameWorkspace ws;
+    rd.planned_fps = time_fps(frame_iters, [&](std::size_t i) {
+      (void)proc.range_doppler(cubes[i % cubes.size()], ws);
     });
 
-    for (const StageRow* row : {&rd, &cf, &pl}) {
-      table.add_row({row->stage, std::to_string(row->threads),
-                     fuse::util::Table::num(row->naive_fps, 1),
-                     fuse::util::Table::num(row->planned_fps, 1),
-                     fuse::util::Table::num(row->speedup(), 2) + "x"});
-      rows.push_back(*row);
-    }
-    if (threads == 1) pipeline_speedup_1t = pl.speedup();
+    // Stage 2: 2-D CFAR on the precomputed power maps (single-threaded
+    // in both implementations).
+    cf.naive_fps = time_fps(cfar_iters, [&](std::size_t i) {
+      const auto dets = fuse::dsp::ca_cfar_2d_reference(
+          power_maps[i % power_maps.size()], proc.n_range_bins(),
+          proc.n_doppler_bins(), ccfg);
+      if (dets.size() == 999999) std::printf("!");
+    });
+    fuse::dsp::CfarScratch scratch;
+    std::vector<fuse::dsp::Detection2d> dets;
+    cf.planned_fps = time_fps(cfar_iters, [&](std::size_t i) {
+      fuse::dsp::ca_cfar_2d(power_maps[i % power_maps.size()],
+                            proc.n_range_bins(), proc.n_doppler_bins(),
+                            ccfg, scratch, dets);
+    });
+
+    // Stage 3: the full cube -> point cloud pipeline.
+    pl.naive_fps = time_fps(frame_iters, [&](std::size_t i) {
+      const auto frame = proc.process_reference(cubes[i % cubes.size()]);
+      if (frame.cloud.points.size() == 999999) std::printf("!");
+    });
+    fuse::radar::ProcessedFrame out;
+    pl.planned_fps = time_fps(frame_iters, [&](std::size_t i) {
+      proc.process(cubes[i % cubes.size()], ws, out);
+    });
+  });
+
+  for (const StageRow* row : {&rd, &cf, &pl}) {
+    table.add_row({row->stage, std::to_string(row->threads),
+                   fuse::util::Table::num(row->naive_fps, 1),
+                   fuse::util::Table::num(row->planned_fps, 1),
+                   fuse::util::Table::num(row->speedup(), 2) + "x"});
+    rows.push_back(*row);
   }
+  const double pipeline_speedup_1t = pl.speedup();
 
   std::printf("%s\n", table.to_string().c_str());
   std::printf("planned pipeline over legacy scalar path (1 thread): %.2fx "

@@ -9,9 +9,9 @@
 // children, using their in-place hooks to avoid copies for ReLU/Flatten.
 //
 // Copying a Sequential deep-copies every child (via Module::clone), which
-// preserves the value semantics the MAML inner loop relies on — concrete
-// networks like MarsCnn are thin Sequential subclasses and stay cheap to
-// clone per task.
+// preserves the value semantics the MAML inner loop relies on — the
+// registry's networks (nn/registry.h) are plain Sequentials and stay cheap
+// to clone per task.
 
 #include <memory>
 #include <string>

@@ -61,96 +61,87 @@ Processor::Processor(const RadarConfig& cfg)
 
 // ---------------------------------------------------- planned frame path --
 
+bool Processor::accepts(const RadarCube& cube) const {
+  // Guard against the WINDOW lengths, not the padded FFT sizes: with a
+  // non-power-of-two samples_per_chirp, n_range_ exceeds the Hann window,
+  // and a cube sized in between would read past the window vector.  A
+  // channel count other than the array's would make estimate_angles read
+  // past (or misassign) the cube's channels.
+  return cube.n_virtual() == elems_.size() &&
+         cube.n_samples() <= range_window_.size() &&
+         cube.n_chirps() <= doppler_window_.size();
+}
+
 const RangeDopplerCube& Processor::range_doppler(const RadarCube& cube,
                                                  FrameWorkspace& ws) const {
   const std::size_t nv = cube.n_virtual();
   const std::size_t nc = cube.n_chirps();
   const std::size_t ns = cube.n_samples();
-  // Guard against the WINDOW lengths, not the padded FFT sizes: with a
-  // non-power-of-two samples_per_chirp, n_range_ exceeds the Hann window,
-  // and a cube sized in between would read past the window vector.
-  if (ns > range_window_.size() || nc > doppler_window_.size())
+  if (!accepts(cube))
     throw std::invalid_argument(
-        "Processor::range_doppler: cube larger than the configured frame");
-  if (ws.rd_.resize(nv, n_range_, n_doppler_))
-    ws.grows_.fetch_add(1, std::memory_order_relaxed);
+        "Processor::range_doppler: cube shape does not match the configured "
+        "frame");
+  if (ws.rd_.resize(nv, n_range_, n_doppler_)) ++ws.grows_;
+  ws.ensure(ws.a_re_, nc * n_range_);
+  ws.ensure(ws.a_im_, nc * n_range_);
+  ws.ensure(ws.b_re_, n_range_ * n_doppler_);
+  ws.ensure(ws.b_im_, n_range_ * n_doppler_);
+  float* a_re = ws.a_re_.data();
+  float* a_im = ws.a_im_.data();
+  float* b_re = ws.b_re_.data();
+  float* b_im = ws.b_im_.data();
+  const float* dw = doppler_window_.data();
+  const float inv_nc = 1.0f / static_cast<float>(nc);
+  const std::size_t shift = (n_doppler_ + 1) / 2;  // fftshift offset
 
-  // Pre-spawn one sized lane per possible concurrent chunk (the global
-  // pool's workers execute the chunks; an inline/serialized call needs
-  // one) so lane creation and sizing happen deterministically here in the
-  // serial section, never mid-flight in a chunk.
-  std::size_t max_concurrency = 1;
-  if (!fuse::util::ThreadPool::inside_pool_worker())
-    max_concurrency =
-        std::max<std::size_t>(1, fuse::util::global_pool().size());
-  ws.prepare_lanes(std::min(max_concurrency, nv), nc * n_range_,
-                   n_range_ * n_doppler_);
+  for (std::size_t v = 0; v < nv; ++v) {
+    // Range FFTs, batched across chirps through one plan: the Hann
+    // window, zero padding and bit-reversal are fused into the load.
+    for (std::size_t c = 0; c < nc; ++c)
+      range_plan_.scatter_load(cube.chirp_ptr(v, c), ns, range_window_.data(),
+                               a_re + c * n_range_, a_im + c * n_range_);
+    range_plan_.execute_loaded_many(a_re, a_im, nc);
 
-  fuse::util::parallel_for(0, nv, [&](std::size_t v0, std::size_t v1) {
-    FrameWorkspace::Lane& lane = ws.acquire_lane();
-    ws.ensure(lane.a_re, nc * n_range_);
-    ws.ensure(lane.a_im, nc * n_range_);
-    ws.ensure(lane.b_re, n_range_ * n_doppler_);
-    ws.ensure(lane.b_im, n_range_ * n_doppler_);
-    float* a_re = lane.a_re.data();
-    float* a_im = lane.a_im.data();
-    float* b_re = lane.b_re.data();
-    float* b_im = lane.b_im.data();
-    const float* dw = doppler_window_.data();
-    const float inv_nc = 1.0f / static_cast<float>(nc);
-    const std::size_t shift = (n_doppler_ + 1) / 2;  // fftshift offset
-
-    for (std::size_t v = v0; v < v1; ++v) {
-      // Range FFTs, batched across chirps through one plan: the Hann
-      // window, zero padding and bit-reversal are fused into the load.
-      for (std::size_t c = 0; c < nc; ++c)
-        range_plan_.scatter_load(cube.chirp_ptr(v, c), ns,
-                                 range_window_.data(), a_re + c * n_range_,
-                                 a_im + c * n_range_);
-      range_plan_.execute_loaded_many(a_re, a_im, nc);
-
-      // Transpose into Doppler rows with optional static clutter removal
-      // (subtract the chirp-mean so the DC bin vanishes) and the Hamming
-      // window fused in; chirp padding up to n_doppler_ stays zero.
-      for (std::size_t r = 0; r < n_range_; ++r) {
-        float mr = 0.0f, mi = 0.0f;
-        if (cfg_.static_clutter_removal) {
-          for (std::size_t c = 0; c < nc; ++c) {
-            mr += a_re[c * n_range_ + r];
-            mi += a_im[c * n_range_ + r];
-          }
-          mr *= inv_nc;
-          mi *= inv_nc;
-        }
-        float* row_re = b_re + r * n_doppler_;
-        float* row_im = b_im + r * n_doppler_;
+    // Transpose into Doppler rows with optional static clutter removal
+    // (subtract the chirp-mean so the DC bin vanishes) and the Hamming
+    // window fused in; chirp padding up to n_doppler_ stays zero.
+    for (std::size_t r = 0; r < n_range_; ++r) {
+      float mr = 0.0f, mi = 0.0f;
+      if (cfg_.static_clutter_removal) {
         for (std::size_t c = 0; c < nc; ++c) {
-          row_re[c] = (a_re[c * n_range_ + r] - mr) * dw[c];
-          row_im[c] = (a_im[c * n_range_ + r] - mi) * dw[c];
+          mr += a_re[c * n_range_ + r];
+          mi += a_im[c * n_range_ + r];
         }
-        for (std::size_t c = nc; c < n_doppler_; ++c) {
-          row_re[c] = 0.0f;
-          row_im[c] = 0.0f;
-        }
+        mr *= inv_nc;
+        mi *= inv_nc;
       }
-
-      // Doppler FFTs, batched across range bins.
-      doppler_plan_.execute_many(b_re, b_im, n_range_);
-
-      // fftshift while interleaving back into the output cube.
-      cfloat* out = ws.rd_.data() + v * n_range_ * n_doppler_;
-      for (std::size_t r = 0; r < n_range_; ++r) {
-        const float* row_re = b_re + r * n_doppler_;
-        const float* row_im = b_im + r * n_doppler_;
-        cfloat* out_row = out + r * n_doppler_;
-        for (std::size_t d = 0; d < n_doppler_; ++d) {
-          const std::size_t src = (d + shift) % n_doppler_;
-          out_row[d] = cfloat(row_re[src], row_im[src]);
-        }
+      float* row_re = b_re + r * n_doppler_;
+      float* row_im = b_im + r * n_doppler_;
+      for (std::size_t c = 0; c < nc; ++c) {
+        row_re[c] = (a_re[c * n_range_ + r] - mr) * dw[c];
+        row_im[c] = (a_im[c * n_range_ + r] - mi) * dw[c];
+      }
+      for (std::size_t c = nc; c < n_doppler_; ++c) {
+        row_re[c] = 0.0f;
+        row_im[c] = 0.0f;
       }
     }
-    ws.release_lane(lane);
-  });
+
+    // Doppler FFTs, batched across range bins.
+    doppler_plan_.execute_many(b_re, b_im, n_range_);
+
+    // fftshift while interleaving back into the output cube.
+    cfloat* out = ws.rd_.data() + v * n_range_ * n_doppler_;
+    for (std::size_t r = 0; r < n_range_; ++r) {
+      const float* row_re = b_re + r * n_doppler_;
+      const float* row_im = b_im + r * n_doppler_;
+      cfloat* out_row = out + r * n_doppler_;
+      for (std::size_t d = 0; d < n_doppler_; ++d) {
+        const std::size_t src = (d + shift) % n_doppler_;
+        out_row[d] = cfloat(row_re[src], row_im[src]);
+      }
+    }
+  }
   return ws.rd_;
 }
 
@@ -162,8 +153,7 @@ void Processor::detect(const RangeDopplerCube& rd, FrameWorkspace& ws,
   const std::size_t dets_cap = ws.dets_.capacity();
   fuse::dsp::ca_cfar_2d(out.power_map, out.n_range, out.n_doppler, cfar_,
                         ws.cfar_, ws.dets_);
-  if (ws.dets_.capacity() > dets_cap)
-    ws.grows_.fetch_add(1, std::memory_order_relaxed);
+  if (ws.dets_.capacity() > dets_cap) ++ws.grows_;
   resolve_detections(rd, ws.dets_, &ws, out);
 }
 

@@ -17,16 +17,16 @@
 // frame through a caller-owned FrameWorkspace whose buffers are recycled
 // across frames — after the first frame of a steady shape, no heap
 // allocation happens at all (FrameWorkspace::grow_events() asserts this in
-// tests).  The pre-plan scalar implementations survive as *_reference()
+// tests).  The planned path is serial: a frame runs on the thread that
+// serves it, one virtual channel after another, and the serving plane
+// scales by serving more sessions, not by splitting one frame across
+// cores.  The pre-plan scalar implementations survive as *_reference()
 // oracles: the planned path is bit-identical to them and the tests compare
 // the two with exact float equality.
 
-#include <atomic>
 #include <cmath>
 #include <complex>
 #include <cstddef>
-#include <deque>
-#include <mutex>
 #include <vector>
 
 #include "dsp/cfar.h"
@@ -108,13 +108,14 @@ struct ProcessedFrame {
   PointCloud cloud;
 };
 
-/// Per-thread reusable scratch for the planned frame path (the radar-side
-/// sibling of tensor::Workspace): SoA FFT lanes for the parallel
-/// range-Doppler pass, the output cube, CFAR prefix tables and the
-/// per-detection angle scratch all live here and are recycled across
-/// frames.  Workspaces are scratch, not state — not copyable; each owner
-/// (pipeline, scheduler thread, bench loop) keeps its own.  Contents are
-/// only valid until the next Processor call that uses the workspace.
+/// Reusable scratch for the planned frame path (the radar-side sibling of
+/// tensor::Workspace): the SoA FFT scratch of the range-Doppler pass, the
+/// output cube, CFAR prefix tables and the per-detection angle scratch all
+/// live here and are recycled across frames.  A workspace has one owner
+/// (pipeline, shard, bench loop) and is used by one thread at a time: a
+/// frame runs on the thread that serves it.  Workspaces are scratch, not
+/// state — not copyable.  Contents are only valid until the next Processor
+/// call that uses the workspace.
 class FrameWorkspace {
  public:
   FrameWorkspace() = default;
@@ -125,9 +126,7 @@ class FrameWorkspace {
   /// (re)allocation that actually grew a buffer counts one.  A
   /// steady-shape frame loop must leave this unchanged after its first
   /// frame — the zero-steady-state-allocation contract tests assert on.
-  std::size_t grow_events() const {
-    return grows_.load(std::memory_order_relaxed) + cfar_.grow_events;
-  }
+  std::size_t grow_events() const { return grows_ + cfar_.grow_events; }
 
   /// The range-Doppler cube produced by the latest planned
   /// range_doppler() call into this workspace.
@@ -136,64 +135,20 @@ class FrameWorkspace {
  private:
   friend class Processor;
 
-  /// SoA scratch for one parallel chunk of the range-Doppler pass.  Lanes
-  /// are pooled: a chunk acquires a free lane (allocating a new one only
-  /// when all are busy, i.e. during the first frame) and releases it when
-  /// done, so the steady state re-uses a fixed lane set.
-  struct Lane {
-    std::vector<float> a_re, a_im;  ///< range stage: [n_chirps x n_range]
-    std::vector<float> b_re, b_im;  ///< Doppler stage: [n_range x n_doppler]
-    bool in_use = false;
-  };
-
-  /// Pre-spawns and pre-sizes `count` lanes from the serial section of a
-  /// frame, so the parallel chunks below never create or grow a lane —
-  /// this is what makes grow_events() deterministic: without it, the lane
-  /// pool would grow to the *observed* peak chunk concurrency, which is
-  /// thread-timing-dependent on multi-core hosts.
-  void prepare_lanes(std::size_t count, std::size_t a_floats,
-                     std::size_t b_floats) {
-    std::lock_guard<std::mutex> lock(lanes_mu_);
-    if (lanes_.size() < count) lanes_.resize(count);
-    for (auto& lane : lanes_) {
-      ensure(lane.a_re, a_floats);
-      ensure(lane.a_im, a_floats);
-      ensure(lane.b_re, b_floats);
-      ensure(lane.b_im, b_floats);
-    }
-  }
-
-  Lane& acquire_lane() {
-    std::lock_guard<std::mutex> lock(lanes_mu_);
-    for (auto& lane : lanes_)
-      if (!lane.in_use) {
-        lane.in_use = true;
-        return lane;
-      }
-    lanes_.emplace_back();
-    lanes_.back().in_use = true;
-    return lanes_.back();
-  }
-  void release_lane(Lane& lane) {
-    std::lock_guard<std::mutex> lock(lanes_mu_);
-    lane.in_use = false;
-  }
-
   template <typename T>
   void ensure(std::vector<T>& v, std::size_t n) {
-    if (v.capacity() < n)
-      grows_.fetch_add(1, std::memory_order_relaxed);
+    if (v.capacity() < n) ++grows_;
     v.resize(n);
   }
 
-  std::deque<Lane> lanes_;  ///< deque: lane references stay valid on growth
-  std::mutex lanes_mu_;
   RangeDopplerCube rd_;
+  std::vector<float> a_re_, a_im_;  ///< range stage: [n_chirps x n_range]
+  std::vector<float> b_re_, b_im_;  ///< Doppler stage: [n_range x n_doppler]
   fuse::dsp::CfarScratch cfar_;
   std::vector<fuse::dsp::Detection2d> dets_;
   std::vector<cfloat> snapshot_;          ///< per-detection channel snapshot
   std::vector<float> az_re_, az_im_;      ///< zero-padded angle FFT (SoA)
-  std::atomic<std::size_t> grows_{0};
+  std::size_t grows_ = 0;
 };
 
 class Processor {
@@ -204,8 +159,13 @@ class Processor {
   // Zero steady-state allocations: all frame-sized buffers live in `ws`
   // (and, for detect/process, in the caller-reused `out`).
 
+  /// True when the planned path accepts `cube`: one channel per virtual
+  /// element, and no more chirps or samples than the configured frame.
+  bool accepts(const RadarCube& cube) const;
+
   /// Stages 1-2 into the workspace cube; returns a reference to it (valid
-  /// until the next call using `ws`).
+  /// until the next call using `ws`).  Throws std::invalid_argument for a
+  /// cube accepts() refuses.
   const RangeDopplerCube& range_doppler(const RadarCube& cube,
                                         FrameWorkspace& ws) const;
 

@@ -1,8 +1,10 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -25,6 +27,7 @@ const char* submit_result_name(SubmitResult r) {
     case SubmitResult::kUnknownSession: return "unknown_session";
     case SubmitResult::kNoProcessor: return "no_processor";
     case SubmitResult::kMigrating: return "migrating";
+    case SubmitResult::kMalformedCube: return "malformed_cube";
   }
   return "?";
 }
@@ -205,43 +208,45 @@ bool Server::execute_migration(SessionId id, std::size_t target_shard) {
   auto s = from.find(id);
   if (!s) return false;  // closed since the request
   const double t0 = mono_seconds();
+  std::deque<Session::InFrame> frames;
   s->begin_migration();
-  auto frames = s->drain_queue();
-  const auto rollback = [&]() {
-    // Crash mid-move: the session never left its source shard; put the
-    // drained frames back (order preserved) and unfreeze submits.
+  try {
+    frames = s->drain_queue();
+    // An evicted clone must travel with the session: pull it resident
+    // before the codec round-trip.
+    if (from.store().enabled()) from.store().ensure_resident(*s);
+    if (fuse::util::fault_fire(fuse::util::FaultPoint::kMigrationKill))
+      throw std::runtime_error("migration killed mid-move");
+    if (s->adapted_model() != nullptr) {
+      // Checkpoint through the delta codec — the same format eviction and
+      // warm restart use — so the target adopts exactly the state a crash
+      // recovery would restore (bit-exact in fp32 mode).
+      if (fuse::util::fault_fire(fuse::util::FaultPoint::kMigrationOom))
+        throw std::bad_alloc();
+      const auto delta = fuse::nn::extract_delta(*s->adapted_model(),
+                                                 *shared_model_,
+                                                 cfg_.clone_store.delta);
+      if (fuse::util::fault_fire(fuse::util::FaultPoint::kTargetShardCrash))
+        throw std::runtime_error("target shard crashed adopting the clone");
+      s->adapted_slot() = fuse::nn::rehydrate_from_delta(*shared_model_,
+                                                         delta);
+    } else if (fuse::util::fault_fire(
+                   fuse::util::FaultPoint::kTargetShardCrash)) {
+      throw std::runtime_error("target shard crashed adopting the session");
+    }
+  } catch (...) {
+    // Whatever threw before the commit point (an injected fault, a failed
+    // rehydration, std::bad_alloc in the codec), the session never left its
+    // source shard: put the drained frames back (order preserved) and
+    // unfreeze submits.
     s->requeue(std::move(frames));
     s->end_migration();
     from.note_migration_failure();
     from.record_migration(mono_seconds() - t0);
-  };
-  // An evicted clone must travel with the session: pull it resident
-  // before the codec round-trip.
-  if (from.store().enabled()) from.store().ensure_resident(*s);
-  if (s->adapted_model() != nullptr) {
-    // Checkpoint through the delta codec — the same format eviction and
-    // warm restart use — so the target adopts exactly the state a crash
-    // recovery would restore (bit-exact in fp32 mode).
-    if (fuse::util::fault_fire(fuse::util::FaultPoint::kMigrationKill)) {
-      rollback();
-      return false;
-    }
-    const auto delta = fuse::nn::extract_delta(*s->adapted_model(),
-                                               *shared_model_,
-                                               cfg_.clone_store.delta);
-    if (fuse::util::fault_fire(fuse::util::FaultPoint::kTargetShardCrash)) {
-      rollback();
-      return false;
-    }
-    s->adapted_slot() = fuse::nn::rehydrate_from_delta(*shared_model_, delta);
-  } else if (fuse::util::fault_fire(fuse::util::FaultPoint::kMigrationKill) ||
-             fuse::util::fault_fire(
-                 fuse::util::FaultPoint::kTargetShardCrash)) {
-    rollback();  // a bare (un-adapted) move can still be killed mid-flight
     return false;
   }
-  // Commit point: every step below is infallible, so the session can
-  // never be observed half-moved.
+  // Commit point: the steps below only relink the session (the source's
+  // checkpoint removal is best-effort), so it is never observed half-moved.
   if (from.store().enabled()) from.store().forget(id);
   to.attach_session(s);
   set_shard_override(id, target_shard);  // route new submits to the target

@@ -39,7 +39,12 @@
 //    idle, and an idle fleet can never mask one overloaded shard.  The
 //    merged stats() reports the max rung across shards.
 //
-// Two serving modes, as before:
+// One execution model: a served frame runs on the thread that serves it.
+// Every shard pass (Shard::run_once) runs its kernels inline — DSP,
+// featurize, the batched forward and the adaptation step never fan out to
+// the global thread pool — so the server scales by serving more sessions
+// per shard and more shards, never by splitting one frame across cores.
+// Who drives the passes is the only choice left:
 //  * synchronous — run_once()/drain() step every shard from the calling
 //    thread in shard order; fully deterministic, used by tests/benches;
 //  * threaded — start() spawns one scheduler thread per shard; producers
@@ -87,6 +92,9 @@ enum class SubmitResult {
   /// The session is mid-move to another shard (its queue is being drained
   /// for replay there); retry after the move commits.
   kMigrating,
+  /// submit_cube with a cube whose shape the configured radar::Processor
+  /// refuses (radar::Processor::accepts); nothing was enqueued.
+  kMalformedCube,
 };
 
 /// True when the frame was enqueued and will produce a result.
@@ -187,8 +195,10 @@ class Server {
   /// pass in progress on either shard); shard_of() reports the target as
   /// soon as it returns true.  Submits racing the move from other threads
   /// return kMigrating.  Returns false when the session or target does
-  /// not exist or the move was rolled back (injected mid-migration
-  /// faults; the session then still serves intact on its source shard).
+  /// not exist or the move was rolled back (anything that throws before
+  /// the commit point — a fault, a failed rehydration, std::bad_alloc in
+  /// the codec; the session then still serves intact on its source shard,
+  /// its queued frames requeued in order).
   /// A same-shard target is a no-op returning true.  This is also the
   /// load-balancing hook: the server never moves sessions on its own.
   bool migrate_session(SessionId id, std::size_t target_shard);

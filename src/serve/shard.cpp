@@ -8,6 +8,7 @@
 
 #include "util/fault.h"
 #include "util/log.h"
+#include "util/thread_pool.h"
 
 namespace fuse::serve {
 
@@ -148,6 +149,8 @@ SubmitResult Shard::submit_cube(SessionId id, fuse::radar::RadarCube&& cube,
                                 const fuse::human::Pose* label) {
   if (cfg_.processor == nullptr)  // no DSP front-end wired
     return SubmitResult::kNoProcessor;
+  // Refused at the door: the DSP would throw on the scheduler thread.
+  if (!cfg_.processor->accepts(cube)) return SubmitResult::kMalformedCube;
   auto s = find(id);
   if (!s) return SubmitResult::kUnknownSession;
   if (s->migrating()) {
@@ -194,6 +197,8 @@ std::size_t Shard::run_once() {
   // session is never moved out from under a running pass.  Uncontended in
   // steady state (one lock/unlock per tick).
   std::lock_guard<std::mutex> pass_lock(pass_mu_);
+  // Every kernel of the pass runs on this thread (see shard.h).
+  const fuse::util::InlineScope inline_pass;
   const auto snapshot = snapshot_sessions();
   std::vector<Session*> sessions;
   sessions.reserve(snapshot.size());

@@ -10,6 +10,13 @@
 // N of these (home hash + migration overrides); with N == 1 the engine is
 // bit-compatible with the pre-shard scheduler (the equivalence oracle).
 //
+// Execution: run_once() is the one per-pass path in both serving modes.
+// It holds an InlineScope (util/thread_pool.h) for the whole pass, so
+// every kernel runs on the thread that called it — the shard's own thread,
+// perfbench's server thread (a pool worker) or a test's main thread alike.
+// A shard is one core's worth of work; more shards, not wider frames, use
+// more cores.
+//
 // Gauge contract (see server.h): every accepted frame ticks TWO gauges —
 // the server-global admission gauge (bounds total queued frames for
 // max_in_flight) and this shard's local gauge, which is what feeds the

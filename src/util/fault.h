@@ -52,8 +52,9 @@ enum class FaultPoint : std::size_t {
   kMigrationKill,    ///< live migration / re-shard killed mid-move
   kTornShardMap,     ///< re-shard journal (shard map) write torn on disk
   kTargetShardCrash, ///< target shard crashes while adopting a session
+  kMigrationOom,     ///< live migration's delta codec throws std::bad_alloc
 };
-inline constexpr std::size_t kNumFaultPoints = 10;
+inline constexpr std::size_t kNumFaultPoints = 11;
 
 const char* fault_point_name(FaultPoint p);
 

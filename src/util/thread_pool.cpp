@@ -66,6 +66,12 @@ void ThreadPool::worker_loop() {
 
 bool ThreadPool::inside_pool_worker() { return t_inside_pool_worker; }
 
+InlineScope::InlineScope() : prev_(t_inside_pool_worker) {
+  t_inside_pool_worker = true;
+}
+
+InlineScope::~InlineScope() { t_inside_pool_worker = prev_; }
+
 void ThreadPool::parallel_for(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& body,
@@ -128,7 +134,8 @@ void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t, std::size_t)>& body,
                   std::size_t min_chunk) {
   if (begin >= end) return;
-  // Nested parallelism from inside a worker would deadlock on wait; serialize.
+  // Nested parallelism from inside a worker would deadlock on wait, and an
+  // InlineScope asked for this thread only; serialize.
   if (t_inside_pool_worker || end - begin <= min_chunk) {
     body(begin, end);
     return;

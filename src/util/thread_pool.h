@@ -4,6 +4,8 @@
 // The tensor library parallelises GEMM and convolution over row blocks; the
 // dataset builder parallelises over sequences.  A single process-wide pool
 // (global_pool()) is shared so nested parallelism never oversubscribes.
+// A served frame never fans out: the serving plane runs each pass under an
+// InlineScope, so every kernel of the pass stays on the serving thread.
 
 #include <condition_variable>
 #include <cstddef>
@@ -46,9 +48,9 @@ class ThreadPool {
                     const std::function<void(std::size_t, std::size_t)>& body,
                     std::size_t min_chunk = 1);
 
-  /// True when the calling thread is a worker of ANY ThreadPool — the
-  /// condition under which the free parallel_for() below serializes
-  /// inline (nested kernel calls never re-enter the global pool).
+  /// True when the free parallel_for() below serializes inline on the
+  /// calling thread: it is a worker of ANY ThreadPool (nested kernel calls
+  /// never re-enter the global pool) or it is inside an InlineScope.
   static bool inside_pool_worker();
 
  private:
@@ -63,12 +65,27 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Marks the calling thread, for the scope's lifetime, the way a pool
+/// worker is marked: the free parallel_for() runs its body inline here.
+/// Scopes nest; each restores the state it found.  A pool worker is
+/// already marked, so a scope there changes nothing.
+class InlineScope {
+ public:
+  InlineScope();
+  ~InlineScope();
+  InlineScope(const InlineScope&) = delete;
+  InlineScope& operator=(const InlineScope&) = delete;
+
+ private:
+  bool prev_;
+};
+
 /// Process-wide shared pool.
 ThreadPool& global_pool();
 
 /// Convenience: parallel loop over [begin, end) using the global pool.
 /// body receives a [lo, hi) chunk.  Falls back to serial execution for tiny
-/// ranges or when invoked from inside a pool worker (avoids deadlock).
+/// ranges, inside a pool worker (avoids deadlock) or an InlineScope.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t, std::size_t)>& body,
                   std::size_t min_chunk = 1);

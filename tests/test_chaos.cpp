@@ -129,6 +129,7 @@ TEST(Chaos, ThreadedSoakSurvivesFaultMatrixAcrossSeeds) {
     fc.p(FaultPoint::kLatencySpike) = 0.05;
     fc.p(FaultPoint::kMigrationKill) = 0.10;  // some migrations die mid-move
     fc.p(FaultPoint::kTargetShardCrash) = 0.10;
+    fc.p(FaultPoint::kMigrationOom) = 0.10;  // codec throws std::bad_alloc
     fc.spike_ms = 0.5;
     ScopedFaults faults(fc);
 
@@ -160,8 +161,9 @@ TEST(Chaos, ThreadedSoakSurvivesFaultMatrixAcrossSeeds) {
                                     &streams[s][i].label);
       });
     // A migration storm rides the fault matrix: every session ping-pongs
-    // between the shards while the producers flood it, with kMigrationKill
-    // and kTargetShardCrash randomly aborting moves mid-flight.
+    // between the shards while the producers flood it, with kMigrationKill,
+    // kTargetShardCrash and kMigrationOom randomly aborting moves
+    // mid-flight.
     std::thread migrator([&] {
       for (std::size_t round = 0; round < 40; ++round)
         for (std::size_t s = 0; s < kSessions; ++s)
@@ -578,11 +580,12 @@ TEST(Chaos, ReshardCrashAtEveryFaultPointIsRecoverable) {
 
 // --------------------------------------------- live-migration rollback --
 
-// A migration killed mid-move (before or after the delta codec round-trip)
-// rolls back completely: the session never leaves its source shard, every
-// drained frame is requeued in order, the failure is counted, and the same
-// migration lands cleanly once the fault clears — bit-exact against a
-// server that never migrated at all.
+// A migration killed mid-move (before or after the delta codec round-trip,
+// or by std::bad_alloc thrown inside it) rolls back completely: the
+// session never leaves its source shard, every drained frame is requeued
+// in order, the failure is counted, and the same migration lands cleanly
+// once the fault clears — bit-exact against a server that never migrated
+// at all.
 TEST(Chaos, LiveMigrationFaultsRollBackWithoutLosingFrames) {
   auto& pl = world();
   const struct {
@@ -591,6 +594,7 @@ TEST(Chaos, LiveMigrationFaultsRollBackWithoutLosingFrames) {
   } kPoints[] = {
       {FaultPoint::kMigrationKill, "kMigrationKill"},
       {FaultPoint::kTargetShardCrash, "kTargetShardCrash"},
+      {FaultPoint::kMigrationOom, "kMigrationOom"},
   };
   for (const auto& [point, name] : kPoints) {
     SCOPED_TRACE(name);

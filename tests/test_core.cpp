@@ -15,8 +15,8 @@
 #include "data/featurize.h"
 #include "data/fusion.h"
 #include "data/split.h"
-#include "nn/model.h"
-#include "util/rng.h"
+#include "nn/registry.h"
+#include "nn/sequential.h"
 
 namespace {
 
@@ -38,10 +38,10 @@ struct MiniWorld {
     feat.fit(dataset, split.train);
   }
 
-  fuse::nn::MarsCnn make_model(std::uint64_t seed = 1) const {
+  fuse::nn::Sequential make_model(std::uint64_t seed = 1) const {
     // Input is 8x8x5 regardless of the fusion window (points are pooled).
-    fuse::util::Rng rng(seed);
-    return fuse::nn::MarsCnn(5, rng);
+    return dynamic_cast<const fuse::nn::Sequential&>(
+        *fuse::nn::build_model("mars_cnn", {.seed = seed}));
   }
 };
 
@@ -170,7 +170,7 @@ TEST(Meta, TaskAdaptReducesSupportLossAndPopulatesGrads) {
     support.push_back(world().split.train[i]);
     query.push_back(world().split.train[100 + i]);
   }
-  fuse::nn::MarsCnn clone = model;
+  fuse::nn::Sequential clone = model;
   const float qloss = meta.task_adapt_and_query(clone, *world().fused,
                                                 world().feat, support, query);
   EXPECT_GT(qloss, 0.0f);

@@ -12,7 +12,6 @@
 
 #include "nn/layers.h"
 #include "nn/loss.h"
-#include "nn/model.h"
 #include "nn/module.h"
 #include "nn/registry.h"
 #include "nn/sequential.h"
@@ -118,7 +117,7 @@ TEST(Registry, RuntimeRegistration) {
 // -------------------------------------------------- Sequential equivalence --
 
 TEST(Sequential, MarsCnnBitIdenticalToLegacyLayerComposition) {
-  // The Sequential-built MarsCnn must reproduce the original hand-rolled
+  // The registry-built mars_cnn must reproduce the original hand-rolled
   // model exactly: same RNG draw order at construction, same forward
   // arithmetic.  The reference composes the layers by hand in the legacy
   // order (conv1, conv2, fc1, fc2 constructed first, ReLU/Flatten free).
@@ -131,8 +130,8 @@ TEST(Sequential, MarsCnnBitIdenticalToLegacyLayerComposition) {
   conv1.set_train_backend(Backend::kNaive);
   conv2.set_train_backend(Backend::kNaive);
 
-  fuse::util::Rng rng_seq(kSeed);
-  fuse::nn::MarsCnn model(5, rng_seq);
+  const auto built = fuse::nn::build_model("mars_cnn", {.seed = kSeed});
+  fuse::nn::Module& model = *built;
   model.set_train_backend(Backend::kNaive);  // legacy arithmetic
 
   fuse::util::Rng rng_x(99);

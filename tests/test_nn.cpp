@@ -1,6 +1,6 @@
 // Tests for the NN library.  The critical ones are the finite-difference
 // gradient checks: every hand-written backward pass (Conv2d, Linear, ReLU,
-// the full MarsCnn, and all three losses) is verified against central
+// the full MARS CNN, and all three losses) is verified against central
 // differences.
 
 #include <gtest/gtest.h>
@@ -11,8 +11,8 @@
 #include "nn/gradcheck.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
-#include "nn/model.h"
 #include "nn/optim.h"
+#include "nn/registry.h"
 #include "util/rng.h"
 
 namespace {
@@ -74,42 +74,39 @@ TEST(Layers, FlattenRoundTrip) {
 }
 
 TEST(Model, ParameterCountMatchesPaperScale) {
-  fuse::util::Rng rng(6);
   // The MARS input is 8x8x5 regardless of the fusion setting.
-  fuse::nn::MarsCnn model(5, rng);
-  // Paper reports 1,095,115; our bookkeeping gives ~1.084M (see model.h).
-  EXPECT_NEAR(static_cast<double>(model.num_params()), 1.09e6, 2.5e4);
+  const auto model = fuse::nn::build_model("mars_cnn", {.seed = 6});
+  // Paper reports 1,095,115; our bookkeeping gives ~1.084M (see
+  // nn/registry.cpp).
+  EXPECT_NEAR(static_cast<double>(model->num_params()), 1.09e6, 2.5e4);
 }
 
 TEST(Model, ForwardShape) {
   fuse::util::Rng rng(7);
-  fuse::nn::MarsCnn model(5, rng);
+  const auto model = fuse::nn::build_model("mars_cnn", {.seed = 7});
   const Tensor x = random_tensor({4, 5, 8, 8}, rng);
-  const Tensor y = model.forward(x);
+  const Tensor y = model->forward(x);
   EXPECT_EQ(y.shape(), (fuse::tensor::Shape{4, 57}));
 }
 
 TEST(Model, LastLayerParamsAreSubset) {
-  fuse::util::Rng rng(8);
-  fuse::nn::MarsCnn model(5, rng);
-  EXPECT_EQ(model.last_layer_params().size(), 2u);
-  EXPECT_EQ(model.params().size(), 8u);
+  const auto model = fuse::nn::build_model("mars_cnn", {.seed = 8});
+  EXPECT_EQ(model->last_layer_params().size(), 2u);
+  EXPECT_EQ(model->params().size(), 8u);
 }
 
 TEST(Model, CloneIsIndependent) {
-  fuse::util::Rng rng(9);
-  fuse::nn::MarsCnn a(5, rng);
-  fuse::nn::MarsCnn b = a;  // value semantics: deep copy
-  (*b.params()[0])[0] += 1.0f;
-  EXPECT_NE((*a.params()[0])[0], (*b.params()[0])[0]);
+  const auto a = fuse::nn::build_model("mars_cnn", {.seed = 9});
+  const auto b = a->clone();  // deep copy
+  (*b->params()[0])[0] += 1.0f;
+  EXPECT_NE((*a->params()[0])[0], (*b->params()[0])[0]);
 }
 
 TEST(Model, CopyParamsFrom) {
-  fuse::util::Rng rng(10);
-  fuse::nn::MarsCnn a(5, rng);
-  fuse::nn::MarsCnn b(5, rng);
-  b.copy_params_from(a);
-  const auto pa = a.params(), pb = b.params();
+  const auto a = fuse::nn::build_model("mars_cnn", {.seed = 10});
+  const auto b = fuse::nn::build_model("mars_cnn", {.seed = 11});
+  b->copy_params_from(*a);
+  const auto pa = a->params(), pb = b->params();
   for (std::size_t i = 0; i < pa.size(); ++i)
     for (std::size_t k = 0; k < pa[i]->numel(); ++k)
       ASSERT_EQ((*pa[i])[k], (*pb[i])[k]);
@@ -117,14 +114,14 @@ TEST(Model, CopyParamsFrom) {
 
 TEST(Model, SaveLoadRoundTrip) {
   fuse::util::Rng rng(11);
-  fuse::nn::MarsCnn a(5, rng);
+  const auto a = fuse::nn::build_model("mars_cnn", {.seed = 11});
   std::stringstream ss;
-  a.save(ss);
-  fuse::nn::MarsCnn b(5, rng);
-  b.load(ss);
+  a->save(ss);
+  const auto b = fuse::nn::build_model("mars_cnn", {.seed = 12});
+  b->load(ss);
   const Tensor x = random_tensor({2, 5, 8, 8}, rng);
-  const Tensor ya = a.forward(x);
-  const Tensor yb = b.forward(x);
+  const Tensor ya = a->forward(x);
+  const Tensor yb = b->forward(x);
   for (std::size_t i = 0; i < ya.numel(); ++i) EXPECT_EQ(ya[i], yb[i]);
 }
 
@@ -184,9 +181,13 @@ TEST(GradCheck, Conv2dWeightsBiasAndInput) {
 }
 
 TEST(GradCheck, FullModelEndToEnd) {
-  // Small MarsCnn variant end-to-end: checks layer composition order.
+  // The MARS CNN on a small input and output end-to-end: checks layer
+  // composition order.
   fuse::util::Rng rng(22);
-  fuse::nn::MarsCnn model(2, rng, 4, 4, 3, 4, 16, 6);
+  const auto built = fuse::nn::build_model(
+      "mars_cnn",
+      {.in_channels = 2, .grid_h = 4, .grid_w = 4, .outputs = 6, .seed = 22});
+  fuse::nn::Module& model = *built;
   Tensor x = random_tensor({2, 2, 4, 4}, rng);
   const Tensor target = random_tensor({2, 6}, rng);
 
@@ -359,7 +360,8 @@ TEST(Optim, ZeroGrads) {
 
 TEST(Training, GradientStepReducesLossOnFixedBatch) {
   fuse::util::Rng rng(40);
-  fuse::nn::MarsCnn model(5, rng, 8, 8, 4, 8, 32, 57);
+  const auto built = fuse::nn::build_model("mars_cnn", {.seed = 40});
+  fuse::nn::Module& model = *built;
   const Tensor x = random_tensor({8, 5, 8, 8}, rng);
   const Tensor target = random_tensor({8, 57}, rng);
   fuse::nn::Adam adam(1e-3f);

@@ -431,6 +431,26 @@ TEST(PlannedProcessor, OversizedCubeThrows) {
   EXPECT_THROW(proc.range_doppler_reference(cube), std::invalid_argument);
 }
 
+TEST(PlannedProcessor, ChannelCountMismatchThrows) {
+  // estimate_angles reads one RD cell per virtual element: a cube with
+  // fewer channels than the array would be read past its end, and one
+  // with more would be misassigned.  Both are refused up front.
+  RadarConfig cfg = small_config();
+  const fuse::radar::Processor proc(cfg);
+  fuse::radar::FrameWorkspace ws;
+  fuse::radar::ProcessedFrame out;
+  for (const std::size_t nv : {cfg.n_virtual() - 1, cfg.n_virtual() + 1}) {
+    const fuse::radar::RadarCube cube(nv, cfg.chirps_per_frame,
+                                      cfg.samples_per_chirp);
+    EXPECT_FALSE(proc.accepts(cube));
+    EXPECT_THROW(proc.range_doppler(cube, ws), std::invalid_argument);
+    EXPECT_THROW(proc.process(cube, ws, out), std::invalid_argument);
+  }
+  const fuse::radar::RadarCube good(cfg.n_virtual(), cfg.chirps_per_frame,
+                                    cfg.samples_per_chirp);
+  EXPECT_TRUE(proc.accepts(good));
+}
+
 TEST(PlannedProcessor, CubeBetweenWindowAndFftSizeThrows) {
   // Non-power-of-two samples_per_chirp: the Hann window is shorter than
   // the padded FFT size, and a cube sized in between must be rejected

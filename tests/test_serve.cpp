@@ -13,15 +13,21 @@
 #include <chrono>
 #include <deque>
 #include <limits>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "core/tracking.h"
 #include "nn/quant.h"
+#include "nn/sequential.h"
 #include "serve/server.h"
 #include "serve/stats.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -886,6 +892,148 @@ TEST(Serve, SubmitCubeRejectedWithoutProcessor) {
   EXPECT_EQ(server.submit_frame(id, sequence_frames(0, 1)[0]),
             SubmitResult::kAccepted);
   EXPECT_EQ(server.drain(), 1u);
+}
+
+TEST(Serve, MalformedCubeRefusedAtTheDoorWhileThreadedServerServes) {
+  // A cube the DSP would reject is refused by submit_cube itself: nothing
+  // is enqueued, so nothing can throw on a shard thread (where it would
+  // end in std::terminate).  The running server keeps serving good cubes.
+  auto& pl = world();
+  const auto& rcfg = pl.config().data.radar;
+  ServeConfig cfg;
+  cfg.processor = &pl.processor();
+  Server server(&pl.predictor(), &pl.model(), cfg);
+  const auto id = server.open_session();
+  server.start();
+  const fuse::radar::RadarCube too_few_channels(
+      rcfg.n_virtual() - 1, rcfg.chirps_per_frame, rcfg.samples_per_chirp);
+  const fuse::radar::RadarCube too_many_samples(
+      rcfg.n_virtual(), rcfg.chirps_per_frame, rcfg.samples_per_chirp + 1);
+  EXPECT_EQ(server.submit_cube(id, too_few_channels),
+            SubmitResult::kMalformedCube);
+  EXPECT_EQ(server.submit_cube(id, too_many_samples),
+            SubmitResult::kMalformedCube);
+  EXPECT_FALSE(accepted(SubmitResult::kMalformedCube));
+  EXPECT_STREQ(fuse::serve::submit_result_name(SubmitResult::kMalformedCube),
+               "malformed_cube");
+
+  const auto cubes = simulate_cubes(3, 4321);
+  for (const auto& cube : cubes)
+    ASSERT_TRUE(accepted(server.submit_cube(id, cube)));
+  std::size_t got = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (got < cubes.size() && std::chrono::steady_clock::now() < deadline) {
+    got += server.poll_results(id).size();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server.stop();
+  EXPECT_EQ(got, cubes.size());
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.frames_in, cubes.size());
+  EXPECT_EQ(stats.in_flight, 0u);
+}
+
+// ------------------------------------------------ one execution model --
+
+/// What a ProbeLayer saw: per forward, the thread that called it and the
+/// threads that ran the chunks of the parallel_for inside it.
+struct ThreadLog {
+  std::mutex mu;
+  std::vector<std::pair<std::thread::id, std::set<std::thread::id>>> calls;
+};
+
+/// Identity layer whose inference runs a parallel_for, as every real
+/// kernel does, and logs which threads executed it.
+class ProbeLayer : public fuse::nn::Module {
+ public:
+  explicit ProbeLayer(std::shared_ptr<ThreadLog> log) : log_(std::move(log)) {}
+  fuse::nn::Tensor forward(const fuse::nn::Tensor& x) override { return x; }
+  fuse::nn::Tensor backward(const fuse::nn::Tensor& dy) override {
+    return dy;
+  }
+  std::vector<fuse::nn::Tensor*> params() override { return {}; }
+  std::vector<fuse::nn::Tensor*> grads() override { return {}; }
+  std::unique_ptr<Module> clone() const override {
+    return std::make_unique<ProbeLayer>(*this);
+  }
+  std::string arch_name() const override { return "thread_probe"; }
+
+ protected:
+  fuse::nn::Tensor do_infer(const fuse::nn::Tensor& x,
+                            fuse::nn::Backend) const override {
+    std::mutex mu;
+    std::set<std::thread::id> ran;
+    fuse::util::parallel_for(0, 64, [&](std::size_t, std::size_t) {
+      std::lock_guard<std::mutex> lock(mu);
+      ran.insert(std::this_thread::get_id());
+    });
+    std::lock_guard<std::mutex> lock(log_->mu);
+    log_->calls.emplace_back(std::this_thread::get_id(), std::move(ran));
+    return x;
+  }
+
+ private:
+  std::shared_ptr<ThreadLog> log_;
+};
+
+/// The world model with a ProbeLayer appended.
+fuse::nn::Sequential probed_model(const std::shared_ptr<ThreadLog>& log) {
+  fuse::nn::Sequential model("probed");
+  model.append(world().model().clone());
+  model.append(std::make_unique<ProbeLayer>(log));
+  return model;
+}
+
+TEST(Serve, SyncPassRunsEveryKernelOnTheCallingThread) {
+  auto& pl = world();
+  const auto log = std::make_shared<ThreadLog>();
+  const auto model = probed_model(log);
+  ServeConfig cfg;
+  cfg.num_shards = 2;
+  Server server(&pl.predictor(), &model, cfg);
+  const auto frames = sequence_frames(0, 4);
+  for (int s = 0; s < 4; ++s) {
+    const auto id = server.open_session();
+    for (const auto& f : frames)
+      ASSERT_TRUE(accepted(server.submit_frame(id, f)));
+  }
+  while (server.run_once() > 0) {
+  }
+  const auto self = std::this_thread::get_id();
+  ASSERT_FALSE(log->calls.empty());
+  for (const auto& [caller, ran] : log->calls) {
+    EXPECT_EQ(caller, self);
+    EXPECT_EQ(ran, std::set<std::thread::id>{self});
+  }
+}
+
+TEST(Serve, ThreadedShardRunsEveryKernelOnItsOwnThread) {
+  auto& pl = world();
+  const auto log = std::make_shared<ThreadLog>();
+  const auto model = probed_model(log);
+  ServeConfig cfg;
+  cfg.num_shards = 2;
+  Server server(&pl.predictor(), &model, cfg);
+  const auto frames = sequence_frames(1, 4);
+  std::vector<fuse::serve::SessionId> ids;
+  for (int s = 0; s < 4; ++s) ids.push_back(server.open_session());
+  server.start();
+  for (const auto id : ids)
+    for (const auto& f : frames)
+      ASSERT_TRUE(accepted(server.submit_frame(id, f)));
+  server.stop();  // the shard threads drain their queues before exiting
+  EXPECT_EQ(server.stats().frames_out, ids.size() * frames.size());
+
+  const auto self = std::this_thread::get_id();
+  std::set<std::thread::id> shard_threads;
+  ASSERT_FALSE(log->calls.empty());
+  for (const auto& [caller, ran] : log->calls) {
+    EXPECT_NE(caller, self);
+    EXPECT_EQ(ran, std::set<std::thread::id>{caller});
+    shard_threads.insert(caller);
+  }
+  EXPECT_LE(shard_threads.size(), cfg.num_shards);
 }
 
 // -------------------------------------------------- sharded serving plane --

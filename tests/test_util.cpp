@@ -286,6 +286,62 @@ TEST(ThreadPool, CrossPoolParallelForFansOutToTargetPool) {
   EXPECT_TRUE(inline_on_worker.load());
 }
 
+TEST(ThreadPool, InlineScopeRunsFreeParallelForOnTheCaller) {
+  // The serving plane's execution model: inside an InlineScope the free
+  // parallel_for runs as one inline chunk on the calling thread, exactly
+  // as it does on a pool worker.
+  using fuse::util::InlineScope;
+  using fuse::util::ThreadPool;
+  const auto self = std::this_thread::get_id();
+  ASSERT_FALSE(ThreadPool::inside_pool_worker());
+  {
+    const InlineScope scope;
+    EXPECT_TRUE(ThreadPool::inside_pool_worker());
+    int calls = 0;
+    std::size_t total = 0;
+    std::set<std::thread::id> ran;
+    fuse::util::parallel_for(0, 64, [&](std::size_t lo, std::size_t hi) {
+      ++calls;  // plain ints: a second thread here would be a TSan race
+      total += hi - lo;
+      ran.insert(std::this_thread::get_id());
+    });
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(total, 64u);
+    EXPECT_EQ(ran, std::set<std::thread::id>{self});
+  }
+  EXPECT_FALSE(ThreadPool::inside_pool_worker());
+}
+
+TEST(ThreadPool, InlineScopeNestsAndRestoresThePreviousState) {
+  using fuse::util::InlineScope;
+  using fuse::util::ThreadPool;
+  {
+    const InlineScope outer;
+    {
+      const InlineScope inner;
+      EXPECT_TRUE(ThreadPool::inside_pool_worker());
+    }
+    // The inner scope restores the outer one's mark, not "unmarked".
+    EXPECT_TRUE(ThreadPool::inside_pool_worker());
+  }
+  EXPECT_FALSE(ThreadPool::inside_pool_worker());
+
+  // On a pool worker a scope changes nothing: the worker stays marked
+  // after the scope closes.
+  ThreadPool pool(1);
+  std::atomic<bool> in_scope{false}, after{false};
+  pool.submit([&] {
+    {
+      const InlineScope scope;
+      in_scope = ThreadPool::inside_pool_worker();
+    }
+    after = ThreadPool::inside_pool_worker();
+  });
+  pool.wait_idle();
+  EXPECT_TRUE(in_scope.load());
+  EXPECT_TRUE(after.load());
+}
+
 TEST(ThreadPool, EmptyRangeWithMinChunkIsNoop) {
   bool called = false;
   fuse::util::parallel_for(3, 3, [&](std::size_t, std::size_t) {
