@@ -80,6 +80,7 @@ Usage:
 import argparse
 import json
 import sys
+from collections import namedtuple
 
 IDENTITY_KEYS = ("backend", "threads", "sessions", "batch", "stage", "cap",
                  "shards")
@@ -89,49 +90,106 @@ def row_key(row):
     return tuple((k, row[k]) for k in IDENTITY_KEYS if k in row)
 
 
-def is_speedup(key):
-    return "speedup" in key
+def check_leak(base, fresh, args):
+    if fresh != 0:
+        return (f"leak counter reads {fresh} (must be exactly 0) — the "
+                "in-flight accounting lost or double-counted frames across "
+                "open/migrate/close")
 
 
-def is_loss(key):
-    return "loss" in key and "speedup" not in key
+def check_detection(base, fresh, args):
+    allowance = max(2.0, args.det_tol * abs(base))
+    if abs(fresh - base) > allowance:
+        return (f"detection count {fresh} drifted from baseline {base} by "
+                f"{abs(fresh - base)} (allowance {allowance:.1f}) — "
+                "CFAR/FFT arithmetic changed")
 
 
-def is_detection_count(key):
-    return "detection" in key and "match" not in key
+def check_speedup(base, fresh, args):
+    floor = base * (1.0 - args.max_drop)
+    if fresh < floor:
+        return (f"speedup {fresh:.3f} dropped below {floor:.3f} (baseline "
+                f"{base:.3f}, max drop {args.max_drop:.0%})")
 
 
-def is_equivalence_flag(key):
-    return ("match" in key or "identical" in key or "recovered" in key or
-            "scaling_ok" in key)
+def check_loss(base, fresh, args):
+    if abs(fresh - base) > args.loss_tol:
+        return (f"loss {fresh:.6f} drifted from baseline {base:.6f} by "
+                f"{abs(fresh - base):.6f} (tol {args.loss_tol})")
 
 
-def is_p99(key):
-    return key.endswith("p99_ms")
+def check_p99(base, fresh, args):
+    ceiling = base * args.p99_factor
+    if fresh > ceiling and fresh - base > args.p99_floor_ms:
+        return (f"p99 latency {fresh:.3f} ms blew past {ceiling:.3f} ms "
+                f"(baseline {base:.3f} ms x {args.p99_factor:g}, absolute "
+                f"floor {args.p99_floor_ms:g} ms) — tail latency regression")
 
 
-def is_drop_rate(key):
-    return "drop_rate" in key
+def check_drop_rate(base, fresh, args):
+    if fresh > base + args.drop_tol:
+        return (f"drop rate {fresh:.4f} rose above baseline {base:.4f} + "
+                f"{args.drop_tol:g} — backpressure behaviour changed")
 
 
-def is_overhead(key):
-    return "overhead_pct" in key
+def check_shed_rate(base, fresh, args):
+    if fresh > base + args.shed_tol:
+        return (f"shed rate {fresh:.4f} rose above baseline {base:.4f} + "
+                f"{args.shed_tol:g} — the degradation ladder sheds more "
+                "admitted work at the same offered load")
 
 
-def is_ram_budget(key):
-    return "ram_mb_per_10k_sessions" in key
+def check_degraded_ratio(base, fresh, args):
+    if fresh > args.degraded_cap:
+        return (f"degraded-mode p99 is {fresh:.2f}x steady state, above the "
+                f"absolute cap of {args.degraded_cap:g}x — deadline shedding "
+                "no longer bounds tail latency under overload")
 
 
-def is_shed_rate(key):
-    return "shed_rate" in key
+def check_overhead(base, fresh, args):
+    if fresh > args.overhead_tol:
+        return (f"telemetry overhead {fresh:.2f}% exceeds the absolute cap "
+                f"of {args.overhead_tol:g}% — the stats layer is no longer "
+                "~free")
 
 
-def is_degraded_ratio(key):
-    return "over_steady" in key
+def check_ram_budget(base, fresh, args):
+    # Resident clone RAM is deterministic (clones * bytes-per-clone), so
+    # any growth beyond the small tolerance means the eviction budget or
+    # the accounting changed.
+    if fresh > base * (1.0 + args.ram_tol):
+        return (f"adapted-clone RAM {fresh:.1f} MB/10k sessions grew past "
+                f"baseline {base:.1f} * {1.0 + args.ram_tol:g} — clone "
+                "eviction budget regression")
 
 
-def is_leak_counter(key):
-    return "leaked" in key
+def check_flag(base, fresh, args):
+    if fresh != base:
+        return (f"equivalence flag changed from {base} to {fresh} "
+                "(bit-identity regression)")
+
+
+# One gate per field class.  `matches` takes the JSON key; `flag` says
+# whether the rule gates boolean leaves (else numeric ones); `check`
+# returns the failure text or None.  A leaf is gated by the FIRST rule
+# that matches it, so the order below is the precedence order.  A
+# baseline key any rule matches must also be present in the fresh run.
+Rule = namedtuple("Rule", "matches flag check")
+RULES = (
+    Rule(lambda k: "leaked" in k, False, check_leak),
+    Rule(lambda k: "detection" in k and "match" not in k, False,
+         check_detection),
+    Rule(lambda k: "speedup" in k, False, check_speedup),
+    Rule(lambda k: "loss" in k and "speedup" not in k, False, check_loss),
+    Rule(lambda k: k.endswith("p99_ms"), False, check_p99),
+    Rule(lambda k: "drop_rate" in k, False, check_drop_rate),
+    Rule(lambda k: "shed_rate" in k, False, check_shed_rate),
+    Rule(lambda k: "over_steady" in k, False, check_degraded_ratio),
+    Rule(lambda k: "overhead_pct" in k, False, check_overhead),
+    Rule(lambda k: "ram_mb_per_10k_sessions" in k, False, check_ram_budget),
+    Rule(lambda k: any(s in k for s in ("match", "identical", "recovered",
+                                        "scaling_ok")), True, check_flag),
+)
 
 
 def compare(baseline, fresh, path, args, failures, checked):
@@ -141,12 +199,7 @@ def compare(baseline, fresh, path, args, failures, checked):
             return
         for key, base_val in baseline.items():
             if key not in fresh:
-                if (is_speedup(key) or is_loss(key) or
-                        is_detection_count(key) or is_equivalence_flag(key) or
-                        is_p99(key) or is_drop_rate(key) or
-                        is_overhead(key) or is_ram_budget(key) or
-                        is_shed_rate(key) or is_degraded_ratio(key) or
-                        is_leak_counter(key)):
+                if any(rule.matches(key) for rule in RULES):
                     failures.append(f"{path}.{key}: missing from fresh run")
                 continue
             compare(base_val, fresh[key], f"{path}.{key}", args, failures,
@@ -169,97 +222,16 @@ def compare(baseline, fresh, path, args, failures, checked):
                     continue
                 compare(row, match, f"{path}{list(key)}", args, failures,
                         checked)
-    elif isinstance(baseline, bool):
+    elif isinstance(baseline, (bool, int, float)):
         key = path.rsplit(".", 1)[-1]
-        if is_equivalence_flag(key):
+        flag = isinstance(baseline, bool)
+        rule = next((r for r in RULES if r.flag == flag and r.matches(key)),
+                    None)
+        if rule is not None:
             checked.append(path)
-            if fresh != baseline:
-                failures.append(
-                    f"{path}: equivalence flag changed from {baseline} "
-                    f"to {fresh} (bit-identity regression)")
-    elif isinstance(baseline, (int, float)):
-        key = path.rsplit(".", 1)[-1]
-        if is_leak_counter(key):
-            checked.append(path)
-            if fresh != 0:
-                failures.append(
-                    f"{path}: leak counter reads {fresh} (must be exactly "
-                    "0) — the in-flight accounting lost or double-counted "
-                    "frames across open/migrate/close")
-        elif is_detection_count(key):
-            checked.append(path)
-            allowance = max(2.0, args.det_tol * abs(baseline))
-            if abs(fresh - baseline) > allowance:
-                failures.append(
-                    f"{path}: detection count {fresh} drifted from "
-                    f"baseline {baseline} by {abs(fresh - baseline)} "
-                    f"(allowance {allowance:.1f}) — CFAR/FFT arithmetic "
-                    "changed")
-        elif is_speedup(key):
-            checked.append(path)
-            floor = baseline * (1.0 - args.max_drop)
-            if fresh < floor:
-                failures.append(
-                    f"{path}: speedup {fresh:.3f} dropped below "
-                    f"{floor:.3f} (baseline {baseline:.3f}, "
-                    f"max drop {args.max_drop:.0%})")
-        elif is_loss(key):
-            checked.append(path)
-            if abs(fresh - baseline) > args.loss_tol:
-                failures.append(
-                    f"{path}: loss {fresh:.6f} drifted from baseline "
-                    f"{baseline:.6f} by {abs(fresh - baseline):.6f} "
-                    f"(tol {args.loss_tol})")
-        elif is_p99(key):
-            checked.append(path)
-            ceiling = baseline * args.p99_factor
-            if fresh > ceiling and fresh - baseline > args.p99_floor_ms:
-                failures.append(
-                    f"{path}: p99 latency {fresh:.3f} ms blew past "
-                    f"{ceiling:.3f} ms (baseline {baseline:.3f} ms x "
-                    f"{args.p99_factor:g}, absolute floor "
-                    f"{args.p99_floor_ms:g} ms) — tail latency regression")
-        elif is_drop_rate(key):
-            checked.append(path)
-            if fresh > baseline + args.drop_tol:
-                failures.append(
-                    f"{path}: drop rate {fresh:.4f} rose above baseline "
-                    f"{baseline:.4f} + {args.drop_tol:g} — backpressure "
-                    "behaviour changed")
-        elif is_shed_rate(key):
-            checked.append(path)
-            if fresh > baseline + args.shed_tol:
-                failures.append(
-                    f"{path}: shed rate {fresh:.4f} rose above baseline "
-                    f"{baseline:.4f} + {args.shed_tol:g} — the degradation "
-                    "ladder sheds more admitted work at the same offered "
-                    "load")
-        elif is_degraded_ratio(key):
-            checked.append(path)
-            if fresh > args.degraded_cap:
-                failures.append(
-                    f"{path}: degraded-mode p99 is {fresh:.2f}x steady "
-                    f"state, above the absolute cap of {args.degraded_cap:g}x "
-                    "— deadline shedding no longer bounds tail latency "
-                    "under overload")
-        elif is_overhead(key):
-            checked.append(path)
-            if fresh > args.overhead_tol:
-                failures.append(
-                    f"{path}: telemetry overhead {fresh:.2f}% exceeds the "
-                    f"absolute cap of {args.overhead_tol:g}% — the stats "
-                    "layer is no longer ~free")
-        elif is_ram_budget(key):
-            checked.append(path)
-            # Resident clone RAM is deterministic (clones * bytes-per-
-            # clone), so any growth beyond the small tolerance means the
-            # eviction budget or the accounting changed.
-            if fresh > baseline * (1.0 + args.ram_tol):
-                failures.append(
-                    f"{path}: adapted-clone RAM {fresh:.1f} MB/10k sessions "
-                    f"grew past baseline {baseline:.1f} * "
-                    f"{1.0 + args.ram_tol:g} — clone eviction budget "
-                    "regression")
+            failure = rule.check(baseline, fresh, args)
+            if failure:
+                failures.append(f"{path}: {failure}")
 
 
 def main():

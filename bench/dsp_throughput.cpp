@@ -7,7 +7,7 @@
 //
 // Measured per stage and end to end on one thread — the cost a served
 // frame pays, since a frame runs on the thread that serves it.  The rows
-// run inside a single-worker pool, so the reference path's
+// run inside a util::InlineScope, so the reference path's
 // channel-parallel loop serializes inline too and nothing escapes to the
 // global pool:
 //
@@ -31,7 +31,6 @@
 #include <complex>
 #include <cstdio>
 #include <cstring>
-#include <exception>
 #include <functional>
 #include <string>
 #include <thread>
@@ -52,22 +51,6 @@
 namespace {
 
 using fuse::radar::RadarCube;
-
-/// Runs `body` on a 1-worker pool, where the free parallel_for
-/// serializes inline: the honest single-thread row.
-void run_confined(const std::function<void()>& body) {
-  std::exception_ptr error = nullptr;
-  fuse::util::ThreadPool driver(1);
-  driver.submit([&] {
-    try {
-      body();
-    } catch (...) {
-      error = std::current_exception();  // workers must not throw
-    }
-  });
-  driver.wait_idle();
-  if (error) std::rethrow_exception(error);
-}
 
 struct StageRow {
   std::string stage;
@@ -239,7 +222,10 @@ int main(int argc, char** argv) {
   StageRow cf{"cfar2d", 1, 0.0, 0.0};
   StageRow pl{"pipeline", 1, 0.0, 0.0};
 
-  run_confined([&] {
+  {
+    // The honest single-thread rows: every free parallel_for below runs
+    // inline on this thread, as it does in a served frame.
+    const fuse::util::InlineScope inline_scope;
     // Stage 1: both FFT passes.
     rd.naive_fps = time_fps(frame_iters, [&](std::size_t i) {
       const auto out = proc.range_doppler_reference(cubes[i % cubes.size()]);
@@ -275,7 +261,7 @@ int main(int argc, char** argv) {
     pl.planned_fps = time_fps(frame_iters, [&](std::size_t i) {
       proc.process(cubes[i % cubes.size()], ws, out);
     });
-  });
+  }
 
   for (const StageRow* row : {&rd, &cf, &pl}) {
     table.add_row({row->stage, std::to_string(row->threads),

@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""Self-test for the p99 / drop-rate / overhead / overload gates in
-check_regression.py.
+"""Self-test for every gate rule in check_regression.py.
 
 Takes the committed serve baseline, injects synthetic regressions into a
 copy (p99 latencies tripled, drop rate +0.5, telemetry overhead 25%,
@@ -8,12 +7,14 @@ adapted-clone RAM per 10k sessions x10, overload shed rate +0.5,
 degraded-over-steady p99 ratio blown to 10x, recovered_within_window
 flipped to false, the shard sweep's shard_p99_scaling_ok flipped to
 false, the churn storm's leaked_in_flight gauge set to a nonzero
-count) and asserts the gate exits non-zero with a REGRESSION
-line for each — then replays the baseline against itself and asserts a
-clean pass.  This is the "demonstrated gate" required by the
-observability and overload-hardening PRs: proof the CI step would
-actually catch a tail-latency, backpressure, or degradation-ladder
-regression, not just parse the JSON.
+count, speedups halved, losses shifted by 0.1, a gated key deleted) and
+asserts the gate exits non-zero with a REGRESSION line for each; the
+committed DSP baseline gets its detection counts shifted by 10%.  Then
+it replays each baseline against itself and asserts a clean pass.  This
+is the "demonstrated gate" required by the observability and
+overload-hardening PRs: proof the CI step would actually catch a
+tail-latency, backpressure, or degradation-ladder regression, not just
+parse the JSON.
 
 Usage:  test_regression_gates.py [BASELINE]
         (default: bench/baselines/BENCH_serve_smoke.json next to this file)
@@ -31,6 +32,7 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 CHECKER = os.path.join(HERE, "check_regression.py")
 DEFAULT_BASELINE = os.path.join(HERE, "baselines", "BENCH_serve_smoke.json")
+DSP_BASELINE = os.path.join(HERE, "baselines", "BENCH_dsp.smoke.json")
 
 
 def run_gate(baseline_path, fresh_path):
@@ -90,6 +92,36 @@ def inject_leak(doc):
     mutate(doc, lambda k, v: 3 if "leaked" in k else v)
 
 
+def inject_speedup(doc):
+    mutate(doc, lambda k, v: v * 0.5 if "speedup" in k else v)
+
+
+def inject_loss(doc):
+    mutate(doc, lambda k, v: v + 0.1
+           if "loss" in k and "speedup" not in k else v)
+
+
+def inject_detections(doc):
+    # Counts large enough that a 10% shift clears the +-2 absolute floor.
+    mutate(doc, lambda k, v: round(v * 1.1) + 3
+           if "detection" in k and "match" not in k else v)
+
+
+def drop_key(node, key_substr):
+    """Deletes the first key containing key_substr; returns whether it
+    found one."""
+    if isinstance(node, dict):
+        for k in list(node):
+            if key_substr in k:
+                del node[k]
+                return True
+            if drop_key(node[k], key_substr):
+                return True
+    elif isinstance(node, list):
+        return any(drop_key(item, key_substr) for item in node)
+    return False
+
+
 def flip_flags(node, key_substr):
     """Flips boolean leaves whose key contains key_substr (mutate() skips
     bools by design, so equivalence-flag flips need their own walker)."""
@@ -111,13 +143,13 @@ def main():
 
     failures = []
 
-    def check(name, doc, want_fail, want_text=None):
+    def check(name, doc, want_fail, want_text=None, base=baseline_path):
         with tempfile.NamedTemporaryFile(
                 "w", suffix=".json", delete=False) as tmp:
             json.dump(doc, tmp)
             path = tmp.name
         try:
-            rc, out = run_gate(baseline_path, path)
+            rc, out = run_gate(base, path)
             if want_fail and rc != 1:
                 failures.append(f"{name}: expected exit 1, got {rc}\n{out}")
             elif not want_fail and rc != 0:
@@ -177,6 +209,31 @@ def main():
     flip_flags(doc, "scaling_ok")
     check("flipped shard-scaling flag caught", doc, want_fail=True,
           want_text="equivalence flag")
+
+    doc = copy.deepcopy(baseline)
+    inject_speedup(doc)
+    check("injected speedup drop caught", doc, want_fail=True,
+          want_text="speedup")
+
+    doc = copy.deepcopy(baseline)
+    inject_loss(doc)
+    check("injected loss drift caught", doc, want_fail=True,
+          want_text="loss")
+
+    doc = copy.deepcopy(baseline)
+    if not drop_key(doc, "p99_ms"):
+        failures.append("baseline has no p99_ms key to delete")
+    check("missing gated key caught", doc, want_fail=True,
+          want_text="missing from fresh run")
+
+    with open(DSP_BASELINE) as f:
+        dsp = json.load(f)
+    check("clean DSP baseline passes", copy.deepcopy(dsp), want_fail=False,
+          base=DSP_BASELINE)
+    doc = copy.deepcopy(dsp)
+    inject_detections(doc)
+    check("injected detection-count drift caught", doc, want_fail=True,
+          want_text="detection count", base=DSP_BASELINE)
 
     if failures:
         for f in failures:

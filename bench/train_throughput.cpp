@@ -12,8 +12,8 @@
 // runs in task order regardless of worker count.
 //
 // Thread accounting: the "1 thread" rows run the whole workload inside a
-// single-worker pool (nested parallel_for serializes inline there), so no
-// kernel sneaks onto the global pool behind the measurement's back.
+// util::InlineScope (every free parallel_for serializes inline there), so
+// no kernel sneaks onto the global pool behind the measurement's back.
 //
 // Run: ./train_throughput [--scale=1] [--smoke] [--out=DIR]
 // Emits DIR/BENCH_train.json (machine-readable perf trajectory).
@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <exception>
 #include <memory>
 #include <string>
 #include <thread>
@@ -77,32 +76,21 @@ struct Bench {
     out.threads = threads;
     const auto model = make_model(backend);
     fuse::core::MetaTrainer meta(model.get(), mcfg);
-    fuse::core::MetaHistory hist;
-    double secs = 0.0;
-    // Confine the run to exactly `threads` workers: the loop executes on a
-    // 1-worker driver pool, so the reduction/outer update — and, at one
-    // thread, every kernel — serialize inline on the driver instead of
-    // escaping to the hardware-wide global pool behind the measurement's
-    // back.  For threads > 1 the per-task adaptations fan out to a
-    // dedicated task pool (cross-pool parallel_for).
+    // Confine the run to exactly `threads` workers: under an InlineScope
+    // the reduction/outer update — and, at one thread, every kernel —
+    // serialize inline on this thread instead of escaping to the
+    // hardware-wide global pool behind the measurement's back.  For
+    // threads > 1 the per-task adaptations fan out to a dedicated task
+    // pool (its own parallel_for, which an InlineScope does not confine).
     std::unique_ptr<fuse::util::ThreadPool> task_pool;
     if (threads > 1) {
       task_pool = std::make_unique<fuse::util::ThreadPool>(threads);
       meta.set_task_pool(task_pool.get());
     }
-    std::exception_ptr error = nullptr;
-    fuse::util::ThreadPool driver(1);
-    driver.submit([&] {
-      try {
-        fuse::util::Stopwatch sw;
-        hist = meta.run(fused, feat, train_pool);
-        secs = sw.seconds();
-      } catch (...) {
-        error = std::current_exception();  // workers must not throw
-      }
-    });
-    driver.wait_idle();
-    if (error) std::rethrow_exception(error);
+    const fuse::util::InlineScope inline_scope;
+    fuse::util::Stopwatch sw;
+    const auto hist = meta.run(fused, feat, train_pool);
+    const double secs = sw.seconds();
     out.iters_per_sec = static_cast<double>(mcfg.iterations) / secs;
     out.final_query_loss = hist.query_loss.back();
     return out;
@@ -121,22 +109,12 @@ struct Bench {
             static_cast<std::ptrdiff_t>(std::min(batch, train_pool.size())));
     const auto x = feat.make_inputs(fused, batch_set);
     const auto y = feat.make_labels(fused, batch_set);
-    std::exception_ptr error = nullptr;
-    fuse::util::ThreadPool runner(1);
-    double secs = 0.0;
-    runner.submit([&] {
-      try {
-        (void)fuse::core::sgd_step(*model, x, y, 0.02f);  // warm workspaces
-        fuse::util::Stopwatch sw;
-        for (std::size_t s = 0; s < steps; ++s)
-          out.last_loss = fuse::core::sgd_step(*model, x, y, 0.02f);
-        secs = sw.seconds();
-      } catch (...) {
-        error = std::current_exception();  // workers must not throw
-      }
-    });
-    runner.wait_idle();
-    if (error) std::rethrow_exception(error);
+    const fuse::util::InlineScope inline_scope;  // one thread, as served
+    (void)fuse::core::sgd_step(*model, x, y, 0.02f);  // warm workspaces
+    fuse::util::Stopwatch sw;
+    for (std::size_t s = 0; s < steps; ++s)
+      out.last_loss = fuse::core::sgd_step(*model, x, y, 0.02f);
+    const double secs = sw.seconds();
     out.steps_per_sec = static_cast<double>(steps) / secs;
     return out;
   }

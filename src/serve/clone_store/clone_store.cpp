@@ -1,48 +1,17 @@
 #include "serve/clone_store/clone_store.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "util/atomic_file.h"
+#include "serve/clone_store/layout.h"
 #include "util/log.h"
 
 namespace fuse::serve {
 
 namespace fs = std::filesystem;
-
-namespace {
-// Manifest header: bumping it invalidates old manifests in one place.
-constexpr const char* kManifestMagic = "FUSECLONES1";
-
-/// Parses "clone_<id>.delta" (the path_for naming scheme); the dir-scan
-/// restore fallback uses it to recover checkpoints a lost manifest named.
-bool parse_clone_filename(const std::string& name, SessionId* id) {
-  constexpr const char* kPrefix = "clone_";
-  constexpr const char* kSuffix = ".delta";
-  if (name.size() <= std::strlen(kPrefix) + std::strlen(kSuffix)) return false;
-  if (name.rfind(kPrefix, 0) != 0) return false;
-  if (name.size() < std::strlen(kSuffix) ||
-      name.compare(name.size() - std::strlen(kSuffix), std::strlen(kSuffix),
-                   kSuffix) != 0)
-    return false;
-  const std::string digits = name.substr(
-      std::strlen(kPrefix),
-      name.size() - std::strlen(kPrefix) - std::strlen(kSuffix));
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  *id = static_cast<SessionId>(std::strtoull(digits.c_str(), nullptr, 10));
-  return true;
-}
-}  // namespace
 
 void CloneStore::configure(CloneStoreConfig cfg, const fuse::nn::Module* base) {
   if (base == nullptr)
@@ -54,14 +23,6 @@ void CloneStore::configure(CloneStoreConfig cfg, const fuse::nn::Module* base) {
   // clone), so one adapting user pins ~8 bytes per parameter.
   clone_bytes_ = base_->num_params() * 2 * sizeof(float);
   if (enabled_) fs::create_directories(cfg_.dir);
-}
-
-std::string CloneStore::path_for(SessionId id) const {
-  return cfg_.dir + "/clone_" + std::to_string(id) + ".delta";
-}
-
-std::string CloneStore::manifest_path() const {
-  return cfg_.dir + "/clones.manifest";
 }
 
 void CloneStore::begin_pass() {
@@ -85,7 +46,8 @@ bool CloneStore::ensure_resident(Session& s) {
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   try {
-    const auto delta = fuse::nn::ParamDelta::load_file(path_for(s.id()));
+    const auto delta = fuse::nn::ParamDelta::load_file(
+        layout::clone_path(cfg_.dir, s.id()));
     s.adapted_slot() = fuse::nn::rehydrate_from_delta(*base_, delta);
   } catch (const std::exception& ex) {
     // A corrupt or unreadable checkpoint must not kill the scheduler
@@ -136,7 +98,8 @@ void CloneStore::forget(SessionId id) {
   }
   if (e.on_disk) {
     std::error_code ec;
-    fs::remove(path_for(id), ec);  // best-effort; accounting drops either way
+    // Best-effort; the accounting drops either way.
+    fs::remove(layout::clone_path(cfg_.dir, id), ec);
     disk_bytes_.fetch_sub(e.file_bytes, std::memory_order_relaxed);
   }
 }
@@ -150,7 +113,7 @@ void CloneStore::request_forget(SessionId id) {
 void CloneStore::checkpoint(Session& s, Entry& e) {
   const auto delta = fuse::nn::extract_delta(*s.adapted_model(), *base_,
                                              cfg_.delta);
-  const std::string path = path_for(s.id());
+  const std::string path = layout::clone_path(cfg_.dir, s.id());
   delta.save_file(path);
   if (e.on_disk) disk_bytes_.fetch_sub(e.file_bytes, std::memory_order_relaxed);
   e.file_bytes = static_cast<std::size_t>(fs::file_size(path));
@@ -260,16 +223,11 @@ void CloneStore::persist(const std::vector<Session*>& sessions) {
   // The manifest replaces atomically too: a crash anywhere in persist()
   // leaves the previous (manifest, checkpoints) generation readable —
   // checkpoints the old manifest names are never deleted by persist().
-  std::string manifest = std::string(kManifestMagic) + "\n";
-  // Deterministic manifest order (and stable across unordered_map seeds).
   std::vector<SessionId> on_disk_ids;
   for (const auto& [id, e] : entries_)
     if (e.on_disk) on_disk_ids.push_back(id);
-  std::sort(on_disk_ids.begin(), on_disk_ids.end());
-  for (const SessionId id : on_disk_ids)
-    manifest += std::to_string(id) + "\n";
   try {
-    fuse::util::write_file_atomic(manifest_path(), manifest);
+    layout::write_manifest(cfg_.dir, std::move(on_disk_ids));
   } catch (const std::exception& ex) {
     // A failed manifest write leaves the previous generation's manifest in
     // place — restore() then recovers that older-but-consistent view (or
@@ -281,57 +239,30 @@ void CloneStore::persist(const std::vector<Session*>& sessions) {
   }
 }
 
-bool CloneStore::validate_checkpoint(const std::string& path) const {
-  // Decode end-to-end: the FUSEDLT1 checksum + structural checks catch
-  // truncation (torn write), bit rot and wrong-architecture files alike.
-  try {
-    const auto delta = fuse::nn::ParamDelta::load_file(path);
-    return delta.arch == base_->arch_name();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
 std::vector<SessionId> CloneStore::restore() {
   std::vector<SessionId> ids;
   if (!enabled_) return ids;
-  // Candidate ids come from the manifest when it is readable; otherwise —
-  // missing manifest (crash before its rename) or corrupt header — from
-  // scanning the directory for clone_<id>.delta files, so every valid
+  // Candidate ids come from the manifest when it is complete; otherwise —
+  // missing manifest (crash before its rename), torn or corrupt — from
+  // scanning the directory for checkpoint files, so every valid
   // checkpoint on disk is still recovered.
-  std::set<SessionId> candidates;
-  bool have_manifest = false;
-  {
-    std::ifstream is(manifest_path());
-    if (is) {
-      std::string magic;
-      if (std::getline(is, magic) && magic == kManifestMagic) {
-        have_manifest = true;
-        SessionId id = 0;
-        while (is >> id) candidates.insert(id);
-      } else {
-        restore_skipped_.fetch_add(1, std::memory_order_relaxed);
-        FUSE_LOG_WARN("clone_store: corrupt manifest %s; falling back to "
-                      "directory scan",
-                      manifest_path().c_str());
-      }
-    }
+  auto manifest = layout::read_manifest(cfg_.dir);
+  if (manifest.status == layout::FileStatus::kInvalid) {
+    restore_skipped_.fetch_add(1, std::memory_order_relaxed);
+    FUSE_LOG_WARN("clone_store: torn or corrupt manifest in %s; falling "
+                  "back to directory scan",
+                  cfg_.dir.c_str());
   }
-  if (!have_manifest) {
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(cfg_.dir, ec)) {
-      SessionId id = 0;
-      if (entry.is_regular_file() &&
-          parse_clone_filename(entry.path().filename().string(), &id))
-        candidates.insert(id);
-    }
-  }
+  const std::vector<SessionId> candidates =
+      manifest.status == layout::FileStatus::kValid
+          ? std::move(manifest.ids)
+          : layout::scan_clone_ids(cfg_.dir);
   // Register only checkpoints that decode cleanly; skip (and count) the
   // rest instead of aborting the whole warm restart over one bad file.
   std::uint64_t skipped = 0;
   for (const SessionId id : candidates) {
-    const std::string path = path_for(id);
-    if (!validate_checkpoint(path)) {
+    const std::string path = layout::clone_path(cfg_.dir, id);
+    if (!layout::checkpoint_decodes(path, base_)) {
       ++skipped;
       FUSE_LOG_WARN("clone_store: skipping corrupt/missing checkpoint %s",
                     path.c_str());

@@ -9,7 +9,8 @@
 //  * delta checkpointing — an idle clone is serialized as its difference
 //    against the shared meta-init (nn::ParamDelta: bit-exact sparse fp32 by
 //    default, optional lossy sparse thresholding or int8 quantization) to
-//    `<dir>/clone_<id>.delta`, then the in-RAM clone is dropped;
+//    its checkpoint file (serve/clone_store/layout.h), then the in-RAM
+//    clone is dropped;
 //  * LRU eviction — when resident clones exceed
 //    CloneStoreConfig::max_resident_clones or ram_budget_bytes, the least
 //    recently used sessions' clones are checkpointed and evicted at the end
@@ -128,10 +129,11 @@ class CloneStore {
   /// Tolerant by contract (PR 8): every checkpoint is validated (decoded
   /// end-to-end against the FUSEDLT1 checksum) before registration;
   /// corrupt, truncated or missing entries are skipped and counted
-  /// (restore_skipped), never thrown.  A missing or corrupt manifest
-  /// falls back to scanning the directory for clone_<id>.delta files, so
-  /// a crash before the manifest rename still recovers every valid
-  /// checkpoint on disk.
+  /// (restore_skipped), never thrown.  A missing manifest, or a torn or
+  /// corrupt one (also counted in restore_skipped), falls back to
+  /// scanning the directory for checkpoint files, so a crash before or
+  /// during the manifest write still recovers every valid checkpoint on
+  /// disk.
   std::vector<SessionId> restore();
 
   // ---------------------------------------------------------- telemetry --
@@ -147,11 +149,6 @@ class CloneStore {
     std::size_t file_bytes = 0;   ///< size of the on-disk checkpoint
   };
 
-  std::string path_for(SessionId id) const;
-  std::string manifest_path() const;
-  /// True iff the checkpoint at `path` decodes cleanly for this base model
-  /// (restore-time validation; never throws).
-  bool validate_checkpoint(const std::string& path) const;
   /// Writes the session's clone delta to disk and updates accounting.
   void checkpoint(Session& s, Entry& e);
   /// Resident-clone RAM and count over the entry map.

@@ -5,20 +5,18 @@
 // session ids hash to different home shards, so the per-shard checkpoint
 // dirs a warm restart reads no longer line up and restore_clones refuses
 // the store.  reshard() rewrites the directory from its current M-shard
-// layout to an N-shard layout offline (no server may hold the dir):
-//
-//   M == 1 : <dir>/clone_<id>.delta + <dir>/clones.manifest   (flat)
-//   M  > 1 : <dir>/shard_<k>/clone_<id>.delta + per-shard manifests
-//            plus <dir>/shard_map (the migrated-placement table)
+// layout to an N-shard layout offline (no server may hold the dir).  The
+// layouts, the manifests, the shard map and the journal this protocol
+// reads and writes are defined in serve/clone_store/layout.h.
 //
 // Crash safety is a two-phase journaled protocol over util/atomic_file:
 //
-//   1. scan     — enumerate every checkpoint (manifests when readable,
-//                 directory scan otherwise), resolve duplicate ids
-//                 (shard_map pin > old home shard > lowest shard), and
-//                 drop checkpoints that fail a full decode;
-//   2. journal  — atomically write <dir>/reshard.journal (phase "plan")
-//                 recording from/to and every (id, src, dst) move;
+//   1. scan     — enumerate every checkpoint file in the old layout,
+//                 resolve duplicate ids (shard-map pin > old home shard
+//                 > lowest shard), and drop checkpoints that fail a
+//                 full decode;
+//   2. journal  — atomically write the journal (phase "plan") recording
+//                 from/to and every (id, src, dst) move;
 //   3. copy     — copy each checkpoint to its new-home location via
 //                 atomic writes (src == dst entries are kept in place);
 //   4. verify   — fully decode every destination file (checksum, and
@@ -27,7 +25,7 @@
 //                 point.  Before it, the old manifests still describe
 //                 the old layout exactly; after it, recovery only ever
 //                 rolls forward;
-//   6. publish  — write the N new manifests and the new shard_map (or
+//   6. publish  — write the N new manifests and the new shard map (or
 //                 remove it for N == 1);
 //   7. sweep    — delete the old layout's files, manifests, emptied
 //                 shard dirs, and finally the journal.
@@ -38,7 +36,8 @@
 // from the journal (re-copying idempotently before the commit point,
 // finishing publish + sweep after it), and until the commit point a
 // server configured with the OLD num_shards still restores the store
-// bit-exactly.  A torn journal is discarded and the run starts fresh.
+// bit-exactly.  A torn journal (one without its final `end` line) is
+// discarded and the run starts fresh.
 
 #include <cstddef>
 #include <string>
@@ -51,7 +50,8 @@ namespace fuse::serve {
 struct ReshardConfig {
   std::string dir;       ///< the clone-store directory to rewrite
   /// Source shard count; 0 (default) autodetects from the directory
-  /// layout (contiguous shard_<k> subdirs, else flat == 1).
+  /// layout (one past the highest shard dir holding store data, else
+  /// flat == 1).
   std::size_t from = 0;
   std::size_t to = 0;    ///< target shard count; must be >= 1
   /// Optional shared model: when set, verification additionally checks

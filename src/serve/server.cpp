@@ -2,17 +2,15 @@
 
 #include <algorithm>
 #include <deque>
-#include <filesystem>
-#include <fstream>
 #include <new>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
 
 #include "nn/delta.h"
+#include "serve/clone_store/layout.h"
 #include "serve/shard.h"
 #include "serve/telemetry.h"
-#include "util/atomic_file.h"
 #include "util/fault.h"
 #include "util/log.h"
 
@@ -165,12 +163,12 @@ std::size_t Server::shard_of(SessionId id) const {
     const auto it = shard_overrides_.find(id);
     if (it != shard_overrides_.end()) return it->second;
   }
-  return home_shard(id);
+  return layout::home_shard(id, shards_.size());
 }
 
 void Server::set_shard_override(SessionId id, std::size_t shard) {
   std::lock_guard<std::mutex> lock(map_mu_);
-  if (shard == home_shard(id))
+  if (shard == layout::home_shard(id, shards_.size()))
     shard_overrides_.erase(id);  // home placement needs no table entry
   else
     shard_overrides_[id] = shard;
@@ -288,68 +286,6 @@ void Server::stop() {
 
 namespace {
 
-/// Parsed `<dir>/shard_map` — the persisted placement table.  The file
-/// records the store's shard count plus every off-home (migrated)
-/// session's pinned shard:
-///
-///   FUSESHMAP1
-///   shards <N>
-///   <id> <shard>          (one line per migrated session)
-///
-/// kMissing = pre-migration store (pure-hash placement required);
-/// kInvalid = torn/corrupt write (the on-disk placement is the truth).
-struct ShardMapFile {
-  enum class Status { kMissing, kInvalid, kValid };
-  Status status = Status::kMissing;
-  std::size_t shards = 0;
-  std::unordered_map<SessionId, std::size_t> overrides;
-};
-
-std::string shard_map_path(const std::string& dir) {
-  return dir + "/shard_map";
-}
-
-ShardMapFile read_shard_map(const std::string& dir) {
-  ShardMapFile map;
-  std::ifstream in(shard_map_path(dir));
-  if (!in.is_open()) return map;  // kMissing
-  map.status = ShardMapFile::Status::kInvalid;  // until fully parsed
-  std::string magic;
-  if (!std::getline(in, magic) || magic != "FUSESHMAP1") return map;
-  std::string key;
-  std::size_t shards = 0;
-  if (!(in >> key >> shards) || key != "shards" || shards == 0) return map;
-  SessionId id = 0;
-  std::size_t shard = 0;
-  std::unordered_map<SessionId, std::size_t> overrides;
-  while (in >> id >> shard) {
-    if (shard >= shards) return map;  // torn/garbage tail
-    overrides.emplace(id, shard);
-  }
-  if (!in.eof()) return map;  // stopped on a malformed line, not EOF
-  map.status = ShardMapFile::Status::kValid;
-  map.shards = shards;
-  map.overrides = std::move(overrides);
-  return map;
-}
-
-/// True when `dir` directly holds clone-store data (a manifest or any
-/// checkpoint file) — used to detect a store laid out for a different
-/// shard count than this server's.
-bool dir_has_clone_data(const std::filesystem::path& dir) {
-  std::error_code ec;
-  if (!std::filesystem::is_directory(dir, ec)) return false;
-  for (const auto& e : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = e.path().filename().string();
-    if (name == "clones.manifest") return true;
-    if (name.rfind("clone_", 0) == 0 &&
-        name.size() > 6 + 6 &&  // "clone_" + at least 1 digit + ".delta"
-        name.compare(name.size() - 6, 6, ".delta") == 0)
-      return true;
-  }
-  return false;
-}
-
 [[noreturn]] void throw_reshard_needed(const std::string& dir,
                                        const std::string& detail) {
   throw std::logic_error(
@@ -366,29 +302,21 @@ void Server::persist_clones() {
   const std::string& dir = cfg_.clone_store.dir;
   if (dir.empty() || shards_.size() < 2) return;
   // Persist the placement table next to the per-shard stores so migrated
-  // sessions restore onto the shard that holds their checkpoint.  The
-  // `shards` header doubles as the topology stamp restore_clones checks.
-  std::string payload = "FUSESHMAP1\nshards " +
-                        std::to_string(shards_.size()) + "\n";
+  // sessions restore onto the shard that holds their checkpoint.  Its
+  // shard count doubles as the topology stamp restore_clones checks.
+  layout::ShardMap map;
+  map.shards = shards_.size();
   {
     std::lock_guard<std::mutex> lock(map_mu_);
-    for (const auto& [id, shard] : shard_overrides_)
-      payload += std::to_string(id) + " " + std::to_string(shard) + "\n";
-  }
-  const std::string path = shard_map_path(dir);
-  if (fuse::util::fault_fire(fuse::util::FaultPoint::kTornShardMap)) {
-    // Simulated crash mid-write: only a prefix of the map reaches disk.
-    std::ofstream torn(path, std::ios::binary | std::ios::trunc);
-    torn.write(payload.data(),
-               static_cast<std::streamsize>(payload.size() / 2));
-    return;
+    map.pins = shard_overrides_;
   }
   try {
-    fuse::util::write_file_atomic(path, payload);
+    layout::write_map(dir, map, true);
   } catch (const std::exception& e) {
     // Same best-effort contract as clone checkpoints: a failed map write
-    // leaves the previous generation in place (stale beats absent).
-    FUSE_LOG_DEBUG("serve: shard_map write failed: %s", e.what());
+    // leaves the previous generation in place (stale beats absent), and a
+    // torn one reads as invalid, so restore trusts the checkpoints.
+    FUSE_LOG_DEBUG("serve: shard map write failed: %s", e.what());
   }
 }
 
@@ -397,72 +325,52 @@ std::vector<SessionId> Server::restore_clones(const SessionConfig& scfg) {
   std::vector<SessionId> out;
   std::lock_guard<std::mutex> lock(open_mu_);
   const std::string& dir = cfg_.clone_store.dir;
-  ShardMapFile map;
+  const std::size_t n = shards_.size();
+  layout::ShardMap map;
   if (!dir.empty()) {
-    map = read_shard_map(dir);
-    if (map.status == ShardMapFile::Status::kValid &&
-        map.shards != shards_.size())
-      throw_reshard_needed(dir, "shard_map says shards=" +
+    map = layout::read_map(dir);
+    if (map.status == layout::FileStatus::kValid && map.shards != n)
+      throw_reshard_needed(dir, "its shard map says shards=" +
                                     std::to_string(map.shards) +
                                     ", this server runs " +
-                                    std::to_string(shards_.size()));
+                                    std::to_string(n));
     // Layout sanity independent of the map file (covers torn maps and
-    // pre-map stores): leftover shard dirs beyond our count, or a flat
-    // single-shard store under a multi-shard server (and vice versa),
-    // mean the data belongs to a different topology.
-    const std::filesystem::path root(dir);
-    for (std::size_t k = shards_.size(); ; ++k) {
-      const auto shard_dir = root / ("shard_" + std::to_string(k));
-      std::error_code ec;
-      if (!std::filesystem::is_directory(shard_dir, ec)) break;
-      if (dir_has_clone_data(shard_dir))
-        throw_reshard_needed(dir, "checkpoints present in shard_" +
-                                      std::to_string(k) + " beyond this "
-                                      "server's " +
-                                      std::to_string(shards_.size()) +
-                                      " shards");
-    }
-    if (shards_.size() > 1 && dir_has_clone_data(root))
-      throw_reshard_needed(dir, "flat single-shard checkpoints under a " +
-                                    std::to_string(shards_.size()) +
+    // pre-map stores): shard dirs holding data beyond our count, or a
+    // flat single-shard store under a multi-shard server (and vice
+    // versa), mean the data belongs to a different topology.
+    const auto sharded = layout::shards_with_data(dir);
+    if (!sharded.empty() && (n == 1 || sharded.back() >= n))
+      throw_reshard_needed(dir, "checkpoints on shard " +
+                                    std::to_string(sharded.back()) +
+                                    " under a " + std::to_string(n) +
                                     "-shard server");
-    if (shards_.size() == 1 && dir_has_clone_data(root / "shard_0"))
-      throw_reshard_needed(dir,
-                           "sharded checkpoints under a 1-shard server");
+    if (n > 1 && layout::has_store_data(dir))
+      throw_reshard_needed(dir, "flat single-shard checkpoints under a " +
+                                    std::to_string(n) + "-shard server");
   }
   std::unordered_set<SessionId> seen;
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
+  for (std::size_t k = 0; k < n; ++k) {
     const auto ids = shards_[k]->restore_clones(scfg);
     for (const SessionId id : ids) {
       if (!seen.insert(id).second)
         throw_reshard_needed(dir, "session " + std::to_string(id) +
                                       " has checkpoints on two shards "
                                       "(mixed layout)");
-      if (home_shard(id) != k) {
+      if (layout::home_shard(id, n) != k) {
         // Off-home checkpoint: legal only when the placement table pins
         // it here (a migrated session) or the table was torn — then the
         // on-disk placement is the best available truth.
-        bool pinned = false;
-        switch (map.status) {
-          case ShardMapFile::Status::kValid: {
-            const auto it = map.overrides.find(id);
-            pinned = it != map.overrides.end() && it->second == k;
-            break;
-          }
-          case ShardMapFile::Status::kInvalid:
-            pinned = true;
-            break;
-          case ShardMapFile::Status::kMissing:
-            pinned = false;
-            break;
-        }
+        const auto pin = map.pins.find(id);
+        const bool pinned =
+            map.status == layout::FileStatus::kInvalid ||
+            (pin != map.pins.end() && pin->second == k);
         if (!pinned)
           throw_reshard_needed(
               dir, "checkpoint for session " + std::to_string(id) +
                        " found on shard " + std::to_string(k) +
                        " but hashes to shard " +
-                       std::to_string(home_shard(id)) +
-                       " with no shard_map entry");
+                       std::to_string(layout::home_shard(id, n)) +
+                       " with no shard-map entry");
         set_shard_override(id, k);
       }
       // Fresh ids must never collide with a restored one.

@@ -8,13 +8,13 @@
 // workspace, result queues, clone-store instance and overload detector,
 // so batching/adaptation work scales with cores instead of capping at
 // one.  Placement is an explicit shard-map table: every session starts
-// on its home shard `(id - 1) % num_shards` (deterministic, stable
-// across close_session/recycle_session), and migrate_session() may later
-// record an override moving it elsewhere.  With no migrations the table
-// is empty and shard_of() is exactly the old pure hash; the 1-shard
-// configuration is bit-compatible with the pre-shard scheduler (the
-// equivalence oracle — one shard runs exactly the old single-thread
-// engine).
+// on its home shard `layout::home_shard(id, num_shards)` (ids round-robin
+// the shards; stable across close_session/recycle_session), and
+// migrate_session() may later record an override moving it elsewhere.
+// With no migrations the table is empty and shard_of() is exactly the old
+// pure hash; the 1-shard configuration is bit-compatible with the
+// pre-shard scheduler (the equivalence oracle — one shard runs exactly
+// the old single-thread engine).
 //
 // Cross-shard migration (PR 10): migrate_session(id, shard) drains the
 // session's queue, round-trips its adapted clone through the delta codec
@@ -25,9 +25,10 @@
 // SubmitResult::kMigrating (retry-after semantics).  There is no built-in
 // load balancer: a caller that wants balancing reads stats().per_shard and
 // calls migrate_session().  Migrated placements persist with the clones (a
-// `shard_map` file next to the per-shard stores) and are re-installed by
-// restore_clones(); changing num_shards itself remains an offline
-// re-shard (tools/reshard, serve/reshard.h).
+// shard-map file next to the per-shard stores; the disk format is
+// serve/clone_store/layout.h) and are re-installed by restore_clones();
+// changing num_shards itself remains an offline re-shard (tools/reshard,
+// serve/reshard.h).
 //
 // In-flight gauge / overload-detector contract (multi-shard):
 //  * admission (`max_in_flight`) is GLOBAL — one shared atomic gauge of
@@ -108,7 +109,7 @@ struct ServeConfig {
   std::size_t max_sessions = 64;   ///< across all shards
   std::size_t max_batch = 16;      ///< frames per batched forward pass
   /// Scheduler shards.  Sessions start on their home shard
-  /// ((id - 1) % num_shards; migrate_session may move them) and each
+  /// (layout::home_shard; migrate_session may move them) and each
   /// shard runs its own scheduler thread with private workspace, clone
   /// store and overload detector.  1 (default) reproduces the pre-shard
   /// single-thread engine bit-for-bit.
@@ -137,8 +138,8 @@ struct ServeConfig {
   /// max_resident_clones / ram_budget_bytes, then transparently
   /// rehydrated (bit-exact in fp32 mode) when their session is next
   /// served or adapted.  Empty dir (default) keeps every clone resident.
-  /// With num_shards > 1 each shard keeps its own store instance under
-  /// `<dir>/shard_<k>` (budgets apply per shard); a warm restart must use
+  /// With num_shards > 1 each shard keeps its own store instance in its
+  /// own shard dir (budgets apply per shard); a warm restart must use
   /// the same num_shards the checkpoints were persisted with — changing
   /// the shard count is an offline re-shard (tools/reshard).
   CloneStoreConfig clone_store;
@@ -182,7 +183,7 @@ class Server {
   // ------------------------------------------------------------- shards --
   std::size_t num_shards() const { return shards_.size(); }
   /// The shard owning session `id`: the explicit shard-map table when the
-  /// session has been migrated, else its home shard (id - 1) % num_shards.
+  /// session has been migrated, else its home shard (layout::home_shard).
   /// Stable across close_session/recycle_session and across warm restarts
   /// with the same num_shards (restore_clones re-installs migrated
   /// placements from the persisted shard map).
@@ -262,7 +263,7 @@ class Server {
 
   // -------------------------------------------------------- warm restart --
   /// Checkpoints every session's adapted clone to its shard's clone store
-  /// and writes per-shard manifests plus the `shard_map` file (migrated
+  /// and writes per-shard manifests plus the shard map (migrated
   /// placements), so a new process pointed at the same clone_store.dir
   /// (and the same num_shards) can restore_clones().  Requires a
   /// configured store and a stopped server (throws std::logic_error
@@ -282,9 +283,6 @@ class Server {
 
  private:
   std::size_t session_count_unlocked() const;
-  std::size_t home_shard(SessionId id) const {
-    return id == 0 ? 0 : (id - 1) % shards_.size();
-  }
   /// Executes one move; see migrate_session.  The caller holds both
   /// shards' pass locks.
   bool execute_migration(SessionId id, std::size_t target_shard);

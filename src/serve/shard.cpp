@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "serve/clone_store/layout.h"
 #include "util/fault.h"
 #include "util/log.h"
 #include "util/thread_pool.h"
@@ -23,11 +24,11 @@ Shard::Shard(const fuse::core::Predictor* predictor,
       scheduler_(predictor, shared_model, cfg.max_batch, cfg.backend,
                  cfg.processor) {
   // Per-shard clone store: shards must never share checkpoint files, so
-  // each one owns `<dir>/shard_<k>`.  The 1-shard layout stays exactly
-  // `<dir>` — backward compatible with checkpoints persisted before
-  // sharding existed.
-  if (!cfg_.clone_store.dir.empty() && cfg_.num_shards > 1)
-    cfg_.clone_store.dir += "/shard_" + std::to_string(index_);
+  // each one owns its own shard dir.  The 1-shard layout stays flat —
+  // backward compatible with checkpoints persisted before sharding.
+  if (!cfg_.clone_store.dir.empty())
+    cfg_.clone_store.dir = layout::shard_dir(cfg_.clone_store.dir, index_,
+                                             cfg_.num_shards);
   scheduler_.set_detailed_stats(cfg_.detailed_stats);
   clone_store_.configure(cfg_.clone_store, shared_model_);
   scheduler_.set_clone_store(&clone_store_);

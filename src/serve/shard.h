@@ -58,9 +58,9 @@ struct ShardRawStats {
 
 class Shard {
  public:
-  /// `cfg` is the server-wide config; with num_shards > 1 the shard
-  /// rewrites its clone-store dir to `<dir>/shard_<index>` so stores
-  /// never share checkpoint files.  `global_in_flight` is the server's
+  /// `cfg` is the server-wide config; the shard rewrites its clone-store
+  /// dir to its own shard dir (layout::shard_dir) so stores never share
+  /// checkpoint files.  `global_in_flight` is the server's
   /// admission gauge (borrowed; outlives the shard).
   Shard(const fuse::core::Predictor* predictor,
         const fuse::nn::Module* shared_model, const ServeConfig& cfg,

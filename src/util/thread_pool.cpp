@@ -80,10 +80,11 @@ void ThreadPool::parallel_for(
   // Nested use from inside one of THIS pool's own workers: run inline.
   // Submitting chunks and blocking here would deadlock a pool whose
   // workers are all inside parallel_for (each waits for chunks that only
-  // it could pop).  Calls from another pool's worker DO fan out — that is
-  // how a driver thread confines a workload to an explicit worker set
-  // (bench/train_throughput) — the caller blocks on a local cv while this
-  // pool's workers drain the chunks, which cannot cycle back here.
+  // it could pop).  Calls from any other thread DO fan out, an
+  // InlineScope caller included — that is how bench/train_throughput
+  // confines a workload to an explicit task pool — the caller blocks on a
+  // local cv while this pool's workers drain the chunks, which cannot
+  // cycle back here.
   if (t_worker_pool == this) {
     body(begin, end);
     return;

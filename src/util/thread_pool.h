@@ -41,9 +41,12 @@ class ThreadPool {
   /// pool's own workers runs the body inline instead of enqueueing —
   /// submitting from a worker and then blocking on the chunks would
   /// deadlock once every worker waits on work only queued behind it.  A
-  /// call from another pool's worker fans out normally (the caller blocks
-  /// on a local cv while this pool drains the chunks), which lets a
-  /// driver thread confine a workload to an explicit worker set.
+  /// call from any other thread — another pool's worker, or a thread
+  /// inside an InlineScope — fans out normally (the caller blocks on a
+  /// local cv while this pool drains the chunks).  That is how a caller
+  /// confines a workload to an explicit worker set: an InlineScope keeps
+  /// the free parallel_for on the caller, while a dedicated pool (e.g.
+  /// MetaTrainer::set_task_pool) still spreads its tasks.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t, std::size_t)>& body,
                     std::size_t min_chunk = 1);

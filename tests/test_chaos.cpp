@@ -253,7 +253,8 @@ struct RestoreWorld {
   std::vector<LabeledFrame> probe;
   std::vector<std::vector<fuse::serve::PoseResult>> ref;
 
-  explicit RestoreWorld(const char* name, std::size_t num_shards = 1) {
+  explicit RestoreWorld(const char* name, std::size_t num_shards = 1,
+                        std::size_t sessions = kSessions) {
     auto& pl = world();
     dir = fresh_dir(name);
     cfg = adapting_cfg();
@@ -261,32 +262,33 @@ struct RestoreWorld {
     cfg.clone_store.dir = dir;
     cfg.session.tracking = false;  // tracker state is not persisted
     probe = labeled_frames(3, kProbe);
-    ref.resize(kSessions);
+    ref.resize(sessions);
 
     Server server(&pl.predictor(), &pl.model(), cfg);
+    const std::size_t sequences = pl.dataset().sequences.size();
     std::vector<std::vector<LabeledFrame>> streams;
-    for (std::size_t s = 0; s < kSessions; ++s) {
+    for (std::size_t s = 0; s < sessions; ++s) {
       ids.push_back(server.open_session());
-      streams.push_back(labeled_frames(s, 12));
+      streams.push_back(labeled_frames(s % sequences, 12));
     }
     for (std::size_t i = 0; i < streams[0].size(); ++i) {
-      for (std::size_t s = 0; s < kSessions; ++s)
+      for (std::size_t s = 0; s < sessions; ++s)
         server.submit_frame(ids[s], streams[s][i].cloud,
                             &streams[s][i].label);
       server.drain();
     }
-    for (std::size_t s = 0; s < kSessions; ++s) {
+    for (std::size_t s = 0; s < sessions; ++s) {
       EXPECT_EQ(server.stats().per_session[s].adapt_state,
                 AdaptState::kAdapted);
       (void)server.poll_results(ids[s]);
     }
     // Unlabeled probe on the original server = the recovery reference.
     for (std::size_t i = 0; i < kProbe; ++i) {
-      for (std::size_t s = 0; s < kSessions; ++s)
+      for (std::size_t s = 0; s < sessions; ++s)
         server.submit_frame(ids[s], probe[i].cloud);
       server.drain();
     }
-    for (std::size_t s = 0; s < kSessions; ++s)
+    for (std::size_t s = 0; s < sessions; ++s)
       ref[s] = server.poll_results(ids[s]);
     server.persist_clones();
   }
@@ -376,6 +378,41 @@ TEST(Chaos, MissingManifestFallsBackToDirectoryScan) {
   ASSERT_EQ(restored.size(), RestoreWorld::kSessions);
   for (std::size_t s = 0; s < RestoreWorld::kSessions; ++s)
     w.expect_recovered(server, s);
+  fs::remove_all(w.dir);
+}
+
+// A manifest torn at a line boundary is a well-formed prefix: every line
+// it kept parses.  Only its missing `end` line tells it apart from a
+// complete manifest, so each such cut must fall back to the directory
+// scan (and count as skipped), not restore the sessions it happened to
+// keep.
+TEST(Chaos, ManifestCutAtALineBoundaryFallsBackToDirectoryScan) {
+  auto& pl = world();
+  RestoreWorld w("fuse_chaos_manifest_cut");
+  const std::string path = w.dir + "/clones.manifest";
+  std::string full;
+  {
+    std::ifstream is(path, std::ios::binary);
+    full.assign(std::istreambuf_iterator<char>(is),
+                std::istreambuf_iterator<char>());
+  }
+  // Every cut just after a newline, short of the whole file.
+  std::size_t cuts = 0;
+  for (std::size_t cut = full.find('\n'); cut + 1 < full.size();
+       cut = full.find('\n', cut + 1), ++cuts) {
+    SCOPED_TRACE("manifest cut after byte " + std::to_string(cut + 1));
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os.write(full.data(), static_cast<std::streamsize>(cut + 1));
+    }
+    Server server(&pl.predictor(), &pl.model(), w.cfg);
+    const auto restored = server.restore_clones(w.cfg.session);
+    ASSERT_EQ(restored.size(), RestoreWorld::kSessions);
+    EXPECT_EQ(server.stats().clone_store.restore_skipped, 1u);
+    for (std::size_t s = 0; s < RestoreWorld::kSessions; ++s)
+      w.expect_recovered(server, s);
+  }
+  EXPECT_GE(cuts, RestoreWorld::kSessions);  // after the magic and each id
   fs::remove_all(w.dir);
 }
 
@@ -574,6 +611,47 @@ TEST(Chaos, ReshardCrashAtEveryFaultPointIsRecoverable) {
       fs::remove_all(dir);
     }
     EXPECT_GT(crashes, 0u) << name << " never fired across the seed sweep";
+  }
+  fs::remove_all(w.dir);
+}
+
+// A torn plan journal must never be resumed.  With 40 sessions the
+// half-length tear lands well past the journal header, inside the move
+// list: the surviving prefix is a plausible plan for only some of the
+// sessions, and resuming it would publish manifests for those alone and
+// sweep every other checkpoint.  The re-run must discard it and re-plan.
+TEST(Chaos, TornReshardPlanOverManySessionsLosesNoCheckpoint) {
+  auto& pl = world();
+  constexpr std::size_t kMany = 40;
+  RestoreWorld w("fuse_chaos_torn_plan", 2, kMany);
+  fuse::serve::ReshardConfig rcfg;
+  rcfg.dir = w.dir;
+  rcfg.to = 4;
+  rcfg.base = &pl.model();
+  {
+    FaultConfig fc;
+    fc.p(FaultPoint::kTornShardMap) = 1.0;  // the plan write tears
+    ScopedFaults faults(fc);
+    EXPECT_THROW((void)fuse::serve::reshard(rcfg), std::runtime_error);
+  }
+  ASSERT_TRUE(fs::exists(w.dir + "/reshard.journal"));
+  const auto report = fuse::serve::reshard(rcfg);
+  EXPECT_FALSE(report.resumed);
+  EXPECT_EQ(report.from, 2u);
+  EXPECT_EQ(report.clones_moved + report.clones_kept, kMany);
+  std::size_t checkpoints = 0;
+  for (const auto& e : fs::recursive_directory_iterator(w.dir))
+    if (e.path().extension() == ".delta") ++checkpoints;
+  EXPECT_EQ(checkpoints, kMany);
+
+  ServeConfig cfg4 = w.cfg;
+  cfg4.num_shards = 4;
+  Server server(&pl.predictor(), &pl.model(), cfg4);
+  const auto restored = server.restore_clones(cfg4.session);
+  ASSERT_EQ(restored.size(), kMany);
+  for (std::size_t s = 0; s < kMany; ++s) {
+    EXPECT_EQ(server.shard_of(w.ids[s]), (w.ids[s] - 1) % 4);
+    w.expect_recovered(server, s);
   }
   fs::remove_all(w.dir);
 }

@@ -911,4 +911,83 @@ TEST(Reshard, FlatAndMigratedPlacementTransitions) {
   fs::remove_all(dir);
 }
 
+TEST(Reshard, StrayFileIsNotStoreDataForServerOrReshard) {
+  // The server's layout check and reshard's source autodetection must
+  // agree on what a checkpoint is.  A file that only looks like one
+  // (no numeric id) in a shard dir beyond the layout is not store data:
+  // the server restores, and reshard does not count that dir either.
+  const std::string dir = fresh_dir("fuse_reshard_stray");
+  ServeConfig cfg = adapting_cfg();
+  cfg.num_shards = 2;
+  cfg.clone_store.dir = dir;
+  cfg.session.tracking = false;
+
+  const auto probe = labeled_frames(3, 5);
+  std::vector<fuse::serve::SessionId> ids;
+  const auto ref = adapt_and_persist(cfg, 2, probe, &ids);
+  fs::create_directories(dir + "/shard_2");
+  std::ofstream(dir + "/shard_2/clone_x.delta") << "not a checkpoint";
+
+  expect_restore_bit_exact(cfg, ids, probe, ref);
+  fuse::serve::ReshardConfig rcfg;
+  rcfg.dir = dir;
+  rcfg.to = 1;
+  const auto report = fuse::serve::reshard(rcfg);
+  EXPECT_EQ(report.from, 2u);
+  EXPECT_EQ(report.clones_moved, 2u);
+  fs::remove_all(dir);
+}
+
+TEST(Reshard, TornShardMapPrefixesRestoreWhereCheckpointsLive) {
+  // A shard map torn anywhere, even on a boundary where every surviving
+  // token still parses, must read as torn: the checkpoints on disk then
+  // decide placement.  Read as complete, the prefix would lose the
+  // migrated session's pin and the restore would refuse the store.
+  auto& pl = world();
+  const std::string dir = fresh_dir("fuse_reshard_torn_map");
+  ServeConfig cfg = adapting_cfg();
+  cfg.num_shards = 2;
+  cfg.clone_store.dir = dir;
+  cfg.session.tracking = false;
+
+  const auto probe = labeled_frames(3, 5);
+  std::vector<fuse::serve::SessionId> ids;
+  const auto ref = adapt_and_persist(cfg, 2, probe, &ids);  // ids 1, 2
+  {
+    // Migrate session 1 off its home shard 0 and persist the pin.
+    Server server(&pl.predictor(), &pl.model(), cfg);
+    ASSERT_EQ(server.restore_clones(cfg.session).size(), 2u);
+    server.submit_frame(ids[0], probe[0].cloud);
+    server.drain();
+    ASSERT_TRUE(server.migrate_session(ids[0], 1));
+    (void)server.poll_results(ids[0]);
+    server.persist_clones();
+  }
+  const std::string id = std::to_string(ids[0]);
+  const std::string head = "FUSESHMAP1\nshards 2";
+  for (const std::string& prefix :
+       {head, head + "\n" + id, head + "\n" + id + " "}) {
+    SCOPED_TRACE("shard_map prefix \"" + prefix + "\"");
+    std::ofstream(dir + "/shard_map", std::ios::binary | std::ios::trunc)
+        << prefix;
+    Server server(&pl.predictor(), &pl.model(), cfg);
+    std::vector<fuse::serve::SessionId> restored;
+    ASSERT_NO_THROW(restored = server.restore_clones(cfg.session));
+    ASSERT_EQ(restored.size(), 2u);
+    EXPECT_EQ(server.shard_of(ids[0]), 1u);  // where its checkpoint lives
+    EXPECT_EQ(server.shard_of(ids[1]), 1u);  // its home
+    for (std::size_t i = 0; i < probe.size(); ++i) {
+      for (const auto sid : ids) server.submit_frame(sid, probe[i].cloud);
+      server.drain();
+    }
+    for (std::size_t s = 0; s < ids.size(); ++s) {
+      const auto results = server.poll_results(ids[s]);
+      ASSERT_EQ(results.size(), probe.size());
+      for (std::size_t i = 2; i < probe.size(); ++i)
+        expect_pose_eq(results[i].raw, ref[s][i].raw);
+    }
+  }
+  fs::remove_all(dir);
+}
+
 }  // namespace

@@ -214,17 +214,12 @@ class MetaDeterminism : public ::testing::Test {
     fuse::core::MetaTrainer meta(model.get(), cfg);
     fuse::util::ThreadPool pool(workers);
     meta.set_task_pool(&pool);
-    // Execute on a 1-worker driver pool so that, at workers == 1, every
-    // nested kernel parallel_for serializes inline — a genuinely
-    // single-threaded run, not one whose kernels fan out to the global
-    // pool (which would mask chunking-dependent nondeterminism).
-    std::vector<float> losses;
-    fuse::util::ThreadPool driver(1);
-    driver.submit([&] {
-      losses = meta.run(*fused_, *feat_, split_->train).query_loss;
-    });
-    driver.wait_idle();
-    return losses;
+    // Run under an InlineScope so that, at workers == 1, every nested
+    // kernel parallel_for serializes inline — a genuinely single-threaded
+    // run, not one whose kernels fan out to the global pool (which would
+    // mask chunking-dependent nondeterminism).
+    const fuse::util::InlineScope inline_scope;
+    return meta.run(*fused_, *feat_, split_->train).query_loss;
   }
 
   static fuse::data::Dataset* dataset_;

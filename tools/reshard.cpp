@@ -10,6 +10,7 @@
 // migration.  Exit code 0 on success, 1 on a usage error, 2 when the
 // migration was interrupted (re-run to resume).
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -27,10 +28,13 @@ void usage(const char* prog) {
                prog);
 }
 
+/// A shard count: decimal digits only.  strtoull alone would accept a
+/// sign or leading space and wrap "-1" to 2^64 - 1.
 bool parse_count(const char* text, std::size_t* out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
+  if (*end != '\0') return false;
   *out = static_cast<std::size_t>(v);
   return true;
 }
