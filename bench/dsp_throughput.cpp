@@ -15,12 +15,19 @@
 //   cfar2d         2-D CA-CFAR on the summed power map
 //   pipeline       cube -> point cloud (FFTs + CFAR + angle estimation)
 //
+// These three rows run the dispatched lane variant (dsp/plan.h), whose
+// name the bench prints and records as "lane_variant".  One extra
+// range_doppler row per lane variant the host can run follows, in the
+// "range_doppler_variants" array.
+//
 // The planned path must be an optimization, not a reinterpretation: the
 // bench cross-checks that the planned FFT matches dft_reference, that the
 // planned and reference CFAR detection sets are identical, and that the
-// planned range-Doppler cube is bit-identical to the reference — and
-// exits non-zero if any of that fails, so CI catches a correctness
-// regression before the speedup gate even runs.
+// planned range-Doppler cube is bit-identical to the reference under
+// every host lane variant — on the fixture frames and on cropped frames
+// that leave partial lane groups — and exits non-zero if any of that
+// fails, so CI catches a correctness regression before the speedup gate
+// even runs.
 //
 // Run: ./dsp_throughput [--scale=1] [--smoke] [--out=DIR]
 // Emits DIR/BENCH_dsp.json (perf ratios + detection counts, gated by
@@ -60,9 +67,35 @@ struct StageRow {
   double speedup() const { return planned_fps / naive_fps; }
 };
 
+/// range_doppler through one lane variant.
+struct VariantRow {
+  const fuse::dsp::LaneVariant* variant = nullptr;
+  bool bit_identical = true;
+  double planned_fps = 0.0;
+};
+
+/// The first nc chirps and ns samples of every channel of `cube`.
+RadarCube crop(const RadarCube& cube, std::size_t nc, std::size_t ns) {
+  RadarCube out(cube.n_virtual(), nc, ns);
+  for (std::size_t v = 0; v < cube.n_virtual(); ++v)
+    for (std::size_t c = 0; c < nc; ++c)
+      std::memcpy(out.chirp_ptr(v, c), cube.chirp_ptr(v, c),
+                  ns * sizeof(fuse::radar::cfloat));
+  return out;
+}
+
+bool same_bits(const fuse::radar::RangeDopplerCube& a,
+               const fuse::radar::RangeDopplerCube& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(),
+                     a.size() * sizeof(fuse::radar::cfloat)) == 0;
+}
+
 void write_json(const std::string& path, std::size_t host_threads,
                 const fuse::radar::RadarConfig& cfg,
-                const std::vector<StageRow>& rows, double pipeline_speedup,
+                const std::vector<StageRow>& rows,
+                const std::vector<VariantRow>& variants,
+                double naive_rd_fps, double pipeline_speedup,
                 std::size_t detections_total, bool detections_match,
                 bool rd_bit_identical, double fft_max_rel_err) {
   FILE* f = std::fopen(path.c_str(), "w");
@@ -72,6 +105,8 @@ void write_json(const std::string& path, std::size_t host_threads,
   }
   std::fprintf(f, "{\n  \"bench\": \"dsp_throughput\",\n");
   std::fprintf(f, "  \"host_threads\": %zu,\n", host_threads);
+  std::fprintf(f, "  \"lane_variant\": \"%s\",\n",
+               fuse::dsp::dispatched_lane_variant().name);
   std::fprintf(f,
                "  \"frame_shape\": {\"virtual\": %zu, \"chirps\": %zu, "
                "\"samples\": %zu},\n",
@@ -85,6 +120,18 @@ void write_json(const std::string& path, std::size_t host_threads,
                  rows[i].stage.c_str(), rows[i].threads, rows[i].naive_fps,
                  rows[i].planned_fps, rows[i].speedup(),
                  i + 1 < rows.size() ? "," : "");
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"range_doppler_variants\": [\n");
+  for (std::size_t i = 0; i < variants.size(); ++i)
+    std::fprintf(f,
+                 "    {\"variant\": \"%s\", \"lanes\": %zu, "
+                 "\"threads\": 1, \"planned_fps\": %.2f, "
+                 "\"speedup_over_naive\": %.3f, \"bit_identical\": %s}%s\n",
+                 variants[i].variant->name, variants[i].variant->lanes,
+                 variants[i].planned_fps,
+                 variants[i].planned_fps / naive_rd_fps,
+                 variants[i].bit_identical ? "true" : "false",
+                 i + 1 < variants.size() ? "," : "");
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"pipeline_speedup_planned_over_naive\": %.3f,\n",
                pipeline_speedup);
@@ -108,11 +155,19 @@ int main(int argc, char** argv) {
   const fuse::radar::RadarConfig cfg;  // IWR1443 defaults: the fleet shape
   const fuse::radar::Processor proc(cfg);
 
+  const auto& dispatched = fuse::dsp::dispatched_lane_variant();
   std::printf("FUSE DSP front-end throughput: plan-based frame path vs "
               "legacy scalar path\n(%zu virtual x %zu chirps x %zu samples "
-              "-> %zu x %zu map)\n\n",
+              "-> %zu x %zu map)\nlane variant: %s (%zu lanes); host runs",
               cfg.n_virtual(), cfg.chirps_per_frame, cfg.samples_per_chirp,
-              proc.n_range_bins(), proc.n_doppler_bins());
+              proc.n_range_bins(), proc.n_doppler_bins(), dispatched.name,
+              dispatched.lanes);
+  std::vector<VariantRow> variants;
+  for (const auto* v : fuse::dsp::host_lane_variants()) {
+    std::printf(" %s", v->name);
+    variants.push_back({v, true, 0.0});
+  }
+  std::printf("\n\n");
 
   // ------------------------------------------------------------ fixture --
   fuse::util::Rng rng(cli.seed() + 23);
@@ -163,17 +218,27 @@ int main(int argc, char** argv) {
   ccfg.mode_2d = fuse::dsp::Cfar2dMode::kDopplerAxis;
   ccfg.local_max_2d = fuse::dsp::CfarLocalMax::kDoppler;
 
+  // Every host lane variant on every fixture cube, plus crops that leave
+  // partial lane groups (20 chirps of 100 samples; a single chirp).
   bool rd_bit_identical = true;
+  std::vector<RadarCube> rd_checks = cubes;
+  rd_checks.push_back(crop(cubes[0], 20, 100));
+  rd_checks.push_back(crop(cubes[1], 1, cfg.samples_per_chirp));
+  for (const auto& cube : rd_checks) {
+    const auto ref_rd = proc.range_doppler_reference(cube);
+    for (auto& row : variants)
+      if (!same_bits(ref_rd, proc.range_doppler(cube, check_ws,
+                                                *row.variant))) {
+        row.bit_identical = false;
+        rd_bit_identical = false;
+      }
+  }
+
   bool detections_match = true;
   std::size_t detections_total = 0;
   std::vector<std::vector<float>> power_maps;
   for (const auto& cube : cubes) {
-    const auto ref_rd = proc.range_doppler_reference(cube);
     const auto& got_rd = proc.range_doppler(cube, check_ws);
-    if (ref_rd.size() != got_rd.size() ||
-        std::memcmp(ref_rd.data(), got_rd.data(),
-                    ref_rd.size() * sizeof(fuse::radar::cfloat)) != 0)
-      rd_bit_identical = false;
     power_maps.push_back(proc.power_map(got_rd));
     const auto& pm = power_maps.back();
     const auto ref_dets = fuse::dsp::ca_cfar_2d_reference(
@@ -187,10 +252,14 @@ int main(int argc, char** argv) {
       detections_match = false;
   }
   std::printf("correctness: rd bit-identical %s, CFAR sets identical %s "
-              "(%zu detections), fft max rel err %.2e\n\n",
+              "(%zu detections), fft max rel err %.2e\n",
               rd_bit_identical ? "yes" : "NO!",
               detections_match ? "yes" : "NO!", detections_total,
               fft_max_rel_err);
+  for (const auto& row : variants)
+    std::printf("  rd bit-identical under %s: %s\n", row.variant->name,
+                row.bit_identical ? "yes" : "NO!");
+  std::printf("\n");
 
   // ---------------------------------------------------------- throughput --
   const std::size_t hc = std::max(1u, std::thread::hardware_concurrency());
@@ -216,7 +285,8 @@ int main(int argc, char** argv) {
 
   std::vector<StageRow> rows;
   fuse::util::Table table("DSP throughput (frames/sec or maps/sec)");
-  table.set_header({"stage", "threads", "naive", "planned", "speedup"});
+  table.set_header(
+      {"stage", "variant", "threads", "naive", "planned", "speedup"});
 
   StageRow rd{"range_doppler", 1, 0.0, 0.0};
   StageRow cf{"cfar2d", 1, 0.0, 0.0};
@@ -235,6 +305,12 @@ int main(int argc, char** argv) {
     rd.planned_fps = time_fps(frame_iters, [&](std::size_t i) {
       (void)proc.range_doppler(cubes[i % cubes.size()], ws);
     });
+    for (auto& row : variants) {
+      fuse::radar::FrameWorkspace vws;
+      row.planned_fps = time_fps(frame_iters, [&](std::size_t i) {
+        (void)proc.range_doppler(cubes[i % cubes.size()], vws, *row.variant);
+      });
+    }
 
     // Stage 2: 2-D CFAR on the precomputed power maps (single-threaded
     // in both implementations).
@@ -264,12 +340,19 @@ int main(int argc, char** argv) {
   }
 
   for (const StageRow* row : {&rd, &cf, &pl}) {
-    table.add_row({row->stage, std::to_string(row->threads),
+    table.add_row({row->stage, row == &cf ? "-" : dispatched.name,
+                   std::to_string(row->threads),
                    fuse::util::Table::num(row->naive_fps, 1),
                    fuse::util::Table::num(row->planned_fps, 1),
                    fuse::util::Table::num(row->speedup(), 2) + "x"});
     rows.push_back(*row);
   }
+  for (const auto& row : variants)
+    table.add_row({"range_doppler", row.variant->name, "1",
+                   fuse::util::Table::num(rd.naive_fps, 1),
+                   fuse::util::Table::num(row.planned_fps, 1),
+                   fuse::util::Table::num(row.planned_fps / rd.naive_fps, 2) +
+                       "x"});
   const double pipeline_speedup_1t = pl.speedup();
 
   std::printf("%s\n", table.to_string().c_str());
@@ -279,9 +362,9 @@ int main(int argc, char** argv) {
               pipeline_speedup_1t >= 2.0 ? "(>= 2x target met)"
                                          : "(below 2x target!)");
 
-  write_json(cli.out_dir() + "/BENCH_dsp.json", hc, cfg, rows,
-             pipeline_speedup_1t, detections_total, detections_match,
-             rd_bit_identical, fft_max_rel_err);
+  write_json(cli.out_dir() + "/BENCH_dsp.json", hc, cfg, rows, variants,
+             rd.naive_fps, pipeline_speedup_1t, detections_total,
+             detections_match, rd_bit_identical, fft_max_rel_err);
   const bool correct =
       rd_bit_identical && detections_match && fft_max_rel_err < 1e-5;
   if (!correct)

@@ -16,6 +16,7 @@
 #include "data/fusion.h"
 #include "dsp/cfar.h"
 #include "dsp/fft.h"
+#include "dsp/plan.h"
 #include "human/movements.h"
 #include "human/surface.h"
 #include "nn/layers.h"
@@ -99,6 +100,24 @@ void BM_RadarSimulateFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_RadarSimulateFrame)->Unit(benchmark::kMillisecond);
 
+// Both FFT passes through a reused FrameWorkspace: the served path (no
+// per-call allocation), on the dispatched lane variant.
+void BM_RadarRangeDoppler(benchmark::State& state) {
+  RadarFixture fx;
+  fuse::util::Rng rng(6);
+  const auto cube = fuse::radar::simulate_frame(fx.cfg, fx.scene, rng);
+  const fuse::radar::Processor proc(fx.cfg);
+  fuse::radar::FrameWorkspace ws;
+  for (auto _ : state) {
+    const auto& rd = proc.range_doppler(cube, ws);
+    benchmark::DoNotOptimize(rd.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(fuse::dsp::dispatched_lane_variant().name);
+}
+BENCHMARK(BM_RadarRangeDoppler)->Unit(benchmark::kMillisecond);
+
+// The compat API: a fresh workspace and fresh outputs per call.
 void BM_RadarProcessCube(benchmark::State& state) {
   RadarFixture fx;
   fuse::util::Rng rng(6);

@@ -74,6 +74,12 @@ bool Processor::accepts(const RadarCube& cube) const {
 
 const RangeDopplerCube& Processor::range_doppler(const RadarCube& cube,
                                                  FrameWorkspace& ws) const {
+  return range_doppler(cube, ws, fuse::dsp::dispatched_lane_variant());
+}
+
+const RangeDopplerCube& Processor::range_doppler(
+    const RadarCube& cube, FrameWorkspace& ws,
+    const fuse::dsp::LaneVariant& variant) const {
   const std::size_t nv = cube.n_virtual();
   const std::size_t nc = cube.n_chirps();
   const std::size_t ns = cube.n_samples();
@@ -81,72 +87,63 @@ const RangeDopplerCube& Processor::range_doppler(const RadarCube& cube,
     throw std::invalid_argument(
         "Processor::range_doppler: cube shape does not match the configured "
         "frame");
+  const std::size_t L = variant.lanes;
+  // Whole lane groups per range spectrum, so the Doppler pass's last group
+  // never reads past a row (the pad lanes carry stale values and their
+  // spectra are dropped).
+  const std::size_t stride = (n_range_ + L - 1) / L * L;
   if (ws.rd_.resize(nv, n_range_, n_doppler_)) ++ws.grows_;
-  ws.ensure(ws.a_re_, nc * n_range_);
-  ws.ensure(ws.a_im_, nc * n_range_);
-  ws.ensure(ws.b_re_, n_range_ * n_doppler_);
-  ws.ensure(ws.b_im_, n_range_ * n_doppler_);
-  float* a_re = ws.a_re_.data();
-  float* a_im = ws.a_im_.data();
-  float* b_re = ws.b_re_.data();
-  float* b_im = ws.b_im_.data();
-  const float* dw = doppler_window_.data();
-  const float inv_nc = 1.0f / static_cast<float>(nc);
-  const std::size_t shift = (n_doppler_ + 1) / 2;  // fftshift offset
-
+  float* a_re = ws.ensure_aligned(ws.a_re_, nc * stride);
+  float* a_im = ws.ensure_aligned(ws.a_im_, nc * stride);
+  float* l_re = ws.ensure_aligned(ws.lane_re_,
+                                  std::max(n_range_, n_doppler_) * L);
+  float* l_im = ws.ensure_aligned(ws.lane_im_,
+                                  std::max(n_range_, n_doppler_) * L);
   for (std::size_t v = 0; v < nv; ++v) {
-    // Range FFTs, batched across chirps through one plan: the Hann
-    // window, zero padding and bit-reversal are fused into the load.
-    for (std::size_t c = 0; c < nc; ++c)
-      range_plan_.scatter_load(cube.chirp_ptr(v, c), ns, range_window_.data(),
-                               a_re + c * n_range_, a_im + c * n_range_);
-    range_plan_.execute_loaded_many(a_re, a_im, nc);
-
-    // Transpose into Doppler rows with optional static clutter removal
-    // (subtract the chirp-mean so the DC bin vanishes) and the Hamming
-    // window fused in; chirp padding up to n_doppler_ stays zero.
-    for (std::size_t r = 0; r < n_range_; ++r) {
-      float mr = 0.0f, mi = 0.0f;
-      if (cfg_.static_clutter_removal) {
-        for (std::size_t c = 0; c < nc; ++c) {
-          mr += a_re[c * n_range_ + r];
-          mi += a_im[c * n_range_ + r];
-        }
-        mr *= inv_nc;
-        mi *= inv_nc;
-      }
-      float* row_re = b_re + r * n_doppler_;
-      float* row_im = b_im + r * n_doppler_;
-      for (std::size_t c = 0; c < nc; ++c) {
-        row_re[c] = (a_re[c * n_range_ + r] - mr) * dw[c];
-        row_im[c] = (a_im[c * n_range_ + r] - mi) * dw[c];
-      }
-      for (std::size_t c = nc; c < n_doppler_; ++c) {
-        row_re[c] = 0.0f;
-        row_im[c] = 0.0f;
-      }
+    // Range FFTs, L chirps per lane group: the Hann window, zero padding
+    // and bit reversal are fused into the load, and the store
+    // de-interleaves the group into chirp-major rows.
+    for (std::size_t c0 = 0; c0 < nc; c0 += L) {
+      const std::size_t rows = std::min(L, nc - c0);
+      range_plan_.load_lanes(variant, cube.chirp_ptr(v, c0), ns, rows, ns,
+                             range_window_.data(), l_re, l_im);
+      range_plan_.execute_lanes(variant, l_re, l_im);
+      range_plan_.store_lanes(variant, l_re, l_im, rows, a_re + c0 * stride,
+                              a_im + c0 * stride, stride);
     }
 
-    // Doppler FFTs, batched across range bins.
-    doppler_plan_.execute_many(b_re, b_im, n_range_);
-
-    // fftshift while interleaving back into the output cube.
+    // Doppler FFTs, L range bins per lane group.  The corner turn is
+    // contiguous (bins r0..r0+L of chirp c are one vector), and the
+    // optional static clutter removal (subtract the chirp-mean so the DC
+    // bin vanishes), the Hamming window and the bit reversal are fused
+    // into the load; chirp padding up to n_doppler_ is zero.
     cfloat* out = ws.rd_.data() + v * n_range_ * n_doppler_;
-    for (std::size_t r = 0; r < n_range_; ++r) {
-      const float* row_re = b_re + r * n_doppler_;
-      const float* row_im = b_im + r * n_doppler_;
-      cfloat* out_row = out + r * n_doppler_;
-      for (std::size_t d = 0; d < n_doppler_; ++d) {
-        const std::size_t src = (d + shift) % n_doppler_;
-        out_row[d] = cfloat(row_re[src], row_im[src]);
-      }
+    for (std::size_t r0 = 0; r0 < n_range_; r0 += L) {
+      doppler_plan_.load_lane_columns(variant, a_re + r0, a_im + r0, stride,
+                                      nc, doppler_window_.data(),
+                                      cfg_.static_clutter_removal, l_re,
+                                      l_im);
+      doppler_plan_.execute_lanes(variant, l_re, l_im);
+      // fftshift while de-interleaving back into the output cube.
+      doppler_plan_.store_lanes_shifted(variant, l_re, l_im,
+                                        std::min(L, n_range_ - r0),
+                                        out + r0 * n_doppler_, n_doppler_);
     }
   }
   return ws.rd_;
 }
 
+void Processor::check_rd_shape(const RangeDopplerCube& rd) const {
+  if (rd.n_virtual() != elems_.size() || rd.n_range() != n_range_ ||
+      rd.n_doppler() != n_doppler_)
+    throw std::invalid_argument(
+        "Processor::detect: range-Doppler cube shape does not match the "
+        "configured frame");
+}
+
 void Processor::detect(const RangeDopplerCube& rd, FrameWorkspace& ws,
                        ProcessedFrame& out) const {
+  check_rd_shape(rd);
   out.n_range = rd.n_range();
   out.n_doppler = rd.n_doppler();
   accumulate_power(rd, out.power_map);
@@ -198,9 +195,10 @@ RangeDopplerCube Processor::range_doppler_reference(
   const std::size_t nv = cube.n_virtual();
   const std::size_t nc = cube.n_chirps();
   const std::size_t ns = cube.n_samples();
-  if (ns > range_window_.size() || nc > doppler_window_.size())
+  if (!accepts(cube))
     throw std::invalid_argument(
-        "Processor::range_doppler: cube larger than the configured frame");
+        "Processor::range_doppler_reference: cube shape does not match the "
+        "configured frame");
   RangeDopplerCube rd(nv, n_range_, n_doppler_);
 
   fuse::util::parallel_for(0, nv, [&](std::size_t v0, std::size_t v1) {
@@ -238,6 +236,7 @@ RangeDopplerCube Processor::range_doppler_reference(
 }
 
 ProcessedFrame Processor::detect_reference(const RangeDopplerCube& rd) const {
+  check_rd_shape(rd);
   ProcessedFrame out;
   out.n_range = rd.n_range();
   out.n_doppler = rd.n_doppler();

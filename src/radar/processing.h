@@ -17,16 +17,20 @@
 // frame through a caller-owned FrameWorkspace whose buffers are recycled
 // across frames — after the first frame of a steady shape, no heap
 // allocation happens at all (FrameWorkspace::grow_events() asserts this in
-// tests).  The planned path is serial: a frame runs on the thread that
-// serves it, one virtual channel after another, and the serving plane
-// scales by serving more sessions, not by splitting one frame across
-// cores.  The pre-plan scalar implementations survive as *_reference()
-// oracles: the planned path is bit-identical to them and the tests compare
+// tests).  Both FFT passes run lane-interleaved (dsp/plan.h): the range
+// pass transforms L chirps per vector, the Doppler pass L range bins, with
+// L = 4, 8 or 16 set by the dispatched dsp::LaneVariant.  The planned path
+// is serial: a frame runs on the thread that serves it, one virtual
+// channel after another, and the serving plane scales by serving more
+// sessions, not by splitting one frame across cores.  The pre-plan scalar
+// implementations survive as *_reference() oracles: the planned path is
+// bit-identical to them under every lane variant, and the tests compare
 // the two with exact float equality.
 
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "dsp/cfar.h"
@@ -109,13 +113,13 @@ struct ProcessedFrame {
 };
 
 /// Reusable scratch for the planned frame path (the radar-side sibling of
-/// tensor::Workspace): the SoA FFT scratch of the range-Doppler pass, the
-/// output cube, CFAR prefix tables and the per-detection angle scratch all
-/// live here and are recycled across frames.  A workspace has one owner
-/// (pipeline, shard, bench loop) and is used by one thread at a time: a
-/// frame runs on the thread that serves it.  Workspaces are scratch, not
-/// state — not copyable.  Contents are only valid until the next Processor
-/// call that uses the workspace.
+/// tensor::Workspace): the lane buffer and range spectra of the
+/// range-Doppler pass, the output cube, CFAR prefix tables and the
+/// per-detection angle scratch all live here and are recycled across
+/// frames.  A workspace has one owner (pipeline, shard, bench loop) and is
+/// used by one thread at a time: a frame runs on the thread that serves it.
+/// Workspaces are scratch, not state — not copyable.  Contents are only
+/// valid until the next Processor call that uses the workspace.
 class FrameWorkspace {
  public:
   FrameWorkspace() = default;
@@ -141,9 +145,21 @@ class FrameWorkspace {
     v.resize(n);
   }
 
+  /// ensure() with room to start n floats on a 64-byte boundary, so every
+  /// lane vector of up to 16 floats is one aligned cache line.
+  float* ensure_aligned(std::vector<float>& v, std::size_t n) {
+    constexpr std::size_t kAlign = 64;
+    ensure(v, n + kAlign / sizeof(float));
+    const auto addr = reinterpret_cast<std::uintptr_t>(v.data());
+    return v.data() + ((kAlign - addr % kAlign) % kAlign) / sizeof(float);
+  }
+
   RangeDopplerCube rd_;
-  std::vector<float> a_re_, a_im_;  ///< range stage: [n_chirps x n_range]
-  std::vector<float> b_re_, b_im_;  ///< Doppler stage: [n_range x n_doppler]
+  /// Range spectra of one channel, chirp-major: [n_chirps x stride], the
+  /// stride being n_range rounded up to whole lane groups.
+  std::vector<float> a_re_, a_im_;
+  /// One lane group in flight: [fft size x lanes].
+  std::vector<float> lane_re_, lane_im_;
   fuse::dsp::CfarScratch cfar_;
   std::vector<fuse::dsp::Detection2d> dets_;
   std::vector<cfloat> snapshot_;          ///< per-detection channel snapshot
@@ -165,11 +181,19 @@ class Processor {
 
   /// Stages 1-2 into the workspace cube; returns a reference to it (valid
   /// until the next call using `ws`).  Throws std::invalid_argument for a
-  /// cube accepts() refuses.
+  /// cube accepts() refuses.  Runs the dispatched lane variant.
   const RangeDopplerCube& range_doppler(const RadarCube& cube,
                                         FrameWorkspace& ws) const;
 
-  /// Stages 3-6 on a precomputed RD cube, reusing `out`'s buffers.
+  /// The same through a chosen lane variant (one of
+  /// dsp::host_lane_variants()); every variant gives the same bits.
+  const RangeDopplerCube& range_doppler(
+      const RadarCube& cube, FrameWorkspace& ws,
+      const fuse::dsp::LaneVariant& variant) const;
+
+  /// Stages 3-6 on a precomputed RD cube, reusing `out`'s buffers.  Throws
+  /// std::invalid_argument when the cube's channel, range-bin or
+  /// Doppler-bin count is not this processor's (as does every detect).
   void detect(const RangeDopplerCube& rd, FrameWorkspace& ws,
               ProcessedFrame& out) const;
 
@@ -210,6 +234,10 @@ class Processor {
 
  private:
   static constexpr std::size_t kAngleFftSize = 64;
+
+  /// Throws std::invalid_argument unless `rd` has this processor's shape:
+  /// estimate_angles reads one cell per virtual element.
+  void check_rd_shape(const RangeDopplerCube& rd) const;
 
   /// Estimates arrival-direction cosines (u_x, u_z) for one detection from
   /// the per-channel RD snapshot, compensating the TDM-MIMO Doppler phase.

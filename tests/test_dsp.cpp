@@ -1,11 +1,13 @@
 // Tests for the DSP kernels: FFT against the O(N^2) DFT oracle, window
 // functions, fftshift, spectral-peak interpolation, the plan-based batched
-// FFT (property tests + bit-identity against fft_inplace), and the CFAR
+// FFT (property tests + bit-identity against fft_inplace, in the row
+// layout and in the lane layout under every host lane variant), and the CFAR
 // detectors — including exact equivalence of the prefix-sum detectors
 // against the reference implementations across edge configurations.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 
@@ -288,28 +290,6 @@ TEST(FftPlan, ParsevalEnergyConservation) {
               1e-3 * time_energy);
 }
 
-TEST(FftPlan, ScatterLoadFusesWindowPadAndPermutation) {
-  // scatter_load + execute_loaded_many must equal windowing, zero-padding
-  // and fft_inplace done by hand — bit for bit.
-  const std::size_t count = 48, n = 64;
-  const auto v = random_signal(count, 99);
-  const auto w = fuse::dsp::make_window(fuse::dsp::WindowType::kHann, count);
-
-  std::vector<cfloat> oracle(v.begin(), v.end());
-  for (std::size_t s = 0; s < count; ++s) oracle[s] *= w[s];
-  oracle.resize(n);
-  fuse::dsp::fft_inplace(oracle);
-
-  fuse::dsp::FftPlan plan(n);
-  std::vector<float> re(n), im(n);
-  plan.scatter_load(v.data(), count, w.data(), re.data(), im.data());
-  plan.execute_loaded_many(re.data(), im.data(), 1);
-  for (std::size_t k = 0; k < n; ++k) {
-    EXPECT_EQ(re[k], oracle[k].real());
-    EXPECT_EQ(im[k], oracle[k].imag());
-  }
-}
-
 TEST(FftPlan, ExecuteManyEqualsPerRow) {
   const std::size_t n = 32, rows = 5;
   fuse::dsp::FftPlan plan(n);
@@ -330,14 +310,212 @@ TEST(FftPlan, ExecuteManyEqualsPerRow) {
     }
 }
 
-TEST(FftPlan, ScatterLoadCountBeyondSizeThrows) {
-  fuse::dsp::FftPlan plan(8);
-  const auto v = random_signal(9, 5);
-  std::vector<float> re(8), im(8);
-  EXPECT_THROW(plan.scatter_load(v.data(), 9, nullptr, re.data(), im.data()),
-               std::invalid_argument);
+// ------------------------------------------------------ FftPlan lanes --
+// Every test below runs once per lane variant the host can run, so each
+// compiled ISA is checked against the same oracles on this machine.
+
+using fuse::dsp::LaneVariant;
+
+/// Lane-layout buffers for `lanes` rows of an n-point transform.
+struct LaneBuf {
+  LaneBuf(std::size_t n, std::size_t lanes)
+      : lanes(lanes), re(n * lanes), im(n * lanes) {}
+  float r(std::size_t k, std::size_t l) const { return re[k * lanes + l]; }
+  float i(std::size_t k, std::size_t l) const { return im[k * lanes + l]; }
+  std::size_t lanes;
+  std::vector<float> re, im;
+};
+
+TEST(FftPlanLanes, LoadLanesFusesWindowPadAndPermutation) {
+  // load_lanes + execute_lanes must equal windowing, zero-padding and
+  // fft_inplace done by hand per row — bit for bit — for a full lane group
+  // and for one with an empty lane, which must come out zero even when the
+  // buffer held stale values.
+  const std::size_t count = 48, n = 64;
+  const auto w = fuse::dsp::make_window(fuse::dsp::WindowType::kHann, count);
+  fuse::dsp::FftPlan plan(n);
+  for (const LaneVariant* v : fuse::dsp::host_lane_variants()) {
+    for (const std::size_t rows : {v->lanes, v->lanes - 1}) {
+      const auto src = random_signal(rows * count, 99);
+      LaneBuf buf(n, v->lanes);
+      std::fill(buf.re.begin(), buf.re.end(), 7.0f);
+      std::fill(buf.im.begin(), buf.im.end(), -7.0f);
+      plan.load_lanes(*v, src.data(), count, rows, count, w.data(),
+                      buf.re.data(), buf.im.data());
+      plan.execute_lanes(*v, buf.re.data(), buf.im.data());
+      for (std::size_t l = 0; l < rows; ++l) {
+        std::vector<cfloat> oracle(src.begin() + l * count,
+                                   src.begin() + (l + 1) * count);
+        for (std::size_t s = 0; s < count; ++s) oracle[s] *= w[s];
+        oracle.resize(n);
+        fuse::dsp::fft_inplace(oracle);
+        for (std::size_t k = 0; k < n; ++k) {
+          EXPECT_EQ(buf.r(k, l), oracle[k].real()) << v->name << " l=" << l;
+          EXPECT_EQ(buf.i(k, l), oracle[k].imag()) << v->name << " l=" << l;
+        }
+      }
+      for (std::size_t l = rows; l < v->lanes; ++l)
+        for (std::size_t k = 0; k < n; ++k) {
+          EXPECT_EQ(buf.r(k, l), 0.0f) << v->name;
+          EXPECT_EQ(buf.i(k, l), 0.0f) << v->name;
+        }
+    }
+  }
 }
 
+TEST(FftPlanLanes, LaneExecuteEqualsRowExecuteAtEverySize) {
+  // One lane of a lane butterfly is the row butterfly: exact equality,
+  // forward and inverse, at every power-of-two size from 2 to 1024.
+  for (const LaneVariant* v : fuse::dsp::host_lane_variants()) {
+    for (std::size_t n = 2; n <= 1024; n <<= 1) {
+      fuse::dsp::FftPlan plan(n);
+      const auto src = random_signal(v->lanes * n, 31 * n + v->lanes);
+      for (const bool inverse : {false, true}) {
+        LaneBuf buf(n, v->lanes);
+        plan.load_lanes(*v, src.data(), n, v->lanes, n, nullptr,
+                        buf.re.data(), buf.im.data());
+        plan.execute_lanes(*v, buf.re.data(), buf.im.data(), inverse);
+        std::size_t mismatches = 0;
+        for (std::size_t l = 0; l < v->lanes; ++l) {
+          const std::vector<cfloat> row(src.begin() + l * n,
+                                        src.begin() + (l + 1) * n);
+          std::vector<float> re, im;
+          split(row, re, im);
+          plan.execute(re.data(), im.data(), inverse);
+          for (std::size_t k = 0; k < n; ++k)
+            if (buf.r(k, l) != re[k] || buf.i(k, l) != im[k]) ++mismatches;
+        }
+        EXPECT_EQ(mismatches, 0u)
+            << v->name << " n=" << n << " inverse=" << inverse;
+      }
+    }
+  }
+}
+
+TEST(FftPlanLanes, LoadLaneColumnsRemovesMeanAndWindows) {
+  // Column loads (sample s of every lane contiguous, rows `stride` apart)
+  // with mean removal and a window, against the reference arithmetic: a
+  // complex mean accumulated from zero and scaled by 1/count, then
+  // (x - mean) * w[s], zero padding and fft_inplace.
+  const std::size_t count = 20, n = 32;
+  const auto w =
+      fuse::dsp::make_window(fuse::dsp::WindowType::kHamming, count);
+  fuse::dsp::FftPlan plan(n);
+  for (const LaneVariant* v : fuse::dsp::host_lane_variants()) {
+    const std::size_t stride = v->lanes + 3;  // columns need not be packed
+    const auto cols = random_signal(count * stride, 123 + v->lanes);
+    std::vector<float> src_re, src_im;
+    split(cols, src_re, src_im);
+    for (const bool remove_mean : {false, true}) {
+      LaneBuf buf(n, v->lanes);
+      plan.load_lane_columns(*v, src_re.data(), src_im.data(), stride, count,
+                             w.data(), remove_mean, buf.re.data(),
+                             buf.im.data());
+      plan.execute_lanes(*v, buf.re.data(), buf.im.data());
+      for (std::size_t l = 0; l < v->lanes; ++l) {
+        cfloat mean{};
+        if (remove_mean) {
+          for (std::size_t s = 0; s < count; ++s) mean += cols[s * stride + l];
+          mean *= 1.0f / static_cast<float>(count);
+        }
+        std::vector<cfloat> oracle(n);
+        for (std::size_t s = 0; s < count; ++s)
+          oracle[s] = (cols[s * stride + l] - mean) * w[s];
+        fuse::dsp::fft_inplace(oracle);
+        for (std::size_t k = 0; k < n; ++k) {
+          EXPECT_EQ(buf.r(k, l), oracle[k].real())
+              << v->name << " mean=" << remove_mean << " l=" << l;
+          EXPECT_EQ(buf.i(k, l), oracle[k].imag())
+              << v->name << " mean=" << remove_mean << " l=" << l;
+        }
+      }
+    }
+  }
+}
+
+TEST(FftPlanLanes, StoresDeinterleaveAtEverySize) {
+  // store_lanes writes lane l to row l in natural order; store_lanes_shifted
+  // writes it fftshifted into complex rows.  Full and partial lane groups,
+  // every size from 1 to 1024 (below, at and above the lane width), rows
+  // padded apart so a store past a row's end would show.
+  for (const LaneVariant* v : fuse::dsp::host_lane_variants()) {
+    for (std::size_t n = 1; n <= 1024; n <<= 1) {
+      fuse::dsp::FftPlan plan(n);
+      LaneBuf buf(n, v->lanes);
+      for (std::size_t i = 0; i < buf.re.size(); ++i) {
+        buf.re[i] = static_cast<float>(i) + 0.25f;
+        buf.im[i] = -static_cast<float>(i);
+      }
+      for (const std::size_t rows : {v->lanes, v->lanes - 1}) {
+        const std::size_t stride = n + 3;
+        const float kPad = 1234.5f;
+        std::vector<float> re(v->lanes * stride, kPad), im(re);
+        std::vector<cfloat> cx(v->lanes * stride, cfloat(kPad, kPad));
+        plan.store_lanes(*v, buf.re.data(), buf.im.data(), rows, re.data(),
+                         im.data(), stride);
+        plan.store_lanes_shifted(*v, buf.re.data(), buf.im.data(), rows,
+                                 cx.data(), stride);
+        std::size_t mismatches = 0;
+        for (std::size_t l = 0; l < v->lanes; ++l) {
+          std::vector<cfloat> lane(n);
+          for (std::size_t k = 0; k < n; ++k)
+            lane[k] = cfloat(buf.r(k, l), buf.i(k, l));
+          fuse::dsp::fftshift(lane);
+          for (std::size_t k = 0; k < stride; ++k) {
+            const bool stored = l < rows && k < n;
+            const float want_re = stored ? buf.r(k, l) : kPad;
+            const float want_im = stored ? buf.i(k, l) : kPad;
+            const cfloat want_cx = stored ? lane[k] : cfloat(kPad, kPad);
+            if (re[l * stride + k] != want_re ||
+                im[l * stride + k] != want_im ||
+                cx[l * stride + k] != want_cx)
+              ++mismatches;
+          }
+        }
+        EXPECT_EQ(mismatches, 0u)
+            << v->name << " n=" << n << " rows=" << rows;
+      }
+    }
+  }
+}
+
+TEST(FftPlanLanes, VariantsAreListedNarrowestFirst) {
+  const auto variants = fuse::dsp::host_lane_variants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_EQ(variants.front()->lanes, 4u);  // the portable fallback
+  for (std::size_t i = 1; i < variants.size(); ++i)
+    EXPECT_GT(variants[i]->lanes, variants[i - 1]->lanes);
+  EXPECT_EQ(&fuse::dsp::dispatched_lane_variant(), variants.back());
+}
+
+TEST(FftPlanLanes, LoadAndStoreBoundsThrow) {
+  fuse::dsp::FftPlan plan(8);
+  for (const LaneVariant* v : fuse::dsp::host_lane_variants()) {
+    const auto src = random_signal(9 * (v->lanes + 1), 5);
+    LaneBuf buf(8, v->lanes);
+    EXPECT_THROW(plan.load_lanes(*v, src.data(), 9, 1, 9, nullptr,
+                                 buf.re.data(), buf.im.data()),
+                 std::invalid_argument);
+    // More rows than the variant has lanes, on load and on store.
+    EXPECT_THROW(plan.load_lanes(*v, src.data(), 8, v->lanes + 1, 8, nullptr,
+                                 buf.re.data(), buf.im.data()),
+                 std::invalid_argument);
+    std::vector<cfloat> rows_out(8 * (v->lanes + 1));
+    std::vector<float> flat_out(8 * (v->lanes + 1));
+    EXPECT_THROW(plan.store_lanes(*v, buf.re.data(), buf.im.data(),
+                                  v->lanes + 1, flat_out.data(),
+                                  flat_out.data(), 8),
+                 std::invalid_argument);
+    EXPECT_THROW(plan.store_lanes_shifted(*v, buf.re.data(), buf.im.data(),
+                                          v->lanes + 1, rows_out.data(), 8),
+                 std::invalid_argument);
+    std::vector<float> cols(9 * v->lanes);
+    EXPECT_THROW(plan.load_lane_columns(*v, cols.data(), cols.data(),
+                                        v->lanes, 9, nullptr, false,
+                                        buf.re.data(), buf.im.data()),
+                 std::invalid_argument);
+  }
+}
 TEST(Fft, PreallocatedOutMatchesReturningOverload) {
   const auto v = random_signal(48, 31);
   const auto ref = fuse::dsp::fft(v);

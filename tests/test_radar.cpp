@@ -314,22 +314,54 @@ Scene busy_scene(fuse::util::Rng& rng, std::size_t n_scatterers = 16) {
   return scene;
 }
 
+/// The first nc chirps and ns samples of every channel of `cube`.
+fuse::radar::RadarCube crop(const fuse::radar::RadarCube& cube,
+                            std::size_t nc, std::size_t ns) {
+  fuse::radar::RadarCube out(cube.n_virtual(), nc, ns);
+  for (std::size_t v = 0; v < cube.n_virtual(); ++v)
+    for (std::size_t c = 0; c < nc; ++c)
+      for (std::size_t s = 0; s < ns; ++s) out.at(v, c, s) = cube.at(v, c, s);
+  return out;
+}
+
 TEST(PlannedProcessor, RangeDopplerBitIdenticalToReference) {
-  for (const bool clutter : {false, true}) {
-    RadarConfig cfg = small_config();
-    cfg.static_clutter_removal = clutter;
-    fuse::util::Rng rng(clutter ? 91 : 92);
-    const auto cube =
-        fuse::radar::simulate_frame(cfg, busy_scene(rng), rng);
-    const fuse::radar::Processor proc(cfg);
-    const auto ref = proc.range_doppler_reference(cube);
-    fuse::radar::FrameWorkspace ws;
-    const auto& got = proc.range_doppler(cube, ws);
-    ASSERT_EQ(ref.size(), got.size());
-    std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < ref.size(); ++i)
-      if (ref.data()[i] != got.data()[i]) ++mismatches;
-    EXPECT_EQ(mismatches, 0u) << "clutter=" << clutter;
+  // Every host lane variant, with and without clutter removal.  In the
+  // 32-chirp x 128-sample config: the full frame and shapes that leave
+  // partial lane groups (20 chirps of 100 samples; a single chirp).  In an
+  // 8-sample x 4-chirp config, range and Doppler sizes below the lane
+  // width, so the Doppler pass reads the padded tail of the range spectra
+  // and both stores take their per-lane path.
+  struct Case {
+    std::size_t cfg_samples, cfg_chirps;  // the processor's frame
+    std::size_t samples, chirps;          // the cube's shape
+  };
+  for (const Case c : {Case{128, 32, 128, 32}, Case{128, 32, 100, 20},
+                       Case{128, 32, 128, 1}, Case{8, 4, 8, 4}}) {
+    for (const bool clutter : {false, true}) {
+      RadarConfig cfg = small_config();
+      cfg.samples_per_chirp = c.cfg_samples;
+      cfg.chirps_per_frame = c.cfg_chirps;
+      cfg.static_clutter_removal = clutter;
+      fuse::util::Rng rng(clutter ? 91 : 92);
+      const auto cube =
+          crop(fuse::radar::simulate_frame(cfg, busy_scene(rng), rng),
+               c.chirps, c.samples);
+      const fuse::radar::Processor proc(cfg);
+      const auto ref = proc.range_doppler_reference(cube);
+      for (const fuse::dsp::LaneVariant* lanes :
+           fuse::dsp::host_lane_variants()) {
+        fuse::radar::FrameWorkspace ws;
+        const auto& got = proc.range_doppler(cube, ws, *lanes);
+        ASSERT_EQ(ref.size(), got.size());
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < ref.size(); ++i)
+          if (ref.data()[i] != got.data()[i]) ++mismatches;
+        EXPECT_EQ(mismatches, 0u)
+            << lanes->name << " clutter=" << clutter << " frame "
+            << c.cfg_chirps << "x" << c.cfg_samples << " cube " << c.chirps
+            << "x" << c.samples;
+      }
+    }
   }
 }
 
@@ -339,33 +371,39 @@ TEST(PlannedProcessor, FullPipelineMatchesReference) {
   const auto cube = fuse::radar::simulate_frame(cfg, busy_scene(rng), rng);
   const fuse::radar::Processor proc(cfg);
   const auto ref = proc.process_reference(cube);
-  fuse::radar::FrameWorkspace ws;
-  fuse::radar::ProcessedFrame got;
-  proc.process(cube, ws, got);
+  ASSERT_GT(ref.detections.size(), 0u) << "scene produced no detections";
 
-  ASSERT_EQ(ref.power_map.size(), got.power_map.size());
-  for (std::size_t i = 0; i < ref.power_map.size(); ++i)
-    EXPECT_EQ(ref.power_map[i], got.power_map[i]);
+  for (const fuse::dsp::LaneVariant* lanes :
+       fuse::dsp::host_lane_variants()) {
+    SCOPED_TRACE(lanes->name);
+    fuse::radar::FrameWorkspace ws;
+    fuse::radar::ProcessedFrame got;
+    proc.detect(proc.range_doppler(cube, ws, *lanes), ws, got);
 
-  ASSERT_EQ(ref.detections.size(), got.detections.size());
-  ASSERT_GT(got.detections.size(), 0u) << "scene produced no detections";
-  for (std::size_t i = 0; i < ref.detections.size(); ++i) {
-    EXPECT_EQ(ref.detections[i].range_bin, got.detections[i].range_bin);
-    EXPECT_EQ(ref.detections[i].doppler_bin, got.detections[i].doppler_bin);
-    EXPECT_EQ(ref.detections[i].range_m, got.detections[i].range_m);
-    EXPECT_EQ(ref.detections[i].velocity_mps,
-              got.detections[i].velocity_mps);
-    EXPECT_EQ(ref.detections[i].dir_cos_x, got.detections[i].dir_cos_x);
-    EXPECT_EQ(ref.detections[i].dir_cos_z, got.detections[i].dir_cos_z);
-    EXPECT_EQ(ref.detections[i].snr_db, got.detections[i].snr_db);
-  }
-  ASSERT_EQ(ref.cloud.points.size(), got.cloud.points.size());
-  for (std::size_t i = 0; i < ref.cloud.points.size(); ++i) {
-    EXPECT_EQ(ref.cloud.points[i].x, got.cloud.points[i].x);
-    EXPECT_EQ(ref.cloud.points[i].y, got.cloud.points[i].y);
-    EXPECT_EQ(ref.cloud.points[i].z, got.cloud.points[i].z);
-    EXPECT_EQ(ref.cloud.points[i].doppler, got.cloud.points[i].doppler);
-    EXPECT_EQ(ref.cloud.points[i].intensity, got.cloud.points[i].intensity);
+    ASSERT_EQ(ref.power_map.size(), got.power_map.size());
+    for (std::size_t i = 0; i < ref.power_map.size(); ++i)
+      EXPECT_EQ(ref.power_map[i], got.power_map[i]);
+
+    ASSERT_EQ(ref.detections.size(), got.detections.size());
+    for (std::size_t i = 0; i < ref.detections.size(); ++i) {
+      EXPECT_EQ(ref.detections[i].range_bin, got.detections[i].range_bin);
+      EXPECT_EQ(ref.detections[i].doppler_bin, got.detections[i].doppler_bin);
+      EXPECT_EQ(ref.detections[i].range_m, got.detections[i].range_m);
+      EXPECT_EQ(ref.detections[i].velocity_mps,
+                got.detections[i].velocity_mps);
+      EXPECT_EQ(ref.detections[i].dir_cos_x, got.detections[i].dir_cos_x);
+      EXPECT_EQ(ref.detections[i].dir_cos_z, got.detections[i].dir_cos_z);
+      EXPECT_EQ(ref.detections[i].snr_db, got.detections[i].snr_db);
+    }
+    ASSERT_EQ(ref.cloud.points.size(), got.cloud.points.size());
+    for (std::size_t i = 0; i < ref.cloud.points.size(); ++i) {
+      EXPECT_EQ(ref.cloud.points[i].x, got.cloud.points[i].x);
+      EXPECT_EQ(ref.cloud.points[i].y, got.cloud.points[i].y);
+      EXPECT_EQ(ref.cloud.points[i].z, got.cloud.points[i].z);
+      EXPECT_EQ(ref.cloud.points[i].doppler, got.cloud.points[i].doppler);
+      EXPECT_EQ(ref.cloud.points[i].intensity,
+                got.cloud.points[i].intensity);
+    }
   }
 }
 
@@ -449,6 +487,34 @@ TEST(PlannedProcessor, ChannelCountMismatchThrows) {
   const fuse::radar::RadarCube good(cfg.n_virtual(), cfg.chirps_per_frame,
                                     cfg.samples_per_chirp);
   EXPECT_TRUE(proc.accepts(good));
+}
+
+TEST(PlannedProcessor, DetectRefusesMismatchedRdCube) {
+  // Angle estimation reads one RD cell per virtual element, and the CFAR
+  // tail indexes the map by this processor's bin counts: an RD cube of any
+  // other shape is refused by every detect entry point, and a cube with
+  // the wrong channel count by the reference chain as well.
+  RadarConfig cfg = small_config();
+  const fuse::radar::Processor proc(cfg);
+  const std::size_t nv = cfg.n_virtual();
+  const std::size_t nr = proc.n_range_bins(), nd = proc.n_doppler_bins();
+  fuse::radar::FrameWorkspace ws;
+  fuse::radar::ProcessedFrame out;
+  for (const auto& rd :
+       {fuse::radar::RangeDopplerCube(8, nr, nd),
+        fuse::radar::RangeDopplerCube(nv + 1, nr, nd),
+        fuse::radar::RangeDopplerCube(nv, nr / 2, nd),
+        fuse::radar::RangeDopplerCube(nv, nr, 2 * nd)}) {
+    EXPECT_THROW(proc.detect(rd), std::invalid_argument);
+    EXPECT_THROW(proc.detect(rd, ws, out), std::invalid_argument);
+    EXPECT_THROW(proc.detect_reference(rd), std::invalid_argument);
+  }
+  const fuse::radar::RadarCube cube(8, cfg.chirps_per_frame,
+                                    cfg.samples_per_chirp);
+  EXPECT_THROW(proc.range_doppler_reference(cube), std::invalid_argument);
+  EXPECT_THROW(proc.process_reference(cube), std::invalid_argument);
+  // The matching shape is accepted.
+  EXPECT_NO_THROW(proc.detect(fuse::radar::RangeDopplerCube(nv, nr, nd)));
 }
 
 TEST(PlannedProcessor, CubeBetweenWindowAndFftSizeThrows) {
