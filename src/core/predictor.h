@@ -64,26 +64,17 @@ class Predictor {
                         PredictScratch& scratch) const;
 
   /// Batched inference: x [N, 5, 8, 8] -> N denormalized poses, through
-  /// the given compute backend (defaults to the process-wide default).
-  std::vector<fuse::human::Pose> predict(const fuse::nn::Module& model,
-                                         const fuse::tensor::Tensor& x,
-                                         fuse::nn::Backend backend) const;
-  std::vector<fuse::human::Pose> predict(const fuse::nn::Module& model,
-                                         const fuse::tensor::Tensor& x) const {
-    return predict(model, x, fuse::nn::default_backend());
-  }
+  /// the given compute backend (kNaive when omitted).
+  std::vector<fuse::human::Pose> predict(
+      const fuse::nn::Module& model, const fuse::tensor::Tensor& x,
+      fuse::nn::Backend backend = fuse::nn::Backend::kNaive) const;
 
   /// Single-window convenience (the original FusePipeline::predict_window
   /// path, batch size 1).
-  fuse::human::Pose
-  predict_window(const fuse::nn::Module& model,
-                 const std::vector<fuse::radar::PointCloud>& window,
-                 fuse::nn::Backend backend) const;
-  fuse::human::Pose
-  predict_window(const fuse::nn::Module& model,
-                 const std::vector<fuse::radar::PointCloud>& window) const {
-    return predict_window(model, window, fuse::nn::default_backend());
-  }
+  fuse::human::Pose predict_window(
+      const fuse::nn::Module& model,
+      const std::vector<fuse::radar::PointCloud>& window,
+      fuse::nn::Backend backend = fuse::nn::Backend::kNaive) const;
 
   const fuse::data::Featurizer& featurizer() const { return *featurizer_; }
 

@@ -1,9 +1,7 @@
 #include "nn/delta.h"
 
-#include <cmath>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -38,21 +36,14 @@ bool bits_differ(float a, float b) {
   return ua != ub;
 }
 
-ParamDelta::Entry encode_fp32(const float* a, const float* b, std::size_t n,
-                              float threshold) {
-  // threshold 0 records every bit difference (bit-exact contract, and a
-  // NaN or -0.0 drift can never be silently dropped); a positive
-  // threshold keeps only |a - b| > threshold, written so a NaN difference
-  // still counts as changed.
-  const auto changed_at = [&](std::size_t i) {
-    if (!bits_differ(a[i], b[i])) return false;
-    return threshold <= 0.0f || !(std::fabs(a[i] - b[i]) <= threshold);
-  };
+ParamDelta::Entry encode_fp32(const float* a, const float* b, std::size_t n) {
+  // Every bit difference is recorded, so a NaN or -0.0 drift can never be
+  // silently dropped.
   ParamDelta::Entry e;
   e.numel = n;
   std::size_t changed = 0;
   for (std::size_t i = 0; i < n; ++i)
-    if (changed_at(i)) ++changed;
+    if (bits_differ(a[i], b[i])) ++changed;
   // Sparse entries cost 8 bytes (u32 idx + fp32 value) vs 4 dense; past
   // half the tensor the dense raw dump is smaller and stays bit-exact.
   if (changed * 2 >= n) {
@@ -64,7 +55,7 @@ ParamDelta::Entry encode_fp32(const float* a, const float* b, std::size_t n,
   e.idx.reserve(changed);
   e.values.reserve(changed);
   for (std::size_t i = 0; i < n; ++i) {
-    if (changed_at(i)) {
+    if (bits_differ(a[i], b[i])) {
       e.idx.push_back(static_cast<std::uint32_t>(i));
       e.values.push_back(a[i]);
     }
@@ -72,26 +63,8 @@ ParamDelta::Entry encode_fp32(const float* a, const float* b, std::size_t n,
   return e;
 }
 
-ParamDelta::Entry encode_int8(const float* a, const float* b, std::size_t n) {
-  ParamDelta::Entry e;
-  e.kind = ParamDelta::Entry::Kind::kInt8;
-  e.numel = n;
-  float absmax = 0.0f;
-  for (std::size_t i = 0; i < n; ++i)
-    absmax = std::max(absmax, std::fabs(a[i] - b[i]));
-  e.scale = absmax > 0.0f ? absmax / 127.0f : 0.0f;
-  e.q.resize(n);
-  if (e.scale == 0.0f) return e;  // identical tensors: all-zero delta
-  const float inv = 1.0f / e.scale;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float q = std::nearbyint((a[i] - b[i]) * inv);
-    e.q[i] = static_cast<std::int8_t>(std::max(-127.0f, std::min(127.0f, q)));
-  }
-  return e;
-}
-
 std::size_t entry_payload_bytes(const ParamDelta::Entry& e) {
-  // kind u8 + numel u64 + per-kind payload (count u64 / scale fp32).
+  // kind u8 + numel u64 + per-kind payload (sparse adds a count u64).
   std::size_t bytes = 1 + sizeof(std::uint64_t);
   switch (e.kind) {
     case ParamDelta::Entry::Kind::kSparseFp32:
@@ -100,9 +73,6 @@ std::size_t entry_payload_bytes(const ParamDelta::Entry& e) {
       break;
     case ParamDelta::Entry::Kind::kDenseFp32:
       bytes += e.values.size() * sizeof(float);
-      break;
-    case ParamDelta::Entry::Kind::kInt8:
-      bytes += sizeof(float) + e.q.size();
       break;
   }
   return bytes;
@@ -125,11 +95,6 @@ void save_entry(std::ostream& os, const ParamDelta::Entry& e) {
       os.write(reinterpret_cast<const char*>(e.values.data()),
                static_cast<std::streamsize>(e.values.size() * sizeof(float)));
       break;
-    case ParamDelta::Entry::Kind::kInt8:
-      os.write(reinterpret_cast<const char*>(&e.scale), sizeof(float));
-      os.write(reinterpret_cast<const char*>(e.q.data()),
-               static_cast<std::streamsize>(e.q.size()));
-      break;
   }
 }
 
@@ -137,7 +102,7 @@ ParamDelta::Entry load_entry(std::istream& is) {
   ParamDelta::Entry e;
   std::uint8_t kind = 0;
   is.read(reinterpret_cast<char*>(&kind), 1);
-  if (!is || kind > 2)
+  if (!is || kind > 1)
     throw std::runtime_error("ParamDelta::load: corrupt entry kind");
   e.kind = static_cast<ParamDelta::Entry::Kind>(kind);
   e.numel = read_u64(is);
@@ -158,12 +123,6 @@ ParamDelta::Entry load_entry(std::istream& is) {
       e.values.resize(e.numel);
       is.read(reinterpret_cast<char*>(e.values.data()),
               static_cast<std::streamsize>(e.numel * sizeof(float)));
-      break;
-    case ParamDelta::Entry::Kind::kInt8:
-      is.read(reinterpret_cast<char*>(&e.scale), sizeof(float));
-      e.q.resize(e.numel);
-      is.read(reinterpret_cast<char*>(e.q.data()),
-              static_cast<std::streamsize>(e.numel));
       break;
   }
   if (!is) throw std::runtime_error("ParamDelta::load: truncated stream");
@@ -251,8 +210,7 @@ ParamDelta ParamDelta::load_file(const std::string& path) {
   return load(is);
 }
 
-ParamDelta extract_delta(const Module& adapted, const Module& base,
-                         const DeltaConfig& cfg) {
+ParamDelta extract_delta(const Module& adapted, const Module& base) {
   const auto pa = adapted.params();
   const auto pb = base.params();
   if (adapted.arch_name() != base.arch_name() || pa.size() != pb.size())
@@ -266,11 +224,7 @@ ParamDelta extract_delta(const Module& adapted, const Module& base,
     if (pa[i]->shape() != pb[i]->shape())
       throw std::invalid_argument("extract_delta: parameter shape mismatch");
     const std::size_t n = pa[i]->numel();
-    d.entries.push_back(
-        cfg.mode == DeltaMode::kInt8
-            ? encode_int8(pa[i]->data(), pb[i]->data(), n)
-            : encode_fp32(pa[i]->data(), pb[i]->data(), n,
-                          cfg.sparse_threshold));
+    d.entries.push_back(encode_fp32(pa[i]->data(), pb[i]->data(), n));
   }
   return d;
 }
@@ -304,12 +258,6 @@ void apply_delta(const Module& base, const ParamDelta& delta, Module& target) {
         if (e.values.size() != n)
           throw std::runtime_error("apply_delta: dense size mismatch");
         std::memcpy(out, e.values.data(), n * sizeof(float));
-        break;
-      case ParamDelta::Entry::Kind::kInt8:
-        if (e.q.size() != n)
-          throw std::runtime_error("apply_delta: int8 size mismatch");
-        for (std::size_t k = 0; k < n; ++k)
-          out[k] = b[k] + static_cast<float>(e.q[k]) * e.scale;
         break;
     }
   }

@@ -8,31 +8,21 @@
 // and dies at thousands of users; a delta checkpoint is what the clone
 // store (serve/clone_store) evicts to disk and rehydrates from.
 //
-// Three encodings, chosen per parameter tensor by DeltaConfig:
-//
-//  * kFp32 (default) — BIT-EXACT round trip.  The delta records the raw
-//    adapted bit patterns at the indices whose bits differ from the base;
-//    rehydration copies the base and patches those indices.  No float
-//    arithmetic is involved (storing a - b and re-adding b is NOT
-//    bit-exact in IEEE arithmetic), so rehydrate(base, extract(adapted))
-//    reproduces `adapted` exactly.  Tensors where most entries changed
-//    (e.g. full-network SGD) fall back to a dense raw dump automatically —
-//    still bit-exact, never larger than ~1.0x the fp32 tensor.
-//    sparse_threshold > 0 additionally drops indices with
-//    |adapted - base| <= threshold (lossy, error bounded by threshold per
-//    weight; 0 keeps the exact contract).
-//
-//  * kInt8 — the PR-4 quantization idiom applied to the delta: per-tensor
-//    symmetric scale = absmax(adapted - base) / 127, one int8 per
-//    parameter.  Rehydration computes base + q * scale; the worst-case
-//    per-weight error is scale / 2 = absmax / 254 (the derived tolerance
-//    the tests assert).  4x smaller than a dense fp32 delta, for sessions
-//    where the int8 serving error budget already applies.
+// One encoding: a BIT-EXACT fp32 round trip.  The delta records the raw
+// adapted bit patterns at the indices whose bits differ from the base;
+// rehydration copies the base and patches those indices.  No float
+// arithmetic is involved (storing a - b and re-adding b is NOT bit-exact
+// in IEEE arithmetic), so rehydrate(base, extract(adapted)) reproduces
+// `adapted` exactly.  Each tensor is stored sparse or dense by its
+// content: where at least half the entries changed (e.g. full-network
+// SGD) a dense raw dump is smaller, still bit-exact, and never larger
+// than ~1.0x the fp32 tensor.
 //
 // The on-disk format is architecture-tagged like Module::save and carries
 // the same payload length + FNV-1a checksum footer, so a truncated or
 // corrupt clone-store file throws at load instead of rehydrating garbage
-// into a user's model.
+// into a user's model.  An unknown entry kind throws the same way; that
+// includes kind 2, the lossy int8 encoding older binaries could write.
 
 #include <cstddef>
 #include <cstdint>
@@ -45,18 +35,6 @@
 
 namespace fuse::nn {
 
-enum class DeltaMode : std::uint8_t {
-  kFp32 = 0,  ///< sparse-by-changed-bits / dense raw values; bit-exact
-  kInt8 = 1,  ///< per-tensor symmetric int8 delta; error <= absmax/254
-};
-
-struct DeltaConfig {
-  DeltaMode mode = DeltaMode::kFp32;
-  /// kFp32 only: drop indices with |adapted - base| <= threshold (their
-  /// rehydrated value is the base value).  0 = bit-exact.
-  float sparse_threshold = 0.0f;
-};
-
 /// One serialized adapted-vs-base parameter set.
 struct ParamDelta {
   /// Per-tensor encoding, mirroring the order of Module::params().
@@ -64,14 +42,11 @@ struct ParamDelta {
     enum class Kind : std::uint8_t {
       kSparseFp32 = 0,  ///< idx[i] gets raw value[i]; others keep base
       kDenseFp32 = 1,   ///< full raw adapted values
-      kInt8 = 2,        ///< adapted = base + q * scale
     };
     Kind kind = Kind::kSparseFp32;
     std::uint64_t numel = 0;
     std::vector<std::uint32_t> idx;     ///< kSparseFp32
     std::vector<float> values;          ///< kSparseFp32 / kDenseFp32
-    std::vector<std::int8_t> q;         ///< kInt8
-    float scale = 0.0f;                 ///< kInt8
   };
 
   std::string arch;  ///< Module::arch_name() of base and adapted
@@ -89,8 +64,7 @@ struct ParamDelta {
 
 /// Encodes `adapted - base`.  Throws std::invalid_argument when the two
 /// models' architectures or parameter shapes differ.
-ParamDelta extract_delta(const Module& adapted, const Module& base,
-                         const DeltaConfig& cfg = {});
+ParamDelta extract_delta(const Module& adapted, const Module& base);
 
 /// Applies `delta` on top of `base` into `target` (all three must share
 /// the architecture; `target` may alias neither).  Throws
@@ -98,8 +72,7 @@ ParamDelta extract_delta(const Module& adapted, const Module& base,
 void apply_delta(const Module& base, const ParamDelta& delta, Module& target);
 
 /// Convenience: clone(base) + apply_delta — the clone-store rehydration
-/// primitive.  kFp32 deltas with threshold 0 reproduce the adapted model
-/// bit-exactly.
+/// primitive; reproduces the adapted model bit-exactly.
 std::unique_ptr<Module> rehydrate_from_delta(const Module& base,
                                              const ParamDelta& delta);
 

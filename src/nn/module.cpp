@@ -1,6 +1,5 @@
 #include "nn/module.h"
 
-#include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -11,8 +10,6 @@
 namespace fuse::nn {
 
 namespace {
-
-std::atomic<Backend> g_default_backend{Backend::kNaive};
 
 // Serialization header: magic + format version + architecture tag.  The
 // version-2 format appends a payload length + FNV-1a checksum between the
@@ -34,14 +31,6 @@ std::uint64_t read_u64(std::istream& is) {
 }
 
 }  // namespace
-
-Backend default_backend() {
-  return g_default_backend.load(std::memory_order_relaxed);
-}
-
-void set_default_backend(Backend b) {
-  g_default_backend.store(b, std::memory_order_relaxed);
-}
 
 const char* backend_name(Backend b) {
   switch (b) {

@@ -59,10 +59,6 @@ enum class Backend {
   kInt8,
 };
 
-/// Process-wide default backend used by the single-argument infer().
-Backend default_backend();
-void set_default_backend(Backend b);
-
 const char* backend_name(Backend b);
 /// Inverse of backend_name ("naive" | "gemm" | "int8"); throws
 /// std::invalid_argument for anything else (bench/CLI parsing).
@@ -90,8 +86,8 @@ class Module {
 
   /// Batched inference-only forward: no caches are touched, so it is const
   /// and safe to call concurrently from many threads on a shared model.
-  Tensor infer(const Tensor& x) const { return do_infer(x, default_backend()); }
-  Tensor infer(const Tensor& x, Backend backend) const {
+  /// Without a backend it runs the kNaive reference.
+  Tensor infer(const Tensor& x, Backend backend = Backend::kNaive) const {
     return do_infer(x, backend);
   }
 

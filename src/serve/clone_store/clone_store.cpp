@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "nn/delta.h"
 #include "serve/clone_store/layout.h"
 #include "util/log.h"
 
@@ -111,8 +112,7 @@ void CloneStore::request_forget(SessionId id) {
 }
 
 void CloneStore::checkpoint(Session& s, Entry& e) {
-  const auto delta = fuse::nn::extract_delta(*s.adapted_model(), *base_,
-                                             cfg_.delta);
+  const auto delta = fuse::nn::extract_delta(*s.adapted_model(), *base_);
   const std::string path = layout::clone_path(cfg_.dir, s.id());
   delta.save_file(path);
   if (e.on_disk) disk_bytes_.fetch_sub(e.file_bytes, std::memory_order_relaxed);
@@ -132,9 +132,7 @@ std::size_t CloneStore::resident_count() const {
 std::size_t CloneStore::enforce_budget(
     const std::vector<Session*>& sessions) {
   if (!enabled_) return 0;
-  const bool cap = cfg_.max_resident_clones > 0;
-  const bool ram = cfg_.ram_budget_bytes > 0;
-  if (!cap && !ram) return 0;
+  if (cfg_.max_resident_clones == 0) return 0;
   std::unordered_map<SessionId, Session*> by_id;
   by_id.reserve(sessions.size());
   for (Session* s : sessions) by_id.emplace(s->id(), s);
@@ -146,9 +144,7 @@ std::size_t CloneStore::enforce_budget(
   std::set<SessionId> unpersistable;
   for (;;) {
     const std::size_t n = resident_count();
-    const bool over = (cap && n > cfg_.max_resident_clones) ||
-                      (ram && n * clone_bytes_ > cfg_.ram_budget_bytes);
-    if (!over) break;
+    if (n <= cfg_.max_resident_clones) break;
     // LRU victim: the resident clone with the oldest touch (ties break on
     // the lower session id, for determinism).  Entries whose session is
     // not in this pass's set are skipped — a concurrent close already

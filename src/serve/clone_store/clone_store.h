@@ -7,18 +7,18 @@
 // at a few hundred adapting users.  The clone store breaks that cap:
 //
 //  * delta checkpointing — an idle clone is serialized as its difference
-//    against the shared meta-init (nn::ParamDelta: bit-exact sparse fp32 by
-//    default, optional lossy sparse thresholding or int8 quantization) to
-//    its checkpoint file (serve/clone_store/layout.h), then the in-RAM
-//    clone is dropped;
+//    against the shared meta-init (nn::ParamDelta: bit-exact fp32, sparse
+//    or dense per tensor) to its checkpoint file
+//    (serve/clone_store/layout.h), then the in-RAM clone is dropped;
 //  * LRU eviction — when resident clones exceed
-//    CloneStoreConfig::max_resident_clones or ram_budget_bytes, the least
-//    recently used sessions' clones are checkpointed and evicted at the end
-//    of the scheduler pass;
+//    CloneStoreConfig::max_resident_clones, the least recently used
+//    sessions' clones are checkpointed and evicted at the end of the
+//    scheduler pass (every clone costs the same bytes_per_clone(), so the
+//    count cap is the RAM cap);
 //  * transparent rehydration — before a session's frame is batched (and
 //    before an adaptation round), an evicted clone is rebuilt as
-//    meta-init + delta.  In fp32 mode the rehydrated clone is bit-exact, so
-//    eviction is invisible to pose outputs;
+//    meta-init + delta.  The rehydrated clone is bit-exact, so eviction is
+//    invisible to pose outputs;
 //  * warm restart — persist() checkpoints every live clone plus a manifest;
 //    restore() re-registers them so a freshly constructed server resumes
 //    every user's adapted model from disk.
@@ -37,7 +37,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "nn/delta.h"
 #include "nn/module.h"
 #include "serve/session.h"
 #include "serve/stats.h"
@@ -50,15 +49,9 @@ struct CloneStoreConfig {
   /// behaviour).
   std::string dir;
   /// Resident-clone cap; 0 = unlimited (clones still checkpoint on
-  /// persist(), but nothing is evicted mid-serve).
+  /// persist(), but nothing is evicted mid-serve).  Resident RAM is
+  /// max_resident_clones * bytes_per_clone().
   std::size_t max_resident_clones = 0;
-  /// Resident-clone RAM budget in bytes (params + grads accounting);
-  /// 0 = unlimited.  Both limits apply; the tighter one wins.
-  std::size_t ram_budget_bytes = 0;
-  /// Delta encoding for checkpoints: kFp32 (default) keeps eviction +
-  /// rehydration bit-exact; kInt8 quarters the checkpoint at the PR-4
-  /// error budget (absmax/254 per weight).
-  fuse::nn::DeltaConfig delta;
 };
 
 class CloneStore {
@@ -104,7 +97,7 @@ class CloneStore {
   /// scheduler drains the queue at the start of its next pass.
   void request_forget(SessionId id);
 
-  /// Evicts least-recently-used resident clones until both budgets hold,
+  /// Evicts least-recently-used resident clones until the cap holds,
   /// checkpointing stale ones first.  `sessions` is the current pass's
   /// session set (entries whose session is absent are skipped — a
   /// concurrent close's forget is already queued).  Returns clones

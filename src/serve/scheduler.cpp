@@ -1,5 +1,6 @@
 #include "serve/scheduler.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -57,10 +58,9 @@ void Scheduler::featurize_current_window(Session& s, float* out) {
 PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
                               PassRecord& rec) {
   PassStats pass;
-  // Per-stage recording folds to dead code when the telemetry layer is
-  // compiled out, and to a single predictable branch per site when it is
-  // merely disabled — the stats-idle zero-cost contract.
-  const bool detail = kTelemetryCompiled && detailed_stats_;
+  // Per-stage recording is a single predictable branch per site when it
+  // is disabled — the stats-idle zero-cost contract.
+  const bool detail = detailed_stats_;
   // Clone-store pass bookkeeping first: advance the LRU clock and drain
   // forgets queued by close_session, so a closed session's checkpoint is
   // gone before anything below could resolve its id.
@@ -195,55 +195,45 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
   }
   if (collected.empty()) return pass;
 
-  // Partition: shared-model frames batch together across sessions — one
-  // batch per effective backend, so an int8 fleet and fp32 stragglers can
+  // Partition: frames batch together when they run the same model on the
+  // same effective backend.  Shared-model frames batch across sessions,
+  // one batch per backend, so an int8 fleet and fp32 stragglers can
   // coexist in a single tick without cross-contaminating outputs.  A
   // session with an adapted clone predicts with its own parameters, so its
-  // frames form a private batch.
-  struct SharedGroup {
+  // frames form a private batch; the clone carries no int8 state (clones
+  // drop it), so a kInt8 effective backend falls back to fp32 kGemm inside
+  // the layers.
+  struct Group {
+    const fuse::nn::Module* model;
     fuse::nn::Backend backend;
     std::vector<Item> items;
     std::vector<std::vector<float>> blocks;
   };
-  std::vector<SharedGroup> shared;
-  std::vector<std::pair<Session*, std::vector<Item>>> adapted;
-  std::vector<std::vector<std::vector<float>>> adapted_blocks;
+  std::vector<Group> groups;
   for (auto& c : collected) {
-    Session* s = c.item.session;
-    if (s->adapted_model() == nullptr) {
-      const fuse::nn::Backend be = effective_backend(*s);
-      std::size_t g = shared.size();
-      for (std::size_t i = 0; i < shared.size(); ++i)
-        if (shared[i].backend == be) g = i;
-      if (g == shared.size()) shared.push_back(SharedGroup{be, {}, {}});
-      shared[g].items.push_back(std::move(c.item));
-      shared[g].blocks.push_back(std::move(c.block));
-    } else {
-      std::size_t g = adapted.size();
-      for (std::size_t i = 0; i < adapted.size(); ++i)
-        if (adapted[i].first == s) g = i;
-      if (g == adapted.size()) {
-        adapted.emplace_back(s, std::vector<Item>{});
-        adapted_blocks.emplace_back();
-      }
-      adapted[g].second.push_back(std::move(c.item));
-      adapted_blocks[g].push_back(std::move(c.block));
-    }
+    const Session& s = *c.item.session;
+    const fuse::nn::Module* model =
+        s.adapted_model() != nullptr ? s.adapted_model() : shared_model_;
+    const fuse::nn::Backend be = effective_backend(s);
+    auto g = std::find_if(groups.begin(), groups.end(), [&](const Group& x) {
+      return x.model == model && x.backend == be;
+    });
+    if (g == groups.end())
+      g = groups.insert(groups.end(), Group{model, be, {}, {}});
+    g->items.push_back(std::move(c.item));
+    g->blocks.push_back(std::move(c.block));
   }
 
-  const auto serve_group = [&](std::vector<Item>& items,
-                               std::vector<std::vector<float>>& blocks,
-                               const fuse::nn::Module& model,
-                               fuse::nn::Backend backend, bool is_adapted) {
-    if (items.empty()) return;
+  for (Group& g : groups) {
+    const std::vector<Item>& items = g.items;
     fuse::tensor::Tensor x = predictor_->alloc_batch(items.size());
     for (std::size_t i = 0; i < items.size(); ++i)
-      std::memcpy(x.data() + i * kBlockFloats, blocks[i].data(),
+      std::memcpy(x.data() + i * kBlockFloats, g.blocks[i].data(),
                   kBlockFloats * sizeof(float));
     const double t_infer = detail ? mono_seconds() : 0.0;
-    const auto poses = predictor_->predict(model, x, backend);
+    const auto poses = predictor_->predict(*g.model, x, g.backend);
     const double now = mono_seconds();
-    if (detail) rec.telem.record_batch(backend, items.size(), now - t_infer);
+    if (detail) rec.telem.record_batch(g.backend, items.size(), now - t_infer);
     for (std::size_t i = 0; i < items.size(); ++i) {
       Session& s = *items[i].session;
       // A frame popped just before its session was recycled must not
@@ -257,23 +247,13 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
                       : poses[i];
       r.latency_s = now - items[i].frame.t_enqueue;
       r.t_ready = now;
-      r.adapted_model = is_adapted;
+      r.adapted_model = g.model != shared_model_;
       rec.latency.record(r.latency_s);
       s.push_result(std::move(r), items[i].frame.epoch);
     }
     ++pass.batches;
     pass.batched_frames += items.size();
-  };
-
-  for (auto& group : shared)
-    serve_group(group.items, group.blocks, *shared_model_, group.backend,
-                false);
-  // An adapted clone carries no int8 state (clones drop it), so a kInt8
-  // effective backend falls back to fp32 kGemm inside the layers.
-  for (std::size_t g = 0; g < adapted.size(); ++g)
-    serve_group(adapted[g].second, adapted_blocks[g],
-                *adapted[g].first->adapted_model(),
-                effective_backend(*adapted[g].first), true);
+  }
 
   // Online adaptation: at most one round per session per pass.
   for (Session* s : sessions) {
@@ -283,7 +263,7 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
   }
 
   // End of pass: evict LRU clones until the resident set fits the store's
-  // RAM budget again (rehydration above may have overshot it briefly).
+  // cap again (rehydration above may have overshot it briefly).
   if (store) store->enforce_budget(sessions);
 
   pass.served = collected.size();

@@ -50,7 +50,7 @@ struct PassStats {
 /// its stats lock afterwards (so the hot path never contends with
 /// readers).  `latency` (submit->result) is always recorded; the
 /// per-stage/per-backend detail in `telem` only when the scheduler's
-/// detailed-stats flag is on and the layer is compiled in.
+/// detailed-stats flag is on.
 struct PassRecord {
   LatencyHistogram latency;
   Telemetry telem;
@@ -86,7 +86,7 @@ class Scheduler {
   /// extra clock reads or histogram increments (the stats-idle mode the
   /// overhead gate in bench/serve_throughput measures against).
   void set_detailed_stats(bool on) { detailed_stats_ = on; }
-  bool detailed_stats() const { return kTelemetryCompiled && detailed_stats_; }
+  bool detailed_stats() const { return detailed_stats_; }
 
   /// The backend a session's batched forwards run on: its config override
   /// when set, else the scheduler-wide default — EXCEPT at degradation

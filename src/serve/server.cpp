@@ -98,8 +98,18 @@ SessionId Server::open_session(SessionConfig scfg) {
 }
 
 void Server::close_session(SessionId id) {
-  shards_[shard_of(id)]->close_session(id);
-  clear_shard_override(id);  // freed slot: the next tenant starts at home
+  // Close under the owning shard's pass lock, like a migration.  A move
+  // holds both shards' pass locks until its commit, so once we hold the
+  // lock and shard_of() still names this shard, no move of `id` is in
+  // flight and none can re-attach it elsewhere after the close.
+  for (;;) {
+    const std::size_t k = shard_of(id);
+    auto lock = shards_[k]->lock_pass();
+    if (shard_of(id) != k) continue;  // moved while we waited: follow it
+    shards_[k]->close_session(id);
+    clear_shard_override(id);  // freed slot: the next tenant starts at home
+    return;
+  }
 }
 
 void Server::recycle_session(SessionId id) {
@@ -218,12 +228,11 @@ bool Server::execute_migration(SessionId id, std::size_t target_shard) {
     if (s->adapted_model() != nullptr) {
       // Checkpoint through the delta codec — the same format eviction and
       // warm restart use — so the target adopts exactly the state a crash
-      // recovery would restore (bit-exact in fp32 mode).
+      // recovery would restore (bit-exact).
       if (fuse::util::fault_fire(fuse::util::FaultPoint::kMigrationOom))
         throw std::bad_alloc();
       const auto delta = fuse::nn::extract_delta(*s->adapted_model(),
-                                                 *shared_model_,
-                                                 cfg_.clone_store.delta);
+                                                 *shared_model_);
       if (fuse::util::fault_fire(fuse::util::FaultPoint::kTargetShardCrash))
         throw std::runtime_error("target shard crashed adopting the clone");
       s->adapted_slot() = fuse::nn::rehydrate_from_delta(*shared_model_,
@@ -474,7 +483,7 @@ ServeStats derive_stats(const std::vector<ShardRawStats>& raws,
   out.latency_max_ms = latency.max() * 1e3;
   // Derived per-stage and per-backend views, computed at read time from
   // the merged histograms (never on the hot path).
-  out.detailed = kTelemetryCompiled && cfg.detailed_stats;
+  out.detailed = cfg.detailed_stats;
   out.stages.reserve(kNumStages);
   for (std::size_t i = 0; i < kNumStages; ++i) {
     const auto stage = static_cast<Stage>(i);

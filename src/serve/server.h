@@ -130,18 +130,17 @@ struct ServeConfig {
   /// = stats-idle: only the always-on submit->poll latency histogram and
   /// the plain counters are maintained, with zero extra clock reads on
   /// the scheduler hot path (the bench's overhead gate compares the two).
-  /// Moot when the layer is compiled out (FUSE_SERVE_TELEMETRY=0).
   bool detailed_stats = true;
   /// Adapted-clone lifecycle (serve/clone_store): set clone_store.dir to
   /// bound the RAM of per-user adapted clones — idle clones are delta-
   /// checkpointed against the shared meta-init and evicted LRU under
-  /// max_resident_clones / ram_budget_bytes, then transparently
-  /// rehydrated (bit-exact in fp32 mode) when their session is next
-  /// served or adapted.  Empty dir (default) keeps every clone resident.
-  /// With num_shards > 1 each shard keeps its own store instance in its
-  /// own shard dir (budgets apply per shard); a warm restart must use
-  /// the same num_shards the checkpoints were persisted with — changing
-  /// the shard count is an offline re-shard (tools/reshard).
+  /// max_resident_clones, then transparently rehydrated (bit-exact) when
+  /// their session is next served or adapted.  Empty dir (default) keeps
+  /// every clone resident.  With num_shards > 1 each shard keeps its own
+  /// store instance in its own shard dir (the cap applies per shard); a
+  /// warm restart must use the same num_shards the checkpoints were
+  /// persisted with — changing the shard count is an offline re-shard
+  /// (tools/reshard).
   CloneStoreConfig clone_store;
   /// Global admission budget: total queued frames across every session on
   /// every shard.  A submit over it is refused at the door
@@ -211,6 +210,8 @@ class Server {
   /// sequentially from 1, so consecutive opens round-robin the shards.
   SessionId open_session(SessionConfig cfg);
   /// Closes and destroys the session; unpolled results are discarded.
+  /// Waits out the owning shard's current pass and any live move of the
+  /// session, so a close that races a migration always wins.
   void close_session(SessionId id);
   /// Recycles the session for a new subject: queue, results and sequence
   /// numbers clear immediately; fusion window, tracker, adaptation buffer

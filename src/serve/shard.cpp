@@ -101,17 +101,9 @@ namespace {
 constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
 }  // namespace
 
-bool Shard::admit(Session& s) {
-  if (cfg_.max_in_flight == 0 ||
-      global_in_flight_->load(std::memory_order_relaxed) < cfg_.max_in_flight)
-    return true;
-  s.note_admission_rejected();
-  return false;
-}
-
-SubmitResult Shard::submit_frame(SessionId id,
-                                 const fuse::radar::PointCloud& cloud,
-                                 const fuse::human::Pose* label) {
+template <typename Enqueue>
+SubmitResult Shard::submit(SessionId id, const fuse::human::Pose* label,
+                           Enqueue&& enqueue) {
   auto s = find(id);
   if (!s) return SubmitResult::kUnknownSession;
   if (s->migrating()) {
@@ -121,7 +113,12 @@ SubmitResult Shard::submit_frame(SessionId id,
     s->note_migration_rejected();
     return SubmitResult::kMigrating;
   }
-  if (!admit(*s)) return SubmitResult::kAdmissionRejected;
+  if (cfg_.max_in_flight != 0 &&
+      global_in_flight_->load(std::memory_order_relaxed) >=
+          cfg_.max_in_flight) {
+    s->note_admission_rejected();
+    return SubmitResult::kAdmissionRejected;
+  }
   fuse::human::Pose bad_label;
   if (label != nullptr &&
       fuse::util::fault_fire(fuse::util::FaultPoint::kCorruptLabel)) {
@@ -129,15 +126,7 @@ SubmitResult Shard::submit_frame(SessionId id,
     bad_label.joints[0].x = kNaN;
     label = &bad_label;
   }
-  bool enqueued;
-  if (fuse::util::fault_fire(fuse::util::FaultPoint::kCorruptCloud)) {
-    fuse::radar::PointCloud bad = cloud;
-    if (bad.points.empty()) bad.points.emplace_back();
-    bad.points[0].y = kNaN;
-    enqueued = s->enqueue(bad, label, mono_seconds());
-  } else {
-    enqueued = s->enqueue(cloud, label, mono_seconds());
-  }
+  const bool enqueued = enqueue(*s, label, mono_seconds());
   wake_scheduler();
   if (!enqueued) return SubmitResult::kQueueFull;
   // Quarantined sessions still serve (from the shared meta-init), so the
@@ -146,35 +135,36 @@ SubmitResult Shard::submit_frame(SessionId id,
                           : SubmitResult::kAccepted;
 }
 
+SubmitResult Shard::submit_frame(SessionId id,
+                                 const fuse::radar::PointCloud& cloud,
+                                 const fuse::human::Pose* label) {
+  return submit(id, label, [&](Session& s, const fuse::human::Pose* lbl,
+                               double now) {
+    if (fuse::util::fault_fire(fuse::util::FaultPoint::kCorruptCloud)) {
+      fuse::radar::PointCloud bad = cloud;
+      if (bad.points.empty()) bad.points.emplace_back();
+      bad.points[0].y = kNaN;
+      return s.enqueue(bad, lbl, now);
+    }
+    return s.enqueue(cloud, lbl, now);
+  });
+}
+
 SubmitResult Shard::submit_cube(SessionId id, fuse::radar::RadarCube&& cube,
                                 const fuse::human::Pose* label) {
   if (cfg_.processor == nullptr)  // no DSP front-end wired
     return SubmitResult::kNoProcessor;
   // Refused at the door: the DSP would throw on the scheduler thread.
   if (!cfg_.processor->accepts(cube)) return SubmitResult::kMalformedCube;
-  auto s = find(id);
-  if (!s) return SubmitResult::kUnknownSession;
-  if (s->migrating()) {
-    s->note_migration_rejected();
-    return SubmitResult::kMigrating;
-  }
-  if (!admit(*s)) return SubmitResult::kAdmissionRejected;
-  fuse::human::Pose bad_label;
-  if (label != nullptr &&
-      fuse::util::fault_fire(fuse::util::FaultPoint::kCorruptLabel)) {
-    bad_label = *label;
-    bad_label.joints[0].x = kNaN;
-    label = &bad_label;
-  }
-  if (fuse::util::fault_fire(fuse::util::FaultPoint::kCorruptCube) &&
-      cube.n_virtual() > 0)
-    cube.at(0, 0, 0) = {kNaN, kNaN};
-  const bool enqueued = s->enqueue_cube(std::move(cube), label,
-                                        mono_seconds());
-  wake_scheduler();
-  if (!enqueued) return SubmitResult::kQueueFull;
-  return s->quarantined() ? SubmitResult::kQuarantined
-                          : SubmitResult::kAccepted;
+  // The cube is moved from only inside the enqueue step, i.e. once the
+  // session is found.
+  return submit(id, label, [&](Session& s, const fuse::human::Pose* lbl,
+                               double now) {
+    if (fuse::util::fault_fire(fuse::util::FaultPoint::kCorruptCube) &&
+        cube.n_virtual() > 0)
+      cube.at(0, 0, 0) = {kNaN, kNaN};
+    return s.enqueue_cube(std::move(cube), lbl, now);
+  });
 }
 
 std::vector<PoseResult> Shard::poll_results(SessionId id) {
@@ -184,7 +174,7 @@ std::vector<PoseResult> Shard::poll_results(SessionId id) {
   // Result-poll stage: how long finished results sat waiting for the
   // consumer.  Recorded here (consumer thread) under the stats lock — the
   // same merge point the scheduler's pass-local telemetry goes through.
-  if (kTelemetryCompiled && cfg_.detailed_stats && !out.empty()) {
+  if (cfg_.detailed_stats && !out.empty()) {
     const double now = mono_seconds();
     std::lock_guard<std::mutex> lock(stats_mu_);
     for (const auto& r : out)
@@ -366,7 +356,7 @@ void Shard::attach_session(std::shared_ptr<Session> s) {
 }
 
 void Shard::record_migration(double seconds) {
-  if (!(kTelemetryCompiled && cfg_.detailed_stats)) return;
+  if (!cfg_.detailed_stats) return;
   std::lock_guard<std::mutex> lock(stats_mu_);
   telem_.stages.record(Stage::kMigrate, seconds);
 }

@@ -140,9 +140,13 @@ class Shard {
   void record_migration(double seconds);
 
  private:
-  /// Admission gate: false = the GLOBAL in-flight budget is full and the
-  /// frame was refused (counted against `s`).
-  bool admit(Session& s);
+  /// The shared submit path: lookup, migration window, the GLOBAL
+  /// in-flight admission gate, the label-corruption fault, then
+  /// `enqueue(session, label, now)` (which consults the payload's own
+  /// fault point) and the scheduler wake-up.
+  template <typename Enqueue>
+  SubmitResult submit(SessionId id, const fuse::human::Pose* label,
+                      Enqueue&& enqueue);
   std::vector<std::shared_ptr<Session>> snapshot_sessions() const;
   void scheduler_loop();
   /// Flags pending work (under wake_mu_) and wakes the shard's scheduler

@@ -258,7 +258,7 @@ struct ServeStats {
   std::size_t shards = 1;
   std::vector<ShardStatsRow> per_shard;
 
-  /// Whether the per-stage layer was compiled in AND enabled for this run
+  /// Whether the per-stage layer was enabled for this run
   /// (ServeConfig::detailed_stats); stage/backend rows are all-zero
   /// otherwise.
   bool detailed = false;

@@ -17,9 +17,8 @@
 // merged stats() folds the per-shard cumulative telemetries together at
 // histogram level, so merged quantiles are exact.
 //
-// The whole layer can be compiled out with -DFUSE_SERVE_TELEMETRY=0
-// (CMake option FUSE_TELEMETRY=OFF): kTelemetryCompiled folds every
-// `if (detail)` recording branch to dead code, leaving only the always-on
+// ServeConfig::detailed_stats = false turns every `if (detail)` recording
+// site into one predictable branch, leaving only the always-on
 // submit->poll histogram and the plain counters.
 
 #include <array>
@@ -29,13 +28,7 @@
 #include "nn/module.h"
 #include "serve/stats.h"
 
-#ifndef FUSE_SERVE_TELEMETRY
-#define FUSE_SERVE_TELEMETRY 1
-#endif
-
 namespace fuse::serve {
-
-inline constexpr bool kTelemetryCompiled = FUSE_SERVE_TELEMETRY != 0;
 
 /// The serving pipeline's stage taxonomy, in tick order.  Per-sample
 /// stages record once per frame; kInfer and kAdapt record once per batch /

@@ -19,8 +19,6 @@ const char* fault_point_name(FaultPoint p) {
   return "?";
 }
 
-#if FUSE_FAULT_INJECT
-
 namespace fault_detail {
 
 State& state() {
@@ -93,7 +91,5 @@ std::uint64_t fault_occurrences(FaultPoint p) {
 double fault_spike_seconds() {
   return fault_detail::state().spike_ms * 1e-3;
 }
-
-#endif  // FUSE_FAULT_INJECT
 
 }  // namespace fuse::util

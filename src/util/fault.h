@@ -10,13 +10,9 @@
 // machine and every repetition — no wall clock, no global RNG state that
 // thread interleaving could perturb.
 //
-// Gating mirrors the telemetry layer (serve/telemetry.h):
-//  * compile time — -DFUSE_FAULT_INJECT=0 (CMake option FUSE_FAULT=OFF)
-//    folds every `fault_fire` call to a constant false, so release builds
-//    for production carry zero fault-injection branches;
-//  * runtime — the layer is compiled in by default but disabled until
-//    fault_configure() arms it, so ordinary tests and benches never pay
-//    more than one relaxed atomic load per site.
+// Every build compiles the sites in, disarmed until fault_configure()
+// arms them, so production, ordinary tests and benches never pay more
+// than one relaxed atomic load per site.
 //
 // Production code NEVER changes behaviour based on the config beyond the
 // injected failure itself: a fired kDiskWrite point throws the same
@@ -29,13 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#ifndef FUSE_FAULT_INJECT
-#define FUSE_FAULT_INJECT 1
-#endif
-
 namespace fuse::util {
-
-inline constexpr bool kFaultCompiled = FUSE_FAULT_INJECT != 0;
 
 /// The injection-point taxonomy.  Sites live in nn/delta.cpp (disk I/O via
 /// util/atomic_file.h), serve/clone_store (checkpoint + manifest I/O),
@@ -67,8 +57,6 @@ struct FaultConfig {
 
   double& p(FaultPoint pt) { return probability[static_cast<std::size_t>(pt)]; }
 };
-
-#if FUSE_FAULT_INJECT
 
 namespace fault_detail {
 struct State {
@@ -112,18 +100,6 @@ std::uint64_t fault_fired(FaultPoint p);
 std::uint64_t fault_occurrences(FaultPoint p);
 /// Configured latency-spike stall in seconds.
 double fault_spike_seconds();
-
-#else  // FUSE_FAULT_INJECT == 0: every site folds to dead code.
-
-inline void fault_configure(const FaultConfig&) {}
-inline void fault_reset() {}
-inline constexpr bool fault_active() { return false; }
-inline constexpr bool fault_fire(FaultPoint) { return false; }
-inline constexpr std::uint64_t fault_fired(FaultPoint) { return 0; }
-inline constexpr std::uint64_t fault_occurrences(FaultPoint) { return 0; }
-inline constexpr double fault_spike_seconds() { return 0.0; }
-
-#endif  // FUSE_FAULT_INJECT
 
 /// Scoped arm/disarm for tests: configures on construction, resets on
 /// destruction, so an ASSERT failure mid-test cannot leak an armed fault

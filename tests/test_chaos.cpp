@@ -105,8 +105,6 @@ PointCloud nan_cloud(PointCloud cloud) {
   return cloud;
 }
 
-#if FUSE_FAULT_INJECT
-
 // ------------------------------------------------- multi-seed fault soak --
 
 // The full fault matrix against the threaded server: corrupt inputs, disk
@@ -236,8 +234,6 @@ TEST(Chaos, SyncRunUnderFaultsIsSeedDeterministic) {
     expect_pose_eq(a.results[i].tracked, b.results[i].tracked);
   }
 }
-
-#endif  // FUSE_FAULT_INJECT
 
 // --------------------------------------- crash-consistent clone restore --
 
@@ -415,8 +411,6 @@ TEST(Chaos, ManifestCutAtALineBoundaryFallsBackToDirectoryScan) {
   EXPECT_GE(cuts, RestoreWorld::kSessions);  // after the magic and each id
   fs::remove_all(w.dir);
 }
-
-#if FUSE_FAULT_INJECT
 
 // Injected torn writes on EVERY file of a persist (manifest included):
 // restore finds only garbage, reports all of it, recovers nothing — and
@@ -743,8 +737,6 @@ TEST(Chaos, LiveMigrationFaultsRollBackWithoutLosingFrames) {
       expect_pose_eq(got2[i].raw, want2[i].raw);
   }
 }
-
-#endif  // FUSE_FAULT_INJECT
 
 // ------------------------------------------------ quarantine isolation --
 

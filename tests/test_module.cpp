@@ -211,14 +211,6 @@ TEST(Backend, GemmMatchesNaiveOnRaggedConvShapes) {
   }
 }
 
-TEST(Backend, DefaultBackendIsProcessWideAndRestorable) {
-  const Backend before = fuse::nn::default_backend();
-  fuse::nn::set_default_backend(Backend::kGemm);
-  EXPECT_EQ(fuse::nn::default_backend(), Backend::kGemm);
-  fuse::nn::set_default_backend(before);
-  EXPECT_EQ(fuse::nn::default_backend(), before);
-}
-
 // ------------------------------------------------------------ const access --
 
 TEST(Module, ConstCorrectCopyAndCount) {

@@ -173,8 +173,6 @@ TEST(Overload, LevelNamesAreStable) {
 
 // -------------------------------------------------------- fault layer --
 
-#if FUSE_FAULT_INJECT
-
 TEST(Fault, DisarmedLayerNeverFires) {
   fuse::util::fault_reset();
   for (int i = 0; i < 1000; ++i)
@@ -306,7 +304,5 @@ TEST(AtomicFile, InjectedTornWritePersistsOnlyAPrefix) {
   }
   EXPECT_EQ(read_all(p), "01234") << "a torn write persists half the bytes";
 }
-
-#endif  // FUSE_FAULT_INJECT
 
 }  // namespace

@@ -632,8 +632,6 @@ const fuse::serve::StageSnapshot& stage_row(const fuse::serve::ServeStats& s,
 }
 
 TEST(Serve, StageTelemetryConsistentUnderThreadedStress) {
-  if (!fuse::serve::kTelemetryCompiled)
-    GTEST_SKIP() << "telemetry compiled out (FUSE_SERVE_TELEMETRY=0)";
   auto& pl = world();
   ServeConfig cfg;
   cfg.max_batch = 16;
@@ -745,7 +743,13 @@ TEST(Serve, StatsJsonCarriesSchema) {
         "\"restore_skipped\"", "\"rehydrate_failures\"",
         "\"checkpoint_failures\"", "\"quarantined\"",
         // PR 9 sharding schema: shard count and the per-shard rows.
-        "\"shards\"", "\"per_shard\""})
+        "\"shards\"", "\"per_shard\"",
+        // Live-migration schema: merged and per-shard move counters,
+        // bounced submits, the per-shard backlog series and each
+        // session's adaptation state.
+        "\"migrations\"", "\"migration_failures\"",
+        "\"migration_rejected\"", "\"migrations_in\"",
+        "\"migrations_out\"", "\"queue_depth_series\"", "\"adapt_state\""})
     EXPECT_NE(json.find(key), std::string::npos) << "missing key " << key;
 }
 
@@ -1496,6 +1500,56 @@ TEST(Migrate, AdaptedClonePredictsBitExactlyAfterMigration) {
   EXPECT_TRUE(got.back().adapted_model);
   EXPECT_EQ(moved.stats().per_session.at(0).adapt_state,
             AdaptState::kAdapted);
+}
+
+TEST(Migrate, CloseDuringMigrationWins) {
+  // A session closed while it is being moved must stay closed: the close
+  // may not let the move's commit re-attach it on the target shard.  The
+  // adapted clone's codec round-trip keeps the kMigrating window open long
+  // enough for the closer, which fires on its first kMigrating, to land
+  // inside it.
+  auto& pl = world();
+  ServeConfig cfg;
+  cfg.num_shards = 2;
+  cfg.session.adapt.enabled = true;
+  cfg.session.adapt.min_samples = 8;
+  cfg.session.adapt.round_every = 4;
+  cfg.session.adapt.steps_per_round = 2;
+  const auto& ds = world().dataset();
+  const auto [start, len] = ds.sequences.at(5);
+  ASSERT_GE(len, 8u);
+  for (int trial = 0; trial < 10; ++trial) {
+    SCOPED_TRACE(trial);
+    Server server(&pl.predictor(), &pl.model(), cfg);
+    const auto id = server.open_session();  // id 1 -> shard 0
+    for (std::size_t i = 0; i < 8; ++i) {
+      const auto& f = ds.frames[start + i];
+      ASSERT_TRUE(accepted(server.submit_frame(id, f.cloud, &f.label)));
+    }
+    server.drain();
+    ASSERT_EQ(server.stats().per_session.at(0).adapt_state,
+              AdaptState::kAdapted);
+
+    const PointCloud& cloud = ds.frames[start].cloud;
+    std::atomic<bool> submitting{false};
+    std::atomic<bool> move_returned{false};
+    std::thread closer([&] {
+      // Close on the first kMigrating, or after the move if it never
+      // showed one (the close must win either way).
+      while (server.submit_frame(id, cloud) != SubmitResult::kMigrating &&
+             !move_returned.load())
+        submitting.store(true);
+      server.close_session(id);
+    });
+    while (!submitting.load()) std::this_thread::yield();
+    (void)server.migrate_session(id, 1);
+    move_returned.store(true);
+    closer.join();
+
+    EXPECT_EQ(server.session_count(), 0u);
+    EXPECT_EQ(server.submit_frame(id, cloud), SubmitResult::kUnknownSession);
+    EXPECT_EQ(server.stats().in_flight, 0u);
+  }
 }
 
 TEST(Migrate, ThreadedMigrationKeepsServingAndConservesFrames) {
