@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 
 #include "core/pipeline.h"
 #include "data/builder.h"
@@ -27,8 +28,11 @@
 #include "radar/fast_model.h"
 #include "radar/processing.h"
 #include "radar/simulator.h"
+#include "serve/server.h"
 #include "tensor/ops.h"
+#include "util/isa.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -277,9 +281,9 @@ void BM_Gemm512(benchmark::State& state) {
 // would inflate a kIsRate counter.
 BENCHMARK(BM_Gemm512)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-void BM_GemmNt(benchmark::State& state) {
-  // The fc1 shape, x [M, 2048] · Wᵀ with W [512, 2048]: M = 1 is the
-  // batch-1 serving path, M = 16 the blocked path.
+// The fc1 shape, x [M, 2048] · Wᵀ with W [512, 2048] (M = 1 is the batch-1
+// serving path), through the NT row kernel of `isa`.
+void gemm_nt_fc1(benchmark::State& state, fuse::util::Isa isa) {
   constexpr std::size_t k = 2048, n = 512;
   const auto m = static_cast<std::size_t>(state.range(0));
   fuse::util::Rng rng(13);
@@ -288,12 +292,21 @@ void BM_GemmNt(benchmark::State& state) {
   for (std::size_t i = 0; i < w.numel(); ++i) w[i] = rng.uniformf(-1, 1);
   for (auto _ : state) {
     fuse::tensor::gemm(fuse::tensor::Trans::kNo, fuse::tensor::Trans::kYes,
-                       1.0f, x, w, 0.0f, y);
+                       1.0f, x, w, 0.0f, y, isa);
     benchmark::DoNotOptimize(y.data());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * 2.0 * m * k * n * 1e-9,
       benchmark::Counter::kIsRate);
+  state.SetLabel(fuse::util::isa_name(isa));
+}
+
+// BM_GemmNt/<M> runs the dispatched variant (labelled); main() adds one
+// BM_GemmNt/<variant>/1 row per host variant.  Real time: outside a
+// serving pass the kernel splits its columns across the pool, so the
+// calling thread's CPU time would inflate a kIsRate counter.
+void BM_GemmNt(benchmark::State& state) {
+  gemm_nt_fc1(state, fuse::util::dispatched_isa());
 }
 BENCHMARK(BM_GemmNt)
     ->Arg(1)
@@ -302,11 +315,10 @@ BENCHMARK(BM_GemmNt)
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
-// ------------------------------------------------------------- pipeline --
+// ---------------------------------------------------------------- serve --
 
-void BM_StreamingPoseEstimate(benchmark::State& state) {
-  // End-to-end online step: push one radar frame, get a pose.  This is the
-  // number that must stay under the 100 ms frame budget.
+// A trained pipeline shared by the serving rows below.
+fuse::core::FusePipeline& trained_pipeline() {
   static fuse::core::FusePipeline* pipeline = [] {
     fuse::core::PipelineConfig cfg;
     cfg.data.frames_per_sequence = 20;
@@ -316,9 +328,35 @@ void BM_StreamingPoseEstimate(benchmark::State& state) {
     p->train_baseline();
     return p;
   }();
-  const auto& frame = pipeline->dataset().frames[5];
+  return *pipeline;
+}
+
+// One synchronous Server::run_once() over 4 shards with 16 open sessions
+// and nothing queued: the pass a serving loop spins through between radar
+// frames.  Driven from a 1-worker pool, like a synchronous serving thread.
+void BM_ServerIdlePass(benchmark::State& state) {
+  auto& pl = trained_pipeline();
+  fuse::serve::ServeConfig cfg;
+  cfg.num_shards = 4;
+  fuse::serve::Server server(&pl.predictor(), &pl.model(), cfg);
+  for (int s = 0; s < 16; ++s) server.open_session();
+  fuse::util::ThreadPool serving_thread(1);
+  serving_thread.submit([&] {
+    for (auto _ : state) benchmark::DoNotOptimize(server.run_once());
+  });
+  serving_thread.wait_idle();
+}
+BENCHMARK(BM_ServerIdlePass)->Unit(benchmark::kMicrosecond);
+
+// ------------------------------------------------------------- pipeline --
+
+void BM_StreamingPoseEstimate(benchmark::State& state) {
+  // End-to-end online step: push one radar frame, get a pose.  This is the
+  // number that must stay under the 100 ms frame budget.
+  auto& pipeline = trained_pipeline();
+  const auto& frame = pipeline.dataset().frames[5];
   for (auto _ : state) {
-    auto pose = pipeline->push_frame(frame.cloud);
+    auto pose = pipeline.push_frame(frame.cloud);
     benchmark::DoNotOptimize(&pose);
   }
 }
@@ -326,4 +364,17 @@ BENCHMARK(BM_StreamingPoseEstimate)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  for (const fuse::util::Isa isa : fuse::util::host_isas())
+    benchmark::RegisterBenchmark(
+        (std::string("BM_GemmNt/") + fuse::util::isa_name(isa)).c_str(),
+        gemm_nt_fc1, isa)
+        ->Arg(1)
+        ->Unit(benchmark::kMicrosecond)
+        ->UseRealTime();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

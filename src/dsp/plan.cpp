@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <complex>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
+
+#include "util/isa.h"
+#include "util/simd.h"
 
 namespace fuse::dsp {
 
@@ -35,53 +37,16 @@ constexpr double kTau = 6.283185307179586476925286766559;
 using Tables = LaneKernels::Tables;
 
 // ------------------------------------------------------- lane kernels --
-// One template per kernel over a GCC/clang vector type V of L floats.
-// Element k of lane l lives at buf[k * L + l], so row k of a lane buffer
-// is one V.  Vectors cross function boundaries only by reference: a
-// by-value 32/64-byte vector in a signature would change the ABI of the
-// default-target code that instantiates nothing wider than 16 bytes.
-// Every helper is always_inline, so each variant's entry points below
-// compile the whole kernel under their own target attribute.  Loads and
-// stores are pure data movement, and the arithmetic is elementwise, so
-// lane l sees exactly the row path's float operations.
+// One template per kernel over a GCC/clang vector type V of L floats
+// (util/simd.h).  Element k of lane l lives at buf[k * L + l], so row k of
+// a lane buffer is one V.  Loads and stores are pure data movement, and
+// the arithmetic is elementwise, so lane l sees exactly the row path's
+// float operations.
 
-template <typename V>
-constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
-
-template <typename V>
-[[gnu::always_inline]] inline void vload(V& v, const void* p) {
-  std::memcpy(&v, p, sizeof(V));
-}
-
-template <typename V>
-[[gnu::always_inline]] inline void vstore(void* p, const V& v) {
-  std::memcpy(p, &v, sizeof(V));
-}
-
-/// Swaps the off-diagonal B x B sub-blocks of every 2B x 2B block of the
-/// two rows (a, b) = rows (i, i + B) of a square block.
-template <std::size_t B, typename V, std::size_t... P>
-[[gnu::always_inline]] inline void swap_subblocks(V& a, V& b,
-                                                  std::index_sequence<P...>) {
-  constexpr std::size_t L = sizeof...(P);
-  const V lo = __builtin_shufflevector(a, b, ((P & B) ? L + P - B : P)...);
-  const V hi = __builtin_shufflevector(a, b, ((P & B) ? L + P : P + B)...);
-  a = lo;
-  b = hi;
-}
-
-/// Transposes the L x L block m[0..L) in registers: log2(L) rounds of
-/// sub-block swaps, B = 1, 2, ..., L/2.
-template <typename V, std::size_t B = 1>
-[[gnu::always_inline]] inline void transpose(V* m) {
-  constexpr std::size_t L = kLanes<V>;
-  if constexpr (B < L) {
-    for (std::size_t i = 0; i < L; ++i)
-      if ((i & B) == 0)
-        swap_subblocks<B>(m[i], m[i + B], std::make_index_sequence<L>{});
-    transpose<V, 2 * B>(m);
-  }
-}
+using fuse::util::simd::kLanes;
+using fuse::util::simd::transpose;
+using fuse::util::simd::vload;
+using fuse::util::simd::vstore;
 
 /// Interleaves (re, im) into complex order: lo holds re[0..L/2) and
 /// im[0..L/2) as L/2 complex values, hi the upper halves.
@@ -305,10 +270,10 @@ template <typename V>
   }
 }
 
-typedef float f32x4 __attribute__((vector_size(16)));
+using fuse::util::simd::f32x4;
 #if defined(__x86_64__)
-typedef float f32x8 __attribute__((vector_size(32)));
-typedef float f32x16 __attribute__((vector_size(64)));
+using fuse::util::simd::f32x16;
+using fuse::util::simd::f32x8;
 #endif
 
 // Stamps out one variant: its entry points compiled for vector type V
@@ -354,27 +319,32 @@ FUSE_LANE_VARIANT(avx512f, f32x16, __attribute__((target("avx512f"))))
 
 #undef FUSE_LANE_VARIANT
 
+using fuse::util::Isa;
+using fuse::util::isa_name;
+
+const LaneVariant kGeneric{isa_name(Isa::kGeneric), 4, &kKernels_generic};
 #if defined(__x86_64__)
-constexpr const char* kGenericName = "sse2";
-#elif defined(__ARM_NEON)
-constexpr const char* kGenericName = "neon";
-#else
-constexpr const char* kGenericName = "generic";
+const LaneVariant kAvx2{isa_name(Isa::kAvx2), 8, &kKernels_avx2};
+const LaneVariant kAvx512f{isa_name(Isa::kAvx512f), 16, &kKernels_avx512f};
 #endif
 
-const LaneVariant kGeneric{kGenericName, 4, &kKernels_generic};
+const LaneVariant* lane_variant(Isa isa) {
+  switch (isa) {
 #if defined(__x86_64__)
-const LaneVariant kAvx2{"avx2", 8, &kKernels_avx2};
-const LaneVariant kAvx512f{"avx512f", 16, &kKernels_avx512f};
+    case Isa::kAvx2:
+      return &kAvx2;
+    case Isa::kAvx512f:
+      return &kAvx512f;
 #endif
+    default:
+      return &kGeneric;
+  }
+}
 
 std::vector<const LaneVariant*> detect_host_variants() {
-  std::vector<const LaneVariant*> out{&kGeneric};
-#if defined(__x86_64__)
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2")) out.push_back(&kAvx2);
-  if (__builtin_cpu_supports("avx512f")) out.push_back(&kAvx512f);
-#endif
+  std::vector<const LaneVariant*> out;
+  for (const Isa isa : fuse::util::host_isas())
+    out.push_back(lane_variant(isa));
   return out;
 }
 

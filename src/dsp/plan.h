@@ -20,8 +20,9 @@
 //     loads and stores move whole L x L blocks through an in-register
 //     transpose where the data allows, and element by element elsewhere.
 //     L comes from a LaneVariant: 4 lanes generic (SSE2 on x86-64, NEON
-//     on AArch64), 8 under AVX2, 16 under AVX-512F; the widest one the
-//     host runs is picked once (dispatched_lane_variant()).
+//     on AArch64), 8 under AVX2, 16 under AVX-512F, one per util::Isa
+//     level; the widest one the host runs is picked once
+//     (dispatched_lane_variant(), from util::dispatched_isa()).
 //
 // Determinism contract: the twiddle tables are generated with the exact
 // float recurrence fft_inplace uses, and both butterflies perform the same
@@ -59,12 +60,12 @@ struct LaneVariant {
   const LaneKernels* kernels;
 };
 
-/// The variants compiled into this binary that the host CPU can run,
-/// narrowest first (the generic 4-lane variant is always present).
+/// The variants compiled into this binary that the host CPU can run, one
+/// per util::host_isas() level, narrowest first (the generic 4-lane
+/// variant is always present).
 std::span<const LaneVariant* const> host_lane_variants();
 
-/// The widest host variant, chosen once (on x86-64 by
-/// __builtin_cpu_supports, which also checks the OS saves the registers).
+/// The widest host variant: the one of util::dispatched_isa().
 const LaneVariant& dispatched_lane_variant();
 
 class FftPlan {

@@ -111,6 +111,11 @@ void CloneStore::request_forget(SessionId id) {
   pending_forgets_.push_back(id);
 }
 
+bool CloneStore::forgets_pending() {
+  std::lock_guard<std::mutex> lock(forget_mu_);
+  return !pending_forgets_.empty();
+}
+
 void CloneStore::checkpoint(Session& s, Entry& e) {
   const auto delta = fuse::nn::extract_delta(*s.adapted_model(), *base_);
   const std::string path = layout::clone_path(cfg_.dir, s.id());

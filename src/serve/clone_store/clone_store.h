@@ -97,6 +97,10 @@ class CloneStore {
   /// scheduler drains the queue at the start of its next pass.
   void request_forget(SessionId id);
 
+  /// Any-thread: true while request_forget() ids wait for begin_pass()
+  /// (an otherwise idle shard still runs a pass for them).
+  bool forgets_pending();
+
   /// Evicts least-recently-used resident clones until the cap holds,
   /// checkpointing stale ones first.  `sessions` is the current pass's
   /// session set (entries whose session is absent are skipped — a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -58,7 +59,11 @@ void Shard::close_session(SessionId id) {
 
 void Shard::recycle_session(SessionId id) {
   auto s = find(id);
-  if (s) s->request_recycle();
+  if (!s) return;
+  s->request_recycle();
+  // After the request, so the pass that clears the flag pops the session
+  // after its recycle is pending.
+  recycle_pending_.store(true);
 }
 
 std::size_t Shard::session_count() const {
@@ -188,25 +193,40 @@ std::size_t Shard::run_once() {
   // session is never moved out from under a running pass.  Uncontended in
   // steady state (one lock/unlock per tick).
   std::lock_guard<std::mutex> pass_lock(pass_mu_);
-  // Every kernel of the pass runs on this thread (see shard.h).
-  const fuse::util::InlineScope inline_pass;
-  const auto snapshot = snapshot_sessions();
-  std::vector<Session*> sessions;
-  sessions.reserve(snapshot.size());
-  for (const auto& s : snapshot) sessions.push_back(s.get());
-  // The pass runs lock-free into local telemetry; the cumulative stats are
-  // only locked for the merge, so stats() never waits on an inference pass
-  // and a snapshot always observes whole passes.
-  PassRecord rec;
   const bool overload = cfg_.overload.enabled;
   const double t0 = overload ? mono_seconds() : 0.0;
-  const PassStats pass = scheduler_.run_once(sessions, rec);
+  // An idle pass — no queued frame, no closed session's checkpoint to
+  // forget, no recycle to consume — has nothing for the scheduler: it skips
+  // the session snapshot, the per-session pops and the PassRecord merge,
+  // and only feeds the detector and the depth series below.
+  const bool recycles = recycle_pending_.exchange(false);
+  std::optional<PassRecord> rec;
+  PassStats pass;
+  if (recycles || shard_in_flight_.load(std::memory_order_relaxed) != 0 ||
+      clone_store_.forgets_pending()) {
+    // Every kernel of the pass runs on this thread (see shard.h).
+    const fuse::util::InlineScope inline_pass;
+    const auto snapshot = snapshot_sessions();
+    std::vector<Session*> sessions;
+    sessions.reserve(snapshot.size());
+    for (const auto& s : snapshot) sessions.push_back(s.get());
+    // The pass runs lock-free into local telemetry; the cumulative stats
+    // are only locked for the merge, so stats() never waits on an
+    // inference pass and a snapshot always observes whole passes.
+    pass = scheduler_.run_once(sessions, rec.emplace());
+    // A pass that served frames may have filled its batch before popping
+    // every session, i.e. before consuming every recycle: keep the flag
+    // for the next pass.
+    if (recycles && pass.served > 0) recycle_pending_.store(true);
+  }
   if (overload) {
     // Feed the detector this pass's tick latency and the post-pass queue
     // backlog — the SHARD's own gauge, not the global admission gauge, so
     // a hot shard engages even when the rest of the fleet is idle — then
-    // arm the ladder rung the NEXT pass runs at.  All on this shard's
-    // scheduling thread — the detector itself is single-threaded state.
+    // arm the ladder rung the NEXT pass runs at.  Idle passes feed it too,
+    // which is how an escalated shard steps back down once its queues
+    // drain.  All on this shard's scheduling thread — the detector itself
+    // is single-threaded state.
     const auto level = detector_.update(
         shard_in_flight_.load(std::memory_order_relaxed),
         mono_seconds() - t0);
@@ -216,13 +236,15 @@ std::size_t Shard::run_once() {
                                 std::memory_order_relaxed);
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
-  latency_.merge(rec.latency);
-  telem_.merge(rec.telem);
-  batches_ += pass.batches;
-  batched_frames_ += pass.batched_frames;
-  // Queue depth over time: one post-pass gauge sample per tick into the
-  // bounded ring (ROADMAP item 5's leftover — the export shows the curve,
-  // not just the high-water mark).
+  if (rec) {
+    latency_.merge(rec->latency);
+    telem_.merge(rec->telem);
+    batches_ += pass.batches;
+    batched_frames_ += pass.batched_frames;
+  }
+  // Queue depth over time: one post-pass gauge sample per tick, idle or
+  // not, into the bounded ring (the export shows the curve, not just the
+  // high-water mark).
   depth_series_.record(shard_in_flight_.load(std::memory_order_relaxed));
   return pass.served;
 }
@@ -351,8 +373,12 @@ std::shared_ptr<Session> Shard::detach_session(SessionId id) {
 }
 
 void Shard::attach_session(std::shared_ptr<Session> s) {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  sessions_.emplace(s->id(), std::move(s));
+  {
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    sessions_.emplace(s->id(), std::move(s));
+  }
+  // The session may carry a recycle requested on its old shard.
+  recycle_pending_.store(true);
 }
 
 void Shard::record_migration(double seconds) {

@@ -89,6 +89,10 @@ class Shard {
   std::vector<PoseResult> poll_results(SessionId id);
 
   // ------------------------------------------------- scheduling / thread --
+  /// One scheduler pass.  A pass with nothing to do (no queued frame, no
+  /// queued clone-store forget, no pending recycle) returns without
+  /// touching the sessions; it still feeds the overload detector and
+  /// records one queue-depth sample.
   std::size_t run_once();
   std::size_t drain();
   void start();
@@ -163,6 +167,10 @@ class Shard {
   std::atomic<std::size_t>* global_in_flight_;
   /// This shard's queued frames: feeds the shard's overload detector.
   std::atomic<std::size_t> shard_in_flight_{0};
+  /// Set when a session of this shard may hold a recycle no pass has
+  /// consumed yet (recycle_session, attach_session); cleared by a pass
+  /// that pops every session, so idle passes can skip the sweep.
+  std::atomic<bool> recycle_pending_{false};
   CloneStore clone_store_;
   Scheduler scheduler_;
   /// Scheduling-thread only (fed by run_once); level/transitions are

@@ -4,7 +4,10 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
+#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace fuse::tensor {
@@ -101,56 +104,173 @@ void micro_gemm(std::size_t mb, std::size_t nb, std::size_t kb,
   }
 }
 
-// Small-M NT path: A [m, k] row-major times W [n, k] row-major, transposed.
-// Each output column j is the dot product of A's row with W's contiguous row
-// j, so W is streamed in place (8 rows at a time, sequential k) instead of
-// being transposed into a pack.  The accumulator is the same sequential-k,
-// zero-started mul-then-add sum the blocked path forms, so both paths and
-// every batch size produce bit-identical outputs.
+// Small-M NT path: A [m, k] row-major times W [n, k] row-major, transposed
+// (x · Wᵀ, the batch-1 FC layers).  Each output column j is the dot
+// product of A's rows with W's contiguous row j, so W is streamed in place
+// instead of being transposed into a pack.  Every accumulator is the same
+// sequential-k, zero-started mul-then-add sum the blocked path forms, so
+// both paths, every batch size and every ISA variant produce bit-identical
+// outputs.
 //
-// kSmallM is the measured crossover on the fc1 shape: the kernel
-// re-transposes W in registers for every row of A, so its cost grows ~M
-// while the blocked path pays one pack per call; they tie at M = 3.
+// kSmallM is where the scalar generic variant meets the blocked path on
+// the fc1 shape: it re-reads W for every row of A, while the blocked path
+// pays one pack per call (measured ties between M = 3 and 5, DESIGN.md §3).
+// The vector variants transpose each W tile once for all M rows and beat
+// the blocked path far beyond it, but the crossover stays shared: moving
+// it for them makes fp32 outrun the int8 backend at batch 8, a trade-off
+// for its own change.
 // kRowMinMacs keeps small layers (fc2) on the calling thread.
 constexpr std::size_t kSmallM = 3;
-constexpr std::size_t kRowBlockN = 8;
+constexpr std::size_t kScalarCols = 8;
 constexpr std::size_t kRowMinMacs = 1 << 16;
 
-void gemm_nt_rows(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                  const float* a, const float* w, float* c) {
-  const std::size_t n_blocks = (n + kRowBlockN - 1) / kRowBlockN;
+// The generic variant, the oracle of the vector ones and their tail path:
+// output columns [j0, j1) of every row, kScalarCols columns at a time.
+void nt_rows_scalar(std::size_t m, std::size_t j0, std::size_t j1,
+                    std::size_t n, std::size_t k, float alpha, const float* a,
+                    const float* w, float* c) {
+  for (; j0 < j1; j0 += kScalarCols) {
+    const std::size_t nb = std::min(kScalarCols, j1 - j0);
+    const float* wb = w + j0 * k;
+    for (std::size_t r = 0; r < m; ++r) {
+      const float* ar = a + r * k;
+      float acc[kScalarCols] = {};
+      if (nb == kScalarCols) {
+        for (std::size_t kk = 0; kk < k; ++kk) {
+          const float av = ar[kk];
+          for (std::size_t jj = 0; jj < kScalarCols; ++jj)
+            acc[jj] += av * wb[jj * k + kk];
+        }
+      } else {
+        for (std::size_t jj = 0; jj < nb; ++jj)
+          for (std::size_t kk = 0; kk < k; ++kk)
+            acc[jj] += ar[kk] * wb[jj * k + kk];
+      }
+      add_scaled(c + r * n + j0, acc, nb, alpha);
+    }
+  }
+}
+
+// The tile kernel for one block of L = kLanes<V> output columns and M rows
+// of A.  Each step loads an L x L tile of W (L rows, L k-values), transposes
+// it in registers so vector kk holds W[j0..j0+L, k0+kk], and adds
+// broadcast(a[r][k0+kk]) * tile[kk] into row r's accumulator in
+// sequential kk: lane jj of that accumulator does exactly the scalar
+// acc[jj] += a[kk] * w[jj][kk] sequence.  The k % L tail continues the same
+// per-lane sums element by element.  (ops.cpp builds with
+// -ffp-contract=off: under target("avx512f") GCC could otherwise fuse the
+// multiply-add into an FMA and round differently from the oracle.)
+template <typename V, std::size_t M>
+[[gnu::always_inline]] inline void nt_tile_block(std::size_t n, std::size_t k,
+                                                 float alpha, const float* a,
+                                                 const float* wb, float* c) {
+  using namespace fuse::util::simd;
+  constexpr std::size_t L = kLanes<V>;
+  V acc[M] = {};
+  std::size_t k0 = 0;
+  for (; k0 + L <= k; k0 += L) {
+    V t[L];
+    // Unrolled so the tile is loaded straight into registers (a rolled
+    // loop copies it through the stack).
+#pragma GCC unroll 16
+    for (std::size_t l = 0; l < L; ++l) vload(t[l], wb + l * k + k0);
+    transpose(t);
+    for (std::size_t r = 0; r < M; ++r)
+      for (std::size_t kk = 0; kk < L; ++kk)
+        acc[r] += a[r * k + k0 + kk] * t[kk];
+  }
+  for (std::size_t r = 0; r < M; ++r) {
+    float out[L];
+    vstore(out, acc[r]);
+    const float* ar = a + r * k;
+    for (std::size_t kk = k0; kk < k; ++kk)
+      for (std::size_t l = 0; l < L; ++l) out[l] += ar[kk] * wb[l * k + kk];
+    add_scaled(c + r * n, out, L, alpha);
+  }
+}
+
+// Column blocks [b0, b1) of width L: full blocks through the tile kernel
+// instantiated for exactly m rows, a partial last block through the scalar
+// loop.
+template <typename V, std::size_t... Ms>
+[[gnu::always_inline]] inline void nt_tile_blocks(
+    std::size_t m, std::size_t b0, std::size_t b1, std::size_t n,
+    std::size_t k, float alpha, const float* a, const float* w, float* c,
+    std::index_sequence<Ms...>) {
+  constexpr std::size_t L = fuse::util::simd::kLanes<V>;
+  for (std::size_t jb = b0; jb < b1; ++jb) {
+    const std::size_t j0 = jb * L;
+    if (j0 + L > n) {
+      nt_rows_scalar(m, j0, n, n, k, alpha, a, w, c);
+      continue;
+    }
+    // Exactly one Ms + 1 == m (1 <= m <= kSmallM): run that instantiation.
+    (void)((m == Ms + 1 &&
+            (nt_tile_block<V, Ms + 1>(n, k, alpha, a, w + j0 * k, c + j0),
+             true)) ||
+           ...);
+  }
+}
+
+using NtRowsFn = void (*)(std::size_t m, std::size_t b0, std::size_t b1,
+                          std::size_t n, std::size_t k, float alpha,
+                          const float* a, const float* w, float* c);
+
+// One variant of the small-M NT path: its column-block width and the
+// entry point that runs a range of column blocks.
+struct NtRowsVariant {
+  std::size_t cols;
+  NtRowsFn run;
+};
+
+void nt_rows_generic(std::size_t m, std::size_t b0, std::size_t b1,
+                     std::size_t n, std::size_t k, float alpha, const float* a,
+                     const float* w, float* c) {
+  nt_rows_scalar(m, b0 * kScalarCols, std::min(n, b1 * kScalarCols), n, k,
+                 alpha, a, w, c);
+}
+
+#if defined(__x86_64__)
+#define FUSE_NT_ROWS_VARIANT(tag, V)                                        \
+  __attribute__((target(#tag))) void nt_rows_##tag(                         \
+      std::size_t m, std::size_t b0, std::size_t b1, std::size_t n,         \
+      std::size_t k, float alpha, const float* a, const float* w,           \
+      float* c) {                                                           \
+    nt_tile_blocks<V>(m, b0, b1, n, k, alpha, a, w, c,                      \
+                      std::make_index_sequence<kSmallM>{});                 \
+  }
+FUSE_NT_ROWS_VARIANT(avx2, fuse::util::simd::f32x8)
+FUSE_NT_ROWS_VARIANT(avx512f, fuse::util::simd::f32x16)
+#undef FUSE_NT_ROWS_VARIANT
+#endif
+
+NtRowsVariant nt_rows_variant(fuse::util::Isa isa) {
+  switch (isa) {
+#if defined(__x86_64__)
+    case fuse::util::Isa::kAvx2:
+      return {8, nt_rows_avx2};
+    case fuse::util::Isa::kAvx512f:
+      return {16, nt_rows_avx512f};
+#endif
+    default:
+      return {kScalarCols, nt_rows_generic};
+  }
+}
+
+void gemm_nt_rows(const NtRowsVariant& v, std::size_t m, std::size_t n,
+                  std::size_t k, float alpha, const float* a, const float* w,
+                  float* c) {
+  const std::size_t n_blocks = (n + v.cols - 1) / v.cols;
   const std::size_t min_chunk =
-      std::max<std::size_t>(1, kRowMinMacs / (m * k * kRowBlockN));
+      std::max<std::size_t>(1, kRowMinMacs / (m * k * v.cols));
   // One writer per output column block: deterministic for any worker count.
   fuse::util::parallel_for(0, n_blocks, [&](std::size_t b0, std::size_t b1) {
-    for (std::size_t jb = b0; jb < b1; ++jb) {
-      const std::size_t j0 = jb * kRowBlockN;
-      const std::size_t nb = std::min(kRowBlockN, n - j0);
-      const float* wb = w + j0 * k;
-      for (std::size_t r = 0; r < m; ++r) {
-        const float* ar = a + r * k;
-        float acc[kRowBlockN] = {};
-        if (nb == kRowBlockN) {
-          for (std::size_t kk = 0; kk < k; ++kk) {
-            const float av = ar[kk];
-            for (std::size_t jj = 0; jj < kRowBlockN; ++jj)
-              acc[jj] += av * wb[jj * k + kk];
-          }
-        } else {
-          for (std::size_t jj = 0; jj < nb; ++jj)
-            for (std::size_t kk = 0; kk < k; ++kk)
-              acc[jj] += ar[kk] * wb[jj * k + kk];
-        }
-        add_scaled(c + r * n + j0, acc, nb, alpha);
-      }
-    }
+    v.run(m, b0, b1, n, k, alpha, a, w, c);
   }, min_chunk);
 }
 
-}  // namespace
-
-void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
-          const Tensor& b, float beta, Tensor& c) {
+void gemm_on(fuse::util::Isa isa, Trans trans_a, Trans trans_b, float alpha,
+             const Tensor& a, const Tensor& b, float beta, Tensor& c) {
   if (a.ndim() != 2 || b.ndim() != 2 || c.ndim() != 2)
     throw std::invalid_argument("gemm: all operands must be 2-D");
 
@@ -182,7 +302,8 @@ void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
   // and run on one thread; the row kernel reads W in place instead and
   // splits the output columns across the pool.
   if (!ta && tb && m <= kSmallM) {
-    gemm_nt_rows(m, n, k, alpha, a.data(), b.data(), cp);
+    gemm_nt_rows(nt_rows_variant(isa), m, n, k, alpha, a.data(), b.data(),
+                 cp);
     return;
   }
 
@@ -214,6 +335,22 @@ void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
       }
     }
   });
+}
+
+}  // namespace
+
+void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
+          const Tensor& b, float beta, Tensor& c) {
+  gemm_on(fuse::util::dispatched_isa(), trans_a, trans_b, alpha, a, b, beta,
+          c);
+}
+
+void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
+          const Tensor& b, float beta, Tensor& c, fuse::util::Isa isa) {
+  if (!fuse::util::host_supports(isa))
+    throw std::invalid_argument(std::string("gemm: this host cannot run ") +
+                                fuse::util::isa_name(isa));
+  gemm_on(isa, trans_a, trans_b, alpha, a, b, beta, c);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, Trans trans_a, Trans trans_b) {

@@ -11,6 +11,7 @@
 #include <cstddef>
 
 #include "tensor/tensor.h"
+#include "util/isa.h"
 
 namespace fuse::tensor {
 
@@ -19,8 +20,20 @@ enum class Trans { kNo, kYes };
 /// C = alpha * op(A) * op(B) + beta * C
 /// op(A) is [M, K], op(B) is [K, N], C is [M, N] (all row-major, 2-D).
 /// Shapes are validated; throws std::invalid_argument on mismatch.
+///
+/// x · Wᵀ with M <= 3 rows (trans_a = kNo, trans_b = kYes: the batch-1 FC
+/// layers) runs a row kernel that streams W in place, one variant per
+/// util::Isa level; this overload runs util::dispatched_isa()'s.  Every variant, every M and the blocked path
+/// give the same bits: each output is the zero-started, sequential-k,
+/// multiply-then-add sum, then one `c += alpha * sum`.
 void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
           const Tensor& b, float beta, Tensor& c);
+
+/// gemm() with the row kernel of an explicit variant (any of
+/// util::host_isas(); throws std::invalid_argument for another) — the
+/// tests and benches compare variants through it.
+void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
+          const Tensor& b, float beta, Tensor& c, fuse::util::Isa isa);
 
 /// Convenience: returns op(A) * op(B).
 Tensor matmul(const Tensor& a, const Tensor& b, Trans trans_a = Trans::kNo,

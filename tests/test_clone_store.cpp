@@ -370,6 +370,107 @@ TEST(CloneStore, RecycleAndCloseDropCheckpoints) {
   fs::remove_all(dir);
 }
 
+// Scheduler-side work queued from outside a pass must not wait for the
+// next frame: one pass with nothing queued on any session still deletes a
+// closed session's checkpoint...
+TEST(CloneStore, IdlePassDeletesClosedSessionsCheckpoint) {
+  auto& pl = world();
+  const std::string dir = fresh_dir("fuse_clone_idle_close");
+  ServeConfig cfg = adapting_cfg();
+  cfg.clone_store.dir = dir;
+  cfg.clone_store.max_resident_clones = 1;
+  Server server(&pl.predictor(), &pl.model(), cfg);
+
+  const auto a = server.open_session();
+  const auto b = server.open_session();
+  const auto stream_a = labeled_frames(0, 16);
+  const auto stream_b = labeled_frames(1, 16);
+  for (std::size_t i = 0; i < 16; ++i) {
+    server.submit_frame(a, stream_a[i].cloud, &stream_a[i].label);
+    server.submit_frame(b, stream_b[i].cloud, &stream_b[i].label);
+    server.drain();
+  }
+  const auto path = [&](fuse::serve::SessionId id) {
+    return dir + "/clone_" + std::to_string(id) + ".delta";
+  };
+  // With a one-clone budget one of the two is checkpointed on disk.
+  const auto closed = fs::exists(path(a)) ? a : b;
+  ASSERT_TRUE(fs::exists(path(closed)));
+
+  server.close_session(closed);
+  EXPECT_EQ(server.run_once(), 0u);  // nothing queued anywhere
+  EXPECT_FALSE(fs::exists(path(closed)));
+  EXPECT_EQ(server.stats().clone_store.tracked, 1u);
+  fs::remove_all(dir);
+}
+
+// ...and consumes a recycle of an idle session, so a persist right after
+// it leaves the previous subject's clone out of the manifest.
+TEST(CloneStore, IdlePassConsumesRecycleBeforePersist) {
+  auto& pl = world();
+  const std::string dir = fresh_dir("fuse_clone_idle_recycle");
+  ServeConfig cfg = adapting_cfg();
+  cfg.clone_store.dir = dir;
+  std::vector<fuse::serve::SessionId> ids;
+  {
+    Server server(&pl.predictor(), &pl.model(), cfg);
+    ids = {server.open_session(), server.open_session()};
+    const auto stream_a = labeled_frames(0, 12);
+    const auto stream_b = labeled_frames(1, 12);
+    for (std::size_t i = 0; i < 12; ++i) {
+      server.submit_frame(ids[0], stream_a[i].cloud, &stream_a[i].label);
+      server.submit_frame(ids[1], stream_b[i].cloud, &stream_b[i].label);
+      server.drain();
+    }
+    ASSERT_EQ(server.stats().clone_store.tracked, 2u);
+
+    server.recycle_session(ids[0]);    // idle: no frame queued
+    EXPECT_EQ(server.run_once(), 0u);  // nothing queued anywhere
+    EXPECT_EQ(server.stats().clone_store.tracked, 1u);
+    server.persist_clones();
+  }
+  Server restarted(&pl.predictor(), &pl.model(), cfg);
+  EXPECT_EQ(restarted.restore_clones(cfg.session),
+            std::vector<fuse::serve::SessionId>{ids[1]});
+  fs::remove_all(dir);
+}
+
+// A pass that fills its batch stops popping sessions, so it can leave a
+// recycle unconsumed; the next pass, idle or not, must still consume it.
+TEST(CloneStore, RecycleBehindAFullBatchIsConsumedByTheNextPass) {
+  auto& pl = world();
+  const std::string dir = fresh_dir("fuse_clone_full_batch_recycle");
+  ServeConfig cfg = adapting_cfg();
+  cfg.max_batch = 1;
+  cfg.clone_store.dir = dir;
+  std::vector<fuse::serve::SessionId> ids;
+  {
+    Server server(&pl.predictor(), &pl.model(), cfg);
+    ids = {server.open_session(), server.open_session()};
+    const auto stream_a = labeled_frames(0, 12);
+    const auto stream_b = labeled_frames(1, 12);
+    for (std::size_t i = 0; i < 12; ++i) {
+      server.submit_frame(ids[0], stream_a[i].cloud, &stream_a[i].label);
+      server.submit_frame(ids[1], stream_b[i].cloud, &stream_b[i].label);
+      server.drain();
+    }
+    ASSERT_EQ(server.stats().clone_store.tracked, 2u);
+
+    // The first session's frame fills the one-frame batch before the
+    // pass reaches the recycled second session.
+    server.submit_frame(ids[0], stream_a[0].cloud);
+    server.recycle_session(ids[1]);
+    EXPECT_EQ(server.run_once(), 1u);
+    EXPECT_EQ(server.run_once(), 0u);  // nothing queued anywhere
+    EXPECT_EQ(server.stats().clone_store.tracked, 1u);
+    server.persist_clones();
+  }
+  Server restarted(&pl.predictor(), &pl.model(), cfg);
+  EXPECT_EQ(restarted.restore_clones(cfg.session),
+            std::vector<fuse::serve::SessionId>{ids[0]});
+  fs::remove_all(dir);
+}
+
 TEST(CloneStore, ThreadedStressEvictsAndRehydratesSafely) {
   auto& pl = world();
   const std::string dir = fresh_dir("fuse_clone_stress");

@@ -15,6 +15,7 @@
 #include "dsp/fft.h"
 #include "dsp/plan.h"
 #include "dsp/window.h"
+#include "util/isa.h"
 #include "util/rng.h"
 
 namespace {
@@ -486,6 +487,11 @@ TEST(FftPlanLanes, VariantsAreListedNarrowestFirst) {
   for (std::size_t i = 1; i < variants.size(); ++i)
     EXPECT_GT(variants[i]->lanes, variants[i - 1]->lanes);
   EXPECT_EQ(&fuse::dsp::dispatched_lane_variant(), variants.back());
+  // One variant per host ISA level, from the shared dispatcher.
+  const auto isas = fuse::util::host_isas();
+  ASSERT_EQ(variants.size(), isas.size());
+  for (std::size_t i = 0; i < isas.size(); ++i)
+    EXPECT_STREQ(variants[i]->name, fuse::util::isa_name(isas[i]));
 }
 
 TEST(FftPlanLanes, LoadAndStoreBoundsThrow) {

@@ -1210,6 +1210,33 @@ TEST(Shard, OverloadEngagesPerShardNotFleetWide) {
   server.drain();
 }
 
+TEST(Shard, EscalatedShardStepsDownThroughIdlePasses) {
+  // The detector is fed every pass, idle ones included: once the backlog
+  // is served, passes with nothing to do are what walk the ladder back
+  // down to full fidelity.
+  auto& pl = world();
+  ServeConfig cfg;
+  cfg.max_batch = 4;
+  cfg.session.queue_capacity = 64;
+  cfg.overload.enabled = true;
+  cfg.overload.queue_high_water = 8;
+  cfg.overload.engage_passes = 1;
+  cfg.overload.release_passes = 8;
+  Server server(&pl.predictor(), &pl.model(), cfg);
+  const auto id = server.open_session();
+  for (const auto& f : sequence_frames(0, 32))
+    ASSERT_TRUE(accepted(server.submit_frame(id, f)));
+  server.drain();  // serves the backlog; too few clear passes to release
+  ASSERT_GT(server.stats().overload_level, 0);
+
+  // Full recovery from the top rung (kShedDeadline, three above normal).
+  const std::size_t full_release =
+      cfg.overload.release_passes + 2 * cfg.overload.release_step_passes;
+  for (std::size_t i = 0; i < full_release; ++i)
+    EXPECT_EQ(server.run_once(), 0u);  // nothing queued
+  EXPECT_EQ(server.stats().overload_level, 0);
+}
+
 TEST(Shard, AdmissionBudgetIsGlobalAcrossShards) {
   // The other half of the contract: admission is GLOBAL, so the in-flight
   // budget bounds total server memory no matter how a burst hashes.

@@ -12,6 +12,7 @@
 #include "tensor/init.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "util/isa.h"
 #include "util/rng.h"
 
 namespace {
@@ -210,23 +211,60 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{1, 512, 57, false, true, 1.0f, 0.0f},
         GemmCase{3, 7, 13, false, true, 0.5f, 2.0f}));
 
-// Each row of an NT product must be bit-identical to the M = 1 product of
-// that row alone, on either side of the small-M crossover: batched serving
-// and the batch-1 reference both rely on outputs not depending on batch
-// size.
+// Every row of an NT product (x · Wᵀ: the FC layers) must be bit-identical
+// to the same row computed by the blocked path inside a 17-row batch, under
+// every host variant of the row kernel and on both sides of the small-M
+// crossover (3/4): batched serving and the batch-1 reference both rely on
+// outputs not depending on batch size or ISA.  The shapes cover full tiles (k = 2048, n = 512), column tails
+// (n = 57, 520), n below one tile (n = 7), k tails (k = 2047, 20) and k
+// below one tile (k = 7); alpha != 1 and beta != 0 exercise the scaled fold
+// into C.
 TEST(Gemm, NtRowsAreBatchInvariantBitExactly) {
-  const std::size_t k = 2048, n = 512;
+  constexpr std::size_t kBig = 17;
+  constexpr float alpha = 0.75f, beta = 0.5f;
   fuse::util::Rng rng(29);
-  const Tensor w = random_tensor({n, k}, rng);
-  for (const std::size_t m : {1, 2, 3, 4, 5, 6, 16, 17}) {
-    const Tensor x = random_tensor({m, k}, rng);
-    const Tensor y = fuse::tensor::matmul(x, w, Trans::kNo, Trans::kYes);
-    for (std::size_t r = 0; r < m; ++r) {
-      Tensor xr({1, k});
-      std::memcpy(xr.data(), x.data() + r * k, k * sizeof(float));
-      const Tensor yr = fuse::tensor::matmul(xr, w, Trans::kNo, Trans::kYes);
-      EXPECT_EQ(std::memcmp(yr.data(), y.data() + r * n, n * sizeof(float)), 0)
-          << "M = " << m << ", row " << r;
+  for (const std::size_t k : {2048, 2047, 20, 7}) {
+    for (const std::size_t n : {512, 57, 520, 7}) {
+      const Tensor w = random_tensor({n, k}, rng);
+      const Tensor x = random_tensor({kBig, k}, rng);
+      const Tensor c0 = random_tensor({kBig, n}, rng);
+      Tensor blocked = c0;
+      fuse::tensor::gemm(Trans::kNo, Trans::kYes, alpha, x, w, beta, blocked);
+      for (const fuse::util::Isa isa : fuse::util::host_isas()) {
+        for (const std::size_t m : {1, 2, 3, 4, 5, 16, 17}) {
+          // Rows [r0, r0 + m) of the batch, C pre-filled for beta.
+          const std::size_t r0 = kBig - m;
+          Tensor xs({m, k}), c({m, n});
+          std::memcpy(xs.data(), x.data() + r0 * k, m * k * sizeof(float));
+          std::memcpy(c.data(), c0.data() + r0 * n, m * n * sizeof(float));
+          fuse::tensor::gemm(Trans::kNo, Trans::kYes, alpha, xs, w, beta, c,
+                             isa);
+          EXPECT_EQ(std::memcmp(c.data(), blocked.data() + r0 * n,
+                                m * n * sizeof(float)),
+                    0)
+              << fuse::util::isa_name(isa) << " k = " << k << ", n = " << n
+              << ", M = " << m;
+        }
+      }
+    }
+  }
+}
+
+// The explicit-variant entry point runs exactly the host's levels.
+TEST(Gemm, ExplicitVariantMustRunOnThisHost) {
+  const Tensor x({1, 4});
+  const Tensor w({2, 4});
+  for (const fuse::util::Isa isa :
+       {fuse::util::Isa::kGeneric, fuse::util::Isa::kAvx2,
+        fuse::util::Isa::kAvx512f}) {
+    Tensor y({1, 2});
+    if (fuse::util::host_supports(isa)) {
+      EXPECT_NO_THROW(fuse::tensor::gemm(Trans::kNo, Trans::kYes, 1.0f, x, w,
+                                         0.0f, y, isa));
+    } else {
+      EXPECT_THROW(fuse::tensor::gemm(Trans::kNo, Trans::kYes, 1.0f, x, w,
+                                      0.0f, y, isa),
+                   std::invalid_argument);
     }
   }
 }

@@ -11,6 +11,7 @@
 
 #include "util/cli.h"
 #include "util/geometry.h"
+#include "util/isa.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -466,6 +467,19 @@ TEST(Geometry, Clampf) {
   EXPECT_EQ(fuse::util::clampf(5.0f, 0.0f, 1.0f), 1.0f);
   EXPECT_EQ(fuse::util::clampf(-5.0f, 0.0f, 1.0f), 0.0f);
   EXPECT_EQ(fuse::util::clampf(0.5f, 0.0f, 1.0f), 0.5f);
+}
+
+// ------------------------------------------------------------------ isa --
+
+TEST(Isa, HostLevelsNarrowestFirstAndDispatchedIsTheWidest) {
+  const auto isas = fuse::util::host_isas();
+  ASSERT_FALSE(isas.empty());
+  EXPECT_EQ(isas.front(), fuse::util::Isa::kGeneric);  // always present
+  for (std::size_t i = 1; i < isas.size(); ++i)
+    EXPECT_GT(static_cast<int>(isas[i]), static_cast<int>(isas[i - 1]));
+  EXPECT_EQ(fuse::util::dispatched_isa(), isas.back());
+  for (const fuse::util::Isa isa : isas)
+    EXPECT_TRUE(fuse::util::host_supports(isa));
 }
 
 }  // namespace
