@@ -23,7 +23,6 @@
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/optim.h"
-#include "nn/quant.h"
 #include "nn/registry.h"
 #include "radar/fast_model.h"
 #include "radar/processing.h"
@@ -189,12 +188,10 @@ BENCHMARK(BM_FeaturizeFusedSample)->Unit(benchmark::kMicrosecond);
 
 // ------------------------------------------------------------------- NN --
 
-// Conv forward, naive reference loops vs the im2col+GEMM backend vs the
-// calibrated int8 backend.  This is the serving hot path; the GEMM
-// backend's batch-wide weight reuse and register tiling must show up from
-// batch 8 on (see ISSUE 2 acceptance: >= 1.5x at batch >= 8), and the int8
-// backend must beat GEMM where weight traffic dominates (small batches,
-// see ISSUE 4).  Conv shape = the model's second (wider) layer.
+// Conv forward, naive reference loops vs the im2col+GEMM backend.  This is
+// the serving hot path; the GEMM backend's batch-wide weight reuse and
+// register tiling must show up from batch 8 on.  Conv shape = the model's
+// second (wider) layer.
 void BM_ConvForward(benchmark::State& state,
                     fuse::nn::Backend backend) {
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
@@ -202,8 +199,6 @@ void BM_ConvForward(benchmark::State& state,
   fuse::nn::Conv2d conv(16, 32, 3, 1, rng);
   fuse::tensor::Tensor x({batch, 16, 8, 8});
   for (std::size_t i = 0; i < x.numel(); ++i) x[i] = rng.uniformf(-1, 1);
-  if (backend == fuse::nn::Backend::kInt8)
-    (void)fuse::nn::calibrate(conv, x);
   for (auto _ : state) {
     auto y = conv.infer(x, backend);
     benchmark::DoNotOptimize(y.data());
@@ -215,8 +210,6 @@ BENCHMARK_CAPTURE(BM_ConvForward, naive, fuse::nn::Backend::kNaive)
     ->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_ConvForward, gemm, fuse::nn::Backend::kGemm)
     ->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_ConvForward, int8, fuse::nn::Backend::kInt8)
-    ->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
 
 void BM_CnnInference(benchmark::State& state, fuse::nn::Backend backend) {
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
@@ -224,8 +217,6 @@ void BM_CnnInference(benchmark::State& state, fuse::nn::Backend backend) {
   const auto model = fuse::nn::build_model("mars_cnn", {.seed = 10});
   fuse::tensor::Tensor x({batch, 5, 8, 8});
   for (std::size_t i = 0; i < x.numel(); ++i) x[i] = rng.uniformf(-1, 1);
-  if (backend == fuse::nn::Backend::kInt8)
-    (void)fuse::nn::calibrate(*model, x);
   for (auto _ : state) {
     auto y = model->infer(x, backend);
     benchmark::DoNotOptimize(y.data());
@@ -236,8 +227,6 @@ void BM_CnnInference(benchmark::State& state, fuse::nn::Backend backend) {
 BENCHMARK_CAPTURE(BM_CnnInference, naive, fuse::nn::Backend::kNaive)
     ->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_CnnInference, gemm, fuse::nn::Backend::kGemm)
-    ->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_CnnInference, int8, fuse::nn::Backend::kInt8)
     ->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
 
 void BM_CnnTrainStep(benchmark::State& state) {
@@ -261,7 +250,8 @@ void BM_CnnTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_CnnTrainStep)->Unit(benchmark::kMillisecond);
 
-void BM_Gemm512(benchmark::State& state) {
+// 512^3 NN through the kernel variant of `isa`.
+void gemm_512(benchmark::State& state, fuse::util::Isa isa) {
   fuse::util::Rng rng(12);
   fuse::tensor::Tensor a({512, 512}), b({512, 512}), c({512, 512});
   for (std::size_t i = 0; i < a.numel(); ++i) {
@@ -270,19 +260,26 @@ void BM_Gemm512(benchmark::State& state) {
   }
   for (auto _ : state) {
     fuse::tensor::gemm(fuse::tensor::Trans::kNo, fuse::tensor::Trans::kNo,
-                       1.0f, a, b, 0.0f, c);
+                       1.0f, a, b, 0.0f, c, isa);
     benchmark::DoNotOptimize(c.data());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * 2.0 * 512 * 512 * 512 * 1e-9,
       benchmark::Counter::kIsRate);
+  state.SetLabel(fuse::util::isa_name(isa));
 }
-// Real time: the GEMM runs on the pool, so the calling thread's CPU time
-// would inflate a kIsRate counter.
+
+// BM_Gemm512 runs the dispatched variant (labelled); main() adds one
+// BM_Gemm512/<variant> row per host variant.  Real time: the GEMM runs on
+// the pool, so the calling thread's CPU time would inflate a kIsRate
+// counter.
+void BM_Gemm512(benchmark::State& state) {
+  gemm_512(state, fuse::util::dispatched_isa());
+}
 BENCHMARK(BM_Gemm512)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The fc1 shape, x [M, 2048] · Wᵀ with W [512, 2048] (M = 1 is the batch-1
-// serving path), through the NT row kernel of `isa`.
+// serving path), through the kernel variant of `isa`.
 void gemm_nt_fc1(benchmark::State& state, fuse::util::Isa isa) {
   constexpr std::size_t k = 2048, n = 512;
   const auto m = static_cast<std::size_t>(state.range(0));
@@ -365,13 +362,18 @@ BENCHMARK(BM_StreamingPoseEstimate)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (const fuse::util::Isa isa : fuse::util::host_isas())
-    benchmark::RegisterBenchmark(
-        (std::string("BM_GemmNt/") + fuse::util::isa_name(isa)).c_str(),
-        gemm_nt_fc1, isa)
+  for (const fuse::util::Isa isa : fuse::util::host_isas()) {
+    const std::string name = fuse::util::isa_name(isa);
+    benchmark::RegisterBenchmark(("BM_GemmNt/" + name).c_str(), gemm_nt_fc1,
+                                 isa)
         ->Arg(1)
         ->Unit(benchmark::kMicrosecond)
         ->UseRealTime();
+    benchmark::RegisterBenchmark(("BM_Gemm512/" + name).c_str(), gemm_512,
+                                 isa)
+        ->Unit(benchmark::kMillisecond)
+        ->UseRealTime();
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

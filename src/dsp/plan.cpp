@@ -44,6 +44,7 @@ using Tables = LaneKernels::Tables;
 // float operations.
 
 using fuse::util::simd::kLanes;
+using fuse::util::simd::load_tile;
 using fuse::util::simd::transpose;
 using fuse::util::simd::vload;
 using fuse::util::simd::vstore;
@@ -90,8 +91,7 @@ template <typename V>
     // imaginary parts.
     for (; s + L / 2 <= count; s += L / 2) {
       V m[L];
-      for (std::size_t l = 0; l < L; ++l)
-        vload(m[l], src + l * row_stride + s);
+      load_tile(m, src + s, row_stride);
       transpose(m);
       for (std::size_t j = 0; j < L / 2; ++j) {
         V xr = m[2 * j], xi = m[2 * j + 1];
@@ -216,10 +216,8 @@ template <typename V>
     // one vector store.
     for (; k + L <= t.n; k += L) {
       V mr[L], mi[L];
-      for (std::size_t i = 0; i < L; ++i) {
-        vload(mr[i], re + (k + i) * L);
-        vload(mi[i], im + (k + i) * L);
-      }
+      load_tile(mr, re + k * L, L);
+      load_tile(mi, im + k * L, L);
       transpose(mr);
       transpose(mi);
       for (std::size_t l = 0; l < L; ++l) {
@@ -248,10 +246,8 @@ template <typename V>
     for (std::size_t k = 0; k < n; k += L) {
       const std::size_t d = (k + n - shift) % n;
       V mr[L], mi[L];
-      for (std::size_t i = 0; i < L; ++i) {
-        vload(mr[i], re + (k + i) * L);
-        vload(mi[i], im + (k + i) * L);
-      }
+      load_tile(mr, re + k * L, L);
+      load_tile(mi, im + k * L, L);
       transpose(mr);
       transpose(mi);
       for (std::size_t l = 0; l < L; ++l) {

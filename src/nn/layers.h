@@ -28,13 +28,11 @@ namespace fuse::nn {
 
 using fuse::tensor::Tensor;
 
-struct QuantState;  // nn/quant.h — int8 inference state for a layer
-
 /// 2-D convolution, square kernel, stride 1, symmetric zero padding.
 ///
 /// Both the training pass and the inference hot path dispatch on Backend:
 /// kNaive runs the reference per-sample loops, kGemm lowers the whole
-/// batch to one im2col column matrix and a register-tiled GEMM — the
+/// batch to one im2col column matrix and the register-tiled GEMM — the
 /// weight panel is then read once per batch instead of once per sample,
 /// which is where the batched speedup comes from.  forward() uses
 /// train_backend() (default kGemm) and caches exactly ONE column
@@ -79,16 +77,6 @@ class Conv2d : public Module {
   Tensor& weight() { return w_; }
   Tensor& bias() { return b_; }
 
-  /// Int8 inference state (nn::calibrate attaches it; nullptr = layer
-  /// serves kInt8 through the fp32 kGemm fallback).  Derived state like
-  /// the forward caches: copies and clones drop it, so an adapted clone
-  /// whose weights drift from the calibrated checkpoint cannot serve
-  /// stale int8 outputs.
-  void set_quant_state(std::shared_ptr<const QuantState> s) {
-    quant_ = std::move(s);
-  }
-  const QuantState* quant_state() const { return quant_.get(); }
-
  protected:
   Tensor do_infer(const Tensor& x, Backend backend) const override;
 
@@ -113,7 +101,6 @@ class Conv2d : public Module {
   Tensor col_;  ///< im2col of the last input (naive path only)
   fuse::tensor::Workspace ws_;
   std::size_t n_ = 0, h_ = 0, w_in_ = 0;
-  std::shared_ptr<const QuantState> quant_;  ///< not copied (see setter)
 };
 
 /// Fully connected layer y = x W^T + b.
@@ -121,14 +108,6 @@ class Linear : public Module {
  public:
   Linear(std::size_t in_features, std::size_t out_features,
          fuse::util::Rng& rng);
-
-  // Copies carry parameters, gradients and the forward cache but drop the
-  // int8 state, like Conv2d (an adapted clone must not serve a stale
-  // quantization of its pre-adaptation weights).
-  Linear(const Linear& other);
-  Linear& operator=(const Linear& other);
-  Linear(Linear&&) = default;
-  Linear& operator=(Linear&&) = default;
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& dy) override;
@@ -146,12 +125,6 @@ class Linear : public Module {
   Tensor& weight() { return w_; }
   Tensor& bias() { return b_; }
 
-  /// Int8 inference state; same contract as Conv2d::set_quant_state.
-  void set_quant_state(std::shared_ptr<const QuantState> s) {
-    quant_ = std::move(s);
-  }
-  const QuantState* quant_state() const { return quant_.get(); }
-
  protected:
   Tensor do_infer(const Tensor& x, Backend backend) const override;
 
@@ -161,7 +134,6 @@ class Linear : public Module {
   Tensor b_;  ///< [out_features]
   Tensor gw_, gb_;
   Tensor x_;  ///< forward cache
-  std::shared_ptr<const QuantState> quant_;  ///< not copied (see setter)
 };
 
 /// Elementwise rectifier.

@@ -36,8 +36,6 @@ const char* backend_name(Backend b) {
   switch (b) {
     case Backend::kGemm:
       return "gemm";
-    case Backend::kInt8:
-      return "int8";
     case Backend::kNaive:
       break;
   }
@@ -47,9 +45,8 @@ const char* backend_name(Backend b) {
 Backend backend_from_name(const std::string& name) {
   if (name == "naive") return Backend::kNaive;
   if (name == "gemm") return Backend::kGemm;
-  if (name == "int8") return Backend::kInt8;
   throw std::invalid_argument("unknown backend '" + name +
-                              "' (expected naive | gemm | int8)");
+                              "' (expected naive | gemm)");
 }
 
 std::vector<const Tensor*> Module::params() const {

@@ -47,20 +47,14 @@ using fuse::tensor::Tensor;
 enum class Backend {
   /// The reference per-sample loops.
   kNaive,
-  /// im2col + register-tiled blocked GEMM for the convolution hot path;
-  /// outputs agree with kNaive to float rounding (~1e-6 relative).
+  /// im2col + the register-tiled GEMM (tensor/ops.h) for the convolution
+  /// hot path; outputs agree with kNaive to float rounding (~1e-6
+  /// relative).
   kGemm,
-  /// Per-channel symmetric int8 weights × affine int8 activations with an
-  /// int32-accumulating GEMM (inference only; see nn/quant.h).  Requires a
-  /// calibration pass (nn::calibrate); layers without int8 state fall back
-  /// to kGemm, so partially quantized models and fresh fp32 clones serve
-  /// correctly.  Error vs fp32 is bounded by the calibration contract
-  /// (DESIGN.md §5); training backends never take this value.
-  kInt8,
 };
 
 const char* backend_name(Backend b);
-/// Inverse of backend_name ("naive" | "gemm" | "int8"); throws
+/// Inverse of backend_name ("naive" | "gemm"); throws
 /// std::invalid_argument for anything else (bench/CLI parsing).
 Backend backend_from_name(const std::string& name);
 

@@ -6,7 +6,6 @@ const char* overload_level_name(OverloadLevel l) {
   switch (l) {
     case OverloadLevel::kNormal: return "normal";
     case OverloadLevel::kPauseAdapt: return "pause_adapt";
-    case OverloadLevel::kDegradeBackend: return "degrade_backend";
     case OverloadLevel::kShedDeadline: return "shed_deadline";
   }
   return "?";

@@ -6,18 +6,18 @@
 // throughput, and the ladder climbs one rung at a time so a transient
 // burst never triggers the harsher rungs.
 //
-//   level 0  kNormal        full fidelity: fp32/default backends, online
-//                           adaptation runs
+//   level 0  kNormal        full fidelity: online adaptation runs
 //   level 1  kPauseAdapt    online-adaptation rounds are paused (the SGD
 //                           rounds are the most expensive optional work in
 //                           a tick)
-//   level 2  kDegradeBackend shared-model micro-batches downgrade to the
-//                           int8 backend (PR 4's error budget applies);
-//                           adapted clones keep fp32
-//   level 3  kShedDeadline  queued frames older than shed_deadline_s are
+//   level 2  kShedDeadline  queued frames older than shed_deadline_s are
 //                           dropped at collection time, before the DSP /
 //                           featurize / infer stages spend anything on
 //                           them
+//
+// There is no cheaper-kernel rung: every frame runs the one fp32 GEMM
+// (tensor/ops.h), which at batch 1 and 8 is faster than the int8 backend
+// this ladder used to downgrade to (DESIGN.md §5).
 //
 // Detection is hysteresis-based on two signals fed once per scheduler
 // pass: the total queued-frame depth across sessions, and an EWMA of the
@@ -41,10 +41,9 @@ namespace fuse::serve {
 enum class OverloadLevel : int {
   kNormal = 0,
   kPauseAdapt = 1,
-  kDegradeBackend = 2,
-  kShedDeadline = 3,
+  kShedDeadline = 2,
 };
-inline constexpr int kNumOverloadLevels = 4;
+inline constexpr int kNumOverloadLevels = 3;
 
 const char* overload_level_name(OverloadLevel l);
 
@@ -68,7 +67,7 @@ struct OverloadConfig {
   /// Signals clear pressure only below threshold * release_fraction (the
   /// hysteresis band; in between, the ladder holds its level).
   double release_fraction = 0.5;
-  /// Rung-3 deadline applied to queued frames at collection time.
+  /// Rung-2 deadline applied to queued frames at collection time.
   double shed_deadline_s = 0.05;
 };
 

@@ -101,7 +101,7 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
       if (fuse::util::fault_fire(fuse::util::FaultPoint::kLatencySpike))
         std::this_thread::sleep_for(std::chrono::duration<double>(
             fuse::util::fault_spike_seconds()));
-      // Rung 3 — deadline shedding: a frame that went stale in the queue
+      // Rung 2 — deadline shedding: a frame that went stale in the queue
       // is dropped HERE, before the DSP/featurize/infer stages spend
       // anything on it.  Freshness wins over completeness under overload
       // (same rationale as DropPolicy::kDropOldest, applied server-side).
@@ -195,17 +195,12 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
   }
   if (collected.empty()) return pass;
 
-  // Partition: frames batch together when they run the same model on the
-  // same effective backend.  Shared-model frames batch across sessions,
-  // one batch per backend, so an int8 fleet and fp32 stragglers can
-  // coexist in a single tick without cross-contaminating outputs.  A
-  // session with an adapted clone predicts with its own parameters, so its
-  // frames form a private batch; the clone carries no int8 state (clones
-  // drop it), so a kInt8 effective backend falls back to fp32 kGemm inside
-  // the layers.
+  // Partition: frames batch together when they run the same model.
+  // Shared-model frames batch across sessions; a session with an adapted
+  // clone predicts with its own parameters, so its frames form a private
+  // batch.
   struct Group {
     const fuse::nn::Module* model;
-    fuse::nn::Backend backend;
     std::vector<Item> items;
     std::vector<std::vector<float>> blocks;
   };
@@ -214,12 +209,10 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
     const Session& s = *c.item.session;
     const fuse::nn::Module* model =
         s.adapted_model() != nullptr ? s.adapted_model() : shared_model_;
-    const fuse::nn::Backend be = effective_backend(s);
-    auto g = std::find_if(groups.begin(), groups.end(), [&](const Group& x) {
-      return x.model == model && x.backend == be;
-    });
+    auto g = std::find_if(groups.begin(), groups.end(),
+                          [&](const Group& x) { return x.model == model; });
     if (g == groups.end())
-      g = groups.insert(groups.end(), Group{model, be, {}, {}});
+      g = groups.insert(groups.end(), Group{model, {}, {}});
     g->items.push_back(std::move(c.item));
     g->blocks.push_back(std::move(c.block));
   }
@@ -231,9 +224,9 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
       std::memcpy(x.data() + i * kBlockFloats, g.blocks[i].data(),
                   kBlockFloats * sizeof(float));
     const double t_infer = detail ? mono_seconds() : 0.0;
-    const auto poses = predictor_->predict(*g.model, x, g.backend);
+    const auto poses = predictor_->predict(*g.model, x, backend_);
     const double now = mono_seconds();
-    if (detail) rec.telem.record_batch(g.backend, items.size(), now - t_infer);
+    if (detail) rec.telem.record_batch(backend_, items.size(), now - t_infer);
     for (std::size_t i = 0; i < items.size(); ++i) {
       Session& s = *items[i].session;
       // A frame popped just before its session was recycled must not

@@ -88,23 +88,13 @@ class Scheduler {
   void set_detailed_stats(bool on) { detailed_stats_ = on; }
   bool detailed_stats() const { return detailed_stats_; }
 
-  /// The backend a session's batched forwards run on: its config override
-  /// when set, else the scheduler-wide default — EXCEPT at degradation
-  /// rung 2+, where everything downgrades to int8 (adapted clones carry no
-  /// int8 state, so theirs falls back to kGemm per layer — unchanged).
-  fuse::nn::Backend effective_backend(const Session& s) const {
-    if (level_ >= OverloadLevel::kDegradeBackend)
-      return fuse::nn::Backend::kInt8;
-    return s.config().backend.value_or(backend_);
-  }
-
   /// Sets the degradation-ladder rung the next pass runs at (overload.h).
   /// Called by the owning Shard from its scheduling thread right after
   /// feeding its detector, so it needs no synchronization.
   void set_overload_level(OverloadLevel l) { level_ = l; }
   OverloadLevel overload_level() const { return level_; }
 
-  /// Rung-3 shed deadline: at kShedDeadline, queued frames older than this
+  /// Rung-2 shed deadline: at kShedDeadline, queued frames older than this
   /// are dropped at collection time (before DSP/featurize/infer).
   void set_shed_deadline(double seconds) { shed_deadline_s_ = seconds; }
 

@@ -467,7 +467,7 @@ ServeStats derive_stats(const std::vector<ShardRawStats>& raws,
                                 static_cast<double>(offered)
                           : 0.0;
   // Scheduler-side deadline sheds over the same denominator (gated
-  // separately from drop_rate: sheds only exist at degradation rung 3).
+  // separately from drop_rate: sheds only exist at degradation rung 2).
   out.shed_rate = offered ? static_cast<double>(out.deadline_shed) /
                                 static_cast<double>(offered)
                           : 0.0;

@@ -36,7 +36,7 @@
 //    memory against a hostile burst no matter how it hashes;
 //  * overload detection is PER-SHARD — each shard's detector reads its
 //    own queue-depth gauge, so a hot shard engages its degradation
-//    ladder (pause-adapt -> int8 -> shed) even while its neighbours sit
+//    ladder (pause-adapt -> shed) even while its neighbours sit
 //    idle, and an idle fleet can never mask one overloaded shard.  The
 //    merged stats() reports the max rung across shards.
 //
@@ -114,12 +114,9 @@ struct ServeConfig {
   /// store and overload detector.  1 (default) reproduces the pre-shard
   /// single-thread engine bit-for-bit.
   std::size_t num_shards = 1;
-  /// Inference compute backend for batched forward passes.  The GEMM
-  /// backend amortises the conv weight panel across the whole batch;
-  /// kInt8 additionally serves calibrated models (nn::calibrate on the
-  /// shared model first) with quarter-bandwidth int8 weights —
-  /// uncalibrated models fall back to kGemm per layer.  Individual
-  /// sessions may override this via SessionConfig::backend.
+  /// Inference compute backend for every batched forward pass.  The GEMM
+  /// backend amortises each weight panel across the whole batch; kNaive
+  /// runs the reference loops.
   fuse::nn::Backend backend = fuse::nn::Backend::kGemm;
   /// Radar DSP front-end for raw-cube ingestion (submit_cube): when set,
   /// each shard runs cube -> point cloud -> features -> NN per tick
@@ -150,8 +147,8 @@ struct ServeConfig {
   /// overshoot by at most the number of producer threads.  0 = unlimited.
   std::size_t max_in_flight = 0;
   /// Overload detector feeding the graceful-degradation ladder
-  /// (serve/overload.h): pause adaptation -> downgrade to int8 -> shed by
-  /// deadline, with hysteresis.  One detector per shard, fed by that
+  /// (serve/overload.h): pause adaptation -> shed by deadline, with
+  /// hysteresis.  One detector per shard, fed by that
   /// shard's own queue depth (see the contract at the top of this
   /// header).  Disabled by default.
   OverloadConfig overload;

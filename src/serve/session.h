@@ -57,14 +57,6 @@ struct SessionConfig {
   bool tracking = true;
   fuse::core::TrackerConfig tracker;
   AdaptConfig adapt;
-  /// Per-session inference backend override; nullopt serves with
-  /// ServeConfig::backend.  Lets read-only sessions serve the quantized
-  /// int8 model while adapting neighbours stay on fp32 in the same
-  /// scheduler tick — sessions with different effective backends form
-  /// separate micro-batches.  (An adapted clone is never quantized, so
-  /// kInt8 on such a session falls back to kGemm per layer; sgd_step
-  /// always runs the fp32 training backend.)
-  std::optional<fuse::nn::Backend> backend;
   /// Quarantine threshold: after this many rejected non-finite inputs
   /// (frames + labels) the session is served from the shared meta-init
   /// with adaptation disabled, so a sensor streaming garbage can never

@@ -151,7 +151,8 @@ struct StageSnapshot {
 };
 
 /// Read-time view of one inference backend's share of the batched forwards
-/// (the scheduler partitions micro-batches by effective backend).
+/// (every forward of a server runs ServeConfig::backend, so one row carries
+/// them all).
 struct BackendSnapshot {
   std::string backend;        ///< nn::backend_name
   std::uint64_t batches = 0;  ///< batched forward passes on this backend

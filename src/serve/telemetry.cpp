@@ -23,7 +23,6 @@ fuse::nn::Backend backend_from_index(std::size_t i) {
   switch (i) {
     case 0: return fuse::nn::Backend::kNaive;
     case 1: return fuse::nn::Backend::kGemm;
-    case 2: return fuse::nn::Backend::kInt8;
     default: throw std::out_of_range("backend_from_index");
   }
 }

@@ -68,9 +68,9 @@ class StageStats {
   std::array<LatencyHistogram, kNumStages> hist_{};
 };
 
-/// Backends the scheduler can partition micro-batches onto (nn::Backend is
-/// a closed enum: naive, gemm, int8).
-inline constexpr std::size_t kNumBackends = 3;
+/// Backends a server's batched forwards can run on (nn::Backend is a
+/// closed enum: naive, gemm).
+inline constexpr std::size_t kNumBackends = 2;
 
 inline std::size_t backend_index(fuse::nn::Backend b) {
   return static_cast<std::size_t>(b);

@@ -14,259 +14,265 @@ namespace fuse::tensor {
 
 namespace {
 
-// Cache-blocking parameters.  The micro-kernel accumulates a 4x16 tile of C
-// in registers; panels of A/B are walked in K-blocks that fit L1/L2.
-constexpr std::size_t kBlockM = 64;
-constexpr std::size_t kBlockN = 256;
-constexpr std::size_t kBlockK = 256;
+// One register-tiled GEMM microkernel (Goto & van de Geijn, "Anatomy of
+// High-Performance Matrix Multiplication", ACM TOMS 2008) runs every shape
+// and transpose.  C is cut into tiles of MR rows x NR = 2L columns (L =
+// lanes of the variant's vector); the kernel keeps a tile's MR x 2
+// accumulator vectors in registers and, for each k, adds broadcast(op(A)
+// [r][k]) * op(B)[k][tile] to them.  op(A) is read in place (a broadcast
+// needs no layout).  op(B) is read in place while op(A) fits one row tile
+// (an NT tile is then transposed in registers, so M = 1 never pays for a
+// pack); otherwise each task packs one K-block x NR panel of op(B) with the
+// same transposes and reuses it for every row tile of its row block.  A
+// ragged last column tile is always packed, zero-padded to NR.
+//
+// Bit-identity by construction: every accumulator starts at zero (or at
+// the row's bias for the conv forward), adds a * b in sequential k, one
+// rounded multiply and one rounded add (this file builds with
+// -ffp-contract=off), and carries across K-blocks through a scratch tile
+// in k order.  Lanes never mix, so each output is the scalar loop's sum
+// whatever the variant, tile, row count or worker count.
+constexpr std::size_t kBlockK = 256;      // K-block of a packed panel
+constexpr std::size_t kTilesPerBlock = 8;  // row tiles per task
+// Tasks below this many multiply-adds stay on the calling thread.
+constexpr std::size_t kMinTaskMacs = 1 << 16;
 
-struct MatView {
-  const float* p;
-  std::size_t rows, cols;   // logical (post-transpose) dims
-  std::size_t ld;           // leading dimension of the *storage*
-  bool trans;               // storage is [cols, rows] if true
+// One GEMM call, flattened to pointers and strides:
+//   op(A)[r][k] = a[r * a_rs + k * a_ks]
+//   op(B)[k][j] = tb ? b[j * ldb + k] : b[k * ldb + j]
+//   C[r][j]     = c[r * ldc + j]
+struct Job {
+  std::size_t m, n, k;
+  const float* a;
+  std::size_t a_rs, a_ks;
+  const float* b;
+  std::size_t ldb;
+  bool tb;
+  float* c;
+  std::size_t ldc;
+  float alpha, beta;
+  const float* bias;  // non-null: accumulators start at bias[r], C = sum
+  bool pack;          // op(B) panels are packed (more than one row tile)
+  std::size_t rows_per_task, col_tiles;
 };
 
-// Transposing copy: dst[i * ldd + j] = src[j * lds + i] for i < rows,
-// j < cols.  Walked in kTransposeTile-square tiles so each source row is read
-// contiguously; a plain column walk strides by lds on every load, which for
-// the FC weights (lds = 2048 floats) lands every load in the same L1 set.
-constexpr std::size_t kTransposeTile = 8;
-
-void transpose_into(const float* src, std::size_t lds, std::size_t rows,
-                    std::size_t cols, float* dst, std::size_t ldd) {
-  for (std::size_t j0 = 0; j0 < cols; j0 += kTransposeTile) {
-    const std::size_t j1 = std::min(cols, j0 + kTransposeTile);
-    for (std::size_t i0 = 0; i0 < rows; i0 += kTransposeTile) {
-      const std::size_t i1 = std::min(rows, i0 + kTransposeTile);
-      for (std::size_t j = j0; j < j1; ++j)
-        for (std::size_t i = i0; i < i1; ++i)
-          dst[i * ldd + j] = src[j * lds + i];
-    }
-  }
-}
-
-// Packs the [mb x kb] panel at (r0, c0) of op(A) or op(B) into contiguous
-// row-major storage.
-void pack_panel(const MatView& m, std::size_t r0, std::size_t c0,
-                std::size_t mb, std::size_t kb, float* dst) {
-  if (!m.trans) {
-    for (std::size_t r = 0; r < mb; ++r)
-      std::memcpy(dst + r * kb, m.p + (r0 + r) * m.ld + c0, kb * sizeof(float));
-  } else {
-    transpose_into(m.p + c0 * m.ld + r0, m.ld, mb, kb, dst, kb);
-  }
-}
-
-// dst[i] += alpha * acc[i] — the single rounding step that folds a finished
-// accumulator into C, shared by both GEMM paths so they round identically.
-void add_scaled(float* dst, const float* acc, std::size_t len, float alpha) {
-  if (alpha == 1.0f) {
-    for (std::size_t i = 0; i < len; ++i) dst[i] += acc[i];
-  } else {
-    for (std::size_t i = 0; i < len; ++i) dst[i] += alpha * acc[i];
-  }
-}
-
-// C[r, :] over a row-block: C (row-major, ldc) += Apanel * Bpanel.
-// Apanel: [mb, kb] packed row-major, Bpanel: [kb, nb] packed row-major.
-void micro_gemm(std::size_t mb, std::size_t nb, std::size_t kb,
-                const float* a, const float* b, float* c, std::size_t ldc) {
-  // 4-row unrolled kernel; the inner loop over n vectorizes (-O3).
-  std::size_t r = 0;
-  for (; r + 4 <= mb; r += 4) {
-    float* c0 = c + (r + 0) * ldc;
-    float* c1 = c + (r + 1) * ldc;
-    float* c2 = c + (r + 2) * ldc;
-    float* c3 = c + (r + 3) * ldc;
-    for (std::size_t k = 0; k < kb; ++k) {
-      const float a0 = a[(r + 0) * kb + k];
-      const float a1 = a[(r + 1) * kb + k];
-      const float a2 = a[(r + 2) * kb + k];
-      const float a3 = a[(r + 3) * kb + k];
-      const float* bk = b + k * nb;
-      for (std::size_t n = 0; n < nb; ++n) {
-        const float bv = bk[n];
-        c0[n] += a0 * bv;
-        c1[n] += a1 * bv;
-        c2[n] += a2 * bv;
-        c3[n] += a3 * bv;
-      }
-    }
-  }
-  for (; r < mb; ++r) {
-    float* cr = c + r * ldc;
-    for (std::size_t k = 0; k < kb; ++k) {
-      const float av = a[r * kb + k];
-      const float* bk = b + k * nb;
-      for (std::size_t n = 0; n < nb; ++n) cr[n] += av * bk[n];
-    }
-  }
-}
-
-// Small-M NT path: A [m, k] row-major times W [n, k] row-major, transposed
-// (x · Wᵀ, the batch-1 FC layers).  Each output column j is the dot
-// product of A's rows with W's contiguous row j, so W is streamed in place
-// instead of being transposed into a pack.  Every accumulator is the same
-// sequential-k, zero-started mul-then-add sum the blocked path forms, so
-// both paths, every batch size and every ISA variant produce bit-identical
-// outputs.
-//
-// kSmallM is where the scalar generic variant meets the blocked path on
-// the fc1 shape: it re-reads W for every row of A, while the blocked path
-// pays one pack per call (measured ties between M = 3 and 5, DESIGN.md §3).
-// The vector variants transpose each W tile once for all M rows and beat
-// the blocked path far beyond it, but the crossover stays shared: moving
-// it for them makes fp32 outrun the int8 backend at batch 8, a trade-off
-// for its own change.
-// kRowMinMacs keeps small layers (fc2) on the calling thread.
-constexpr std::size_t kSmallM = 3;
-constexpr std::size_t kScalarCols = 8;
-constexpr std::size_t kRowMinMacs = 1 << 16;
-
-// The generic variant, the oracle of the vector ones and their tail path:
-// output columns [j0, j1) of every row, kScalarCols columns at a time.
-void nt_rows_scalar(std::size_t m, std::size_t j0, std::size_t j1,
-                    std::size_t n, std::size_t k, float alpha, const float* a,
-                    const float* w, float* c) {
-  for (; j0 < j1; j0 += kScalarCols) {
-    const std::size_t nb = std::min(kScalarCols, j1 - j0);
-    const float* wb = w + j0 * k;
-    for (std::size_t r = 0; r < m; ++r) {
-      const float* ar = a + r * k;
-      float acc[kScalarCols] = {};
-      if (nb == kScalarCols) {
-        for (std::size_t kk = 0; kk < k; ++kk) {
-          const float av = ar[kk];
-          for (std::size_t jj = 0; jj < kScalarCols; ++jj)
-            acc[jj] += av * wb[jj * k + kk];
-        }
-      } else {
-        for (std::size_t jj = 0; jj < nb; ++jj)
-          for (std::size_t kk = 0; kk < k; ++kk)
-            acc[jj] += ar[kk] * wb[jj * k + kk];
-      }
-      add_scaled(c + r * n + j0, acc, nb, alpha);
-    }
-  }
-}
-
-// The tile kernel for one block of L = kLanes<V> output columns and M rows
-// of A.  Each step loads an L x L tile of W (L rows, L k-values), transposes
-// it in registers so vector kk holds W[j0..j0+L, k0+kk], and adds
-// broadcast(a[r][k0+kk]) * tile[kk] into row r's accumulator in
-// sequential kk: lane jj of that accumulator does exactly the scalar
-// acc[jj] += a[kk] * w[jj][kk] sequence.  The k % L tail continues the same
-// per-lane sums element by element.  (ops.cpp builds with
-// -ffp-contract=off: under target("avx512f") GCC could otherwise fuse the
-// multiply-add into an FMA and round differently from the oracle.)
-template <typename V, std::size_t M>
-[[gnu::always_inline]] inline void nt_tile_block(std::size_t n, std::size_t k,
-                                                 float alpha, const float* a,
-                                                 const float* wb, float* c) {
+// The microkernel: rows [0, Mr) of one tile over kc values of k.  `acc` is
+// the tile's scratch ([Mr][NR], row stride NR): loaded first, stored last.
+// Without kTransB, op(B) row k of the tile is the NR floats at b + k * ldb
+// (a packed panel or NN/TN in place).  With it, b points at W row j0 of an
+// NT operand: each L x L tile of W is loaded and transposed in registers so
+// vector q holds op(B)[k0 + q][tile], one L-column half at a time.
+template <typename V, std::size_t Mr, bool kTransB>
+[[gnu::always_inline]] inline void micro_tile(std::size_t kc, const float* a,
+                                              std::size_t a_rs,
+                                              std::size_t a_ks, const float* b,
+                                              std::size_t ldb, float* acc) {
   using namespace fuse::util::simd;
   constexpr std::size_t L = kLanes<V>;
-  V acc[M] = {};
-  std::size_t k0 = 0;
-  for (; k0 + L <= k; k0 += L) {
-    V t[L];
-    // Unrolled so the tile is loaded straight into registers (a rolled
-    // loop copies it through the stack).
-#pragma GCC unroll 16
-    for (std::size_t l = 0; l < L; ++l) vload(t[l], wb + l * k + k0);
-    transpose(t);
-    for (std::size_t r = 0; r < M; ++r)
-      for (std::size_t kk = 0; kk < L; ++kk)
-        acc[r] += a[r * k + k0 + kk] * t[kk];
-  }
-  for (std::size_t r = 0; r < M; ++r) {
-    float out[L];
-    vstore(out, acc[r]);
-    const float* ar = a + r * k;
-    for (std::size_t kk = k0; kk < k; ++kk)
-      for (std::size_t l = 0; l < L; ++l) out[l] += ar[kk] * wb[l * k + kk];
-    add_scaled(c + r * n, out, L, alpha);
-  }
-}
-
-// Column blocks [b0, b1) of width L: full blocks through the tile kernel
-// instantiated for exactly m rows, a partial last block through the scalar
-// loop.
-template <typename V, std::size_t... Ms>
-[[gnu::always_inline]] inline void nt_tile_blocks(
-    std::size_t m, std::size_t b0, std::size_t b1, std::size_t n,
-    std::size_t k, float alpha, const float* a, const float* w, float* c,
-    std::index_sequence<Ms...>) {
-  constexpr std::size_t L = fuse::util::simd::kLanes<V>;
-  for (std::size_t jb = b0; jb < b1; ++jb) {
-    const std::size_t j0 = jb * L;
-    if (j0 + L > n) {
-      nt_rows_scalar(m, j0, n, n, k, alpha, a, w, c);
-      continue;
+  constexpr std::size_t NR = 2 * L;
+  if constexpr (!kTransB) {
+    V s[Mr][2];
+    for (std::size_t r = 0; r < Mr; ++r) {
+      vload(s[r][0], acc + r * NR);
+      vload(s[r][1], acc + r * NR + L);
     }
-    // Exactly one Ms + 1 == m (1 <= m <= kSmallM): run that instantiation.
-    (void)((m == Ms + 1 &&
-            (nt_tile_block<V, Ms + 1>(n, k, alpha, a, w + j0 * k, c + j0),
-             true)) ||
-           ...);
+    for (std::size_t kk = 0; kk < kc; ++kk) {
+      V b0, b1;
+      vload(b0, b + kk * ldb);
+      vload(b1, b + kk * ldb + L);
+      for (std::size_t r = 0; r < Mr; ++r) {
+        const float av = a[r * a_rs + kk * a_ks];
+        s[r][0] += av * b0;
+        s[r][1] += av * b1;
+      }
+    }
+    for (std::size_t r = 0; r < Mr; ++r) {
+      vstore(acc + r * NR, s[r][0]);
+      vstore(acc + r * NR + L, s[r][1]);
+    }
+  } else {
+    for (std::size_t h = 0; h < 2; ++h) {
+      const float* w = b + h * L * ldb;
+      V s[Mr];
+      for (std::size_t r = 0; r < Mr; ++r) vload(s[r], acc + r * NR + h * L);
+      std::size_t k0 = 0;
+      for (; k0 + L <= kc; k0 += L) {
+        V t[L];
+        load_tile(t, w + k0, ldb);
+        transpose(t);
+        for (std::size_t q = 0; q < L; ++q)
+          for (std::size_t r = 0; r < Mr; ++r)
+            s[r] += a[r * a_rs + (k0 + q) * a_ks] * t[q];
+      }
+      for (; k0 < kc; ++k0) {
+        float col[L];
+        for (std::size_t l = 0; l < L; ++l) col[l] = w[l * ldb + k0];
+        V t;
+        vload(t, col);
+        for (std::size_t r = 0; r < Mr; ++r) s[r] += a[r * a_rs + k0 * a_ks] * t;
+      }
+      for (std::size_t r = 0; r < Mr; ++r) vstore(acc + r * NR + h * L, s[r]);
+    }
   }
 }
 
-using NtRowsFn = void (*)(std::size_t m, std::size_t b0, std::size_t b1,
-                          std::size_t n, std::size_t k, float alpha,
-                          const float* a, const float* w, float* c);
+// Packs op(B)[k0, k0 + kc) x columns [j0, j0 + nvalid) into dst [kc][NR],
+// zero-padding columns nvalid..NR.
+template <typename V>
+[[gnu::always_inline]] inline void pack_panel(const Job& g, std::size_t k0,
+                                              std::size_t kc, std::size_t j0,
+                                              std::size_t nvalid, float* dst) {
+  using namespace fuse::util::simd;
+  constexpr std::size_t L = kLanes<V>;
+  constexpr std::size_t NR = 2 * L;
+  if (!g.tb) {
+    for (std::size_t kk = 0; kk < kc; ++kk) {
+      float* d = dst + kk * NR;
+      std::memcpy(d, g.b + (k0 + kk) * g.ldb + j0, nvalid * sizeof(float));
+      std::fill(d + nvalid, d + NR, 0.0f);
+    }
+    return;
+  }
+  for (std::size_t c0 = 0; c0 < NR; c0 += L) {
+    const float* w = g.b + (j0 + c0) * g.ldb + k0;
+    std::size_t kk = 0;
+    if (c0 + L <= nvalid) {
+      for (; kk + L <= kc; kk += L) {
+        V t[L];
+        load_tile(t, w + kk, g.ldb);
+        transpose(t);
+        for (std::size_t q = 0; q < L; ++q) vstore(dst + (kk + q) * NR + c0, t[q]);
+      }
+    }
+    for (std::size_t l = 0; l < L; ++l) {
+      const bool valid = c0 + l < nvalid;
+      for (std::size_t q = kk; q < kc; ++q)
+        dst[q * NR + c0 + l] = valid ? w[l * g.ldb + q] : 0.0f;
+    }
+  }
+}
 
-// One variant of the small-M NT path: its column-block width and the
-// entry point that runs a range of column blocks.
-struct NtRowsVariant {
-  std::size_t cols;
-  NtRowsFn run;
+// Runs micro_tile instantiated for exactly mr rows (1 <= mr <= sizeof(Ms)).
+template <typename V, bool kTransB, std::size_t... Ms>
+[[gnu::always_inline]] inline void micro_tile_rows(
+    std::size_t mr, std::size_t kc, const float* a, std::size_t a_rs,
+    std::size_t a_ks, const float* b, std::size_t ldb, float* acc,
+    std::index_sequence<Ms...>) {
+  (void)((mr == Ms + 1 &&
+          (micro_tile<V, Ms + 1, kTransB>(kc, a, a_rs, a_ks, b, ldb, acc),
+           true)) ||
+         ...);
+}
+
+// Tasks [t0, t1) of `g`: task t is row block t / col_tiles times column
+// tile t % col_tiles, so every C element has exactly one writer.
+template <typename V, std::size_t MR>
+[[gnu::always_inline]] inline void run_tasks(const Job& g, std::size_t t0,
+                                             std::size_t t1) {
+  constexpr std::size_t NR = 2 * fuse::util::simd::kLanes<V>;
+  alignas(64) float panel[kBlockK * NR];
+  alignas(64) float acc[kTilesPerBlock * MR * NR];
+  const auto rows = std::make_index_sequence<MR>{};
+  for (std::size_t t = t0; t < t1; ++t) {
+    const std::size_t r0 = (t / g.col_tiles) * g.rows_per_task;
+    const std::size_t r1 = std::min(g.m, r0 + g.rows_per_task);
+    const std::size_t j0 = (t % g.col_tiles) * NR;
+    const std::size_t nvalid = std::min(NR, g.n - j0);
+    const bool pack = g.pack || nvalid < NR;
+    for (std::size_t r = r0; r < r1; ++r)
+      std::fill_n(acc + (r - r0) * NR, NR, g.bias ? g.bias[r] : 0.0f);
+    // In place, op(B) is streamed once over all of k; a pack is K-blocked.
+    const std::size_t block_k = pack ? kBlockK : g.k;
+    for (std::size_t k0 = 0; k0 < g.k; k0 += block_k) {
+      const std::size_t kc = std::min(block_k, g.k - k0);
+      if (pack) pack_panel<V>(g, k0, kc, j0, nvalid, panel);
+      for (std::size_t r = r0; r < r1; r += MR) {
+        const std::size_t mr = std::min(MR, r1 - r);
+        const float* a = g.a + r * g.a_rs + k0 * g.a_ks;
+        float* tile = acc + (r - r0) * NR;
+        if (pack)
+          micro_tile_rows<V, false>(mr, kc, a, g.a_rs, g.a_ks, panel, NR, tile,
+                                    rows);
+        else if (g.tb)
+          micro_tile_rows<V, true>(mr, kc, a, g.a_rs, g.a_ks,
+                                   g.b + j0 * g.ldb + k0, g.ldb, tile, rows);
+        else
+          micro_tile_rows<V, false>(mr, kc, a, g.a_rs, g.a_ks,
+                                    g.b + k0 * g.ldb + j0, g.ldb, tile, rows);
+      }
+    }
+    // Fold each finished sum into C: C = sum under a bias start, else
+    // C = beta * C + alpha * sum, C unread when beta == 0.
+    for (std::size_t r = r0; r < r1; ++r) {
+      const float* s = acc + (r - r0) * NR;
+      float* cr = g.c + r * g.ldc + j0;
+      for (std::size_t j = 0; j < nvalid; ++j) {
+        if (g.bias != nullptr) {
+          cr[j] = s[j];
+        } else {
+          const float base =
+              g.beta == 0.0f ? 0.0f : (g.beta == 1.0f ? cr[j] : g.beta * cr[j]);
+          cr[j] = base + g.alpha * s[j];
+        }
+      }
+    }
+  }
+}
+
+// One variant of the kernel: its tile shape and its task runner.
+struct Variant {
+  std::size_t mr, nr;
+  void (*run)(const Job& g, std::size_t t0, std::size_t t1);
 };
 
-void nt_rows_generic(std::size_t m, std::size_t b0, std::size_t b1,
-                     std::size_t n, std::size_t k, float alpha, const float* a,
-                     const float* w, float* c) {
-  nt_rows_scalar(m, b0 * kScalarCols, std::min(n, b1 * kScalarCols), n, k,
-                 alpha, a, w, c);
+void run_tasks_generic(const Job& g, std::size_t t0, std::size_t t1) {
+  run_tasks<fuse::util::simd::f32x4, 4>(g, t0, t1);
 }
 
 #if defined(__x86_64__)
-#define FUSE_NT_ROWS_VARIANT(tag, V)                                        \
-  __attribute__((target(#tag))) void nt_rows_##tag(                         \
-      std::size_t m, std::size_t b0, std::size_t b1, std::size_t n,         \
-      std::size_t k, float alpha, const float* a, const float* w,           \
-      float* c) {                                                           \
-    nt_tile_blocks<V>(m, b0, b1, n, k, alpha, a, w, c,                      \
-                      std::make_index_sequence<kSmallM>{});                 \
-  }
-FUSE_NT_ROWS_VARIANT(avx2, fuse::util::simd::f32x8)
-FUSE_NT_ROWS_VARIANT(avx512f, fuse::util::simd::f32x16)
-#undef FUSE_NT_ROWS_VARIANT
+__attribute__((target("avx2"))) void run_tasks_avx2(const Job& g,
+                                                     std::size_t t0,
+                                                     std::size_t t1) {
+  run_tasks<fuse::util::simd::f32x8, 6>(g, t0, t1);
+}
+
+__attribute__((target("avx512f"))) void run_tasks_avx512f(const Job& g,
+                                                          std::size_t t0,
+                                                          std::size_t t1) {
+  run_tasks<fuse::util::simd::f32x16, 8>(g, t0, t1);
+}
 #endif
 
-NtRowsVariant nt_rows_variant(fuse::util::Isa isa) {
+Variant variant(fuse::util::Isa isa) {
   switch (isa) {
 #if defined(__x86_64__)
     case fuse::util::Isa::kAvx2:
-      return {8, nt_rows_avx2};
+      return {6, 16, run_tasks_avx2};
     case fuse::util::Isa::kAvx512f:
-      return {16, nt_rows_avx512f};
+      return {8, 32, run_tasks_avx512f};
 #endif
     default:
-      return {kScalarCols, nt_rows_generic};
+      return {4, 8, run_tasks_generic};
   }
 }
 
-void gemm_nt_rows(const NtRowsVariant& v, std::size_t m, std::size_t n,
-                  std::size_t k, float alpha, const float* a, const float* w,
-                  float* c) {
-  const std::size_t n_blocks = (n + v.cols - 1) / v.cols;
-  const std::size_t min_chunk =
-      std::max<std::size_t>(1, kRowMinMacs / (m * k * v.cols));
-  // One writer per output column block: deterministic for any worker count.
-  fuse::util::parallel_for(0, n_blocks, [&](std::size_t b0, std::size_t b1) {
-    v.run(m, b0, b1, n, k, alpha, a, w, c);
-  }, min_chunk);
+void run(fuse::util::Isa isa, Job& g) {
+  const Variant v = variant(isa);
+  g.pack = g.m > v.mr;
+  g.rows_per_task = g.pack ? v.mr * kTilesPerBlock : v.mr;
+  g.col_tiles = (g.n + v.nr - 1) / v.nr;
+  const std::size_t tasks =
+      (g.m + g.rows_per_task - 1) / g.rows_per_task * g.col_tiles;
+  const std::size_t task_macs = std::min(g.m, g.rows_per_task) * g.k * v.nr;
+  fuse::util::parallel_for(
+      0, tasks, [&](std::size_t t0, std::size_t t1) { v.run(g, t0, t1); },
+      std::max<std::size_t>(1, kMinTaskMacs / std::max<std::size_t>(1, task_macs)));
+}
+
+void check_isa(fuse::util::Isa isa, const char* fn) {
+  if (!fuse::util::host_supports(isa))
+    throw std::invalid_argument(std::string(fn) + ": this host cannot run " +
+                                fuse::util::isa_name(isa));
 }
 
 void gemm_on(fuse::util::Isa isa, Trans trans_a, Trans trans_b, float alpha,
@@ -278,63 +284,41 @@ void gemm_on(fuse::util::Isa isa, Trans trans_a, Trans trans_b, float alpha,
   const bool tb = trans_b == Trans::kYes;
   const std::size_t m = ta ? a.dim(1) : a.dim(0);
   const std::size_t k = ta ? a.dim(0) : a.dim(1);
-  const std::size_t kb_ = tb ? b.dim(1) : b.dim(0);
+  const std::size_t kb = tb ? b.dim(1) : b.dim(0);
   const std::size_t n = tb ? b.dim(0) : b.dim(1);
-  if (k != kb_)
+  if (k != kb)
     throw std::invalid_argument("gemm: inner dimension mismatch " +
                                 std::to_string(k) + " vs " +
-                                std::to_string(kb_));
+                                std::to_string(kb));
   if (c.dim(0) != m || c.dim(1) != n)
     throw std::invalid_argument("gemm: output shape mismatch");
 
-  // beta scaling of C.
-  if (beta == 0.0f) {
-    c.zero();
-  } else if (beta != 1.0f) {
-    c *= beta;
-  }
-  if (m == 0 || n == 0 || k == 0 || alpha == 0.0f) return;
-
-  float* cp = c.data();
-
-  // Batch-1 FC layers (x · Wᵀ at M <= kSmallM): with a single M-block the
-  // blocked path below would transpose all of W into its pack on every call
-  // and run on one thread; the row kernel reads W in place instead and
-  // splits the output columns across the pool.
-  if (!ta && tb && m <= kSmallM) {
-    gemm_nt_rows(nt_rows_variant(isa), m, n, k, alpha, a.data(), b.data(),
-                 cp);
+  if (m == 0 || n == 0) return;
+  if (k == 0 || alpha == 0.0f) {
+    if (beta == 0.0f) {
+      c.zero();
+    } else if (beta != 1.0f) {
+      c *= beta;
+    }
     return;
   }
+  const std::size_t lda = a.dim(1);
+  Job g{m, n, k, a.data(), ta ? 1 : lda, ta ? lda : 1, b.data(), b.dim(1), tb,
+        c.data(), n, alpha, beta, nullptr, false, 0, 0};
+  run(isa, g);
+}
 
-  const MatView va{a.data(), m, k, a.dim(1), ta};
-  const MatView vb{b.data(), k, n, b.dim(1), tb};
-
-  // Blocked path: parallel over M row-blocks.  Each task packs its own A
-  // and op(B) panels (tile-transposed when stored transposed), so tasks
-  // share nothing; every op(B) pack is reused by up to kBlockM rows.
-  const std::size_t n_mblocks = (m + kBlockM - 1) / kBlockM;
-  fuse::util::parallel_for(0, n_mblocks, [&](std::size_t b0, std::size_t b1) {
-    std::vector<float> apack(kBlockM * kBlockK);
-    std::vector<float> bpack(kBlockK * kBlockN);
-    std::vector<float> cacc(kBlockM * kBlockN);
-    for (std::size_t mb_i = b0; mb_i < b1; ++mb_i) {
-      const std::size_t r0 = mb_i * kBlockM;
-      const std::size_t mb = std::min(kBlockM, m - r0);
-      for (std::size_t c0 = 0; c0 < n; c0 += kBlockN) {
-        const std::size_t nb = std::min(kBlockN, n - c0);
-        std::fill(cacc.begin(), cacc.begin() + mb * nb, 0.0f);
-        for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
-          const std::size_t kb = std::min(kBlockK, k - k0);
-          pack_panel(va, r0, k0, mb, kb, apack.data());
-          pack_panel(vb, k0, c0, kb, nb, bpack.data());
-          micro_gemm(mb, nb, kb, apack.data(), bpack.data(), cacc.data(), nb);
-        }
-        for (std::size_t r = 0; r < mb; ++r)
-          add_scaled(cp + (r0 + r) * n + c0, cacc.data() + r * nb, nb, alpha);
-      }
-    }
-  });
+void gemm_bias_on(fuse::util::Isa isa, const Tensor& a, const Tensor& b,
+                  const Tensor& bias, Tensor& c) {
+  if (a.ndim() != 2 || b.ndim() != 2 || c.ndim() != 2 || bias.ndim() != 1)
+    throw std::invalid_argument("gemm_bias: bad operand rank");
+  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  if (b.dim(0) != k || c.dim(0) != m || c.dim(1) != n || bias.dim(0) != m)
+    throw std::invalid_argument("gemm_bias: shape mismatch");
+  if (m == 0 || n == 0) return;
+  Job g{m, n, k, a.data(), k, 1, b.data(), n, false, c.data(), n, 1.0f, 0.0f,
+        bias.data(), false, 0, 0};
+  run(isa, g);
 }
 
 }  // namespace
@@ -347,10 +331,19 @@ void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
 
 void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
           const Tensor& b, float beta, Tensor& c, fuse::util::Isa isa) {
-  if (!fuse::util::host_supports(isa))
-    throw std::invalid_argument(std::string("gemm: this host cannot run ") +
-                                fuse::util::isa_name(isa));
+  check_isa(isa, "gemm");
   gemm_on(isa, trans_a, trans_b, alpha, a, b, beta, c);
+}
+
+void gemm_bias(const Tensor& a, const Tensor& b, const Tensor& bias,
+               Tensor& c) {
+  gemm_bias_on(fuse::util::dispatched_isa(), a, b, bias, c);
+}
+
+void gemm_bias(const Tensor& a, const Tensor& b, const Tensor& bias,
+               Tensor& c, fuse::util::Isa isa) {
+  check_isa(isa, "gemm_bias");
+  gemm_bias_on(isa, a, b, bias, c);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, Trans trans_a, Trans trans_b) {

@@ -1,12 +1,13 @@
 #pragma once
-// Compute kernels on Tensors: blocked multi-threaded GEMM (all transpose
-// variants), im2col/col2im for convolution lowering, and a few elementwise
-// helpers used by the NN layers.
+// Compute kernels on Tensors: the GEMM (all transpose variants),
+// im2col/col2im for convolution lowering, and a few elementwise helpers
+// used by the NN layers.
 //
-// GEMM is the performance backbone of the whole reproduction: the MARS CNN's
-// fully connected layers and the im2col-lowered convolutions all funnel into
-// it, so it is register-blocked, cache-blocked, and parallelised over row
-// panels with util::parallel_for.
+// GEMM is the performance backbone of the whole reproduction: the MARS
+// CNN's fully connected layers and the im2col-lowered convolutions, in
+// training and inference, all funnel into one register-tiled microkernel,
+// compiled once per util::Isa level and split over 2-D output tiles with
+// util::parallel_for.
 
 #include <cstddef>
 
@@ -21,19 +22,27 @@ enum class Trans { kNo, kYes };
 /// op(A) is [M, K], op(B) is [K, N], C is [M, N] (all row-major, 2-D).
 /// Shapes are validated; throws std::invalid_argument on mismatch.
 ///
-/// x · Wᵀ with M <= 3 rows (trans_a = kNo, trans_b = kYes: the batch-1 FC
-/// layers) runs a row kernel that streams W in place, one variant per
-/// util::Isa level; this overload runs util::dispatched_isa()'s.  Every variant, every M and the blocked path
-/// give the same bits: each output is the zero-started, sequential-k,
-/// multiply-then-add sum, then one `c += alpha * sum`.
+/// Runs util::dispatched_isa()'s variant of the kernel.  Every variant,
+/// shape, transpose and worker count gives the same bits: each output is
+/// the zero-started, sequential-k, multiply-then-add sum, then
+/// `c = beta * c + alpha * sum` (C is not read when beta == 0).
 void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
           const Tensor& b, float beta, Tensor& c);
 
-/// gemm() with the row kernel of an explicit variant (any of
-/// util::host_isas(); throws std::invalid_argument for another) — the
-/// tests and benches compare variants through it.
+/// gemm() on an explicit variant (any of util::host_isas(); throws
+/// std::invalid_argument for another) — the tests and benches compare
+/// variants through it.
 void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
           const Tensor& b, float beta, Tensor& c, fuse::util::Isa isa);
+
+/// C = A * B + bias, bias [M] broadcast along each row of C [M, N] (the
+/// GEMM conv forward, y2 = W * col + b).  Each accumulator starts at
+/// bias[row] and adds the products in sequential k; C is overwritten with
+/// it.  Same kernel and same guarantees as gemm().
+void gemm_bias(const Tensor& a, const Tensor& b, const Tensor& bias,
+               Tensor& c);
+void gemm_bias(const Tensor& a, const Tensor& b, const Tensor& bias,
+               Tensor& c, fuse::util::Isa isa);
 
 /// Convenience: returns op(A) * op(B).
 Tensor matmul(const Tensor& a, const Tensor& b, Trans trans_a = Trans::kNo,

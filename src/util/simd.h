@@ -1,6 +1,6 @@
 #pragma once
 // GCC/clang vector-extension helpers shared by the ISA-dispatched kernels
-// (the DSP lane FFTs in dsp/plan.cpp, the batch-1 GEMM rows in
+// (the DSP lane FFTs in dsp/plan.cpp, the GEMM microkernel in
 // tensor/ops.cpp); util/isa.h picks which instantiation runs.
 //
 // Vectors cross function boundaries only by reference: a by-value
@@ -34,6 +34,16 @@ template <typename V>
 template <typename V>
 [[gnu::always_inline]] inline void vstore(void* p, const V& v) {
   std::memcpy(p, &v, sizeof(V));
+}
+
+/// Loads the L x L tile whose row l starts at p + l * stride (stride in
+/// elements of T).  Unrolled so each row goes straight into its register;
+/// a rolled loop copies the tile through the stack.
+template <typename V, typename T>
+[[gnu::always_inline]] inline void load_tile(V* m, const T* p,
+                                             std::size_t stride) {
+#pragma GCC unroll 16
+  for (std::size_t l = 0; l < kLanes<V>; ++l) vload(m[l], p + l * stride);
 }
 
 /// Swaps the off-diagonal B x B sub-blocks of every 2B x 2B block of the

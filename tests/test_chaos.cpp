@@ -881,7 +881,7 @@ TEST(Chaos, OverloadLadderShedsBacklogAndRecovers) {
   cfg.overload.engage_passes = 1;
   cfg.overload.release_passes = 2;
   cfg.overload.release_step_passes = 1;
-  cfg.overload.shed_deadline_s = 0.0;  // at rung 3 every queued frame sheds
+  cfg.overload.shed_deadline_s = 0.0;  // at rung 2 every queued frame sheds
   Server server(&pl.predictor(), &pl.model(), cfg);
   const auto id = server.open_session();
   const auto stream = labeled_frames(0, 64);
@@ -898,10 +898,10 @@ TEST(Chaos, OverloadLadderShedsBacklogAndRecovers) {
   }
   // The ladder climbed one rung per pass to shedding, which cleared the
   // backlog orders of magnitude faster than inference would have.
-  ASSERT_GE(levels.size(), 4u);
+  ASSERT_GE(levels.size(), 3u);
   EXPECT_EQ(levels[0], 1);
   EXPECT_EQ(levels[1], 2);
-  EXPECT_EQ(levels[2], 3);
+  EXPECT_EQ(levels[2], 2);
   const auto mid = server.stats();
   EXPECT_GT(mid.deadline_shed, 0u);
   EXPECT_GT(mid.shed_rate, 0.0);
@@ -911,13 +911,13 @@ TEST(Chaos, OverloadLadderShedsBacklogAndRecovers) {
   // before the ladder engaged could buffer, far short of a round.
   EXPECT_EQ(mid.per_session[0].adapt_rounds, 0u);
 
-  // Recovery: with the queue empty, release_passes + 2 * step passes
-  // unwind all three rungs — full fidelity within one detector window.
+  // Recovery: with the queue empty, release_passes + step passes unwind
+  // both rungs — full fidelity within one detector window.
   for (int pass = 0; pass < 4; ++pass) server.run_once();
   const auto post = server.stats();
   EXPECT_EQ(post.overload_level, 0);
   EXPECT_EQ(post.overload_level_name, "normal");
-  EXPECT_GE(post.overload_transitions, 6u);
+  EXPECT_GE(post.overload_transitions, 4u);
   // Normal service resumes end to end.
   server.submit_frame(id, stream[0].cloud);
   server.drain();

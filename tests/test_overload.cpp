@@ -66,14 +66,14 @@ TEST(Overload, ClimbsOneRungAtATimeUpToShed) {
   OverloadDetector d(test_config());
   std::vector<OverloadLevel> seen;
   for (int i = 0; i < 12; ++i) seen.push_back(d.update(50, 0.0));
-  // 3 passes per rung: normal x2, rung1 x3, rung2 x3, rung3 (terminal).
+  // 3 passes per rung: normal x2, rung1 x3, rung2 (terminal).
   EXPECT_EQ(seen[1], OverloadLevel::kNormal);
   EXPECT_EQ(seen[2], OverloadLevel::kPauseAdapt);
-  EXPECT_EQ(seen[5], OverloadLevel::kDegradeBackend);
-  EXPECT_EQ(seen[8], OverloadLevel::kShedDeadline);
+  EXPECT_EQ(seen[4], OverloadLevel::kPauseAdapt);
+  EXPECT_EQ(seen[5], OverloadLevel::kShedDeadline);
   // The top rung holds; there is nothing above it.
   EXPECT_EQ(seen[11], OverloadLevel::kShedDeadline);
-  EXPECT_EQ(d.transitions(), 3u);
+  EXPECT_EQ(d.transitions(), 2u);
 }
 
 TEST(Overload, BurstShorterThanEngagePassesNeverEngages) {
@@ -90,19 +90,18 @@ TEST(Overload, BurstShorterThanEngagePassesNeverEngages) {
 
 TEST(Overload, ReleasesFirstRungAfterReleasePassesThenStepsDownFaster) {
   OverloadDetector d(test_config());
-  for (int i = 0; i < 9; ++i) d.update(50, 0.0);  // climb to rung 3
+  for (int i = 0; i < 6; ++i) d.update(50, 0.0);  // climb to rung 2
   ASSERT_EQ(d.level(), OverloadLevel::kShedDeadline);
   // Clear signal (below high_water * release_fraction = 5): the first
   // release needs release_passes = 4 clear passes...
   EXPECT_EQ(d.update(0, 0.0), OverloadLevel::kShedDeadline);
   EXPECT_EQ(d.update(0, 0.0), OverloadLevel::kShedDeadline);
   EXPECT_EQ(d.update(0, 0.0), OverloadLevel::kShedDeadline);
-  EXPECT_EQ(d.update(0, 0.0), OverloadLevel::kDegradeBackend);
+  EXPECT_EQ(d.update(0, 0.0), OverloadLevel::kPauseAdapt);
   // ...then release_step_passes = 1 per further rung, so full recovery
   // lands within one detector window of the load dropping.
-  EXPECT_EQ(d.update(0, 0.0), OverloadLevel::kPauseAdapt);
   EXPECT_EQ(d.update(0, 0.0), OverloadLevel::kNormal);
-  EXPECT_EQ(d.transitions(), 6u);
+  EXPECT_EQ(d.transitions(), 4u);
 }
 
 TEST(Overload, HysteresisBandHoldsLevel) {
@@ -164,9 +163,6 @@ TEST(Overload, LevelNamesAreStable) {
                "normal");
   EXPECT_STREQ(fuse::serve::overload_level_name(OverloadLevel::kPauseAdapt),
                "pause_adapt");
-  EXPECT_STREQ(
-      fuse::serve::overload_level_name(OverloadLevel::kDegradeBackend),
-      "degrade_backend");
   EXPECT_STREQ(fuse::serve::overload_level_name(OverloadLevel::kShedDeadline),
                "shed_deadline");
 }
