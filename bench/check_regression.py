@@ -6,8 +6,8 @@ BENCH_serve.json, --smoke runs) against the committed baseline and fails
 on:
 
   * any *speedup* ratio dropping more than --max-drop (default 15%) below
-    the baseline — ratios (gemm vs naive, int8 vs gemm, task-parallel vs
-    serial) are what the PRs promised and they are robust to the absolute
+    the baseline — ratios (gemm vs naive, task-parallel vs serial,
+    batched vs independent serving) are what the PRs promised and they are robust to the absolute
     speed of the CI runner, unlike raw frames/sec;
   * any *loss* field drifting more than --loss-tol (default 5e-3) from the
     baseline — losses are deterministic for a fixed seed and scale, so

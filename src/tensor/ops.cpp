@@ -33,7 +33,7 @@ namespace {
 // in k order.  Lanes never mix, so each output is the scalar loop's sum
 // whatever the variant, tile, row count or worker count.
 constexpr std::size_t kBlockK = 256;      // K-block of a packed panel
-constexpr std::size_t kTilesPerBlock = 8;  // row tiles per task
+constexpr std::size_t kTilesPerBlock = 16;  // row tiles per task
 // Tasks below this many multiply-adds stay on the calling thread.
 constexpr std::size_t kMinTaskMacs = 1 << 16;
 
@@ -91,6 +91,7 @@ template <typename V, std::size_t Mr, bool kTransB>
       vstore(acc + r * NR + L, s[r][1]);
     }
   } else {
+#pragma GCC unroll 1
     for (std::size_t h = 0; h < 2; ++h) {
       const float* w = b + h * L * ldb;
       V s[Mr];
@@ -127,9 +128,18 @@ template <typename V>
   constexpr std::size_t NR = 2 * L;
   if (!g.tb) {
     for (std::size_t kk = 0; kk < kc; ++kk) {
+      const float* src = g.b + (k0 + kk) * g.ldb + j0;
       float* d = dst + kk * NR;
-      std::memcpy(d, g.b + (k0 + kk) * g.ldb + j0, nvalid * sizeof(float));
-      std::fill(d + nvalid, d + NR, 0.0f);
+      if (nvalid == NR) {
+        V lo, hi;
+        vload(lo, src);
+        vload(hi, src + L);
+        vstore(d, lo);
+        vstore(d + L, hi);
+      } else {
+        std::copy_n(src, nvalid, d);
+        std::fill(d + nvalid, d + NR, 0.0f);
+      }
     }
     return;
   }
@@ -164,15 +174,33 @@ template <typename V, bool kTransB, std::size_t... Ms>
          ...);
 }
 
+// A variant's microkernels behind one call (each variant compiles them into
+// a function of their own, so the task loop around them stays small).
+using MicroFn = void (*)(bool trans_b, std::size_t mr, std::size_t kc,
+                         const float* a, std::size_t a_rs, std::size_t a_ks,
+                         const float* b, std::size_t ldb, float* acc);
+
+template <typename V, std::size_t MR>
+[[gnu::always_inline]] inline void micro_any(bool trans_b, std::size_t mr,
+                                             std::size_t kc, const float* a,
+                                             std::size_t a_rs,
+                                             std::size_t a_ks, const float* b,
+                                             std::size_t ldb, float* acc) {
+  const auto rows = std::make_index_sequence<MR>{};
+  if (trans_b)
+    micro_tile_rows<V, true>(mr, kc, a, a_rs, a_ks, b, ldb, acc, rows);
+  else
+    micro_tile_rows<V, false>(mr, kc, a, a_rs, a_ks, b, ldb, acc, rows);
+}
+
 // Tasks [t0, t1) of `g`: task t is row block t / col_tiles times column
 // tile t % col_tiles, so every C element has exactly one writer.
-template <typename V, std::size_t MR>
+template <typename V, std::size_t MR, MicroFn kMicro>
 [[gnu::always_inline]] inline void run_tasks(const Job& g, std::size_t t0,
                                              std::size_t t1) {
   constexpr std::size_t NR = 2 * fuse::util::simd::kLanes<V>;
   alignas(64) float panel[kBlockK * NR];
   alignas(64) float acc[kTilesPerBlock * MR * NR];
-  const auto rows = std::make_index_sequence<MR>{};
   for (std::size_t t = t0; t < t1; ++t) {
     const std::size_t r0 = (t / g.col_tiles) * g.rows_per_task;
     const std::size_t r1 = std::min(g.m, r0 + g.rows_per_task);
@@ -191,14 +219,13 @@ template <typename V, std::size_t MR>
         const float* a = g.a + r * g.a_rs + k0 * g.a_ks;
         float* tile = acc + (r - r0) * NR;
         if (pack)
-          micro_tile_rows<V, false>(mr, kc, a, g.a_rs, g.a_ks, panel, NR, tile,
-                                    rows);
+          kMicro(false, mr, kc, a, g.a_rs, g.a_ks, panel, NR, tile);
         else if (g.tb)
-          micro_tile_rows<V, true>(mr, kc, a, g.a_rs, g.a_ks,
-                                   g.b + j0 * g.ldb + k0, g.ldb, tile, rows);
+          kMicro(true, mr, kc, a, g.a_rs, g.a_ks, g.b + j0 * g.ldb + k0, g.ldb,
+                 tile);
         else
-          micro_tile_rows<V, false>(mr, kc, a, g.a_rs, g.a_ks,
-                                    g.b + k0 * g.ldb + j0, g.ldb, tile, rows);
+          kMicro(false, mr, kc, a, g.a_rs, g.a_ks, g.b + k0 * g.ldb + j0,
+                 g.ldb, tile);
       }
     }
     // Fold each finished sum into C: C = sum under a bias start, else
@@ -206,14 +233,15 @@ template <typename V, std::size_t MR>
     for (std::size_t r = r0; r < r1; ++r) {
       const float* s = acc + (r - r0) * NR;
       float* cr = g.c + r * g.ldc + j0;
-      for (std::size_t j = 0; j < nvalid; ++j) {
-        if (g.bias != nullptr) {
-          cr[j] = s[j];
-        } else {
-          const float base =
-              g.beta == 0.0f ? 0.0f : (g.beta == 1.0f ? cr[j] : g.beta * cr[j]);
-          cr[j] = base + g.alpha * s[j];
-        }
+      if (g.bias != nullptr) {
+        std::copy_n(s, nvalid, cr);
+      } else if (g.beta == 0.0f) {
+        for (std::size_t j = 0; j < nvalid; ++j) cr[j] = 0.0f + g.alpha * s[j];
+      } else if (g.beta == 1.0f) {
+        for (std::size_t j = 0; j < nvalid; ++j) cr[j] += g.alpha * s[j];
+      } else {
+        for (std::size_t j = 0; j < nvalid; ++j)
+          cr[j] = g.beta * cr[j] + g.alpha * s[j];
       }
     }
   }
@@ -225,23 +253,28 @@ struct Variant {
   void (*run)(const Job& g, std::size_t t0, std::size_t t1);
 };
 
-void run_tasks_generic(const Job& g, std::size_t t0, std::size_t t1) {
-  run_tasks<fuse::util::simd::f32x4, 4>(g, t0, t1);
-}
+// Stamps out one variant: its microkernels and its task runner, compiled
+// for vector type V with MR-row tiles under the given attributes.
+#define FUSE_GEMM_VARIANT(tag, V, MR, ...)                                    \
+  [[gnu::noinline]] __VA_ARGS__ void micro_##tag(                             \
+      bool trans_b, std::size_t mr, std::size_t kc, const float* a,           \
+      std::size_t a_rs, std::size_t a_ks, const float* b, std::size_t ldb,    \
+      float* acc) {                                                           \
+    micro_any<V, MR>(trans_b, mr, kc, a, a_rs, a_ks, b, ldb, acc);            \
+  }                                                                           \
+  __VA_ARGS__ void run_tasks_##tag(const Job& g, std::size_t t0,              \
+                                   std::size_t t1) {                          \
+    run_tasks<V, MR, micro_##tag>(g, t0, t1);                                 \
+  }
 
+FUSE_GEMM_VARIANT(generic, fuse::util::simd::f32x4, 4)
 #if defined(__x86_64__)
-__attribute__((target("avx2"))) void run_tasks_avx2(const Job& g,
-                                                     std::size_t t0,
-                                                     std::size_t t1) {
-  run_tasks<fuse::util::simd::f32x8, 6>(g, t0, t1);
-}
-
-__attribute__((target("avx512f"))) void run_tasks_avx512f(const Job& g,
-                                                          std::size_t t0,
-                                                          std::size_t t1) {
-  run_tasks<fuse::util::simd::f32x16, 8>(g, t0, t1);
-}
+FUSE_GEMM_VARIANT(avx2, fuse::util::simd::f32x8, 6,
+                  __attribute__((target("avx2"))))
+FUSE_GEMM_VARIANT(avx512f, fuse::util::simd::f32x16, 8,
+                  __attribute__((target("avx512f"))))
 #endif
+#undef FUSE_GEMM_VARIANT
 
 Variant variant(fuse::util::Isa isa) {
   switch (isa) {

@@ -6,13 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <sstream>
+#include <string>
 
 #include "nn/gradcheck.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/optim.h"
 #include "nn/registry.h"
+#include "tensor/ops.h"
+#include "util/isa.h"
 #include "util/rng.h"
 
 namespace {
@@ -378,6 +383,98 @@ TEST(Training, GradientStepReducesLossOnFixedBatch) {
     adam.step(model.params(), model.grads());
   }
   EXPECT_LT(last, 0.7f * first);
+}
+
+// ------------------------------------------------------- bit identity --
+
+struct ConvCase {
+  std::size_t batch, in_channels, out_channels, kernel, pad, h, w;
+};
+
+// The GEMM conv forward y2 = W * col + b on every host variant against its
+// scalar loop, where each accumulator starts at the bias: the model's
+// conv1/conv2 shapes, a ragged one (odd channels, 5x6 image, no pad) and
+// batches whose column count leaves partial column tiles.
+TEST(ConvGemm, BiasStartedForwardIsBitIdenticalOnEveryIsa) {
+  fuse::util::Rng rng(41);
+  for (const ConvCase& p :
+       {ConvCase{1, 5, 16, 3, 1, 8, 8}, ConvCase{3, 16, 32, 3, 1, 8, 8},
+        ConvCase{2, 3, 7, 3, 0, 5, 6}, ConvCase{1, 2, 9, 1, 0, 3, 5}}) {
+    const Tensor x = random_tensor({p.batch, p.in_channels, p.h, p.w}, rng);
+    const Tensor w =
+        random_tensor({p.out_channels, p.in_channels * p.kernel * p.kernel},
+                      rng);
+    const Tensor b = random_tensor({p.out_channels}, rng);
+    const Tensor col =
+        fuse::tensor::im2col_batched(x, p.kernel, p.kernel, 1, p.pad);
+    const std::size_t k = col.dim(0), nc = col.dim(1);
+    Tensor expected({p.out_channels, nc});
+    for (std::size_t r = 0; r < p.out_channels; ++r)
+      for (std::size_t j = 0; j < nc; ++j) {
+        float acc = b[r];
+        for (std::size_t kk = 0; kk < k; ++kk)
+          acc += w.at(r, kk) * col.at(kk, j);
+        expected.at(r, j) = acc;
+      }
+    for (const fuse::util::Isa isa : fuse::util::host_isas()) {
+      Tensor y2({p.out_channels, nc});
+      fuse::tensor::gemm_bias(w, col, b, y2, isa);
+      EXPECT_EQ(std::memcmp(y2.data(), expected.data(),
+                            y2.numel() * sizeof(float)),
+                0)
+          << fuse::util::isa_name(isa) << " oc = " << p.out_channels
+          << ", k = " << k << ", columns = " << nc;
+    }
+  }
+}
+
+// Row r of a batch-N result must equal the batch-1 result for sample r,
+// bit for bit (the DESIGN.md section 2 determinism contract that lets the
+// serving micro-batcher batch frames across sessions).
+void expect_rows_match_batch_one(const Tensor& batched, const Tensor& x,
+                                 const std::function<Tensor(const Tensor&)>& f,
+                                 const std::string& what) {
+  const std::size_t n = x.dim(0);
+  const std::size_t in_row = x.numel() / n;
+  const std::size_t out_row = batched.numel() / n;
+  for (std::size_t r = 0; r < n; ++r) {
+    fuse::tensor::Shape one = x.shape();
+    one[0] = 1;
+    Tensor xr(one);
+    std::memcpy(xr.data(), x.data() + r * in_row, in_row * sizeof(float));
+    const Tensor yr = f(xr);
+    ASSERT_EQ(yr.numel(), out_row);
+    EXPECT_EQ(std::memcmp(yr.data(), batched.data() + r * out_row,
+                          out_row * sizeof(float)),
+              0)
+        << what << ": row " << r << " of batch " << n;
+  }
+}
+
+TEST(Determinism, BatchedRowsEqualBatchOneBitExactly) {
+  fuse::util::Rng rng(42);
+  const auto model = fuse::nn::build_model("mars_cnn", {.seed = 42});
+  fuse::nn::Conv2d conv(16, 32, 3, 1, rng);
+  fuse::nn::Linear fc(2048, 512, rng);
+  for (const std::size_t n : {1, 4, 8, 16, 17}) {
+    const Tensor x = random_tensor({n, 5, 8, 8}, rng);
+    expect_rows_match_batch_one(
+        model->infer(x, fuse::nn::Backend::kGemm), x,
+        [&](const Tensor& xr) {
+          return model->infer(xr, fuse::nn::Backend::kGemm);
+        },
+        "Sequential::infer");
+
+    const Tensor xc = random_tensor({n, 16, 8, 8}, rng);
+    expect_rows_match_batch_one(
+        conv.forward(xc), xc,
+        [&](const Tensor& xr) { return conv.forward(xr); }, "Conv2d::forward");
+
+    const Tensor xl = random_tensor({n, 2048}, rng);
+    expect_rows_match_batch_one(
+        fc.forward(xl), xl, [&](const Tensor& xr) { return fc.forward(xr); },
+        "Linear::forward");
+  }
 }
 
 }  // namespace

@@ -8,12 +8,15 @@
 #include <cstring>
 #include <random>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "tensor/init.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/isa.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -187,29 +190,118 @@ TEST_P(GemmSweep, MatchesNaiveReference) {
     ASSERT_NEAR(c[i], expected[i], 1e-3f) << "element " << i;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ShapesAndTransposes, GemmSweep,
-    ::testing::Values(
-        GemmCase{1, 1, 1, false, false, 1.0f, 0.0f},
-        GemmCase{3, 4, 5, false, false, 1.0f, 0.0f},
-        GemmCase{3, 4, 5, true, false, 1.0f, 0.0f},
-        GemmCase{3, 4, 5, false, true, 1.0f, 0.0f},
-        GemmCase{3, 4, 5, true, true, 1.0f, 0.0f},
-        GemmCase{7, 13, 9, false, false, 2.0f, 0.5f},
-        GemmCase{16, 16, 16, true, false, 1.0f, 1.0f},
-        GemmCase{64, 64, 64, false, false, 1.0f, 0.0f},
-        GemmCase{65, 67, 63, false, true, 1.0f, 0.0f},
-        GemmCase{128, 300, 70, false, false, 1.0f, 0.0f},
-        GemmCase{130, 257, 260, true, true, 0.5f, 2.0f},
-        GemmCase{257, 512, 57, false, true, 1.0f, 0.0f},
-        // Small-M NT shapes (x · Wᵀ, the batch-1 FC layers) on both sides
-        // of the row-kernel / blocked-path crossover.
-        GemmCase{1, 2048, 512, false, true, 1.0f, 0.0f},
-        GemmCase{3, 2048, 512, false, true, 1.0f, 0.0f},
-        GemmCase{4, 2048, 512, false, true, 1.0f, 0.0f},
-        GemmCase{5, 2048, 512, false, true, 1.0f, 0.0f},
-        GemmCase{1, 512, 57, false, true, 1.0f, 0.0f},
-        GemmCase{3, 7, 13, false, true, 0.5f, 2.0f}));
+// The kernel's scalar oracle: each output is the zero-started,
+// sequential-k, multiply-then-add float sum, folded in as
+// c = beta * c + alpha * sum (C unread when beta == 0, kept when 1).
+Tensor gemm_scalar_loop(Trans ta, Trans tb, float alpha, const Tensor& a,
+                        const Tensor& b, float beta, const Tensor& c0) {
+  const bool tra = ta == Trans::kYes;
+  const bool trb = tb == Trans::kYes;
+  const std::size_t m = tra ? a.dim(1) : a.dim(0);
+  const std::size_t k = tra ? a.dim(0) : a.dim(1);
+  const std::size_t n = trb ? b.dim(0) : b.dim(1);
+  Tensor c = c0;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk)
+        acc += (tra ? a.at(kk, i) : a.at(i, kk)) *
+               (trb ? b.at(j, kk) : b.at(kk, j));
+      const float base = beta == 0.0f   ? 0.0f
+                         : beta == 1.0f ? c.at(i, j)
+                                        : beta * c.at(i, j);
+      c.at(i, j) = base + alpha * acc;
+    }
+  }
+  return c;
+}
+
+struct GemmOperands {
+  Tensor a, b, c;
+};
+
+GemmOperands gemm_operands(const GemmCase& p) {
+  fuse::util::Rng rng(17 + p.m * 131 + p.k * 31 + p.n);
+  GemmOperands o;
+  o.a = p.ta ? random_tensor({p.k, p.m}, rng) : random_tensor({p.m, p.k}, rng);
+  o.b = p.tb ? random_tensor({p.n, p.k}, rng) : random_tensor({p.k, p.n}, rng);
+  o.c = random_tensor({p.m, p.n}, rng);
+  return o;
+}
+
+// Every host variant of the kernel gives the scalar loop's bits, whatever
+// the shape, transpose, alpha or beta.
+TEST_P(GemmSweep, EveryIsaIsBitIdenticalToTheScalarLoop) {
+  const GemmCase p = GetParam();
+  const Trans ta = p.ta ? Trans::kYes : Trans::kNo;
+  const Trans tb = p.tb ? Trans::kYes : Trans::kNo;
+  const GemmOperands o = gemm_operands(p);
+  const Tensor expected =
+      gemm_scalar_loop(ta, tb, p.alpha, o.a, o.b, p.beta, o.c);
+  for (const fuse::util::Isa isa : fuse::util::host_isas()) {
+    Tensor c = o.c;
+    fuse::tensor::gemm(ta, tb, p.alpha, o.a, o.b, p.beta, c, isa);
+    EXPECT_EQ(std::memcmp(c.data(), expected.data(),
+                          c.numel() * sizeof(float)),
+              0)
+        << fuse::util::isa_name(isa);
+  }
+}
+
+// The determinism contract under real parallelism: the call fanned out
+// over the global pool gives the bits of the same call kept on one thread.
+TEST_P(GemmSweep, PoolFanOutMatchesInlineBitExactly) {
+  const GemmCase p = GetParam();
+  const Trans ta = p.ta ? Trans::kYes : Trans::kNo;
+  const Trans tb = p.tb ? Trans::kYes : Trans::kNo;
+  const GemmOperands o = gemm_operands(p);
+  Tensor inline_c = o.c;
+  {
+    fuse::util::InlineScope serial;
+    fuse::tensor::gemm(ta, tb, p.alpha, o.a, o.b, p.beta, inline_c);
+  }
+  Tensor pooled_c = o.c;
+  fuse::tensor::gemm(ta, tb, p.alpha, o.a, o.b, p.beta, pooled_c);
+  EXPECT_EQ(std::memcmp(pooled_c.data(), inline_c.data(),
+                        inline_c.numel() * sizeof(float)),
+            0);
+}
+
+std::vector<GemmCase> gemm_sweep_cases() {
+  std::vector<GemmCase> cases{
+      GemmCase{1, 1, 1, false, false, 1.0f, 0.0f},
+      GemmCase{3, 4, 5, false, false, 1.0f, 0.0f},
+      GemmCase{3, 4, 5, true, false, 1.0f, 0.0f},
+      GemmCase{3, 4, 5, false, true, 1.0f, 0.0f},
+      GemmCase{3, 4, 5, true, true, 1.0f, 0.0f},
+      GemmCase{7, 13, 9, false, false, 2.0f, 0.5f},
+      GemmCase{16, 16, 16, true, false, 1.0f, 1.0f},
+      GemmCase{64, 64, 64, false, false, 1.0f, 0.0f},
+      GemmCase{65, 67, 63, false, true, 1.0f, 0.0f},
+      GemmCase{128, 300, 70, false, false, 1.0f, 0.0f},
+      GemmCase{130, 257, 260, true, true, 0.5f, 2.0f},
+      GemmCase{257, 512, 57, false, true, 1.0f, 0.0f},
+      // Small-M NT shapes (x · Wᵀ, the batch-1 FC layers).
+      GemmCase{1, 2048, 512, false, true, 1.0f, 0.0f},
+      GemmCase{3, 2048, 512, false, true, 1.0f, 0.0f},
+      GemmCase{4, 2048, 512, false, true, 1.0f, 0.0f},
+      GemmCase{5, 2048, 512, false, true, 1.0f, 0.0f},
+      GemmCase{1, 512, 57, false, true, 1.0f, 0.0f},
+      GemmCase{3, 7, 13, false, true, 0.5f, 2.0f}};
+  // NN, NT and TN at every row count around the variants' tile heights
+  // (4, 6, 8) and row blocks, with ragged N and K tails (N = 45: one full
+  // and one partial 32-column tile; K = 300: a full 256 K-block plus a
+  // tail that is no multiple of any lane count), alpha != 1 and
+  // beta not in {0, 1}.
+  for (const std::size_t m : {1, 2, 3, 4, 7, 8, 9, 16, 17, 64, 128})
+    for (const auto [ta, tb] : {std::pair{false, false}, std::pair{false, true},
+                                std::pair{true, false}})
+      cases.push_back(GemmCase{m, 300, 45, ta, tb, 0.75f, -0.5f});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(ShapesAndTransposes, GemmSweep,
+                         ::testing::ValuesIn(gemm_sweep_cases()));
 
 // Every row of an NT product (x · Wᵀ: the FC layers) must be bit-identical
 // to the same row computed by the blocked path inside a 17-row batch, under
