@@ -50,6 +50,9 @@ struct AdaptConfig {
   float grad_clip = 10.0f;
 };
 
+/// Per-session serving settings.  Compute is not one of them: every
+/// session's frames run on ServeConfig::backend, so a tick batches them by
+/// model alone (shared model, or the session's adapted clone).
 struct SessionConfig {
   std::size_t queue_capacity = 16;
   DropPolicy drop_policy = DropPolicy::kDropOldest;

@@ -143,22 +143,28 @@ template <typename V>
     }
     return;
   }
+  // W rows j0 + c0 + l, l < rows, are op(B)'s columns; missing rows of a
+  // ragged tile load as zeros.
   for (std::size_t c0 = 0; c0 < NR; c0 += L) {
     const float* w = g.b + (j0 + c0) * g.ldb + k0;
+    const std::size_t rows = c0 < nvalid ? std::min(L, nvalid - c0) : 0;
     std::size_t kk = 0;
-    if (c0 + L <= nvalid) {
-      for (; kk + L <= kc; kk += L) {
-        V t[L];
+    for (; kk + L <= kc; kk += L) {
+      V t[L];
+      if (rows == L) {
         load_tile(t, w + kk, g.ldb);
-        transpose(t);
-        for (std::size_t q = 0; q < L; ++q) vstore(dst + (kk + q) * NR + c0, t[q]);
+      } else {
+        for (std::size_t l = 0; l < L; ++l) {
+          t[l] = V{};
+          if (l < rows) vload(t[l], w + l * g.ldb + kk);
+        }
       }
+      transpose(t);
+      for (std::size_t q = 0; q < L; ++q) vstore(dst + (kk + q) * NR + c0, t[q]);
     }
-    for (std::size_t l = 0; l < L; ++l) {
-      const bool valid = c0 + l < nvalid;
+    for (std::size_t l = 0; l < L; ++l)
       for (std::size_t q = kk; q < kc; ++q)
-        dst[q * NR + c0 + l] = valid ? w[l * g.ldb + q] : 0.0f;
-    }
+        dst[q * NR + c0 + l] = l < rows ? w[l * g.ldb + q] : 0.0f;
   }
 }
 
