@@ -15,9 +15,8 @@
 //                           featurize / infer stages spend anything on
 //                           them
 //
-// There is no cheaper-kernel rung: every frame runs the one fp32 GEMM
-// (tensor/ops.h), which at batch 1 and 8 is faster than the int8 backend
-// this ladder used to downgrade to (DESIGN.md §5).
+// There is no cheaper-kernel rung: every frame already runs the fastest
+// kernel the server has at any batch size (DESIGN.md §5).
 //
 // Detection is hysteresis-based on two signals fed once per scheduler
 // pass: the total queued-frame depth across sessions, and an EWMA of the

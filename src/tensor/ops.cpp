@@ -32,7 +32,7 @@ namespace {
 // -ffp-contract=off), and carries across K-blocks through a scratch tile
 // in k order.  Lanes never mix, so each output is the scalar loop's sum
 // whatever the variant, tile, row count or worker count.
-constexpr std::size_t kBlockK = 256;      // K-block of a packed panel
+constexpr std::size_t kBlockK = 256;        // K-block of a packed panel
 constexpr std::size_t kTilesPerBlock = 16;  // row tiles per task
 // Tasks below this many multiply-adds stay on the calling thread.
 constexpr std::size_t kMinTaskMacs = 1 << 16;
@@ -168,7 +168,7 @@ template <typename V>
   }
 }
 
-// Runs micro_tile instantiated for exactly mr rows (1 <= mr <= sizeof(Ms)).
+// Runs micro_tile instantiated for exactly mr rows (1 <= mr <= sizeof...(Ms)).
 template <typename V, bool kTransB, std::size_t... Ms>
 [[gnu::always_inline]] inline void micro_tile_rows(
     std::size_t mr, std::size_t kc, const float* a, std::size_t a_rs,
@@ -259,8 +259,9 @@ struct Variant {
   void (*run)(const Job& g, std::size_t t0, std::size_t t1);
 };
 
-// Stamps out one variant: its microkernels and its task runner, compiled
-// for vector type V with MR-row tiles under the given attributes.
+// Stamps out one variant: its microkernels, its task runner and its table
+// entry, compiled for vector type V with MR-row tiles under the given
+// attributes.
 #define FUSE_GEMM_VARIANT(tag, V, MR, ...)                                    \
   [[gnu::noinline]] __VA_ARGS__ void micro_##tag(                             \
       bool trans_b, std::size_t mr, std::size_t kc, const float* a,           \
@@ -271,7 +272,9 @@ struct Variant {
   __VA_ARGS__ void run_tasks_##tag(const Job& g, std::size_t t0,              \
                                    std::size_t t1) {                          \
     run_tasks<V, MR, micro_##tag>(g, t0, t1);                                 \
-  }
+  }                                                                           \
+  constexpr Variant kVariant_##tag{MR, 2 * fuse::util::simd::kLanes<V>,       \
+                                   run_tasks_##tag};
 
 FUSE_GEMM_VARIANT(generic, fuse::util::simd::f32x4, 4)
 #if defined(__x86_64__)
@@ -286,12 +289,12 @@ Variant variant(fuse::util::Isa isa) {
   switch (isa) {
 #if defined(__x86_64__)
     case fuse::util::Isa::kAvx2:
-      return {6, 16, run_tasks_avx2};
+      return kVariant_avx2;
     case fuse::util::Isa::kAvx512f:
-      return {8, 32, run_tasks_avx512f};
+      return kVariant_avx512f;
 #endif
     default:
-      return {4, 8, run_tasks_generic};
+      return kVariant_generic;
   }
 }
 
@@ -302,10 +305,11 @@ void run(fuse::util::Isa isa, Job& g) {
   g.col_tiles = (g.n + v.nr - 1) / v.nr;
   const std::size_t tasks =
       (g.m + g.rows_per_task - 1) / g.rows_per_task * g.col_tiles;
-  const std::size_t task_macs = std::min(g.m, g.rows_per_task) * g.k * v.nr;
+  const std::size_t task_macs =
+      std::max<std::size_t>(1, std::min(g.m, g.rows_per_task) * g.k * v.nr);
   fuse::util::parallel_for(
       0, tasks, [&](std::size_t t0, std::size_t t1) { v.run(g, t0, t1); },
-      std::max<std::size_t>(1, kMinTaskMacs / std::max<std::size_t>(1, task_macs)));
+      std::max<std::size_t>(1, kMinTaskMacs / task_macs));
 }
 
 void check_isa(fuse::util::Isa isa, const char* fn) {

@@ -1,7 +1,6 @@
 #pragma once
 // Host ISA dispatch, one table for every explicitly vectorized kernel: the
-// DSP lane FFTs (dsp/plan.h) and the batch-1 GEMM row kernel
-// (tensor/ops.h).
+// DSP lane FFTs (dsp/plan.h) and the GEMM microkernel (tensor/ops.h).
 //
 // The build targets baseline x86-64 (SSE2) and uses no -march, so a kernel
 // that wants wider vectors is compiled once per level under

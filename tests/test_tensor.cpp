@@ -169,6 +169,13 @@ struct GemmCase {
   float alpha, beta;
 };
 
+// Readable case names in failure messages.
+void PrintTo(const GemmCase& p, std::ostream* os) {
+  *os << "M=" << p.m << " K=" << p.k << " N=" << p.n
+      << (p.ta ? " A^T" : "") << (p.tb ? " B^T" : "") << " alpha=" << p.alpha
+      << " beta=" << p.beta;
+}
+
 class GemmSweep : public ::testing::TestWithParam<GemmCase> {};
 
 TEST_P(GemmSweep, MatchesNaiveReference) {
@@ -294,8 +301,9 @@ std::vector<GemmCase> gemm_sweep_cases() {
   // tail that is no multiple of any lane count), alpha != 1 and
   // beta not in {0, 1}.
   for (const std::size_t m : {1, 2, 3, 4, 7, 8, 9, 16, 17, 64, 128})
-    for (const auto [ta, tb] : {std::pair{false, false}, std::pair{false, true},
-                                std::pair{true, false}})
+    for (const auto& [ta, tb] : {std::pair{false, false},
+                                 std::pair{false, true},
+                                 std::pair{true, false}})
       cases.push_back(GemmCase{m, 300, 45, ta, tb, 0.75f, -0.5f});
   return cases;
 }
@@ -304,10 +312,10 @@ INSTANTIATE_TEST_SUITE_P(ShapesAndTransposes, GemmSweep,
                          ::testing::ValuesIn(gemm_sweep_cases()));
 
 // Every row of an NT product (x · Wᵀ: the FC layers) must be bit-identical
-// to the same row computed by the blocked path inside a 17-row batch, under
-// every host variant of the row kernel and on both sides of the small-M
-// crossover (3/4): batched serving and the batch-1 reference both rely on
-// outputs not depending on batch size or ISA.  The shapes cover full tiles (k = 2048, n = 512), column tails
+// to the same row computed inside a 17-row batch, under every host variant
+// and on both sides of the kernel's in-place / packed boundary (M <= MR
+// reads W in place): batched serving and the batch-1 reference both rely
+// on outputs not depending on batch size or ISA.  The shapes cover full tiles (k = 2048, n = 512), column tails
 // (n = 57, 520), n below one tile (n = 7), k tails (k = 2047, 20) and k
 // below one tile (k = 7); alpha != 1 and beta != 0 exercise the scaled fold
 // into C.
