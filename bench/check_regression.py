@@ -6,9 +6,9 @@ BENCH_serve.json, --smoke runs) against the committed baseline and fails
 on:
 
   * any *speedup* ratio dropping more than --max-drop (default 15%) below
-    the baseline — ratios (gemm vs naive, task-parallel vs serial,
-    batched vs independent serving) are what the PRs promised and they are robust to the absolute
-    speed of the CI runner, unlike raw frames/sec;
+    the baseline — ratios (capped vs full-resident clone RAM, batched vs
+    independent serving) are what the PRs promised and they are robust to
+    the absolute speed of the CI runner, unlike raw frames/sec;
   * any *loss* field drifting more than --loss-tol (default 5e-3) from the
     baseline — losses are deterministic for a fixed seed and scale, so
     drift beyond compiler-rounding noise means the arithmetic changed;
@@ -20,8 +20,8 @@ on:
     Counts additionally depend on the host libm (the simulator's sin/cos)
     and so get the small cross-host allowance; real CFAR regressions move
     counts by far more than an ulp's worth of scene perturbation.
-  * any *p99 latency* (keys ending in "p99_ms": end-to-end, per-stage and
-    per-backend-infer quantiles from the serve telemetry layer) growing
+  * any *p99 latency* (keys ending in "p99_ms": end-to-end and per-stage
+    quantiles from the serve telemetry layer) growing
     beyond baseline * --p99-factor (default 2x) AND by more than
     --p99-floor-ms (default 0.5 ms) absolutely.  Latencies scale with
     host speed, so the gate is multiplicative with an absolute floor:
@@ -69,9 +69,9 @@ on:
     additionally gated through the generic p99 rule, matched on the
     "shards" identity key.
 
-Rows inside JSON arrays are matched by their identity keys (backend,
-threads, sessions, batch, stage, cap, shards) so a CI host with more
-cores than the baseline host simply contributes extra, ungated rows.
+Rows inside JSON arrays are matched by their identity keys (threads,
+sessions, batch, stage, cap, shards) so a CI host with more cores than
+the baseline host simply contributes extra, ungated rows.
 
 Usage:
   check_regression.py BASELINE FRESH [--max-drop 0.15] [--loss-tol 5e-3]
@@ -82,8 +82,7 @@ import json
 import sys
 from collections import namedtuple
 
-IDENTITY_KEYS = ("backend", "threads", "sessions", "batch", "stage", "cap",
-                 "shards")
+IDENTITY_KEYS = ("threads", "sessions", "batch", "stage", "cap", "shards")
 
 
 def row_key(row):

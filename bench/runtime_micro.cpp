@@ -188,45 +188,39 @@ BENCHMARK(BM_FeaturizeFusedSample)->Unit(benchmark::kMicrosecond);
 
 // ------------------------------------------------------------------- NN --
 
-// Conv forward, naive reference loops vs the im2col+GEMM backend.  This is
-// the serving hot path; the GEMM backend's batch-wide weight reuse and
-// register tiling must show up from batch 8 on.  Conv shape = the model's
-// second (wider) layer.
-void BM_ConvForward(benchmark::State& state,
-                    fuse::nn::Backend backend) {
+// Conv forward (im2col + GEMM), the serving hot path; the batch-wide
+// weight reuse and register tiling must show up from batch 8 on.  Conv
+// shape = the model's second (wider) layer.
+void BM_ConvForward(benchmark::State& state) {
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   fuse::util::Rng rng(9);
   fuse::nn::Conv2d conv(16, 32, 3, 1, rng);
   fuse::tensor::Tensor x({batch, 16, 8, 8});
   for (std::size_t i = 0; i < x.numel(); ++i) x[i] = rng.uniformf(-1, 1);
   for (auto _ : state) {
-    auto y = conv.infer(x, backend);
+    auto y = conv.infer(x);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
 }
-BENCHMARK_CAPTURE(BM_ConvForward, naive, fuse::nn::Backend::kNaive)
-    ->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_ConvForward, gemm, fuse::nn::Backend::kGemm)
+BENCHMARK(BM_ConvForward)
     ->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
 
-void BM_CnnInference(benchmark::State& state, fuse::nn::Backend backend) {
+void BM_CnnInference(benchmark::State& state) {
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   fuse::util::Rng rng(10);
   const auto model = fuse::nn::build_model("mars_cnn", {.seed = 10});
   fuse::tensor::Tensor x({batch, 5, 8, 8});
   for (std::size_t i = 0; i < x.numel(); ++i) x[i] = rng.uniformf(-1, 1);
   for (auto _ : state) {
-    auto y = model->infer(x, backend);
+    auto y = model->infer(x);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
 }
-BENCHMARK_CAPTURE(BM_CnnInference, naive, fuse::nn::Backend::kNaive)
-    ->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_CnnInference, gemm, fuse::nn::Backend::kGemm)
+BENCHMARK(BM_CnnInference)
     ->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
 
 void BM_CnnTrainStep(benchmark::State& state) {

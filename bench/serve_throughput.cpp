@@ -1,6 +1,5 @@
 // Serving throughput: cross-session micro-batched inference vs N
-// independent single-sample pipelines, across the inference backends
-// (naive reference loops, im2col+GEMM).
+// independent single-sample pipelines.
 //
 // For each session count the baseline runs every session's stream through
 // its own fusion window + tracker with one CNN forward per frame (exactly
@@ -33,24 +32,24 @@
 // end-to-end p99 per row.  fps scaling is informational on a 1-core
 // container; the per-row p99 and the tail-sanity flag are gated.
 //
-// The bench is also the serving plane's observability gate: the backend
+// The bench is also the serving plane's observability gate: the 8-session
 // sweep records per-stage latency quantiles (queue-wait, featurize,
-// batched infer, ...) and per-backend utilization through the telemetry
-// layer, measures the telemetry overhead (detailed stats vs stats-idle
-// must stay within ~2%), and emits everything into BENCH_serve.json plus
+// batched infer, ...) through the telemetry layer, the bench measures the
+// telemetry overhead (detailed stats vs stats-idle must stay within ~2%),
+// and it emits everything into BENCH_serve.json plus
 // the full structured snapshot as DIR/SERVE_stats.json, so
 // check_regression.py can gate p99 latency and drop-rate — not only
 // throughput ratios.
 //
 // Run: ./serve_throughput [--scale=1] [--frames=200] [--csv=out.csv]
-//                         [--backend=gemm|naive] [--smoke]
-//                         [--raw-cubes] [--out=DIR]
+//                         [--smoke] [--raw-cubes] [--out=DIR]
 // Emits DIR/BENCH_serve.json (machine-readable perf + accuracy record)
 // and DIR/SERVE_stats.json (full serve::stats_to_json snapshot).
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <deque>
 #include <memory>
 #include <filesystem>
@@ -111,23 +110,33 @@ double run_baseline(fuse::core::FusePipeline& pl,
   return static_cast<double>(n_frames * streams.size()) / secs;
 }
 
+/// CPU time consumed by the calling thread so far, in seconds.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 struct ServerRun {
   double fps = 0.0;
+  /// Frames per second of this thread's CPU time: a synchronous drain
+  /// runs every kernel inline on the calling thread, so this is the
+  /// serving work itself, free of time the host gave to other processes.
+  double cpu_fps = 0.0;
   fuse::serve::ServeStats stats;
 };
 
 /// The serving runtime: preloaded queues drained with cross-session
-/// micro-batching at the given batch cap and inference backend.
-/// `detailed_stats` toggles the per-stage telemetry layer (the overhead
-/// measurement runs the same config with it off = stats-idle).
+/// micro-batching at the given batch cap.  `detailed_stats` toggles the
+/// per-stage telemetry layer (the overhead measurement runs the same
+/// config with it off = stats-idle).
 ServerRun run_server(fuse::core::FusePipeline& pl,
                      const std::vector<std::vector<PointCloud>>& streams,
-                     std::size_t max_batch, fuse::nn::Backend backend,
-                     bool detailed_stats = true) {
+                     std::size_t max_batch, bool detailed_stats = true) {
   const std::size_t n_frames = streams.empty() ? 0 : streams[0].size();
   fuse::serve::ServeConfig cfg;
   cfg.max_batch = max_batch;
-  cfg.backend = backend;
   cfg.detailed_stats = detailed_stats;
   cfg.session.queue_capacity = n_frames;
   cfg.session.results_capacity = n_frames;
@@ -140,12 +149,15 @@ ServerRun run_server(fuse::core::FusePipeline& pl,
       (void)server.submit_frame(ids[s], streams[s][i]);
 
   fuse::util::Stopwatch sw;
+  const double cpu0 = thread_cpu_seconds();
   const std::size_t served = server.drain();
+  const double cpu_secs = thread_cpu_seconds() - cpu0;
   const double secs = sw.seconds();
   // Poll every session so the result-poll stage records real samples.
   for (const auto id : ids) (void)server.poll_results(id);
   ServerRun run;
   run.fps = static_cast<double>(served) / secs;
+  run.cpu_fps = static_cast<double>(served) / cpu_secs;
   run.stats = server.stats();
   return run;
 }
@@ -170,29 +182,50 @@ float run_accuracy_check(fuse::core::FusePipeline& pl,
 
   const auto x_ev = pl.featurizer().make_inputs(pl.fused(), eval_set);
   const auto y_ev = pl.featurizer().make_labels(pl.fused(), eval_set);
-  return fuse::nn::l1_loss(pl.model().infer(x_ev, fuse::nn::Backend::kGemm),
-                           y_ev, nullptr);
+  return fuse::nn::l1_loss(pl.model().infer(x_ev), y_ev, nullptr);
 }
 
-struct BackendRow {
-  std::string name;
-  double fps = 0.0;
-  /// That backend's utilization row from its own sweep run (batches,
-  /// frames, per-batch infer latency quantiles).
-  fuse::serve::BackendSnapshot util;
-};
+double median_of(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  return *mid;
+}
 
-/// Telemetry overhead: the gemm sweep config run with detailed stats vs
-/// stats-idle (recording disabled).  overhead_pct > 0 means the detailed
-/// layer costs throughput; the gate allows ~2% plus shared-core noise.
+/// Telemetry overhead: the sweep config with detailed stats vs stats-idle
+/// (recording disabled), as many short blocks run in interleaved pairs.
+/// Each pair's two blocks run back to back, detailed first in even pairs
+/// and idle first in odd ones, so drift on a shared host (frequency,
+/// neighbours, cache pressure) hits both sides alike and neither side
+/// always runs warm.  Blocks are timed in thread CPU time (cpu_fps), so
+/// preemption by other processes does not count.  overhead_pct is the
+/// median of the per-pair idle-over-detailed cpu_fps ratios (> 0 means
+/// the detailed layer costs throughput); the fps fields are the per-side
+/// medians.
 struct StatsOverhead {
   double fps_detailed = 0.0;
   double fps_idle = 0.0;
-  double overhead_pct() const {
-    return fps_detailed > 0.0 ? (fps_idle / fps_detailed - 1.0) * 100.0
-                              : 0.0;
-  }
+  double overhead_pct = 0.0;
 };
+
+StatsOverhead measure_stats_overhead(
+    fuse::core::FusePipeline& pl,
+    const std::vector<std::vector<PointCloud>>& streams,
+    std::size_t max_batch, std::size_t pairs) {
+  std::vector<double> detailed, idle, ratio;
+  for (std::size_t i = 0; i < pairs; ++i) {
+    const bool detailed_first = i % 2 == 0;
+    const double first =
+        run_server(pl, streams, max_batch, detailed_first).cpu_fps;
+    const double second =
+        run_server(pl, streams, max_batch, !detailed_first).cpu_fps;
+    detailed.push_back(detailed_first ? first : second);
+    idle.push_back(detailed_first ? second : first);
+    ratio.push_back(idle.back() / detailed.back());
+  }
+  return {median_of(detailed), median_of(idle),
+          (median_of(ratio) - 1.0) * 100.0};
+}
 
 /// One cell of the clone-store sweep: N adapting sessions served in
 /// frame-by-frame lockstep under a resident-clone cap (0 = every clone
@@ -505,8 +538,7 @@ RawCubeRun run_raw_cubes(fuse::core::FusePipeline& pl, std::size_t sessions,
         win.push_back(frame.cloud);
         while (win.size() > pred.window_frames()) win.pop_front();
         const auto raw =
-            pred.predict_window(pl.model(), {win.begin(), win.end()},
-                                fuse::nn::Backend::kGemm);
+            pred.predict_window(pl.model(), {win.begin(), win.end()});
         checksum += trackers[s].update(raw).joints[0].x;
       }
     }
@@ -519,7 +551,6 @@ RawCubeRun run_raw_cubes(fuse::core::FusePipeline& pl, std::size_t sessions,
   {
     fuse::serve::ServeConfig scfg;
     scfg.max_batch = 8;
-    scfg.backend = fuse::nn::Backend::kGemm;
     scfg.processor = &pl.processor();
     scfg.session.queue_capacity = frames;
     scfg.session.results_capacity = frames;
@@ -709,9 +740,8 @@ ChurnStorm run_churn_storm(fuse::core::FusePipeline& pl, bool smoke) {
 }
 
 void write_json(const std::string& path, std::size_t sessions,
-                std::size_t frames, const std::vector<BackendRow>& rows,
-                float query_loss,
-                const RawCubeRun& raw, const fuse::serve::ServeStats& gemm,
+                std::size_t frames, double sweep_fps, float query_loss,
+                const RawCubeRun& raw, const fuse::serve::ServeStats& stats,
                 const StatsOverhead& overhead, const CloneSweep& clones,
                 const OverloadSweep& ov, const ShardSweep& shard_sweep,
                 const ChurnStorm& storm) {
@@ -725,36 +755,26 @@ void write_json(const std::string& path, std::size_t sessions,
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"sessions\": %zu,\n  \"frames\": %zu,\n", sessions,
                frames);
-  std::fprintf(f, "  \"backends\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& u = rows[i].util;
-    std::fprintf(f,
-                 "    {\"backend\": \"%s\", \"fps\": %.1f, "
-                 "\"batches\": %llu, \"frames_served\": %llu, "
-                 "\"mean_batch\": %.2f, \"infer_p50_ms\": %.4f, "
-                 "\"infer_p95_ms\": %.4f, \"infer_p99_ms\": %.4f}%s\n",
-                 rows[i].name.c_str(), rows[i].fps,
-                 static_cast<unsigned long long>(u.batches),
-                 static_cast<unsigned long long>(u.frames), u.mean_batch,
-                 u.infer_p50_ms, u.infer_p95_ms, u.infer_p99_ms,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  // End-to-end latency + drop-rate of the gemm sweep run: the p99 and
-  // drop_rate keys are regression-gated by bench/check_regression.py.
-  std::fprintf(f, "  \"latency_p50_ms\": %.4f,\n", gemm.latency_p50_ms);
-  std::fprintf(f, "  \"latency_p95_ms\": %.4f,\n", gemm.latency_p95_ms);
-  std::fprintf(f, "  \"latency_p99_ms\": %.4f,\n", gemm.latency_p99_ms);
-  std::fprintf(f, "  \"drop_rate\": %.6f,\n", gemm.drop_rate);
+  std::fprintf(f, "  \"fps\": %.1f,\n  \"batches\": %llu,\n"
+               "  \"mean_batch\": %.2f,\n",
+               sweep_fps, static_cast<unsigned long long>(stats.batches),
+               stats.mean_batch);
+  // End-to-end latency + drop-rate of the sweep run: the p99 and
+  // drop_rate keys are regression-gated by bench/check_regression.py; so
+  // is each stage's p99_ms (the infer stage is the per-batch forward).
+  std::fprintf(f, "  \"latency_p50_ms\": %.4f,\n", stats.latency_p50_ms);
+  std::fprintf(f, "  \"latency_p95_ms\": %.4f,\n", stats.latency_p95_ms);
+  std::fprintf(f, "  \"latency_p99_ms\": %.4f,\n", stats.latency_p99_ms);
+  std::fprintf(f, "  \"drop_rate\": %.6f,\n", stats.drop_rate);
   std::fprintf(f, "  \"stages\": [\n");
-  for (std::size_t i = 0; i < gemm.stages.size(); ++i) {
-    const auto& st = gemm.stages[i];
+  for (std::size_t i = 0; i < stats.stages.size(); ++i) {
+    const auto& st = stats.stages[i];
     std::fprintf(f,
                  "    {\"stage\": \"%s\", \"count\": %llu, "
                  "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f}%s\n",
                  st.stage.c_str(), static_cast<unsigned long long>(st.count),
                  st.p50_ms, st.p95_ms, st.p99_ms,
-                 i + 1 < gemm.stages.size() ? "," : "");
+                 i + 1 < stats.stages.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
@@ -762,7 +782,7 @@ void write_json(const std::string& path, std::size_t sessions,
                "  \"stats_idle_fps\": %.1f,\n"
                "  \"stats_overhead_pct\": %.3f,\n",
                overhead.fps_detailed, overhead.fps_idle,
-               overhead.overhead_pct());
+               overhead.overhead_pct);
   if (raw.enabled) {
     std::fprintf(f,
                  "  \"raw_cubes\": {\"sessions\": %zu, \"frames\": %zu, "
@@ -883,10 +903,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --frames must be >= 1\n");
     return 1;
   }
-  fuse::nn::Backend table_backend = fuse::nn::Backend::kGemm;
-  if (cli.has("backend"))
-    table_backend = fuse::nn::backend_from_name(cli.get("backend"));
-
   std::printf("FUSE serving throughput: cross-session batched inference\n\n");
 
   fuse::core::PipelineConfig cfg;
@@ -914,9 +930,7 @@ int main(int argc, char** argv) {
   double speedup_at_8 = 0.0;
 
   if (!smoke) {
-    fuse::util::Table table(
-        std::string("serving throughput (frames/sec, backend = ") +
-        fuse::nn::backend_name(table_backend) + ")");
+    fuse::util::Table table("serving throughput (frames/sec)");
     table.set_header({"sessions", "single-sample", "batch=1", "batch=4",
                       "batch=8", "batch=16", "speedup", "p95 ms"});
 
@@ -931,7 +945,7 @@ int main(int argc, char** argv) {
       double best_fps = 0.0;
       double p95 = 0.0;
       for (const std::size_t b : batch_sizes) {
-        const auto run = run_server(pl, streams, b, table_backend);
+        const auto run = run_server(pl, streams, b);
         row.push_back(fuse::util::Table::num(run.fps, 0));
         if (run.fps > best_fps) {
           best_fps = run.fps;
@@ -961,10 +975,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // -------------------------------------- backend sweep at 8 sessions --
-  // The sweep feeds the perf-regression gate, so it needs a stable ratio:
-  // streams long enough to dominate scheduler warm-up, and best-of-3 runs
-  // per backend to shrug off scheduler-vs-noisy-neighbour jitter on a
+  // ------------------------------------------------ sweep at 8 sessions --
+  // The sweep feeds the perf-regression gate, so it needs stable
+  // quantiles: streams long enough to dominate scheduler warm-up, and
+  // best-of-3 runs to shrug off scheduler-vs-noisy-neighbour jitter on a
   // shared CI core.
   constexpr std::size_t kSweepSessions = 8;
   constexpr std::size_t kSweepBatch = 8;
@@ -974,42 +988,22 @@ int main(int argc, char** argv) {
   for (std::size_t s = 0; s < kSweepSessions; ++s)
     streams8.push_back(stream_for(pl.dataset(), s, sweep_frames));
 
-  fuse::util::Table sweep("backend sweep (8 sessions, batch 8, frames/sec)");
-  sweep.set_header({"backend", "frames/sec", "vs gemm", "infer p99 ms"});
-  std::vector<BackendRow> rows;
-  double gemm_fps = 0.0;
-  fuse::serve::ServeStats gemm_stats;
-  for (const auto backend :
-       {fuse::nn::Backend::kNaive, fuse::nn::Backend::kGemm}) {
-    ServerRun run;
-    for (std::size_t r = 0; r < kSweepRepeats; ++r) {
-      const auto attempt = run_server(pl, streams8, kSweepBatch, backend);
-      if (attempt.fps > run.fps) run = attempt;
-    }
-    if (backend == fuse::nn::Backend::kGemm) {
-      gemm_fps = run.fps;
-      gemm_stats = run.stats;  // stage quantiles + drop rate for the gate
-    }
-    BackendRow row{fuse::nn::backend_name(backend), run.fps, {}};
-    // This run served every frame on one backend; pick its utilization row.
-    for (const auto& b : run.stats.backends)
-      if (b.backend == row.name) row.util = b;
-    rows.push_back(std::move(row));
+  ServerRun sweep;
+  for (std::size_t r = 0; r < kSweepRepeats; ++r) {
+    auto attempt = run_server(pl, streams8, kSweepBatch);
+    if (attempt.fps > sweep.fps) sweep = std::move(attempt);
   }
-  // Format after the sweep: the gemm denominator is only known once its
-  // own row has been measured.
-  for (const BackendRow& row : rows)
-    sweep.add_row({row.name, fuse::util::Table::num(row.fps, 0),
-                   fuse::util::Table::num(row.fps / gemm_fps, 2) + "x",
-                   fuse::util::Table::num(row.util.infer_p99_ms, 3)});
-  std::printf("%s\n", sweep.to_string().c_str());
+  std::printf("sweep (8 sessions, batch 8): %.0f frames/sec, %llu batches "
+              "of %.2f frames\n",
+              sweep.fps, static_cast<unsigned long long>(sweep.stats.batches),
+              sweep.stats.mean_batch);
 
   // ------------------------------------------- per-stage telemetry view --
   fuse::util::Table stage_table(
-      "per-stage latency (gemm sweep run, telemetry layer)");
+      "per-stage latency (sweep run, telemetry layer)");
   stage_table.set_header({"stage", "count", "p50 ms", "p95 ms", "p99 ms",
                           "total ms"});
-  for (const auto& st : gemm_stats.stages)
+  for (const auto& st : sweep.stats.stages)
     stage_table.add_row({st.stage, std::to_string(st.count),
                          fuse::util::Table::num(st.p50_ms, 3),
                          fuse::util::Table::num(st.p95_ms, 3),
@@ -1018,37 +1012,28 @@ int main(int argc, char** argv) {
   std::printf("\n%s\n", stage_table.to_string().c_str());
   std::printf("end-to-end latency: p50 %.2f ms  p95 %.2f ms  p99 %.2f ms; "
               "drop rate %.4f; queue hwm %zu\n",
-              gemm_stats.latency_p50_ms, gemm_stats.latency_p95_ms,
-              gemm_stats.latency_p99_ms, gemm_stats.drop_rate,
-              gemm_stats.queue_depth_hwm);
+              sweep.stats.latency_p50_ms, sweep.stats.latency_p95_ms,
+              sweep.stats.latency_p99_ms, sweep.stats.drop_rate,
+              sweep.stats.queue_depth_hwm);
 
   // ------------------------------------------ telemetry overhead gate --
-  // Same gemm config with per-stage recording on vs disabled (stats-
-  // idle).  The two sides run as interleaved pairs — not detailed-first
-  // then idle-first — so slow drift on a shared CI core (frequency,
-  // cache pressure from earlier phases) hits both sides equally, and
-  // best-of-N per side shrugs off point jitter.  Nine pairs: one run
-  // drains its 1600 frames in about 0.2 s on the fp32 microkernel, so
-  // three pairs measured too little time to resolve a few percent.
-  constexpr std::size_t kOverheadPairs = 9;
-  StatsOverhead overhead;
-  for (std::size_t r = 0; r < kOverheadPairs; ++r) {
-    const auto detailed =
-        run_server(pl, streams8, kSweepBatch, fuse::nn::Backend::kGemm,
-                   /*detailed_stats=*/true);
-    if (detailed.fps > overhead.fps_detailed)
-      overhead.fps_detailed = detailed.fps;
-    const auto idle =
-        run_server(pl, streams8, kSweepBatch, fuse::nn::Backend::kGemm,
-                   /*detailed_stats=*/false);
-    if (idle.fps > overhead.fps_idle) overhead.fps_idle = idle.fps;
-  }
+  // 41 interleaved pairs of short blocks (8 sessions x 32 frames, about
+  // 30 ms of drain each) — see measure_stats_overhead.
+  constexpr std::size_t kOverheadPairs = 41;
+  constexpr std::size_t kOverheadBlockFrames = 32;
+  std::vector<std::vector<PointCloud>> block_streams;
+  for (const auto& s : streams8)
+    block_streams.emplace_back(
+        s.begin(), s.begin() + static_cast<std::ptrdiff_t>(
+                                   kOverheadBlockFrames));
+  const StatsOverhead overhead = measure_stats_overhead(
+      pl, block_streams, kSweepBatch, kOverheadPairs);
   std::printf("telemetry overhead: detailed %.0f f/s vs stats-idle %.0f f/s "
-              "= %.2f%% %s\n",
+              "(CPU-time medians), median pair ratio = %.2f%% %s\n",
               overhead.fps_detailed, overhead.fps_idle,
-              overhead.overhead_pct(),
-              overhead.overhead_pct() <= 2.0 ? "(within 2% budget)"
-                                             : "(EXCEEDS 2% BUDGET!)");
+              overhead.overhead_pct,
+              overhead.overhead_pct <= 2.0 ? "(within 2% budget)"
+                                           : "(EXCEEDS 2% BUDGET!)");
 
   // ----------------------------------------------- clone-store sweep --
   // Resident-clone caps against 10 adapting sessions in frame-by-frame
@@ -1156,15 +1141,15 @@ int main(int argc, char** argv) {
   }
 
   write_json(cli.out_dir() + "/BENCH_serve.json", kSweepSessions,
-             sweep_frames, rows, query_loss, raw, gemm_stats,
+             sweep_frames, sweep.fps, query_loss, raw, sweep.stats,
              overhead, clones, ov, shard_sweep, storm);
 
-  // Full structured snapshot of the gemm sweep run — the same payload
+  // Full structured snapshot of the sweep run — the same payload
   // serve::Server::stats_json() serves live; uploaded as a CI artifact
   // next to the BENCH files.
   const std::string stats_path = cli.out_dir() + "/SERVE_stats.json";
   if (FILE* sf = std::fopen(stats_path.c_str(), "w")) {
-    const std::string json = fuse::serve::stats_to_json(gemm_stats);
+    const std::string json = fuse::serve::stats_to_json(sweep.stats);
     std::fwrite(json.data(), 1, json.size(), sf);
     std::fclose(sf);
     std::printf("wrote %s\n", stats_path.c_str());

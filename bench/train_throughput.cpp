@@ -1,15 +1,13 @@
-// Training-path throughput: meta-iterations/sec (Algorithm 1) and
-// fine-tune steps/sec (the MAML inner update, core::sgd_step), naive vs
-// GEMM training backend, over 1..N task workers.
+// Training-path throughput: meta-iterations/sec (Algorithm 1) over 1..N
+// task workers and fine-tune steps/sec (the MAML inner update,
+// core::sgd_step).
 //
-// The serial-naive row is the pre-PR baseline: per-sample conv loops in
-// Conv2d::forward/backward and a strictly serial FOMAML outer loop.  The
-// GEMM backend lowers both training passes onto the batched im2col + tiled
-// GEMM kernels (the backward is three matrix products on the cached column
-// matrix), and the task-parallel outer loop adapts per-task clones
-// concurrently — each row must reproduce the same losses, because the task
-// sampling is pre-drawn on one RNG stream and the meta-gradient reduction
-// runs in task order regardless of worker count.
+// Both training passes run on the batched im2col + tiled GEMM kernels (the
+// conv backward is three matrix products on the cached column matrix),
+// and the task-parallel outer loop adapts per-task clones concurrently —
+// each row must reproduce the same losses, because the task sampling is
+// pre-drawn on one RNG stream and the meta-gradient reduction runs in
+// task order regardless of worker count.
 //
 // Thread accounting: the "1 thread" rows run the whole workload inside a
 // util::InlineScope (every free parallel_for serializes inline there), so
@@ -41,14 +39,12 @@
 namespace {
 
 struct MetaRun {
-  std::string backend;
   std::size_t threads = 1;
   double iters_per_sec = 0.0;
   float final_query_loss = 0.0f;
 };
 
 struct StepRun {
-  std::string backend;
   double steps_per_sec = 0.0;
   float last_loss = 0.0f;
 };
@@ -60,21 +56,18 @@ struct Bench {
   fuse::core::MetaConfig mcfg;
   std::uint64_t model_seed;
 
-  std::unique_ptr<fuse::nn::Module> make_model(fuse::nn::Backend b) const {
+  std::unique_ptr<fuse::nn::Module> make_model() const {
     fuse::nn::ModelConfig cfg;
     cfg.in_channels = fuse::data::kChannelsPerFrame;
     cfg.seed = model_seed;
-    auto model = fuse::nn::build_model("mars_cnn", cfg);
-    model->set_train_backend(b);
-    return model;
+    return fuse::nn::build_model("mars_cnn", cfg);
   }
 
-  /// One timed meta-training run at the given backend/worker count.
-  MetaRun run_meta(fuse::nn::Backend backend, std::size_t threads) const {
+  /// One timed meta-training run at the given worker count.
+  MetaRun run_meta(std::size_t threads) const {
     MetaRun out;
-    out.backend = fuse::nn::backend_name(backend);
     out.threads = threads;
-    const auto model = make_model(backend);
+    const auto model = make_model();
     fuse::core::MetaTrainer meta(model.get(), mcfg);
     // Confine the run to exactly `threads` workers: under an InlineScope
     // the reduction/outer update — and, at one thread, every kernel —
@@ -98,11 +91,9 @@ struct Bench {
 
   /// Fine-tune (online-adaptation) steps/sec: repeated core::sgd_step on a
   /// fixed featurized batch — exactly the serve runtime's per-user update.
-  StepRun run_steps(fuse::nn::Backend backend, std::size_t batch,
-                    std::size_t steps) const {
+  StepRun run_steps(std::size_t batch, std::size_t steps) const {
     StepRun out;
-    out.backend = fuse::nn::backend_name(backend);
-    const auto model = make_model(backend);
+    const auto model = make_model();
     fuse::data::IndexSet batch_set(
         train_pool.begin(),
         train_pool.begin() +
@@ -121,9 +112,7 @@ struct Bench {
 };
 
 void write_json(const std::string& path, std::size_t host_threads,
-                const std::vector<MetaRun>& meta,
-                const std::vector<StepRun>& steps, double meta_speedup_best,
-                double meta_speedup_1t, double step_speedup) {
+                const std::vector<MetaRun>& meta, const StepRun& step) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
@@ -134,25 +123,14 @@ void write_json(const std::string& path, std::size_t host_threads,
   std::fprintf(f, "  \"meta\": [\n");
   for (std::size_t i = 0; i < meta.size(); ++i)
     std::fprintf(f,
-                 "    {\"backend\": \"%s\", \"threads\": %zu, "
-                 "\"iters_per_sec\": %.4f, \"final_query_loss\": %.6f}%s\n",
-                 meta[i].backend.c_str(), meta[i].threads,
-                 meta[i].iters_per_sec, meta[i].final_query_loss,
-                 i + 1 < meta.size() ? "," : "");
+                 "    {\"threads\": %zu, \"iters_per_sec\": %.4f, "
+                 "\"final_query_loss\": %.6f}%s\n",
+                 meta[i].threads, meta[i].iters_per_sec,
+                 meta[i].final_query_loss, i + 1 < meta.size() ? "," : "");
   std::fprintf(f, "  ],\n  \"finetune\": [\n");
-  for (std::size_t i = 0; i < steps.size(); ++i)
-    std::fprintf(f,
-                 "    {\"backend\": \"%s\", \"steps_per_sec\": %.2f, "
-                 "\"last_loss\": %.6f}%s\n",
-                 steps[i].backend.c_str(), steps[i].steps_per_sec,
-                 steps[i].last_loss, i + 1 < steps.size() ? "," : "");
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"meta_speedup_gemm_1t_over_naive_1t\": %.3f,\n",
-               meta_speedup_1t);
-  std::fprintf(f, "  \"meta_speedup_best_over_naive_1t\": %.3f,\n",
-               meta_speedup_best);
-  std::fprintf(f, "  \"finetune_speedup_gemm_over_naive\": %.3f\n}\n",
-               step_speedup);
+  std::fprintf(f, "    {\"steps_per_sec\": %.2f, \"last_loss\": %.6f}\n",
+               step.steps_per_sec, step.last_loss);
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
 }
@@ -183,7 +161,7 @@ int main(int argc, char** argv) {
   if (hc > 1 && thread_counts.back() != hc)
     thread_counts.push_back(hc);  // full width on non-power-of-2 hosts
 
-  std::printf("FUSE training throughput: GEMM training backend + "
+  std::printf("FUSE training throughput: GEMM training + "
               "task-parallel FOMAML\n(%zu frames/seq, %zu meta-iterations, "
               "%zu tasks x %zu frames, host threads %zu)\n\n",
               bcfg.frames_per_sequence, mcfg.iterations,
@@ -203,73 +181,36 @@ int main(int argc, char** argv) {
   // --------------------------------------------------- meta-training --
   std::vector<MetaRun> meta_runs;
   fuse::util::Table meta_table("meta-training throughput (iterations/sec)");
-  meta_table.set_header({"backend", "threads", "iters/sec", "query loss",
-                         "speedup vs naive 1t"});
-  double naive_1t = 0.0;
-  for (const auto backend :
-       {fuse::nn::Backend::kNaive, fuse::nn::Backend::kGemm}) {
-    for (const std::size_t t : thread_counts) {
-      const MetaRun run = bench.run_meta(backend, t);
-      if (run.backend == "naive" && run.threads == 1)
-        naive_1t = run.iters_per_sec;
-      meta_runs.push_back(run);
-      meta_table.add_row(
-          {run.backend, std::to_string(run.threads),
-           fuse::util::Table::num(run.iters_per_sec, 3),
-           fuse::util::Table::num(run.final_query_loss, 4),
-           fuse::util::Table::num(run.iters_per_sec / naive_1t, 2) + "x"});
-    }
+  meta_table.set_header({"threads", "iters/sec", "query loss", "vs 1t"});
+  for (const std::size_t t : thread_counts) {
+    const MetaRun run = bench.run_meta(t);
+    meta_runs.push_back(run);
+    meta_table.add_row(
+        {std::to_string(run.threads),
+         fuse::util::Table::num(run.iters_per_sec, 3),
+         fuse::util::Table::num(run.final_query_loss, 4),
+         fuse::util::Table::num(
+             run.iters_per_sec / meta_runs.front().iters_per_sec, 2) +
+             "x"});
   }
   std::printf("%s\n", meta_table.to_string().c_str());
 
   // Every configuration must land on the same losses (deterministic task
   // pre-sampling + ordered reduction); a drifting row means a data race.
   bool losses_agree = true;
-  for (const auto& a : meta_runs)
-    for (const auto& b : meta_runs)
-      if (a.backend == b.backend &&
-          std::abs(a.final_query_loss - b.final_query_loss) > 1e-5f)
-        losses_agree = false;
-  std::printf("per-backend losses agree across worker counts: %s\n\n",
+  for (const auto& run : meta_runs)
+    if (std::abs(run.final_query_loss - meta_runs.front().final_query_loss) >
+        1e-5f)
+      losses_agree = false;
+  std::printf("losses agree across worker counts: %s\n\n",
               losses_agree ? "yes" : "NO — DATA RACE?");
 
-  double meta_1t = 0.0, meta_best = 0.0;
-  for (const auto& run : meta_runs) {
-    if (run.backend == "gemm") {
-      meta_best = std::max(meta_best, run.iters_per_sec);
-      if (run.threads == 1) meta_1t = run.iters_per_sec;
-    }
-  }
-
   // ------------------------------------------------- fine-tune steps --
-  const std::size_t ft_steps = smoke ? 10 : 60;
-  std::vector<StepRun> step_runs;
-  fuse::util::Table ft_table("fine-tune (sgd_step, batch 64) steps/sec");
-  ft_table.set_header({"backend", "steps/sec", "speedup"});
-  for (const auto backend :
-       {fuse::nn::Backend::kNaive, fuse::nn::Backend::kGemm}) {
-    step_runs.push_back(bench.run_steps(backend, 64, ft_steps));
-    ft_table.add_row(
-        {step_runs.back().backend,
-         fuse::util::Table::num(step_runs.back().steps_per_sec, 1),
-         fuse::util::Table::num(step_runs.back().steps_per_sec /
-                                    step_runs.front().steps_per_sec, 2) +
-             "x"});
-  }
-  std::printf("%s\n", ft_table.to_string().c_str());
+  const StepRun step = bench.run_steps(64, smoke ? 10 : 60);
+  std::printf("fine-tune (sgd_step, batch 64): %.1f steps/sec, last loss "
+              "%.6f\n",
+              step.steps_per_sec, step.last_loss);
 
-  const double speedup_1t = meta_1t / naive_1t;
-  const double speedup_best = meta_best / naive_1t;
-  const double speedup_ft =
-      step_runs.back().steps_per_sec / step_runs.front().steps_per_sec;
-  std::printf("meta-training: GEMM single-thread %.2fx %s, best %.2fx over "
-              "the naive serial baseline\nfine-tune steps: GEMM %.2fx\n",
-              speedup_1t,
-              speedup_1t >= 1.3 ? "(>= 1.3x target met)"
-                                : "(below 1.3x target!)",
-              speedup_best, speedup_ft);
-
-  write_json(cli.out_dir() + "/BENCH_train.json", hc, meta_runs, step_runs,
-             speedup_best, speedup_1t, speedup_ft);
+  write_json(cli.out_dir() + "/BENCH_train.json", hc, meta_runs, step);
   return losses_agree ? 0 : 1;
 }

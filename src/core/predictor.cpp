@@ -44,10 +44,10 @@ void Predictor::featurize_window(
 std::vector<fuse::human::Pose>
 Predictor::predict(const fuse::nn::Module& model,
                    const fuse::tensor::Tensor& x,
-                   fuse::nn::Backend backend) const {
+                   fuse::nn::Backend) const {
   if (!valid())
     throw std::logic_error("Predictor: no featurizer attached");
-  const auto pred = model.infer(x, backend);
+  const auto pred = model.infer(x);
   const auto denorm = featurizer_->denormalize_labels(pred);
   std::vector<fuse::human::Pose> poses(denorm.dim(0));
   for (std::size_t n = 0; n < poses.size(); ++n) {
@@ -61,11 +61,10 @@ Predictor::predict(const fuse::nn::Module& model,
 
 fuse::human::Pose Predictor::predict_window(
     const fuse::nn::Module& model,
-    const std::vector<fuse::radar::PointCloud>& window,
-    fuse::nn::Backend backend) const {
+    const std::vector<fuse::radar::PointCloud>& window) const {
   fuse::tensor::Tensor x = alloc_batch(1);
   featurize_window(window, x.data());
-  return predict(model, x, backend).front();
+  return predict(model, x).front();
 }
 
 }  // namespace fuse::core

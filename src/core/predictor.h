@@ -12,8 +12,7 @@
 //
 // It holds no mutable state, so one Predictor serves any number of
 // concurrent sessions; the model is passed per call (sessions may run the
-// shared meta-model or their own fine-tuned clone), and the inference
-// backend (naive reference loops vs im2col+GEMM) is selected per call.
+// shared meta-model or their own fine-tuned clone).
 
 #include <cstddef>
 #include <vector>
@@ -63,18 +62,17 @@ class Predictor {
                         std::size_t n_frames, float* out,
                         PredictScratch& scratch) const;
 
-  /// Batched inference: x [N, 5, 8, 8] -> N denormalized poses, through
-  /// the given compute backend (kNaive when omitted).
+  /// Batched inference: x [N, 5, 8, 8] -> N denormalized poses.  The
+  /// Backend parameter is a single-value tag that selects nothing.
   std::vector<fuse::human::Pose> predict(
       const fuse::nn::Module& model, const fuse::tensor::Tensor& x,
-      fuse::nn::Backend backend = fuse::nn::Backend::kNaive) const;
+      fuse::nn::Backend = fuse::nn::Backend::kGemm) const;
 
   /// Single-window convenience (the original FusePipeline::predict_window
   /// path, batch size 1).
   fuse::human::Pose predict_window(
       const fuse::nn::Module& model,
-      const std::vector<fuse::radar::PointCloud>& window,
-      fuse::nn::Backend backend = fuse::nn::Backend::kNaive) const;
+      const std::vector<fuse::radar::PointCloud>& window) const;
 
   const fuse::data::Featurizer& featurizer() const { return *featurizer_; }
 

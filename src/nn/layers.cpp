@@ -1,9 +1,8 @@
 #include "nn/layers.h"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <vector>
+#include <string>
 
 #include "tensor/init.h"
 #include "util/thread_pool.h"
@@ -14,45 +13,15 @@ using fuse::tensor::Trans;
 
 namespace {
 
-// Shared by Conv2d::forward and Conv2d::infer so both paths compute
-// bit-identical outputs: y_n = W * col_n + b, parallel over the batch (the
-// inner gemm serialises automatically inside pool workers).
-Tensor conv_apply(const Tensor& col, const Tensor& w, const Tensor& b,
-                  std::size_t n, std::size_t out_channels, std::size_t oh,
-                  std::size_t ow) {
-  Tensor y({n, out_channels, oh, ow});
-  const std::size_t k = w.dim(1);
-  const std::size_t hw = oh * ow;
-  fuse::util::parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t nidx = lo; nidx < hi; ++nidx) {
-      const float* colp = col.data() + nidx * k * hw;
-      float* yp = y.data() + nidx * out_channels * hw;
-      for (std::size_t oc = 0; oc < out_channels; ++oc) {
-        const float* wrow = w.data() + oc * k;
-        float* yrow = yp + oc * hw;
-        const float bias = b[oc];
-        for (std::size_t p = 0; p < hw; ++p) yrow[p] = bias;
-        for (std::size_t kk = 0; kk < k; ++kk) {
-          const float wv = wrow[kk];
-          const float* crow = colp + kk * hw;
-          for (std::size_t p = 0; p < hw; ++p) yrow[p] += wv * crow[p];
-        }
-      }
-    }
-  }, 4);
-  return y;
-}
-
-// Full GEMM-backend convolution: batched im2col, one bias-started GEMM
-// (tensor::gemm_bias: y2 = W * colb + b), then scatter
-// of the [oc, N*hw] product back into the [N, oc, oh, ow] layout.  The
-// caller provides the colb/y2 buffers (Workspace slots on the training
-// path so they recycle across steps, locals on the const inference path),
-// so forward() and infer(kGemm) run bit-identical arithmetic through this
-// single implementation.
-Tensor conv_apply_gemm(const Tensor& x, const Tensor& w, const Tensor& b,
-                       std::size_t kernel, std::size_t pad,
-                       std::size_t out_channels, Tensor& colb, Tensor& y2) {
+// The convolution: batched im2col, one bias-started GEMM
+// (tensor::gemm_bias: y2 = W * colb + b), then scatter of the [oc, N*hw]
+// product back into the [N, oc, oh, ow] layout.  The caller provides the
+// colb/y2 buffers (Workspace slots on the training path so they recycle
+// across steps, locals on the const inference path), so forward() and
+// infer() run bit-identical arithmetic through this single implementation.
+Tensor conv_apply(const Tensor& x, const Tensor& w, const Tensor& b,
+                  std::size_t kernel, std::size_t pad,
+                  std::size_t out_channels, Tensor& colb, Tensor& y2) {
   const std::size_t n = x.dim(0);
   const std::size_t oh = fuse::tensor::conv_out_size(x.dim(2), kernel, 1,
                                                      pad);
@@ -73,6 +42,12 @@ Tensor conv_apply_gemm(const Tensor& x, const Tensor& w, const Tensor& b,
     }
   });
   return y;
+}
+
+void check_conv_input(const Tensor& x, std::size_t in_channels,
+                      const char* where) {
+  if (x.ndim() != 4 || x.dim(1) != in_channels)
+    throw std::invalid_argument(std::string(where) + ": bad input shape");
 }
 
 }  // namespace
@@ -100,10 +75,9 @@ Conv2d::Conv2d(const Conv2d& other)
       b_(other.b_),
       gw_(other.gw_),
       gb_(other.gb_),
-      fwd_backend_(other.fwd_backend_),
       n_(other.n_),
       h_(other.h_),
-      w_in_(other.w_in_) {}  // col_ and ws_ start empty: caches not copied
+      w_in_(other.w_in_) {}  // ws_ starts empty: the cache is not copied
 
 Conv2d& Conv2d::operator=(const Conv2d& other) {
   if (this == &other) return *this;
@@ -116,130 +90,42 @@ Conv2d& Conv2d::operator=(const Conv2d& other) {
   b_ = other.b_;
   gw_ = other.gw_;
   gb_ = other.gb_;
-  fwd_backend_ = other.fwd_backend_;
   n_ = other.n_;
   h_ = other.h_;
   w_in_ = other.w_in_;
-  col_ = Tensor();
   ws_.clear();
   return *this;
 }
 
 Tensor Conv2d::forward(const Tensor& x) {
-  if (x.ndim() != 4 || x.dim(1) != in_channels_)
-    throw std::invalid_argument("Conv2d::forward: bad input shape");
+  check_conv_input(x, in_channels_, "Conv2d::forward");
   n_ = x.dim(0);
   h_ = x.dim(2);
   w_in_ = x.dim(3);
-  const std::size_t oh = fuse::tensor::conv_out_size(h_, kernel_, 1, pad_);
-  const std::size_t ow = fuse::tensor::conv_out_size(w_in_, kernel_, 1, pad_);
-  fwd_backend_ = train_backend();
-
-  if (fwd_backend_ == Backend::kGemm) {
-    // Cache ONE representation: the batched column matrix (kWsColb), which
-    // is exactly what the GEMM backward consumes.  The per-sample col_ of
-    // the naive path is released, not maintained alongside.  The kernel
-    // owns the buffer shapes; the slots are just recycled storage.
-    col_ = Tensor();
-    return conv_apply_gemm(x, w_, b_, kernel_, pad_, out_channels_,
-                           ws_.slot(kWsColb), ws_.slot(kWsY2));
-  }
-  ws_.clear();  // symmetric: the naive cache replaces the batched one
-  col_ = fuse::tensor::im2col(x, kernel_, kernel_, 1, pad_);
-  return conv_apply(col_, w_, b_, n_, out_channels_, oh, ow);
+  // The batched column matrix (kWsColb) stays cached: it is exactly what
+  // backward() consumes.  The kernel owns the buffer shapes; the slots
+  // are just recycled storage.
+  return conv_apply(x, w_, b_, kernel_, pad_, out_channels_,
+                    ws_.slot(kWsColb), ws_.slot(kWsY2));
 }
 
-Tensor Conv2d::do_infer(const Tensor& x, Backend backend) const {
-  if (x.ndim() != 4 || x.dim(1) != in_channels_)
-    throw std::invalid_argument("Conv2d::infer: bad input shape");
-  if (backend == Backend::kGemm) {
-    // Local buffers: do_infer is const and shared across threads, so it
-    // cannot touch the member workspace.  Same kernel as forward().
-    Tensor colb, y2;
-    return conv_apply_gemm(x, w_, b_, kernel_, pad_, out_channels_, colb,
-                           y2);
-  }
-  const std::size_t oh = fuse::tensor::conv_out_size(x.dim(2), kernel_, 1,
-                                                     pad_);
-  const std::size_t ow = fuse::tensor::conv_out_size(x.dim(3), kernel_, 1,
-                                                     pad_);
-  const Tensor col = fuse::tensor::im2col(x, kernel_, kernel_, 1, pad_);
-  return conv_apply(col, w_, b_, x.dim(0), out_channels_, oh, ow);
+Tensor Conv2d::do_infer(const Tensor& x) const {
+  check_conv_input(x, in_channels_, "Conv2d::infer");
+  // Local buffers: do_infer is const and shared across threads, so it
+  // cannot touch the member workspace.  Same kernel as forward().
+  Tensor colb, y2;
+  return conv_apply(x, w_, b_, kernel_, pad_, out_channels_, colb, y2);
 }
 
 Tensor Conv2d::backward(const Tensor& dy) {
   const std::size_t oh = fuse::tensor::conv_out_size(h_, kernel_, 1, pad_);
   const std::size_t ow = fuse::tensor::conv_out_size(w_in_, kernel_, 1, pad_);
   const std::size_t hw = oh * ow;
+  const std::size_t nhw = n_ * hw;
   const std::size_t k = in_channels_ * kernel_ * kernel_;
   if (dy.ndim() != 4 || dy.dim(0) != n_ || dy.dim(1) != out_channels_ ||
       dy.dim(2) != oh || dy.dim(3) != ow)
     throw std::invalid_argument("Conv2d::backward: bad gradient shape");
-  if (fwd_backend_ == Backend::kGemm) return backward_gemm(dy, oh, ow);
-  if (col_.ndim() != 3 || col_.dim(0) != n_ || col_.dim(1) != k ||
-      col_.dim(2) != hw)
-    throw std::logic_error(
-        "Conv2d::backward: no cached forward (run forward() first — copies "
-        "drop the column cache)");
-
-  // Gradients are accumulated into partials per chunk, then reduced, so the
-  // batch loop can run in parallel without atomics.
-  const std::size_t n_workers = 8;
-  const std::size_t chunk = (n_ + n_workers - 1) / n_workers;
-  std::vector<Tensor> gw_part;
-  std::vector<Tensor> gb_part;
-  for (std::size_t i = 0; i < n_workers; ++i) {
-    gw_part.emplace_back(fuse::tensor::Shape{out_channels_, k});
-    gb_part.emplace_back(fuse::tensor::Shape{out_channels_});
-  }
-
-  Tensor dcol({n_, k, hw});
-  fuse::util::parallel_for(0, n_workers, [&](std::size_t w0, std::size_t w1) {
-    for (std::size_t wk = w0; wk < w1; ++wk) {
-      const std::size_t lo = wk * chunk;
-      const std::size_t hi = std::min(n_, lo + chunk);
-      Tensor& gw = gw_part[wk];
-      Tensor& gb = gb_part[wk];
-      for (std::size_t nidx = lo; nidx < hi; ++nidx) {
-        const float* dyp = dy.data() + nidx * out_channels_ * hw;
-        const float* colp = col_.data() + nidx * k * hw;
-        float* dcolp = dcol.data() + nidx * k * hw;
-        // gw += dy_n * col_n^T ; gb += row sums; dcol_n = W^T * dy_n.
-        for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-          const float* dyrow = dyp + oc * hw;
-          float* gwrow = gw.data() + oc * k;
-          double brow = 0.0;
-          for (std::size_t p = 0; p < hw; ++p) brow += dyrow[p];
-          gb[oc] += static_cast<float>(brow);
-          const float* wrow = w_.data() + oc * k;
-          for (std::size_t kk = 0; kk < k; ++kk) {
-            const float* crow = colp + kk * hw;
-            float* dcrow = dcolp + kk * hw;
-            const float wv = wrow[kk];
-            double acc = 0.0;
-            for (std::size_t p = 0; p < hw; ++p) {
-              acc += static_cast<double>(dyrow[p]) * crow[p];
-              dcrow[p] += wv * dyrow[p];
-            }
-            gwrow[kk] += static_cast<float>(acc);
-          }
-        }
-      }
-    }
-  });
-  for (std::size_t i = 0; i < n_workers; ++i) {
-    gw_ += gw_part[i];
-    gb_ += gb_part[i];
-  }
-  return fuse::tensor::col2im(dcol, n_, in_channels_, h_, w_in_, kernel_,
-                              kernel_, 1, pad_);
-}
-
-Tensor Conv2d::backward_gemm(const Tensor& dy, std::size_t oh,
-                             std::size_t ow) {
-  const std::size_t hw = oh * ow;
-  const std::size_t nhw = n_ * hw;
-  const std::size_t k = in_channels_ * kernel_ * kernel_;
   if (ws_.slots() <= kWsColb || ws_.at(kWsColb).ndim() != 2 ||
       ws_.at(kWsColb).dim(0) != k || ws_.at(kWsColb).dim(1) != nhw)
     throw std::logic_error(
@@ -259,12 +145,11 @@ Tensor Conv2d::backward_gemm(const Tensor& dy, std::size_t oh,
     }
   });
 
-  // gw += dy2 · colbᵀ  — one blocked GEMM over the whole batch (the naive
-  // path does this sample by sample with the weight panel re-read each
-  // time).  beta = 1 keeps the accumulate-into-gradients contract.
+  // gw += dy2 · colbᵀ — one GEMM over the whole batch.  beta = 1 keeps
+  // the accumulate-into-gradients contract.
   fuse::tensor::gemm(Trans::kNo, Trans::kYes, 1.0f, dy2, colb, 1.0f, gw_);
 
-  // gb += row sums of dy2 (double accumulator, like the naive reference).
+  // gb += row sums of dy2 (double accumulator, like the reference).
   for (std::size_t oc = 0; oc < out_channels_; ++oc) {
     const float* row = dy2.data() + oc * nhw;
     double acc = 0.0;
@@ -277,6 +162,77 @@ Tensor Conv2d::backward_gemm(const Tensor& dy, std::size_t oh,
   fuse::tensor::gemm(Trans::kYes, Trans::kNo, 1.0f, w_, dy2, 0.0f, dcol);
   return fuse::tensor::col2im_batched(dcol, n_, in_channels_, h_, w_in_,
                                       kernel_, kernel_, 1, pad_);
+}
+
+Tensor conv2d_reference_forward(const Conv2d& conv, const Tensor& x) {
+  check_conv_input(x, conv.in_channels(), "conv2d_reference_forward");
+  const std::size_t n = x.dim(0), oc_n = conv.out_channels();
+  const std::size_t k = conv.weight().dim(1);
+  const std::size_t oh = fuse::tensor::conv_out_size(
+      x.dim(2), conv.kernel(), 1, conv.pad());
+  const std::size_t ow = fuse::tensor::conv_out_size(
+      x.dim(3), conv.kernel(), 1, conv.pad());
+  const std::size_t hw = oh * ow;
+  const Tensor col =
+      fuse::tensor::im2col(x, conv.kernel(), conv.kernel(), 1, conv.pad());
+  Tensor y({n, oc_n, oh, ow});
+  for (std::size_t nidx = 0; nidx < n; ++nidx) {
+    const float* colp = col.data() + nidx * k * hw;
+    for (std::size_t oc = 0; oc < oc_n; ++oc) {
+      const float* wrow = conv.weight().data() + oc * k;
+      float* yrow = y.data() + (nidx * oc_n + oc) * hw;
+      for (std::size_t p = 0; p < hw; ++p) yrow[p] = conv.bias()[oc];
+      for (std::size_t kk = 0; kk < k; ++kk)
+        for (std::size_t p = 0; p < hw; ++p)
+          yrow[p] += wrow[kk] * colp[kk * hw + p];
+    }
+  }
+  return y;
+}
+
+Conv2dGrads conv2d_reference_backward(const Conv2d& conv, const Tensor& x,
+                                      const Tensor& dy) {
+  check_conv_input(x, conv.in_channels(), "conv2d_reference_backward");
+  const std::size_t n = x.dim(0), oc_n = conv.out_channels();
+  const std::size_t k = conv.weight().dim(1);
+  const std::size_t oh = fuse::tensor::conv_out_size(
+      x.dim(2), conv.kernel(), 1, conv.pad());
+  const std::size_t ow = fuse::tensor::conv_out_size(
+      x.dim(3), conv.kernel(), 1, conv.pad());
+  const std::size_t hw = oh * ow;
+  if (dy.ndim() != 4 || dy.dim(0) != n || dy.dim(1) != oc_n ||
+      dy.dim(2) != oh || dy.dim(3) != ow)
+    throw std::invalid_argument(
+        "conv2d_reference_backward: bad gradient shape");
+  const Tensor col =
+      fuse::tensor::im2col(x, conv.kernel(), conv.kernel(), 1, conv.pad());
+  Conv2dGrads g{Tensor(), Tensor(conv.weight().shape()),
+                Tensor(conv.bias().shape())};
+  Tensor dcol({n, k, hw});
+  for (std::size_t nidx = 0; nidx < n; ++nidx) {
+    const float* colp = col.data() + nidx * k * hw;
+    float* dcolp = dcol.data() + nidx * k * hw;
+    // dW += dy_n · col_nᵀ ; db += row sums of dy_n ; dcol_n = Wᵀ · dy_n.
+    for (std::size_t oc = 0; oc < oc_n; ++oc) {
+      const float* dyrow = dy.data() + (nidx * oc_n + oc) * hw;
+      const float* wrow = conv.weight().data() + oc * k;
+      double brow = 0.0;
+      for (std::size_t p = 0; p < hw; ++p) brow += dyrow[p];
+      g.db[oc] += static_cast<float>(brow);
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        double acc = 0.0;
+        for (std::size_t p = 0; p < hw; ++p) {
+          acc += static_cast<double>(dyrow[p]) * colp[kk * hw + p];
+          dcolp[kk * hw + p] += wrow[kk] * dyrow[p];
+        }
+        g.dw[oc * k + kk] += static_cast<float>(acc);
+      }
+    }
+  }
+  g.dx = fuse::tensor::col2im(dcol, n, conv.in_channels(), x.dim(2),
+                              x.dim(3), conv.kernel(), conv.kernel(), 1,
+                              conv.pad());
+  return g;
 }
 
 Linear::Linear(std::size_t in_features, std::size_t out_features,
@@ -299,11 +255,9 @@ Tensor Linear::forward(const Tensor& x) {
   return y;
 }
 
-Tensor Linear::do_infer(const Tensor& x, Backend /*backend*/) const {
+Tensor Linear::do_infer(const Tensor& x) const {
   if (x.ndim() != 2 || x.dim(1) != in_features_)
     throw std::invalid_argument("Linear::infer: bad input shape");
-  // Every backend runs x · Wᵀ through tensor::gemm (the layer has no
-  // naive variant: the GEMM is its reference).
   Tensor y = fuse::tensor::matmul(x, w_, Trans::kNo, Trans::kYes);
   fuse::tensor::add_row_bias(y, b_);
   return y;
@@ -327,11 +281,11 @@ Tensor ReLU::backward(const Tensor& dy) {
   return fuse::tensor::relu_backward(dy, x_);
 }
 
-Tensor ReLU::do_infer(const Tensor& x, Backend /*backend*/) const {
+Tensor ReLU::do_infer(const Tensor& x) const {
   return fuse::tensor::relu(x);
 }
 
-bool ReLU::do_infer_inplace(Tensor& x, Backend /*backend*/) const {
+bool ReLU::do_infer_inplace(Tensor& x) const {
   fuse::tensor::relu_inplace(x);
   return true;
 }
@@ -347,11 +301,11 @@ Tensor Flatten::backward(const Tensor& dy) {
   return dy.reshaped(in_shape_);
 }
 
-Tensor Flatten::do_infer(const Tensor& x, Backend /*backend*/) const {
+Tensor Flatten::do_infer(const Tensor& x) const {
   return x.reshaped({x.dim(0), x.numel() / x.dim(0)});
 }
 
-bool Flatten::do_infer_inplace(Tensor& x, Backend /*backend*/) const {
+bool Flatten::do_infer_inplace(Tensor& x) const {
   x.reshape({x.dim(0), x.numel() / x.dim(0)});
   return true;
 }

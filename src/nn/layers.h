@@ -30,26 +30,24 @@ using fuse::tensor::Tensor;
 
 /// 2-D convolution, square kernel, stride 1, symmetric zero padding.
 ///
-/// Both the training pass and the inference hot path dispatch on Backend:
-/// kNaive runs the reference per-sample loops, kGemm lowers the whole
-/// batch to one im2col column matrix and the register-tiled GEMM — the
-/// weight panel is then read once per batch instead of once per sample,
-/// which is where the batched speedup comes from.  forward() uses
-/// train_backend() (default kGemm) and caches exactly ONE column
-/// representation for backward(): the per-sample col_ under kNaive, the
-/// batched workspace matrix under kGemm.  The GEMM backward is three
-/// matrix products on that cache (dW = dy2·colᵀ, dcol = Wᵀ·dy2,
-/// dx = col2im(dcol)); its scratch lives in a Workspace, so steady-shape
-/// training loops stop allocating after the first step.
+/// forward(), infer() and backward() run one path, like Linear: the whole
+/// batch is lowered to one im2col column matrix and multiplied by the
+/// weight panel with the register-tiled GEMM (tensor::gemm_bias), so the
+/// panel is read once per batch instead of once per sample.  forward()
+/// caches that column matrix for backward(), which is three matrix
+/// products on it (dW = dy2·colᵀ, dcol = Wᵀ·dy2, dx = col2im(dcol)); the
+/// scratch lives in a Workspace, so steady-shape training loops stop
+/// allocating after the first step.  conv2d_reference_forward/backward
+/// below are the per-sample loops the tests hold this path to.
 class Conv2d : public Module {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels,
          std::size_t kernel, std::size_t pad, fuse::util::Rng& rng);
 
   // Copies carry parameters, gradients and shape bookkeeping but drop the
-  // forward caches of BOTH backends (col_ like the workspace) — a batch-64
-  // column matrix is megabytes, and per-task MAML clones never reuse the
-  // parent's forward.
+  // forward cache (a Workspace copy is empty) — a batch-64 column matrix
+  // is megabytes, and per-task MAML clones never reuse the parent's
+  // forward.
   Conv2d(const Conv2d& other);
   Conv2d& operator=(const Conv2d& other);
   Conv2d(Conv2d&&) = default;
@@ -57,10 +55,9 @@ class Conv2d : public Module {
 
   Tensor forward(const Tensor& x) override;
   /// dy: [N, out_channels, H, W]; accumulates weight/bias gradients and
-  /// returns dx.  Dispatches on the backend captured by the last forward();
-  /// a cloned layer must run forward() before backward() (clones drop the
-  /// scratch workspace so per-task MAML clones copy parameters and
-  /// gradients only).
+  /// returns dx.  A cloned layer must run forward() before backward()
+  /// (clones drop the column cache, so per-task MAML clones copy
+  /// parameters and gradients only); otherwise it throws std::logic_error.
   Tensor backward(const Tensor& dy) override;
 
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
@@ -73,19 +70,19 @@ class Conv2d : public Module {
   std::size_t in_channels() const { return in_channels_; }
   std::size_t out_channels() const { return out_channels_; }
   std::size_t kernel() const { return kernel_; }
+  std::size_t pad() const { return pad_; }
 
   Tensor& weight() { return w_; }
   Tensor& bias() { return b_; }
+  const Tensor& weight() const { return w_; }
+  const Tensor& bias() const { return b_; }
 
  protected:
-  Tensor do_infer(const Tensor& x, Backend backend) const override;
+  Tensor do_infer(const Tensor& x) const override;
 
  private:
-  /// The GEMM backward: dW = dy2 · colbᵀ, dcol = Wᵀ · dy2, dx = col2im.
-  Tensor backward_gemm(const Tensor& dy, std::size_t oh, std::size_t ow);
-
-  // Workspace slots for the GEMM training path (scratch + column cache;
-  // a Workspace copy is empty, so clones never alias these buffers).
+  // Workspace slots (scratch + column cache; a Workspace copy is empty,
+  // so clones never alias these buffers).
   static constexpr std::size_t kWsColb = 0;  ///< [K, N*hw] batched columns
   static constexpr std::size_t kWsY2 = 1;    ///< [OC, N*hw] forward product
   static constexpr std::size_t kWsDy2 = 2;   ///< [OC, N*hw] packed dy
@@ -95,13 +92,26 @@ class Conv2d : public Module {
   Tensor w_;   ///< [out_channels, in_channels * k * k]
   Tensor b_;   ///< [out_channels]
   Tensor gw_, gb_;
-  // forward cache: exactly one representation, keyed by fwd_backend_ —
-  // col_ (per-sample) under kNaive, the kWsColb workspace slot under kGemm.
-  Backend fwd_backend_ = Backend::kGemm;
-  Tensor col_;  ///< im2col of the last input (naive path only)
   fuse::tensor::Workspace ws_;
   std::size_t n_ = 0, h_ = 0, w_in_ = 0;
 };
+
+/// Reference convolution: per-sample im2col and plain loops, each output
+/// accumulated from the bias in sequential k — the order the GEMM keeps,
+/// so Conv2d::forward and Conv2d::infer equal it bit for bit.  Serial and
+/// slow; an oracle for the tests, never run by the library.
+Tensor conv2d_reference_forward(const Conv2d& conv, const Tensor& x);
+
+/// Gradients of the reference convolution for input x and upstream dy:
+/// dx, and fresh (not accumulated) weight and bias gradients, summed per
+/// sample in double.  Conv2d::backward agrees with it to float rounding.
+struct Conv2dGrads {
+  Tensor dx;  ///< [N, in_channels, H, W]
+  Tensor dw;  ///< [out_channels, in_channels * k * k]
+  Tensor db;  ///< [out_channels]
+};
+Conv2dGrads conv2d_reference_backward(const Conv2d& conv, const Tensor& x,
+                                      const Tensor& dy);
 
 /// Fully connected layer y = x W^T + b.
 class Linear : public Module {
@@ -126,7 +136,7 @@ class Linear : public Module {
   Tensor& bias() { return b_; }
 
  protected:
-  Tensor do_infer(const Tensor& x, Backend backend) const override;
+  Tensor do_infer(const Tensor& x) const override;
 
  private:
   std::size_t in_features_, out_features_;
@@ -150,8 +160,8 @@ class ReLU : public Module {
   std::string arch_name() const override { return "relu"; }
 
  protected:
-  Tensor do_infer(const Tensor& x, Backend backend) const override;
-  bool do_infer_inplace(Tensor& x, Backend backend) const override;
+  Tensor do_infer(const Tensor& x) const override;
+  bool do_infer_inplace(Tensor& x) const override;
 
  private:
   Tensor x_;
@@ -171,8 +181,8 @@ class Flatten : public Module {
   std::string arch_name() const override { return "flatten"; }
 
  protected:
-  Tensor do_infer(const Tensor& x, Backend backend) const override;
-  bool do_infer_inplace(Tensor& x, Backend backend) const override;
+  Tensor do_infer(const Tensor& x) const override;
+  bool do_infer_inplace(Tensor& x) const override;
 
  private:
   fuse::tensor::Shape in_shape_;

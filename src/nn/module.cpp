@@ -32,23 +32,6 @@ std::uint64_t read_u64(std::istream& is) {
 
 }  // namespace
 
-const char* backend_name(Backend b) {
-  switch (b) {
-    case Backend::kGemm:
-      return "gemm";
-    case Backend::kNaive:
-      break;
-  }
-  return "naive";
-}
-
-Backend backend_from_name(const std::string& name) {
-  if (name == "naive") return Backend::kNaive;
-  if (name == "gemm") return Backend::kGemm;
-  throw std::invalid_argument("unknown backend '" + name +
-                              "' (expected naive | gemm)");
-}
-
 std::vector<const Tensor*> Module::params() const {
   // The parameter list itself is state-independent; only the non-const
   // accessor is virtual to keep implementations to a single method.

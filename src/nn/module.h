@@ -13,9 +13,9 @@
 // tape):
 //  * forward() caches whatever backward() needs; backward() accumulates
 //    parameter gradients and returns dL/dx.
-//  * infer() is const and cache-free — same arithmetic as forward() with
-//    bit-identical outputs under Backend::kNaive — so one model instance
-//    can serve many reader threads concurrently (the serving hot path).
+//  * infer() is const and cache-free — the same kernels as forward(), so
+//    bit-identical outputs — and one model instance can serve many reader
+//    threads concurrently (the serving hot path).
 //  * params()/grads() expose the learnable state as flat tensor lists in a
 //    stable order; param_groups() additionally names coherent sub-lists
 //    (one per parameterised layer) so regimes like last-layer fine-tuning
@@ -41,22 +41,13 @@ namespace fuse::nn {
 
 using fuse::tensor::Tensor;
 
-/// Compute backend for the convolution hot paths.  Inference picks a
-/// backend per call; training picks one per module (train_backend(),
-/// default kGemm) that forward()/backward() dispatch on.
+/// A single-value tag that selects nothing: every layer runs one compute
+/// path (im2col + the register-tiled GEMM of tensor/ops.h).  It stays
+/// only because the benchmark harness under perfbench/ still passes it to
+/// infer() and Predictor::predict() and sets ServeConfig::backend.
 enum class Backend {
-  /// The reference per-sample loops.
-  kNaive,
-  /// im2col + the register-tiled GEMM (tensor/ops.h) for the convolution
-  /// hot path; outputs agree with kNaive to float rounding (~1e-6
-  /// relative).
   kGemm,
 };
-
-const char* backend_name(Backend b);
-/// Inverse of backend_name ("naive" | "gemm"); throws
-/// std::invalid_argument for anything else (bench/CLI parsing).
-Backend backend_from_name(const std::string& name);
 
 /// A named, coherent slice of a model's parameters (typically one layer).
 struct ParamGroup {
@@ -80,20 +71,10 @@ class Module {
 
   /// Batched inference-only forward: no caches are touched, so it is const
   /// and safe to call concurrently from many threads on a shared model.
-  /// Without a backend it runs the kNaive reference.
-  Tensor infer(const Tensor& x, Backend backend = Backend::kNaive) const {
-    return do_infer(x, backend);
+  /// Bit-identical to forward() on the same input.
+  Tensor infer(const Tensor& x, Backend = Backend::kGemm) const {
+    return do_infer(x);
   }
-
-  /// Backend used by the training passes (forward/backward).  Defaults to
-  /// kGemm — the batched GEMM kernels — so every training loop (supervised,
-  /// FOMAML inner/outer, online adaptation) gets the fast path; set kNaive
-  /// to run the reference loops (bit-exact legacy arithmetic, used by the
-  /// gradcheck tests as ground truth).  forward() and infer(train_backend())
-  /// compute bit-identical outputs — they share the same kernels.
-  Backend train_backend() const { return train_backend_; }
-  /// Containers override this to propagate the choice to their children.
-  virtual void set_train_backend(Backend b) { train_backend_ = b; }
 
   // --------------------------------------------------------- parameters --
   /// Learnable parameters / their gradients, in a stable order.
@@ -141,20 +122,15 @@ class Module {
   void load_file(const std::string& path);
 
  protected:
-  /// Backend-dispatched inference; implementations must not mutate state.
-  virtual Tensor do_infer(const Tensor& x, Backend backend) const = 0;
+  /// Inference; implementations must not mutate state.
+  virtual Tensor do_infer(const Tensor& x) const = 0;
 
   /// Optional in-place inference step used by containers to avoid copies
   /// for stateless shape/elementwise modules (ReLU, Flatten).  Returns
   /// false when the module has no in-place path.
-  virtual bool do_infer_inplace(Tensor& /*x*/, Backend /*backend*/) const {
-    return false;
-  }
+  virtual bool do_infer_inplace(Tensor& /*x*/) const { return false; }
 
   friend class Sequential;  // containers drive do_infer/do_infer_inplace
-
- private:
-  Backend train_backend_ = Backend::kGemm;
 };
 
 }  // namespace fuse::nn

@@ -20,11 +20,6 @@ Sequential& Sequential::operator=(const Sequential& other) {
   return *this;
 }
 
-void Sequential::set_train_backend(Backend b) {
-  Module::set_train_backend(b);
-  for (const auto& c : children_) c->set_train_backend(b);
-}
-
 Sequential& Sequential::append(std::unique_ptr<Module> child) {
   if (!child) throw std::invalid_argument("Sequential::append: null child");
   children_.push_back(std::move(child));
@@ -44,15 +39,15 @@ Tensor Sequential::backward(const Tensor& dy) {
   return d;
 }
 
-Tensor Sequential::do_infer(const Tensor& x, Backend backend) const {
+Tensor Sequential::do_infer(const Tensor& x) const {
   if (children_.empty()) return x;
   // The first child reads the caller's tensor directly; afterwards the
   // activation is ours, so stateless elementwise/shape children mutate it
   // in place (no allocation) via the in-place hook.
-  Tensor h = children_.front()->do_infer(x, backend);
+  Tensor h = children_.front()->do_infer(x);
   for (std::size_t i = 1; i < children_.size(); ++i) {
-    if (!children_[i]->do_infer_inplace(h, backend))
-      h = children_[i]->do_infer(h, backend);
+    if (!children_[i]->do_infer_inplace(h))
+      h = children_[i]->do_infer(h);
   }
   return h;
 }

@@ -50,9 +50,6 @@ class Sequential : public Module {
   std::vector<Tensor*> params() override;
   std::vector<Tensor*> grads() override;
   std::vector<ParamGroup> param_groups() override;
-  /// Propagates the training backend to every child (children added later
-  /// keep their own default; set after composition).
-  void set_train_backend(Backend b) override;
   std::unique_ptr<Module> clone() const override {
     return std::make_unique<Sequential>(*this);
   }
@@ -61,7 +58,7 @@ class Sequential : public Module {
   void set_arch_name(std::string name) { arch_name_ = std::move(name); }
 
  protected:
-  Tensor do_infer(const Tensor& x, Backend backend) const override;
+  Tensor do_infer(const Tensor& x) const override;
 
  private:
   std::string arch_name_;

@@ -110,13 +110,13 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
         if (age > shed_deadline_s_) {
           s->note_deadline_shed();
           ++pass.shed;
-          if (detail) rec.telem.stages.record(Stage::kShed, age);
+          if (detail) rec.telem.record(Stage::kShed, age);
           continue;
         }
       }
       if (detail)
-        rec.telem.stages.record(Stage::kQueueWait,
-                                mono_seconds() - frame->t_enqueue);
+        rec.telem.record(Stage::kQueueWait,
+                         mono_seconds() - frame->t_enqueue);
       // A quarantined session serves from the shared meta-init: its clone
       // (possibly corrupted by the poison that got it quarantined) and
       // checkpoint are dropped, and rehydration is skipped below.
@@ -129,8 +129,7 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
       if (store && !quarantined) {
         const double t_rehy = detail ? mono_seconds() : 0.0;
         if (store->ensure_resident(*s) && detail)
-          rec.telem.stages.record(Stage::kRehydrate,
-                                  mono_seconds() - t_rehy);
+          rec.telem.record(Stage::kRehydrate, mono_seconds() - t_rehy);
       }
       // Raw-cube ingestion: run the DSP front-end (range/Doppler FFTs,
       // CFAR, angles) through the scheduler's reusable workspace, then
@@ -147,7 +146,7 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
         const double t_dsp = detail ? mono_seconds() : 0.0;
         processor_->process(*frame->cube, frame_ws_, cube_frame_);
         if (detail)
-          rec.telem.stages.record(Stage::kDspCube, mono_seconds() - t_dsp);
+          rec.telem.record(Stage::kDspCube, mono_seconds() - t_dsp);
         // The ~1.5 MB cube payload is dead once the cloud is extracted;
         // free it now rather than carrying it through partitioning and
         // the batched forward.
@@ -170,7 +169,7 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
       c.block.resize(kBlockFloats);
       featurize_current_window(*s, c.block.data());
       if (detail)
-        rec.telem.stages.record(Stage::kFeaturize, mono_seconds() - t_feat);
+        rec.telem.record(Stage::kFeaturize, mono_seconds() - t_feat);
       // Ground-truth labels feed the per-user adaptation buffer; the
       // sample x is exactly what inference sees (the fused window).  A
       // non-finite label is rejected the same way as a non-finite frame —
@@ -224,9 +223,9 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
       std::memcpy(x.data() + i * kBlockFloats, g.blocks[i].data(),
                   kBlockFloats * sizeof(float));
     const double t_infer = detail ? mono_seconds() : 0.0;
-    const auto poses = predictor_->predict(*g.model, x, backend_);
+    const auto poses = predictor_->predict(*g.model, x);
     const double now = mono_seconds();
-    if (detail) rec.telem.record_batch(backend_, items.size(), now - t_infer);
+    if (detail) rec.telem.record(Stage::kInfer, now - t_infer);
     for (std::size_t i = 0; i < items.size(); ++i) {
       Session& s = *items[i].session;
       // A frame popped just before its session was recycled must not
@@ -252,7 +251,7 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
   for (Session* s : sessions) {
     const double t_adapt = detail ? mono_seconds() : 0.0;
     if (maybe_adapt(*s) && detail)
-      rec.telem.stages.record(Stage::kAdapt, mono_seconds() - t_adapt);
+      rec.telem.record(Stage::kAdapt, mono_seconds() - t_adapt);
   }
 
   // End of pass: evict LRU clones until the resident set fits the store's

@@ -49,30 +49,27 @@ struct PassStats {
 /// during run_once; the caller merges it into the cumulative stats under
 /// its stats lock afterwards (so the hot path never contends with
 /// readers).  `latency` (submit->result) is always recorded; the
-/// per-stage/per-backend detail in `telem` only when the scheduler's
-/// detailed-stats flag is on.
+/// per-stage detail in `telem` only when the scheduler's detailed-stats
+/// flag is on.
 struct PassRecord {
   LatencyHistogram latency;
-  Telemetry telem;
+  StageStats telem;
 };
 
 class Scheduler {
  public:
   /// `predictor` and `shared_model` must outlive the scheduler; the shared
-  /// model is only read (infer is const).  `backend` selects the inference
-  /// compute backend for every batched forward pass.  `processor` (may be
-  /// null) enables raw-cube ingestion: cube frames run the DSP front-end
-  /// through the scheduler's reusable FrameWorkspace at collection time,
-  /// so the whole cube -> point cloud -> features -> NN tick is
+  /// model is only read (infer is const).  `processor` (may be null)
+  /// enables raw-cube ingestion: cube frames run the DSP front-end through
+  /// the scheduler's reusable FrameWorkspace at collection time, so the
+  /// whole cube -> point cloud -> features -> NN tick is
   /// allocation-disciplined.  It must outlive the scheduler too.
   Scheduler(const fuse::core::Predictor* predictor,
             const fuse::nn::Module* shared_model, std::size_t max_batch,
-            fuse::nn::Backend backend = fuse::nn::Backend::kGemm,
             const fuse::radar::Processor* processor = nullptr)
       : predictor_(predictor),
         shared_model_(shared_model),
         max_batch_(max_batch ? max_batch : 1),
-        backend_(backend),
         processor_(processor) {}
 
   /// One scheduling pass over `sessions` (applies pending session recycles
@@ -80,11 +77,11 @@ class Scheduler {
   /// `rec.telem` the per-stage timings when detailed stats are on.
   PassStats run_once(const std::vector<Session*>& sessions, PassRecord& rec);
 
-  /// Toggles the per-stage/per-backend recording (ServeConfig::
-  /// detailed_stats).  The always-on submit->result latency histogram and
-  /// the session counters are unaffected; with this off a pass performs no
-  /// extra clock reads or histogram increments (the stats-idle mode the
-  /// overhead gate in bench/serve_throughput measures against).
+  /// Toggles the per-stage recording (ServeConfig::detailed_stats).  The
+  /// always-on submit->result latency histogram and the session counters
+  /// are unaffected; with this off a pass performs no extra clock reads or
+  /// histogram increments (the stats-idle mode the overhead gate in
+  /// bench/serve_throughput measures against).
   void set_detailed_stats(bool on) { detailed_stats_ = on; }
   bool detailed_stats() const { return detailed_stats_; }
 
@@ -122,7 +119,6 @@ class Scheduler {
   const fuse::core::Predictor* predictor_;
   const fuse::nn::Module* shared_model_;
   std::size_t max_batch_;
-  fuse::nn::Backend backend_;
   const fuse::radar::Processor* processor_;
   CloneStore* clone_store_ = nullptr;
   bool detailed_stats_ = true;

@@ -404,7 +404,7 @@ ServeStats derive_stats(const std::vector<ShardRawStats>& raws,
   ServeStats out;
   out.shards = raws.size();
   LatencyHistogram latency;
-  Telemetry telem;
+  StageStats telem;
   for (const auto& raw : raws) {
     const ShardStatsRow& row = raw.row;
     out.per_shard.push_back(row);
@@ -481,19 +481,14 @@ ServeStats derive_stats(const std::vector<ShardRawStats>& raws,
   out.latency_p99_ms = latency.p99() * 1e3;
   out.latency_mean_ms = latency.mean() * 1e3;
   out.latency_max_ms = latency.max() * 1e3;
-  // Derived per-stage and per-backend views, computed at read time from
-  // the merged histograms (never on the hot path).
+  // Derived per-stage views, computed at read time from the merged
+  // histograms (never on the hot path).
   out.detailed = cfg.detailed_stats;
   out.stages.reserve(kNumStages);
   for (std::size_t i = 0; i < kNumStages; ++i) {
     const auto stage = static_cast<Stage>(i);
-    out.stages.push_back(
-        snapshot_stage(stage, telem.stages.histogram(stage)));
+    out.stages.push_back(snapshot_stage(stage, telem.histogram(stage)));
   }
-  out.backends.reserve(kNumBackends);
-  for (std::size_t i = 0; i < kNumBackends; ++i)
-    out.backends.push_back(
-        snapshot_backend(backend_from_index(i), telem.backends[i]));
   return out;
 }
 

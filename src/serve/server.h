@@ -114,16 +114,15 @@ struct ServeConfig {
   /// store and overload detector.  1 (default) reproduces the pre-shard
   /// single-thread engine bit-for-bit.
   std::size_t num_shards = 1;
-  /// Inference compute backend for every batched forward pass.  The GEMM
-  /// backend amortises each weight panel across the whole batch; kNaive
-  /// runs the reference loops.
+  /// A single-value tag that selects nothing: every batched forward runs
+  /// the one im2col + GEMM path (nn/layers.h).
   fuse::nn::Backend backend = fuse::nn::Backend::kGemm;
   /// Radar DSP front-end for raw-cube ingestion (submit_cube): when set,
   /// each shard runs cube -> point cloud -> features -> NN per tick
   /// through its own reusable FrameWorkspace.  Borrowed; must outlive the
   /// server.  Null disables submit_cube (it returns kNoProcessor).
   const fuse::radar::Processor* processor = nullptr;
-  /// Per-stage/per-backend telemetry recording (serve/telemetry.h).  Off
+  /// Per-stage telemetry recording (serve/telemetry.h).  Off
   /// = stats-idle: only the always-on submit->poll latency histogram and
   /// the plain counters are maintained, with zero extra clock reads on
   /// the scheduler hot path (the bench's overhead gate compares the two).
@@ -249,7 +248,7 @@ class Server {
   // ----------------------------------------------------------- telemetry --
   /// Merged snapshot across every shard: counters, end-to-end latency
   /// quantiles (merged at histogram level, so quantiles are exact, not
-  /// averages of quantiles), per-stage and per-backend detail, per-shard
+  /// averages of quantiles), per-stage detail, per-shard
   /// rows, per-session rows (sorted by id).  overload_level is the max
   /// rung across shards.  Derived metrics are computed here at read time;
   /// callable from any thread.

@@ -22,8 +22,7 @@ Shard::Shard(const fuse::core::Predictor* predictor,
       cfg_(cfg),
       index_(index),
       global_in_flight_(global_in_flight),
-      scheduler_(predictor, shared_model, cfg.max_batch, cfg.backend,
-                 cfg.processor) {
+      scheduler_(predictor, shared_model, cfg.max_batch, cfg.processor) {
   // Per-shard clone store: shards must never share checkpoint files, so
   // each one owns its own shard dir.  The 1-shard layout stays flat —
   // backward compatible with checkpoints persisted before sharding.
@@ -183,7 +182,7 @@ std::vector<PoseResult> Shard::poll_results(SessionId id) {
     const double now = mono_seconds();
     std::lock_guard<std::mutex> lock(stats_mu_);
     for (const auto& r : out)
-      telem_.stages.record(Stage::kResultPoll, now - r.t_ready);
+      telem_.record(Stage::kResultPoll, now - r.t_ready);
   }
   return out;
 }
@@ -384,7 +383,7 @@ void Shard::attach_session(std::shared_ptr<Session> s) {
 void Shard::record_migration(double seconds) {
   if (!cfg_.detailed_stats) return;
   std::lock_guard<std::mutex> lock(stats_mu_);
-  telem_.stages.record(Stage::kMigrate, seconds);
+  telem_.record(Stage::kMigrate, seconds);
 }
 
 }  // namespace fuse::serve

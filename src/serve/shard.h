@@ -51,7 +51,7 @@ struct ShardRawStats {
   ShardStatsRow row;
   std::vector<SessionStats> sessions;  ///< sorted by id
   LatencyHistogram latency;
-  Telemetry telem;
+  StageStats telem;
   std::uint64_t batched_frames = 0;
   CloneStoreSnapshot clone_store;
 };
@@ -184,7 +184,7 @@ class Shard {
 
   mutable std::mutex stats_mu_;
   LatencyHistogram latency_;
-  Telemetry telem_;  ///< cumulative per-stage/per-backend detail
+  StageStats telem_;  ///< cumulative per-stage detail
   std::uint64_t batches_ = 0;
   std::uint64_t batched_frames_ = 0;
   QueueDepthSeries depth_series_;  ///< one gauge sample per pass

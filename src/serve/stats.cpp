@@ -84,7 +84,7 @@ const char* adapt_state_name(AdaptState s) {
 namespace {
 
 // Minimal JSON emission: every key and value is generated internally
-// (stage/backend/adapt-state names, numbers), so no escaping is needed.
+// (stage/adapt-state names, numbers), so no escaping is needed.
 // Formats directly into the output string at whatever length the line
 // needs — a fixed stack buffer here once silently truncated the
 // clone_store line past 256 chars and emitted unparseable JSON.
@@ -192,19 +192,6 @@ std::string stats_to_json(const ServeStats& s) {
            st.stage.c_str(), static_cast<unsigned long long>(st.count),
            st.total_ms, st.mean_ms, st.p50_ms, st.p95_ms, st.p99_ms,
            st.max_ms, i + 1 < s.stages.size() ? "," : "");
-  }
-  out += "  ],\n  \"backends\": [\n";
-  for (std::size_t i = 0; i < s.backends.size(); ++i) {
-    const auto& b = s.backends[i];
-    append(out,
-           "    {\"backend\": \"%s\", \"batches\": %llu, \"frames\": %llu, "
-           "\"mean_batch\": %.3f, \"infer_mean_ms\": %.4f, "
-           "\"infer_p50_ms\": %.4f, \"infer_p95_ms\": %.4f, "
-           "\"infer_p99_ms\": %.4f, \"infer_max_ms\": %.4f}%s\n",
-           b.backend.c_str(), static_cast<unsigned long long>(b.batches),
-           static_cast<unsigned long long>(b.frames), b.mean_batch,
-           b.infer_mean_ms, b.infer_p50_ms, b.infer_p95_ms, b.infer_p99_ms,
-           b.infer_max_ms, i + 1 < s.backends.size() ? "," : "");
   }
   out += "  ],\n";
   const auto& cs = s.clone_store;

@@ -150,21 +150,6 @@ struct StageSnapshot {
   double max_ms = 0.0;
 };
 
-/// Read-time view of one inference backend's share of the batched forwards
-/// (every forward of a server runs ServeConfig::backend, so one row carries
-/// them all).
-struct BackendSnapshot {
-  std::string backend;        ///< nn::backend_name
-  std::uint64_t batches = 0;  ///< batched forward passes on this backend
-  std::uint64_t frames = 0;   ///< frames served through them
-  double mean_batch = 0.0;    ///< frames per forward pass
-  double infer_mean_ms = 0.0; ///< per-batch forward latency
-  double infer_p50_ms = 0.0;
-  double infer_p95_ms = 0.0;
-  double infer_p99_ms = 0.0;
-  double infer_max_ms = 0.0;
-};
-
 /// Read-time snapshot of the clone store (serve/clone_store): lifecycle
 /// counters plus the occupancy gauges behind the RAM-budget accounting.
 /// All-zero with enabled=false when no store is configured.
@@ -260,12 +245,10 @@ struct ServeStats {
   std::vector<ShardStatsRow> per_shard;
 
   /// Whether the per-stage layer was enabled for this run
-  /// (ServeConfig::detailed_stats); stage/backend rows are all-zero
-  /// otherwise.
+  /// (ServeConfig::detailed_stats); stage rows are all-zero otherwise.
   bool detailed = false;
-  std::vector<StageSnapshot> stages;      ///< one row per pipeline stage
-  std::vector<BackendSnapshot> backends;  ///< one row per nn::Backend
-  CloneStoreSnapshot clone_store;         ///< adapted-clone lifecycle
+  std::vector<StageSnapshot> stages;  ///< one row per pipeline stage
+  CloneStoreSnapshot clone_store;     ///< adapted-clone lifecycle
   std::vector<SessionStats> per_session;
 };
 

@@ -1,7 +1,5 @@
 #include "serve/telemetry.h"
 
-#include <stdexcept>
-
 namespace fuse::serve {
 
 const char* stage_name(Stage s) {
@@ -19,14 +17,6 @@ const char* stage_name(Stage s) {
   return "?";
 }
 
-fuse::nn::Backend backend_from_index(std::size_t i) {
-  switch (i) {
-    case 0: return fuse::nn::Backend::kNaive;
-    case 1: return fuse::nn::Backend::kGemm;
-    default: throw std::out_of_range("backend_from_index");
-  }
-}
-
 StageSnapshot snapshot_stage(Stage s, const LatencyHistogram& h) {
   StageSnapshot out;
   out.stage = stage_name(s);
@@ -37,22 +27,6 @@ StageSnapshot snapshot_stage(Stage s, const LatencyHistogram& h) {
   out.p95_ms = h.p95() * 1e3;
   out.p99_ms = h.p99() * 1e3;
   out.max_ms = h.max() * 1e3;
-  return out;
-}
-
-BackendSnapshot snapshot_backend(fuse::nn::Backend b, const BackendUse& use) {
-  BackendSnapshot out;
-  out.backend = fuse::nn::backend_name(b);
-  out.batches = use.batches;
-  out.frames = use.frames;
-  out.mean_batch = use.batches ? static_cast<double>(use.frames) /
-                                     static_cast<double>(use.batches)
-                               : 0.0;
-  out.infer_mean_ms = use.infer.mean() * 1e3;
-  out.infer_p50_ms = use.infer.p50() * 1e3;
-  out.infer_p95_ms = use.infer.p95() * 1e3;
-  out.infer_p99_ms = use.infer.p99() * 1e3;
-  out.infer_max_ms = use.infer.max() * 1e3;
   return out;
 }
 

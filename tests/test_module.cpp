@@ -1,12 +1,14 @@
 // Tests for the Module graph API: the registry, Sequential composition,
-// backend equivalence (naive reference loops vs im2col+GEMM), parameter
-// groups, const-correct copying, and architecture-checked serialization.
+// Conv2d against the per-sample reference convolution, parameter groups,
+// const-correct copying, and architecture-checked serialization.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -19,7 +21,6 @@
 
 namespace {
 
-using fuse::nn::Backend;
 using fuse::nn::Tensor;
 
 Tensor random_tensor(fuse::tensor::Shape shape, fuse::util::Rng& rng) {
@@ -65,21 +66,11 @@ TEST(Registry, EveryArchitectureRunsTheFullContract) {
       gnorm += g->squared_norm();
     EXPECT_GT(gnorm, 0.0f) << name;
 
-    // infer at the training backend is bit-identical to forward (they
-    // share the same kernels; training defaults to kGemm).
-    EXPECT_EQ(model->train_backend(), Backend::kGemm) << name;
-    const Tensor yi = model->infer(x, model->train_backend());
+    // infer is bit-identical to forward (they share the same kernels).
+    const Tensor yi = model->infer(x);
     ASSERT_EQ(yi.shape(), y.shape()) << name;
     for (std::size_t i = 0; i < y.numel(); ++i)
       ASSERT_EQ(y[i], yi[i]) << name << " element " << i;
-
-    // The same holds on the naive reference path.
-    model->set_train_backend(Backend::kNaive);
-    const Tensor yn = model->forward(x);
-    const Tensor yni = model->infer(x, Backend::kNaive);
-    for (std::size_t i = 0; i < yn.numel(); ++i)
-      ASSERT_EQ(yn[i], yni[i]) << name << " element " << i;
-    model->set_train_backend(Backend::kGemm);
 
     // clone is deep and independent.
     const auto clone = model->clone();
@@ -120,28 +111,26 @@ TEST(Sequential, MarsCnnBitIdenticalToLegacyLayerComposition) {
   // The registry-built mars_cnn must reproduce the original hand-rolled
   // model exactly: same RNG draw order at construction, same forward
   // arithmetic.  The reference composes the layers by hand in the legacy
-  // order (conv1, conv2, fc1, fc2 constructed first, ReLU/Flatten free).
+  // order (conv1, conv2, fc1, fc2 constructed first, ReLU/Flatten free),
+  // with the per-sample reference convolution in place of Conv2d.
   constexpr std::uint64_t kSeed = 1234;
   fuse::util::Rng rng_ref(kSeed);
   fuse::nn::Conv2d conv1(5, 16, 3, 1, rng_ref);
   fuse::nn::Conv2d conv2(16, 32, 3, 1, rng_ref);
   fuse::nn::Linear fc1(32 * 8 * 8, 512, rng_ref);
   fuse::nn::Linear fc2(512, 57, rng_ref);
-  conv1.set_train_backend(Backend::kNaive);
-  conv2.set_train_backend(Backend::kNaive);
 
   const auto built = fuse::nn::build_model("mars_cnn", {.seed = kSeed});
   fuse::nn::Module& model = *built;
-  model.set_train_backend(Backend::kNaive);  // legacy arithmetic
 
   fuse::util::Rng rng_x(99);
   const Tensor x = random_tensor({4, 5, 8, 8}, rng_x);
 
   fuse::nn::ReLU r1, r2, r3;
   fuse::nn::Flatten fl;
-  Tensor ref = conv1.forward(x);
+  Tensor ref = fuse::nn::conv2d_reference_forward(conv1, x);
   ref = r1.forward(ref);
-  ref = conv2.forward(ref);
+  ref = fuse::nn::conv2d_reference_forward(conv2, ref);
   ref = r2.forward(ref);
   ref = fl.forward(ref);
   ref = fc1.forward(ref);
@@ -149,21 +138,12 @@ TEST(Sequential, MarsCnnBitIdenticalToLegacyLayerComposition) {
   ref = fc2.forward(ref);
 
   const Tensor got_fwd = model.forward(x);
-  const Tensor got_inf = model.infer(x, Backend::kNaive);
+  const Tensor got_inf = model.infer(x);
   ASSERT_EQ(got_fwd.shape(), ref.shape());
   for (std::size_t i = 0; i < ref.numel(); ++i) {
     ASSERT_EQ(got_fwd[i], ref[i]) << "forward element " << i;
     ASSERT_EQ(got_inf[i], ref[i]) << "infer element " << i;
   }
-
-  // The default (GEMM) training forward is likewise bit-identical to the
-  // GEMM inference path — backends swap kernels, never arithmetic within
-  // a backend.
-  model.set_train_backend(Backend::kGemm);
-  const Tensor gemm_fwd = model.forward(x);
-  const Tensor gemm_inf = model.infer(x, Backend::kGemm);
-  for (std::size_t i = 0; i < gemm_fwd.numel(); ++i)
-    ASSERT_EQ(gemm_fwd[i], gemm_inf[i]) << "gemm element " << i;
 }
 
 TEST(Sequential, CopyIsDeep) {
@@ -175,39 +155,72 @@ TEST(Sequential, CopyIsDeep) {
   EXPECT_NE((*b.params()[0])[0], (*seq->params()[0])[0]);
 }
 
-// ------------------------------------------------------ backend equivalence --
+// --------------------------------------------- reference convolution --
 
-TEST(Backend, GemmMatchesNaiveOnRandomizedBatches) {
+// Layers start with zero biases, where adding the bias first or last gives
+// the same bits; random biases make the accumulation order observable.
+void randomize_biases(fuse::nn::Module& model, fuse::util::Rng& rng) {
+  for (Tensor* p : model.params())
+    if (p->ndim() == 1)
+      for (std::size_t i = 0; i < p->numel(); ++i)
+        (*p)[i] = rng.uniformf(-1, 1);
+}
+
+void expect_bits_equal(const Tensor& got, const Tensor& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.numel() * sizeof(float)),
+            0)
+      << what;
+}
+
+TEST(ReferenceConv, EveryModelInferEqualsTheReferenceComposition) {
+  // Each registered model's infer, at batch 1, 3, 8 and 17, against the
+  // same Sequential run child by child with every Conv2d replaced by the
+  // per-sample reference.
   fuse::util::Rng rng(42);
   for (const auto& name : fuse::nn::registered_models()) {
     const auto model = fuse::nn::build_model(name, small_cfg(21));
+    randomize_biases(*model, rng);
+    auto* seq = dynamic_cast<fuse::nn::Sequential*>(model.get());
+    ASSERT_NE(seq, nullptr) << name;
     for (const std::size_t batch : {1u, 3u, 8u, 17u}) {
       const Tensor x = random_tensor({batch, 5, 8, 8}, rng);
-      const Tensor naive = model->infer(x, Backend::kNaive);
-      const Tensor gemm = model->infer(x, Backend::kGemm);
-      ASSERT_EQ(naive.shape(), gemm.shape());
-      for (std::size_t i = 0; i < naive.numel(); ++i)
-        ASSERT_NEAR(naive[i], gemm[i], 1e-5f)
-            << name << " batch " << batch << " element " << i;
+      Tensor ref = x;
+      for (std::size_t i = 0; i < seq->size(); ++i) {
+        const auto* conv =
+            dynamic_cast<const fuse::nn::Conv2d*>(&seq->child(i));
+        ref = conv ? fuse::nn::conv2d_reference_forward(*conv, ref)
+                   : seq->child(i).infer(ref);
+      }
+      expect_bits_equal(model->infer(x), ref,
+                        name + " batch " + std::to_string(batch));
     }
   }
 }
 
-TEST(Backend, GemmMatchesNaiveOnRaggedConvShapes) {
+TEST(ReferenceConv, ForwardAndInferEqualTheReferenceOnRaggedShapes) {
   // Odd channel/filter counts exercise the tile-tail paths of the GEMM
-  // kernel; odd spatial sizes exercise padding.
+  // kernel; odd spatial sizes and pad 0/1/2 exercise the padding.
   fuse::util::Rng rng(43);
-  for (const auto& [cin, cout, hw] :
-       {std::tuple<std::size_t, std::size_t, std::size_t>{3, 5, 7},
-        {1, 1, 8}, {2, 34, 5}, {7, 9, 11}}) {
-    fuse::nn::Conv2d conv(cin, cout, 3, 1, rng);
-    const Tensor x = random_tensor({5, cin, hw, hw}, rng);
-    const Tensor naive = conv.infer(x, Backend::kNaive);
-    const Tensor gemm = conv.infer(x, Backend::kGemm);
-    ASSERT_EQ(naive.shape(), gemm.shape());
-    for (std::size_t i = 0; i < naive.numel(); ++i)
-      ASSERT_NEAR(naive[i], gemm[i], 1e-5f)
-          << cin << "x" << cout << "@" << hw << " element " << i;
+  for (const auto& [cin, cout, hw, pad] :
+       {std::tuple<std::size_t, std::size_t, std::size_t, std::size_t>{
+            3, 5, 7, 1},
+        {1, 1, 8, 1}, {2, 34, 5, 1}, {7, 9, 11, 1}, {3, 5, 7, 2},
+        {1, 1, 8, 0}, {5, 16, 8, 1}, {16, 32, 8, 1}}) {
+    fuse::nn::Conv2d conv(cin, cout, 3, pad, rng);
+    randomize_biases(conv, rng);
+    for (const std::size_t batch : {1u, 5u, 17u}) {
+      const Tensor x = random_tensor({batch, cin, hw, hw}, rng);
+      const Tensor ref = fuse::nn::conv2d_reference_forward(conv, x);
+      const std::string what = std::to_string(cin) + "x" +
+                               std::to_string(cout) + "@" +
+                               std::to_string(hw) + " pad " +
+                               std::to_string(pad) + " batch " +
+                               std::to_string(batch);
+      expect_bits_equal(conv.infer(x), ref, "infer " + what);
+      expect_bits_equal(conv.forward(x), ref, "forward " + what);
+    }
   }
 }
 

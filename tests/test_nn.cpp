@@ -459,10 +459,8 @@ TEST(Determinism, BatchedRowsEqualBatchOneBitExactly) {
   for (const std::size_t n : {1, 4, 8, 16, 17}) {
     const Tensor x = random_tensor({n, 5, 8, 8}, rng);
     expect_rows_match_batch_one(
-        model->infer(x, fuse::nn::Backend::kGemm), x,
-        [&](const Tensor& xr) {
-          return model->infer(xr, fuse::nn::Backend::kGemm);
-        },
+        model->infer(x), x,
+        [&](const Tensor& xr) { return model->infer(xr); },
         "Sequential::infer");
 
     const Tensor xc = random_tensor({n, 16, 8, 8}, rng);

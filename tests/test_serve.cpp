@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -67,11 +68,12 @@ std::vector<PointCloud> sequence_frames(std::size_t seq, std::size_t count) {
   return out;
 }
 
+/// Exact equality: batching must not change a pose's bits (DESIGN §2).
 void expect_pose_eq(const Pose& a, const Pose& b) {
   for (std::size_t j = 0; j < fuse::human::kNumJoints; ++j) {
-    EXPECT_FLOAT_EQ(a.joints[j].x, b.joints[j].x);
-    EXPECT_FLOAT_EQ(a.joints[j].y, b.joints[j].y);
-    EXPECT_FLOAT_EQ(a.joints[j].z, b.joints[j].z);
+    EXPECT_EQ(a.joints[j].x, b.joints[j].x) << "joint " << j;
+    EXPECT_EQ(a.joints[j].y, b.joints[j].y) << "joint " << j;
+    EXPECT_EQ(a.joints[j].z, b.joints[j].z) << "joint " << j;
   }
 }
 
@@ -109,10 +111,10 @@ TEST(Serve, InferMatchesForwardExactly) {
   fuse::tensor::Tensor x({4, 5, 8, 8});
   for (std::size_t i = 0; i < x.numel(); ++i)
     x[i] = static_cast<float>(rng.gauss());
-  // forward() and infer() share kernels per backend, so inference at the
-  // model's training backend reproduces the training outputs exactly.
+  // forward() and infer() share one kernel path, so inference reproduces
+  // the training outputs exactly.
   const auto y_train = model.forward(x);
-  const auto y_infer = model.infer(x, model.train_backend());
+  const auto y_infer = model.infer(x);
   ASSERT_EQ(y_train.shape(), y_infer.shape());
   for (std::size_t i = 0; i < y_train.numel(); ++i)
     EXPECT_EQ(y_train[i], y_infer[i]) << "element " << i;
@@ -559,13 +561,11 @@ TEST(Serve, StageTelemetryConsistentUnderThreadedStress) {
       const auto& infer = stage_row(s, "infer");
       EXPECT_EQ(queue_wait.count, featurize.count);
       EXPECT_EQ(infer.count, s.batches);
-      std::uint64_t backend_frames = 0, backend_batches = 0;
-      for (const auto& b : s.backends) {
-        backend_frames += b.frames;
-        backend_batches += b.batches;
-      }
-      EXPECT_EQ(backend_frames, featurize.count);
-      EXPECT_EQ(backend_batches, s.batches);
+      // Every featurized frame went through exactly one batch:
+      // mean_batch * batches is the merged batched-frame counter.
+      EXPECT_EQ(static_cast<std::uint64_t>(std::llround(
+                    s.mean_batch * static_cast<double>(s.batches))),
+                featurize.count);
     }
   });
 
@@ -606,12 +606,8 @@ TEST(Serve, StatsIdleRecordsNoDetail) {
   const auto stats = server.stats();
   EXPECT_FALSE(stats.detailed);
   EXPECT_EQ(stats.frames_out, 8u);
-  // Zero-cost contract: no stage or backend histogram gained a sample...
+  // Zero-cost contract: no stage histogram gained a sample...
   for (const auto& st : stats.stages) EXPECT_EQ(st.count, 0u);
-  for (const auto& b : stats.backends) {
-    EXPECT_EQ(b.batches, 0u);
-    EXPECT_EQ(b.frames, 0u);
-  }
   // ...while the always-on counters and end-to-end histogram still work.
   EXPECT_GT(stats.batches, 0u);
   EXPECT_GT(stats.latency_p99_ms, 0.0);
@@ -630,7 +626,7 @@ TEST(Serve, StatsJsonCarriesSchema) {
        {"\"sessions\"", "\"frames_in\"", "\"frames_out\"", "\"drops\"",
         "\"queue_rejected\"", "\"drop_rate\"", "\"queue_depth_hwm\"",
         "\"latency_ms\"", "\"p99\"", "\"stages\"", "\"queue_wait\"",
-        "\"rehydrate\"", "\"backends\"", "\"per_session\"", "\"detailed\"",
+        "\"rehydrate\"", "\"per_session\"", "\"detailed\"",
         "\"clone_store\"", "\"evictions\"", "\"rehydrations\"",
         "\"resident_bytes\"",
         // PR 8 robustness schema: overload ladder, shed/admission counters
@@ -648,7 +644,21 @@ TEST(Serve, StatsJsonCarriesSchema) {
         // session's adaptation state.
         "\"migrations\"", "\"migration_failures\"",
         "\"migration_rejected\"", "\"migrations_in\"",
-        "\"migrations_out\"", "\"queue_depth_series\"", "\"adapt_state\""})
+        "\"migrations_out\"", "\"queue_depth_series\"", "\"adapt_state\"",
+        // The rest of the schema table in DESIGN.md section 7, so the
+        // table and this list agree key for key.
+        "\"frames_dropped\"", "\"queue_evicted\"", "\"results_evicted\"",
+        "\"results_stale\"", "\"level\"", "\"shard\"",
+        "\"overload_level\"", "\"overload_transitions\"",
+        "\"latency_p99_ms\"", "\"batches\"", "\"mean_batch\"", "\"p50\"",
+        "\"p95\"", "\"mean\"", "\"max\"", "\"stage\"", "\"count\"",
+        "\"total_ms\"", "\"mean_ms\"", "\"p50_ms\"", "\"p95_ms\"",
+        "\"p99_ms\"", "\"max_ms\"", "\"dsp_cube\"", "\"featurize\"",
+        "\"infer\"", "\"adapt\"", "\"result_poll\"", "\"migrate\"",
+        "\"enabled\"", "\"hits\"", "\"misses\"", "\"checkpoint_writes\"",
+        "\"tracked\"", "\"resident\"", "\"disk_bytes\"", "\"id\"",
+        "\"queue_depth\"", "\"adapt_rounds\"", "\"adapt_buffered\"",
+        "\"last_adapt_loss\""})
     EXPECT_NE(json.find(key), std::string::npos) << "missing key " << key;
 }
 
@@ -863,8 +873,7 @@ class ProbeLayer : public fuse::nn::Module {
   std::string arch_name() const override { return "thread_probe"; }
 
  protected:
-  fuse::nn::Tensor do_infer(const fuse::nn::Tensor& x,
-                            fuse::nn::Backend) const override {
+  fuse::nn::Tensor do_infer(const fuse::nn::Tensor& x) const override {
     std::mutex mu;
     std::set<std::thread::id> ran;
     fuse::util::parallel_for(0, 64, [&](std::size_t, std::size_t) {

@@ -1,8 +1,8 @@
-// Tests for the GEMM training backend and the task-parallel FOMAML outer
-// loop: gradient agreement between the kGemm and kNaive Conv2d backward
-// paths (including ragged GEMM tile tails and pad > 0), finite-difference
-// gradcheck of the GEMM path, the clone/workspace lifetime contract, and
-// fixed-seed MetaTrainer determinism across worker counts.
+// Tests for the GEMM training path and the task-parallel FOMAML outer
+// loop: Conv2d gradients against the per-sample reference backward
+// (including ragged GEMM tile tails and pad > 0), finite-difference
+// gradcheck, the clone/workspace lifetime contract, and fixed-seed
+// MetaTrainer determinism across worker counts.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <memory>
 #include <tuple>
+#include <vector>
 
 #include "core/meta.h"
 #include "data/builder.h"
@@ -20,12 +21,12 @@
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/registry.h"
+#include "nn/sequential.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace {
 
-using fuse::nn::Backend;
 using fuse::nn::Tensor;
 
 Tensor random_tensor(fuse::tensor::Shape shape, fuse::util::Rng& rng) {
@@ -45,10 +46,10 @@ void assert_grad_close(const Tensor& got, const Tensor& want,
   }
 }
 
-// -------------------------------------------- gemm-vs-naive gradients --
+// ------------------------------------------ gradients vs the reference --
 
-TEST(TrainBackend, Conv2dBackwardGemmMatchesNaive) {
-  // Shapes chosen to hit the 4x16 tile tails (odd channel/filter counts,
+TEST(TrainBackend, Conv2dBackwardMatchesReference) {
+  // Shapes chosen to hit the GEMM tile tails (odd channel/filter counts,
   // odd spatial sizes) and pad in {0, 1, 2}.
   for (const auto& [cin, cout, hw, pad] :
        {std::tuple<std::size_t, std::size_t, std::size_t, std::size_t>
@@ -57,71 +58,82 @@ TEST(TrainBackend, Conv2dBackwardGemmMatchesNaive) {
     SCOPED_TRACE("cin=" + std::to_string(cin) + " cout=" +
                  std::to_string(cout) + " hw=" + std::to_string(hw) +
                  " pad=" + std::to_string(pad));
-    // Identically-seeded twins: one runs the reference loops, one the
-    // batched GEMM kernels.
-    fuse::util::Rng rng_a(31), rng_b(31);
-    fuse::nn::Conv2d naive(cin, cout, 3, pad, rng_a);
-    fuse::nn::Conv2d gemm(cin, cout, 3, pad, rng_b);
-    naive.set_train_backend(Backend::kNaive);
-    gemm.set_train_backend(Backend::kGemm);
+    fuse::util::Rng rng(31);
+    fuse::nn::Conv2d conv(cin, cout, 3, pad, rng);
 
     for (const std::size_t batch : {1u, 5u}) {
       fuse::util::Rng rng_x(97 + batch);
       const Tensor x = random_tensor({batch, cin, hw, hw}, rng_x);
-      const Tensor yn = naive.forward(x);
-      const Tensor yg = gemm.forward(x);
-      assert_grad_close(yg, yn, "forward");
+      const Tensor y = conv.forward(x);
+      assert_grad_close(y, fuse::nn::conv2d_reference_forward(conv, x),
+                        "forward");
 
-      const Tensor dy = random_tensor(yn.shape(), rng_x);
-      naive.zero_grad();
-      gemm.zero_grad();
-      const Tensor dxn = naive.backward(dy);
-      const Tensor dxg = gemm.backward(dy);
-      assert_grad_close(dxg, dxn, "dx");
-      assert_grad_close(*gemm.grads()[0], *naive.grads()[0], "dW");
-      assert_grad_close(*gemm.grads()[1], *naive.grads()[1], "db");
+      const Tensor dy = random_tensor(y.shape(), rng_x);
+      conv.zero_grad();
+      const Tensor dx = conv.backward(dy);
+      const auto ref = fuse::nn::conv2d_reference_backward(conv, x, dy);
+      assert_grad_close(dx, ref.dx, "dx");
+      assert_grad_close(*conv.grads()[0], ref.dw, "dW");
+      assert_grad_close(*conv.grads()[1], ref.db, "db");
     }
   }
 }
 
-TEST(TrainBackend, FullModelBackwardGemmMatchesNaive) {
+TEST(TrainBackend, FullModelBackwardMatchesReferenceComposition) {
+  // mars_cnn's backward against the same layers run child by child, with
+  // each Conv2d's forward and backward replaced by the reference.
   fuse::nn::ModelConfig cfg;
   cfg.seed = 5;
-  const auto naive = fuse::nn::build_model("mars_cnn", cfg);
-  const auto gemm = fuse::nn::build_model("mars_cnn", cfg);
-  naive->set_train_backend(Backend::kNaive);
-  gemm->set_train_backend(Backend::kGemm);
+  const auto model = fuse::nn::build_model("mars_cnn", cfg);
+  const auto twin = fuse::nn::build_model("mars_cnn", cfg);
+  auto& seq = dynamic_cast<fuse::nn::Sequential&>(*twin);
 
   fuse::util::Rng rng(77);
   const Tensor x = random_tensor({6, 5, 8, 8}, rng);
   const Tensor target = random_tensor({6, 57}, rng);
 
-  const Tensor yn = naive->forward(x);
-  const Tensor yg = gemm->forward(x);
-  assert_grad_close(yg, yn, "forward");
+  std::vector<Tensor> inputs;  // each child's input, for the backward
+  Tensor ref = x;
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    inputs.push_back(ref);
+    const auto* conv = dynamic_cast<const fuse::nn::Conv2d*>(&seq.child(i));
+    ref = conv ? fuse::nn::conv2d_reference_forward(*conv, ref)
+               : seq.child(i).forward(ref);
+  }
+  const Tensor y = model->forward(x);
+  assert_grad_close(y, ref, "forward");
 
-  Tensor dn, dg;
-  (void)fuse::nn::l1_loss(yn, target, &dn);
-  (void)fuse::nn::l1_loss(yg, target, &dg);
-  naive->zero_grad();
-  gemm->zero_grad();
-  naive->backward(dn);
-  gemm->backward(dg);
-  const auto gn = naive->grads();
-  const auto gg = gemm->grads();
-  ASSERT_EQ(gn.size(), gg.size());
-  for (std::size_t i = 0; i < gn.size(); ++i)
-    assert_grad_close(*gg[i], *gn[i], "grad tensor");
+  Tensor dy, dref;
+  (void)fuse::nn::l1_loss(y, target, &dy);
+  (void)fuse::nn::l1_loss(ref, target, &dref);
+  model->zero_grad();
+  twin->zero_grad();
+  model->backward(dy);
+  for (std::size_t i = seq.size(); i-- > 0;) {
+    auto* conv = dynamic_cast<fuse::nn::Conv2d*>(&seq.child(i));
+    if (!conv) {
+      dref = seq.child(i).backward(dref);
+      continue;
+    }
+    auto g = fuse::nn::conv2d_reference_backward(*conv, inputs[i], dref);
+    *conv->grads()[0] = std::move(g.dw);
+    *conv->grads()[1] = std::move(g.db);
+    dref = std::move(g.dx);
+  }
+  const auto got = model->grads();
+  const auto want = twin->grads();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    assert_grad_close(*got[i], *want[i], "grad tensor");
 }
 
-// ------------------------------------------------ gradcheck (kGemm) --
+// --------------------------------------------------------- gradcheck --
 
-TEST(TrainBackend, GradCheckGemmConv2d) {
+TEST(TrainBackend, GradCheckConv2d) {
   for (const std::size_t pad : {0u, 1u}) {
     SCOPED_TRACE("pad=" + std::to_string(pad));
     fuse::util::Rng rng(21 + pad);
     fuse::nn::Conv2d conv(2, 3, 3, pad, rng);
-    conv.set_train_backend(Backend::kGemm);
     Tensor x = random_tensor({2, 2, 5, 5}, rng);
     const std::size_t oh = 5 + 2 * pad - 2;
     const Tensor target = random_tensor({2, 3, oh, oh}, rng);
@@ -137,9 +149,9 @@ TEST(TrainBackend, GradCheckGemmConv2d) {
     const Tensor dx = conv.backward(dy);
 
     // fraction_within: float32 central differences leave an outlier or two
-    // at small-gradient coordinates regardless of backend (the naive path
-    // scores identically here); the Conv2dBackwardGemmMatchesNaive test
-    // above pins GEMM-vs-naive agreement to 1e-5 exactly.
+    // at small-gradient coordinates (the reference backward scores
+    // identically here); Conv2dBackwardMatchesReference above pins the
+    // agreement with the reference to 1e-5.
     EXPECT_GE(fuse::nn::check_gradient(loss_fn, conv.weight(),
                                        *conv.grads()[0])
                   .fraction_within(2e-2f),
@@ -158,23 +170,19 @@ TEST(TrainBackend, GradCheckGemmConv2d) {
 // -------------------------------------------- clone/workspace contract --
 
 TEST(TrainBackend, CloneMustForwardBeforeBackward) {
-  for (const auto backend : {Backend::kGemm, Backend::kNaive}) {
-    SCOPED_TRACE(fuse::nn::backend_name(backend));
-    fuse::util::Rng rng(3);
-    fuse::nn::Conv2d conv(2, 4, 3, 1, rng);
-    conv.set_train_backend(backend);
-    const Tensor x = random_tensor({2, 2, 6, 6}, rng);
-    const Tensor y = conv.forward(x);
-    const Tensor dy = random_tensor(y.shape(), rng);
-    EXPECT_NO_THROW(conv.backward(dy));
+  fuse::util::Rng rng(3);
+  fuse::nn::Conv2d conv(2, 4, 3, 1, rng);
+  const Tensor x = random_tensor({2, 2, 6, 6}, rng);
+  const Tensor y = conv.forward(x);
+  const Tensor dy = random_tensor(y.shape(), rng);
+  EXPECT_NO_THROW(conv.backward(dy));
 
-    // Copies drop both backends' forward caches (parameters and gradients
-    // only), so backward without a fresh forward must throw, not misread.
-    const auto clone = conv.clone();
-    EXPECT_THROW(clone->backward(dy), std::logic_error);
-    EXPECT_NO_THROW(clone->forward(x));
-    EXPECT_NO_THROW(clone->backward(dy));
-  }
+  // Copies drop the forward cache (parameters and gradients only), so
+  // backward without a fresh forward must throw, not misread.
+  const auto clone = conv.clone();
+  EXPECT_THROW(clone->backward(dy), std::logic_error);
+  EXPECT_NO_THROW(clone->forward(x));
+  EXPECT_NO_THROW(clone->backward(dy));
 }
 
 // --------------------------------------------- MetaTrainer determinism --
