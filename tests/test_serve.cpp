@@ -10,14 +10,17 @@
 
 #include <cmath>
 #include <atomic>
-#include <cctype>
 #include <chrono>
+#include <cstdlib>
 #include <deque>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -28,6 +31,8 @@
 #include "serve/stats.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+
+#include "json_check.h"
 
 namespace {
 
@@ -662,59 +667,6 @@ TEST(Serve, StatsJsonCarriesSchema) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing key " << key;
 }
 
-// Minimal recursive-descent JSON syntax checker for the hand-rolled
-// emitter.  Values are all internally generated (no string escaping),
-// so this only needs structure: balanced containers, comma placement,
-// and a non-empty value after every key — which is exactly what emitter
-// bugs (a truncating printf buffer, a missed comma, a dangling key)
-// break.  Returns npos on success, else the offset of the first error.
-std::size_t first_json_error(const std::string& s, std::size_t& i) {
-  const auto skip_ws = [&] {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\n' || s[i] == '\t' ||
-                            s[i] == '\r'))
-      ++i;
-  };
-  skip_ws();
-  if (i >= s.size()) return i;
-  const char c = s[i];
-  if (c == '{' || c == '[') {
-    const char close = c == '{' ? '}' : ']';
-    ++i;
-    skip_ws();
-    if (i < s.size() && s[i] == close) return ++i, std::string::npos;
-    while (true) {
-      if (c == '{') {  // "key": value
-        skip_ws();
-        if (i >= s.size() || s[i] != '"') return i;
-        for (++i; i < s.size() && s[i] != '"'; ++i) {}
-        if (i >= s.size()) return i;
-        ++i;
-        skip_ws();
-        if (i >= s.size() || s[i] != ':') return i;
-        ++i;
-      }
-      if (const auto err = first_json_error(s, i); err != std::string::npos)
-        return err;
-      skip_ws();
-      if (i >= s.size()) return i;
-      if (s[i] == close) return ++i, std::string::npos;
-      if (s[i] != ',') return i;
-      ++i;
-    }
-  }
-  if (c == '"') {
-    for (++i; i < s.size() && s[i] != '"'; ++i) {}
-    if (i >= s.size()) return i;
-    return ++i, std::string::npos;
-  }
-  // number / true / false / null
-  const std::size_t start = i;
-  while (i < s.size() && (std::isalnum(static_cast<unsigned char>(s[i])) ||
-                          s[i] == '-' || s[i] == '+' || s[i] == '.'))
-    ++i;
-  return i == start ? i : std::string::npos;
-}
-
 TEST(Serve, StatsJsonIsSyntacticallyValid) {
   auto& pl = world();
   ServeConfig cfg;
@@ -730,16 +682,168 @@ TEST(Serve, StatsJsonIsSyntacticallyValid) {
   server.poll_results(a);
 
   const auto json = server.stats_json();
-  std::size_t pos = 0;
-  const auto err = first_json_error(json, pos);
-  ASSERT_EQ(err, std::string::npos)
-      << "malformed JSON near offset " << err << ": ..."
-      << json.substr(err > 40 ? err - 40 : 0, 80) << "...";
-  // The whole document must have been consumed (no trailing garbage).
-  while (pos < json.size() && std::isspace(static_cast<unsigned char>(
-             json[pos])))
-    ++pos;
-  EXPECT_EQ(pos, json.size());
+  const auto scan = fuse::test::scan_json(json);
+  EXPECT_TRUE(scan.ok()) << "malformed JSON near offset " << scan.error
+                         << ": ..."
+                         << json.substr(scan.error > 40 ? scan.error - 40 : 0,
+                                        80)
+                         << "...";
+}
+
+// The value oracle for the export: every field of a hand-filled
+// ServeStats gets a distinct number, and each key must carry exactly its
+// own field's value (a key presence check cannot tell results_evicted
+// from results_stale).  Every leaf of the document is accounted for.
+TEST(Serve, StatsJsonValuesMatchTheirFields) {
+  fuse::serve::ServeStats s;
+  std::vector<std::pair<std::string, double>> numbers;
+  double next = 0.0;
+  // Integers count up; doubles and floats sit on exact binary fractions so
+  // any fixed-point rendering of them reads back exactly.
+  const auto integer = [&](const std::string& path, auto& field) {
+    next += 1.0;
+    field = static_cast<std::remove_reference_t<decltype(field)>>(next);
+    numbers.emplace_back(path, next);
+  };
+  const auto real = [&](const std::string& path, auto& field) {
+    next += 1.0;
+    field = static_cast<std::remove_reference_t<decltype(field)>>(next + 0.25);
+    numbers.emplace_back(path, next + 0.25);
+  };
+
+  integer("sessions", s.sessions);
+  integer("frames_in", s.frames_in);
+  integer("frames_out", s.frames_out);
+  integer("frames_dropped", s.frames_dropped);
+  integer("drops.queue_evicted", s.queue_evicted);
+  integer("drops.queue_rejected", s.queue_rejected);
+  integer("drops.results_evicted", s.results_evicted);
+  integer("drops.results_stale", s.results_stale);
+  real("drop_rate", s.drop_rate);
+  integer("queue_depth_hwm", s.queue_depth_hwm);
+  integer("robustness.admission_rejected", s.admission_rejected);
+  integer("robustness.deadline_shed", s.deadline_shed);
+  integer("robustness.non_finite_frames", s.non_finite_frames);
+  integer("robustness.non_finite_labels", s.non_finite_labels);
+  integer("robustness.quarantined_sessions", s.quarantined_sessions);
+  integer("robustness.migrations", s.migrations);
+  integer("robustness.migration_failures", s.migration_failures);
+  integer("robustness.migration_rejected", s.migration_rejected);
+  real("shed_rate", s.shed_rate);
+  integer("in_flight", s.in_flight);
+  integer("overload.level", s.overload_level);
+  s.overload_level_name = "shed_deadline";
+  integer("overload.transitions", s.overload_transitions);
+  integer("shards", s.shards);
+  s.per_shard.resize(2);
+  for (std::size_t i = 0; i < s.per_shard.size(); ++i) {
+    auto& sh = s.per_shard[i];
+    const std::string p = "per_shard[" + std::to_string(i) + "].";
+    integer(p + "shard", sh.shard);
+    integer(p + "sessions", sh.sessions);
+    integer(p + "frames_in", sh.frames_in);
+    integer(p + "frames_out", sh.frames_out);
+    integer(p + "in_flight", sh.in_flight);
+    integer(p + "batches", sh.batches);
+    integer(p + "overload_level", sh.overload_level);
+    integer(p + "overload_transitions", sh.overload_transitions);
+    real(p + "latency_p99_ms", sh.latency_p99_ms);
+    integer(p + "migrations_in", sh.migrations_in);
+    integer(p + "migrations_out", sh.migrations_out);
+    integer(p + "migration_failures", sh.migration_failures);
+    sh.queue_depth_series.resize(i + 2);
+    for (std::size_t k = 0; k < sh.queue_depth_series.size(); ++k)
+      integer(p + "queue_depth_series[" + std::to_string(k) + "]",
+              sh.queue_depth_series[k]);
+  }
+  integer("batches", s.batches);
+  real("mean_batch", s.mean_batch);
+  real("latency_ms.p50", s.latency_p50_ms);
+  real("latency_ms.p95", s.latency_p95_ms);
+  real("latency_ms.p99", s.latency_p99_ms);
+  real("latency_ms.mean", s.latency_mean_ms);
+  real("latency_ms.max", s.latency_max_ms);
+  s.detailed = true;
+  s.stages.resize(2);
+  for (std::size_t i = 0; i < s.stages.size(); ++i) {
+    auto& st = s.stages[i];
+    const std::string p = "stages[" + std::to_string(i) + "].";
+    st.stage = i == 0 ? "queue_wait" : "infer";
+    integer(p + "count", st.count);
+    real(p + "total_ms", st.total_ms);
+    real(p + "mean_ms", st.mean_ms);
+    real(p + "p50_ms", st.p50_ms);
+    real(p + "p95_ms", st.p95_ms);
+    real(p + "p99_ms", st.p99_ms);
+    real(p + "max_ms", st.max_ms);
+  }
+  auto& cs = s.clone_store;
+  cs.enabled = true;
+  integer("clone_store.hits", cs.hits);
+  integer("clone_store.misses", cs.misses);
+  integer("clone_store.evictions", cs.evictions);
+  integer("clone_store.rehydrations", cs.rehydrations);
+  integer("clone_store.checkpoint_writes", cs.checkpoint_writes);
+  integer("clone_store.tracked", cs.tracked);
+  integer("clone_store.resident", cs.resident);
+  integer("clone_store.resident_bytes", cs.resident_bytes);
+  integer("clone_store.disk_bytes", cs.disk_bytes);
+  integer("clone_store.restore_skipped", cs.restore_skipped);
+  integer("clone_store.rehydrate_failures", cs.rehydrate_failures);
+  integer("clone_store.checkpoint_failures", cs.checkpoint_failures);
+  s.per_session.resize(2);
+  for (std::size_t i = 0; i < s.per_session.size(); ++i) {
+    auto& ps = s.per_session[i];
+    const std::string p = "per_session[" + std::to_string(i) + "].";
+    integer(p + "id", ps.id);
+    integer(p + "frames_in", ps.frames_in);
+    integer(p + "frames_out", ps.frames_out);
+    integer(p + "frames_dropped", ps.frames_dropped);
+    integer(p + "queue_evicted", ps.queue_evicted);
+    integer(p + "queue_rejected", ps.queue_rejected);
+    integer(p + "results_evicted", ps.results_dropped);
+    integer(p + "results_stale", ps.results_stale);
+    integer(p + "queue_depth", ps.queue_depth);
+    integer(p + "queue_depth_hwm", ps.queue_depth_hwm);
+    integer(p + "admission_rejected", ps.admission_rejected);
+    integer(p + "deadline_shed", ps.deadline_shed);
+    integer(p + "non_finite_frames", ps.non_finite_frames);
+    integer(p + "non_finite_labels", ps.non_finite_labels);
+    integer(p + "migration_rejected", ps.migration_rejected);
+    ps.quarantined = i == 1;
+    ps.adapt_state = i == 0 ? AdaptState::kCollecting : AdaptState::kAdapted;
+    integer(p + "adapt_rounds", ps.adapt_rounds);
+    integer(p + "adapt_buffered", ps.adapt_buffered);
+    real(p + "last_adapt_loss", ps.last_adapt_loss);
+  }
+
+  const std::map<std::string, std::string> tokens = {
+      {"overload.level_name", "\"shed_deadline\""},
+      {"detailed", "true"},
+      {"stages[0].stage", "\"queue_wait\""},
+      {"stages[1].stage", "\"infer\""},
+      {"clone_store.enabled", "true"},
+      {"per_session[0].quarantined", "false"},
+      {"per_session[0].adapt_state", "\"collecting\""},
+      {"per_session[1].quarantined", "true"},
+      {"per_session[1].adapt_state", "\"adapted\""},
+  };
+
+  const auto json = fuse::serve::stats_to_json(s);
+  const auto scan = fuse::test::scan_json(json);
+  ASSERT_TRUE(scan.ok()) << "malformed JSON near offset " << scan.error;
+  for (const auto& [path, expected] : numbers) {
+    const auto it = scan.leaves.find(path);
+    ASSERT_NE(it, scan.leaves.end()) << "missing " << path;
+    EXPECT_EQ(std::strtod(it->second.c_str(), nullptr), expected) << path;
+  }
+  for (const auto& [path, expected] : tokens) {
+    const auto it = scan.leaves.find(path);
+    ASSERT_NE(it, scan.leaves.end()) << "missing " << path;
+    EXPECT_EQ(it->second, expected) << path;
+  }
+  EXPECT_EQ(scan.leaves.size(), numbers.size() + tokens.size())
+      << "the export carries a key this oracle does not know";
 }
 
 // --------------------------------------------------- raw-cube ingestion --
