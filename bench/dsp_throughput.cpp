@@ -38,6 +38,7 @@
 #include <complex>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <functional>
 #include <string>
 #include <thread>
@@ -49,7 +50,9 @@
 #include "experiment_common.h"
 #include "radar/processing.h"
 #include "radar/simulator.h"
+#include "util/atomic_file.h"
 #include "util/cli.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -91,6 +94,7 @@ bool same_bits(const fuse::radar::RangeDopplerCube& a,
                      a.size() * sizeof(fuse::radar::cfloat)) == 0;
 }
 
+/// Throws std::runtime_error when the file cannot be written.
 void write_json(const std::string& path, std::size_t host_threads,
                 const fuse::radar::RadarConfig& cfg,
                 const std::vector<StageRow>& rows,
@@ -98,56 +102,51 @@ void write_json(const std::string& path, std::size_t host_threads,
                 double naive_rd_fps, double pipeline_speedup,
                 std::size_t detections_total, bool detections_match,
                 bool rd_bit_identical, double fft_max_rel_err) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"dsp_throughput\",\n");
-  std::fprintf(f, "  \"host_threads\": %zu,\n", host_threads);
-  std::fprintf(f, "  \"lane_variant\": \"%s\",\n",
-               fuse::dsp::dispatched_lane_variant().name);
-  std::fprintf(f,
-               "  \"frame_shape\": {\"virtual\": %zu, \"chirps\": %zu, "
-               "\"samples\": %zu},\n",
-               cfg.n_virtual(), cfg.chirps_per_frame, cfg.samples_per_chirp);
-  std::fprintf(f, "  \"stages\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    std::fprintf(f,
-                 "    {\"stage\": \"%s\", \"threads\": %zu, "
-                 "\"naive_fps\": %.2f, \"planned_fps\": %.2f, "
-                 "\"speedup_planned_over_naive\": %.3f}%s\n",
-                 rows[i].stage.c_str(), rows[i].threads, rows[i].naive_fps,
-                 rows[i].planned_fps, rows[i].speedup(),
-                 i + 1 < rows.size() ? "," : "");
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"range_doppler_variants\": [\n");
-  for (std::size_t i = 0; i < variants.size(); ++i)
-    std::fprintf(f,
-                 "    {\"variant\": \"%s\", \"lanes\": %zu, "
-                 "\"threads\": 1, \"planned_fps\": %.2f, "
-                 "\"speedup_over_naive\": %.3f, \"bit_identical\": %s}%s\n",
-                 variants[i].variant->name, variants[i].variant->lanes,
-                 variants[i].planned_fps,
-                 variants[i].planned_fps / naive_rd_fps,
-                 variants[i].bit_identical ? "true" : "false",
-                 i + 1 < variants.size() ? "," : "");
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"pipeline_speedup_planned_over_naive\": %.3f,\n",
-               pipeline_speedup);
-  std::fprintf(f, "  \"detections_total\": %zu,\n", detections_total);
-  std::fprintf(f, "  \"detections_match\": %s,\n",
-               detections_match ? "true" : "false");
-  std::fprintf(f, "  \"rd_bit_identical\": %s,\n",
-               rd_bit_identical ? "true" : "false");
-  std::fprintf(f, "  \"fft_max_rel_err\": %.3e\n}\n", fft_max_rel_err);
-  std::fclose(f);
+  fuse::util::JsonWriter w;
+  w.begin_object()
+      .field("bench", "dsp_throughput")
+      .field("host_threads", host_threads)
+      .field("lane_variant", fuse::dsp::dispatched_lane_variant().name);
+  w.key("frame_shape")
+      .begin_object()
+      .field("virtual", cfg.n_virtual())
+      .field("chirps", cfg.chirps_per_frame)
+      .field("samples", cfg.samples_per_chirp)
+      .end_object();
+  w.key("stages").begin_array();
+  for (const auto& r : rows)
+    w.begin_object()
+        .field("stage", r.stage)
+        .field("threads", r.threads)
+        .field("naive_fps", r.naive_fps)
+        .field("planned_fps", r.planned_fps)
+        .field("speedup_planned_over_naive", r.speedup())
+        .end_object();
+  w.end_array();
+  w.key("range_doppler_variants").begin_array();
+  for (const auto& v : variants)
+    w.begin_object()
+        .field("variant", v.variant->name)
+        .field("lanes", v.variant->lanes)
+        .field("threads", 1)
+        .field("planned_fps", v.planned_fps)
+        .field("speedup_over_naive", v.planned_fps / naive_rd_fps)
+        .field("bit_identical", v.bit_identical)
+        .end_object();
+  w.end_array();
+  w.field("pipeline_speedup_planned_over_naive", pipeline_speedup)
+      .field("detections_total", detections_total)
+      .field("detections_match", detections_match)
+      .field("rd_bit_identical", rd_bit_identical)
+      .field("fft_max_rel_err", fft_max_rel_err)
+      .end_object();
+  fuse::util::write_file_atomic(path, w.str());
   std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const fuse::util::Cli cli(argc, argv);
   const bool smoke = cli.has("smoke");
   const double scale = smoke ? 0.3 : (cli.paper() ? 1.0 : cli.scale());
@@ -370,4 +369,7 @@ int main(int argc, char** argv) {
   if (!correct)
     std::fprintf(stderr, "error: planned path diverges from reference!\n");
   return correct ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

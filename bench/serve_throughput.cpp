@@ -51,6 +51,7 @@
 #include <cstdio>
 #include <ctime>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <filesystem>
 #include <string>
@@ -65,7 +66,10 @@
 #include "nn/loss.h"
 #include "radar/simulator.h"
 #include "serve/server.h"
+#include "serve/stats.h"
+#include "util/atomic_file.h"
 #include "util/cli.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -739,161 +743,134 @@ ChurnStorm run_churn_storm(fuse::core::FusePipeline& pl, bool smoke) {
   return out;
 }
 
+/// Throws std::runtime_error when the file cannot be written.
 void write_json(const std::string& path, std::size_t sessions,
                 std::size_t frames, double sweep_fps, float query_loss,
                 const RawCubeRun& raw, const fuse::serve::ServeStats& stats,
                 const StatsOverhead& overhead, const CloneSweep& clones,
                 const OverloadSweep& ov, const ShardSweep& shard_sweep,
                 const ChurnStorm& storm) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"serve_throughput\",\n");
-  std::fprintf(f, "  \"host_threads\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"sessions\": %zu,\n  \"frames\": %zu,\n", sessions,
-               frames);
-  std::fprintf(f, "  \"fps\": %.1f,\n  \"batches\": %llu,\n"
-               "  \"mean_batch\": %.2f,\n",
-               sweep_fps, static_cast<unsigned long long>(stats.batches),
-               stats.mean_batch);
+  fuse::util::JsonWriter w;
+  w.begin_object()
+      .field("bench", "serve_throughput")
+      .field("host_threads", std::thread::hardware_concurrency())
+      .field("sessions", sessions)
+      .field("frames", frames)
+      .field("fps", sweep_fps)
+      .field("batches", stats.batches)
+      .field("mean_batch", stats.mean_batch);
   // End-to-end latency + drop-rate of the sweep run: the p99 and
   // drop_rate keys are regression-gated by bench/check_regression.py; so
   // is each stage's p99_ms (the infer stage is the per-batch forward).
-  std::fprintf(f, "  \"latency_p50_ms\": %.4f,\n", stats.latency_p50_ms);
-  std::fprintf(f, "  \"latency_p95_ms\": %.4f,\n", stats.latency_p95_ms);
-  std::fprintf(f, "  \"latency_p99_ms\": %.4f,\n", stats.latency_p99_ms);
-  std::fprintf(f, "  \"drop_rate\": %.6f,\n", stats.drop_rate);
-  std::fprintf(f, "  \"stages\": [\n");
-  for (std::size_t i = 0; i < stats.stages.size(); ++i) {
-    const auto& st = stats.stages[i];
-    std::fprintf(f,
-                 "    {\"stage\": \"%s\", \"count\": %llu, "
-                 "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f}%s\n",
-                 st.stage.c_str(), static_cast<unsigned long long>(st.count),
-                 st.p50_ms, st.p95_ms, st.p99_ms,
-                 i + 1 < stats.stages.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"stats_detailed_fps\": %.1f,\n"
-               "  \"stats_idle_fps\": %.1f,\n"
-               "  \"stats_overhead_pct\": %.3f,\n",
-               overhead.fps_detailed, overhead.fps_idle,
-               overhead.overhead_pct);
-  if (raw.enabled) {
-    std::fprintf(f,
-                 "  \"raw_cubes\": {\"sessions\": %zu, \"frames\": %zu, "
-                 "\"naive_fps\": %.2f, \"server_fps\": %.2f, "
-                 "\"raw_cube_speedup_server_over_naive\": %.3f},\n",
-                 raw.sessions, raw.frames, raw.naive_fps, raw.server_fps,
-                 raw.speedup());
-  }
+  w.field("latency_p50_ms", stats.latency_p50_ms)
+      .field("latency_p95_ms", stats.latency_p95_ms)
+      .field("latency_p99_ms", stats.latency_p99_ms)
+      .field("drop_rate", stats.drop_rate);
+  w.key("stages").begin_array();
+  for (const auto& st : stats.stages) fuse::serve::stage_to_json(w, st);
+  w.end_array();
+  w.field("stats_detailed_fps", overhead.fps_detailed)
+      .field("stats_idle_fps", overhead.fps_idle)
+      .field("stats_overhead_pct", overhead.overhead_pct);
+  if (raw.enabled)
+    w.key("raw_cubes")
+        .begin_object()
+        .field("sessions", raw.sessions)
+        .field("frames", raw.frames)
+        .field("naive_fps", raw.naive_fps)
+        .field("server_fps", raw.server_fps)
+        .field("raw_cube_speedup_server_over_naive", raw.speedup())
+        .end_object();
   // Clone-store sweep: the RAM-per-10k-adapting-sessions pair and the
   // rehydrate-stage p99 are regression-gated (check_regression.py); rows
   // are matched by their "cap" identity key.
   if (!clones.rows.empty()) {
-    const auto& full = clones.rows.front();
-    const auto& tight = clones.rows.back();
-    std::fprintf(f, "  \"clone_store\": {\n");
-    std::fprintf(f, "    \"sessions\": %zu, \"frames\": %zu, "
-                 "\"bytes_per_clone\": %zu,\n",
-                 clones.sessions, clones.frames, clones.bytes_per_clone);
-    std::fprintf(f, "    \"sweep\": [\n");
-    for (std::size_t i = 0; i < clones.rows.size(); ++i) {
-      const auto& r = clones.rows[i];
-      std::fprintf(f,
-                   "      {\"cap\": %zu, \"fps\": %.1f, "
-                   "\"evictions\": %llu, \"rehydrations\": %llu, "
-                   "\"rehydrate_p99_ms\": %.4f, "
-                   "\"resident_clone_mb\": %.2f}%s\n",
-                   r.cap, r.fps,
-                   static_cast<unsigned long long>(r.evictions),
-                   static_cast<unsigned long long>(r.rehydrations),
-                   r.rehydrate_p99_ms,
-                   static_cast<double>(r.resident_bytes) /
-                       (1024.0 * 1024.0),
-                   i + 1 < clones.rows.size() ? "," : "");
-    }
-    std::fprintf(f, "    ],\n");
-    std::fprintf(f, "    \"clone_full_ram_mb_per_10k_sessions\": %.1f,\n",
-                 clones.ram_mb_per_10k(full));
-    std::fprintf(f, "    \"clone_ram_mb_per_10k_sessions\": %.1f,\n",
-                 clones.ram_mb_per_10k(tight));
-    std::fprintf(f, "    \"clone_ram_reduction_speedup_x\": %.2f,\n",
-                 clones.ram_mb_per_10k(tight) > 0.0
-                     ? clones.ram_mb_per_10k(full) /
-                           clones.ram_mb_per_10k(tight)
-                     : 0.0);
-    std::fprintf(f, "    \"clone_rehydrate_p99_ms\": %.4f\n  },\n",
-                 tight.rehydrate_p99_ms);
+    const double full_mb = clones.ram_mb_per_10k(clones.rows.front());
+    const double tight_mb = clones.ram_mb_per_10k(clones.rows.back());
+    w.key("clone_store")
+        .begin_object()
+        .field("sessions", clones.sessions)
+        .field("frames", clones.frames)
+        .field("bytes_per_clone", clones.bytes_per_clone);
+    w.key("sweep").begin_array();
+    for (const auto& r : clones.rows)
+      w.begin_object()
+          .field("cap", r.cap)
+          .field("fps", r.fps)
+          .field("evictions", r.evictions)
+          .field("rehydrations", r.rehydrations)
+          .field("rehydrate_p99_ms", r.rehydrate_p99_ms)
+          .field("resident_clone_mb",
+                 static_cast<double>(r.resident_bytes) / (1024.0 * 1024.0))
+          .end_object();
+    w.end_array()
+        .field("clone_full_ram_mb_per_10k_sessions", full_mb)
+        .field("clone_ram_mb_per_10k_sessions", tight_mb)
+        .field("clone_ram_reduction_speedup_x",
+               tight_mb > 0.0 ? full_mb / tight_mb : 0.0)
+        .field("clone_rehydrate_p99_ms", clones.rows.back().rehydrate_p99_ms)
+        .end_object();
   }
   // Overload sweep (PR 8): steady/degraded admitted-frame p99 (p99 rule),
   // the degraded-over-steady ratio (absolute cap), the shed rate (shed
   // rule) and the recovered-within-window flag (hard equivalence gate) are
   // all regression-gated by check_regression.py.
-  std::fprintf(f, "  \"overload\": {\n");
-  std::fprintf(f, "    \"offered_x\": %.1f,\n", ov.offered_x);
-  std::fprintf(f, "    \"steady_p99_ms\": %.4f,\n", ov.steady_p99_ms);
-  std::fprintf(f, "    \"overload_p99_ms\": %.4f,\n", ov.overload_p99_ms);
-  std::fprintf(f, "    \"overload_p99_over_steady_x\": %.3f,\n",
-               ov.over_steady_x());
-  std::fprintf(f, "    \"shed_rate\": %.4f,\n", ov.shed_rate);
-  std::fprintf(f, "    \"deadline_shed\": %llu,\n",
-               static_cast<unsigned long long>(ov.deadline_shed));
-  std::fprintf(f, "    \"admission_rejected\": %llu,\n",
-               static_cast<unsigned long long>(ov.admission_rejected));
-  std::fprintf(f, "    \"max_level\": %d,\n", ov.max_level);
-  std::fprintf(f, "    \"recovery_passes\": %zu,\n", ov.recovery_passes);
-  std::fprintf(f, "    \"recovered_within_window\": %s\n  },\n",
-               ov.recovered ? "true" : "false");
+  w.key("overload")
+      .begin_object()
+      .field("offered_x", ov.offered_x)
+      .field("steady_p99_ms", ov.steady_p99_ms)
+      .field("overload_p99_ms", ov.overload_p99_ms)
+      .field("overload_p99_over_steady_x", ov.over_steady_x())
+      .field("shed_rate", ov.shed_rate)
+      .field("deadline_shed", ov.deadline_shed)
+      .field("admission_rejected", ov.admission_rejected)
+      .field("max_level", ov.max_level)
+      .field("recovery_passes", ov.recovery_passes)
+      .field("recovered_within_window", ov.recovered)
+      .end_object();
   // Shard sweep (PR 9): rows are matched by their "shards" identity key
   // and their latency_p99_ms is p99-gated per row; the scaling flag is an
   // equivalence gate (vacuously true when host_threads < 4 — a 1-core
   // container cannot demonstrate parallel speedup, only tail sanity).
-  std::fprintf(f, "  \"shard_sweep\": {\n");
-  std::fprintf(f, "    \"sessions\": %zu, \"frames_per_session\": %zu, "
-               "\"host_threads\": %u,\n",
-               shard_sweep.sessions, shard_sweep.frames,
-               shard_sweep.host_threads);
-  std::fprintf(f, "    \"rows\": [\n");
-  for (std::size_t i = 0; i < shard_sweep.rows.size(); ++i) {
-    const auto& r = shard_sweep.rows[i];
-    std::fprintf(f,
-                 "      {\"shards\": %zu, \"sessions\": %zu, "
-                 "\"fps\": %.1f, \"latency_p99_ms\": %.4f}%s\n",
-                 r.shards, r.sessions, r.fps, r.p99_ms,
-                 i + 1 < shard_sweep.rows.size() ? "," : "");
-  }
-  std::fprintf(f, "    ],\n");
-  std::fprintf(f, "    \"shard_fps_scaling_x\": %.3f,\n",
-               shard_sweep.fps_scaling_x());
-  std::fprintf(f, "    \"shard_p99_scaling_ok\": %s\n  },\n",
-               shard_sweep.p99_scaling_ok() ? "true" : "false");
+  w.key("shard_sweep")
+      .begin_object()
+      .field("sessions", shard_sweep.sessions)
+      .field("frames_per_session", shard_sweep.frames)
+      .field("host_threads", shard_sweep.host_threads);
+  w.key("rows").begin_array();
+  for (const auto& r : shard_sweep.rows)
+    w.begin_object()
+        .field("shards", r.shards)
+        .field("sessions", r.sessions)
+        .field("fps", r.fps)
+        .field("latency_p99_ms", r.p99_ms)
+        .end_object();
+  w.end_array()
+      .field("shard_fps_scaling_x", shard_sweep.fps_scaling_x())
+      .field("shard_p99_scaling_ok", shard_sweep.p99_scaling_ok())
+      .end_object();
   // Churn storm (PR 10): churn_p99_ms rides the generic p99 rule,
   // leaked_in_flight is hard-gated to zero (any leak is an accounting
   // bug, not noise), and the recovered flag is an equivalence gate.
-  std::fprintf(f, "  \"open_close_storm\": {\n");
-  std::fprintf(f, "    \"rounds\": %zu, \"opens\": %zu, \"closes\": %zu,\n",
-               storm.rounds, storm.opens, storm.closes);
-  std::fprintf(f, "    \"frames\": %llu,\n    \"migrations\": %llu,\n",
-               static_cast<unsigned long long>(storm.frames),
-               static_cast<unsigned long long>(storm.migrations));
-  std::fprintf(f, "    \"churn_p99_ms\": %.4f,\n", storm.churn_p99_ms);
-  std::fprintf(f, "    \"leaked_in_flight\": %llu,\n",
-               static_cast<unsigned long long>(storm.leaked_in_flight));
-  std::fprintf(f, "    \"in_flight_gauge_recovered\": %s\n  },\n",
-               storm.in_flight_gauge_recovered ? "true" : "false");
-  std::fprintf(f, "  \"query_loss_fp32\": %.6f\n}\n", query_loss);
-  std::fclose(f);
+  w.key("open_close_storm")
+      .begin_object()
+      .field("rounds", storm.rounds)
+      .field("opens", storm.opens)
+      .field("closes", storm.closes)
+      .field("frames", storm.frames)
+      .field("migrations", storm.migrations)
+      .field("churn_p99_ms", storm.churn_p99_ms)
+      .field("leaked_in_flight", storm.leaked_in_flight)
+      .field("in_flight_gauge_recovered", storm.in_flight_gauge_recovered)
+      .end_object();
+  w.field("query_loss_fp32", query_loss).end_object();
+  fuse::util::write_file_atomic(path, w.str());
   std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const fuse::util::Cli cli(argc, argv);
   const bool smoke = cli.has("smoke");
   const double scale = smoke ? 0.4 : (cli.paper() ? 1.0 : cli.scale());
@@ -966,12 +943,8 @@ int main(int argc, char** argv) {
                                                   : "(below 2x target!)");
     const std::string csv = cli.get("csv", "");
     if (!csv.empty()) {
-      FILE* f = std::fopen(csv.c_str(), "w");
-      if (f) {
-        std::fputs(table.to_csv().c_str(), f);
-        std::fclose(f);
-        std::printf("wrote %s\n", csv.c_str());
-      }
+      fuse::util::write_file_atomic(csv, table.to_csv());
+      std::printf("wrote %s\n", csv.c_str());
     }
   }
 
@@ -1143,16 +1116,15 @@ int main(int argc, char** argv) {
   write_json(cli.out_dir() + "/BENCH_serve.json", kSweepSessions,
              sweep_frames, sweep.fps, query_loss, raw, sweep.stats,
              overhead, clones, ov, shard_sweep, storm);
-
   // Full structured snapshot of the sweep run — the same payload
   // serve::Server::stats_json() serves live; uploaded as a CI artifact
   // next to the BENCH files.
   const std::string stats_path = cli.out_dir() + "/SERVE_stats.json";
-  if (FILE* sf = std::fopen(stats_path.c_str(), "w")) {
-    const std::string json = fuse::serve::stats_to_json(sweep.stats);
-    std::fwrite(json.data(), 1, json.size(), sf);
-    std::fclose(sf);
-    std::printf("wrote %s\n", stats_path.c_str());
-  }
+  fuse::util::write_file_atomic(stats_path,
+                                fuse::serve::stats_to_json(sweep.stats));
+  std::printf("wrote %s\n", stats_path.c_str());
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

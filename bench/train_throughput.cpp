@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,7 +32,9 @@
 #include "data/fusion.h"
 #include "data/split.h"
 #include "nn/registry.h"
+#include "util/atomic_file.h"
 #include "util/cli.h"
+#include "util/json.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -111,33 +114,36 @@ struct Bench {
   }
 };
 
+/// Throws std::runtime_error when the file cannot be written.
 void write_json(const std::string& path, std::size_t host_threads,
                 const std::vector<MetaRun>& meta, const StepRun& step) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"train_throughput\",\n");
-  std::fprintf(f, "  \"host_threads\": %zu,\n", host_threads);
-  std::fprintf(f, "  \"meta\": [\n");
-  for (std::size_t i = 0; i < meta.size(); ++i)
-    std::fprintf(f,
-                 "    {\"threads\": %zu, \"iters_per_sec\": %.4f, "
-                 "\"final_query_loss\": %.6f}%s\n",
-                 meta[i].threads, meta[i].iters_per_sec,
-                 meta[i].final_query_loss, i + 1 < meta.size() ? "," : "");
-  std::fprintf(f, "  ],\n  \"finetune\": [\n");
-  std::fprintf(f, "    {\"steps_per_sec\": %.2f, \"last_loss\": %.6f}\n",
-               step.steps_per_sec, step.last_loss);
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  fuse::util::JsonWriter w;
+  w.begin_object()
+      .field("bench", "train_throughput")
+      .field("host_threads", host_threads);
+  w.key("meta").begin_array();
+  for (const auto& run : meta)
+    w.begin_object()
+        .field("threads", run.threads)
+        .field("iters_per_sec", run.iters_per_sec)
+        .field("final_query_loss", run.final_query_loss)
+        .end_object();
+  w.end_array();
+  w.key("finetune")
+      .begin_array()
+      .begin_object()
+      .field("steps_per_sec", step.steps_per_sec)
+      .field("last_loss", step.last_loss)
+      .end_object()
+      .end_array()
+      .end_object();
+  fuse::util::write_file_atomic(path, w.str());
   std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const fuse::util::Cli cli(argc, argv);
   const bool smoke = cli.has("smoke");
   const double scale = smoke ? 0.25 : (cli.paper() ? 1.0 : cli.scale());
@@ -213,4 +219,7 @@ int main(int argc, char** argv) {
 
   write_json(cli.out_dir() + "/BENCH_train.json", hc, meta_runs, step);
   return losses_agree ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
+
+#include "util/json.h"
 
 namespace fuse::serve {
 
@@ -81,174 +81,130 @@ const char* adapt_state_name(AdaptState s) {
   return "?";
 }
 
-namespace {
-
-// Minimal JSON emission: every key and value is generated internally
-// (stage/adapt-state names, numbers), so no escaping is needed.
-// Formats directly into the output string at whatever length the line
-// needs — a fixed stack buffer here once silently truncated the
-// clone_store line past 256 chars and emitted unparseable JSON.
-void append(std::string& out, const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  va_list sizing;
-  va_copy(sizing, args);
-  const int n = std::vsnprintf(nullptr, 0, fmt, sizing);
-  va_end(sizing);
-  if (n > 0) {
-    const std::size_t old = out.size();
-    out.resize(old + static_cast<std::size_t>(n) + 1);
-    std::vsnprintf(out.data() + old, static_cast<std::size_t>(n) + 1, fmt,
-                   args);
-    out.resize(old + static_cast<std::size_t>(n));
-  }
-  va_end(args);
+void stage_to_json(util::JsonWriter& w, const StageSnapshot& st) {
+  w.begin_object()
+      .field("stage", st.stage)
+      .field("count", st.count)
+      .field("total_ms", st.total_ms)
+      .field("mean_ms", st.mean_ms)
+      .field("p50_ms", st.p50_ms)
+      .field("p95_ms", st.p95_ms)
+      .field("p99_ms", st.p99_ms)
+      .field("max_ms", st.max_ms)
+      .end_object();
 }
 
-}  // namespace
-
 std::string stats_to_json(const ServeStats& s) {
-  std::string out;
-  out.reserve(2048 + 256 * s.per_session.size());
-  out += "{\n";
-  append(out, "  \"sessions\": %zu,\n", s.sessions);
-  append(out, "  \"frames_in\": %llu,\n",
-         static_cast<unsigned long long>(s.frames_in));
-  append(out, "  \"frames_out\": %llu,\n",
-         static_cast<unsigned long long>(s.frames_out));
-  append(out, "  \"frames_dropped\": %llu,\n",
-         static_cast<unsigned long long>(s.frames_dropped));
-  append(out,
-         "  \"drops\": {\"queue_evicted\": %llu, \"queue_rejected\": %llu, "
-         "\"results_evicted\": %llu, \"results_stale\": %llu},\n",
-         static_cast<unsigned long long>(s.queue_evicted),
-         static_cast<unsigned long long>(s.queue_rejected),
-         static_cast<unsigned long long>(s.results_evicted),
-         static_cast<unsigned long long>(s.results_stale));
-  append(out, "  \"drop_rate\": %.6f,\n", s.drop_rate);
-  append(out, "  \"queue_depth_hwm\": %zu,\n", s.queue_depth_hwm);
-  append(out,
-         "  \"robustness\": {\"admission_rejected\": %llu, "
-         "\"deadline_shed\": %llu, \"non_finite_frames\": %llu, "
-         "\"non_finite_labels\": %llu, \"quarantined_sessions\": %zu, "
-         "\"migrations\": %llu, \"migration_failures\": %llu, "
-         "\"migration_rejected\": %llu},\n",
-         static_cast<unsigned long long>(s.admission_rejected),
-         static_cast<unsigned long long>(s.deadline_shed),
-         static_cast<unsigned long long>(s.non_finite_frames),
-         static_cast<unsigned long long>(s.non_finite_labels),
-         s.quarantined_sessions,
-         static_cast<unsigned long long>(s.migrations),
-         static_cast<unsigned long long>(s.migration_failures),
-         static_cast<unsigned long long>(s.migration_rejected));
-  append(out, "  \"shed_rate\": %.6f,\n", s.shed_rate);
-  append(out, "  \"in_flight\": %zu,\n", s.in_flight);
-  append(out,
-         "  \"overload\": {\"level\": %d, \"level_name\": \"%s\", "
-         "\"transitions\": %llu},\n",
-         s.overload_level, s.overload_level_name.c_str(),
-         static_cast<unsigned long long>(s.overload_transitions));
-  append(out, "  \"shards\": %zu,\n", s.shards);
-  out += "  \"per_shard\": [\n";
-  for (std::size_t i = 0; i < s.per_shard.size(); ++i) {
-    const auto& sh = s.per_shard[i];
-    append(out,
-           "    {\"shard\": %zu, \"sessions\": %zu, \"frames_in\": %llu, "
-           "\"frames_out\": %llu, \"in_flight\": %zu, \"batches\": %llu, "
-           "\"overload_level\": %d, \"overload_transitions\": %llu, "
-           "\"latency_p99_ms\": %.4f, \"migrations_in\": %llu, "
-           "\"migrations_out\": %llu, \"migration_failures\": %llu, "
-           "\"queue_depth_series\": [",
-           sh.shard, sh.sessions,
-           static_cast<unsigned long long>(sh.frames_in),
-           static_cast<unsigned long long>(sh.frames_out), sh.in_flight,
-           static_cast<unsigned long long>(sh.batches), sh.overload_level,
-           static_cast<unsigned long long>(sh.overload_transitions),
-           sh.latency_p99_ms,
-           static_cast<unsigned long long>(sh.migrations_in),
-           static_cast<unsigned long long>(sh.migrations_out),
-           static_cast<unsigned long long>(sh.migration_failures));
-    for (std::size_t k = 0; k < sh.queue_depth_series.size(); ++k)
-      append(out, "%s%zu", k ? ", " : "", sh.queue_depth_series[k]);
-    append(out, "]}%s\n", i + 1 < s.per_shard.size() ? "," : "");
+  util::JsonWriter w;
+  w.begin_object()
+      .field("sessions", s.sessions)
+      .field("frames_in", s.frames_in)
+      .field("frames_out", s.frames_out)
+      .field("frames_dropped", s.frames_dropped);
+  w.key("drops")
+      .begin_object()
+      .field("queue_evicted", s.queue_evicted)
+      .field("queue_rejected", s.queue_rejected)
+      .field("results_evicted", s.results_evicted)
+      .field("results_stale", s.results_stale)
+      .end_object();
+  w.field("drop_rate", s.drop_rate)
+      .field("queue_depth_hwm", s.queue_depth_hwm);
+  w.key("robustness")
+      .begin_object()
+      .field("admission_rejected", s.admission_rejected)
+      .field("deadline_shed", s.deadline_shed)
+      .field("non_finite_frames", s.non_finite_frames)
+      .field("non_finite_labels", s.non_finite_labels)
+      .field("quarantined_sessions", s.quarantined_sessions)
+      .field("migrations", s.migrations)
+      .field("migration_failures", s.migration_failures)
+      .field("migration_rejected", s.migration_rejected)
+      .end_object();
+  w.field("shed_rate", s.shed_rate).field("in_flight", s.in_flight);
+  w.key("overload")
+      .begin_object()
+      .field("level", s.overload_level)
+      .field("level_name", s.overload_level_name)
+      .field("transitions", s.overload_transitions)
+      .end_object();
+  w.field("shards", s.shards);
+  w.key("per_shard").begin_array();
+  for (const auto& sh : s.per_shard) {
+    w.begin_object()
+        .field("shard", sh.shard)
+        .field("sessions", sh.sessions)
+        .field("frames_in", sh.frames_in)
+        .field("frames_out", sh.frames_out)
+        .field("in_flight", sh.in_flight)
+        .field("batches", sh.batches)
+        .field("overload_level", sh.overload_level)
+        .field("overload_transitions", sh.overload_transitions)
+        .field("latency_p99_ms", sh.latency_p99_ms)
+        .field("migrations_in", sh.migrations_in)
+        .field("migrations_out", sh.migrations_out)
+        .field("migration_failures", sh.migration_failures);
+    w.key("queue_depth_series").begin_array();
+    for (const std::size_t depth : sh.queue_depth_series) w.value(depth);
+    w.end_array().end_object();
   }
-  out += "  ],\n";
-  append(out, "  \"batches\": %llu,\n",
-         static_cast<unsigned long long>(s.batches));
-  append(out, "  \"mean_batch\": %.3f,\n", s.mean_batch);
-  append(out,
-         "  \"latency_ms\": {\"p50\": %.4f, \"p95\": %.4f, \"p99\": %.4f, "
-         "\"mean\": %.4f, \"max\": %.4f},\n",
-         s.latency_p50_ms, s.latency_p95_ms, s.latency_p99_ms,
-         s.latency_mean_ms, s.latency_max_ms);
-  append(out, "  \"detailed\": %s,\n", s.detailed ? "true" : "false");
-  out += "  \"stages\": [\n";
-  for (std::size_t i = 0; i < s.stages.size(); ++i) {
-    const auto& st = s.stages[i];
-    append(out,
-           "    {\"stage\": \"%s\", \"count\": %llu, \"total_ms\": %.3f, "
-           "\"mean_ms\": %.4f, \"p50_ms\": %.4f, \"p95_ms\": %.4f, "
-           "\"p99_ms\": %.4f, \"max_ms\": %.4f}%s\n",
-           st.stage.c_str(), static_cast<unsigned long long>(st.count),
-           st.total_ms, st.mean_ms, st.p50_ms, st.p95_ms, st.p99_ms,
-           st.max_ms, i + 1 < s.stages.size() ? "," : "");
-  }
-  out += "  ],\n";
+  w.end_array();
+  w.field("batches", s.batches).field("mean_batch", s.mean_batch);
+  w.key("latency_ms")
+      .begin_object()
+      .field("p50", s.latency_p50_ms)
+      .field("p95", s.latency_p95_ms)
+      .field("p99", s.latency_p99_ms)
+      .field("mean", s.latency_mean_ms)
+      .field("max", s.latency_max_ms)
+      .end_object();
+  w.field("detailed", s.detailed);
+  w.key("stages").begin_array();
+  for (const auto& st : s.stages) stage_to_json(w, st);
+  w.end_array();
   const auto& cs = s.clone_store;
-  append(out,
-         "  \"clone_store\": {\"enabled\": %s, \"hits\": %llu, "
-         "\"misses\": %llu, \"evictions\": %llu, \"rehydrations\": %llu, "
-         "\"checkpoint_writes\": %llu, \"tracked\": %zu, \"resident\": %zu, "
-         "\"resident_bytes\": %zu, \"disk_bytes\": %zu, "
-         "\"restore_skipped\": %llu, \"rehydrate_failures\": %llu, "
-         "\"checkpoint_failures\": %llu},\n",
-         cs.enabled ? "true" : "false",
-         static_cast<unsigned long long>(cs.hits),
-         static_cast<unsigned long long>(cs.misses),
-         static_cast<unsigned long long>(cs.evictions),
-         static_cast<unsigned long long>(cs.rehydrations),
-         static_cast<unsigned long long>(cs.checkpoint_writes), cs.tracked,
-         cs.resident, cs.resident_bytes, cs.disk_bytes,
-         static_cast<unsigned long long>(cs.restore_skipped),
-         static_cast<unsigned long long>(cs.rehydrate_failures),
-         static_cast<unsigned long long>(cs.checkpoint_failures));
-  out += "  \"per_session\": [\n";
-  for (std::size_t i = 0; i < s.per_session.size(); ++i) {
-    const auto& ps = s.per_session[i];
-    append(out,
-           "    {\"id\": %zu, \"frames_in\": %llu, \"frames_out\": %llu, "
-           "\"frames_dropped\": %llu, \"queue_evicted\": %llu, "
-           "\"queue_rejected\": %llu, \"results_evicted\": %llu, "
-           "\"results_stale\": %llu, \"queue_depth\": %zu, "
-           "\"queue_depth_hwm\": %zu,",
-           ps.id, static_cast<unsigned long long>(ps.frames_in),
-           static_cast<unsigned long long>(ps.frames_out),
-           static_cast<unsigned long long>(ps.frames_dropped),
-           static_cast<unsigned long long>(ps.queue_evicted),
-           static_cast<unsigned long long>(ps.queue_rejected),
-           static_cast<unsigned long long>(ps.results_dropped),
-           static_cast<unsigned long long>(ps.results_stale),
-           ps.queue_depth, ps.queue_depth_hwm);
-    append(out,
-           " \"admission_rejected\": %llu, \"deadline_shed\": %llu, "
-           "\"non_finite_frames\": %llu, \"non_finite_labels\": %llu, "
-           "\"migration_rejected\": %llu, \"quarantined\": %s,",
-           static_cast<unsigned long long>(ps.admission_rejected),
-           static_cast<unsigned long long>(ps.deadline_shed),
-           static_cast<unsigned long long>(ps.non_finite_frames),
-           static_cast<unsigned long long>(ps.non_finite_labels),
-           static_cast<unsigned long long>(ps.migration_rejected),
-           ps.quarantined ? "true" : "false");
-    append(out,
-           " \"adapt_state\": \"%s\", \"adapt_rounds\": %llu, "
-           "\"adapt_buffered\": %zu, \"last_adapt_loss\": %.6f}%s\n",
-           adapt_state_name(ps.adapt_state),
-           static_cast<unsigned long long>(ps.adapt_rounds),
-           ps.adapt_buffered, static_cast<double>(ps.last_adapt_loss),
-           i + 1 < s.per_session.size() ? "," : "");
-  }
-  out += "  ]\n}\n";
-  return out;
+  w.key("clone_store")
+      .begin_object()
+      .field("enabled", cs.enabled)
+      .field("hits", cs.hits)
+      .field("misses", cs.misses)
+      .field("evictions", cs.evictions)
+      .field("rehydrations", cs.rehydrations)
+      .field("checkpoint_writes", cs.checkpoint_writes)
+      .field("tracked", cs.tracked)
+      .field("resident", cs.resident)
+      .field("resident_bytes", cs.resident_bytes)
+      .field("disk_bytes", cs.disk_bytes)
+      .field("restore_skipped", cs.restore_skipped)
+      .field("rehydrate_failures", cs.rehydrate_failures)
+      .field("checkpoint_failures", cs.checkpoint_failures)
+      .end_object();
+  w.key("per_session").begin_array();
+  for (const auto& ps : s.per_session)
+    w.begin_object()
+        .field("id", ps.id)
+        .field("frames_in", ps.frames_in)
+        .field("frames_out", ps.frames_out)
+        .field("frames_dropped", ps.frames_dropped)
+        .field("queue_evicted", ps.queue_evicted)
+        .field("queue_rejected", ps.queue_rejected)
+        .field("results_evicted", ps.results_dropped)
+        .field("results_stale", ps.results_stale)
+        .field("queue_depth", ps.queue_depth)
+        .field("queue_depth_hwm", ps.queue_depth_hwm)
+        .field("admission_rejected", ps.admission_rejected)
+        .field("deadline_shed", ps.deadline_shed)
+        .field("non_finite_frames", ps.non_finite_frames)
+        .field("non_finite_labels", ps.non_finite_labels)
+        .field("migration_rejected", ps.migration_rejected)
+        .field("quarantined", ps.quarantined)
+        .field("adapt_state", adapt_state_name(ps.adapt_state))
+        .field("adapt_rounds", ps.adapt_rounds)
+        .field("adapt_buffered", ps.adapt_buffered)
+        .field("last_adapt_loss", ps.last_adapt_loss)
+        .end_object();
+  w.end_array().end_object();
+  return w.str();
 }
 
 }  // namespace fuse::serve

@@ -14,6 +14,10 @@
 #include <string>
 #include <vector>
 
+namespace fuse::util {
+class JsonWriter;
+}
+
 namespace fuse::serve {
 
 /// Monotonic wall-clock seconds (arbitrary epoch) for latency stamping.
@@ -68,8 +72,7 @@ class LatencyHistogram {
 
 /// Fixed-capacity ring of per-tick queue-depth samples: each scheduler
 /// pass records its shard's in-flight gauge, so the export shows depth
-/// *over time* rather than only the high-water mark (ROADMAP item 5's
-/// leftover).  Capacity-bounded so a days-long soak cannot grow it; once
+/// *over time* rather than only the high-water mark.  Capacity-bounded so a days-long soak cannot grow it; once
 /// full the oldest sample is overwritten.  Not thread-safe — callers
 /// record/merge under the shard stats mutex like every other snapshot.
 class QueueDepthSeries {
@@ -151,7 +154,8 @@ struct StageSnapshot {
 };
 
 /// Read-time snapshot of the clone store (serve/clone_store): lifecycle
-/// counters plus the occupancy gauges behind the RAM-budget accounting.
+/// counters plus occupancy gauges (resident clones under the
+/// max_resident_clones cap, their RAM, checkpoint bytes on disk).
 /// All-zero with enabled=false when no store is configured.
 struct CloneStoreSnapshot {
   bool enabled = false;
@@ -256,5 +260,9 @@ struct ServeStats {
 /// documented in DESIGN.md §7) — the payload behind
 /// Server::stats_json() and the bench's SERVE_stats.json artifact.
 std::string stats_to_json(const ServeStats& s);
+
+/// Writes one stage row, the element type of the export's `stages[]`
+/// (also the stage rows of BENCH_serve.json).
+void stage_to_json(util::JsonWriter& w, const StageSnapshot& st);
 
 }  // namespace fuse::serve

@@ -1,7 +1,7 @@
 // Tests for the adapted-clone lifecycle: the ParamDelta codec (bit-exact
 // fp32, thresholded sparse, int8 within the derived tolerance, corruption
-// detection), LRU eviction + transparent rehydration under a RAM budget
-// (budget-constrained serving must be bit-identical to unconstrained),
+// detection), LRU eviction + transparent rehydration under a resident-clone
+// count cap (capped serving must be bit-identical to uncapped),
 // recycle/close cleanup, threaded eviction stress, and warm restart.
 
 #include <gtest/gtest.h>

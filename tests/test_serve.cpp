@@ -26,6 +26,7 @@
 
 #include "core/pipeline.h"
 #include "core/tracking.h"
+#include "nn/layers.h"
 #include "nn/sequential.h"
 #include "serve/server.h"
 #include "serve/stats.h"
@@ -48,8 +49,11 @@ using fuse::serve::Server;
 using fuse::serve::SessionConfig;
 using fuse::serve::SubmitResult;
 
-/// Shared environment: a prepared (untrained — weights are irrelevant for
-/// path equivalence) pipeline over a miniature dataset.
+/// Shared environment: a prepared, untrained pipeline over a miniature
+/// dataset.  Its biases get seeded non-zero values once: layers start at
+/// zero bias, where a bias added before the accumulation and one added
+/// after it give the same bits, so the path-equivalence tests below could
+/// not see where the bias enters.
 fuse::core::FusePipeline& world() {
   static fuse::core::FusePipeline* pipeline = [] {
     fuse::core::PipelineConfig cfg;
@@ -57,6 +61,11 @@ fuse::core::FusePipeline& world() {
     cfg.fusion_m = 1;
     auto* p = new fuse::core::FusePipeline(cfg);
     p->prepare_data();
+    fuse::util::Rng rng(0xb1a5);
+    for (auto* param : p->model().params())
+      if (param->ndim() == 1)
+        for (std::size_t i = 0; i < param->numel(); ++i)
+          param->data()[i] = rng.uniformf(-0.1f, 0.1f);
     return p;
   }();
   return *pipeline;
@@ -123,6 +132,20 @@ TEST(Serve, InferMatchesForwardExactly) {
   ASSERT_EQ(y_train.shape(), y_infer.shape());
   for (std::size_t i = 0; i < y_train.numel(); ++i)
     EXPECT_EQ(y_train[i], y_infer[i]) << "element " << i;
+  // The served model must also equal itself run child by child with each
+  // Conv2d replaced by the per-sample reference.  Every other serve
+  // oracle shares the served conv path, so only this one sees where the
+  // (non-zero) bias enters the accumulation.
+  const auto& seq = dynamic_cast<const fuse::nn::Sequential&>(model);
+  auto y_ref = x;
+  for (std::size_t c = 0; c < seq.size(); ++c) {
+    const auto* conv = dynamic_cast<const fuse::nn::Conv2d*>(&seq.child(c));
+    y_ref = conv ? fuse::nn::conv2d_reference_forward(*conv, y_ref)
+                 : seq.child(c).infer(y_ref);
+  }
+  ASSERT_EQ(y_ref.shape(), y_infer.shape());
+  for (std::size_t i = 0; i < y_ref.numel(); ++i)
+    EXPECT_EQ(y_ref[i], y_infer[i]) << "reference element " << i;
 }
 
 TEST(Serve, BatchedPredictMatchesPerWindowPredict) {

@@ -1,23 +1,33 @@
 // Tests for the utility layer: RNG statistics/determinism, the thread pool,
-// table/CSV formatting and CLI parsing.
+// table/CSV formatting, the JSON writer and CLI parsing.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <map>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "util/cli.h"
 #include "util/geometry.h"
 #include "util/isa.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
+#include "json_check.h"
+
 namespace {
 
+using fuse::util::JsonWriter;
 using fuse::util::Rng;
 using fuse::util::Vec3;
 
@@ -378,6 +388,141 @@ TEST(Table, CsvOutput) {
 TEST(Table, NumFormatting) {
   EXPECT_EQ(fuse::util::Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(fuse::util::Table::num(5.0, 0), "5");
+}
+
+// ------------------------------------------------------------------ json --
+
+/// The document must parse; returns its scalar leaves by key path.
+std::map<std::string, std::string> json_leaves(const std::string& doc) {
+  const auto scan = fuse::test::scan_json(doc);
+  EXPECT_TRUE(scan.ok()) << "invalid at offset " << scan.error << ":\n"
+                         << doc;
+  return scan.leaves;
+}
+
+TEST(Json, CommasAndNestingInEmptyOneAndNestedContainers) {
+  JsonWriter empty_obj;
+  empty_obj.begin_object().end_object();
+  EXPECT_EQ(empty_obj.str(), "{}\n");
+  JsonWriter empty_arr;
+  empty_arr.begin_array().end_array();
+  EXPECT_EQ(empty_arr.str(), "[]\n");
+
+  JsonWriter one;
+  one.begin_object().field("a", 1).end_object();
+  EXPECT_EQ(one.str(), "{\n  \"a\": 1\n}\n");
+
+  // Members of the root and of its objects take one line each; a row
+  // (a container inside an array) stays on one line with all it holds.
+  JsonWriter w;
+  w.begin_object();
+  w.field("n", 2);
+  w.key("empty").begin_array().end_array();
+  w.key("obj").begin_object().field("x", true).field("y", false).end_object();
+  w.key("rows").begin_array();
+  w.begin_object().field("id", 0).key("s").begin_array().end_array()
+      .end_object();
+  w.begin_object().field("id", 1).key("s").begin_array().value(7).value(8)
+      .end_array().key("o").begin_object().end_object().end_object();
+  w.end_array();
+  w.key("nums").begin_array().value(1).end_array();
+  w.end_object();
+  EXPECT_EQ(w.str(),
+            "{\n"
+            "  \"n\": 2,\n"
+            "  \"empty\": [],\n"
+            "  \"obj\": {\n"
+            "    \"x\": true,\n"
+            "    \"y\": false\n"
+            "  },\n"
+            "  \"rows\": [\n"
+            "    {\"id\": 0, \"s\": []},\n"
+            "    {\"id\": 1, \"s\": [7, 8], \"o\": {}}\n"
+            "  ],\n"
+            "  \"nums\": [\n"
+            "    1\n"
+            "  ]\n"
+            "}\n");
+  const auto leaves = json_leaves(w.str());
+  EXPECT_EQ(leaves.at("rows[1].s[1]"), "8");
+  EXPECT_EQ(leaves.at("obj.y"), "false");
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlCharacters) {
+  JsonWriter w;
+  w.begin_object()
+      .field("q\"k", "a\"b\\c\nd\x01" "e\t\x1f")
+      .end_object();
+  EXPECT_EQ(w.str(),
+            "{\n  \"q\\\"k\": \"a\\\"b\\\\c\\nd\\u0001e\\t\\u001f\"\n}\n");
+  EXPECT_EQ(json_leaves(w.str()).size(), 1u);
+}
+
+TEST(Json, IntegerExtremesStayIntegers) {
+  JsonWriter w;
+  w.begin_array()
+      .value(std::numeric_limits<std::uint64_t>::max())
+      .value(std::numeric_limits<std::int64_t>::min())
+      .value(std::size_t{0})
+      .value(-1)
+      .end_array();
+  const auto leaves = json_leaves(w.str());
+  EXPECT_EQ(leaves.at("[0]"), "18446744073709551615");
+  EXPECT_EQ(leaves.at("[1]"), "-9223372036854775808");
+  EXPECT_EQ(leaves.at("[2]"), "0");
+  EXPECT_EQ(leaves.at("[3]"), "-1");
+}
+
+TEST(Json, NonFiniteNumbersAreNull) {
+  JsonWriter w;
+  w.begin_array()
+      .value(std::numeric_limits<double>::quiet_NaN())
+      .value(std::numeric_limits<double>::infinity())
+      .value(-std::numeric_limits<double>::infinity())
+      .value(std::numeric_limits<float>::quiet_NaN())
+      .value(-std::numeric_limits<float>::infinity())
+      .end_array();
+  const auto leaves = json_leaves(w.str());
+  ASSERT_EQ(leaves.size(), 5u);
+  for (const auto& [path, token] : leaves) EXPECT_EQ(token, "null") << path;
+}
+
+TEST(Json, FloatingPointRoundTripsExactlyAndStaysFloatingPoint) {
+  const double d = 0.1 + 0.2;  // needs all 17 significant digits
+  const float f = 1.0f / 3.0f;
+  JsonWriter w;
+  w.begin_array()
+      .value(d)
+      .value(f)
+      .value(8.0)
+      .value(-0.0)
+      .value(1e300)
+      .value(5e-324)
+      .end_array();
+  const auto leaves = json_leaves(w.str());
+  EXPECT_EQ(std::strtod(leaves.at("[0]").c_str(), nullptr), d);
+  // A float is written at float width: shortest digits, read back exact.
+  EXPECT_EQ(leaves.at("[1]"), "0.33333334");
+  EXPECT_EQ(std::strtof(leaves.at("[1]").c_str(), nullptr), f);
+  EXPECT_EQ(leaves.at("[2]"), "8.0");  // integral doubles keep a '.'
+  EXPECT_EQ(leaves.at("[3]"), "-0.0");
+  EXPECT_EQ(std::strtod(leaves.at("[4]").c_str(), nullptr), 1e300);
+  EXPECT_EQ(std::strtod(leaves.at("[5]").c_str(), nullptr), 5e-324);
+}
+
+TEST(Json, MisplacedMembersThrow) {
+  JsonWriter no_key;
+  no_key.begin_object();
+  EXPECT_THROW(no_key.value(1), std::logic_error);
+  JsonWriter key_in_array;
+  key_in_array.begin_array();
+  EXPECT_THROW(key_in_array.key("k"), std::logic_error);
+  JsonWriter mismatched;
+  mismatched.begin_object();
+  EXPECT_THROW(mismatched.end_array(), std::logic_error);
+  JsonWriter dangling;
+  dangling.begin_object().key("k");
+  EXPECT_THROW(dangling.end_object(), std::logic_error);
 }
 
 // ------------------------------------------------------------------- cli --
