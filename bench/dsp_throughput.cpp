@@ -94,56 +94,6 @@ bool same_bits(const fuse::radar::RangeDopplerCube& a,
                      a.size() * sizeof(fuse::radar::cfloat)) == 0;
 }
 
-/// Throws std::runtime_error when the file cannot be written.
-void write_json(const std::string& path, std::size_t host_threads,
-                const fuse::radar::RadarConfig& cfg,
-                const std::vector<StageRow>& rows,
-                const std::vector<VariantRow>& variants,
-                double naive_rd_fps, double pipeline_speedup,
-                std::size_t detections_total, bool detections_match,
-                bool rd_bit_identical, double fft_max_rel_err) {
-  fuse::util::JsonWriter w;
-  w.begin_object()
-      .field("bench", "dsp_throughput")
-      .field("host_threads", host_threads)
-      .field("lane_variant", fuse::dsp::dispatched_lane_variant().name);
-  w.key("frame_shape")
-      .begin_object()
-      .field("virtual", cfg.n_virtual())
-      .field("chirps", cfg.chirps_per_frame)
-      .field("samples", cfg.samples_per_chirp)
-      .end_object();
-  w.key("stages").begin_array();
-  for (const auto& r : rows)
-    w.begin_object()
-        .field("stage", r.stage)
-        .field("threads", r.threads)
-        .field("naive_fps", r.naive_fps)
-        .field("planned_fps", r.planned_fps)
-        .field("speedup_planned_over_naive", r.speedup())
-        .end_object();
-  w.end_array();
-  w.key("range_doppler_variants").begin_array();
-  for (const auto& v : variants)
-    w.begin_object()
-        .field("variant", v.variant->name)
-        .field("lanes", v.variant->lanes)
-        .field("threads", 1)
-        .field("planned_fps", v.planned_fps)
-        .field("speedup_over_naive", v.planned_fps / naive_rd_fps)
-        .field("bit_identical", v.bit_identical)
-        .end_object();
-  w.end_array();
-  w.field("pipeline_speedup_planned_over_naive", pipeline_speedup)
-      .field("detections_total", detections_total)
-      .field("detections_match", detections_match)
-      .field("rd_bit_identical", rd_bit_identical)
-      .field("fft_max_rel_err", fft_max_rel_err)
-      .end_object();
-  fuse::util::write_file_atomic(path, w.str());
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -361,9 +311,34 @@ int main(int argc, char** argv) try {
               pipeline_speedup_1t >= 2.0 ? "(>= 2x target met)"
                                          : "(below 2x target!)");
 
-  write_json(cli.out_dir() + "/BENCH_dsp.json", hc, cfg, rows, variants,
-             rd.naive_fps, pipeline_speedup_1t, detections_total,
-             detections_match, rd_bit_identical, fft_max_rel_err);
+  fuse::util::JsonWriter w;
+  w.begin_object().field("bench", "dsp_throughput")
+      .field("host_threads", hc)
+      .field("lane_variant", fuse::dsp::dispatched_lane_variant().name);
+  w.key("frame_shape").begin_object().field("virtual", cfg.n_virtual())
+      .field("chirps", cfg.chirps_per_frame)
+      .field("samples", cfg.samples_per_chirp).end_object();
+  w.key("stages").begin_array();
+  for (const auto& r : rows)
+    w.begin_object().field("stage", r.stage).field("threads", r.threads)
+        .field("naive_fps", r.naive_fps).field("planned_fps", r.planned_fps)
+        .field("speedup_planned_over_naive", r.speedup()).end_object();
+  w.end_array().key("range_doppler_variants").begin_array();
+  for (const auto& v : variants)
+    w.begin_object().field("variant", v.variant->name)
+        .field("lanes", v.variant->lanes).field("threads", 1)
+        .field("planned_fps", v.planned_fps)
+        .field("speedup_over_naive", v.planned_fps / rd.naive_fps)
+        .field("bit_identical", v.bit_identical).end_object();
+  w.end_array()
+      .field("pipeline_speedup_planned_over_naive", pipeline_speedup_1t)
+      .field("detections_total", detections_total)
+      .field("detections_match", detections_match)
+      .field("rd_bit_identical", rd_bit_identical)
+      .field("fft_max_rel_err", fft_max_rel_err).end_object();
+  const std::string path = cli.out_dir() + "/BENCH_dsp.json";
+  fuse::util::write_file_atomic(path, w.str());
+  std::printf("wrote %s\n", path.c_str());
   const bool correct =
       rd_bit_identical && detections_match && fft_max_rel_err < 1e-5;
   if (!correct)

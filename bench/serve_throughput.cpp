@@ -66,7 +66,6 @@
 #include "nn/loss.h"
 #include "radar/simulator.h"
 #include "serve/server.h"
-#include "serve/stats.h"
 #include "util/atomic_file.h"
 #include "util/cli.h"
 #include "util/json.h"
@@ -743,131 +742,6 @@ ChurnStorm run_churn_storm(fuse::core::FusePipeline& pl, bool smoke) {
   return out;
 }
 
-/// Throws std::runtime_error when the file cannot be written.
-void write_json(const std::string& path, std::size_t sessions,
-                std::size_t frames, double sweep_fps, float query_loss,
-                const RawCubeRun& raw, const fuse::serve::ServeStats& stats,
-                const StatsOverhead& overhead, const CloneSweep& clones,
-                const OverloadSweep& ov, const ShardSweep& shard_sweep,
-                const ChurnStorm& storm) {
-  fuse::util::JsonWriter w;
-  w.begin_object()
-      .field("bench", "serve_throughput")
-      .field("host_threads", std::thread::hardware_concurrency())
-      .field("sessions", sessions)
-      .field("frames", frames)
-      .field("fps", sweep_fps)
-      .field("batches", stats.batches)
-      .field("mean_batch", stats.mean_batch);
-  // End-to-end latency + drop-rate of the sweep run: the p99 and
-  // drop_rate keys are regression-gated by bench/check_regression.py; so
-  // is each stage's p99_ms (the infer stage is the per-batch forward).
-  w.field("latency_p50_ms", stats.latency_p50_ms)
-      .field("latency_p95_ms", stats.latency_p95_ms)
-      .field("latency_p99_ms", stats.latency_p99_ms)
-      .field("drop_rate", stats.drop_rate);
-  w.key("stages").begin_array();
-  for (const auto& st : stats.stages) fuse::serve::stage_to_json(w, st);
-  w.end_array();
-  w.field("stats_detailed_fps", overhead.fps_detailed)
-      .field("stats_idle_fps", overhead.fps_idle)
-      .field("stats_overhead_pct", overhead.overhead_pct);
-  if (raw.enabled)
-    w.key("raw_cubes")
-        .begin_object()
-        .field("sessions", raw.sessions)
-        .field("frames", raw.frames)
-        .field("naive_fps", raw.naive_fps)
-        .field("server_fps", raw.server_fps)
-        .field("raw_cube_speedup_server_over_naive", raw.speedup())
-        .end_object();
-  // Clone-store sweep: the RAM-per-10k-adapting-sessions pair and the
-  // rehydrate-stage p99 are regression-gated (check_regression.py); rows
-  // are matched by their "cap" identity key.
-  if (!clones.rows.empty()) {
-    const double full_mb = clones.ram_mb_per_10k(clones.rows.front());
-    const double tight_mb = clones.ram_mb_per_10k(clones.rows.back());
-    w.key("clone_store")
-        .begin_object()
-        .field("sessions", clones.sessions)
-        .field("frames", clones.frames)
-        .field("bytes_per_clone", clones.bytes_per_clone);
-    w.key("sweep").begin_array();
-    for (const auto& r : clones.rows)
-      w.begin_object()
-          .field("cap", r.cap)
-          .field("fps", r.fps)
-          .field("evictions", r.evictions)
-          .field("rehydrations", r.rehydrations)
-          .field("rehydrate_p99_ms", r.rehydrate_p99_ms)
-          .field("resident_clone_mb",
-                 static_cast<double>(r.resident_bytes) / (1024.0 * 1024.0))
-          .end_object();
-    w.end_array()
-        .field("clone_full_ram_mb_per_10k_sessions", full_mb)
-        .field("clone_ram_mb_per_10k_sessions", tight_mb)
-        .field("clone_ram_reduction_speedup_x",
-               tight_mb > 0.0 ? full_mb / tight_mb : 0.0)
-        .field("clone_rehydrate_p99_ms", clones.rows.back().rehydrate_p99_ms)
-        .end_object();
-  }
-  // Overload sweep (PR 8): steady/degraded admitted-frame p99 (p99 rule),
-  // the degraded-over-steady ratio (absolute cap), the shed rate (shed
-  // rule) and the recovered-within-window flag (hard equivalence gate) are
-  // all regression-gated by check_regression.py.
-  w.key("overload")
-      .begin_object()
-      .field("offered_x", ov.offered_x)
-      .field("steady_p99_ms", ov.steady_p99_ms)
-      .field("overload_p99_ms", ov.overload_p99_ms)
-      .field("overload_p99_over_steady_x", ov.over_steady_x())
-      .field("shed_rate", ov.shed_rate)
-      .field("deadline_shed", ov.deadline_shed)
-      .field("admission_rejected", ov.admission_rejected)
-      .field("max_level", ov.max_level)
-      .field("recovery_passes", ov.recovery_passes)
-      .field("recovered_within_window", ov.recovered)
-      .end_object();
-  // Shard sweep (PR 9): rows are matched by their "shards" identity key
-  // and their latency_p99_ms is p99-gated per row; the scaling flag is an
-  // equivalence gate (vacuously true when host_threads < 4 — a 1-core
-  // container cannot demonstrate parallel speedup, only tail sanity).
-  w.key("shard_sweep")
-      .begin_object()
-      .field("sessions", shard_sweep.sessions)
-      .field("frames_per_session", shard_sweep.frames)
-      .field("host_threads", shard_sweep.host_threads);
-  w.key("rows").begin_array();
-  for (const auto& r : shard_sweep.rows)
-    w.begin_object()
-        .field("shards", r.shards)
-        .field("sessions", r.sessions)
-        .field("fps", r.fps)
-        .field("latency_p99_ms", r.p99_ms)
-        .end_object();
-  w.end_array()
-      .field("shard_fps_scaling_x", shard_sweep.fps_scaling_x())
-      .field("shard_p99_scaling_ok", shard_sweep.p99_scaling_ok())
-      .end_object();
-  // Churn storm (PR 10): churn_p99_ms rides the generic p99 rule,
-  // leaked_in_flight is hard-gated to zero (any leak is an accounting
-  // bug, not noise), and the recovered flag is an equivalence gate.
-  w.key("open_close_storm")
-      .begin_object()
-      .field("rounds", storm.rounds)
-      .field("opens", storm.opens)
-      .field("closes", storm.closes)
-      .field("frames", storm.frames)
-      .field("migrations", storm.migrations)
-      .field("churn_p99_ms", storm.churn_p99_ms)
-      .field("leaked_in_flight", storm.leaked_in_flight)
-      .field("in_flight_gauge_recovered", storm.in_flight_gauge_recovered)
-      .end_object();
-  w.field("query_loss_fp32", query_loss).end_object();
-  fuse::util::write_file_atomic(path, w.str());
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -1028,16 +902,12 @@ int main(int argc, char** argv) try {
              static_cast<double>(r.resident_bytes) / (1024.0 * 1024.0), 1),
          fuse::util::Table::num(clones.ram_mb_per_10k(r), 0)});
   std::printf("\n%s\n", clone_table.to_string().c_str());
-  const double ram_reduction =
-      clones.ram_mb_per_10k(clones.rows.back()) > 0.0
-          ? clones.ram_mb_per_10k(clones.rows.front()) /
-                clones.ram_mb_per_10k(clones.rows.back())
-          : 0.0;
+  const double full_mb = clones.ram_mb_per_10k(clones.rows.front());
+  const double tight_mb = clones.ram_mb_per_10k(clones.rows.back());
+  const double ram_reduction = tight_mb > 0.0 ? full_mb / tight_mb : 0.0;
   std::printf("adapted-clone RAM per 10k sessions: %.0f MB full-resident "
               "vs %.0f MB at cap %zu = %.1fx reduction %s\n",
-              clones.ram_mb_per_10k(clones.rows.front()),
-              clones.ram_mb_per_10k(clones.rows.back()),
-              clones.rows.back().cap, ram_reduction,
+              full_mb, tight_mb, clones.rows.back().cap, ram_reduction,
               ram_reduction >= 5.0 ? "(>= 5x target met)"
                                    : "(below 5x target!)");
 
@@ -1113,9 +983,90 @@ int main(int argc, char** argv) try {
                 raw.naive_fps, raw.server_fps, raw.speedup());
   }
 
-  write_json(cli.out_dir() + "/BENCH_serve.json", kSweepSessions,
-             sweep_frames, sweep.fps, query_loss, raw, sweep.stats,
-             overhead, clones, ov, shard_sweep, storm);
+  fuse::util::JsonWriter w;
+  w.begin_object().field("bench", "serve_throughput")
+      .field("host_threads", std::thread::hardware_concurrency())
+      .field("sessions", kSweepSessions).field("frames", sweep_frames)
+      .field("fps", sweep.fps).field("batches", sweep.stats.batches)
+      .field("mean_batch", sweep.stats.mean_batch);
+  // End-to-end latency + drop-rate of the sweep run: the p99 and
+  // drop_rate keys are regression-gated by bench/check_regression.py; so
+  // is each stage's p99_ms (the infer stage is the per-batch forward).
+  w.field("latency_p50_ms", sweep.stats.latency_p50_ms)
+      .field("latency_p95_ms", sweep.stats.latency_p95_ms)
+      .field("latency_p99_ms", sweep.stats.latency_p99_ms)
+      .field("drop_rate", sweep.stats.drop_rate).key("stages").begin_array();
+  for (const auto& st : sweep.stats.stages) fuse::serve::stage_to_json(w, st);
+  w.end_array().field("stats_detailed_fps", overhead.fps_detailed)
+      .field("stats_idle_fps", overhead.fps_idle)
+      .field("stats_overhead_pct", overhead.overhead_pct);
+  if (raw.enabled)
+    w.key("raw_cubes").begin_object().field("sessions", raw.sessions)
+        .field("frames", raw.frames).field("naive_fps", raw.naive_fps)
+        .field("server_fps", raw.server_fps)
+        .field("raw_cube_speedup_server_over_naive", raw.speedup())
+        .end_object();
+  // Clone-store sweep: the RAM-per-10k-adapting-sessions pair and the
+  // rehydrate-stage p99 are regression-gated (check_regression.py); rows
+  // are matched by their "cap" identity key.
+  w.key("clone_store").begin_object().field("sessions", clones.sessions)
+      .field("frames", clones.frames)
+      .field("bytes_per_clone", clones.bytes_per_clone)
+      .key("sweep").begin_array();
+  for (const auto& r : clones.rows)
+    w.begin_object().field("cap", r.cap).field("fps", r.fps)
+        .field("evictions", r.evictions).field("rehydrations", r.rehydrations)
+        .field("rehydrate_p99_ms", r.rehydrate_p99_ms)
+        .field("resident_clone_mb",
+               static_cast<double>(r.resident_bytes) / (1024.0 * 1024.0))
+        .end_object();
+  w.end_array().field("clone_full_ram_mb_per_10k_sessions", full_mb)
+      .field("clone_ram_mb_per_10k_sessions", tight_mb)
+      .field("clone_ram_reduction_speedup_x", ram_reduction)
+      .field("clone_rehydrate_p99_ms", clones.rows.back().rehydrate_p99_ms)
+      .end_object();
+  // Overload sweep (PR 8): steady/degraded admitted-frame p99 (p99 rule),
+  // the degraded-over-steady ratio (absolute cap), the shed rate (shed
+  // rule) and the recovered-within-window flag (hard equivalence gate) are
+  // all regression-gated by check_regression.py.
+  w.key("overload").begin_object().field("offered_x", ov.offered_x)
+      .field("steady_p99_ms", ov.steady_p99_ms)
+      .field("overload_p99_ms", ov.overload_p99_ms)
+      .field("overload_p99_over_steady_x", ov.over_steady_x())
+      .field("shed_rate", ov.shed_rate).field("deadline_shed", ov.deadline_shed)
+      .field("admission_rejected", ov.admission_rejected)
+      .field("max_level", ov.max_level)
+      .field("recovery_passes", ov.recovery_passes)
+      .field("recovered_within_window", ov.recovered).end_object();
+  // Shard sweep (PR 9): rows are matched by their "shards" identity key
+  // and their latency_p99_ms is p99-gated per row; the scaling flag is an
+  // equivalence gate (vacuously true when host_threads < 4 — a 1-core
+  // container cannot demonstrate parallel speedup, only tail sanity).
+  w.key("shard_sweep").begin_object()
+      .field("sessions", shard_sweep.sessions)
+      .field("frames_per_session", shard_sweep.frames)
+      .field("host_threads", shard_sweep.host_threads)
+      .key("rows").begin_array();
+  for (const auto& r : shard_sweep.rows)
+    w.begin_object().field("shards", r.shards).field("sessions", r.sessions)
+        .field("fps", r.fps).field("latency_p99_ms", r.p99_ms).end_object();
+  w.end_array().field("shard_fps_scaling_x", shard_sweep.fps_scaling_x())
+      .field("shard_p99_scaling_ok", shard_sweep.p99_scaling_ok())
+      .end_object();
+  // Churn storm (PR 10): churn_p99_ms rides the generic p99 rule,
+  // leaked_in_flight is hard-gated to zero (any leak is an accounting
+  // bug, not noise), and the recovered flag is an equivalence gate.
+  w.key("open_close_storm").begin_object().field("rounds", storm.rounds)
+      .field("opens", storm.opens).field("closes", storm.closes)
+      .field("frames", storm.frames).field("migrations", storm.migrations)
+      .field("churn_p99_ms", storm.churn_p99_ms)
+      .field("leaked_in_flight", storm.leaked_in_flight)
+      .field("in_flight_gauge_recovered", storm.in_flight_gauge_recovered)
+      .end_object();
+  w.field("query_loss_fp32", query_loss).end_object();
+  const std::string bench_path = cli.out_dir() + "/BENCH_serve.json";
+  fuse::util::write_file_atomic(bench_path, w.str());
+  std::printf("wrote %s\n", bench_path.c_str());
   // Full structured snapshot of the sweep run — the same payload
   // serve::Server::stats_json() serves live; uploaded as a CI artifact
   // next to the BENCH files.

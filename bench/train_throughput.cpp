@@ -114,33 +114,6 @@ struct Bench {
   }
 };
 
-/// Throws std::runtime_error when the file cannot be written.
-void write_json(const std::string& path, std::size_t host_threads,
-                const std::vector<MetaRun>& meta, const StepRun& step) {
-  fuse::util::JsonWriter w;
-  w.begin_object()
-      .field("bench", "train_throughput")
-      .field("host_threads", host_threads);
-  w.key("meta").begin_array();
-  for (const auto& run : meta)
-    w.begin_object()
-        .field("threads", run.threads)
-        .field("iters_per_sec", run.iters_per_sec)
-        .field("final_query_loss", run.final_query_loss)
-        .end_object();
-  w.end_array();
-  w.key("finetune")
-      .begin_array()
-      .begin_object()
-      .field("steps_per_sec", step.steps_per_sec)
-      .field("last_loss", step.last_loss)
-      .end_object()
-      .end_array()
-      .end_object();
-  fuse::util::write_file_atomic(path, w.str());
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -217,7 +190,20 @@ int main(int argc, char** argv) try {
               "%.6f\n",
               step.steps_per_sec, step.last_loss);
 
-  write_json(cli.out_dir() + "/BENCH_train.json", hc, meta_runs, step);
+  fuse::util::JsonWriter w;
+  w.begin_object().field("bench", "train_throughput")
+      .field("host_threads", hc).key("meta").begin_array();
+  for (const auto& run : meta_runs)
+    w.begin_object().field("threads", run.threads)
+        .field("iters_per_sec", run.iters_per_sec)
+        .field("final_query_loss", run.final_query_loss).end_object();
+  w.end_array().key("finetune").begin_array().begin_object()
+      .field("steps_per_sec", step.steps_per_sec)
+      .field("last_loss", step.last_loss).end_object().end_array()
+      .end_object();
+  const std::string path = cli.out_dir() + "/BENCH_train.json";
+  fuse::util::write_file_atomic(path, w.str());
+  std::printf("wrote %s\n", path.c_str());
   return losses_agree ? 0 : 1;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "error: %s\n", e.what());

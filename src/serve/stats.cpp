@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/json.h"
-
 namespace fuse::serve {
 
 std::size_t LatencyHistogram::bin_index(double seconds) {
@@ -82,36 +80,26 @@ const char* adapt_state_name(AdaptState s) {
 }
 
 void stage_to_json(util::JsonWriter& w, const StageSnapshot& st) {
-  w.begin_object()
-      .field("stage", st.stage)
-      .field("count", st.count)
-      .field("total_ms", st.total_ms)
-      .field("mean_ms", st.mean_ms)
-      .field("p50_ms", st.p50_ms)
-      .field("p95_ms", st.p95_ms)
-      .field("p99_ms", st.p99_ms)
-      .field("max_ms", st.max_ms)
+  w.begin_object().field("stage", st.stage).field("count", st.count)
+      .field("total_ms", st.total_ms).field("mean_ms", st.mean_ms)
+      .field("p50_ms", st.p50_ms).field("p95_ms", st.p95_ms)
+      .field("p99_ms", st.p99_ms).field("max_ms", st.max_ms)
       .end_object();
 }
 
 std::string stats_to_json(const ServeStats& s) {
   util::JsonWriter w;
-  w.begin_object()
-      .field("sessions", s.sessions)
-      .field("frames_in", s.frames_in)
-      .field("frames_out", s.frames_out)
+  w.begin_object().field("sessions", s.sessions)
+      .field("frames_in", s.frames_in).field("frames_out", s.frames_out)
       .field("frames_dropped", s.frames_dropped);
-  w.key("drops")
-      .begin_object()
+  w.key("drops").begin_object()
       .field("queue_evicted", s.queue_evicted)
       .field("queue_rejected", s.queue_rejected)
       .field("results_evicted", s.results_evicted)
-      .field("results_stale", s.results_stale)
-      .end_object();
+      .field("results_stale", s.results_stale).end_object();
   w.field("drop_rate", s.drop_rate)
       .field("queue_depth_hwm", s.queue_depth_hwm);
-  w.key("robustness")
-      .begin_object()
+  w.key("robustness").begin_object()
       .field("admission_rejected", s.admission_rejected)
       .field("deadline_shed", s.deadline_shed)
       .field("non_finite_frames", s.non_finite_frames)
@@ -119,71 +107,48 @@ std::string stats_to_json(const ServeStats& s) {
       .field("quarantined_sessions", s.quarantined_sessions)
       .field("migrations", s.migrations)
       .field("migration_failures", s.migration_failures)
-      .field("migration_rejected", s.migration_rejected)
-      .end_object();
+      .field("migration_rejected", s.migration_rejected).end_object();
   w.field("shed_rate", s.shed_rate).field("in_flight", s.in_flight);
-  w.key("overload")
-      .begin_object()
-      .field("level", s.overload_level)
+  w.key("overload").begin_object().field("level", s.overload_level)
       .field("level_name", s.overload_level_name)
-      .field("transitions", s.overload_transitions)
-      .end_object();
-  w.field("shards", s.shards);
-  w.key("per_shard").begin_array();
+      .field("transitions", s.overload_transitions).end_object();
+  w.field("shards", s.shards).key("per_shard").begin_array();
   for (const auto& sh : s.per_shard) {
-    w.begin_object()
-        .field("shard", sh.shard)
-        .field("sessions", sh.sessions)
-        .field("frames_in", sh.frames_in)
-        .field("frames_out", sh.frames_out)
-        .field("in_flight", sh.in_flight)
-        .field("batches", sh.batches)
+    w.begin_object().field("shard", sh.shard).field("sessions", sh.sessions)
+        .field("frames_in", sh.frames_in).field("frames_out", sh.frames_out)
+        .field("in_flight", sh.in_flight).field("batches", sh.batches)
         .field("overload_level", sh.overload_level)
         .field("overload_transitions", sh.overload_transitions)
         .field("latency_p99_ms", sh.latency_p99_ms)
         .field("migrations_in", sh.migrations_in)
         .field("migrations_out", sh.migrations_out)
-        .field("migration_failures", sh.migration_failures);
-    w.key("queue_depth_series").begin_array();
+        .field("migration_failures", sh.migration_failures)
+        .key("queue_depth_series").begin_array();
     for (const std::size_t depth : sh.queue_depth_series) w.value(depth);
     w.end_array().end_object();
   }
-  w.end_array();
-  w.field("batches", s.batches).field("mean_batch", s.mean_batch);
-  w.key("latency_ms")
-      .begin_object()
-      .field("p50", s.latency_p50_ms)
-      .field("p95", s.latency_p95_ms)
-      .field("p99", s.latency_p99_ms)
-      .field("mean", s.latency_mean_ms)
-      .field("max", s.latency_max_ms)
+  w.end_array().field("batches", s.batches).field("mean_batch", s.mean_batch);
+  w.key("latency_ms").begin_object().field("p50", s.latency_p50_ms)
+      .field("p95", s.latency_p95_ms).field("p99", s.latency_p99_ms)
+      .field("mean", s.latency_mean_ms).field("max", s.latency_max_ms)
       .end_object();
-  w.field("detailed", s.detailed);
-  w.key("stages").begin_array();
+  w.field("detailed", s.detailed).key("stages").begin_array();
   for (const auto& st : s.stages) stage_to_json(w, st);
-  w.end_array();
   const auto& cs = s.clone_store;
-  w.key("clone_store")
-      .begin_object()
-      .field("enabled", cs.enabled)
-      .field("hits", cs.hits)
-      .field("misses", cs.misses)
-      .field("evictions", cs.evictions)
+  w.end_array().key("clone_store").begin_object()
+      .field("enabled", cs.enabled).field("hits", cs.hits)
+      .field("misses", cs.misses).field("evictions", cs.evictions)
       .field("rehydrations", cs.rehydrations)
       .field("checkpoint_writes", cs.checkpoint_writes)
-      .field("tracked", cs.tracked)
-      .field("resident", cs.resident)
+      .field("tracked", cs.tracked).field("resident", cs.resident)
       .field("resident_bytes", cs.resident_bytes)
       .field("disk_bytes", cs.disk_bytes)
       .field("restore_skipped", cs.restore_skipped)
       .field("rehydrate_failures", cs.rehydrate_failures)
-      .field("checkpoint_failures", cs.checkpoint_failures)
-      .end_object();
+      .field("checkpoint_failures", cs.checkpoint_failures).end_object();
   w.key("per_session").begin_array();
   for (const auto& ps : s.per_session)
-    w.begin_object()
-        .field("id", ps.id)
-        .field("frames_in", ps.frames_in)
+    w.begin_object().field("id", ps.id).field("frames_in", ps.frames_in)
         .field("frames_out", ps.frames_out)
         .field("frames_dropped", ps.frames_dropped)
         .field("queue_evicted", ps.queue_evicted)
@@ -201,8 +166,7 @@ std::string stats_to_json(const ServeStats& s) {
         .field("adapt_state", adapt_state_name(ps.adapt_state))
         .field("adapt_rounds", ps.adapt_rounds)
         .field("adapt_buffered", ps.adapt_buffered)
-        .field("last_adapt_loss", ps.last_adapt_loss)
-        .end_object();
+        .field("last_adapt_loss", ps.last_adapt_loss).end_object();
   w.end_array().end_object();
   return w.str();
 }

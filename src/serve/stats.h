@@ -14,9 +14,7 @@
 #include <string>
 #include <vector>
 
-namespace fuse::util {
-class JsonWriter;
-}
+#include "util/json.h"
 
 namespace fuse::serve {
 
@@ -72,9 +70,10 @@ class LatencyHistogram {
 
 /// Fixed-capacity ring of per-tick queue-depth samples: each scheduler
 /// pass records its shard's in-flight gauge, so the export shows depth
-/// *over time* rather than only the high-water mark.  Capacity-bounded so a days-long soak cannot grow it; once
-/// full the oldest sample is overwritten.  Not thread-safe — callers
-/// record/merge under the shard stats mutex like every other snapshot.
+/// *over time* rather than only the high-water mark.  Capacity-bounded
+/// so a days-long soak cannot grow it; once full the oldest sample is
+/// overwritten.  Not thread-safe — callers record/merge under the shard
+/// stats mutex like every other snapshot.
 class QueueDepthSeries {
  public:
   static constexpr std::size_t kCapacity = 240;
@@ -261,8 +260,7 @@ struct ServeStats {
 /// Server::stats_json() and the bench's SERVE_stats.json artifact.
 std::string stats_to_json(const ServeStats& s);
 
-/// Writes one stage row, the element type of the export's `stages[]`
-/// (also the stage rows of BENCH_serve.json).
+/// Writes one `stages[]` row (of stats_to_json and BENCH_serve.json).
 void stage_to_json(util::JsonWriter& w, const StageSnapshot& st);
 
 }  // namespace fuse::serve

@@ -1,37 +1,36 @@
 #include "util/json.h"
 
-#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 namespace fuse::util {
 
+namespace {
+
+void require(bool ok, const char* what) {
+  if (!ok) throw std::logic_error(std::string("JsonWriter: ") + what);
+}
+
+}  // namespace
+
 void JsonWriter::next_member() {
   Frame& top = stack_.back();
-  if (top.members++ > 0) out_ += ',';
-  if (top.multiline) {
-    out_ += '\n';
-    out_.append(2 * stack_.size(), ' ');
-  } else if (top.members > 1) {
-    out_ += ' ';
-  }
+  if (top.members++ > 0) out_ += top.multiline ? "," : ", ";
+  if (top.multiline) out_.append("\n").append(2 * stack_.size(), ' ');
 }
 
 void JsonWriter::before_value() {
-  if (after_key_) {
-    after_key_ = false;
-  } else if (stack_.empty()) {
-    if (!out_.empty()) throw std::logic_error("JsonWriter: second root value");
-  } else if (stack_.back().object) {
-    throw std::logic_error("JsonWriter: object member without a key");
-  } else {
-    next_member();
-  }
+  if (std::exchange(after_key_, false)) return;
+  require(stack_.empty() ? out_.empty() : !stack_.back().object,
+          "a second root value or an object member without a key");
+  if (!stack_.empty()) next_member();
 }
 
 JsonWriter& JsonWriter::key(std::string_view name) {
-  if (stack_.empty() || !stack_.back().object || after_key_)
-    throw std::logic_error("JsonWriter: key outside an object");
+  require(!stack_.empty() && stack_.back().object && !after_key_,
+          "a key outside an object");
   next_member();
   quote(name);
   out_ += ": ";
@@ -42,95 +41,54 @@ JsonWriter& JsonWriter::key(std::string_view name) {
 JsonWriter& JsonWriter::open(bool object) {
   before_value();
   // A row (a container inside an array) and all it holds stay on one line.
-  const bool multiline =
-      stack_.empty() || (stack_.back().multiline && stack_.back().object);
-  stack_.push_back({object, multiline});
+  stack_.push_back(
+      {object, stack_.empty() || (stack_.back().multiline &&
+                                  stack_.back().object)});
   out_ += object ? '{' : '[';
   return *this;
 }
 
 JsonWriter& JsonWriter::close(bool object) {
-  if (stack_.empty() || stack_.back().object != object || after_key_)
-    throw std::logic_error("JsonWriter: unbalanced close");
+  require(!stack_.empty() && stack_.back().object == object && !after_key_,
+          "an unbalanced close");
   const Frame top = stack_.back();
   stack_.pop_back();
-  if (top.multiline && top.members > 0) {
-    out_ += '\n';
-    out_.append(2 * stack_.size(), ' ');
-  }
+  if (top.multiline && top.members > 0)
+    out_.append("\n").append(2 * stack_.size(), ' ');
   out_ += object ? '}' : ']';
   if (stack_.empty()) out_ += '\n';
   return *this;
 }
 
-JsonWriter& JsonWriter::begin_object() { return open(true); }
-JsonWriter& JsonWriter::end_object() { return close(true); }
-JsonWriter& JsonWriter::begin_array() { return open(false); }
-JsonWriter& JsonWriter::end_array() { return close(false); }
-
 void JsonWriter::quote(std::string_view s) {
-  static constexpr char kHex[] = "0123456789abcdef";
   out_ += '"';
-  for (const char ch : s) {
-    const auto c = static_cast<unsigned char>(ch);
-    switch (c) {
-      case '"': out_ += "\\\""; break;
-      case '\\': out_ += "\\\\"; break;
-      case '\n': out_ += "\\n"; break;
-      case '\r': out_ += "\\r"; break;
-      case '\t': out_ += "\\t"; break;
-      case '\b': out_ += "\\b"; break;
-      case '\f': out_ += "\\f"; break;
-      default:
-        if (c < 0x20) {
-          out_ += "\\u00";
-          out_ += kHex[c >> 4];
-          out_ += kHex[c & 0xf];
-        } else {
-          out_ += ch;
-        }
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out_.append(1, '\\').append(1, c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+      out_ += buf;
+    } else {
+      out_ += c;
     }
   }
   out_ += '"';
 }
 
-JsonWriter& JsonWriter::value(std::string_view s) {
+JsonWriter& JsonWriter::token(std::string_view text) {
   before_value();
-  quote(s);
-  return *this;
-}
-
-JsonWriter& JsonWriter::value(bool b) {
-  before_value();
-  out_ += b ? "true" : "false";
-  return *this;
-}
-
-JsonWriter& JsonWriter::integer(std::int64_t v) {
-  before_value();
-  char buf[24];
-  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
-  return *this;
-}
-
-JsonWriter& JsonWriter::integer(std::uint64_t v) {
-  before_value();
-  char buf[24];
-  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  out_ += text;
   return *this;
 }
 
 template <typename F>
 JsonWriter& JsonWriter::real(F v) {
-  before_value();
-  if (!std::isfinite(v)) {
-    out_ += "null";
-    return *this;
-  }
+  if (!std::isfinite(v)) return token("null");
   char buf[32];  // the longest shortest-form double is 24 characters
   const std::string_view digits(buf,
                                 std::to_chars(buf, buf + sizeof buf, v).ptr);
-  out_ += digits;
+  token(digits);
   if (digits.find_first_of(".e") == std::string_view::npos) out_ += ".0";
   return *this;
 }

@@ -1,59 +1,45 @@
 #pragma once
-// The one JSON writer: every document the library and the benches emit
-// (Server::stats_json(), SERVE_stats.json, the BENCH_*.json files) is
-// built through it, so commas, nesting, quoting and number formats live
-// here and nowhere else.
-//
-//   JsonWriter w;
-//   w.begin_object().field("bench", "train_throughput");
-//   w.key("rows").begin_array();
-//   for (const auto& r : rows)
-//     w.begin_object().field("threads", r.threads).field("fps", r.fps)
-//         .end_object();
-//   w.end_array().end_object();
-//   util::write_file_atomic(path, w.str());
-//
-// Number contract: integers (any width, signed or not) are JSON integers;
-// float and double are written in the shortest form that reads back to
-// the same value at the argument's own width (std::to_chars), always
-// with a '.' or an exponent so a reader keeps them floating point; NaN
-// and +-Inf are written as null.  Strings are escaped per RFC 8259.
-//
-// Layout is fixed: an object or array puts each member on its own line,
-// except a container that is an array element (a row) and everything
-// inside it, which stay on one line.  Each row of a committed document
-// therefore diffs on its own line.
+// The one JSON writer: stats_json(), SERVE_stats.json and the BENCH_*.json
+// files are all built through it, so commas, nesting, quoting and number
+// formats live here and nowhere else.  Integers stay JSON integers; float
+// and double take the shortest form that reads back to the same value at
+// their own width, always with a '.' or an exponent; NaN and +-Inf become
+// null; strings are escaped per RFC 8259 (DESIGN.md section 7).  Layout is
+// fixed: each member of an object or array takes its own line, except in
+// a row (a container that is an array element), which stays on one line,
+// so committed documents diff row by row.
 
+#include <charconv>
 #include <concepts>
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 namespace fuse::util {
 
 class JsonWriter {
  public:
-  JsonWriter& begin_object();
-  JsonWriter& end_object();
-  JsonWriter& begin_array();
-  JsonWriter& end_array();
+  JsonWriter& begin_object() { return open(true); }
+  JsonWriter& end_object() { return close(true); }
+  JsonWriter& begin_array() { return open(false); }
+  JsonWriter& end_array() { return close(false); }
   /// Names the next value or container; only valid directly in an object.
   JsonWriter& key(std::string_view name);
 
-  JsonWriter& value(std::string_view s);
+  JsonWriter& value(std::string_view s) {
+    before_value();
+    quote(s);
+    return *this;
+  }
   JsonWriter& value(const char* s) { return value(std::string_view(s)); }
-  JsonWriter& value(bool b);
+  JsonWriter& value(bool b) { return token(b ? "true" : "false"); }
   JsonWriter& value(double d);
   JsonWriter& value(float f);
   template <std::integral T>
   JsonWriter& value(T v) {
-    if constexpr (std::is_signed_v<T>)
-      return integer(static_cast<std::int64_t>(v));
-    else
-      return integer(static_cast<std::uint64_t>(v));
+    char buf[24];
+    return token({buf, std::to_chars(buf, buf + sizeof buf, v).ptr});
   }
 
   /// key(name).value(v).
@@ -72,15 +58,14 @@ class JsonWriter {
     std::size_t members = 0;
   };
 
-  JsonWriter& integer(std::int64_t v);
-  JsonWriter& integer(std::uint64_t v);
+  /// The separator before a member of the current container.
+  void next_member();
+  /// Places a value: right after its key, or as the next array member.
+  /// Throws std::logic_error when the value has no valid place.
+  void before_value();
+  JsonWriter& token(std::string_view text);
   template <typename F>
   JsonWriter& real(F v);
-  /// Separator and indentation before a member of the current container.
-  void next_member();
-  /// Everything that precedes a value: the member separator, or nothing
-  /// right after a key.  Throws std::logic_error on a misplaced value.
-  void before_value();
   JsonWriter& open(bool object);
   JsonWriter& close(bool object);
   void quote(std::string_view s);

@@ -411,6 +411,8 @@ TEST(Json, CommasAndNestingInEmptyOneAndNestedContainers) {
   JsonWriter one;
   one.begin_object().field("a", 1).end_object();
   EXPECT_EQ(one.str(), "{\n  \"a\": 1\n}\n");
+  for (const auto* doc : {&empty_obj, &empty_arr, &one})
+    EXPECT_TRUE(fuse::test::scan_json(doc->str()).ok()) << doc->str();
 
   // Members of the root and of its objects take one line each; a row
   // (a container inside an array) stays on one line with all it holds.
@@ -454,7 +456,7 @@ TEST(Json, EscapesQuotesBackslashesAndControlCharacters) {
       .field("q\"k", "a\"b\\c\nd\x01" "e\t\x1f")
       .end_object();
   EXPECT_EQ(w.str(),
-            "{\n  \"q\\\"k\": \"a\\\"b\\\\c\\nd\\u0001e\\t\\u001f\"\n}\n");
+            "{\n  \"q\\\"k\": \"a\\\"b\\\\c\\u000ad\\u0001e\\u0009\\u001f\"\n}\n");
   EXPECT_EQ(json_leaves(w.str()).size(), 1u);
 }
 
@@ -523,6 +525,9 @@ TEST(Json, MisplacedMembersThrow) {
   JsonWriter dangling;
   dangling.begin_object().key("k");
   EXPECT_THROW(dangling.end_object(), std::logic_error);
+  JsonWriter two_roots;
+  two_roots.value(1);
+  EXPECT_THROW(two_roots.value(2), std::logic_error);
 }
 
 // ------------------------------------------------------------------- cli --
