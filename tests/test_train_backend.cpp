@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -22,6 +25,8 @@
 #include "nn/loss.h"
 #include "nn/registry.h"
 #include "nn/sequential.h"
+#include "tensor/ops.h"
+#include "util/isa.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -125,6 +130,102 @@ TEST(TrainBackend, FullModelBackwardMatchesReferenceComposition) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i)
     assert_grad_close(*got[i], *want[i], "grad tensor");
+}
+
+// ------------------------------------------- gradients, bit for bit --
+
+struct ColumnGrads {
+  Tensor dx, dw, db;
+};
+
+// The explicit-column backward, kept as the bit oracle of Conv2d::backward:
+// per-sample im2col laid side by side as [K, N*hw], dW by one NT GEMM into
+// gw0 with beta 1, db by per-channel double sums over (n, p), and dx by a
+// TN GEMM into column gradients scattered back with col2im.
+ColumnGrads column_backward(const Tensor& x, const Tensor& w,
+                            const Tensor& dy, std::size_t kernel,
+                            std::size_t pad, const Tensor& gw0,
+                            const Tensor& gb0, fuse::util::Isa isa) {
+  using fuse::tensor::Trans;
+  const std::size_t n = x.dim(0), oc_n = dy.dim(1);
+  const std::size_t hw = dy.dim(2) * dy.dim(3), nhw = n * hw;
+  const std::size_t k = w.dim(1);
+  const Tensor col = fuse::tensor::im2col(x, kernel, kernel, 1, pad);
+  Tensor colb({k, nhw}), dy2({oc_n, nhw});
+  for (std::size_t img = 0; img < n; ++img) {
+    for (std::size_t r = 0; r < k; ++r)
+      std::copy_n(col.data() + (img * k + r) * hw, hw,
+                  colb.data() + r * nhw + img * hw);
+    for (std::size_t oc = 0; oc < oc_n; ++oc)
+      std::copy_n(dy.data() + (img * oc_n + oc) * hw, hw,
+                  dy2.data() + oc * nhw + img * hw);
+  }
+  ColumnGrads g{Tensor(), gw0, gb0};
+  fuse::tensor::gemm(Trans::kNo, Trans::kYes, 1.0f, dy2, colb, 1.0f, g.dw,
+                     isa);
+  for (std::size_t oc = 0; oc < oc_n; ++oc) {
+    double acc = 0.0;
+    for (std::size_t p = 0; p < nhw; ++p) acc += dy2.at(oc, p);
+    g.db[oc] += static_cast<float>(acc);
+  }
+  Tensor dcol({k, nhw});
+  fuse::tensor::gemm(Trans::kYes, Trans::kNo, 1.0f, w, dy2, 0.0f, dcol, isa);
+  Tensor dcol_n({n, k, hw});
+  for (std::size_t img = 0; img < n; ++img)
+    for (std::size_t r = 0; r < k; ++r)
+      std::copy_n(dcol.data() + r * nhw + img * hw, hw,
+                  dcol_n.data() + (img * k + r) * hw);
+  g.dx = fuse::tensor::col2im(dcol_n, n, x.dim(1), x.dim(2), x.dim(3), kernel,
+                              kernel, 1, pad);
+  return g;
+}
+
+void expect_same_bits(const Tensor& got, const Tensor& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.numel() * sizeof(float)),
+            0)
+      << what;
+}
+
+TEST(TrainBackend, Conv2dBackwardIsBitIdenticalToTheColumnPath) {
+  // The model's conv1/conv2 shapes, output channels below every variant's
+  // MR (3) and above it (9, 16, 17, 32), pad 0/1/2, spatial sizes whose hw
+  // (15, 63, 306) is not a multiple of any NR, and one image longer than
+  // the GEMM's 256-deep K-block.  gw and gb start non-zero, so the
+  // accumulate-into-gradients step is part of what is compared.
+  struct Case {
+    std::size_t cin, cout, h, w, pad;
+  };
+  for (const Case& c : {Case{5, 16, 8, 8, 1}, Case{16, 32, 8, 8, 1},
+                        Case{3, 3, 5, 7, 0}, Case{2, 17, 7, 5, 2},
+                        Case{1, 9, 17, 18, 1}}) {
+    fuse::util::Rng rng(53 + c.cout);
+    fuse::nn::Conv2d conv(c.cin, c.cout, 3, c.pad, rng);
+    conv.bias() = random_tensor(conv.bias().shape(), rng);
+    const Tensor gw0 = random_tensor(conv.weight().shape(), rng);
+    const Tensor gb0 = random_tensor(conv.bias().shape(), rng);
+    for (const std::size_t batch : {1u, 5u, 17u, 128u}) {
+      const std::string what =
+          "cin=" + std::to_string(c.cin) + " cout=" + std::to_string(c.cout) +
+          " " + std::to_string(c.h) + "x" + std::to_string(c.w) +
+          " pad=" + std::to_string(c.pad) + " batch=" + std::to_string(batch);
+      const Tensor x = random_tensor({batch, c.cin, c.h, c.w}, rng);
+      const Tensor y = conv.forward(x);
+      const Tensor dy = random_tensor(y.shape(), rng);
+      *conv.grads()[0] = gw0;
+      *conv.grads()[1] = gb0;
+      const Tensor dx = conv.backward(dy);
+      for (const fuse::util::Isa isa : fuse::util::host_isas()) {
+        const ColumnGrads want = column_backward(
+            x, conv.weight(), dy, 3, c.pad, gw0, gb0, isa);
+        const std::string on = what + " oracle on " + fuse::util::isa_name(isa);
+        expect_same_bits(*conv.grads()[0], want.dw, "dW, " + on);
+        expect_same_bits(*conv.grads()[1], want.db, "db, " + on);
+        expect_same_bits(dx, want.dx, "dx, " + on);
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------- gradcheck --
