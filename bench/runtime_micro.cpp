@@ -207,6 +207,25 @@ void BM_ConvForward(benchmark::State& state) {
 BENCHMARK(BM_ConvForward)
     ->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
 
+// conv2's backward (dW, db and dx) after one forward at the same batch; the
+// gradients accumulate across iterations, as over training steps.
+void BM_ConvBackward(benchmark::State& state) {
+  const std::size_t batch = static_cast<std::size_t>(state.range(0));
+  fuse::util::Rng rng(9);
+  fuse::nn::Conv2d conv(16, 32, 3, 1, rng);
+  fuse::tensor::Tensor x({batch, 16, 8, 8});
+  for (std::size_t i = 0; i < x.numel(); ++i) x[i] = rng.uniformf(-1, 1);
+  fuse::tensor::Tensor dy = conv.forward(x);
+  for (std::size_t i = 0; i < dy.numel(); ++i) dy[i] = rng.uniformf(-1, 1);
+  for (auto _ : state) {
+    auto dx = conv.backward(dy);
+    benchmark::DoNotOptimize(dx.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_ConvBackward)->Arg(16)->Arg(128)->Unit(benchmark::kMicrosecond);
+
 void BM_CnnInference(benchmark::State& state) {
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   fuse::util::Rng rng(10);

@@ -2,9 +2,9 @@
 // task workers and fine-tune steps/sec (the MAML inner update,
 // core::sgd_step).
 //
-// Both training passes run on the batched im2col + tiled GEMM kernels (the
-// conv backward is three matrix products on the cached column matrix),
-// and the task-parallel outer loop adapts per-task clones concurrently —
+// Both training passes run on the tiled GEMM kernels (the convolutions as
+// implicit GEMMs that gather their columns straight from the input), and
+// the task-parallel outer loop adapts per-task clones concurrently —
 // each row must reproduce the same losses, because the task sampling is
 // pre-drawn on one RNG stream and the meta-gradient reduction runs in
 // task order regardless of worker count.
@@ -14,7 +14,8 @@
 // no kernel sneaks onto the global pool behind the measurement's back.
 //
 // Run: ./train_throughput [--scale=1] [--smoke] [--out=DIR]
-// Emits DIR/BENCH_train.json (machine-readable perf trajectory).
+// Emits DIR/BENCH_train.json (machine-readable perf trajectory), with the
+// process's peak resident set (getrusage ru_maxrss) as peak_rss_mb.
 
 #include <algorithm>
 #include <cmath>
@@ -24,6 +25,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "core/finetune.h"
 #include "core/meta.h"
@@ -190,9 +193,15 @@ int main(int argc, char** argv) try {
               "%.6f\n",
               step.steps_per_sec, step.last_loss);
 
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const double peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
+  std::printf("peak RSS: %.1f MB\n", peak_rss_mb);
+
   fuse::util::JsonWriter w;
   w.begin_object().field("bench", "train_throughput")
-      .field("host_threads", hc).key("meta").begin_array();
+      .field("host_threads", hc).field("peak_rss_mb", peak_rss_mb)
+      .key("meta").begin_array();
   for (const auto& run : meta_runs)
     w.begin_object().field("threads", run.threads)
         .field("iters_per_sec", run.iters_per_sec)

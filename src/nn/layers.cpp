@@ -1,48 +1,15 @@
 #include "nn/layers.h"
 
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
 #include "tensor/init.h"
-#include "util/thread_pool.h"
 
 namespace fuse::nn {
 
 using fuse::tensor::Trans;
 
 namespace {
-
-// The convolution: batched im2col, one bias-started GEMM
-// (tensor::gemm_bias: y2 = W * colb + b), then scatter of the [oc, N*hw]
-// product back into the [N, oc, oh, ow] layout.  The caller provides the
-// colb/y2 buffers (Workspace slots on the training path so they recycle
-// across steps, locals on the const inference path), so forward() and
-// infer() run bit-identical arithmetic through this single implementation.
-Tensor conv_apply(const Tensor& x, const Tensor& w, const Tensor& b,
-                  std::size_t kernel, std::size_t pad,
-                  std::size_t out_channels, Tensor& colb, Tensor& y2) {
-  const std::size_t n = x.dim(0);
-  const std::size_t oh = fuse::tensor::conv_out_size(x.dim(2), kernel, 1,
-                                                     pad);
-  const std::size_t ow = fuse::tensor::conv_out_size(x.dim(3), kernel, 1,
-                                                     pad);
-  const std::size_t hw = oh * ow;
-  fuse::tensor::im2col_batched_into(x, kernel, kernel, 1, pad, colb);
-  y2.resize({out_channels, n * hw});
-  fuse::tensor::gemm_bias(w, colb, b, y2);
-
-  Tensor y({n, out_channels, oh, ow});
-  fuse::util::parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t nidx = lo; nidx < hi; ++nidx) {
-      float* yp = y.data() + nidx * out_channels * hw;
-      for (std::size_t oc = 0; oc < out_channels; ++oc)
-        std::memcpy(yp + oc * hw, y2.data() + oc * n * hw + nidx * hw,
-                    hw * sizeof(float));
-    }
-  });
-  return y;
-}
 
 void check_conv_input(const Tensor& x, std::size_t in_channels,
                       const char* where) {
@@ -74,10 +41,7 @@ Conv2d::Conv2d(const Conv2d& other)
       w_(other.w_),
       b_(other.b_),
       gw_(other.gw_),
-      gb_(other.gb_),
-      n_(other.n_),
-      h_(other.h_),
-      w_in_(other.w_in_) {}  // ws_ starts empty: the cache is not copied
+      gb_(other.gb_) {}  // x_ starts empty: the cache is not copied
 
 Conv2d& Conv2d::operator=(const Conv2d& other) {
   if (this == &other) return *this;
@@ -90,78 +54,27 @@ Conv2d& Conv2d::operator=(const Conv2d& other) {
   b_ = other.b_;
   gw_ = other.gw_;
   gb_ = other.gb_;
-  n_ = other.n_;
-  h_ = other.h_;
-  w_in_ = other.w_in_;
-  ws_.clear();
+  x_ = Tensor();
   return *this;
 }
 
 Tensor Conv2d::forward(const Tensor& x) {
   check_conv_input(x, in_channels_, "Conv2d::forward");
-  n_ = x.dim(0);
-  h_ = x.dim(2);
-  w_in_ = x.dim(3);
-  // The batched column matrix (kWsColb) stays cached: it is exactly what
-  // backward() consumes.  The kernel owns the buffer shapes; the slots
-  // are just recycled storage.
-  return conv_apply(x, w_, b_, kernel_, pad_, out_channels_,
-                    ws_.slot(kWsColb), ws_.slot(kWsY2));
+  x_ = x;  // backward() gathers its columns from the input again
+  return fuse::tensor::conv2d(x, w_, b_, kernel_, pad_);
 }
 
 Tensor Conv2d::do_infer(const Tensor& x) const {
   check_conv_input(x, in_channels_, "Conv2d::infer");
-  // Local buffers: do_infer is const and shared across threads, so it
-  // cannot touch the member workspace.  Same kernel as forward().
-  Tensor colb, y2;
-  return conv_apply(x, w_, b_, kernel_, pad_, out_channels_, colb, y2);
+  return fuse::tensor::conv2d(x, w_, b_, kernel_, pad_);
 }
 
 Tensor Conv2d::backward(const Tensor& dy) {
-  const std::size_t oh = fuse::tensor::conv_out_size(h_, kernel_, 1, pad_);
-  const std::size_t ow = fuse::tensor::conv_out_size(w_in_, kernel_, 1, pad_);
-  const std::size_t hw = oh * ow;
-  const std::size_t nhw = n_ * hw;
-  const std::size_t k = in_channels_ * kernel_ * kernel_;
-  if (dy.ndim() != 4 || dy.dim(0) != n_ || dy.dim(1) != out_channels_ ||
-      dy.dim(2) != oh || dy.dim(3) != ow)
-    throw std::invalid_argument("Conv2d::backward: bad gradient shape");
-  if (ws_.slots() <= kWsColb || ws_.at(kWsColb).ndim() != 2 ||
-      ws_.at(kWsColb).dim(0) != k || ws_.at(kWsColb).dim(1) != nhw)
+  if (x_.ndim() != 4)
     throw std::logic_error(
         "Conv2d::backward: no cached forward (run forward() first — clones "
-        "drop the workspace cache)");
-  const Tensor& colb = ws_.at(kWsColb);
-
-  // Pack dy [N, OC, oh, ow] into the [OC, N*hw] layout of the forward
-  // product, so the gradients are plain 2-D GEMMs on the cached columns.
-  Tensor& dy2 = ws_.get(kWsDy2, {out_channels_, nhw});
-  fuse::util::parallel_for(0, n_, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t nidx = lo; nidx < hi; ++nidx) {
-      const float* dyp = dy.data() + nidx * out_channels_ * hw;
-      for (std::size_t oc = 0; oc < out_channels_; ++oc)
-        std::memcpy(dy2.data() + oc * nhw + nidx * hw, dyp + oc * hw,
-                    hw * sizeof(float));
-    }
-  });
-
-  // gw += dy2 · colbᵀ — one GEMM over the whole batch.  beta = 1 keeps
-  // the accumulate-into-gradients contract.
-  fuse::tensor::gemm(Trans::kNo, Trans::kYes, 1.0f, dy2, colb, 1.0f, gw_);
-
-  // gb += row sums of dy2 (double accumulator, like the reference).
-  for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-    const float* row = dy2.data() + oc * nhw;
-    double acc = 0.0;
-    for (std::size_t p = 0; p < nhw; ++p) acc += row[p];
-    gb_[oc] += static_cast<float>(acc);
-  }
-
-  // dcol = Wᵀ · dy2, scattered back to image space.
-  Tensor& dcol = ws_.get(kWsDcol, {k, nhw});
-  fuse::tensor::gemm(Trans::kYes, Trans::kNo, 1.0f, w_, dy2, 0.0f, dcol);
-  return fuse::tensor::col2im_batched(dcol, n_, in_channels_, h_, w_in_,
-                                      kernel_, kernel_, 1, pad_);
+        "drop the input cache)");
+  return fuse::tensor::conv2d_backward(x_, w_, dy, kernel_, pad_, gw_, gb_);
 }
 
 Tensor conv2d_reference_forward(const Conv2d& conv, const Tensor& x) {

@@ -30,24 +30,23 @@ using fuse::tensor::Tensor;
 
 /// 2-D convolution, square kernel, stride 1, symmetric zero padding.
 ///
-/// forward(), infer() and backward() run one path, like Linear: the whole
-/// batch is lowered to one im2col column matrix and multiplied by the
-/// weight panel with the register-tiled GEMM (tensor::gemm_bias), so the
-/// panel is read once per batch instead of once per sample.  forward()
-/// caches that column matrix for backward(), which is three matrix
-/// products on it (dW = dy2·colᵀ, dcol = Wᵀ·dy2, dx = col2im(dcol)); the
-/// scratch lives in a Workspace, so steady-shape training loops stop
-/// allocating after the first step.  conv2d_reference_forward/backward
-/// below are the per-sample loops the tests hold this path to.
+/// forward(), infer() and backward() run one path, like Linear: the
+/// implicit-GEMM convolution of tensor::conv2d, whose GEMM gathers its
+/// im2col panels straight from the input, so the whole batch runs through
+/// the register-tiled microkernel without a column matrix.  forward()
+/// caches its input, as Linear does; backward() (tensor::conv2d_backward)
+/// gathers the columns from it again for dW = dy·colᵀ and computes dx
+/// image by image (Wᵀ·dy_i into a one-image scratch, then col2im's
+/// scatter-add).  conv2d_reference_forward/backward below are the
+/// per-sample loops the tests hold this path to.
 class Conv2d : public Module {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels,
          std::size_t kernel, std::size_t pad, fuse::util::Rng& rng);
 
-  // Copies carry parameters, gradients and shape bookkeeping but drop the
-  // forward cache (a Workspace copy is empty) — a batch-64 column matrix
-  // is megabytes, and per-task MAML clones never reuse the parent's
-  // forward.
+  // Copies carry parameters and gradients but drop the forward cache —
+  // per-task MAML clones and adapted per-user models never reuse the
+  // parent's forward, so they do not carry its input batch.
   Conv2d(const Conv2d& other);
   Conv2d& operator=(const Conv2d& other);
   Conv2d(Conv2d&&) = default;
@@ -56,7 +55,7 @@ class Conv2d : public Module {
   Tensor forward(const Tensor& x) override;
   /// dy: [N, out_channels, H, W]; accumulates weight/bias gradients and
   /// returns dx.  A cloned layer must run forward() before backward()
-  /// (clones drop the column cache, so per-task MAML clones copy
+  /// (clones drop the input cache, so per-task MAML clones copy
   /// parameters and gradients only); otherwise it throws std::logic_error.
   Tensor backward(const Tensor& dy) override;
 
@@ -81,19 +80,11 @@ class Conv2d : public Module {
   Tensor do_infer(const Tensor& x) const override;
 
  private:
-  // Workspace slots (scratch + column cache; a Workspace copy is empty,
-  // so clones never alias these buffers).
-  static constexpr std::size_t kWsColb = 0;  ///< [K, N*hw] batched columns
-  static constexpr std::size_t kWsY2 = 1;    ///< [OC, N*hw] forward product
-  static constexpr std::size_t kWsDy2 = 2;   ///< [OC, N*hw] packed dy
-  static constexpr std::size_t kWsDcol = 3;  ///< [K, N*hw] column gradients
-
   std::size_t in_channels_, out_channels_, kernel_, pad_;
   Tensor w_;   ///< [out_channels, in_channels * k * k]
   Tensor b_;   ///< [out_channels]
   Tensor gw_, gb_;
-  fuse::tensor::Workspace ws_;
-  std::size_t n_ = 0, h_ = 0, w_in_ = 0;
+  Tensor x_;  ///< forward cache: the input batch
 };
 
 /// Reference convolution: per-sample im2col and plain loops, each output

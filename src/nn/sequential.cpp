@@ -27,8 +27,10 @@ Sequential& Sequential::append(std::unique_ptr<Module> child) {
 }
 
 Tensor Sequential::forward(const Tensor& x) {
-  Tensor h = x;
-  for (const auto& c : children_) h = c->forward(h);
+  if (children_.empty()) return x;
+  Tensor h = children_.front()->forward(x);
+  for (std::size_t i = 1; i < children_.size(); ++i)
+    h = children_[i]->forward(h);
   return h;
 }
 

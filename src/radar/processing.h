@@ -112,11 +112,10 @@ struct ProcessedFrame {
   PointCloud cloud;
 };
 
-/// Reusable scratch for the planned frame path (the radar-side sibling of
-/// tensor::Workspace): the lane buffer and range spectra of the
-/// range-Doppler pass, the output cube, CFAR prefix tables and the
-/// per-detection angle scratch all live here and are recycled across
-/// frames.  A workspace has one owner (pipeline, shard, bench loop) and is
+/// Reusable scratch for the planned frame path: the lane buffer and range
+/// spectra of the range-Doppler pass, the output cube, CFAR prefix tables
+/// and the per-detection angle scratch all live here and are recycled
+/// across frames.  A workspace has one owner (pipeline, shard, bench loop) and is
 /// used by one thread at a time: a frame runs on the thread that serves it.
 /// Workspaces are scratch, not state — not copyable.  Contents are only
 /// valid until the next Processor call that uses the workspace.

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "util/simd.h"
 #include "util/thread_pool.h"
@@ -24,7 +25,10 @@ namespace {
 // (an NT tile is then transposed in registers, so M = 1 never pays for a
 // pack); otherwise each task packs one K-block x NR panel of op(B) with the
 // same transposes and reuses it for every row tile of its row block.  A
-// ragged last column tile is always packed, zero-padded to NR.
+// ragged last column tile is always packed, zero-padded to NR.  A
+// convolution's op(B) is an image's column matrix, never stored: each of
+// its panels is gathered from the image (Im2col below) and C's tiles fold
+// straight into the NCHW output.
 //
 // Bit-identity by construction: every accumulator starts at zero (or at
 // the row's bias for the conv forward), adds a * b in sequential k, one
@@ -37,23 +41,42 @@ constexpr std::size_t kTilesPerBlock = 16;  // row tiles per task
 // Tasks below this many multiply-adds stay on the calling thread.
 constexpr std::size_t kMinTaskMacs = 1 << 16;
 
+// Implicit im2col: col(x_i), the [C*kernel*kernel, oh*ow] column matrix
+// of image i of an NCHW batch, holds x_i[ch][oy + ky - pad][ox + kx - pad]
+// (zero outside the image) at row (ch, ky, kx), column oy * ow + ox.  The
+// GEMM gathers its panels from xp, the batch zero-padded by `pad` on every
+// side, where that element is xp_i[ch][oy + ky][ox + kx]; the column
+// matrix itself is never stored.
+struct Im2col {
+  const float* xp;  // [N, C, hp, wp]
+  std::size_t c, hp, wp, kernel, oh, ow;
+};
+
 // One GEMM call, flattened to pointers and strides:
 //   op(A)[r][k] = a[r * a_rs + k * a_ks]
 //   op(B)[k][j] = tb ? b[j * ldb + k] : b[k * ldb + j]
 //   C[r][j]     = c[r * ldc + j]
+// A convolution batches it by image.  With n_images > 1, op(B) and C
+// repeat once per image (image i's C starts at c + i * c_image) and column
+// tiles never cross an image.  With k_images > 1, the sum runs over k once
+// per image in image order (image i's op(A) starts at a + i * a_image).
+// With `im`, op(B) of image i is col(x_i) (its transpose when tb).
 struct Job {
-  std::size_t m, n, k;
-  const float* a;
-  std::size_t a_rs, a_ks;
-  const float* b;
-  std::size_t ldb;
-  bool tb;
-  float* c;
-  std::size_t ldc;
-  float alpha, beta;
-  const float* bias;  // non-null: accumulators start at bias[r], C = sum
-  bool pack;          // op(B) panels are packed (more than one row tile)
-  std::size_t rows_per_task, col_tiles;
+  std::size_t m = 0, n = 0, k = 0;
+  const float* a = nullptr;
+  std::size_t a_rs = 0, a_ks = 0;
+  const float* b = nullptr;
+  std::size_t ldb = 0;
+  bool tb = false;
+  float* c = nullptr;
+  std::size_t ldc = 0;
+  float alpha = 1.0f, beta = 0.0f;
+  const float* bias = nullptr;  // non-null: accumulators start at bias[r], C = sum
+  std::size_t n_images = 1, c_image = 0;
+  std::size_t k_images = 1, a_image = 0;
+  const Im2col* im = nullptr;
+  bool pack = false;  // op(B) panels are packed (more than one row tile)
+  std::size_t rows_per_task = 0, col_tiles = 0;  // col_tiles per image
 };
 
 // The microkernel: rows [0, Mr) of one tile over kc values of k.  `acc` is
@@ -168,6 +191,68 @@ template <typename V>
   }
 }
 
+// Offsets into a padded image of `count` kernel taps from tap t (tap
+// (ch, ky, kx) sits at (ch * hp + ky) * wp + kx) and of `count` output
+// pixels from pixel p (pixel (oy, ox) at oy * wp + ox): col(x)[t][p] is
+// xp[tap offset + pixel offset].
+inline void tap_offsets(const Im2col& im, std::size_t t, std::size_t count,
+                        std::size_t* off) {
+  std::size_t ch = t / (im.kernel * im.kernel);
+  std::size_t ky = t / im.kernel % im.kernel, kx = t % im.kernel;
+  for (std::size_t i = 0; i < count; ++i) {
+    off[i] = (ch * im.hp + ky) * im.wp + kx;
+    if (++kx == im.kernel) {
+      kx = 0;
+      if (++ky == im.kernel) ky = 0, ++ch;
+    }
+  }
+}
+
+inline void pixel_offsets(const Im2col& im, std::size_t p, std::size_t count,
+                          std::size_t* off) {
+  std::size_t oy = p / im.ow, ox = p % im.ow;
+  for (std::size_t i = 0; i < count; ++i) {
+    off[i] = oy * im.wp + ox;
+    if (++ox == im.ow) ox = 0, ++oy;
+  }
+}
+
+// Packs op(B)[k0, k0 + kc) x columns [j0, j0 + nvalid) of image `img` into
+// dst [kc][NR], zero-padding columns nvalid..NR, gathered from its padded
+// copy.  Without tb op(B) is col(x_img) (rows are kernel taps, columns
+// output pixels); with tb it is col(x_img)ᵀ.  Either way panel element
+// [q][j] is xp[row offset q + column offset j].
+template <typename V>
+[[gnu::always_inline]] inline void pack_image_panel(const Job& g,
+                                                    std::size_t img,
+                                                    std::size_t k0,
+                                                    std::size_t kc,
+                                                    std::size_t j0,
+                                                    std::size_t nvalid,
+                                                    float* dst) {
+  constexpr std::size_t NR = 2 * fuse::util::simd::kLanes<V>;
+  const Im2col& im = *g.im;
+  const float* xp = im.xp + img * im.c * im.hp * im.wp;
+  std::size_t row_off[kBlockK], col_off[NR];
+  if (g.tb) {
+    pixel_offsets(im, k0, kc, row_off);
+    tap_offsets(im, j0, nvalid, col_off);
+  } else {
+    tap_offsets(im, k0, kc, row_off);
+    pixel_offsets(im, j0, nvalid, col_off);
+  }
+  for (std::size_t q = 0; q < kc; ++q) {
+    const float* src = xp + row_off[q];
+    float* d = dst + q * NR;
+    if (nvalid == NR) {
+      for (std::size_t j = 0; j < NR; ++j) d[j] = src[col_off[j]];
+    } else {
+      for (std::size_t j = 0; j < nvalid; ++j) d[j] = src[col_off[j]];
+      std::fill(d + nvalid, d + NR, 0.0f);
+    }
+  }
+}
+
 // Runs micro_tile instantiated for exactly mr rows (1 <= mr <= sizeof...(Ms)).
 template <typename V, bool kTransB, std::size_t... Ms>
 [[gnu::always_inline]] inline void micro_tile_rows(
@@ -199,46 +284,54 @@ template <typename V, std::size_t MR>
     micro_tile_rows<V, false>(mr, kc, a, a_rs, a_ks, b, ldb, acc, rows);
 }
 
-// Tasks [t0, t1) of `g`: task t is row block t / col_tiles times column
-// tile t % col_tiles, so every C element has exactly one writer.
+// Tasks [t0, t1) of `g`: task t is row block t / tiles times column tile
+// t % tiles over all images, so every C element has exactly one writer.
 template <typename V, std::size_t MR, MicroFn kMicro>
 [[gnu::always_inline]] inline void run_tasks(const Job& g, std::size_t t0,
                                              std::size_t t1) {
   constexpr std::size_t NR = 2 * fuse::util::simd::kLanes<V>;
   alignas(64) float panel[kBlockK * NR];
   alignas(64) float acc[kTilesPerBlock * MR * NR];
+  const std::size_t tiles = g.n_images * g.col_tiles;
   for (std::size_t t = t0; t < t1; ++t) {
-    const std::size_t r0 = (t / g.col_tiles) * g.rows_per_task;
+    const std::size_t r0 = (t / tiles) * g.rows_per_task;
     const std::size_t r1 = std::min(g.m, r0 + g.rows_per_task);
-    const std::size_t j0 = (t % g.col_tiles) * NR;
+    const std::size_t n_img = t % tiles / g.col_tiles;
+    const std::size_t j0 = t % tiles % g.col_tiles * NR;
     const std::size_t nvalid = std::min(NR, g.n - j0);
     const bool pack = g.pack || nvalid < NR;
     for (std::size_t r = r0; r < r1; ++r)
       std::fill_n(acc + (r - r0) * NR, NR, g.bias ? g.bias[r] : 0.0f);
     // In place, op(B) is streamed once over all of k; a pack is K-blocked.
     const std::size_t block_k = pack ? kBlockK : g.k;
-    for (std::size_t k0 = 0; k0 < g.k; k0 += block_k) {
-      const std::size_t kc = std::min(block_k, g.k - k0);
-      if (pack) pack_panel<V>(g, k0, kc, j0, nvalid, panel);
-      for (std::size_t r = r0; r < r1; r += MR) {
-        const std::size_t mr = std::min(MR, r1 - r);
-        const float* a = g.a + r * g.a_rs + k0 * g.a_ks;
-        float* tile = acc + (r - r0) * NR;
-        if (pack)
-          kMicro(false, mr, kc, a, g.a_rs, g.a_ks, panel, NR, tile);
-        else if (g.tb)
-          kMicro(true, mr, kc, a, g.a_rs, g.a_ks, g.b + j0 * g.ldb + k0, g.ldb,
-                 tile);
-        else
-          kMicro(false, mr, kc, a, g.a_rs, g.a_ks, g.b + k0 * g.ldb + j0,
-                 g.ldb, tile);
+    for (std::size_t k_img = 0; k_img < g.k_images; ++k_img) {
+      for (std::size_t k0 = 0; k0 < g.k; k0 += block_k) {
+        const std::size_t kc = std::min(block_k, g.k - k0);
+        if (g.im != nullptr)
+          pack_image_panel<V>(g, g.tb ? k_img : n_img, k0, kc, j0, nvalid,
+                              panel);
+        else if (pack)
+          pack_panel<V>(g, k0, kc, j0, nvalid, panel);
+        for (std::size_t r = r0; r < r1; r += MR) {
+          const std::size_t mr = std::min(MR, r1 - r);
+          const float* a = g.a + k_img * g.a_image + r * g.a_rs + k0 * g.a_ks;
+          float* tile = acc + (r - r0) * NR;
+          if (pack)
+            kMicro(false, mr, kc, a, g.a_rs, g.a_ks, panel, NR, tile);
+          else if (g.tb)
+            kMicro(true, mr, kc, a, g.a_rs, g.a_ks, g.b + j0 * g.ldb + k0,
+                   g.ldb, tile);
+          else
+            kMicro(false, mr, kc, a, g.a_rs, g.a_ks, g.b + k0 * g.ldb + j0,
+                   g.ldb, tile);
+        }
       }
     }
     // Fold each finished sum into C: C = sum under a bias start, else
     // C = beta * C + alpha * sum, C unread when beta == 0.
     for (std::size_t r = r0; r < r1; ++r) {
       const float* s = acc + (r - r0) * NR;
-      float* cr = g.c + r * g.ldc + j0;
+      float* cr = g.c + n_img * g.c_image + r * g.ldc + j0;
       if (g.bias != nullptr) {
         std::copy_n(s, nvalid, cr);
       } else if (g.beta == 0.0f) {
@@ -298,15 +391,20 @@ Variant variant(fuse::util::Isa isa) {
   }
 }
 
-void run(fuse::util::Isa isa, Job& g) {
-  const Variant v = variant(isa);
-  g.pack = g.m > v.mr;
+// Tiles g for variant v; returns its task count.
+std::size_t plan(const Variant& v, Job& g) {
+  g.pack = g.im != nullptr || g.m > v.mr;
   g.rows_per_task = g.pack ? v.mr * kTilesPerBlock : v.mr;
   g.col_tiles = (g.n + v.nr - 1) / v.nr;
-  const std::size_t tasks =
-      (g.m + g.rows_per_task - 1) / g.rows_per_task * g.col_tiles;
-  const std::size_t task_macs =
-      std::max<std::size_t>(1, std::min(g.m, g.rows_per_task) * g.k * v.nr);
+  return (g.m + g.rows_per_task - 1) / g.rows_per_task * g.n_images *
+         g.col_tiles;
+}
+
+void run(fuse::util::Isa isa, Job& g) {
+  const Variant v = variant(isa);
+  const std::size_t tasks = plan(v, g);
+  const std::size_t task_macs = std::max<std::size_t>(
+      1, std::min(g.m, g.rows_per_task) * g.k * g.k_images * v.nr);
   fuse::util::parallel_for(
       0, tasks, [&](std::size_t t0, std::size_t t1) { v.run(g, t0, t1); },
       std::max<std::size_t>(1, kMinTaskMacs / task_macs));
@@ -346,22 +444,147 @@ void gemm_on(fuse::util::Isa isa, Trans trans_a, Trans trans_b, float alpha,
     return;
   }
   const std::size_t lda = a.dim(1);
-  Job g{m, n, k, a.data(), ta ? 1 : lda, ta ? lda : 1, b.data(), b.dim(1), tb,
-        c.data(), n, alpha, beta, nullptr, false, 0, 0};
+  Job g{.m = m, .n = n, .k = k, .a = a.data(), .a_rs = ta ? 1 : lda,
+        .a_ks = ta ? lda : 1, .b = b.data(), .ldb = b.dim(1), .tb = tb,
+        .c = c.data(), .ldc = n, .alpha = alpha, .beta = beta};
   run(isa, g);
 }
 
-void gemm_bias_on(fuse::util::Isa isa, const Tensor& a, const Tensor& b,
-                  const Tensor& bias, Tensor& c) {
-  if (a.ndim() != 2 || b.ndim() != 2 || c.ndim() != 2 || bias.ndim() != 1)
-    throw std::invalid_argument("gemm_bias: bad operand rank");
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  if (b.dim(0) != k || c.dim(0) != m || c.dim(1) != n || bias.dim(0) != m)
-    throw std::invalid_argument("gemm_bias: shape mismatch");
-  if (m == 0 || n == 0) return;
-  Job g{m, n, k, a.data(), k, 1, b.data(), n, false, c.data(), n, 1.0f, 0.0f,
-        bias.data(), false, 0, 0};
+// Checks a stride-1 convolution of x [N, C, H, W] by weights
+// w [OC, C*kernel*kernel] with zero padding `pad`.
+void check_conv(const Tensor& x, const Tensor& w, std::size_t kernel,
+                std::size_t pad, const char* fn) {
+  if (x.ndim() != 4 || w.ndim() != 2 || kernel == 0)
+    throw std::invalid_argument(std::string(fn) + ": bad operand rank");
+  if (w.dim(1) != x.dim(1) * kernel * kernel || x.dim(2) + 2 * pad < kernel ||
+      x.dim(3) + 2 * pad < kernel)
+    throw std::invalid_argument(std::string(fn) + ": shape mismatch");
+}
+
+// x zero-padded by `pad` on every side of each image: [N, C, H + 2 pad,
+// W + 2 pad], 1.56 times the input at 8 x 8 with pad 1 where the column
+// matrix is 9 times it.  Without padding, x itself.
+Tensor padded(const Tensor& x, std::size_t pad) {
+  if (pad == 0) return x;
+  const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::size_t hp = h + 2 * pad, wp = w + 2 * pad;
+  Tensor xp({n, c, hp, wp});
+  fuse::util::parallel_for(0, n * c, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t plane = lo; plane < hi; ++plane)
+      for (std::size_t y = 0; y < h; ++y)
+        std::copy_n(x.data() + (plane * h + y) * w, w,
+                    xp.data() + (plane * hp + y + pad) * wp + pad);
+  }, std::max<std::size_t>(1, (1 << 14) / (hp * wp)));
+  return xp;
+}
+
+Im2col im2col_of(const Tensor& xp, std::size_t kernel) {
+  const std::size_t hp = xp.dim(2), wp = xp.dim(3);
+  return {xp.data(), xp.dim(1),        hp, wp, kernel, hp - kernel + 1,
+          wp - kernel + 1};
+}
+
+// Adds one image's column gradients [C*kernel*kernel, oh*ow] into its
+// [C, H, W] input gradient, in col2im's (ch, ky, kx, oy, ox) order.  Kept
+// apart from col2im, the oracle the tests hold this path to.
+void col2im_add(const float* col, std::size_t c, std::size_t h, std::size_t w,
+                std::size_t kernel, std::size_t pad, float* x) {
+  const std::size_t oh = conv_out_size(h, kernel, 1, pad);
+  const std::size_t ow = conv_out_size(w, kernel, 1, pad);
+  std::size_t row = 0;
+  for (std::size_t ch = 0; ch < c; ++ch) {
+    for (std::size_t ky = 0; ky < kernel; ++ky) {
+      for (std::size_t kx = 0; kx < kernel; ++kx, ++row) {
+        const float* src = col + row * oh * ow;
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+          const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy + ky) -
+                                    static_cast<std::ptrdiff_t>(pad);
+          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
+          float* dst = x + (ch * h + static_cast<std::size_t>(iy)) * w;
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox + kx) -
+                                      static_cast<std::ptrdiff_t>(pad);
+            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
+            dst[ix] += src[oy * ow + ox];
+          }
+        }
+      }
+    }
+  }
+}
+
+Tensor conv2d_on(fuse::util::Isa isa, const Tensor& x, const Tensor& w,
+                 const Tensor& b, std::size_t kernel, std::size_t pad) {
+  check_conv(x, w, kernel, pad, "conv2d");
+  const std::size_t oc = w.dim(0), k = w.dim(1);
+  if (b.ndim() != 1 || b.dim(0) != oc)
+    throw std::invalid_argument("conv2d: bias shape mismatch");
+  const Tensor xp = padded(x, pad);
+  const Im2col im = im2col_of(xp, kernel);
+  const std::size_t hw = im.oh * im.ow;
+  Tensor y({x.dim(0), oc, im.oh, im.ow});
+  if (y.numel() == 0) return y;
+  Job g{.m = oc, .n = hw, .k = k, .a = w.data(), .a_rs = k, .a_ks = 1,
+        .c = y.data(), .ldc = hw, .bias = b.data(), .n_images = x.dim(0),
+        .c_image = oc * hw, .im = &im};
   run(isa, g);
+  return y;
+}
+
+Tensor conv2d_backward_on(fuse::util::Isa isa, const Tensor& x,
+                          const Tensor& w, const Tensor& dy,
+                          std::size_t kernel, std::size_t pad, Tensor& gw,
+                          Tensor& gb) {
+  check_conv(x, w, kernel, pad, "conv2d_backward");
+  const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), wd = x.dim(3);
+  const std::size_t oc = w.dim(0), k = w.dim(1);
+  const std::size_t oh = conv_out_size(h, kernel, 1, pad);
+  const std::size_t ow = conv_out_size(wd, kernel, 1, pad), hw = oh * ow;
+  if (dy.ndim() != 4 || dy.dim(0) != n || dy.dim(1) != oc ||
+      dy.dim(2) != oh || dy.dim(3) != ow)
+    throw std::invalid_argument("conv2d_backward: bad gradient shape");
+  if (gw.shape() != w.shape() || gb.ndim() != 1 || gb.dim(0) != oc)
+    throw std::invalid_argument("conv2d_backward: bad parameter gradients");
+  Tensor dx({n, c, h, wd});
+  if (dy.numel() == 0 || k == 0) return dx;
+
+  // gw += dy · col(x)ᵀ: one GEMM whose k runs over every image's pixels,
+  // image after image.
+  {
+    const Tensor xp = padded(x, pad);
+    const Im2col im = im2col_of(xp, kernel);
+    Job g{.m = oc, .n = k, .k = hw, .a = dy.data(), .a_rs = hw, .a_ks = 1,
+          .tb = true, .c = gw.data(), .ldc = k, .beta = 1.0f,
+          .k_images = n, .a_image = oc * hw, .im = &im};
+    run(isa, g);
+  }
+
+  // gb += per-channel sums of dy, accumulated in double.
+  for (std::size_t o = 0; o < oc; ++o) {
+    double acc = 0.0;
+    for (std::size_t img = 0; img < n; ++img) {
+      const float* row = dy.data() + (img * oc + o) * hw;
+      for (std::size_t p = 0; p < hw; ++p) acc += row[p];
+    }
+    gb[o] += static_cast<float>(acc);
+  }
+
+  // dx image by image: the column gradients Wᵀ · dy_i go to a scratch the
+  // size of one image's columns, then scatter-add into dx_i.  Each worker
+  // runs its images' GEMMs inline.
+  const Variant v = variant(isa);
+  fuse::util::parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
+    std::vector<float> dcol(k * hw);
+    for (std::size_t img = lo; img < hi; ++img) {
+      Job g{.m = k, .n = hw, .k = oc, .a = w.data(), .a_rs = 1, .a_ks = k,
+            .b = dy.data() + img * oc * hw, .ldb = hw, .c = dcol.data(),
+            .ldc = hw};
+      v.run(g, 0, plan(v, g));
+      col2im_add(dcol.data(), c, h, wd, kernel, pad,
+                 dx.data() + img * c * h * wd);
+    }
+  });
+  return dx;
 }
 
 }  // namespace
@@ -378,15 +601,29 @@ void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
   gemm_on(isa, trans_a, trans_b, alpha, a, b, beta, c);
 }
 
-void gemm_bias(const Tensor& a, const Tensor& b, const Tensor& bias,
-               Tensor& c) {
-  gemm_bias_on(fuse::util::dispatched_isa(), a, b, bias, c);
+Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
+              std::size_t kernel, std::size_t pad) {
+  return conv2d_on(fuse::util::dispatched_isa(), x, w, b, kernel, pad);
 }
 
-void gemm_bias(const Tensor& a, const Tensor& b, const Tensor& bias,
-               Tensor& c, fuse::util::Isa isa) {
-  check_isa(isa, "gemm_bias");
-  gemm_bias_on(isa, a, b, bias, c);
+Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
+              std::size_t kernel, std::size_t pad, fuse::util::Isa isa) {
+  check_isa(isa, "conv2d");
+  return conv2d_on(isa, x, w, b, kernel, pad);
+}
+
+Tensor conv2d_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
+                       std::size_t kernel, std::size_t pad, Tensor& gw,
+                       Tensor& gb) {
+  return conv2d_backward_on(fuse::util::dispatched_isa(), x, w, dy, kernel,
+                            pad, gw, gb);
+}
+
+Tensor conv2d_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
+                       std::size_t kernel, std::size_t pad, Tensor& gw,
+                       Tensor& gb, fuse::util::Isa isa) {
+  check_isa(isa, "conv2d_backward");
+  return conv2d_backward_on(isa, x, w, dy, kernel, pad, gw, gb);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, Trans trans_a, Trans trans_b) {
@@ -444,57 +681,6 @@ Tensor im2col(const Tensor& x, std::size_t kh, std::size_t kw,
   return col;
 }
 
-Tensor im2col_batched(const Tensor& x, std::size_t kh, std::size_t kw,
-                      std::size_t stride, std::size_t pad) {
-  Tensor col;
-  im2col_batched_into(x, kh, kw, stride, pad, col);
-  return col;
-}
-
-void im2col_batched_into(const Tensor& x, std::size_t kh, std::size_t kw,
-                         std::size_t stride, std::size_t pad, Tensor& col) {
-  if (x.ndim() != 4) throw std::invalid_argument("im2col_batched: need NCHW");
-  const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const std::size_t oh = conv_out_size(h, kh, stride, pad);
-  const std::size_t ow = conv_out_size(w, kw, stride, pad);
-  const std::size_t hw = oh * ow;
-  col.resize({c * kh * kw, n * hw});
-  const std::size_t ld = n * hw;
-
-  fuse::util::parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t img = lo; img < hi; ++img) {
-      const float* xp = x.data() + img * c * h * w;
-      std::size_t row = 0;
-      for (std::size_t ch = 0; ch < c; ++ch) {
-        for (std::size_t ky = 0; ky < kh; ++ky) {
-          for (std::size_t kx = 0; kx < kw; ++kx, ++row) {
-            float* out = col.data() + row * ld + img * hw;
-            for (std::size_t oy = 0; oy < oh; ++oy) {
-              const std::ptrdiff_t iy =
-                  static_cast<std::ptrdiff_t>(oy * stride + ky) -
-                  static_cast<std::ptrdiff_t>(pad);
-              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) {
-                std::fill(out + oy * ow, out + (oy + 1) * ow, 0.0f);
-                continue;
-              }
-              const float* src = xp + (ch * h + iy) * w;
-              for (std::size_t ox = 0; ox < ow; ++ox) {
-                const std::ptrdiff_t ix =
-                    static_cast<std::ptrdiff_t>(ox * stride + kx) -
-                    static_cast<std::ptrdiff_t>(pad);
-                out[oy * ow + ox] =
-                    (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w))
-                        ? 0.0f
-                        : src[ix];
-              }
-            }
-          }
-        }
-      }
-    }
-  });
-}
-
 Tensor col2im(const Tensor& col, std::size_t n, std::size_t c, std::size_t h,
               std::size_t w, std::size_t kh, std::size_t kw,
               std::size_t stride, std::size_t pad) {
@@ -535,59 +721,6 @@ Tensor col2im(const Tensor& col, std::size_t n, std::size_t c, std::size_t h,
     }
   });
   return x;
-}
-
-Tensor col2im_batched(const Tensor& col, std::size_t n, std::size_t c,
-                      std::size_t h, std::size_t w, std::size_t kh,
-                      std::size_t kw, std::size_t stride, std::size_t pad) {
-  Tensor x;
-  col2im_batched_into(col, n, c, h, w, kh, kw, stride, pad, x);
-  return x;
-}
-
-void col2im_batched_into(const Tensor& col, std::size_t n, std::size_t c,
-                         std::size_t h, std::size_t w, std::size_t kh,
-                         std::size_t kw, std::size_t stride, std::size_t pad,
-                         Tensor& x) {
-  const std::size_t oh = conv_out_size(h, kh, stride, pad);
-  const std::size_t ow = conv_out_size(w, kw, stride, pad);
-  const std::size_t hw = oh * ow;
-  if (col.ndim() != 2 || col.dim(0) != c * kh * kw || col.dim(1) != n * hw)
-    throw std::invalid_argument("col2im_batched: column tensor shape mismatch");
-  x.resize({n, c, h, w});
-  x.zero();
-  const std::size_t ld = n * hw;
-
-  // Parallel over images: sample n owns columns [n*hw, (n+1)*hw) of every
-  // row, so the scatter-adds of different chunks never touch the same
-  // output element (no atomics, deterministic for any worker count).
-  fuse::util::parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t img = lo; img < hi; ++img) {
-      float* xp = x.data() + img * c * h * w;
-      std::size_t row = 0;
-      for (std::size_t ch = 0; ch < c; ++ch) {
-        for (std::size_t ky = 0; ky < kh; ++ky) {
-          for (std::size_t kx = 0; kx < kw; ++kx, ++row) {
-            const float* src = col.data() + row * ld + img * hw;
-            for (std::size_t oy = 0; oy < oh; ++oy) {
-              const std::ptrdiff_t iy =
-                  static_cast<std::ptrdiff_t>(oy * stride + ky) -
-                  static_cast<std::ptrdiff_t>(pad);
-              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-              float* dst = xp + (ch * h + iy) * w;
-              for (std::size_t ox = 0; ox < ow; ++ox) {
-                const std::ptrdiff_t ix =
-                    static_cast<std::ptrdiff_t>(ox * stride + kx) -
-                    static_cast<std::ptrdiff_t>(pad);
-                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-                dst[ix] += src[oy * ow + ox];
-              }
-            }
-          }
-        }
-      }
-    }
-  });
 }
 
 namespace {

@@ -1,11 +1,12 @@
 #pragma once
-// Compute kernels on Tensors: the GEMM (all transpose variants),
-// im2col/col2im for convolution lowering, and a few elementwise helpers
-// used by the NN layers.
+// Compute kernels on Tensors: the GEMM (all transpose variants), the
+// implicit-GEMM convolution and its backward, im2col/col2im (the
+// convolution's test oracles), and a few elementwise helpers used by the
+// NN layers.
 //
 // GEMM is the performance backbone of the whole reproduction: the MARS
-// CNN's fully connected layers and the im2col-lowered convolutions, in
-// training and inference, all funnel into one register-tiled microkernel,
+// CNN's fully connected layers and convolutions, in training and
+// inference, all funnel into one register-tiled microkernel,
 // compiled once per util::Isa level and split over 2-D output tiles with
 // util::parallel_for.
 
@@ -35,65 +36,55 @@ void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
 void gemm(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
           const Tensor& b, float beta, Tensor& c, fuse::util::Isa isa);
 
-/// C = A * B + bias, bias [M] broadcast along each row of C [M, N] (the
-/// GEMM conv forward, y2 = W * col + b).  Each accumulator starts at
-/// bias[row] and adds the products in sequential k; C is overwritten with
-/// it.  Same kernel and same guarantees as gemm().
-void gemm_bias(const Tensor& a, const Tensor& b, const Tensor& bias,
-               Tensor& c);
-void gemm_bias(const Tensor& a, const Tensor& b, const Tensor& bias,
-               Tensor& c, fuse::util::Isa isa);
-
 /// Convenience: returns op(A) * op(B).
 Tensor matmul(const Tensor& a, const Tensor& b, Trans trans_a = Trans::kNo,
               Trans trans_b = Trans::kNo);
 
-/// im2col for NCHW batches.
+/// Stride-1 convolution of x [N, C, H, W] by w [OC, C*kernel*kernel] with
+/// symmetric zero padding `pad`, plus bias b [OC]: returns y [N, OC, oh,
+/// ow], oh = conv_out_size(H, kernel, 1, pad), likewise ow.
+///
+/// An implicit GEMM, y_i = W * col(x_i) + b per image i, where col(x_i)
+/// is im2col's [C*kernel*kernel, oh*ow] column matrix of the image.  The
+/// GEMM packs each K-block x NR panel of col(x_i) straight from x (zeros
+/// for the padding) and folds each finished tile straight into y, so no
+/// column matrix is ever stored.  Each output starts at its channel's bias
+/// and adds the products in sequential k, so every variant, batch size and
+/// worker count gives the same bits, and a batch's row i equals the
+/// batch-1 result for image i.
+Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
+              std::size_t kernel, std::size_t pad);
+Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
+              std::size_t kernel, std::size_t pad, fuse::util::Isa isa);
+
+/// Backward of conv2d() for upstream gradient dy [N, OC, oh, ow]:
+///  - gw += dy · col(x)ᵀ, one implicit GEMM whose sum runs over every
+///    image's pixels in order, from zero, before it is added to gw;
+///  - gb += each channel's sum of dy over (n, oy, ox), in double;
+///  - returns dx [N, C, H, W]: per image, the column gradients Wᵀ · dy_i
+///    in a one-image scratch, scatter-added back as col2im does.
+/// The bits equal the explicit-column path (im2col, gemm, col2im).
+Tensor conv2d_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
+                       std::size_t kernel, std::size_t pad, Tensor& gw,
+                       Tensor& gb);
+Tensor conv2d_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
+                       std::size_t kernel, std::size_t pad, Tensor& gw,
+                       Tensor& gb, fuse::util::Isa isa);
+
+/// im2col for NCHW batches, one column matrix per sample: the explicit
+/// lowering conv2d() gathers on the fly, kept as the tests' oracle.
 ///
 /// Input  x:   [N, C, H, W]
-/// Output col: [N, C*kh*kw, out_h*out_w]  (one column matrix per sample)
+/// Output col: [N, C*kh*kw, out_h*out_w]
 /// out_h = (H + 2*pad - kh) / stride + 1, likewise out_w.
 Tensor im2col(const Tensor& x, std::size_t kh, std::size_t kw,
               std::size_t stride, std::size_t pad);
-
-/// im2col variant that concatenates all samples along the column axis:
-///
-/// Input  x:   [N, C, H, W]
-/// Output col: [C*kh*kw, N*out_h*out_w]  (sample n occupies columns
-///             [n*out_h*out_w, (n+1)*out_h*out_w))
-///
-/// This is the GEMM-backend lowering: one weight matrix [OC, C*kh*kw]
-/// times this column matrix yields the whole batch's outputs in a single
-/// multiply, so the weight panel is read once per batch instead of once
-/// per sample.
-Tensor im2col_batched(const Tensor& x, std::size_t kh, std::size_t kw,
-                      std::size_t stride, std::size_t pad);
-
-/// Allocation-free im2col_batched: writes into `col`, which is resized to
-/// [C*kh*kw, N*out_h*out_w] reusing its storage (pass a Workspace slot so
-/// steady-shape training loops stop allocating column matrices per step).
-void im2col_batched_into(const Tensor& x, std::size_t kh, std::size_t kw,
-                         std::size_t stride, std::size_t pad, Tensor& col);
 
 /// Inverse scatter-add of im2col: accumulates columns back into an
 /// [N, C, H, W] gradient image.
 Tensor col2im(const Tensor& col, std::size_t n, std::size_t c, std::size_t h,
               std::size_t w, std::size_t kh, std::size_t kw,
               std::size_t stride, std::size_t pad);
-
-/// Inverse scatter-add of im2col_batched: col is [C*kh*kw, N*out_h*out_w],
-/// the result accumulates into a zeroed [N, C, H, W] gradient image.  This
-/// is the dx path of the GEMM conv backward (dx = col2im(W^T * dy2)).
-Tensor col2im_batched(const Tensor& col, std::size_t n, std::size_t c,
-                      std::size_t h, std::size_t w, std::size_t kh,
-                      std::size_t kw, std::size_t stride, std::size_t pad);
-
-/// Allocation-free col2im_batched: `x` is resized to [N, C, H, W] (storage
-/// reused), zeroed, and scatter-accumulated into.
-void col2im_batched_into(const Tensor& col, std::size_t n, std::size_t c,
-                         std::size_t h, std::size_t w, std::size_t kh,
-                         std::size_t kw, std::size_t stride, std::size_t pad,
-                         Tensor& x);
 
 /// y = relu(x), elementwise.
 Tensor relu(const Tensor& x);

@@ -71,13 +71,6 @@ void Tensor::reshape(Shape shape) {
   shape_ = std::move(shape);
 }
 
-void Tensor::resize(Shape shape) {
-  // Storage first: if the allocation throws, shape_ still matches data_
-  // (strong guarantee) instead of advertising elements that don't exist.
-  data_.resize(shape_numel(shape));
-  shape_ = std::move(shape);
-}
-
 void Tensor::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <initializer_list>
 #include <iosfwd>
 #include <span>
@@ -74,13 +73,6 @@ class Tensor {
   /// In-place reshape; numel must match.
   void reshape(Shape shape);
 
-  /// In-place re-dimension to an arbitrary shape, reusing the existing
-  /// storage (no reallocation when capacity suffices — std::vector keeps
-  /// its buffer on shrink and on same-size resize).  Element values are
-  /// unspecified afterwards; this is the Workspace recycling primitive,
-  /// not a view operation.
-  void resize(Shape shape);
-
   /// Fill with a constant.
   void fill(float value);
   /// Set every element to zero.
@@ -126,69 +118,5 @@ class Tensor {
 
 /// Checks that two shapes are identical; fatal error otherwise.
 void check_same_shape(const Tensor& a, const Tensor& b, const char* what);
-
-/// Reusable scratch-buffer arena for allocation-free hot loops.
-///
-/// A Workspace owns a set of numbered tensor slots.  get(slot, shape)
-/// returns the slot re-dimensioned to `shape`, reusing its storage: after
-/// the first iteration of a steady-shape loop (the MAML inner loop runs
-/// the same batch shapes every step) no allocation happens at all.
-/// Contents are unspecified after get(); use get_zeroed() for accumulators.
-/// Slots live in a deque, so a reference returned by get() stays valid
-/// when later get() calls grow the slot set.
-///
-/// Workspaces are *scratch*, not model state: copying a Workspace yields an
-/// empty one, so cloning a model that embeds a workspace (Conv2d) copies
-/// parameters and gradients only — per-task MAML clones stay cheap and
-/// never alias the parent's buffers.  Not thread-safe; each owner (layer,
-/// trainer) keeps its own.
-class Workspace {
- public:
-  Workspace() = default;
-  Workspace(const Workspace&) {}
-  Workspace& operator=(const Workspace& other) {
-    // Copy-assignment also lands on empty scratch: keeping the old slots
-    // could let a stale same-shaped cache pass a layer's validity check
-    // and silently feed its backward pass.
-    if (this != &other) slots_.clear();
-    return *this;
-  }
-  Workspace(Workspace&&) = default;
-  Workspace& operator=(Workspace&&) = default;
-
-  /// The slot as a tensor of exactly `shape`; contents unspecified.
-  Tensor& get(std::size_t slot, Shape shape) {
-    if (slot >= slots_.size()) slots_.resize(slot + 1);
-    slots_[slot].resize(std::move(shape));
-    return slots_[slot];
-  }
-
-  /// The slot as a zero-filled tensor of exactly `shape`.
-  Tensor& get_zeroed(std::size_t slot, Shape shape) {
-    Tensor& t = get(slot, std::move(shape));
-    t.zero();
-    return t;
-  }
-
-  /// The slot tensor without re-dimensioning (created empty if absent) —
-  /// for handing a recycled buffer to a callee that owns its shaping.
-  Tensor& slot(std::size_t i) {
-    if (i >= slots_.size()) slots_.resize(i + 1);
-    return slots_[i];
-  }
-
-  /// The slot tensor as last shaped by get() (bounds-checked), without
-  /// re-dimensioning — for reading back a buffer filled earlier in the
-  /// same forward/backward pair.
-  Tensor& at(std::size_t slot) { return slots_.at(slot); }
-  const Tensor& at(std::size_t slot) const { return slots_.at(slot); }
-
-  std::size_t slots() const { return slots_.size(); }
-  /// Releases every slot's storage.
-  void clear() { slots_.clear(); }
-
- private:
-  std::deque<Tensor> slots_;
-};
 
 }  // namespace fuse::tensor

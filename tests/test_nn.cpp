@@ -391,8 +391,9 @@ struct ConvCase {
   std::size_t batch, in_channels, out_channels, kernel, pad, h, w;
 };
 
-// The GEMM conv forward y2 = W * col + b on every host variant against its
-// scalar loop, where each accumulator starts at the bias: the model's
+// The implicit-GEMM conv forward y = W * col + b on every host variant
+// against its scalar loop over the explicit columns, where each accumulator
+// starts at the bias: the model's
 // conv1/conv2 shapes, a ragged one (odd channels, 5x6 image, no pad) and
 // batches whose column count leaves partial column tiles.
 TEST(ConvGemm, BiasStartedForwardIsBitIdenticalOnEveryIsa) {
@@ -405,9 +406,14 @@ TEST(ConvGemm, BiasStartedForwardIsBitIdenticalOnEveryIsa) {
         random_tensor({p.out_channels, p.in_channels * p.kernel * p.kernel},
                       rng);
     const Tensor b = random_tensor({p.out_channels}, rng);
-    const Tensor col =
-        fuse::tensor::im2col_batched(x, p.kernel, p.kernel, 1, p.pad);
-    const std::size_t k = col.dim(0), nc = col.dim(1);
+    // The batch's column matrices side by side: [K, N*hw].
+    const Tensor cols = fuse::tensor::im2col(x, p.kernel, p.kernel, 1, p.pad);
+    const std::size_t k = cols.dim(1), hw = cols.dim(2), nc = p.batch * hw;
+    Tensor col({k, nc});
+    for (std::size_t img = 0; img < p.batch; ++img)
+      for (std::size_t kk = 0; kk < k; ++kk)
+        for (std::size_t j = 0; j < hw; ++j)
+          col.at(kk, img * hw + j) = cols[(img * k + kk) * hw + j];
     Tensor expected({p.out_channels, nc});
     for (std::size_t r = 0; r < p.out_channels; ++r)
       for (std::size_t j = 0; j < nc; ++j) {
@@ -417,8 +423,12 @@ TEST(ConvGemm, BiasStartedForwardIsBitIdenticalOnEveryIsa) {
         expected.at(r, j) = acc;
       }
     for (const fuse::util::Isa isa : fuse::util::host_isas()) {
+      const Tensor y = fuse::tensor::conv2d(x, w, b, p.kernel, p.pad, isa);
       Tensor y2({p.out_channels, nc});
-      fuse::tensor::gemm_bias(w, col, b, y2, isa);
+      for (std::size_t img = 0; img < p.batch; ++img)
+        for (std::size_t r = 0; r < p.out_channels; ++r)
+          for (std::size_t j = 0; j < hw; ++j)
+            y2.at(r, img * hw + j) = y[(img * p.out_channels + r) * hw + j];
       EXPECT_EQ(std::memcmp(y2.data(), expected.data(),
                             y2.numel() * sizeof(float)),
                 0)

@@ -1,6 +1,6 @@
 // Tests for the tensor substrate: shape algebra, elementwise ops, GEMM
 // against a naive reference over a sweep of shapes/transposes, im2col /
-// col2im consistency, and serialization.
+// col2im consistency, conv2d argument checks, and serialization.
 
 #include <gtest/gtest.h>
 
@@ -533,92 +533,22 @@ TEST(Init, XavierUniformBounds) {
   EXPECT_NEAR(t.mean(), 0.0f, 0.01f);
 }
 
-// ------------------------------------------------- workspace recycling --
+// ------------------------------------------------------------- conv2d --
 
-TEST(Workspace, ResizeReusesStorageForSteadyShapes) {
-  Tensor t({4, 4});
-  t.fill(3.0f);
-  const float* before = t.data();
-  t.resize({2, 8});  // same numel: no reallocation, values preserved
-  EXPECT_EQ(t.data(), before);
-  EXPECT_EQ(t.shape(), (Shape{2, 8}));
-  EXPECT_FLOAT_EQ(t[0], 3.0f);
-  t.resize({2, 4});  // shrink: vector keeps its buffer
-  EXPECT_EQ(t.data(), before);
-  t.resize({4, 4});  // back within capacity: still no reallocation
-  EXPECT_EQ(t.data(), before);
-}
-
-TEST(Workspace, GetRecyclesSlotStorage) {
-  fuse::tensor::Workspace ws;
-  Tensor& a = ws.get(0, {8, 8});
-  a.fill(1.0f);
-  const float* p = a.data();
-  // Same-shape re-acquire: same buffer, no allocation.
-  EXPECT_EQ(ws.get(0, {8, 8}).data(), p);
-  // Zeroed acquire on another slot leaves slot 0 alone.
-  ws.get_zeroed(1, {4});
-  EXPECT_EQ(ws.at(0).data(), p);
-  EXPECT_FLOAT_EQ(ws.at(0)[0], 1.0f);
-}
-
-TEST(Workspace, SlotReferencesSurviveGrowth) {
-  // Regression: slots live in a deque so a reference from get() must stay
-  // valid while later get() calls grow the slot set (the Conv2d forward
-  // holds colb while acquiring y2).
-  fuse::tensor::Workspace ws;
-  Tensor& first = ws.get(0, {16});
-  first.fill(7.0f);
-  const float* p = first.data();
-  for (std::size_t s = 1; s < 12; ++s) ws.get(s, {32});
-  EXPECT_EQ(first.data(), p);
-  EXPECT_FLOAT_EQ(first[15], 7.0f);
-}
-
-TEST(Workspace, CopyIsEmptyScratch) {
-  fuse::tensor::Workspace ws;
-  ws.get(0, {64}).fill(2.0f);
-  const fuse::tensor::Workspace copy = ws;  // NOLINT: copy under test
-  EXPECT_EQ(copy.slots(), 0u);
-  // Copy-assignment clears the destination too: retaining old same-shaped
-  // slots could satisfy a layer's cache-validity check with stale data.
-  fuse::tensor::Workspace assigned;
-  assigned.get(0, {8});
-  assigned = ws;
-  EXPECT_EQ(assigned.slots(), 0u);
-}
-
-// --------------------------------------------------- batched col2im --
-
-TEST(Col2im, BatchedMatchesPerSampleScatter) {
-  // The batched layout [K, N*hw] is a column permutation of the per-sample
-  // [N, K, hw] stack; both scatters must produce identical images (same
-  // per-element accumulation order).
-  fuse::util::Rng rng(29);
-  const std::size_t n = 3, c = 2, h = 6, w = 5, k = 3, pad = 1;
-  const std::size_t oh = fuse::tensor::conv_out_size(h, k, 1, pad);
-  const std::size_t ow = fuse::tensor::conv_out_size(w, k, 1, pad);
-  const std::size_t hw = oh * ow;
-  const std::size_t rows = c * k * k;
-  const Tensor per_sample = random_tensor({n, rows, hw}, rng);
-  Tensor batched({rows, n * hw});
-  for (std::size_t img = 0; img < n; ++img)
-    for (std::size_t r = 0; r < rows; ++r)
-      for (std::size_t p = 0; p < hw; ++p)
-        batched.at(r, img * hw + p) = per_sample[(img * rows + r) * hw + p];
-
-  const Tensor a =
-      fuse::tensor::col2im(per_sample, n, c, h, w, k, k, 1, pad);
-  const Tensor b =
-      fuse::tensor::col2im_batched(batched, n, c, h, w, k, k, 1, pad);
-  ASSERT_EQ(a.shape(), b.shape());
-  for (std::size_t i = 0; i < a.numel(); ++i)
-    ASSERT_EQ(a[i], b[i]) << "element " << i;
-}
-
-TEST(Col2im, BatchedRejectsShapeMismatch) {
-  const Tensor bad({4, 10});
-  EXPECT_THROW(fuse::tensor::col2im_batched(bad, 1, 2, 5, 5, 3, 3, 1, 1),
+TEST(Conv2d, RejectsShapeMismatch) {
+  const Tensor x({1, 2, 5, 5}), w({4, 2 * 3 * 3}), b({4});
+  EXPECT_THROW(fuse::tensor::conv2d(x, Tensor({4, 10}), b, 3, 1),
+               std::invalid_argument);
+  EXPECT_THROW(fuse::tensor::conv2d(x, w, Tensor({3}), 3, 1),
+               std::invalid_argument);
+  EXPECT_THROW(fuse::tensor::conv2d(x, w, b, 7, 0), std::invalid_argument);
+  Tensor gw({4, 18}), gb({4});
+  EXPECT_THROW(fuse::tensor::conv2d_backward(x, w, Tensor({1, 4, 4, 5}), 3, 1,
+                                             gw, gb),
+               std::invalid_argument);
+  Tensor bad_gw({4, 10});
+  EXPECT_THROW(fuse::tensor::conv2d_backward(x, w, Tensor({1, 4, 5, 5}), 3, 1,
+                                             bad_gw, gb),
                std::invalid_argument);
 }
 

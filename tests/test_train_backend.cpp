@@ -138,7 +138,8 @@ struct ColumnGrads {
   Tensor dx, dw, db;
 };
 
-// The explicit-column backward, kept as the bit oracle of Conv2d::backward:
+// The explicit-column backward Conv2d ran before its GEMM gathered columns
+// straight from the input, kept as the bit oracle of Conv2d::backward:
 // per-sample im2col laid side by side as [K, N*hw], dW by one NT GEMM into
 // gw0 with beta 1, db by per-channel double sums over (n, p), and dx by a
 // TN GEMM into column gradients scattered back with col2im.
@@ -189,6 +190,8 @@ void expect_same_bits(const Tensor& got, const Tensor& want,
 }
 
 TEST(TrainBackend, Conv2dBackwardIsBitIdenticalToTheColumnPath) {
+  // Conv2d::backward runs the dispatched variant; tensor::conv2d_backward
+  // is run on each host variant, and both must equal the oracle on each.
   // The model's conv1/conv2 shapes, output channels below every variant's
   // MR (3) and above it (9, 16, 17, 32), pad 0/1/2, spatial sizes whose hw
   // (15, 63, 306) is not a multiple of any NR, and one image longer than
@@ -219,10 +222,17 @@ TEST(TrainBackend, Conv2dBackwardIsBitIdenticalToTheColumnPath) {
       for (const fuse::util::Isa isa : fuse::util::host_isas()) {
         const ColumnGrads want = column_backward(
             x, conv.weight(), dy, 3, c.pad, gw0, gb0, isa);
-        const std::string on = what + " oracle on " + fuse::util::isa_name(isa);
-        expect_same_bits(*conv.grads()[0], want.dw, "dW, " + on);
-        expect_same_bits(*conv.grads()[1], want.db, "db, " + on);
-        expect_same_bits(dx, want.dx, "dx, " + on);
+        const std::string on = what + " on " + fuse::util::isa_name(isa);
+        expect_same_bits(*conv.grads()[0], want.dw, "Conv2d dW, " + on);
+        expect_same_bits(*conv.grads()[1], want.db, "Conv2d db, " + on);
+        expect_same_bits(dx, want.dx, "Conv2d dx, " + on);
+
+        Tensor gw = gw0, gb = gb0;
+        const Tensor dx_isa = fuse::tensor::conv2d_backward(
+            x, conv.weight(), dy, 3, c.pad, gw, gb, isa);
+        expect_same_bits(gw, want.dw, "conv2d_backward dW, " + on);
+        expect_same_bits(gb, want.db, "conv2d_backward db, " + on);
+        expect_same_bits(dx_isa, want.dx, "conv2d_backward dx, " + on);
       }
     }
   }
