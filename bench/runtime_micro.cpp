@@ -188,7 +188,7 @@ BENCHMARK(BM_FeaturizeFusedSample)->Unit(benchmark::kMicrosecond);
 
 // ------------------------------------------------------------------- NN --
 
-// Conv forward (im2col + GEMM), the serving hot path; the batch-wide
+// Conv forward (implicit GEMM), the serving hot path; the batch-wide
 // weight reuse and register tiling must show up from batch 8 on.  Conv
 // shape = the model's second (wider) layer.
 void BM_ConvForward(benchmark::State& state) {

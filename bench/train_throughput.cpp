@@ -107,7 +107,7 @@ struct Bench {
     const auto x = feat.make_inputs(fused, batch_set);
     const auto y = feat.make_labels(fused, batch_set);
     const fuse::util::InlineScope inline_scope;  // one thread, as served
-    (void)fuse::core::sgd_step(*model, x, y, 0.02f);  // warm workspaces
+    (void)fuse::core::sgd_step(*model, x, y, 0.02f);  // warm-up step
     fuse::util::Stopwatch sw;
     for (std::size_t s = 0; s < steps; ++s)
       out.last_loss = fuse::core::sgd_step(*model, x, y, 0.02f);

@@ -42,7 +42,7 @@ namespace fuse::nn {
 using fuse::tensor::Tensor;
 
 /// A single-value tag that selects nothing: every layer runs one compute
-/// path (im2col + the register-tiled GEMM of tensor/ops.h).  It stays
+/// path (the register-tiled GEMM of tensor/ops.h).  It stays
 /// only because the benchmark harness under perfbench/ still passes it to
 /// infer() and Predictor::predict() and sets ServeConfig::backend.
 enum class Backend {

@@ -461,27 +461,26 @@ void check_conv(const Tensor& x, const Tensor& w, std::size_t kernel,
     throw std::invalid_argument(std::string(fn) + ": shape mismatch");
 }
 
-// x zero-padded by `pad` on every side of each image: [N, C, H + 2 pad,
-// W + 2 pad], 1.56 times the input at 8 x 8 with pad 1 where the column
-// matrix is 9 times it.  Without padding, x itself.
-Tensor padded(const Tensor& x, std::size_t pad) {
-  if (pad == 0) return x;
+// The implicit column matrices of batch x [N, C, H, W]: their panels are
+// gathered from x zero-padded by `pad` on every side of each image,
+// [N, C, H + 2 pad, W + 2 pad], which is written to `store` (x itself is
+// used when pad is 0).  That copy is 1.56 times the input at 8 x 8 with
+// pad 1, where the column matrices would be 9 times it.
+Im2col implicit_columns(const Tensor& x, std::size_t kernel, std::size_t pad,
+                        Tensor& store) {
   const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const std::size_t hp = h + 2 * pad, wp = w + 2 * pad;
-  Tensor xp({n, c, hp, wp});
-  fuse::util::parallel_for(0, n * c, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t plane = lo; plane < hi; ++plane)
-      for (std::size_t y = 0; y < h; ++y)
-        std::copy_n(x.data() + (plane * h + y) * w, w,
-                    xp.data() + (plane * hp + y + pad) * wp + pad);
-  }, std::max<std::size_t>(1, (1 << 14) / (hp * wp)));
-  return xp;
-}
-
-Im2col im2col_of(const Tensor& xp, std::size_t kernel) {
-  const std::size_t hp = xp.dim(2), wp = xp.dim(3);
-  return {xp.data(), xp.dim(1),        hp, wp, kernel, hp - kernel + 1,
-          wp - kernel + 1};
+  if (pad > 0) {
+    store = Tensor({n, c, hp, wp});
+    fuse::util::parallel_for(0, n * c, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t plane = lo; plane < hi; ++plane)
+        for (std::size_t y = 0; y < h; ++y)
+          std::copy_n(x.data() + (plane * h + y) * w, w,
+                      store.data() + (plane * hp + y + pad) * wp + pad);
+    }, std::max<std::size_t>(1, (1 << 14) / (hp * wp)));
+  }
+  return {pad > 0 ? store.data() : x.data(), c, hp, wp, kernel,
+          hp - kernel + 1, wp - kernel + 1};
 }
 
 // Adds one image's column gradients [C*kernel*kernel, oh*ow] into its
@@ -519,8 +518,8 @@ Tensor conv2d_on(fuse::util::Isa isa, const Tensor& x, const Tensor& w,
   const std::size_t oc = w.dim(0), k = w.dim(1);
   if (b.ndim() != 1 || b.dim(0) != oc)
     throw std::invalid_argument("conv2d: bias shape mismatch");
-  const Tensor xp = padded(x, pad);
-  const Im2col im = im2col_of(xp, kernel);
+  Tensor xp;
+  const Im2col im = implicit_columns(x, kernel, pad, xp);
   const std::size_t hw = im.oh * im.ow;
   Tensor y({x.dim(0), oc, im.oh, im.ow});
   if (y.numel() == 0) return y;
@@ -551,8 +550,8 @@ Tensor conv2d_backward_on(fuse::util::Isa isa, const Tensor& x,
   // gw += dy · col(x)ᵀ: one GEMM whose k runs over every image's pixels,
   // image after image.
   {
-    const Tensor xp = padded(x, pad);
-    const Im2col im = im2col_of(xp, kernel);
+    Tensor xp;
+    const Im2col im = implicit_columns(x, kernel, pad, xp);
     Job g{.m = oc, .n = k, .k = hw, .a = dy.data(), .a_rs = hw, .a_ks = 1,
           .tb = true, .c = gw.data(), .ldc = k, .beta = 1.0f,
           .k_images = n, .a_image = oc * hw, .im = &im};

@@ -1,7 +1,8 @@
 // Tests for the GEMM training path and the task-parallel FOMAML outer
 // loop: Conv2d gradients against the per-sample reference backward
-// (including ragged GEMM tile tails and pad > 0), finite-difference
-// gradcheck, the clone/workspace lifetime contract, and fixed-seed
+// (including ragged GEMM tile tails and pad > 0) and, bit for bit, against
+// the explicit-column path on every ISA variant, finite-difference
+// gradcheck, the clone/forward-cache contract, and fixed-seed
 // MetaTrainer determinism across worker counts.
 
 #include <gtest/gtest.h>
@@ -278,7 +279,7 @@ TEST(TrainBackend, GradCheckConv2d) {
   }
 }
 
-// -------------------------------------------- clone/workspace contract --
+// ------------------------------------------ clone/forward-cache contract --
 
 TEST(TrainBackend, CloneMustForwardBeforeBackward) {
   fuse::util::Rng rng(3);
