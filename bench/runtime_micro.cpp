@@ -220,6 +220,7 @@ void BM_ConvBackward(benchmark::State& state) {
   for (auto _ : state) {
     auto dx = conv.backward(dy);
     benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();  // the gradients accumulate in the layer
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));

@@ -32,8 +32,9 @@ using fuse::tensor::Tensor;
 ///
 /// forward(), infer() and backward() run one path, like Linear: the
 /// implicit-GEMM convolution of tensor::conv2d, whose GEMM gathers its
-/// im2col panels straight from the input, so the whole batch runs through
-/// the register-tiled microkernel without a column matrix.  forward()
+/// im2col panels from the (zero-padded) input as it packs them, so the
+/// whole batch runs through the register-tiled microkernel without a
+/// column matrix.  forward()
 /// caches its input, as Linear does; backward() (tensor::conv2d_backward)
 /// gathers the columns from it again for dW = dy·colᵀ and computes dx
 /// image by image (Wᵀ·dy_i into a one-image scratch, then col2im's

@@ -139,11 +139,11 @@ struct ColumnGrads {
   Tensor dx, dw, db;
 };
 
-// The explicit-column backward Conv2d ran before its GEMM gathered columns
-// straight from the input, kept as the bit oracle of Conv2d::backward:
-// per-sample im2col laid side by side as [K, N*hw], dW by one NT GEMM into
-// gw0 with beta 1, db by per-channel double sums over (n, p), and dx by a
-// TN GEMM into column gradients scattered back with col2im.
+// The explicit-column backward, the bit oracle of Conv2d::backward and
+// tensor::conv2d_backward: per-sample im2col laid side by side as
+// [K, N*hw], dW by one NT GEMM into gw0 with beta 1, db by per-channel
+// double sums over (n, p), and dx by a TN GEMM into column gradients
+// scattered back with col2im.
 ColumnGrads column_backward(const Tensor& x, const Tensor& w,
                             const Tensor& dy, std::size_t kernel,
                             std::size_t pad, const Tensor& gw0,
