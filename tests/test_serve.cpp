@@ -12,7 +12,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <memory>
@@ -26,8 +28,10 @@
 
 #include "core/pipeline.h"
 #include "core/tracking.h"
+#include "nn/delta.h"
 #include "nn/layers.h"
 #include "nn/sequential.h"
+#include "serve/clone_store/layout.h"
 #include "serve/server.h"
 #include "serve/stats.h"
 #include "util/rng.h"
@@ -456,6 +460,124 @@ TEST(Serve, OnlineAdaptationLifecycle) {
   }
   server.drain();
   EXPECT_GE(server.stats().per_session[0].adapt_rounds, 2u);
+}
+
+TEST(Serve, MixedModelPassMatchesBatchOnePredict) {
+  // One pass holds frames of five sessions over three models: two
+  // sessions on the shared model, two adapted sessions with different
+  // clones, and one adapted session that a NaN frame later in the same
+  // pass quarantines.  Quarantine drops that clone mid-pass, so all of
+  // that session's frames in the pass, including the one collected while
+  // it still held the clone, are served by the shared model.  Every raw
+  // pose must equal a batch-1 Predictor::predict with the model its
+  // session holds at the end of the pass.
+  auto& pl = world();
+  const auto& pred = pl.predictor();
+  const std::string dir = ::testing::TempDir() + "fuse_serve_mixed_pass";
+  std::filesystem::remove_all(dir);
+  ServeConfig cfg;
+  cfg.max_batch = 64;
+  cfg.session.queue_capacity = 64;
+  cfg.clone_store.dir = dir;  // persist_clones() exposes the clones
+  Server server(&pl.predictor(), &pl.model(), cfg);
+
+  SessionConfig plain;
+  SessionConfig adapting;
+  adapting.adapt.enabled = true;
+  adapting.adapt.min_samples = 8;
+  adapting.adapt.round_every = 4;
+  adapting.adapt.steps_per_round = 2;
+  adapting.quarantine_after = 1;
+
+  struct Subject {
+    fuse::serve::SessionId id;
+    std::size_t seq;                  ///< dataset sequence it streams
+    std::vector<PointCloud> history;  ///< clouds that entered its window
+  };
+  std::vector<Subject> subjects;
+  for (std::size_t k = 0; k < 5; ++k)
+    subjects.push_back({server.open_session(k < 2 ? plain : adapting), k, {}});
+  Subject& quarantined = subjects[4];
+  const auto& ds = pl.dataset();
+  const auto frame_of = [&](const Subject& s, std::size_t i) -> const auto& {
+    const auto [start, len] = ds.sequences.at(s.seq);
+    return ds.frames[start + i % len];
+  };
+
+  // Eight labeled frames give each adapting session its own clone.
+  for (std::size_t i = 0; i < 8; ++i)
+    for (auto& s : subjects) {
+      const auto& f = frame_of(s, i);
+      ASSERT_TRUE(accepted(server.submit_frame(
+          s.id, f.cloud, s.seq < 2 ? nullptr : &f.label)));
+      s.history.push_back(f.cloud);
+    }
+  server.drain();
+  for (auto& s : subjects) {
+    EXPECT_EQ(server.stats().per_session.at(s.seq).adapt_state,
+              s.seq < 2 ? AdaptState::kShared : AdaptState::kAdapted);
+    (void)server.poll_results(s.id);
+  }
+
+  // The mixed pass: three unlabeled frames per session, except that the
+  // quarantined session's second frame is NaN.
+  PointCloud bad = frame_of(quarantined, 9).cloud;
+  ASSERT_FALSE(bad.points.empty());
+  bad.points[0].x = std::numeric_limits<float>::quiet_NaN();
+  for (std::size_t i = 8; i < 11; ++i)
+    for (auto& s : subjects) {
+      if (&s == &quarantined && i == 9) {
+        ASSERT_TRUE(accepted(server.submit_frame(s.id, bad)));
+        continue;
+      }
+      ASSERT_TRUE(accepted(server.submit_frame(s.id, frame_of(s, i).cloud)));
+      s.history.push_back(frame_of(s, i).cloud);
+    }
+  ASSERT_EQ(server.run_once(), 14u);  // one pass serves every clean frame
+  const auto stats = server.stats();
+  EXPECT_TRUE(stats.per_session.at(quarantined.seq).quarantined);
+  EXPECT_EQ(stats.in_flight, 0u);
+
+  // The models each session holds after the pass: the clone store's
+  // bit-exact checkpoints of the two surviving clones, none for the
+  // quarantined session.
+  server.persist_clones();
+  std::vector<std::unique_ptr<fuse::nn::Module>> clones;
+  for (const auto& s : subjects) {
+    const std::string path = fuse::serve::layout::clone_path(dir, s.id);
+    if (s.seq < 2 || &s == &quarantined) {
+      EXPECT_FALSE(std::filesystem::exists(path)) << "session " << s.id;
+      clones.push_back(nullptr);
+      continue;
+    }
+    clones.push_back(fuse::nn::rehydrate_from_delta(
+        pl.model(), fuse::nn::ParamDelta::load_file(path)));
+  }
+  // The two clones differ, so a row served by the wrong one would show.
+  const auto* w_a = std::as_const(*clones[2]).params().front();
+  const auto* w_b = std::as_const(*clones[3]).params().front();
+  ASSERT_NE(std::memcmp(w_a->data(), w_b->data(), w_a->numel() * 4), 0);
+
+  for (std::size_t k = 0; k < subjects.size(); ++k) {
+    const Subject& s = subjects[k];
+    const fuse::nn::Module& model = clones[k] ? *clones[k] : pl.model();
+    const auto results = server.poll_results(s.id);
+    const std::size_t served = &s == &quarantined ? 2 : 3;
+    ASSERT_EQ(results.size(), served) << "session " << s.id;
+    for (std::size_t r = 0; r < served; ++r) {
+      if (r > 0) {
+        EXPECT_GT(results[r].seq, results[r - 1].seq);
+      }
+      EXPECT_EQ(results[r].adapted_model, clones[k] != nullptr);
+      // The window the r-th served frame saw: the history up to it.
+      const std::size_t end = s.history.size() - served + r + 1;
+      const std::size_t begin = end - std::min(end, pred.window_frames());
+      const std::vector<PointCloud> window(s.history.begin() + begin,
+                                           s.history.begin() + end);
+      expect_pose_eq(results[r].raw, pred.predict_window(model, window));
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // -------------------------------------------------------------- telemetry --
