@@ -5,12 +5,14 @@
 // its own fusion window + tracker with one CNN forward per frame (exactly
 // the FusePipeline::push_frame deployment story, N times over).  The
 // server preloads the same streams into per-session queues and drains them
-// through the inference scheduler, which batches featurized frames across
-// sessions into single Module::infer calls.
+// through its shard passes, which batch featurized frames across sessions
+// into single Module::infer calls.
 //
-// The batched path wins because the CNN is memory-bound at batch size 1:
-// the fc1 weight matrix (1 M parameters) is re-read from memory for every
-// frame, while a batch of B frames reads it once.
+// The batched path wins because every forward streams fc1's 4 MB weight
+// matrix (1 M parameters, twice the 2 MB L2) once, whatever the batch:
+// pinned to one core of a 4-core 2.1 GHz Xeon (avx512f), BM_CnnInference/1
+// takes 285-303 us, of which fc1 alone (BM_GemmNt/1) is 227-274 us, and
+// BM_CnnInference/8 takes 729-835 us, 91-104 us per frame.
 //
 // Before the throughput runs the bench replays the fig3 deployment story
 // (fine-tune on the held-out head of the test split, then evaluate on the
@@ -19,7 +21,7 @@
 // arithmetic changed.
 //
 // --raw-cubes additionally exercises the raw-cube ingestion mode: each
-// session submits raw radar cubes (submit_cube) and the scheduler runs
+// session submits raw radar cubes (submit_cube) and the shard runs
 // the full sensor-to-prediction path — plan-based range/Doppler FFTs,
 // prefix-sum CFAR and angle estimation through its reusable
 // FrameWorkspace, then fusion, featurization and the batched CNN — per
@@ -550,7 +552,7 @@ RawCubeRun run_raw_cubes(fuse::core::FusePipeline& pl, std::size_t sessions,
     if (checksum == 12345.6789) std::printf("!");  // defeat dead-code elim
   }
 
-  // Serving runtime: raw cubes through the scheduler's workspace path.
+  // Serving runtime: raw cubes through the shard's workspace path.
   {
     fuse::serve::ServeConfig scfg;
     scfg.max_batch = 8;

@@ -19,7 +19,7 @@ namespace fuse::core {
 /// `y`, backward, clip, theta -= lr * grad.  Returns the pre-step batch
 /// loss.  This is the MAML inner update (Eq. 5) applied to deployment
 /// data; the serving runtime's per-session online adaptation
-/// (serve::Scheduler) is built on it.  fine_tune() below keeps its own
+/// (serve::Shard) is built on it.  fine_tune() below keeps its own
 /// step loop because it also supports Adam and last-layer-only updates.
 float sgd_step(fuse::nn::Module& model, const fuse::tensor::Tensor& x,
                const fuse::tensor::Tensor& y, float lr,

@@ -3,7 +3,7 @@
 // difference against the shared meta-initialization.
 //
 // The serving runtime clones the meta-init once per adapting user and
-// fine-tunes the clone online (serve::Scheduler::maybe_adapt).  Keeping a
+// fine-tunes the clone online (serve::Shard::maybe_adapt).  Keeping a
 // full fp32 clone resident per user is ~8 bytes/parameter (params + grads)
 // and dies at thousands of users; a delta checkpoint is what the clone
 // store (serve/clone_store) evicts to disk and rehydrates from.

@@ -27,6 +27,7 @@ void CloneStore::configure(CloneStoreConfig cfg, const fuse::nn::Module* base) {
 }
 
 void CloneStore::begin_pass() {
+  if (!enabled_) return;
   ++clock_;
   std::vector<SessionId> forgets;
   {
@@ -37,6 +38,7 @@ void CloneStore::begin_pass() {
 }
 
 bool CloneStore::ensure_resident(Session& s) {
+  if (!enabled_) return false;
   const auto it = entries_.find(s.id());
   if (it == entries_.end()) return false;  // no clone tracked: shared model
   Entry& e = it->second;
@@ -72,6 +74,7 @@ bool CloneStore::ensure_resident(Session& s) {
 }
 
 void CloneStore::note_adapted(Session& s) {
+  if (!enabled_) return;
   auto it = entries_.find(s.id());
   if (it == entries_.end()) {
     it = entries_.emplace(s.id(), Entry{}).first;

@@ -1,7 +1,7 @@
 #pragma once
 // CloneStore — the lifecycle manager for per-user adapted model clones.
 //
-// Online adaptation (Scheduler::maybe_adapt) gives every adapting session a
+// Online adaptation (Shard::maybe_adapt) gives every adapting session a
 // private fp32 clone of the shared meta-initialization: ~8 bytes per
 // parameter (params + grads) of resident RAM per user, which caps a server
 // at a few hundred adapting users.  The clone store breaks that cap:
@@ -28,6 +28,9 @@
 // thread may call (close_session); the pending ids are drained at the start
 // of the next pass.  The counters/gauges behind stats_snapshot() are
 // relaxed atomics, readable from any thread at any time.
+//
+// A disabled store (empty dir) tracks nothing: every pass-side method is
+// a no-op, so callers never check enabled() first.
 
 #include <atomic>
 #include <cstddef>

@@ -222,7 +222,7 @@ bool Server::execute_migration(SessionId id, std::size_t target_shard) {
     frames = s->drain_queue();
     // An evicted clone must travel with the session: pull it resident
     // before the codec round-trip.
-    if (from.store().enabled()) from.store().ensure_resident(*s);
+    from.store().ensure_resident(*s);
     if (fuse::util::fault_fire(fuse::util::FaultPoint::kMigrationKill))
       throw std::runtime_error("migration killed mid-move");
     if (s->adapted_model() != nullptr) {
@@ -254,14 +254,13 @@ bool Server::execute_migration(SessionId id, std::size_t target_shard) {
   }
   // Commit point: the steps below only relink the session (the source's
   // checkpoint removal is best-effort), so it is never observed half-moved.
-  if (from.store().enabled()) from.store().forget(id);
+  from.store().forget(id);
   to.attach_session(s);
   set_shard_override(id, target_shard);  // route new submits to the target
   from.detach_session(id);
   s->rebind_shard_gauge(to.gauge());
   s->requeue(std::move(frames));  // replay the drained backlog, in order
-  if (to.store().enabled() && s->adapted_model() != nullptr)
-    to.store().note_adapted(*s);
+  if (s->adapted_model() != nullptr) to.store().note_adapted(*s);
   s->end_migration();
   from.note_migration_out();
   to.note_migration_in();

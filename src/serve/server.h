@@ -115,7 +115,7 @@ struct ServeConfig {
   /// single-thread engine bit-for-bit.
   std::size_t num_shards = 1;
   /// A single-value tag that selects nothing: every batched forward runs
-  /// the one im2col + GEMM path (nn/layers.h).
+  /// the implicit-GEMM tensor::conv2d and the GEMM (nn/layers.h).
   fuse::nn::Backend backend = fuse::nn::Backend::kGemm;
   /// Radar DSP front-end for raw-cube ingestion (submit_cube): when set,
   /// each shard runs cube -> point cloud -> features -> NN per tick

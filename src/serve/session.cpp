@@ -87,7 +87,16 @@ void Session::push_result(PoseResult r, std::uint64_t epoch) {
   ++frames_out_;
 }
 
-void Session::buffer_labeled(LabeledSample s) {
+void Session::buffer_labeled(std::span<const float> x,
+                             std::span<const float> y) {
+  LabeledSample s;
+  if (!adapt_buffer_.empty() &&
+      adapt_buffer_.size() >= cfg_.adapt.buffer_capacity) {
+    s = std::move(adapt_buffer_.front());
+    adapt_buffer_.pop_front();
+  }
+  s.x.assign(x.begin(), x.end());
+  s.y.assign(y.begin(), y.end());
   adapt_buffer_.push_back(std::move(s));
   while (adapt_buffer_.size() > cfg_.adapt.buffer_capacity)
     adapt_buffer_.pop_front();
@@ -97,10 +106,20 @@ void Session::buffer_labeled(LabeledSample s) {
 }
 
 void Session::note_adapt_round(float loss) {
+  fresh_labeled_ = 0;
   std::lock_guard<std::mutex> lock(mu_);
   has_adapted_ = true;
   ++adapt_rounds_;
   last_adapt_loss_ = loss;
+}
+
+void Session::drop_adaptation() {
+  adapted_.reset();
+  adapt_buffer_.clear();
+  fresh_labeled_ = 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  has_adapted_ = false;
+  adapt_buffered_ = 0;
 }
 
 void Session::note_rehydrated() {
@@ -135,13 +154,11 @@ void Session::request_recycle() {
 }
 
 void Session::reset_stream_state() {
-  // Safe without locking: this runs on the scheduler thread, the sole
-  // owner of the streaming state below.
+  // Runs on the scheduler thread, the sole owner of the streaming state
+  // below; only drop_adaptation's stats mirrors take the lock.
   window_.clear();
   tracker_.reset();
-  adapted_.reset();
-  adapt_buffer_.clear();
-  fresh_labeled_ = 0;
+  drop_adaptation();
 }
 
 void Session::note_migration_rejected() {
@@ -209,8 +226,6 @@ bool Session::note_non_finite_label() {
 void Session::note_adapt_failed() {
   std::lock_guard<std::mutex> lock(mu_);
   if (cfg_.quarantine_after != 0) quarantined_ = true;
-  has_adapted_ = false;
-  adapt_buffered_ = 0;
 }
 
 SessionStats Session::stats_snapshot() const {

@@ -15,6 +15,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/tracking.h"
@@ -163,16 +164,26 @@ class Session {
     std::vector<float> x;  ///< featurized [5*8*8] block
     std::vector<float> y;  ///< normalized [57] label
   };
-  std::deque<LabeledSample>& adapt_buffer() { return adapt_buffer_; }
-  void buffer_labeled(LabeledSample s);
+  const std::deque<LabeledSample>& adapt_buffer() const {
+    return adapt_buffer_;
+  }
+  /// Appends one labeled sample; once the ring is full, the sample it
+  /// evicts lends its storage, so a steady labeled stream allocates
+  /// nothing.
+  void buffer_labeled(std::span<const float> x, std::span<const float> y);
 
   /// Labeled samples buffered since the last adaptation round (gates the
   /// round cadence; scheduler-thread only).
   std::size_t fresh_labeled() const { return fresh_labeled_; }
-  void clear_fresh_labeled() { fresh_labeled_ = 0; }
 
-  /// Records a finished adaptation round (for telemetry).
+  /// Records a finished adaptation round (for telemetry) and restarts the
+  /// fresh-sample count.
   void note_adapt_round(float loss);
+
+  /// Drops this session's adaptation in one step: the adapted clone, the
+  /// labeled-sample buffer, the fresh-sample count and their stats
+  /// mirrors.  The session serves the shared model from here on.
+  void drop_adaptation();
 
   /// Records that the clone store made this session's adapted clone
   /// resident again (eviction or warm restart), so adapt_state() reads
@@ -217,7 +228,8 @@ class Session {
   /// A NaN/Inf ground-truth label was rejected; counts toward quarantine.
   bool note_non_finite_label();
   /// An adaptation round produced a non-finite loss: quarantine NOW —
-  /// the clone is compromised and must be discarded by the caller.
+  /// the clone is compromised and must be discarded by the caller
+  /// (drop_adaptation).
   void note_adapt_failed();
   /// Quarantined sessions serve from the shared meta-init with adaptation
   /// disabled (recycle lifts the quarantine with the rest of the state).

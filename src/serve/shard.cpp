@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
 
+#include "core/finetune.h"
+#include "data/featurize.h"
 #include "serve/clone_store/layout.h"
 #include "util/fault.h"
 #include "util/log.h"
@@ -22,18 +26,14 @@ Shard::Shard(const fuse::core::Predictor* predictor,
       cfg_(cfg),
       index_(index),
       global_in_flight_(global_in_flight),
-      scheduler_(predictor, shared_model, cfg.max_batch, cfg.processor) {
+      detector_(cfg.overload) {
   // Per-shard clone store: shards must never share checkpoint files, so
   // each one owns its own shard dir.  The 1-shard layout stays flat —
   // backward compatible with checkpoints persisted before sharding.
   if (!cfg_.clone_store.dir.empty())
     cfg_.clone_store.dir = layout::shard_dir(cfg_.clone_store.dir, index_,
                                              cfg_.num_shards);
-  scheduler_.set_detailed_stats(cfg_.detailed_stats);
   clone_store_.configure(cfg_.clone_store, shared_model_);
-  scheduler_.set_clone_store(&clone_store_);
-  detector_ = OverloadDetector(cfg_.overload);
-  scheduler_.set_shed_deadline(cfg_.overload.shed_deadline_s);
 }
 
 Shard::~Shard() { stop(); }
@@ -195,12 +195,12 @@ std::size_t Shard::run_once() {
   const bool overload = cfg_.overload.enabled;
   const double t0 = overload ? mono_seconds() : 0.0;
   // An idle pass — no queued frame, no closed session's checkpoint to
-  // forget, no recycle to consume — has nothing for the scheduler: it skips
-  // the session snapshot, the per-session pops and the PassRecord merge,
-  // and only feeds the detector and the depth series below.
+  // forget, no recycle to consume — has nothing to serve: it skips the
+  // session snapshot, the per-session pops and the PassRecord merge, and
+  // only feeds the detector and the depth series below.
   const bool recycles = recycle_pending_.exchange(false);
   std::optional<PassRecord> rec;
-  PassStats pass;
+  std::size_t served = 0;
   if (recycles || shard_in_flight_.load(std::memory_order_relaxed) != 0 ||
       clone_store_.forgets_pending()) {
     // Every kernel of the pass runs on this thread (see shard.h).
@@ -212,24 +212,23 @@ std::size_t Shard::run_once() {
     // The pass runs lock-free into local telemetry; the cumulative stats
     // are only locked for the merge, so stats() never waits on an
     // inference pass and a snapshot always observes whole passes.
-    pass = scheduler_.run_once(sessions, rec.emplace());
+    served = serve_pass(sessions, rec.emplace());
     // A pass that served frames may have filled its batch before popping
     // every session, i.e. before consuming every recycle: keep the flag
     // for the next pass.
-    if (recycles && pass.served > 0) recycle_pending_.store(true);
+    if (recycles && served > 0) recycle_pending_.store(true);
   }
   if (overload) {
     // Feed the detector this pass's tick latency and the post-pass queue
     // backlog — the SHARD's own gauge, not the global admission gauge, so
-    // a hot shard engages even when the rest of the fleet is idle — then
-    // arm the ladder rung the NEXT pass runs at.  Idle passes feed it too,
-    // which is how an escalated shard steps back down once its queues
-    // drain.  All on this shard's scheduling thread — the detector itself
-    // is single-threaded state.
+    // a hot shard engages even when the rest of the fleet is idle — which
+    // arms the ladder rung the NEXT pass runs at.  Idle passes feed it
+    // too, which is how an escalated shard steps back down once its
+    // queues drain.  All on this shard's scheduling thread — the detector
+    // itself is single-threaded state.
     const auto level = detector_.update(
         shard_in_flight_.load(std::memory_order_relaxed),
         mono_seconds() - t0);
-    scheduler_.set_overload_level(level);
     overload_level_.store(static_cast<int>(level), std::memory_order_relaxed);
     overload_transitions_.store(detector_.transitions(),
                                 std::memory_order_relaxed);
@@ -238,14 +237,304 @@ std::size_t Shard::run_once() {
   if (rec) {
     latency_.merge(rec->latency);
     telem_.merge(rec->telem);
-    batches_ += pass.batches;
-    batched_frames_ += pass.batched_frames;
+    batches_ += rec->batches;
+    batched_frames_ += rec->batched_frames;
   }
   // Queue depth over time: one post-pass gauge sample per tick, idle or
   // not, into the bounded ring (the export shows the curve, not just the
   // high-water mark).
   depth_series_.record(shard_in_flight_.load(std::memory_order_relaxed));
-  return pass.served;
+  return served;
+}
+
+namespace {
+constexpr std::size_t kRowFloats = fuse::data::kChannelsPerFrame *
+                                   fuse::data::kGridH * fuse::data::kGridW;
+
+/// NaN/Inf input guard: one corrupt sample must never reach the fusion
+/// window (where it would poison up to 2M+1 downstream frames) or the
+/// adaptation buffer (where it would corrupt the per-user clone).
+bool cloud_finite(const fuse::radar::PointCloud& cloud) {
+  for (const auto& p : cloud.points)
+    if (!std::isfinite(p.x) || !std::isfinite(p.y) || !std::isfinite(p.z) ||
+        !std::isfinite(p.doppler) || !std::isfinite(p.intensity))
+      return false;
+  return true;
+}
+
+bool pose_finite(const fuse::human::Pose& pose) {
+  for (const auto& j : pose.joints)
+    if (!std::isfinite(j.x) || !std::isfinite(j.y) || !std::isfinite(j.z))
+      return false;
+  return true;
+}
+}  // namespace
+
+void Shard::drop_clone(Session& s) {
+  s.drop_adaptation();
+  clone_store_.forget(s.id());
+}
+
+std::size_t Shard::serve_pass(const std::vector<Session*>& sessions,
+                              PassRecord& rec) {
+  const bool detail = cfg_.detailed_stats;
+  // Clone-store pass bookkeeping first: advance the LRU clock and drain
+  // forgets queued by close_session, so a closed session's checkpoint is
+  // gone before anything below could resolve its id.
+  clone_store_.begin_pass();
+  std::vector<float> rows;
+  collect(sessions, rows, rec);
+  const std::size_t n = collected_.size();
+  if (n == 0) return 0;
+
+  // Models are resolved only now: a later frame of this pass may have
+  // quarantined a session and freed its clone (drop_clone), so a model
+  // taken at collection time could dangle.  Frames batch together when
+  // they run the same model — the shared model's across sessions, an
+  // adapted clone's within its session.
+  models_.clear();
+  for (Collected& c : collected_) {
+    const fuse::nn::Module* clone = c.session->adapted_model();
+    c.model = clone != nullptr ? clone : shared_model_;
+    if (std::find(models_.begin(), models_.end(), c.model) == models_.end())
+      models_.push_back(c.model);
+  }
+  if (models_.size() == 1) {
+    // One model: the rows are the batch, as collected.
+    infer_batch(*models_.front(),
+                fuse::tensor::Tensor({n, fuse::data::kChannelsPerFrame,
+                                      fuse::data::kGridH, fuse::data::kGridW},
+                                     std::move(rows)),
+                rec);
+  } else {
+    for (const fuse::nn::Module* model : models_) {
+      const auto rows_of = static_cast<std::size_t>(std::count_if(
+          collected_.begin(), collected_.end(),
+          [&](const Collected& c) { return c.model == model; }));
+      fuse::tensor::Tensor x = predictor_->alloc_batch(rows_of);
+      float* dst = x.data();
+      for (std::size_t i = 0; i < n; ++i) {
+        if (collected_[i].model != model) continue;
+        std::memcpy(dst, rows.data() + i * kRowFloats,
+                    kRowFloats * sizeof(float));
+        dst += kRowFloats;
+      }
+      infer_batch(*model, x, rec);
+    }
+  }
+
+  // Online adaptation: at most one round per session per pass.
+  for (Session* s : sessions) {
+    const double t_adapt = detail ? mono_seconds() : 0.0;
+    if (maybe_adapt(*s) && detail)
+      rec.telem.record(Stage::kAdapt, mono_seconds() - t_adapt);
+  }
+  // End of pass: evict LRU clones until the resident set fits the store's
+  // cap again (rehydration above may have overshot it briefly).
+  clone_store_.enforce_budget(sessions);
+  return n;
+}
+
+void Shard::collect(const std::vector<Session*>& sessions,
+                    std::vector<float>& rows, PassRecord& rec) {
+  // Per-stage recording is a single predictable branch per site when it
+  // is disabled — the stats-idle zero-cost contract.
+  const bool detail = cfg_.detailed_stats;
+  const OverloadLevel level = detector_.level();
+  const std::size_t max_batch = cfg_.max_batch;
+  collected_.clear();
+  rows.reserve(
+      std::min(max_batch, shard_in_flight_.load(std::memory_order_relaxed)) *
+      kRowFloats);
+  // At most one frame per session per sweep, until the batch is full or
+  // every queue is empty.  The window slides and the frame is featurized
+  // immediately, in the session's FIFO order.
+  bool any = true;
+  while (any && collected_.size() < max_batch) {
+    any = false;
+    for (Session* s : sessions) {
+      if (collected_.size() >= max_batch) break;
+      // pop() consumes any pending recycle atomically with the queue
+      // read, so a recycled session's streaming state is always reset
+      // before the new subject's first frame touches the window.
+      bool recycled = false;
+      auto frame = s->pop(&recycled);
+      if (recycled) {
+        // The next subject must not inherit the previous subject's
+        // adaptation: drop the checkpoint along with the in-RAM state.
+        clone_store_.forget(s->id());
+        s->reset_stream_state();
+      }
+      if (!frame) continue;
+      any = true;
+      // Injected latency spike: stalls the pass exactly where a real
+      // scheduler hiccup (page fault, CPU contention) would, so chaos runs
+      // exercise the overload detector's tick-latency signal.
+      if (fuse::util::fault_fire(fuse::util::FaultPoint::kLatencySpike))
+        std::this_thread::sleep_for(std::chrono::duration<double>(
+            fuse::util::fault_spike_seconds()));
+      // Rung 2 — deadline shedding: a frame that went stale in the queue
+      // is dropped HERE, before the DSP/featurize/infer stages spend
+      // anything on it.  Freshness wins over completeness under overload
+      // (same rationale as DropPolicy::kDropOldest, applied server-side).
+      if (level >= OverloadLevel::kShedDeadline) {
+        const double age = mono_seconds() - frame->t_enqueue;
+        if (age > cfg_.overload.shed_deadline_s) {
+          s->note_deadline_shed();
+          if (detail) rec.telem.record(Stage::kShed, age);
+          continue;
+        }
+      }
+      if (detail)
+        rec.telem.record(Stage::kQueueWait,
+                         mono_seconds() - frame->t_enqueue);
+      // A quarantined session serves from the shared meta-init: its clone
+      // (possibly corrupted by the poison that got it quarantined) and
+      // checkpoint are dropped, and rehydration is skipped below.
+      const bool quarantined = s->quarantined();
+      if (quarantined && s->adapted_model() != nullptr) drop_clone(*s);
+      // Transparent rehydration: an evicted per-user clone is rebuilt
+      // (meta-init + delta) before this frame is batched, so eviction
+      // never silently downgrades a user to the shared model.
+      if (!quarantined) {
+        const double t_rehy = detail ? mono_seconds() : 0.0;
+        if (clone_store_.ensure_resident(*s) && detail)
+          rec.telem.record(Stage::kRehydrate, mono_seconds() - t_rehy);
+      }
+      // Raw-cube ingestion: run the DSP front-end (range/Doppler FFTs,
+      // CFAR, angles) through the shard's reusable workspace, then feed
+      // the extracted point cloud into the fusion window exactly like a
+      // point-cloud frame.  A cube frame on a shard with no processor is
+      // a wiring bug — serving poses computed from an empty cloud would
+      // be indistinguishable from a valid frame.
+      const fuse::radar::PointCloud* cloud = &frame->cloud;
+      if (frame->cube != nullptr) {
+        if (cfg_.processor == nullptr)
+          throw std::logic_error(
+              "Shard: cube frame collected but no radar::Processor was "
+              "configured");
+        const double t_dsp = detail ? mono_seconds() : 0.0;
+        cfg_.processor->process(*frame->cube, frame_ws_, cube_frame_);
+        if (detail)
+          rec.telem.record(Stage::kDspCube, mono_seconds() - t_dsp);
+        cloud = &cube_frame_.cloud;
+      }
+      // Input guard: a NaN/Inf frame is rejected BEFORE it can enter the
+      // fusion window (where it would poison up to window_frames
+      // downstream predictions).  Repeated offenders are quarantined.
+      if (!cloud_finite(*cloud)) {
+        if (s->note_non_finite_frame() && s->adapted_model() != nullptr)
+          drop_clone(*s);
+        continue;
+      }
+      // Featurize once, straight into this frame's batch row.
+      const double t_feat = detail ? mono_seconds() : 0.0;
+      s->advance_window(*cloud, predictor_->window_frames());
+      window_ptrs_.clear();
+      for (const auto& c : s->window()) window_ptrs_.push_back(&c);
+      rows.resize(rows.size() + kRowFloats);
+      float* row = rows.data() + rows.size() - kRowFloats;
+      predictor_->featurize_window(window_ptrs_.data(), window_ptrs_.size(),
+                                   row, feat_scratch_);
+      if (detail)
+        rec.telem.record(Stage::kFeaturize, mono_seconds() - t_feat);
+      // Ground-truth labels feed the per-user adaptation buffer; the
+      // sample x is exactly what inference sees (the fused window).  A
+      // non-finite label is rejected the same way as a non-finite frame —
+      // one bad label must never corrupt a per-user clone — and
+      // quarantined sessions buffer nothing (adaptation is disabled).
+      if (frame->label && s->config().adapt.enabled && !quarantined) {
+        if (!pose_finite(*frame->label)) {
+          if (s->note_non_finite_label() && s->adapted_model() != nullptr)
+            drop_clone(*s);
+        } else {
+          const auto y =
+              predictor_->featurizer().normalize_pose(*frame->label);
+          s->buffer_labeled({row, kRowFloats}, y);
+        }
+      }
+      collected_.push_back(
+          {s, frame->seq, frame->epoch, frame->t_enqueue, nullptr});
+    }
+  }
+}
+
+void Shard::infer_batch(const fuse::nn::Module& model,
+                        const fuse::tensor::Tensor& x, PassRecord& rec) {
+  const double t_infer = cfg_.detailed_stats ? mono_seconds() : 0.0;
+  const auto poses = predictor_->predict(model, x);
+  const double now = mono_seconds();
+  if (cfg_.detailed_stats) rec.telem.record(Stage::kInfer, now - t_infer);
+  std::size_t i = 0;
+  for (const Collected& c : collected_) {
+    if (c.model != &model) continue;
+    Session& s = *c.session;
+    // A frame popped just before its session was recycled must not touch
+    // the new subject's tracker (its result is discarded anyway).
+    const bool stale = c.epoch != s.current_epoch();
+    PoseResult r;
+    r.seq = c.seq;
+    r.raw = poses[i];
+    r.tracked = (s.config().tracking && !stale) ? s.tracker().update(poses[i])
+                                                : poses[i];
+    r.latency_s = now - c.t_enqueue;
+    r.t_ready = now;
+    r.adapted_model = &model != shared_model_;
+    rec.latency.record(r.latency_s);
+    s.push_result(std::move(r), c.epoch);
+    ++i;
+  }
+  ++rec.batches;
+  rec.batched_frames += poses.size();
+}
+
+bool Shard::maybe_adapt(Session& s) {
+  const AdaptConfig& cfg = s.config().adapt;
+  if (!cfg.enabled) return false;
+  // Rung 1 — adaptation rounds are the most expensive optional work in a
+  // pass; under overload they pause (the buffer keeps filling, so rounds
+  // resume with fresh data once pressure clears).
+  if (detector_.level() >= OverloadLevel::kPauseAdapt) return false;
+  if (s.quarantined()) return false;
+  const auto& buffer = s.adapt_buffer();
+  if (buffer.size() < cfg.min_samples) return false;
+  // An evicted clone must come back BEFORE the first-round check below:
+  // cloning the shared model for a session whose adapted clone sits on
+  // disk would silently discard the user's adaptation (and the
+  // round-cadence gate must see the true adapted state).
+  clone_store_.ensure_resident(s);
+  if (s.fresh_labeled() < cfg.round_every && s.adapted_model() != nullptr)
+    return false;
+
+  // First round: clone the shared meta-initialization for this user.
+  if (s.adapted_model() == nullptr) s.adapted_slot() = shared_model_->clone();
+
+  fuse::tensor::Tensor x = predictor_->alloc_batch(buffer.size());
+  fuse::tensor::Tensor y({buffer.size(), fuse::human::kNumCoords});
+  for (std::size_t i = 0; i < buffer.size(); ++i) {
+    std::memcpy(x.data() + i * kRowFloats, buffer[i].x.data(),
+                kRowFloats * sizeof(float));
+    std::memcpy(y.data() + i * fuse::human::kNumCoords, buffer[i].y.data(),
+                fuse::human::kNumCoords * sizeof(float));
+  }
+  float loss = 0.0f;
+  for (std::size_t step = 0; step < cfg.steps_per_round; ++step)
+    loss = fuse::core::sgd_step(*s.adapted_slot(), x, y, cfg.lr,
+                                cfg.grad_clip);
+  // A non-finite loss means the clone's parameters are compromised (every
+  // buffered sample was finite, so this is numeric blow-up, not input
+  // corruption): quarantine the session and discard the clone AND its
+  // checkpoint — a poisoned delta must never survive to a warm restart.
+  if (!std::isfinite(loss)) {
+    s.note_adapt_failed();
+    drop_clone(s);
+    return false;
+  }
+  s.note_adapt_round(loss);
+  // The round moved the clone past its last checkpoint: register it with
+  // the store (first round) and mark the on-disk delta stale.
+  clone_store_.note_adapted(s);
+  return true;
 }
 
 std::size_t Shard::drain() {

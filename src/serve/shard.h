@@ -2,13 +2,30 @@
 // Shard — one scheduler shard of the serving plane (internal engine
 // behind serve::Server; not part of the public API).
 //
-// A shard is exactly the pre-shard single-thread serving runtime: it owns
-// its slice of the session map, one Scheduler (and therefore one private
-// FrameWorkspace / featurize scratch), one clone-store instance, one
-// OverloadDetector, and — in threaded mode — one scheduler thread with
-// its own wake condition variable.  serve::Server places sessions across
-// N of these (home hash + migration overrides); with N == 1 the engine is
+// A shard owns its slice of the session map, one private FrameWorkspace
+// and featurize scratch, one clone-store instance, one OverloadDetector,
+// and — in threaded mode — one scheduler thread with its own wake
+// condition variable.  serve::Server places sessions across N of these
+// (home hash + migration overrides); with N == 1 the engine is
 // bit-compatible with the pre-shard scheduler (the equivalence oracle).
+//
+// A pass (run_once) is the micro-batcher (DESIGN.md §2):
+//  * collect — pop at most one frame per session, round-robin, repeated
+//    until `max_batch` frames are gathered or every queue is empty, so
+//    deep queues cannot starve their neighbours.  Each frame runs the DSP
+//    front-end (raw cubes), slides its session's fusion window and is
+//    featurized once, in its session's FIFO order, into the pass's
+//    contiguous batch rows;
+//  * infer — frames batch by model: the shared model's frames across
+//    sessions, an adapted clone's frames on their own.  A pass on one
+//    model (the common case) hands its rows to Module::infer as they
+//    are; a mixed pass gathers each model's rows;
+//  * fan out — each pose goes through its session's tracker to its
+//    result queue;
+//  * adapt — at most one online-adaptation round per eligible session
+//    (core::sgd_step on its clone), then the clone store's LRU budget.
+// Outputs are bit-identical to the batch-1 single-session path however
+// frames interleave across sessions.
 //
 // Execution: run_once() is the one per-pass path in both serving modes.
 // It holds an InlineScope (util/thread_pool.h) for the whole pass, so
@@ -34,9 +51,9 @@
 
 #include "core/predictor.h"
 #include "nn/module.h"
+#include "radar/processing.h"
 #include "serve/clone_store/clone_store.h"
 #include "serve/overload.h"
-#include "serve/scheduler.h"
 #include "serve/server.h"
 #include "serve/session.h"
 #include "serve/stats.h"
@@ -157,6 +174,46 @@ class Shard {
   /// thread; no-op in synchronous mode.
   void wake_scheduler();
 
+  // ------------------------------------------------------------- the pass --
+  /// One pass's counters and telemetry.  The pass records into it
+  /// lock-free; run_once merges it into the cumulative stats under
+  /// stats_mu_ once, at the end (telemetry.h).  `latency` (submit ->
+  /// result) is always recorded, `telem` only with detailed stats.
+  struct PassRecord {
+    std::uint64_t batches = 0;         ///< batched forward passes run
+    std::uint64_t batched_frames = 0;  ///< frames served through them
+    LatencyHistogram latency;
+    StageStats telem;
+  };
+  /// One frame collected by the current pass; its features are row i of
+  /// the pass's batch rows, where i is its index in collected_.
+  struct Collected {
+    Session* session;
+    std::uint64_t seq;
+    std::uint64_t epoch;  ///< recycle epoch at enqueue
+    double t_enqueue;
+    /// The model that serves it, resolved once collection has ended.
+    const fuse::nn::Module* model = nullptr;
+  };
+  /// collect -> infer -> fan out -> adapt over `sessions` (pending
+  /// recycles are applied as their sessions are popped).  Returns the
+  /// frames served.
+  std::size_t serve_pass(const std::vector<Session*>& sessions,
+                         PassRecord& rec);
+  /// Fills collected_ and `rows` (one featurized frame per entry).
+  void collect(const std::vector<Session*>& sessions,
+               std::vector<float>& rows, PassRecord& rec);
+  /// Runs `x` (the rows of every collected frame whose model is `model`,
+  /// in collection order) through `model` and delivers the poses.
+  void infer_batch(const fuse::nn::Module& model,
+                   const fuse::tensor::Tensor& x, PassRecord& rec);
+  /// Runs one adaptation round on the session's clone if it is due;
+  /// returns whether a round actually ran (for stage timing).
+  bool maybe_adapt(Session& s);
+  /// Quarantine teardown: the session's clone, its buffered labels and
+  /// its checkpoint go; it serves the shared meta-init from here on.
+  void drop_clone(Session& s);
+
   const fuse::core::Predictor* predictor_;
   const fuse::nn::Module* shared_model_;
   ServeConfig cfg_;  ///< server config with this shard's clone-store dir
@@ -172,9 +229,9 @@ class Shard {
   /// that pops every session, so idle passes can skip the sweep.
   std::atomic<bool> recycle_pending_{false};
   CloneStore clone_store_;
-  Scheduler scheduler_;
   /// Scheduling-thread only (fed by run_once); level/transitions are
-  /// mirrored into the atomics below for any-thread stats readers.
+  /// mirrored into the atomics below for any-thread stats readers.  The
+  /// rung it arms at the end of a pass governs the next pass.
   OverloadDetector detector_;
   std::atomic<int> overload_level_{0};
   std::atomic<std::uint64_t> overload_transitions_{0};
@@ -204,6 +261,15 @@ class Shard {
   std::atomic<bool> running_{false};
   bool stop_requested_ = false;  ///< guarded by wake_mu_
   bool work_pending_ = false;    ///< guarded by wake_mu_; set by producers
+
+  // Pass scratch (run_once is never concurrent with itself), reused
+  // across passes: a steady tick's only allocation is its batch rows.
+  fuse::radar::FrameWorkspace frame_ws_;
+  fuse::radar::ProcessedFrame cube_frame_;
+  fuse::core::PredictScratch feat_scratch_;
+  std::vector<const fuse::radar::PointCloud*> window_ptrs_;
+  std::vector<Collected> collected_;
+  std::vector<const fuse::nn::Module*> models_;  ///< a pass's distinct models
 };
 
 }  // namespace fuse::serve

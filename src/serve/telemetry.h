@@ -9,9 +9,9 @@
 // computed at read time in ServeStats snapshots — zero cost when nothing
 // is recorded.
 //
-// Locking contract: each shard's scheduler records into a PASS-LOCAL
-// StageStats inside run_once (one scheduler thread per shard, no locks),
-// which the shard merges into its cumulative StageStats under its stats
+// Locking contract: each shard pass records into a PASS-LOCAL
+// StageStats inside Shard::run_once (one pass at a time per shard, no
+// locks), which the shard merges into its cumulative StageStats under its stats
 // mutex once per pass.  Readers take the same mutex, so a snapshot is
 // always pass-consistent: it never observes half of a pass.  Server's
 // merged stats() folds the per-shard cumulative telemetries together at

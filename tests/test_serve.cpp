@@ -580,6 +580,40 @@ TEST(Serve, MixedModelPassMatchesBatchOnePredict) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Serve, QuarantineClearsBufferedLabelCount) {
+  // Dropping a quarantined session's adaptation empties its label buffer,
+  // and the stats say so.
+  auto& pl = world();
+  ServeConfig cfg;
+  cfg.session.quarantine_after = 2;
+  cfg.session.adapt.enabled = true;
+  cfg.session.adapt.min_samples = 10;
+  Server server(&pl.predictor(), &pl.model(), cfg);
+  const auto id = server.open_session();
+
+  const auto& ds = world().dataset();
+  const auto [start, len] = ds.sequences.at(5);
+  ASSERT_GE(len, 10u);
+  for (std::size_t i = 0; i < 10; ++i) {
+    const auto& f = ds.frames[start + i];
+    ASSERT_TRUE(accepted(server.submit_frame(id, f.cloud, &f.label)));
+  }
+  server.drain();
+  auto row = server.stats().per_session.at(0);
+  ASSERT_EQ(row.adapt_rounds, 1u);
+  ASSERT_EQ(row.adapt_buffered, 10u);
+
+  PointCloud bad = ds.frames[start].cloud;
+  ASSERT_FALSE(bad.points.empty());
+  bad.points[0].y = std::numeric_limits<float>::quiet_NaN();
+  ASSERT_TRUE(accepted(server.submit_frame(id, bad)));
+  ASSERT_TRUE(accepted(server.submit_frame(id, bad)));
+  server.drain();
+  row = server.stats().per_session.at(0);
+  EXPECT_TRUE(row.quarantined);
+  EXPECT_EQ(row.adapt_buffered, 0u);
+}
+
 // -------------------------------------------------------------- telemetry --
 
 TEST(Serve, LatencyHistogramQuantiles) {
