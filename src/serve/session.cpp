@@ -89,15 +89,7 @@ void Session::push_result(PoseResult r, std::uint64_t epoch) {
 
 void Session::buffer_labeled(std::span<const float> x,
                              std::span<const float> y) {
-  LabeledSample s;
-  if (!adapt_buffer_.empty() &&
-      adapt_buffer_.size() >= cfg_.adapt.buffer_capacity) {
-    s = std::move(adapt_buffer_.front());
-    adapt_buffer_.pop_front();
-  }
-  s.x.assign(x.begin(), x.end());
-  s.y.assign(y.begin(), y.end());
-  adapt_buffer_.push_back(std::move(s));
+  adapt_buffer_.push_back({{x.begin(), x.end()}, {y.begin(), y.end()}});
   while (adapt_buffer_.size() > cfg_.adapt.buffer_capacity)
     adapt_buffer_.pop_front();
   ++fresh_labeled_;

@@ -167,9 +167,8 @@ class Session {
   const std::deque<LabeledSample>& adapt_buffer() const {
     return adapt_buffer_;
   }
-  /// Appends one labeled sample; once the ring is full, the sample it
-  /// evicts lends its storage, so a steady labeled stream allocates
-  /// nothing.
+  /// Appends a copy of one labeled sample, evicting the oldest once the
+  /// buffer holds `buffer_capacity` samples.
   void buffer_labeled(std::span<const float> x, std::span<const float> y);
 
   /// Labeled samples buffered since the last adaptation round (gates the

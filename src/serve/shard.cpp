@@ -177,7 +177,7 @@ std::vector<PoseResult> Shard::poll_results(SessionId id) {
   auto out = s->take_results();
   // Result-poll stage: how long finished results sat waiting for the
   // consumer.  Recorded here (consumer thread) under the stats lock — the
-  // same merge point the scheduler's pass-local telemetry goes through.
+  // same merge point a pass's pass-local telemetry goes through.
   if (cfg_.detailed_stats && !out.empty()) {
     const double now = mono_seconds();
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -282,8 +282,7 @@ std::size_t Shard::serve_pass(const std::vector<Session*>& sessions,
   // forgets queued by close_session, so a closed session's checkpoint is
   // gone before anything below could resolve its id.
   clone_store_.begin_pass();
-  std::vector<float> rows;
-  collect(sessions, rows, rec);
+  collect(sessions, rec);
   const std::size_t n = collected_.size();
   if (n == 0) return 0;
 
@@ -299,28 +298,20 @@ std::size_t Shard::serve_pass(const std::vector<Session*>& sessions,
     if (std::find(models_.begin(), models_.end(), c.model) == models_.end())
       models_.push_back(c.model);
   }
-  if (models_.size() == 1) {
-    // One model: the rows are the batch, as collected.
-    infer_batch(*models_.front(),
-                fuse::tensor::Tensor({n, fuse::data::kChannelsPerFrame,
-                                      fuse::data::kGridH, fuse::data::kGridW},
-                                     std::move(rows)),
-                rec);
-  } else {
-    for (const fuse::nn::Module* model : models_) {
-      const auto rows_of = static_cast<std::size_t>(std::count_if(
-          collected_.begin(), collected_.end(),
-          [&](const Collected& c) { return c.model == model; }));
-      fuse::tensor::Tensor x = predictor_->alloc_batch(rows_of);
-      float* dst = x.data();
-      for (std::size_t i = 0; i < n; ++i) {
-        if (collected_[i].model != model) continue;
-        std::memcpy(dst, rows.data() + i * kRowFloats,
-                    kRowFloats * sizeof(float));
-        dst += kRowFloats;
-      }
-      infer_batch(*model, x, rec);
+  // Each model's batch gathers its frames' rows in collection order.
+  for (const fuse::nn::Module* model : models_) {
+    const auto rows_of = static_cast<std::size_t>(std::count_if(
+        collected_.begin(), collected_.end(),
+        [&](const Collected& c) { return c.model == model; }));
+    fuse::tensor::Tensor x = predictor_->alloc_batch(rows_of);
+    float* dst = x.data();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (collected_[i].model != model) continue;
+      std::memcpy(dst, rows_.data() + i * kRowFloats,
+                  kRowFloats * sizeof(float));
+      dst += kRowFloats;
     }
+    infer_batch(*model, x, rec);
   }
 
   // Online adaptation: at most one round per session per pass.
@@ -336,16 +327,14 @@ std::size_t Shard::serve_pass(const std::vector<Session*>& sessions,
 }
 
 void Shard::collect(const std::vector<Session*>& sessions,
-                    std::vector<float>& rows, PassRecord& rec) {
+                    PassRecord& rec) {
   // Per-stage recording is a single predictable branch per site when it
   // is disabled — the stats-idle zero-cost contract.
   const bool detail = cfg_.detailed_stats;
   const OverloadLevel level = detector_.level();
   const std::size_t max_batch = cfg_.max_batch;
   collected_.clear();
-  rows.reserve(
-      std::min(max_batch, shard_in_flight_.load(std::memory_order_relaxed)) *
-      kRowFloats);
+  rows_.clear();
   // At most one frame per session per sweep, until the batch is full or
   // every queue is empty.  The window slides and the frame is featurized
   // immediately, in the session's FIFO order.
@@ -432,8 +421,8 @@ void Shard::collect(const std::vector<Session*>& sessions,
       s->advance_window(*cloud, predictor_->window_frames());
       window_ptrs_.clear();
       for (const auto& c : s->window()) window_ptrs_.push_back(&c);
-      rows.resize(rows.size() + kRowFloats);
-      float* row = rows.data() + rows.size() - kRowFloats;
+      rows_.resize(rows_.size() + kRowFloats);
+      float* row = rows_.data() + rows_.size() - kRowFloats;
       predictor_->featurize_window(window_ptrs_.data(), window_ptrs_.size(),
                                    row, feat_scratch_);
       if (detail)

@@ -17,9 +17,8 @@
 //    featurized once, in its session's FIFO order, into the pass's
 //    contiguous batch rows;
 //  * infer — frames batch by model: the shared model's frames across
-//    sessions, an adapted clone's frames on their own.  A pass on one
-//    model (the common case) hands its rows to Module::infer as they
-//    are; a mixed pass gathers each model's rows;
+//    sessions, an adapted clone's frames on their own.  Each model's
+//    batch gathers its frames' rows in collection order;
 //  * fan out — each pose goes through its session's tracker to its
 //    result queue;
 //  * adapt — at most one online-adaptation round per eligible session
@@ -186,7 +185,7 @@ class Shard {
     StageStats telem;
   };
   /// One frame collected by the current pass; its features are row i of
-  /// the pass's batch rows, where i is its index in collected_.
+  /// rows_, where i is its index in collected_.
   struct Collected {
     Session* session;
     std::uint64_t seq;
@@ -200,9 +199,8 @@ class Shard {
   /// frames served.
   std::size_t serve_pass(const std::vector<Session*>& sessions,
                          PassRecord& rec);
-  /// Fills collected_ and `rows` (one featurized frame per entry).
-  void collect(const std::vector<Session*>& sessions,
-               std::vector<float>& rows, PassRecord& rec);
+  /// Fills collected_ and rows_ (one featurized frame per entry).
+  void collect(const std::vector<Session*>& sessions, PassRecord& rec);
   /// Runs `x` (the rows of every collected frame whose model is `model`,
   /// in collection order) through `model` and delivers the poses.
   void infer_batch(const fuse::nn::Module& model,
@@ -263,12 +261,13 @@ class Shard {
   bool work_pending_ = false;    ///< guarded by wake_mu_; set by producers
 
   // Pass scratch (run_once is never concurrent with itself), reused
-  // across passes: a steady tick's only allocation is its batch rows.
+  // across passes.
   fuse::radar::FrameWorkspace frame_ws_;
   fuse::radar::ProcessedFrame cube_frame_;
   fuse::core::PredictScratch feat_scratch_;
   std::vector<const fuse::radar::PointCloud*> window_ptrs_;
   std::vector<Collected> collected_;
+  std::vector<float> rows_;  ///< featurized rows of collected_, in order
   std::vector<const fuse::nn::Module*> models_;  ///< a pass's distinct models
 };
 
