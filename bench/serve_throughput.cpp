@@ -242,6 +242,7 @@ struct CloneCaseRow {
   std::uint64_t evictions = 0;
   std::uint64_t rehydrations = 0;
   double rehydrate_p99_ms = 0.0;
+  std::size_t resident = 0;        ///< resident clones after the run
   std::size_t resident_bytes = 0;  ///< resident clone RAM after the run
   std::size_t disk_bytes = 0;      ///< delta checkpoints on disk
 };
@@ -305,6 +306,7 @@ CloneCaseRow run_clone_case(
   row.fps = static_cast<double>(n_frames * streams.size()) / secs;
   row.evictions = stats.clone_store.evictions;
   row.rehydrations = stats.clone_store.rehydrations;
+  row.resident = stats.clone_store.resident;
   row.resident_bytes = stats.clone_store.resident_bytes;
   row.disk_bytes = stats.clone_store.disk_bytes;
   for (const auto& st : stats.stages)
@@ -332,7 +334,11 @@ CloneSweep run_clone_sweep(fuse::core::FusePipeline& pl,
                                 std::size_t{2}})
     sweep.rows.push_back(
         run_clone_case(pl, streams, cap, out_dir + "/clone_store_bench"));
-  sweep.bytes_per_clone = pl.model().num_params() * 2 * sizeof(float);
+  // What one resident clone costs, as the server's clone store accounts
+  // it (the full-resident case keeps every clone in RAM).
+  const CloneCaseRow& full = sweep.rows.front();
+  if (full.resident > 0)
+    sweep.bytes_per_clone = full.resident_bytes / full.resident;
   return sweep;
 }
 

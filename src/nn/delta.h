@@ -1,12 +1,12 @@
 #pragma once
 // Parameter-delta checkpoints: a per-user adapted model serialized as its
-// difference against the shared meta-initialization.
+// difference against a shared base.
 //
-// The serving runtime clones the meta-init once per adapting user and
-// fine-tunes the clone online (serve::Shard::maybe_adapt).  Keeping a
-// full fp32 clone resident per user is ~8 bytes/parameter (params + grads)
-// and dies at thousands of users; a delta checkpoint is what the clone
-// store (serve/clone_store) evicts to disk and rehydrates from.
+// The serving runtime clones the shared model's head (its last layer) once
+// per adapting user and fine-tunes the clone online
+// (serve::Shard::maybe_adapt); the clone store (serve/clone_store) evicts
+// such clones to disk as deltas against the shared head and rehydrates
+// them from there.
 //
 // One encoding: a BIT-EXACT fp32 round trip.  The delta records the raw
 // adapted bit patterns at the indices whose bits differ from the base;
@@ -14,9 +14,9 @@
 // arithmetic is involved (storing a - b and re-adding b is NOT bit-exact
 // in IEEE arithmetic), so rehydrate(base, extract(adapted)) reproduces
 // `adapted` exactly.  Each tensor is stored sparse or dense by its
-// content: where at least half the entries changed (e.g. full-network
-// SGD) a dense raw dump is smaller, still bit-exact, and never larger
-// than ~1.0x the fp32 tensor.
+// content: where at least half the entries changed (an SGD-adapted head
+// changes nearly all of them) a dense raw dump is smaller, still
+// bit-exact, and never larger than ~1.0x the fp32 tensor.
 //
 // The on-disk format is architecture-tagged like Module::save and carries
 // the same payload length + FNV-1a checksum footer, so a truncated or

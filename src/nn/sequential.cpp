@@ -42,12 +42,19 @@ Tensor Sequential::backward(const Tensor& dy) {
 }
 
 Tensor Sequential::do_infer(const Tensor& x) const {
-  if (children_.empty()) return x;
+  return infer_children(0, children_.size(), x);
+}
+
+Tensor Sequential::infer_children(std::size_t begin, std::size_t end,
+                                  const Tensor& x) const {
+  if (begin > end || end > children_.size())
+    throw std::out_of_range("Sequential::infer_children: bad child range");
+  if (begin == end) return x;
   // The first child reads the caller's tensor directly; afterwards the
   // activation is ours, so stateless elementwise/shape children mutate it
   // in place (no allocation) via the in-place hook.
-  Tensor h = children_.front()->do_infer(x);
-  for (std::size_t i = 1; i < children_.size(); ++i) {
+  Tensor h = children_[begin]->do_infer(x);
+  for (std::size_t i = begin + 1; i < end; ++i) {
     if (!children_[i]->do_infer_inplace(h))
       h = children_[i]->do_infer(h);
   }

@@ -55,7 +55,10 @@ class Sequential : public Module {
   }
   std::string arch_name() const override { return arch_name_; }
 
-  void set_arch_name(std::string name) { arch_name_ = std::move(name); }
+  /// infer() through children [begin, end) only (the serving trunk is
+  /// every child but the last); infer() is the whole range.
+  Tensor infer_children(std::size_t begin, std::size_t end,
+                        const Tensor& x) const;
 
  protected:
   Tensor do_infer(const Tensor& x) const override;

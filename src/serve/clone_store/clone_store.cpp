@@ -21,7 +21,7 @@ void CloneStore::configure(CloneStoreConfig cfg, const fuse::nn::Module* base) {
   base_ = base;
   enabled_ = !cfg_.dir.empty();
   // Resident accounting: a clone deep-copies params AND grads (Module::
-  // clone), so one adapting user pins ~8 bytes per parameter.
+  // clone), so one adapting user pins 8 bytes per head parameter.
   clone_bytes_ = base_->num_params() * 2 * sizeof(float);
   if (enabled_) fs::create_directories(cfg_.dir);
 }
@@ -40,7 +40,7 @@ void CloneStore::begin_pass() {
 bool CloneStore::ensure_resident(Session& s) {
   if (!enabled_) return false;
   const auto it = entries_.find(s.id());
-  if (it == entries_.end()) return false;  // no clone tracked: shared model
+  if (it == entries_.end()) return false;  // no clone tracked: shared head
   Entry& e = it->second;
   e.last_used = clock_;
   if (e.resident) {
@@ -55,10 +55,10 @@ bool CloneStore::ensure_resident(Session& s) {
   } catch (const std::exception& ex) {
     // A corrupt or unreadable checkpoint must not kill the scheduler
     // thread: drop the entry (and the bad file) and serve this user from
-    // the shared meta-init — degraded, but alive and correct.
+    // the shared head — degraded, but alive and correct.
     rehydrate_failures_.fetch_add(1, std::memory_order_relaxed);
     FUSE_LOG_WARN("clone_store: rehydration of session %zu failed (%s); "
-                  "serving shared model",
+                  "serving shared head",
                   s.id(), ex.what());
     forget(s.id());
     return false;
@@ -120,7 +120,7 @@ bool CloneStore::forgets_pending() {
 }
 
 void CloneStore::checkpoint(Session& s, Entry& e) {
-  const auto delta = fuse::nn::extract_delta(*s.adapted_model(), *base_);
+  const auto delta = fuse::nn::extract_delta(*s.adapted_head(), *base_);
   const std::string path = layout::clone_path(cfg_.dir, s.id());
   delta.save_file(path);
   if (e.on_disk) disk_bytes_.fetch_sub(e.file_bytes, std::memory_order_relaxed);
@@ -129,12 +129,6 @@ void CloneStore::checkpoint(Session& s, Entry& e) {
   e.stale = false;
   disk_bytes_.fetch_add(e.file_bytes, std::memory_order_relaxed);
   checkpoint_writes_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::size_t CloneStore::resident_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, e] : entries_) n += e.resident ? 1 : 0;
-  return n;
 }
 
 std::size_t CloneStore::enforce_budget(
@@ -151,7 +145,7 @@ std::size_t CloneStore::enforce_budget(
   // once, so the loop always terminates even with 100% write faults).
   std::set<SessionId> unpersistable;
   for (;;) {
-    const std::size_t n = resident_count();
+    const std::size_t n = resident_.load(std::memory_order_relaxed);
     if (n <= cfg_.max_resident_clones) break;
     // LRU victim: the resident clone with the oldest touch (ties break on
     // the lower session id, for determinism).  Entries whose session is

@@ -1,27 +1,28 @@
 #pragma once
-// CloneStore — the lifecycle manager for per-user adapted model clones.
+// CloneStore — the lifecycle manager for per-user adapted heads.
 //
 // Online adaptation (Shard::maybe_adapt) gives every adapting session a
-// private fp32 clone of the shared meta-initialization: ~8 bytes per
-// parameter (params + grads) of resident RAM per user, which caps a server
-// at a few hundred adapting users.  The clone store breaks that cap:
+// private fp32 clone of the shared head (the shared model's last layer):
+// params + grads, 0.23 MB per user for the MARS CNN's fc2.  The store
+// bounds that RAM further:
 //
 //  * delta checkpointing — an idle clone is serialized as its difference
-//    against the shared meta-init (nn::ParamDelta: bit-exact fp32, sparse
-//    or dense per tensor) to its checkpoint file
+//    against the shared head (nn::ParamDelta: bit-exact fp32, sparse or
+//    dense per tensor) to its checkpoint file
 //    (serve/clone_store/layout.h), then the in-RAM clone is dropped;
 //  * LRU eviction — when resident clones exceed
 //    CloneStoreConfig::max_resident_clones, the least recently used
 //    sessions' clones are checkpointed and evicted at the end of the
-//    scheduler pass (every clone costs the same bytes_per_clone(), so the
-//    count cap is the RAM cap);
+//    scheduler pass (every clone costs the same bytes, so the count cap
+//    is the RAM cap);
 //  * transparent rehydration — before a session's frame is batched (and
 //    before an adaptation round), an evicted clone is rebuilt as
-//    meta-init + delta.  The rehydrated clone is bit-exact, so eviction is
+//    shared head + delta.  The rehydrated clone is bit-exact, so eviction is
 //    invisible to pose outputs;
 //  * warm restart — persist() checkpoints every live clone plus a manifest;
 //    restore() re-registers them so a freshly constructed server resumes
-//    every user's adapted model from disk.
+//    every user's adapted head from disk (a full-model checkpoint written
+//    before heads fails the arch check and is skipped).
 //
 // Thread contract (mirrors Session's scheduler side): every mutating method
 // runs on the scheduler thread only — except request_forget(), which any
@@ -30,7 +31,7 @@
 // relaxed atomics, readable from any thread at any time.
 //
 // A disabled store (empty dir) tracks nothing: every pass-side method is
-// a no-op, so callers never check enabled() first.
+// a no-op, so callers never check for it first.
 
 #include <atomic>
 #include <cstddef>
@@ -53,7 +54,7 @@ struct CloneStoreConfig {
   std::string dir;
   /// Resident-clone cap; 0 = unlimited (clones still checkpoint on
   /// persist(), but nothing is evicted mid-serve).  Resident RAM is
-  /// max_resident_clones * bytes_per_clone().
+  /// max_resident_clones * the shared head's params + grads bytes.
   std::size_t max_resident_clones = 0;
 };
 
@@ -63,29 +64,23 @@ class CloneStore {
   CloneStore(const CloneStore&) = delete;
   CloneStore& operator=(const CloneStore&) = delete;
 
-  /// Binds the store to its checkpoint directory and the shared meta-init
+  /// Binds the store to its checkpoint directory and the shared head
   /// (borrowed; must outlive the store).  Creates cfg.dir.  Call once,
   /// before serving starts.
   void configure(CloneStoreConfig cfg, const fuse::nn::Module* base);
-
-  bool enabled() const { return enabled_; }
-  const CloneStoreConfig& config() const { return cfg_; }
-
-  /// Resident params+grads RAM of one clone (the eviction accounting unit).
-  std::size_t bytes_per_clone() const { return clone_bytes_; }
 
   // ------------------------------------------------- scheduler-side pass --
   /// Starts a pass: advances the LRU clock and drains pending forgets.
   void begin_pass();
 
   /// Makes the session's adapted clone resident if the store holds an
-  /// evicted checkpoint for it: rebuilds meta-init + delta into the
+  /// evicted checkpoint for it: rebuilds shared head + delta into the
   /// session's adapted slot.  Also the LRU touch and the hit/miss counter
   /// site for sessions with a tracked clone.  Returns true iff a
   /// rehydration actually ran (the caller's Stage::kRehydrate timing
   /// gate).  A corrupt/unreadable checkpoint never propagates: the entry
   /// is dropped (rehydrate_failures counter), the session falls back to
-  /// the shared model, and serving continues.
+  /// the shared head, and serving continues.
   bool ensure_resident(Session& s);
 
   /// Records that an adaptation round ran on the session's (now resident)
@@ -151,8 +146,6 @@ class CloneStore {
 
   /// Writes the session's clone delta to disk and updates accounting.
   void checkpoint(Session& s, Entry& e);
-  /// Resident-clone RAM and count over the entry map.
-  std::size_t resident_count() const;
 
   CloneStoreConfig cfg_;
   const fuse::nn::Module* base_ = nullptr;

@@ -75,8 +75,6 @@ class OverloadDetector {
   OverloadDetector() = default;
   explicit OverloadDetector(OverloadConfig cfg) : cfg_(cfg) {}
 
-  const OverloadConfig& config() const { return cfg_; }
-
   /// Feeds one scheduler pass's measurements; returns the level the NEXT
   /// pass should run at.
   OverloadLevel update(std::size_t total_queue_depth, double tick_seconds);

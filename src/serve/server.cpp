@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "nn/delta.h"
+#include "nn/sequential.h"
 #include "serve/clone_store/layout.h"
 #include "serve/shard.h"
 #include "serve/telemetry.h"
@@ -53,6 +54,16 @@ void validate_session_config(const SessionConfig& cfg) {
   }
 }
 
+const fuse::nn::Module& shared_head(const fuse::nn::Module& model) {
+  const auto* seq = dynamic_cast<const fuse::nn::Sequential*>(&model);
+  if (seq == nullptr || seq->size() == 0 ||
+      seq->child(seq->size() - 1).num_params() == 0)
+    throw std::invalid_argument(
+        "serve: the shared model must be an nn::Sequential whose last "
+        "child (the per-user head) has parameters");
+  return seq->child(seq->size() - 1);
+}
+
 void ServeConfig::validate() const {
   if (max_sessions == 0)
     throw std::invalid_argument("ServeConfig: max_sessions must be >= 1");
@@ -69,18 +80,18 @@ void ServeConfig::validate() const {
 
 Server::Server(const fuse::core::Predictor* predictor,
                const fuse::nn::Module* shared_model, ServeConfig cfg)
-    : predictor_(predictor),
-      shared_model_(shared_model),
-      cfg_(std::move(cfg)) {
+    : predictor_(predictor), cfg_(std::move(cfg)) {
   if (!predictor_ || !predictor_->valid())
     throw std::invalid_argument("serve::Server: predictor not fitted");
-  if (!shared_model_)
+  if (!shared_model)
     throw std::invalid_argument("serve::Server: null shared model");
+  shared_head_ = &shared_head(*shared_model);  // checks for a Sequential
   cfg_.validate();
+  const auto& model = static_cast<const fuse::nn::Sequential&>(*shared_model);
   shards_.reserve(cfg_.num_shards);
   for (std::size_t k = 0; k < cfg_.num_shards; ++k)
-    shards_.push_back(std::make_unique<Shard>(predictor_, shared_model_,
-                                              cfg_, k, &in_flight_));
+    shards_.push_back(
+        std::make_unique<Shard>(predictor_, &model, cfg_, k, &in_flight_));
 }
 
 Server::~Server() { stop(); }
@@ -220,22 +231,22 @@ bool Server::execute_migration(SessionId id, std::size_t target_shard) {
   s->begin_migration();
   try {
     frames = s->drain_queue();
-    // An evicted clone must travel with the session: pull it resident
+    // An evicted head must travel with the session: pull it resident
     // before the codec round-trip.
     from.store().ensure_resident(*s);
     if (fuse::util::fault_fire(fuse::util::FaultPoint::kMigrationKill))
       throw std::runtime_error("migration killed mid-move");
-    if (s->adapted_model() != nullptr) {
+    if (s->adapted_head() != nullptr) {
       // Checkpoint through the delta codec — the same format eviction and
       // warm restart use — so the target adopts exactly the state a crash
       // recovery would restore (bit-exact).
       if (fuse::util::fault_fire(fuse::util::FaultPoint::kMigrationOom))
         throw std::bad_alloc();
-      const auto delta = fuse::nn::extract_delta(*s->adapted_model(),
-                                                 *shared_model_);
+      const auto delta =
+          fuse::nn::extract_delta(*s->adapted_head(), *shared_head_);
       if (fuse::util::fault_fire(fuse::util::FaultPoint::kTargetShardCrash))
         throw std::runtime_error("target shard crashed adopting the clone");
-      s->adapted_slot() = fuse::nn::rehydrate_from_delta(*shared_model_,
+      s->adapted_slot() = fuse::nn::rehydrate_from_delta(*shared_head_,
                                                          delta);
     } else if (fuse::util::fault_fire(
                    fuse::util::FaultPoint::kTargetShardCrash)) {
@@ -260,7 +271,7 @@ bool Server::execute_migration(SessionId id, std::size_t target_shard) {
   from.detach_session(id);
   s->rebind_shard_gauge(to.gauge());
   s->requeue(std::move(frames));  // replay the drained backlog, in order
-  if (s->adapted_model() != nullptr) to.store().note_adapted(*s);
+  if (s->adapted_head() != nullptr) to.store().note_adapted(*s);
   s->end_migration();
   from.note_migration_out();
   to.note_migration_in();

@@ -17,7 +17,7 @@
 // the old single-thread engine).
 //
 // Cross-shard migration (PR 10): migrate_session(id, shard) drains the
-// session's queue, round-trips its adapted clone through the delta codec
+// session's queue, round-trips its adapted head through the delta codec
 // (nn/delta.h — the same checkpoint format eviction uses), rebinds the
 // session and its gauges on the target shard and replays the drained
 // frames there.  In both serving modes the move executes inline, under
@@ -52,8 +52,10 @@
 //    call submit_frame/submit_cube from any thread.
 //
 // Model ownership: the server borrows the shared model and only ever
-// calls its const infer() path, so training code may hold the same
+// calls its const inference paths, so training code may hold the same
 // object as long as it does not mutate parameters while the server runs.
+// Its last child is the head a session adapts (shared_head below); the
+// other children are the frozen trunk every session shares.
 
 #include <atomic>
 #include <cstddef>
@@ -127,12 +129,12 @@ struct ServeConfig {
   /// the plain counters are maintained, with zero extra clock reads on
   /// the scheduler hot path (the bench's overhead gate compares the two).
   bool detailed_stats = true;
-  /// Adapted-clone lifecycle (serve/clone_store): set clone_store.dir to
-  /// bound the RAM of per-user adapted clones — idle clones are delta-
-  /// checkpointed against the shared meta-init and evicted LRU under
+  /// Adapted-head lifecycle (serve/clone_store): set clone_store.dir to
+  /// bound the RAM of per-user adapted heads — idle heads are delta-
+  /// checkpointed against the shared head and evicted LRU under
   /// max_resident_clones, then transparently rehydrated (bit-exact) when
   /// their session is next served or adapted.  Empty dir (default) keeps
-  /// every clone resident.  With num_shards > 1 each shard keeps its own
+  /// every head resident.  With num_shards > 1 each shard keeps its own
   /// store instance in its own shard dir (the cap applies per shard); a
   /// warm restart must use the same num_shards the checkpoints were
   /// persisted with — changing the shard count is an offline re-shard
@@ -164,10 +166,15 @@ struct ServeConfig {
 /// session via ServeConfig::validate); throws std::invalid_argument.
 void validate_session_config(const SessionConfig& cfg);
 
+/// The head a session adapts: the last child of `model`, an nn::Sequential
+/// whose last child has parameters (else std::invalid_argument).  Clone
+/// checkpoints and ReshardConfig::base are relative to it.
+const fuse::nn::Module& shared_head(const fuse::nn::Module& model);
+
 class Server {
  public:
   /// `predictor` (fitted) and `shared_model` must outlive the server.
-  /// Validates `cfg` (ServeConfig::validate).
+  /// Validates `cfg` (ServeConfig::validate) and the model (shared_head).
   Server(const fuse::core::Predictor* predictor,
          const fuse::nn::Module* shared_model, ServeConfig cfg = {});
   ~Server();
@@ -185,7 +192,7 @@ class Server {
   std::size_t shard_of(SessionId id) const;
 
   /// Moves the session to `target_shard`: drains its queue, round-trips
-  /// the adapted clone through the delta codec, rebinds session + gauges
+  /// the adapted head through the delta codec, rebinds session + gauges
   /// on the target and replays the drained frames there.  Runs inline in
   /// both serving modes under both shards' pass locks (so it waits for a
   /// pass in progress on either shard); shard_of() reports the target as
@@ -291,7 +298,7 @@ class Server {
   void clear_shard_override(SessionId id);
 
   const fuse::core::Predictor* predictor_;
-  const fuse::nn::Module* shared_model_;
+  const fuse::nn::Module* shared_head_;  ///< shared_head(*shared_model)
   ServeConfig cfg_;
   /// Global admission gauge: queued frames across every shard.  Declared
   /// before shards_ so every Session (which holds a pointer into it and

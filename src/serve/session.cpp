@@ -1,6 +1,7 @@
 #include "serve/session.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace fuse::serve {
 
@@ -67,9 +68,9 @@ std::optional<Session::InFrame> Session::pop(bool* recycled) {
   return f;
 }
 
-void Session::advance_window(const fuse::radar::PointCloud& cloud,
+void Session::advance_window(fuse::radar::PointCloud cloud,
                              std::size_t window_frames) {
-  window_.push_back(cloud);
+  window_.push_back(std::move(cloud));
   while (window_.size() > window_frames) window_.pop_front();
 }
 
@@ -117,12 +118,6 @@ void Session::drop_adaptation() {
 void Session::note_rehydrated() {
   std::lock_guard<std::mutex> lock(mu_);
   has_adapted_ = true;
-}
-
-AdaptState Session::adapt_state() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!cfg_.adapt.enabled || quarantined_) return AdaptState::kShared;
-  return has_adapted_ ? AdaptState::kAdapted : AdaptState::kCollecting;
 }
 
 void Session::request_recycle() {

@@ -1,7 +1,7 @@
 #pragma once
 // One streaming serving session: a bounded input queue with an explicit
 // drop policy on the producer side, and the per-subject streaming state
-// (fusion window, pose tracker, optional per-user fine-tuned model) on the
+// (fusion window, pose tracker, optional per-user fine-tuned head) on the
 // scheduler side.
 //
 // Thread contract: producer-facing methods (enqueue, take_results, the
@@ -40,7 +40,8 @@ enum class DropPolicy {
 
 /// Per-user online adaptation from the meta-initialization (Section 4.3 of
 /// the paper, run incrementally at serving time on therapist-labeled
-/// frames).
+/// frames).  Only the head, the shared model's last layer, adapts: the
+/// last-layer regime of Figure 4 / Table 2.
 struct AdaptConfig {
   bool enabled = false;
   std::size_t min_samples = 16;      ///< labeled frames before round 1
@@ -51,9 +52,9 @@ struct AdaptConfig {
   float grad_clip = 10.0f;
 };
 
-/// Per-session serving settings.  Compute is not one of them: a tick
-/// batches frames by model alone (shared model, or the session's adapted
-/// clone).
+/// Per-session serving settings.  Compute is not one of them: every frame
+/// of a pass shares one trunk batch, then goes through its session's
+/// adapted head or the shared one.
 struct SessionConfig {
   std::size_t queue_capacity = 16;
   DropPolicy drop_policy = DropPolicy::kDropOldest;
@@ -64,7 +65,7 @@ struct SessionConfig {
   /// Quarantine threshold: after this many rejected non-finite inputs
   /// (frames + labels) the session is served from the shared meta-init
   /// with adaptation disabled, so a sensor streaming garbage can never
-  /// poison its per-user clone or the shared micro-batch.  A non-finite
+  /// poison its per-user head or the shared micro-batch.  A non-finite
   /// adaptation loss quarantines immediately.  0 disables quarantine.
   std::size_t quarantine_after = 16;
 };
@@ -77,7 +78,7 @@ struct PoseResult {
   double latency_s = 0.0;     ///< enqueue -> result, seconds
   double t_ready = 0.0;       ///< mono_seconds stamp at result delivery
                               ///< (feeds the result-poll stage telemetry)
-  bool adapted_model = false; ///< predicted by the per-user clone
+  bool adapted_model = false; ///< predicted through the per-user head
 };
 
 class Session {
@@ -143,7 +144,7 @@ class Session {
   std::optional<InFrame> pop(bool* recycled);
 
   /// Slides the fusion window by one frame (bounded at 2M+1 entries).
-  void advance_window(const fuse::radar::PointCloud& cloud,
+  void advance_window(fuse::radar::PointCloud cloud,
                       std::size_t window_frames);
   const std::deque<fuse::radar::PointCloud>& window() const { return window_; }
 
@@ -154,14 +155,14 @@ class Session {
   /// frames of a recycled-away subject are silently discarded.
   void push_result(PoseResult r, std::uint64_t epoch);
 
-  /// The model this session predicts with: its adapted clone once online
-  /// adaptation has run, else nullptr (= use the shared model).
-  const fuse::nn::Module* adapted_model() const { return adapted_.get(); }
+  /// The head this session predicts with: its adapted clone of the shared
+  /// head once online adaptation has run, else nullptr (= the shared head).
+  const fuse::nn::Module* adapted_head() const { return adapted_.get(); }
   std::unique_ptr<fuse::nn::Module>& adapted_slot() { return adapted_; }
 
   /// Labeled-sample ring buffer feeding adaptation rounds.
   struct LabeledSample {
-    std::vector<float> x;  ///< featurized [5*8*8] block
+    std::vector<float> x;  ///< trunk activation (frozen: never stale)
     std::vector<float> y;  ///< normalized [57] label
   };
   const std::deque<LabeledSample>& adapt_buffer() const {
@@ -179,30 +180,28 @@ class Session {
   /// fresh-sample count.
   void note_adapt_round(float loss);
 
-  /// Drops this session's adaptation in one step: the adapted clone, the
+  /// Drops this session's adaptation in one step: the adapted head, the
   /// labeled-sample buffer, the fresh-sample count and their stats
-  /// mirrors.  The session serves the shared model from here on.
+  /// mirrors.  The session serves the shared head from here on.
   void drop_adaptation();
 
-  /// Records that the clone store made this session's adapted clone
-  /// resident again (eviction or warm restart), so adapt_state() reads
+  /// Records that the clone store made this session's adapted head
+  /// resident again (eviction or warm restart), so its stats read
   /// kAdapted even on a freshly restored Session that has never run a
   /// round in this process.
   void note_rehydrated();
 
-  AdaptState adapt_state() const;
-
   /// Recycle for a new subject (any thread): immediately clears the
   /// producer-side state (queue, results, sequence numbers, counters) and
   /// marks the scheduler-side state (fusion window, tracker, adaptation
-  /// buffer, per-user model) for reset, which the scheduler applies at the
+  /// buffer, per-user head) for reset, which the scheduler applies at the
   /// start of its next pass — so recycling never races a running pass.
   /// The session id and configuration survive.  Results of frames already
   /// in flight when recycle is requested are discarded on delivery.
   void request_recycle();
 
   /// Scheduler side: clears the streaming state (fusion window, tracker,
-  /// adaptation buffer, per-user model) after pop() reported a recycle.
+  /// adaptation buffer, per-user head) after pop() reported a recycle.
   void reset_stream_state();
 
   /// Current recycle epoch (stale in-flight frames carry an older one).
@@ -227,7 +226,7 @@ class Session {
   /// A NaN/Inf ground-truth label was rejected; counts toward quarantine.
   bool note_non_finite_label();
   /// An adaptation round produced a non-finite loss: quarantine NOW —
-  /// the clone is compromised and must be discarded by the caller
+  /// the adapted head is compromised and must be discarded by the caller
   /// (drop_adaptation).
   void note_adapt_failed();
   /// Quarantined sessions serve from the shared meta-init with adaptation

@@ -19,10 +19,11 @@
 namespace fuse::serve {
 
 Shard::Shard(const fuse::core::Predictor* predictor,
-             const fuse::nn::Module* shared_model, const ServeConfig& cfg,
+             const fuse::nn::Sequential* shared_model, const ServeConfig& cfg,
              std::size_t index, std::atomic<std::size_t>* global_in_flight)
     : predictor_(predictor),
       shared_model_(shared_model),
+      shared_head_(&shared_model->child(shared_model->size() - 1)),
       cfg_(cfg),
       index_(index),
       global_in_flight_(global_in_flight),
@@ -33,7 +34,7 @@ Shard::Shard(const fuse::core::Predictor* predictor,
   if (!cfg_.clone_store.dir.empty())
     cfg_.clone_store.dir = layout::shard_dir(cfg_.clone_store.dir, index_,
                                              cfg_.num_shards);
-  clone_store_.configure(cfg_.clone_store, shared_model_);
+  clone_store_.configure(cfg_.clone_store, shared_head_);
 }
 
 Shard::~Shard() { stop(); }
@@ -253,7 +254,7 @@ constexpr std::size_t kRowFloats = fuse::data::kChannelsPerFrame *
 
 /// NaN/Inf input guard: one corrupt sample must never reach the fusion
 /// window (where it would poison up to 2M+1 downstream frames) or the
-/// adaptation buffer (where it would corrupt the per-user clone).
+/// adaptation buffer (where it would corrupt the per-user head).
 bool cloud_finite(const fuse::radar::PointCloud& cloud) {
   for (const auto& p : cloud.points)
     if (!std::isfinite(p.x) || !std::isfinite(p.y) || !std::isfinite(p.z) ||
@@ -285,34 +286,7 @@ std::size_t Shard::serve_pass(const std::vector<Session*>& sessions,
   collect(sessions, rec);
   const std::size_t n = collected_.size();
   if (n == 0) return 0;
-
-  // Models are resolved only now: a later frame of this pass may have
-  // quarantined a session and freed its clone (drop_clone), so a model
-  // taken at collection time could dangle.  Frames batch together when
-  // they run the same model — the shared model's across sessions, an
-  // adapted clone's within its session.
-  models_.clear();
-  for (Collected& c : collected_) {
-    const fuse::nn::Module* clone = c.session->adapted_model();
-    c.model = clone != nullptr ? clone : shared_model_;
-    if (std::find(models_.begin(), models_.end(), c.model) == models_.end())
-      models_.push_back(c.model);
-  }
-  // Each model's batch gathers its frames' rows in collection order.
-  for (const fuse::nn::Module* model : models_) {
-    const auto rows_of = static_cast<std::size_t>(std::count_if(
-        collected_.begin(), collected_.end(),
-        [&](const Collected& c) { return c.model == model; }));
-    fuse::tensor::Tensor x = predictor_->alloc_batch(rows_of);
-    float* dst = x.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (collected_[i].model != model) continue;
-      std::memcpy(dst, rows_.data() + i * kRowFloats,
-                  kRowFloats * sizeof(float));
-      dst += kRowFloats;
-    }
-    infer_batch(*model, x, rec);
-  }
+  infer_batch(rec);
 
   // Online adaptation: at most one round per session per pass.
   for (Session* s : sessions) {
@@ -320,7 +294,7 @@ std::size_t Shard::serve_pass(const std::vector<Session*>& sessions,
     if (maybe_adapt(*s) && detail)
       rec.telem.record(Stage::kAdapt, mono_seconds() - t_adapt);
   }
-  // End of pass: evict LRU clones until the resident set fits the store's
+  // End of pass: evict LRU heads until the resident set fits the store's
   // cap again (rehydration above may have overshot it briefly).
   clone_store_.enforce_budget(sessions);
   return n;
@@ -377,14 +351,14 @@ void Shard::collect(const std::vector<Session*>& sessions,
       if (detail)
         rec.telem.record(Stage::kQueueWait,
                          mono_seconds() - frame->t_enqueue);
-      // A quarantined session serves from the shared meta-init: its clone
+      // A quarantined session serves from the shared head: its own head
       // (possibly corrupted by the poison that got it quarantined) and
       // checkpoint are dropped, and rehydration is skipped below.
       const bool quarantined = s->quarantined();
-      if (quarantined && s->adapted_model() != nullptr) drop_clone(*s);
-      // Transparent rehydration: an evicted per-user clone is rebuilt
-      // (meta-init + delta) before this frame is batched, so eviction
-      // never silently downgrades a user to the shared model.
+      if (quarantined && s->adapted_head() != nullptr) drop_clone(*s);
+      // Transparent rehydration: an evicted per-user head is rebuilt
+      // (shared head + delta) before this frame is batched, so eviction
+      // never silently downgrades a user to the shared head.
       if (!quarantined) {
         const double t_rehy = detail ? mono_seconds() : 0.0;
         if (clone_store_.ensure_resident(*s) && detail)
@@ -396,7 +370,6 @@ void Shard::collect(const std::vector<Session*>& sessions,
       // point-cloud frame.  A cube frame on a shard with no processor is
       // a wiring bug — serving poses computed from an empty cloud would
       // be indistinguishable from a valid frame.
-      const fuse::radar::PointCloud* cloud = &frame->cloud;
       if (frame->cube != nullptr) {
         if (cfg_.processor == nullptr)
           throw std::logic_error(
@@ -406,19 +379,18 @@ void Shard::collect(const std::vector<Session*>& sessions,
         cfg_.processor->process(*frame->cube, frame_ws_, cube_frame_);
         if (detail)
           rec.telem.record(Stage::kDspCube, mono_seconds() - t_dsp);
-        cloud = &cube_frame_.cloud;
+        frame->cloud = cube_frame_.cloud;
       }
       // Input guard: a NaN/Inf frame is rejected BEFORE it can enter the
       // fusion window (where it would poison up to window_frames
       // downstream predictions).  Repeated offenders are quarantined.
-      if (!cloud_finite(*cloud)) {
-        if (s->note_non_finite_frame() && s->adapted_model() != nullptr)
-          drop_clone(*s);
+      if (!cloud_finite(frame->cloud)) {
+        if (s->note_non_finite_frame()) drop_clone(*s);
         continue;
       }
       // Featurize once, straight into this frame's batch row.
       const double t_feat = detail ? mono_seconds() : 0.0;
-      s->advance_window(*cloud, predictor_->window_frames());
+      s->advance_window(std::move(frame->cloud), predictor_->window_frames());
       window_ptrs_.clear();
       for (const auto& c : s->window()) window_ptrs_.push_back(&c);
       rows_.resize(rows_.size() + kRowFloats);
@@ -427,36 +399,49 @@ void Shard::collect(const std::vector<Session*>& sessions,
                                    row, feat_scratch_);
       if (detail)
         rec.telem.record(Stage::kFeaturize, mono_seconds() - t_feat);
-      // Ground-truth labels feed the per-user adaptation buffer; the
-      // sample x is exactly what inference sees (the fused window).  A
-      // non-finite label is rejected the same way as a non-finite frame —
-      // one bad label must never corrupt a per-user clone — and
-      // quarantined sessions buffer nothing (adaptation is disabled).
+      // Ground-truth labels feed the per-user adaptation buffer once the
+      // trunk has run (infer_batch).  A non-finite label is rejected the
+      // same way as a non-finite frame — one bad label must never corrupt
+      // a per-user head — and quarantined sessions buffer nothing
+      // (adaptation is disabled).
+      std::optional<std::array<float, fuse::human::kNumCoords>> label;
       if (frame->label && s->config().adapt.enabled && !quarantined) {
         if (!pose_finite(*frame->label)) {
-          if (s->note_non_finite_label() && s->adapted_model() != nullptr)
-            drop_clone(*s);
+          if (s->note_non_finite_label()) drop_clone(*s);
         } else {
-          const auto y =
-              predictor_->featurizer().normalize_pose(*frame->label);
-          s->buffer_labeled({row, kRowFloats}, y);
+          label = predictor_->featurizer().normalize_pose(*frame->label);
         }
       }
       collected_.push_back(
-          {s, frame->seq, frame->epoch, frame->t_enqueue, nullptr});
+          {s, frame->seq, frame->epoch, frame->t_enqueue, label});
     }
   }
 }
 
-void Shard::infer_batch(const fuse::nn::Module& model,
-                        const fuse::tensor::Tensor& x, PassRecord& rec) {
+void Shard::infer_batch(PassRecord& rec) {
+  const std::size_t n = collected_.size();
   const double t_infer = cfg_.detailed_stats ? mono_seconds() : 0.0;
-  const auto poses = predictor_->predict(model, x);
+  fuse::tensor::Tensor x = predictor_->alloc_batch(n);
+  std::memcpy(x.data(), rows_.data(), rows_.size() * sizeof(float));
+  // The frozen trunk runs once over every frame of the pass.
+  fuse::tensor::Tensor trunk =
+      shared_model_->infer_children(0, shared_model_->size() - 1, x);
+  // The shared head runs over the whole batch; a frame whose session
+  // holds an adapted head runs again through it.  Heads are resolved only
+  // now: a later frame may have quarantined a session (drop_clone).
+  auto poses = predictor_->predict(*shared_head_, trunk);
+  const std::size_t width = trunk.numel() / n;
+  fuse::tensor::Tensor row({1, width});
+  for (std::size_t i = 0; i < n; ++i) {
+    const fuse::nn::Module* head = collected_[i].session->adapted_head();
+    if (head == nullptr) continue;
+    std::memcpy(row.data(), trunk.data() + i * width, width * sizeof(float));
+    poses[i] = predictor_->predict(*head, row).front();
+  }
   const double now = mono_seconds();
   if (cfg_.detailed_stats) rec.telem.record(Stage::kInfer, now - t_infer);
-  std::size_t i = 0;
-  for (const Collected& c : collected_) {
-    if (c.model != &model) continue;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Collected& c = collected_[i];
     Session& s = *c.session;
     // A frame popped just before its session was recycled must not touch
     // the new subject's tracker (its result is discarded anyway).
@@ -468,13 +453,17 @@ void Shard::infer_batch(const fuse::nn::Module& model,
                                                 : poses[i];
     r.latency_s = now - c.t_enqueue;
     r.t_ready = now;
-    r.adapted_model = &model != shared_model_;
+    r.adapted_model = s.adapted_head() != nullptr;
     rec.latency.record(r.latency_s);
     s.push_result(std::move(r), c.epoch);
-    ++i;
+    // A labeled frame joins its session's buffer as its trunk row, unless
+    // a later frame quarantined the session (its buffer is dropped) or the
+    // frame is stale (the next pass resets the buffer).
+    if (c.label && !stale && !s.quarantined())
+      s.buffer_labeled({trunk.data() + i * width, width}, *c.label);
   }
   ++rec.batches;
-  rec.batched_frames += poses.size();
+  rec.batched_frames += n;
 }
 
 bool Shard::maybe_adapt(Session& s) {
@@ -487,22 +476,24 @@ bool Shard::maybe_adapt(Session& s) {
   if (s.quarantined()) return false;
   const auto& buffer = s.adapt_buffer();
   if (buffer.size() < cfg.min_samples) return false;
-  // An evicted clone must come back BEFORE the first-round check below:
-  // cloning the shared model for a session whose adapted clone sits on
+  // An evicted head must come back BEFORE the first-round check below:
+  // cloning the shared head for a session whose adapted head sits on
   // disk would silently discard the user's adaptation (and the
   // round-cadence gate must see the true adapted state).
   clone_store_.ensure_resident(s);
-  if (s.fresh_labeled() < cfg.round_every && s.adapted_model() != nullptr)
+  if (s.fresh_labeled() < cfg.round_every && s.adapted_head() != nullptr)
     return false;
 
-  // First round: clone the shared meta-initialization for this user.
-  if (s.adapted_model() == nullptr) s.adapted_slot() = shared_model_->clone();
+  // First round: clone the shared head for this user.
+  if (s.adapted_head() == nullptr) s.adapted_slot() = shared_head_->clone();
 
-  fuse::tensor::Tensor x = predictor_->alloc_batch(buffer.size());
+  // The buffer holds trunk activations, so a round trains the head alone.
+  const std::size_t width = buffer.front().x.size();
+  fuse::tensor::Tensor x({buffer.size(), width});
   fuse::tensor::Tensor y({buffer.size(), fuse::human::kNumCoords});
   for (std::size_t i = 0; i < buffer.size(); ++i) {
-    std::memcpy(x.data() + i * kRowFloats, buffer[i].x.data(),
-                kRowFloats * sizeof(float));
+    std::memcpy(x.data() + i * width, buffer[i].x.data(),
+                width * sizeof(float));
     std::memcpy(y.data() + i * fuse::human::kNumCoords, buffer[i].y.data(),
                 fuse::human::kNumCoords * sizeof(float));
   }
@@ -510,9 +501,9 @@ bool Shard::maybe_adapt(Session& s) {
   for (std::size_t step = 0; step < cfg.steps_per_round; ++step)
     loss = fuse::core::sgd_step(*s.adapted_slot(), x, y, cfg.lr,
                                 cfg.grad_clip);
-  // A non-finite loss means the clone's parameters are compromised (every
+  // A non-finite loss means the head's parameters are compromised (every
   // buffered sample was finite, so this is numeric blow-up, not input
-  // corruption): quarantine the session and discard the clone AND its
+  // corruption): quarantine the session and discard the head AND its
   // checkpoint — a poisoned delta must never survive to a warm restart.
   if (!std::isfinite(loss)) {
     s.note_adapt_failed();
@@ -520,7 +511,7 @@ bool Shard::maybe_adapt(Session& s) {
     return false;
   }
   s.note_adapt_round(loss);
-  // The round moved the clone past its last checkpoint: register it with
+  // The round moved the head past its last checkpoint: register it with
   // the store (first round) and mark the on-disk delta stale.
   clone_store_.note_adapted(s);
   return true;
@@ -579,7 +570,6 @@ void Shard::scheduler_loop() {
 void Shard::persist_clones() {
   if (running_)
     throw std::logic_error("Server::persist_clones: stop() the server first");
-  if (!clone_store_.enabled()) return;
   // The store's scheduler-thread contract holds here: no scheduler thread
   // is running, so this caller IS the scheduler side.  Queued forgets are
   // drained first so closed sessions never reach the manifest.

@@ -16,15 +16,15 @@
 //    front-end (raw cubes), slides its session's fusion window and is
 //    featurized once, in its session's FIFO order, into the pass's
 //    contiguous batch rows;
-//  * infer — frames batch by model: the shared model's frames across
-//    sessions, an adapted clone's frames on their own.  Each model's
-//    batch gathers its frames' rows in collection order;
+//  * infer — the frozen trunk runs once over every collected frame as
+//    one batch, then each frame's row goes through its session's head;
 //  * fan out — each pose goes through its session's tracker to its
 //    result queue;
-//  * adapt — at most one online-adaptation round per eligible session
-//    (core::sgd_step on its clone), then the clone store's LRU budget.
+//  * adapt — labeled trunk rows join their session's buffer, then at
+//    most one round per eligible session (core::sgd_step on its head),
+//    then the clone store's LRU budget.
 // Outputs are bit-identical to the batch-1 single-session path however
-// frames interleave across sessions.
+// frames interleave across sessions (GEMM rows are batch-invariant).
 //
 // Execution: run_once() is the one per-pass path in both serving modes.
 // It holds an InlineScope (util/thread_pool.h) for the whole pass, so
@@ -39,17 +39,20 @@
 // shard's overload detector, so a hot shard engages its degradation
 // ladder regardless of how idle the other shards are.
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "core/predictor.h"
 #include "nn/module.h"
+#include "nn/sequential.h"
 #include "radar/processing.h"
 #include "serve/clone_store/clone_store.h"
 #include "serve/overload.h"
@@ -78,15 +81,14 @@ class Shard {
   /// dir to its own shard dir (layout::shard_dir) so stores never share
   /// checkpoint files.  `global_in_flight` is the server's
   /// admission gauge (borrowed; outlives the shard).
+  /// `shared_model`'s last child is the shared head (Server checks it).
   Shard(const fuse::core::Predictor* predictor,
-        const fuse::nn::Module* shared_model, const ServeConfig& cfg,
+        const fuse::nn::Sequential* shared_model, const ServeConfig& cfg,
         std::size_t index, std::atomic<std::size_t>* global_in_flight);
   ~Shard();
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
-
-  std::size_t index() const { return index_; }
 
   // ------------------------------------------------------------ sessions --
   /// Ids are allocated by the Server (which owns the max_sessions cap).
@@ -191,8 +193,9 @@ class Shard {
     std::uint64_t seq;
     std::uint64_t epoch;  ///< recycle epoch at enqueue
     double t_enqueue;
-    /// The model that serves it, resolved once collection has ended.
-    const fuse::nn::Module* model = nullptr;
+    /// Normalized label for the adaptation buffer, if the frame carries
+    /// one the session may buffer.
+    std::optional<std::array<float, fuse::human::kNumCoords>> label;
   };
   /// collect -> infer -> fan out -> adapt over `sessions` (pending
   /// recycles are applied as their sessions are popped).  Returns the
@@ -201,19 +204,19 @@ class Shard {
                          PassRecord& rec);
   /// Fills collected_ and rows_ (one featurized frame per entry).
   void collect(const std::vector<Session*>& sessions, PassRecord& rec);
-  /// Runs `x` (the rows of every collected frame whose model is `model`,
-  /// in collection order) through `model` and delivers the poses.
-  void infer_batch(const fuse::nn::Module& model,
-                   const fuse::tensor::Tensor& x, PassRecord& rec);
-  /// Runs one adaptation round on the session's clone if it is due;
+  /// Runs the trunk over rows_ and every frame's row through its head,
+  /// delivers the poses and buffers the labeled frames' trunk rows.
+  void infer_batch(PassRecord& rec);
+  /// Runs one adaptation round on the session's head if it is due;
   /// returns whether a round actually ran (for stage timing).
   bool maybe_adapt(Session& s);
-  /// Quarantine teardown: the session's clone, its buffered labels and
-  /// its checkpoint go; it serves the shared meta-init from here on.
+  /// Quarantine teardown: the session's head (if any), its buffered
+  /// labels and its checkpoint go; it serves the shared head from here on.
   void drop_clone(Session& s);
 
   const fuse::core::Predictor* predictor_;
-  const fuse::nn::Module* shared_model_;
+  const fuse::nn::Sequential* shared_model_;
+  const fuse::nn::Module* shared_head_;  ///< shared_model_'s last child
   ServeConfig cfg_;  ///< server config with this shard's clone-store dir
   const std::size_t index_;
   /// Server-global admission gauge (max_in_flight) — shared across
@@ -268,7 +271,6 @@ class Shard {
   std::vector<const fuse::radar::PointCloud*> window_ptrs_;
   std::vector<Collected> collected_;
   std::vector<float> rows_;  ///< featurized rows of collected_, in order
-  std::vector<const fuse::nn::Module*> models_;  ///< a pass's distinct models
 };
 
 }  // namespace fuse::serve

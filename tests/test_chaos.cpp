@@ -558,7 +558,7 @@ TEST(Chaos, ReshardCrashAtEveryFaultPointIsRecoverable) {
       fuse::serve::ReshardConfig rcfg;
       rcfg.dir = dir;
       rcfg.to = 4;
-      rcfg.base = &pl.model();
+      rcfg.base = &fuse::serve::shared_head(pl.model());
       {
         FaultConfig fc;
         fc.seed = seed;
@@ -621,7 +621,7 @@ TEST(Chaos, TornReshardPlanOverManySessionsLosesNoCheckpoint) {
   fuse::serve::ReshardConfig rcfg;
   rcfg.dir = w.dir;
   rcfg.to = 4;
-  rcfg.base = &pl.model();
+  rcfg.base = &fuse::serve::shared_head(pl.model());
   {
     FaultConfig fc;
     fc.p(FaultPoint::kTornShardMap) = 1.0;  // the plan write tears

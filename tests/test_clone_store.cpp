@@ -21,6 +21,7 @@
 #include "nn/delta.h"
 #include "nn/registry.h"
 #include "serve/clone_store/clone_store.h"
+#include "serve/clone_store/layout.h"
 #include "serve/reshard.h"
 #include "serve/server.h"
 #include "util/checksum.h"
@@ -708,8 +709,30 @@ TEST(CloneStore, ColdStartRestoreIsEmptyAndBudgetlessStoreNeverEvicts) {
   EXPECT_EQ(stats.clone_store.tracked, 1u);
   EXPECT_EQ(stats.clone_store.resident, 1u);
   EXPECT_EQ(stats.clone_store.evictions, 0u);
+  // A resident clone is the shared head's params + grads.
   EXPECT_EQ(stats.clone_store.resident_bytes,
-            pl.model().num_params() * 2 * sizeof(float));
+            fuse::serve::shared_head(pl.model()).num_params() * 2 *
+                sizeof(float));
+  fs::remove_all(dir);
+}
+
+TEST(CloneStore, FullModelCheckpointIsSkippedNotMisloaded) {
+  // A clone used to be the whole network, so older checkpoints are deltas
+  // against the full model.  The store checks against the shared head now:
+  // such a file is skipped, counted and deleted, never loaded into a head.
+  auto& pl = world();
+  const std::string dir = fresh_dir("fuse_clone_full_model");
+  fs::create_directories(dir);
+  const auto full = pl.model().clone();
+  fuse::nn::extract_delta(*full, pl.model())
+      .save_file(fuse::serve::layout::clone_path(dir, 1));
+  fuse::serve::layout::write_manifest(dir, {1});
+  ServeConfig cfg = adapting_cfg();
+  cfg.clone_store.dir = dir;
+  Server server(&pl.predictor(), &pl.model(), cfg);
+  EXPECT_TRUE(server.restore_clones(cfg.session).empty());
+  EXPECT_EQ(server.stats().clone_store.restore_skipped, 1u);
+  EXPECT_FALSE(fs::exists(fuse::serve::layout::clone_path(dir, 1)));
   fs::remove_all(dir);
 }
 
@@ -818,7 +841,7 @@ TEST(Reshard, FourToTwoToFourRoundTripIsBitIdentical) {
   fuse::serve::ReshardConfig rcfg;
   rcfg.dir = dir;
   rcfg.to = 2;
-  rcfg.base = &pl.model();
+  rcfg.base = &fuse::serve::shared_head(pl.model());
   const auto report = fuse::serve::reshard(rcfg);
   EXPECT_EQ(report.from, 4u);
   EXPECT_EQ(report.to, 2u);

@@ -460,17 +460,98 @@ TEST(Serve, OnlineAdaptationLifecycle) {
   }
   server.drain();
   EXPECT_GE(server.stats().per_session[0].adapt_rounds, 2u);
+
+  // The adapted head fits its user's labeled frames better than the
+  // shared head does.  Replay frames 0..7 unlabeled through both sessions
+  // (their fusion windows agree from the third frame on) and compare the
+  // raw poses' L1 error against the labels.
+  (void)server.poll_results(adapting);
+  (void)server.poll_results(shared);
+  for (std::size_t i = 0; i < 8; ++i) {
+    server.submit_frame(adapting, ds.frames[start + i].cloud);
+    server.submit_frame(shared, ds.frames[start + i].cloud);
+  }
+  server.drain();
+  const auto replay_adapted = server.poll_results(adapting);
+  const auto replay_shared = server.poll_results(shared);
+  ASSERT_EQ(replay_adapted.size(), 8u);
+  ASSERT_EQ(replay_shared.size(), 8u);
+  double adapted_l1 = 0.0;
+  double shared_l1 = 0.0;
+  for (std::size_t i = 2; i < 8; ++i) {
+    EXPECT_TRUE(replay_adapted[i].adapted_model);
+    const Pose& label = ds.frames[start + i].label;
+    for (std::size_t j = 0; j < fuse::human::kNumJoints; ++j) {
+      const auto l1 = [&](const Pose& p) {
+        return std::abs(p.joints[j].x - label.joints[j].x) +
+               std::abs(p.joints[j].y - label.joints[j].y) +
+               std::abs(p.joints[j].z - label.joints[j].z);
+      };
+      adapted_l1 += l1(replay_adapted[i].raw);
+      shared_l1 += l1(replay_shared[i].raw);
+    }
+  }
+  EXPECT_LT(adapted_l1, shared_l1);
+}
+
+TEST(Serve, AdaptationLeavesTheTrunkFrozenAndCostsOneHead) {
+  // A round trains the session's clone of the head alone: after several
+  // rounds on two sessions the shared model is bit-for-bit unchanged, and
+  // each resident clone costs the head's params + grads (fc2, 512 x 57
+  // weights + 57 biases), not the whole network's.
+  auto& pl = world();
+  const std::string dir = ::testing::TempDir() + "fuse_serve_frozen_trunk";
+  std::filesystem::remove_all(dir);
+  std::vector<std::vector<float>> before;
+  for (const auto* t : std::as_const(pl.model()).params())
+    before.emplace_back(t->data(), t->data() + t->numel());
+
+  ServeConfig cfg;
+  cfg.session.adapt.enabled = true;
+  cfg.session.adapt.min_samples = 8;
+  cfg.session.adapt.round_every = 4;
+  cfg.clone_store.dir = dir;  // the store accounts for resident clones
+  Server server(&pl.predictor(), &pl.model(), cfg);
+  const auto a = server.open_session();
+  const auto b = server.open_session();
+  const auto& ds = pl.dataset();
+  for (std::size_t i = 0; i < 20; ++i) {
+    for (const auto& [id, seq] : {std::pair{a, 5}, std::pair{b, 6}}) {
+      const auto [start, len] = ds.sequences.at(seq);
+      const auto& f = ds.frames[start + i % len];
+      ASSERT_TRUE(accepted(server.submit_frame(id, f.cloud, &f.label)));
+    }
+    server.drain();
+  }
+  const auto stats = server.stats();
+  for (const auto& row : stats.per_session) EXPECT_GE(row.adapt_rounds, 3u);
+
+  ASSERT_EQ(stats.clone_store.resident, 2u);
+  const std::size_t per_clone =
+      stats.clone_store.resident_bytes / stats.clone_store.resident;
+  EXPECT_EQ(per_clone, (512u * 57u + 57u) * 2u * sizeof(float));
+  EXPECT_LE(static_cast<double>(per_clone), 0.29 * 1024 * 1024);
+
+  const auto after = std::as_const(pl.model()).params();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i)
+    EXPECT_EQ(std::memcmp(after[i]->data(), before[i].data(),
+                          before[i].size() * sizeof(float)),
+              0)
+        << "parameter tensor " << i;
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Serve, MixedModelPassMatchesBatchOnePredict) {
-  // One pass holds frames of five sessions over three models: two
-  // sessions on the shared model, two adapted sessions with different
-  // clones, and one adapted session that a NaN frame later in the same
-  // pass quarantines.  Quarantine drops that clone mid-pass, so all of
+  // One pass holds frames of five sessions over three heads: two
+  // sessions on the shared head, two adapted sessions with different
+  // heads, and one adapted session that a NaN frame later in the same
+  // pass quarantines.  Quarantine drops that head mid-pass, so all of
   // that session's frames in the pass, including the one collected while
-  // it still held the clone, are served by the shared model.  Every raw
-  // pose must equal a batch-1 Predictor::predict with the model its
-  // session holds at the end of the pass.
+  // it still held its head, are served by the shared head.  The pass runs
+  // one trunk batch and then each frame's head, and every raw pose must
+  // equal a batch-1 Predictor::predict through the full shared model
+  // carrying the head its session holds at the end of the pass.
   auto& pl = world();
   const auto& pred = pl.predictor();
   const std::string dir = ::testing::TempDir() + "fuse_serve_mixed_pass";
@@ -504,7 +585,7 @@ TEST(Serve, MixedModelPassMatchesBatchOnePredict) {
     return ds.frames[start + i % len];
   };
 
-  // Eight labeled frames give each adapting session its own clone.
+  // Eight labeled frames give each adapting session its own head.
   for (std::size_t i = 0; i < 8; ++i)
     for (auto& s : subjects) {
       const auto& f = frame_of(s, i);
@@ -538,29 +619,36 @@ TEST(Serve, MixedModelPassMatchesBatchOnePredict) {
   EXPECT_TRUE(stats.per_session.at(quarantined.seq).quarantined);
   EXPECT_EQ(stats.in_flight, 0u);
 
-  // The models each session holds after the pass: the clone store's
-  // bit-exact checkpoints of the two surviving clones, none for the
-  // quarantined session.
+  // The heads each session holds after the pass: the clone store's
+  // bit-exact checkpoints of the two surviving heads, taken against the
+  // shared head; none for the quarantined session.
   server.persist_clones();
-  std::vector<std::unique_ptr<fuse::nn::Module>> clones;
+  std::vector<std::unique_ptr<fuse::nn::Module>> heads;
   for (const auto& s : subjects) {
     const std::string path = fuse::serve::layout::clone_path(dir, s.id);
     if (s.seq < 2 || &s == &quarantined) {
       EXPECT_FALSE(std::filesystem::exists(path)) << "session " << s.id;
-      clones.push_back(nullptr);
+      heads.push_back(nullptr);
       continue;
     }
-    clones.push_back(fuse::nn::rehydrate_from_delta(
-        pl.model(), fuse::nn::ParamDelta::load_file(path)));
+    heads.push_back(fuse::nn::rehydrate_from_delta(
+        fuse::serve::shared_head(pl.model()),
+        fuse::nn::ParamDelta::load_file(path)));
   }
-  // The two clones differ, so a row served by the wrong one would show.
-  const auto* w_a = std::as_const(*clones[2]).params().front();
-  const auto* w_b = std::as_const(*clones[3]).params().front();
+  // The two heads differ, so a row served by the wrong one would show.
+  const auto* w_a = std::as_const(*heads[2]).params().front();
+  const auto* w_b = std::as_const(*heads[3]).params().front();
   ASSERT_NE(std::memcmp(w_a->data(), w_b->data(), w_a->numel() * 4), 0);
 
   for (std::size_t k = 0; k < subjects.size(); ++k) {
     const Subject& s = subjects[k];
-    const fuse::nn::Module& model = clones[k] ? *clones[k] : pl.model();
+    // The full model a batch-1 forward runs: the shared model with the
+    // session's head, if it has one, copied into its last child.
+    const auto model = pl.model().clone();
+    if (heads[k]) {
+      auto& seq = dynamic_cast<fuse::nn::Sequential&>(*model);
+      seq.child(seq.size() - 1).copy_params_from(*heads[k]);
+    }
     const auto results = server.poll_results(s.id);
     const std::size_t served = &s == &quarantined ? 2 : 3;
     ASSERT_EQ(results.size(), served) << "session " << s.id;
@@ -568,13 +656,13 @@ TEST(Serve, MixedModelPassMatchesBatchOnePredict) {
       if (r > 0) {
         EXPECT_GT(results[r].seq, results[r - 1].seq);
       }
-      EXPECT_EQ(results[r].adapted_model, clones[k] != nullptr);
+      EXPECT_EQ(results[r].adapted_model, heads[k] != nullptr);
       // The window the r-th served frame saw: the history up to it.
       const std::size_t end = s.history.size() - served + r + 1;
       const std::size_t begin = end - std::min(end, pred.window_frames());
       const std::vector<PointCloud> window(s.history.begin() + begin,
                                            s.history.begin() + end);
-      expect_pose_eq(results[r].raw, pred.predict_window(model, window));
+      expect_pose_eq(results[r].raw, pred.predict_window(*model, window));
     }
   }
   std::filesystem::remove_all(dir);
@@ -1172,12 +1260,34 @@ class ProbeLayer : public fuse::nn::Module {
   std::shared_ptr<ThreadLog> log_;
 };
 
-/// The world model with a ProbeLayer appended.
+/// The world model's children behind a ProbeLayer, so the probe runs in
+/// the trunk and the world model's last layer stays the head.
 fuse::nn::Sequential probed_model(const std::shared_ptr<ThreadLog>& log) {
   fuse::nn::Sequential model("probed");
-  model.append(world().model().clone());
   model.append(std::make_unique<ProbeLayer>(log));
+  const auto& world_model =
+      dynamic_cast<const fuse::nn::Sequential&>(world().model());
+  for (std::size_t i = 0; i < world_model.size(); ++i)
+    model.append(world_model.child(i).clone());
   return model;
+}
+
+TEST(Serve, SharedModelWithoutAHeadIsRejected) {
+  // A user adapts the shared model's last child, so the server only takes
+  // a Sequential whose last child has parameters.
+  auto& pl = world();
+  const auto log = std::make_shared<ThreadLog>();
+  fuse::nn::Sequential probe_last("probe_last");
+  probe_last.append(world().model().clone());
+  probe_last.append(std::make_unique<ProbeLayer>(log));
+  EXPECT_THROW(Server(&pl.predictor(), &probe_last), std::invalid_argument);
+  const fuse::nn::Sequential empty("empty");
+  EXPECT_THROW(Server(&pl.predictor(), &empty), std::invalid_argument);
+  fuse::util::Rng rng(7);
+  const fuse::nn::Linear bare(4, fuse::human::kNumCoords, rng);
+  EXPECT_THROW(Server(&pl.predictor(), &bare), std::invalid_argument);
+  const auto probed = probed_model(log);
+  EXPECT_NO_THROW(Server(&pl.predictor(), &probed));
 }
 
 TEST(Serve, SyncPassRunsEveryKernelOnTheCallingThread) {
