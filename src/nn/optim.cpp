@@ -31,19 +31,26 @@ void Adam::step(const std::vector<Tensor*>& params,
       1.0f - std::pow(beta1_, static_cast<float>(t_));
   const float bc2 =
       1.0f - std::pow(beta2_, static_cast<float>(t_));
+  // Raw restrict pointers and -fno-math-errno (CMakeLists.txt) let GCC
+  // vectorise this loop: with errno semantics std::sqrt is a call that may
+  // clobber memory.  Every operation is an IEEE-exact lane-wise op in the
+  // same order as the scalar loop, so the bits do not change.
+  const float beta1 = beta1_, beta2 = beta2_, lr = lr_, eps = eps_;
+  const float one_m_beta1 = 1.0f - beta1, one_m_beta2 = 1.0f - beta2;
   for (std::size_t i = 0; i < params.size(); ++i) {
-    Tensor& p = *params[i];
-    const Tensor& g = *grads[i];
-    Tensor& m = m_[i];
-    Tensor& v = v_[i];
-    if (p.shape() != m.shape())
+    if (params[i]->shape() != m_[i].shape())
       throw std::invalid_argument("Adam::step: parameter shape changed");
-    for (std::size_t k = 0; k < p.numel(); ++k) {
-      m[k] = beta1_ * m[k] + (1.0f - beta1_) * g[k];
-      v[k] = beta2_ * v[k] + (1.0f - beta2_) * g[k] * g[k];
+    float* __restrict p = params[i]->data();
+    const float* __restrict g = grads[i]->data();
+    float* __restrict m = m_[i].data();
+    float* __restrict v = v_[i].data();
+    const std::size_t n = params[i]->numel();
+    for (std::size_t k = 0; k < n; ++k) {
+      m[k] = beta1 * m[k] + one_m_beta1 * g[k];
+      v[k] = beta2 * v[k] + one_m_beta2 * g[k] * g[k];
       const float mhat = m[k] / bc1;
       const float vhat = v[k] / bc2;
-      p[k] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+      p[k] -= lr * mhat / (std::sqrt(vhat) + eps);
     }
   }
 }

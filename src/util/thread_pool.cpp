@@ -1,24 +1,89 @@
 #include "util/thread_pool.h"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
+#include <string>
+
+#include "util/log.h"
 
 namespace fuse::util {
 
 namespace {
 thread_local bool t_inside_pool_worker = false;
 thread_local const void* t_worker_pool = nullptr;  // owning pool, if worker
+
+std::vector<int> cpus_of(const cpu_set_t& set) {
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c)
+    if (CPU_ISSET(c, &set)) cpus.push_back(c);
+  return cpus;
+}
+
+/// The CPUs the calling thread may run on, ascending; empty when the mask
+/// cannot be read.
+std::vector<int> allowed_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return {};
+  return cpus_of(set);
+}
+
+/// Restricts t to one CPU.  On failure t keeps the mask it inherited.
+void pin(std::thread& t, int cpu) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  (void)pthread_setaffinity_np(t.native_handle(), sizeof(set), &set);
+}
+
+std::string cpu_list(const std::vector<int>& cpus) {
+  std::string s = "{";
+  for (std::size_t i = 0; i < cpus.size(); ++i) {
+    if (i > 0) s += ',';
+    s += std::to_string(cpus[i]);
+  }
+  return s += '}';
+}
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t n) {
+  const std::vector<int> allowed = allowed_cpus();
   if (n == 0) {
     const unsigned hc = std::thread::hardware_concurrency();
-    n = hc > 1 ? hc : 1;
+    n = !allowed.empty() ? allowed.size() : std::max(hc, 1u);
   }
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
+    if (n > 1 && !allowed.empty())
+      pin(workers_.back(), allowed[i % allowed.size()]);
   }
+  if (log_level() <= LogLevel::kDebug) {
+    std::string placement;
+    for (const auto& cpus : worker_cpus()) {
+      placement += ' ';
+      placement += cpu_list(cpus);
+    }
+    FUSE_LOG_DEBUG("thread pool: %zu workers, allowed CPUs %s, worker CPUs%s",
+                   n, cpu_list(allowed).c_str(), placement.c_str());
+  }
+}
+
+std::vector<std::vector<int>> ThreadPool::worker_cpus() const {
+  std::vector<std::vector<int>> out;
+  out.reserve(workers_.size());
+  for (const auto& w : workers_) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    auto& t = const_cast<std::thread&>(w);  // native_handle() is non-const
+    const bool ok =
+        pthread_getaffinity_np(t.native_handle(), sizeof(set), &set) == 0;
+    out.push_back(ok ? cpus_of(set) : std::vector<int>{});
+  }
+  return out;
 }
 
 ThreadPool::~ThreadPool() {

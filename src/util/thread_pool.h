@@ -6,6 +6,17 @@
 // (global_pool()) is shared so nested parallelism never oversubscribes.
 // A served frame never fans out: the serving plane runs each pass under an
 // InlineScope, so every kernel of the pass stays on the serving thread.
+//
+// Sizing and placement.  The default size (n == 0, the global pool) is the
+// number of CPUs in the creating thread's affinity mask, so a process
+// started under `taskset -c N` gets a one-worker pool that runs inline
+// rather than four workers queueing on one core.  A pool of more than one
+// worker pins worker i to the i-th CPU of that mask (round-robin when
+// there are more workers than CPUs): left to the scheduler, a cold
+// process's workers can all land on one CPU and wait there for hundreds
+// of milliseconds each (DESIGN.md §2).  A single-worker pool -- a serving
+// driver -- keeps the creator's full mask.  Only the pool's own threads
+// are touched, nothing machine-wide.
 
 #include <condition_variable>
 #include <cstddef>
@@ -19,7 +30,9 @@ namespace fuse::util {
 
 class ThreadPool {
  public:
-  /// Creates a pool with n worker threads.  n == 0 uses hardware concurrency.
+  /// Creates a pool with n worker threads.  n == 0 uses one per CPU the
+  /// creating thread may run on (hardware_concurrency() when the mask
+  /// cannot be read).
   explicit ThreadPool(std::size_t n = 0);
   ~ThreadPool();
 
@@ -27,6 +40,12 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const { return workers_.size(); }
+
+  /// Each worker's CPU affinity, read back from the kernel, in worker
+  /// order: one CPU per worker for a pinned pool, the creator's whole
+  /// allowed set for a single-worker pool.  Empty lists where the mask
+  /// cannot be read.
+  std::vector<std::vector<int>> worker_cpus() const;
 
   /// Enqueue a task.  Tasks must not throw.
   void submit(std::function<void()> task);

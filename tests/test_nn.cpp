@@ -10,6 +10,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "nn/gradcheck.h"
 #include "nn/layers.h"
@@ -343,6 +344,114 @@ TEST(Optim, AdamShapeChangeThrows) {
   Tensor p3({3});
   Tensor g3({3});
   EXPECT_THROW(adam.step({&p3}, {&g3}), std::invalid_argument);
+}
+
+/// Adam::step's scalar loop as it was before it was vectorised, kept as
+/// the oracle the library's step must match bit for bit.
+struct ScalarAdam {
+  float lr = 1e-3f, beta1 = 0.9f, beta2 = 0.999f, eps = 1e-8f;
+  std::size_t t = 0;
+  std::vector<Tensor> m, v;
+
+  void step(const std::vector<Tensor*>& params,
+            const std::vector<Tensor*>& grads) {
+    if (m.empty()) {
+      for (const Tensor* p : params) {
+        m.emplace_back(p->shape());
+        v.emplace_back(p->shape());
+      }
+    }
+    ++t;
+    const float bc1 = 1.0f - std::pow(beta1, static_cast<float>(t));
+    const float bc2 = 1.0f - std::pow(beta2, static_cast<float>(t));
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      Tensor& p = *params[i];
+      const Tensor& g = *grads[i];
+      for (std::size_t k = 0; k < p.numel(); ++k) {
+        m[i][k] = beta1 * m[i][k] + (1.0f - beta1) * g[k];
+        v[i][k] = beta2 * v[i][k] + (1.0f - beta2) * g[k] * g[k];
+        const float mhat = m[i][k] / bc1;
+        const float vhat = v[i][k] / bc2;
+        p[k] -= lr * mhat / (std::sqrt(vhat) + eps);
+      }
+    }
+  }
+};
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/// Steps the library's Adam and the scalar oracle side by side from the
+/// same parameters; grad_at(step, tensor, k) fills gradient element k.
+void expect_adam_matches_scalar_loop(
+    const std::vector<std::size_t>& sizes, const std::vector<float>& init,
+    const std::function<float(int, std::size_t, std::size_t)>& grad_at) {
+  std::vector<Tensor> p, q, g;
+  for (const std::size_t n : sizes) {
+    Tensor t({n});
+    for (std::size_t k = 0; k < n; ++k) t[k] = init[k % init.size()];
+    p.push_back(t);
+    q.push_back(t);
+    g.emplace_back(fuse::tensor::Shape{n});
+  }
+  std::vector<Tensor*> pp, qp, gp;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    pp.push_back(&p[i]);
+    qp.push_back(&q[i]);
+    gp.push_back(&g[i]);
+  }
+  fuse::nn::Adam adam(1e-3f);
+  ScalarAdam oracle;
+  for (int step = 0; step < 10; ++step) {
+    for (std::size_t i = 0; i < g.size(); ++i)
+      for (std::size_t k = 0; k < g[i].numel(); ++k)
+        g[i][k] = grad_at(step, i, k);
+    adam.step(pp, gp);
+    oracle.step(qp, gp);
+    for (std::size_t i = 0; i < p.size(); ++i)
+      ASSERT_TRUE(same_bits(p[i], q[i]))
+          << "step " << step << " tensor " << i;
+  }
+}
+
+// Sizes 1, 3 and 1031 put elements in the vector loop's scalar tail too.
+const std::vector<std::size_t> kAdamSizes{1, 3, 1031, 64};
+
+TEST(Optim, AdamStepIsBitIdenticalToTheScalarLoop) {
+  fuse::util::Rng rng(7);
+  std::vector<float> init(97);
+  for (float& x : init) x = rng.uniformf(-1, 1);
+  std::vector<float> grads(10 * 2048);
+  for (float& x : grads)
+    x = rng.uniformf(-2, 2) * std::pow(10.0f, rng.uniformf(-6, 1));
+  expect_adam_matches_scalar_loop(kAdamSizes, init,
+      [&](int step, std::size_t i, std::size_t k) {
+        return grads[(static_cast<std::size_t>(step) * 2048 + i * 37 + k) %
+                     grads.size()];
+      });
+}
+
+TEST(Optim, AdamStepWithZeroGradientsIsBitIdenticalToTheScalarLoop) {
+  // All-zero gradients, also after moments have built up: the first
+  // steps move nothing, later ones decay from the accumulated moments.
+  expect_adam_matches_scalar_loop(kAdamSizes, {0.5f, -0.25f, 3.0f},
+      [](int step, std::size_t, std::size_t k) {
+        if (step < 3 || step >= 6) return 0.0f;
+        return 0.01f * static_cast<float>(k % 5);
+      });
+}
+
+TEST(Optim, AdamStepKeepsSignedZerosLikeTheScalarLoop) {
+  // Parameters of +0 and -0 under gradients of +0, -0 and tiny values of
+  // either sign: a reordered or fused update would flip a zero's sign.
+  expect_adam_matches_scalar_loop(
+      kAdamSizes, {0.0f, -0.0f, 0.0f, -0.0f, 1.0f},
+      [](int step, std::size_t, std::size_t k) {
+        const float vals[] = {0.0f, -0.0f, 1e-30f, -1e-30f, -0.0f, 0.0f};
+        return vals[(k + static_cast<std::size_t>(step)) % 6];
+      });
 }
 
 TEST(Optim, GradClipScalesDown) {

@@ -2,6 +2,7 @@
 // table/CSV formatting, the JSON writer and CLI parsing.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <cmath>
@@ -362,6 +363,51 @@ TEST(ThreadPool, EmptyRangeWithMinChunkIsNoop) {
     called = true;
   });
   EXPECT_FALSE(called);
+}
+
+/// The CPUs this thread may run on, read straight from the kernel.
+std::vector<int> caller_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  EXPECT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c)
+    if (CPU_ISSET(c, &set)) cpus.push_back(c);
+  return cpus;
+}
+
+TEST(ThreadPool, WorkersArePinnedRoundRobinOverTheAllowedCpus) {
+  // One CPU per worker, the i-th allowed CPU for worker i: distinct while
+  // the pool is no larger than the allowed set, wrapping round after.
+  const std::vector<int> allowed = caller_cpus();
+  ASSERT_FALSE(allowed.empty());
+  for (const std::size_t n : {std::size_t{2}, allowed.size(),
+                              allowed.size() + 1}) {
+    if (n < 2) continue;
+    fuse::util::ThreadPool pool(n);
+    const auto cpus = pool.worker_cpus();
+    ASSERT_EQ(cpus.size(), n);
+    std::set<int> distinct;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(cpus[i].size(), 1u) << "worker " << i << " of " << n;
+      EXPECT_EQ(cpus[i][0], allowed[i % allowed.size()]);
+      distinct.insert(cpus[i][0]);
+    }
+    EXPECT_EQ(distinct.size(), std::min(n, allowed.size()));
+  }
+}
+
+TEST(ThreadPool, SingleWorkerPoolKeepsTheCallersMask) {
+  // A serving driver is a one-worker pool; pinning it to one CPU measurably
+  // raised the served p50 (DESIGN.md §2), so it keeps the whole set.
+  fuse::util::ThreadPool pool(1);
+  const auto cpus = pool.worker_cpus();
+  ASSERT_EQ(cpus.size(), 1u);
+  EXPECT_EQ(cpus[0], caller_cpus());
+}
+
+TEST(ThreadPool, GlobalPoolHasOneWorkerPerAllowedCpu) {
+  EXPECT_EQ(fuse::util::global_pool().size(), caller_cpus().size());
 }
 
 // ----------------------------------------------------------------- table --
