@@ -41,7 +41,6 @@
 #include <exception>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dsp/cfar.h"
@@ -211,7 +210,7 @@ int main(int argc, char** argv) try {
   std::printf("\n");
 
   // ---------------------------------------------------------- throughput --
-  const std::size_t hc = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t hc = fuse::util::global_pool().size();
 
   const std::size_t frame_iters = fuse::util::scaled(20, scale, 5);
   const std::size_t cfar_iters = fuse::util::scaled(300, scale, 60);

@@ -74,6 +74,7 @@
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -244,7 +245,7 @@ struct CloneCaseRow {
   double rehydrate_p99_ms = 0.0;
   std::size_t resident = 0;        ///< resident clones after the run
   std::size_t resident_bytes = 0;  ///< resident clone RAM after the run
-  std::size_t disk_bytes = 0;      ///< delta checkpoints on disk
+  std::size_t disk_bytes = 0;      ///< head checkpoints on disk
 };
 
 struct CloneSweep {
@@ -596,7 +597,7 @@ struct ShardRow {
 struct ShardSweep {
   std::size_t sessions = 0;
   std::size_t frames = 0;  ///< frames per session
-  unsigned host_threads = 0;
+  std::size_t host_threads = 0;  ///< the shared pool's workers
   std::vector<ShardRow> rows;  ///< rows[0] is the 1-shard baseline
 
   /// Best multi-shard throughput over the 1-shard baseline.  Purely
@@ -627,7 +628,7 @@ ShardSweep run_shard_sweep(fuse::core::FusePipeline& pl, bool smoke) {
   ShardSweep sweep;
   sweep.sessions = 256;
   sweep.frames = smoke ? 3 : 8;
-  sweep.host_threads = std::thread::hardware_concurrency();
+  sweep.host_threads = fuse::util::global_pool().size();
 
   // A pool of distinct streams reused round-robin across the 256
   // sessions: session identity (and therefore shard hashing) is what the
@@ -892,7 +893,7 @@ int main(int argc, char** argv) try {
 
   // ----------------------------------------------- clone-store sweep --
   // Resident-clone caps against 10 adapting sessions in frame-by-frame
-  // lockstep: the RAM-vs-throughput trade of delta checkpointing + LRU
+  // lockstep: the RAM-vs-throughput trade of head checkpointing + LRU
   // eviction + rehydration, normalized to RAM per 10k adapting sessions.
   const auto clones = run_clone_sweep(pl, cli.out_dir(), smoke);
   fuse::util::Table clone_table(
@@ -956,7 +957,7 @@ int main(int argc, char** argv) try {
                          fuse::util::Table::num(r.p99_ms, 2)});
   std::printf("\n%s\n", shard_table.to_string().c_str());
   std::printf("shard fps scaling (best multi-shard / 1-shard): %.2fx on "
-              "%u host threads%s; p99 tail %s\n",
+              "%zu host threads%s; p99 tail %s\n",
               shard_sweep.fps_scaling_x(), shard_sweep.host_threads,
               shard_sweep.host_threads < 4
                   ? " (informational: < 4 cores, shards timeshare)"
@@ -993,7 +994,7 @@ int main(int argc, char** argv) try {
 
   fuse::util::JsonWriter w;
   w.begin_object().field("bench", "serve_throughput")
-      .field("host_threads", std::thread::hardware_concurrency())
+      .field("host_threads", fuse::util::global_pool().size())
       .field("sessions", kSweepSessions).field("frames", sweep_frames)
       .field("fps", sweep.fps).field("batches", sweep.stats.batches)
       .field("mean_batch", sweep.stats.mean_batch);

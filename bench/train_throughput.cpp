@@ -23,7 +23,6 @@
 #include <exception>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <sys/resource.h>
@@ -136,11 +135,13 @@ int main(int argc, char** argv) try {
   mcfg.inner_steps = 2;
   mcfg.seed = cli.seed() + 19;
 
-  const std::size_t hc = std::max(1u, std::thread::hardware_concurrency());
+  // One row per power of two up to the CPUs this process may run on (the
+  // shared pool's size), so `taskset -c 0` times one thread, not several
+  // workers queued on one CPU.
+  const std::size_t hc = fuse::util::global_pool().size();
   std::vector<std::size_t> thread_counts{1};
-  for (std::size_t t = 2; t <= std::max<std::size_t>(hc, 2); t *= 2)
-    thread_counts.push_back(t);
-  if (hc > 1 && thread_counts.back() != hc)
+  for (std::size_t t = 2; t <= hc; t *= 2) thread_counts.push_back(t);
+  if (thread_counts.back() != hc)
     thread_counts.push_back(hc);  // full width on non-power-of-2 hosts
 
   std::printf("FUSE training throughput: GEMM training + "

@@ -11,7 +11,7 @@
 //
 // The server runs under a deliberately tight clone budget
 // (--clone-budget resident adapted clones, default 2): idle patients'
-// fine-tuned models are delta-checkpointed to disk and evicted live,
+// fine-tuned heads are checkpointed to disk and evicted live,
 // then rehydrated bit-exactly when their room streams again.  After the
 // day's session the demo closes the clinic (persist_clones), boots a
 // fresh server the "next morning" (restore_clones) and shows every
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
 
   // The serving runtime around the trained pipeline, sized to the clinic.
   // The clone store keeps at most --clone-budget adapted models in RAM;
-  // the rest live as delta checkpoints next to the process and rehydrate
+  // the rest live as head checkpoints next to the process and rehydrate
   // on demand — watch the [live] eviction/rehydration counters.
   const std::string clone_dir =
       std::filesystem::temp_directory_path().string() +

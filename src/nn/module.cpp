@@ -1,11 +1,14 @@
 #include "nn/module.h"
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "util/atomic_file.h"
 #include "util/checksum.h"
+#include "util/fault.h"
 
 namespace fuse::nn {
 
@@ -28,6 +31,36 @@ std::uint64_t read_u64(std::istream& is) {
   is.read(reinterpret_cast<char*>(&v), sizeof(v));
   if (!is) throw std::runtime_error("Module::load: truncated stream");
   return v;
+}
+
+/// Copies a payload read_checkpoint verified against `m` into its
+/// parameters.  The length matched the one `m` writes, so the walk stays
+/// in bounds while the shape headers match; all of them are checked
+/// before any value is copied, so a mismatch leaves `m` untouched.
+void commit_payload(Module& m, const std::string& payload) {
+  const auto ps = m.params();
+  std::size_t off = 0;
+  const auto next_u64 = [&] {
+    std::uint64_t v = 0;
+    std::memcpy(&v, payload.data() + off, sizeof(v));
+    off += sizeof(v);
+    return v;
+  };
+  if (next_u64() != ps.size())
+    throw std::runtime_error("Module::load: parameter count mismatch");
+  std::vector<std::size_t> values_at;
+  for (const Tensor* p : ps) {
+    bool same = next_u64() == p->ndim();
+    for (std::size_t k = 0; same && k < p->ndim(); ++k)
+      same = next_u64() == p->shape()[k];
+    if (!same)
+      throw std::runtime_error("Module::load: parameter shape mismatch");
+    values_at.push_back(off);
+    off += p->numel() * sizeof(float);
+  }
+  for (std::size_t i = 0; i < ps.size(); ++i)
+    std::memcpy(ps[i]->data(), payload.data() + values_at[i],
+                ps[i]->numel() * sizeof(float));
 }
 
 }  // namespace
@@ -102,7 +135,7 @@ void Module::save(std::ostream& os) const {
   os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
 }
 
-void Module::load(std::istream& is) {
+std::string read_checkpoint(std::istream& is, const Module* model) {
   char magic[sizeof(kMagic)] = {};
   is.read(magic, sizeof(magic));
   if (!is) throw std::runtime_error("Module::load: not a FUSE model stream");
@@ -119,23 +152,27 @@ void Module::load(std::istream& is) {
   std::string arch(arch_len, '\0');
   is.read(arch.data(), static_cast<std::streamsize>(arch_len));
   if (!is) throw std::runtime_error("Module::load: truncated stream");
-  if (arch != arch_name())
+  if (model != nullptr && arch != model->arch_name())
     throw std::runtime_error("Module::load: architecture mismatch (stream '" +
-                             arch + "' vs model '" + arch_name() + "')");
-  // Integrity gate: the architecture tag matched, so the payload length is
-  // fully determined by the model — a different stored length is corruption
-  // (and also caps the allocation below before trusting stream bytes).
-  const auto ps = params();
-  std::uint64_t expect_len = sizeof(std::uint64_t);
-  for (const Tensor* p : ps)
-    expect_len += sizeof(std::uint64_t) * (1 + p->ndim()) +
-                  p->numel() * sizeof(float);
+                             arch + "' vs model '" + model->arch_name() +
+                             "')");
+  // Integrity gate before the allocation below trusts the stored length:
+  // a model fully determines its payload length, so any other is
+  // corruption; without a model, 1 GiB bounds a corrupt length.
   const std::uint64_t payload_len = read_u64(is);
-  if (payload_len != expect_len)
-    throw std::runtime_error("Module::load: payload length mismatch (" +
-                             std::to_string(payload_len) + " vs expected " +
-                             std::to_string(expect_len) +
-                             " bytes — truncated or corrupt stream)");
+  if (model != nullptr) {
+    std::uint64_t expect_len = sizeof(std::uint64_t);
+    for (const Tensor* p : model->params())
+      expect_len += sizeof(std::uint64_t) * (1 + p->ndim()) +
+                    p->numel() * sizeof(float);
+    if (payload_len != expect_len)
+      throw std::runtime_error("Module::load: payload length mismatch (" +
+                               std::to_string(payload_len) + " vs expected " +
+                               std::to_string(expect_len) +
+                               " bytes — truncated or corrupt stream)");
+  } else if (payload_len > (1ull << 30)) {
+    throw std::runtime_error("Module::load: implausible payload length");
+  }
   const std::uint64_t stored_sum = read_u64(is);
   std::string payload(payload_len, '\0');
   is.read(payload.data(), static_cast<std::streamsize>(payload_len));
@@ -144,35 +181,37 @@ void Module::load(std::istream& is) {
   if (fuse::util::fnv1a(payload.data(), payload.size()) != stored_sum)
     throw std::runtime_error(
         "Module::load: payload checksum mismatch (corrupt checkpoint)");
-  std::istringstream payload_is(payload, std::ios::binary);
-  const std::uint64_t count = read_u64(payload_is);
-  if (count != ps.size())
-    throw std::runtime_error("Module::load: parameter count mismatch");
-  // Stage and validate every tensor before committing any, so a mismatch
-  // mid-stream throws without leaving the model half-loaded.
-  std::vector<Tensor> staged;
-  staged.reserve(ps.size());
-  for (const Tensor* p : ps) {
-    Tensor t = Tensor::load(payload_is);
-    if (t.shape() != p->shape())
-      throw std::runtime_error("Module::load: parameter shape mismatch");
-    staged.push_back(std::move(t));
-  }
-  for (std::size_t i = 0; i < ps.size(); ++i) *ps[i] = std::move(staged[i]);
+  return payload;
 }
 
-void Module::save_file(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary);
-  if (!os)
-    throw std::runtime_error("Module::save_file: cannot open " + path);
-  save(os);
-}
-
-void Module::load_file(const std::string& path) {
+std::string read_checkpoint_file(const std::string& path,
+                                 const Module* model) {
+  if (fuse::util::fault_fire(fuse::util::FaultPoint::kDiskRead))
+    throw std::runtime_error("Module::load_file: injected read fault for " +
+                             path);
   std::ifstream is(path, std::ios::binary);
   if (!is)
     throw std::runtime_error("Module::load_file: cannot open " + path);
-  load(is);
+  return read_checkpoint(is, model);
+}
+
+void Module::load(std::istream& is) {
+  commit_payload(*this, read_checkpoint(is, this));
+}
+
+void Module::save_file(const std::string& path) const {
+  // Serialize fully in memory, then replace the destination atomically
+  // (tmp + flush + rename): a failed write can never leave a half-written
+  // checkpoint under the final name.
+  std::ostringstream os(std::ios::binary);
+  save(os);
+  if (!os)
+    throw std::runtime_error("Module::save_file: serialization failed");
+  fuse::util::write_file_atomic(path, os.str());
+}
+
+void Module::load_file(const std::string& path) {
+  commit_payload(*this, read_checkpoint_file(path, this));
 }
 
 }  // namespace fuse::nn

@@ -25,9 +25,10 @@
 //    NOT copied (they are megabytes per conv layer and a clone never
 //    reuses the parent's forward): run forward() on a clone before
 //    backward().
-//  * save()/load() serialize parameters behind an architecture-tag header;
-//    loading a file written by a different architecture throws instead of
-//    silently misloading.
+//  * save()/load() serialize parameters behind an architecture-tag header
+//    (FUSEMOD2, the one checkpoint format: models and per-user heads
+//    alike); loading a file written by a different architecture throws
+//    instead of silently misloading.
 
 #include <cstddef>
 #include <iosfwd>
@@ -118,7 +119,10 @@ class Module {
   /// parameter shape does not match this model (no silent misload — a
   /// truncated or bit-flipped checkpoint fails loudly).
   void load(std::istream& is);
+  /// save() to memory, then util::write_file_atomic: a failed write throws
+  /// and leaves the previous file in place; a torn one fails load_file.
   void save_file(const std::string& path) const;
+  /// load() from a file; the kDiskRead fault site of every checkpoint read.
   void load_file(const std::string& path);
 
  protected:
@@ -132,5 +136,16 @@ class Module {
 
   friend class Sequential;  // containers drive do_infer/do_infer_inplace
 };
+
+/// Validates one stream written by Module::save, with no model needed to
+/// load it into (the offline re-shard tool has none): magic, architecture
+/// tag, payload length and FNV-1a checksum.  With a non-null `model`, the
+/// tag and the length must also be the ones `model` writes.  Returns the verified
+/// payload; throws std::runtime_error otherwise.  Module::load is this
+/// plus copying the payload into the parameters.
+std::string read_checkpoint(std::istream& is, const Module* model);
+/// read_checkpoint on a file, behind the same kDiskRead site as load_file.
+std::string read_checkpoint_file(const std::string& path,
+                                 const Module* model);
 
 }  // namespace fuse::nn

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "nn/delta.h"
 #include "serve/clone_store/layout.h"
 #include "util/log.h"
 
@@ -49,9 +48,9 @@ bool CloneStore::ensure_resident(Session& s) {
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   try {
-    const auto delta = fuse::nn::ParamDelta::load_file(
-        layout::clone_path(cfg_.dir, s.id()));
-    s.adapted_slot() = fuse::nn::rehydrate_from_delta(*base_, delta);
+    auto head = base_->clone();
+    head->load_file(layout::clone_path(cfg_.dir, s.id()));
+    s.adapted_slot() = std::move(head);
   } catch (const std::exception& ex) {
     // A corrupt or unreadable checkpoint must not kill the scheduler
     // thread: drop the entry (and the bad file) and serve this user from
@@ -120,9 +119,8 @@ bool CloneStore::forgets_pending() {
 }
 
 void CloneStore::checkpoint(Session& s, Entry& e) {
-  const auto delta = fuse::nn::extract_delta(*s.adapted_head(), *base_);
   const std::string path = layout::clone_path(cfg_.dir, s.id());
-  delta.save_file(path);
+  s.adapted_head()->save_file(path);
   if (e.on_disk) disk_bytes_.fetch_sub(e.file_bytes, std::memory_order_relaxed);
   e.file_bytes = static_cast<std::size_t>(fs::file_size(path));
   e.on_disk = true;

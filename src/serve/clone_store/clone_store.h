@@ -6,9 +6,9 @@
 // params + grads, 0.23 MB per user for the MARS CNN's fc2.  The store
 // bounds that RAM further:
 //
-//  * delta checkpointing — an idle clone is serialized as its difference
-//    against the shared head (nn::ParamDelta: bit-exact fp32, sparse or
-//    dense per tensor) to its checkpoint file
+//  * checkpointing — an idle clone is written with Module::save_file (a
+//    FUSEMOD2 module file: the head's raw fp32 parameters behind an arch
+//    tag, length and checksum) to its checkpoint file
 //    (serve/clone_store/layout.h), then the in-RAM clone is dropped;
 //  * LRU eviction — when resident clones exceed
 //    CloneStoreConfig::max_resident_clones, the least recently used
@@ -16,13 +16,14 @@
 //    scheduler pass (every clone costs the same bytes, so the count cap
 //    is the RAM cap);
 //  * transparent rehydration — before a session's frame is batched (and
-//    before an adaptation round), an evicted clone is rebuilt as
-//    shared head + delta.  The rehydrated clone is bit-exact, so eviction is
-//    invisible to pose outputs;
+//    before an adaptation round), an evicted clone is rebuilt as a clone
+//    of the shared head with the file loaded into it.  The rehydrated
+//    clone is bit-exact, so eviction is invisible to pose outputs;
 //  * warm restart — persist() checkpoints every live clone plus a manifest;
 //    restore() re-registers them so a freshly constructed server resumes
 //    every user's adapted head from disk (a full-model checkpoint written
-//    before heads fails the arch check and is skipped).
+//    before heads fails the arch check, and a retired FUSEDLT1 delta file
+//    the magic check; both are skipped and deleted).
 //
 // Thread contract (mirrors Session's scheduler side): every mutating method
 // runs on the scheduler thread only — except request_forget(), which any
@@ -74,9 +75,9 @@ class CloneStore {
   void begin_pass();
 
   /// Makes the session's adapted clone resident if the store holds an
-  /// evicted checkpoint for it: rebuilds shared head + delta into the
-  /// session's adapted slot.  Also the LRU touch and the hit/miss counter
-  /// site for sessions with a tracked clone.  Returns true iff a
+  /// evicted checkpoint for it: loads the file into a clone of the shared
+  /// head, in the session's adapted slot.  Also the LRU touch and the
+  /// hit/miss counter site for sessions with a tracked clone.  Returns true iff a
   /// rehydration actually ran (the caller's Stage::kRehydrate timing
   /// gate).  A corrupt/unreadable checkpoint never propagates: the entry
   /// is dropped (rehydrate_failures counter), the session falls back to
@@ -109,7 +110,7 @@ class CloneStore {
   // ------------------------------------------------------- warm restart --
   /// Checkpoints every tracked clone that is resident-and-stale and writes
   /// the manifest, so a new process can restore().  Server must be
-  /// stopped (scheduler-thread contract).  Both the delta files and the
+  /// stopped (scheduler-thread contract).  Both the checkpoint files and the
   /// manifest are replaced atomically (tmp + flush + rename), so a crash
   /// mid-persist leaves the previous consistent generation on disk.  A
   /// clone whose checkpoint write fails keeps its previous checkpoint (if
@@ -122,7 +123,8 @@ class CloneStore {
   /// of each session rehydrates its clone transparently.
   ///
   /// Tolerant by contract (PR 8): every checkpoint is validated (decoded
-  /// end-to-end against the FUSEDLT1 checksum) before registration;
+  /// end to end against the shared head: FUSEMOD2 magic, arch tag,
+  /// length and checksum) before registration;
   /// corrupt, truncated or missing entries are skipped and counted
   /// (restore_skipped), never thrown.  A missing manifest, or a torn or
   /// corrupt one (also counted in restore_skipped), falls back to
@@ -144,7 +146,8 @@ class CloneStore {
     std::size_t file_bytes = 0;   ///< size of the on-disk checkpoint
   };
 
-  /// Writes the session's clone delta to disk and updates accounting.
+  /// Writes the session's head to its checkpoint file and updates
+  /// accounting.
   void checkpoint(Session& s, Entry& e);
 
   CloneStoreConfig cfg_;

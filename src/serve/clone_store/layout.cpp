@@ -8,7 +8,6 @@
 #include <string_view>
 #include <utility>
 
-#include "nn/delta.h"
 #include "util/atomic_file.h"
 #include "util/fault.h"
 
@@ -116,8 +115,8 @@ std::string journal_path(const std::string& root) {
 bool checkpoint_decodes(const std::string& path,
                         const fuse::nn::Module* base) {
   try {
-    const auto delta = fuse::nn::ParamDelta::load_file(path);
-    return base == nullptr || delta.arch == base->arch_name();
+    (void)fuse::nn::read_checkpoint_file(path, base);
+    return true;
   } catch (const std::exception&) {
     return false;
   }

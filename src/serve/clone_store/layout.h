@@ -11,8 +11,10 @@
 //
 // A session lives on its home shard `home_shard(id, N)` unless the
 // shard_map pins it elsewhere (a live migration).  Checkpoints are
-// nn::ParamDelta files (FUSEDLT1); this module names and validates them
-// but never writes one.
+// Module::save_file files (FUSEMOD2) of the session's head, still named
+// `.delta` so stores written before that format are found and their
+// FUSEDLT1 files skipped; this module names and validates them but never
+// writes one.
 //
 // The three record files share one line format: a magic line, one record
 // per line, then a final `end` line:
@@ -56,9 +58,10 @@ std::string manifest_path(const std::string& dir);
 std::string map_path(const std::string& root);
 std::string journal_path(const std::string& root);
 
-/// True iff the checkpoint at `path` decodes end to end (the FUSEDLT1
-/// checksum catches truncation, torn writes and bit rot) and, when `base`
-/// is given, carries its architecture tag.  Never throws.
+/// True iff the checkpoint at `path` passes nn::read_checkpoint_file (the
+/// FUSEMOD2 checksum catches truncation, torn writes and bit rot) and,
+/// when `base` is given, carries its architecture tag and payload length.
+/// Never throws.
 bool checkpoint_decodes(const std::string& path,
                         const fuse::nn::Module* base);
 /// Session ids of the checkpoint files directly in `dir`, ascending.

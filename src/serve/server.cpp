@@ -7,7 +7,6 @@
 #include <string>
 #include <unordered_set>
 
-#include "nn/delta.h"
 #include "nn/sequential.h"
 #include "serve/clone_store/layout.h"
 #include "serve/shard.h"
@@ -85,7 +84,7 @@ Server::Server(const fuse::core::Predictor* predictor,
     throw std::invalid_argument("serve::Server: predictor not fitted");
   if (!shared_model)
     throw std::invalid_argument("serve::Server: null shared model");
-  shared_head_ = &shared_head(*shared_model);  // checks for a Sequential
+  (void)shared_head(*shared_model);  // throws unless a Sequential with a head
   cfg_.validate();
   const auto& model = static_cast<const fuse::nn::Sequential&>(*shared_model);
   shards_.reserve(cfg_.num_shards);
@@ -232,31 +231,20 @@ bool Server::execute_migration(SessionId id, std::size_t target_shard) {
   try {
     frames = s->drain_queue();
     // An evicted head must travel with the session: pull it resident
-    // before the codec round-trip.
+    // before the move.  The head object then moves with the Session.
     from.store().ensure_resident(*s);
     if (fuse::util::fault_fire(fuse::util::FaultPoint::kMigrationKill))
       throw std::runtime_error("migration killed mid-move");
-    if (s->adapted_head() != nullptr) {
-      // Checkpoint through the delta codec — the same format eviction and
-      // warm restart use — so the target adopts exactly the state a crash
-      // recovery would restore (bit-exact).
-      if (fuse::util::fault_fire(fuse::util::FaultPoint::kMigrationOom))
-        throw std::bad_alloc();
-      const auto delta =
-          fuse::nn::extract_delta(*s->adapted_head(), *shared_head_);
-      if (fuse::util::fault_fire(fuse::util::FaultPoint::kTargetShardCrash))
-        throw std::runtime_error("target shard crashed adopting the clone");
-      s->adapted_slot() = fuse::nn::rehydrate_from_delta(*shared_head_,
-                                                         delta);
-    } else if (fuse::util::fault_fire(
-                   fuse::util::FaultPoint::kTargetShardCrash)) {
+    if (s->adapted_head() != nullptr &&
+        fuse::util::fault_fire(fuse::util::FaultPoint::kMigrationOom))
+      throw std::bad_alloc();
+    if (fuse::util::fault_fire(fuse::util::FaultPoint::kTargetShardCrash))
       throw std::runtime_error("target shard crashed adopting the session");
-    }
   } catch (...) {
     // Whatever threw before the commit point (an injected fault, a failed
-    // rehydration, std::bad_alloc in the codec), the session never left its
-    // source shard: put the drained frames back (order preserved) and
-    // unfreeze submits.
+    // rehydration, std::bad_alloc), the session never left its source
+    // shard: put the drained frames back (order preserved) and unfreeze
+    // submits.
     s->requeue(std::move(frames));
     s->end_migration();
     from.note_migration_failure();

@@ -17,9 +17,8 @@
 // the old single-thread engine).
 //
 // Cross-shard migration (PR 10): migrate_session(id, shard) drains the
-// session's queue, round-trips its adapted head through the delta codec
-// (nn/delta.h — the same checkpoint format eviction uses), rebinds the
-// session and its gauges on the target shard and replays the drained
+// session's queue, rebinds the session (its adapted head object travels
+// with it) and its gauges on the target shard and replays the drained
 // frames there.  In both serving modes the move executes inline, under
 // both shards' pass locks; for its duration submits to the session return
 // SubmitResult::kMigrating (retry-after semantics).  There is no built-in
@@ -130,8 +129,8 @@ struct ServeConfig {
   /// the scheduler hot path (the bench's overhead gate compares the two).
   bool detailed_stats = true;
   /// Adapted-head lifecycle (serve/clone_store): set clone_store.dir to
-  /// bound the RAM of per-user adapted heads — idle heads are delta-
-  /// checkpointed against the shared head and evicted LRU under
+  /// bound the RAM of per-user adapted heads — idle heads are
+  /// checkpointed as module files and evicted LRU under
   /// max_resident_clones, then transparently rehydrated (bit-exact) when
   /// their session is next served or adapted.  Empty dir (default) keeps
   /// every head resident.  With num_shards > 1 each shard keeps its own
@@ -191,17 +190,16 @@ class Server {
   /// placements from the persisted shard map).
   std::size_t shard_of(SessionId id) const;
 
-  /// Moves the session to `target_shard`: drains its queue, round-trips
-  /// the adapted head through the delta codec, rebinds session + gauges
-  /// on the target and replays the drained frames there.  Runs inline in
-  /// both serving modes under both shards' pass locks (so it waits for a
-  /// pass in progress on either shard); shard_of() reports the target as
-  /// soon as it returns true.  Submits racing the move from other threads
-  /// return kMigrating.  Returns false when the session or target does
+  /// Moves the session to `target_shard`: drains its queue, rebinds the
+  /// session (adapted head included) + gauges on the target and replays
+  /// the drained frames there.  Runs inline in both serving modes under
+  /// both shards' pass locks (so it waits for a pass in progress on
+  /// either shard); shard_of() reports the target as soon as it returns
+  /// true.  Submits racing the move from other threads return kMigrating.  Returns false when the session or target does
   /// not exist or the move was rolled back (anything that throws before
-  /// the commit point — a fault, a failed rehydration, std::bad_alloc in
-  /// the codec; the session then still serves intact on its source shard,
-  /// its queued frames requeued in order).
+  /// the commit point — a fault, a failed rehydration, std::bad_alloc;
+  /// the session then still serves intact on its source shard, its
+  /// queued frames requeued in order).
   /// A same-shard target is a no-op returning true.  This is also the
   /// load-balancing hook: the server never moves sessions on its own.
   bool migrate_session(SessionId id, std::size_t target_shard);
@@ -298,7 +296,6 @@ class Server {
   void clear_shard_override(SessionId id);
 
   const fuse::core::Predictor* predictor_;
-  const fuse::nn::Module* shared_head_;  ///< shared_head(*shared_model)
   ServeConfig cfg_;
   /// Global admission gauge: queued frames across every shard.  Declared
   /// before shards_ so every Session (which holds a pointer into it and

@@ -356,8 +356,8 @@ void Shard::collect(const std::vector<Session*>& sessions,
       // checkpoint are dropped, and rehydration is skipped below.
       const bool quarantined = s->quarantined();
       if (quarantined && s->adapted_head() != nullptr) drop_clone(*s);
-      // Transparent rehydration: an evicted per-user head is rebuilt
-      // (shared head + delta) before this frame is batched, so eviction
+      // Transparent rehydration: an evicted per-user head is reloaded from
+      // its checkpoint before this frame is batched, so eviction
       // never silently downgrades a user to the shared head.
       if (!quarantined) {
         const double t_rehy = detail ? mono_seconds() : 0.0;
@@ -504,7 +504,7 @@ bool Shard::maybe_adapt(Session& s) {
   // A non-finite loss means the head's parameters are compromised (every
   // buffered sample was finite, so this is numeric blow-up, not input
   // corruption): quarantine the session and discard the head AND its
-  // checkpoint — a poisoned delta must never survive to a warm restart.
+  // checkpoint — a poisoned head must never survive to a warm restart.
   if (!std::isfinite(loss)) {
     s.note_adapt_failed();
     drop_clone(s);
@@ -512,7 +512,7 @@ bool Shard::maybe_adapt(Session& s) {
   }
   s.note_adapt_round(loss);
   // The round moved the head past its last checkpoint: register it with
-  // the store (first round) and mark the on-disk delta stale.
+  // the store (first round) and mark the on-disk checkpoint stale.
   clone_store_.note_adapted(s);
   return true;
 }

@@ -161,16 +161,16 @@ struct CloneStoreSnapshot {
   std::uint64_t hits = 0;        ///< lookups that found the clone resident
   std::uint64_t misses = 0;      ///< lookups that found it evicted
   std::uint64_t evictions = 0;   ///< clones checkpointed + dropped from RAM
-  std::uint64_t rehydrations = 0;       ///< clones rebuilt as base + delta
-  std::uint64_t checkpoint_writes = 0;  ///< delta files written
+  std::uint64_t rehydrations = 0;       ///< clones reloaded from checkpoints
+  std::uint64_t checkpoint_writes = 0;  ///< head checkpoint files written
   std::size_t tracked = 0;        ///< sessions with a clone (any state)
   std::size_t resident = 0;       ///< clones currently in RAM
   std::size_t resident_bytes = 0; ///< their params+grads RAM
-  std::size_t disk_bytes = 0;     ///< bytes of delta checkpoints on disk
+  std::size_t disk_bytes = 0;     ///< bytes of head checkpoints on disk
   // Fault-recovery counters (PR 8): corrupt/partial state detected and
   // survived instead of propagated.
   std::uint64_t restore_skipped = 0;      ///< corrupt entries skipped at restore
-  std::uint64_t rehydrate_failures = 0;   ///< corrupt delta at rehydration time
+  std::uint64_t rehydrate_failures = 0;   ///< corrupt checkpoint at rehydration
   std::uint64_t checkpoint_failures = 0;  ///< failed checkpoint writes
 };
 

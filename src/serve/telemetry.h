@@ -34,7 +34,7 @@ namespace fuse::serve {
 /// adaptation round (their counts are batch and round counts).
 enum class Stage : std::size_t {
   kQueueWait = 0,  ///< submit -> collected by the scheduler (per frame)
-  kRehydrate,      ///< evicted clone rebuilt base + delta (per rehydration)
+  kRehydrate,      ///< evicted head reloaded from its file (per rehydration)
   kDspCube,        ///< raw cube -> point cloud front-end (per cube frame)
   kFeaturize,      ///< window slide + featurization (per frame)
   kInfer,          ///< batched Module::infer forward (per batch)

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -189,18 +188,6 @@ Tensor Tensor::load(std::istream& is) {
           static_cast<std::streamsize>(t.numel() * sizeof(float)));
   if (!is) throw std::runtime_error("Tensor::load: truncated stream");
   return t;
-}
-
-void Tensor::save_file(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("Tensor::save_file: cannot open " + path);
-  save(os);
-}
-
-Tensor Tensor::load_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("Tensor::load_file: cannot open " + path);
-  return load(is);
 }
 
 std::string Tensor::to_string(std::size_t max_values) const {

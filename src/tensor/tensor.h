@@ -105,8 +105,6 @@ class Tensor {
   /// Binary serialization (shape + raw floats, little-endian).
   void save(std::ostream& os) const;
   static Tensor load(std::istream& is);
-  void save_file(const std::string& path) const;
-  static Tensor load_file(const std::string& path);
 
   /// Human-readable summary (shape + a few values), for debugging.
   std::string to_string(std::size_t max_values = 8) const;

@@ -14,8 +14,8 @@
 //  * kTornWrite — only a prefix of the payload reaches disk yet the
 //    rename still lands (a crash after rename on a filesystem that
 //    reorders data and metadata writes).  This is the corruption the
-//    checksummed load paths (nn/delta, clone-store manifest) must catch
-//    and skip — not something the writer can prevent.
+//    checksummed load paths (Module::load_file, clone-store manifest)
+//    catch and skip — not something the writer can prevent.
 
 #include <cstddef>
 #include <filesystem>

@@ -1,6 +1,6 @@
 #pragma once
 // FNV-1a 64-bit checksum — the integrity footer of the persistable blob
-// formats (nn::Module checkpoints, nn::ParamDelta clone-store files).
+// formats (nn::Module checkpoints, clone-store heads included).
 //
 // FNV-1a is not cryptographic; it exists to turn a truncated, bit-flipped
 // or garbage checkpoint file into a clean std::runtime_error at load time

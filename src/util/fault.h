@@ -27,10 +27,11 @@
 
 namespace fuse::util {
 
-/// The injection-point taxonomy.  Sites live in nn/delta.cpp (disk I/O via
-/// util/atomic_file.h), serve/clone_store (checkpoint + manifest I/O),
-/// serve/shard (input corruption), serve/scheduler (latency spikes),
-/// serve/server (live migration) and serve/reshard (offline re-shard).
+/// The injection-point taxonomy.  Sites live in nn/module.cpp and
+/// util/atomic_file.h (checkpoint and manifest disk I/O),
+/// serve/clone_store/layout (torn shard map), serve/shard (input
+/// corruption, latency spikes), serve/server (live migration) and
+/// serve/reshard (offline re-shard).
 enum class FaultPoint : std::size_t {
   kDiskWrite = 0,    ///< checkpoint/manifest write throws (ENOSPC, EIO, ...)
   kTornWrite,        ///< write persists only a prefix (crash mid-write)
@@ -42,7 +43,7 @@ enum class FaultPoint : std::size_t {
   kMigrationKill,    ///< live migration / re-shard killed mid-move
   kTornShardMap,     ///< re-shard journal (shard map) write torn on disk
   kTargetShardCrash, ///< target shard crashes while adopting a session
-  kMigrationOom,     ///< live migration's delta codec throws std::bad_alloc
+  kMigrationOom,     ///< live migration of a head throws std::bad_alloc
 };
 inline constexpr std::size_t kNumFaultPoints = 11;
 

@@ -127,7 +127,7 @@ TEST(Chaos, ThreadedSoakSurvivesFaultMatrixAcrossSeeds) {
     fc.p(FaultPoint::kLatencySpike) = 0.05;
     fc.p(FaultPoint::kMigrationKill) = 0.10;  // some migrations die mid-move
     fc.p(FaultPoint::kTargetShardCrash) = 0.10;
-    fc.p(FaultPoint::kMigrationOom) = 0.10;  // codec throws std::bad_alloc
+    fc.p(FaultPoint::kMigrationOom) = 0.10;  // the move throws std::bad_alloc
     fc.spike_ms = 0.5;
     ScopedFaults faults(fc);
 
@@ -652,8 +652,8 @@ TEST(Chaos, TornReshardPlanOverManySessionsLosesNoCheckpoint) {
 
 // --------------------------------------------- live-migration rollback --
 
-// A migration killed mid-move (before or after the delta codec round-trip,
-// or by std::bad_alloc thrown inside it) rolls back completely: the
+// A migration killed mid-move (before the head is adopted, by a target
+// shard crash, or by std::bad_alloc) rolls back completely: the
 // session never leaves its source shard, every drained frame is requeued
 // in order, the failure is counted, and the same migration lands cleanly
 // once the fault clears — bit-exact against a server that never migrated

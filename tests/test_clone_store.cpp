@@ -1,8 +1,9 @@
-// Tests for the adapted-clone lifecycle: the ParamDelta codec (bit-exact
-// fp32, thresholded sparse, int8 within the derived tolerance, corruption
-// detection), LRU eviction + transparent rehydration under a resident-clone
-// count cap (capped serving must be bit-identical to uncapped),
-// recycle/close cleanup, threaded eviction stress, and warm restart.
+// Tests for the adapted-clone lifecycle: LRU eviction + transparent
+// rehydration under a resident-clone count cap (capped serving must be
+// bit-identical to uncapped), recycle/close cleanup, threaded eviction
+// stress, warm restart, retired checkpoint formats, and the offline
+// re-shard.  The head checkpoint format itself (Module::save_file) is
+// tested in test_module.
 
 #include <gtest/gtest.h>
 
@@ -18,172 +19,24 @@
 #include <vector>
 
 #include "core/pipeline.h"
-#include "nn/delta.h"
 #include "nn/registry.h"
 #include "serve/clone_store/clone_store.h"
 #include "serve/clone_store/layout.h"
 #include "serve/reshard.h"
 #include "serve/server.h"
 #include "util/checksum.h"
-#include "util/rng.h"
 
 namespace {
 
 namespace fs = std::filesystem;
 
 using fuse::human::Pose;
-using fuse::nn::ParamDelta;
 using fuse::radar::PointCloud;
 using fuse::serve::AdaptState;
 using fuse::serve::ServeConfig;
 using fuse::serve::Server;
 using fuse::serve::SessionConfig;
 using fuse::serve::SubmitResult;
-
-// ------------------------------------------------------- delta codec ----
-
-fuse::nn::ModelConfig seed_cfg(std::uint64_t seed) {
-  fuse::nn::ModelConfig cfg;
-  cfg.seed = seed;
-  return cfg;
-}
-
-void expect_params_bit_exact(const fuse::nn::Module& a,
-                             const fuse::nn::Module& b) {
-  const auto pa = std::as_const(a).params();
-  const auto pb = std::as_const(b).params();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    ASSERT_EQ(pa[i]->numel(), pb[i]->numel());
-    EXPECT_EQ(std::memcmp(pa[i]->data(), pb[i]->data(),
-                          pa[i]->numel() * sizeof(float)),
-              0)
-        << "tensor " << i << " differs in bits";
-  }
-}
-
-TEST(Delta, SparseFp32RoundTripIsBitExact) {
-  const auto base = fuse::nn::build_model("mars_mlp", seed_cfg(1));
-  const auto adapted = base->clone();
-  // A handful of scattered changes per tensor, including values that plain
-  // "store a-b, re-add b" arithmetic would NOT reproduce bit-exactly, and
-  // a +0.0 -> -0.0 drift only a bitwise comparison can see.
-  fuse::util::Rng rng(7);
-  for (fuse::tensor::Tensor* p : adapted->params()) {
-    for (int k = 0; k < 5; ++k) {
-      const auto i = static_cast<std::size_t>(rng.uniform_int(p->numel()));
-      (*p)[i] += rng.uniformf(-1e-3f, 1e-3f);
-    }
-  }
-  (*adapted->params()[0])[0] = -0.0f;
-  (*base->params()[0])[0] = 0.0f;
-
-  const auto delta = fuse::nn::extract_delta(*adapted, *base);
-  // Sparse encoding: far below a dense fp32 dump of the parameters.
-  EXPECT_LT(delta.payload_bytes(), base->num_params() * sizeof(float) / 4);
-  const auto rehydrated = fuse::nn::rehydrate_from_delta(*base, delta);
-  expect_params_bit_exact(*adapted, *rehydrated);
-  EXPECT_TRUE(std::signbit((*rehydrated->params()[0])[0]));
-}
-
-TEST(Delta, DenseFallbackRoundTripIsBitExact) {
-  const auto base = fuse::nn::build_model("mars_mlp", seed_cfg(2));
-  const auto adapted = base->clone();
-  // Every weight changes (full-network SGD): the sparse form would cost
-  // 2x a raw dump, so the encoder must fall back to dense — still exact.
-  fuse::util::Rng rng(8);
-  for (fuse::tensor::Tensor* p : adapted->params())
-    for (std::size_t i = 0; i < p->numel(); ++i)
-      (*p)[i] += rng.uniformf(-1e-2f, 1e-2f);
-
-  const auto delta = fuse::nn::extract_delta(*adapted, *base);
-  // Dense payload stays within ~1x the raw fp32 parameters (+ headers).
-  EXPECT_LT(delta.payload_bytes(),
-            base->num_params() * sizeof(float) + 4096);
-  const auto rehydrated = fuse::nn::rehydrate_from_delta(*base, delta);
-  expect_params_bit_exact(*adapted, *rehydrated);
-}
-
-TEST(Delta, ArchitectureMismatchThrows) {
-  const auto cnn = fuse::nn::build_model("mars_cnn", seed_cfg(5));
-  const auto mlp = fuse::nn::build_model("mars_mlp", seed_cfg(5));
-  EXPECT_THROW((void)fuse::nn::extract_delta(*cnn, *mlp),
-               std::invalid_argument);
-  const auto delta = fuse::nn::extract_delta(*mlp, *mlp);
-  auto target = fuse::nn::build_model("mars_cnn", seed_cfg(6));
-  EXPECT_THROW(fuse::nn::apply_delta(*cnn, delta, *target),
-               std::runtime_error);
-}
-
-TEST(Delta, CorruptOrTruncatedFileThrows) {
-  const auto base = fuse::nn::build_model("mars_mlp", seed_cfg(7));
-  const auto adapted = base->clone();
-  (*adapted->params()[0])[1] += 0.25f;
-  const auto delta = fuse::nn::extract_delta(*adapted, *base);
-  const std::string dir = ::testing::TempDir() + "fuse_delta_corrupt";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string path = dir + "/d.delta";
-  delta.save_file(path);
-
-  // Pristine file round-trips.
-  EXPECT_NO_THROW((void)ParamDelta::load_file(path));
-
-  std::ifstream is(path, std::ios::binary);
-  std::stringstream buf;
-  buf << is.rdbuf();
-  std::string blob = buf.str();
-  // Bit-flip deep in the payload: the checksum must catch it.
-  blob[blob.size() - 3] ^= 0x04;
-  {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  }
-  try {
-    (void)ParamDelta::load_file(path);
-    FAIL() << "corrupt delta loaded without error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
-        << e.what();
-  }
-  // Truncation at any depth throws too.
-  for (const std::size_t keep :
-       {std::size_t{3}, std::size_t{17}, blob.size() / 2}) {
-    SCOPED_TRACE(keep);
-    std::istringstream cut(blob.substr(0, keep));
-    EXPECT_THROW((void)ParamDelta::load(cut), std::runtime_error);
-  }
-  // Entry kind 2 (the retired int8 encoding) under a valid checksum: the
-  // stream is well-formed in every other respect, so only the kind check
-  // can refuse it.
-  {
-    const auto put_u64 = [](std::string& out, std::uint64_t v) {
-      out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-    };
-    std::string payload;
-    put_u64(payload, 1);  // entry count
-    payload.push_back('\x02');
-    put_u64(payload, 4);  // numel
-    const float scale = 0.5f;
-    payload.append(reinterpret_cast<const char*>(&scale), sizeof(scale));
-    payload.append(4, '\x01');
-    std::string stream("FUSEDLT1", 8);
-    put_u64(stream, delta.arch.size());
-    stream += delta.arch;
-    put_u64(stream, payload.size());
-    put_u64(stream, fuse::util::fnv1a(payload.data(), payload.size()));
-    stream += payload;
-    std::istringstream is8(stream);
-    try {
-      (void)ParamDelta::load(is8);
-      FAIL() << "kind-2 entry loaded without error";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("entry kind"), std::string::npos)
-          << e.what();
-    }
-  }
-  fs::remove_all(dir);
-}
 
 // ------------------------------------------------- serving integration --
 
@@ -716,23 +569,67 @@ TEST(CloneStore, ColdStartRestoreIsEmptyAndBudgetlessStoreNeverEvicts) {
   fs::remove_all(dir);
 }
 
-TEST(CloneStore, FullModelCheckpointIsSkippedNotMisloaded) {
-  // A clone used to be the whole network, so older checkpoints are deltas
-  // against the full model.  The store checks against the shared head now:
-  // such a file is skipped, counted and deleted, never loaded into a head.
+/// A FUSEDLT1 stream of `head` as the retired delta codec wrote it: dense
+/// raw entries behind a valid length + checksum, so only the format
+/// itself can refuse it.
+std::string fusedlt1_stream(const fuse::nn::Module& head) {
+  const auto put_u64 = [](std::string& out, std::uint64_t v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  std::string payload;
+  const auto ps = head.params();
+  put_u64(payload, ps.size());
+  for (const fuse::tensor::Tensor* p : ps) {
+    payload.push_back('\x01');  // dense fp32 entry
+    put_u64(payload, p->numel());
+    payload.append(reinterpret_cast<const char*>(p->data()),
+                   p->numel() * sizeof(float));
+  }
+  std::string stream("FUSEDLT1", 8);
+  put_u64(stream, head.arch_name().size());
+  stream += head.arch_name();
+  put_u64(stream, payload.size());
+  put_u64(stream, fuse::util::fnv1a(payload.data(), payload.size()));
+  return stream + payload;
+}
+
+TEST(CloneStore, RetiredCheckpointFormatsAreSkippedNotMisloaded) {
+  // Older binaries left two other formats under clone_<id>.delta: a
+  // FUSEDLT1 delta of the head, and a full-model FUSEMOD2 file from when a
+  // clone was the whole network.  Restore skips, counts and deletes both,
+  // never loading either into a head.  The offline re-shard runs without
+  // a model, so it checks format and checksum only: it skips the FUSEDLT1
+  // file and moves the full-model one.
   auto& pl = world();
-  const std::string dir = fresh_dir("fuse_clone_full_model");
-  fs::create_directories(dir);
-  const auto full = pl.model().clone();
-  fuse::nn::extract_delta(*full, pl.model())
-      .save_file(fuse::serve::layout::clone_path(dir, 1));
-  fuse::serve::layout::write_manifest(dir, {1});
+  const auto& head = fuse::serve::shared_head(pl.model());
+  const std::string dir = fresh_dir("fuse_clone_retired_formats");
+  const auto write_fixture = [&] {
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::ofstream(fuse::serve::layout::clone_path(dir, 1), std::ios::binary)
+        << fusedlt1_stream(head);
+    pl.model().save_file(fuse::serve::layout::clone_path(dir, 2));
+    fuse::serve::layout::write_manifest(dir, {1, 2});
+  };
+  write_fixture();
   ServeConfig cfg = adapting_cfg();
   cfg.clone_store.dir = dir;
-  Server server(&pl.predictor(), &pl.model(), cfg);
-  EXPECT_TRUE(server.restore_clones(cfg.session).empty());
-  EXPECT_EQ(server.stats().clone_store.restore_skipped, 1u);
+  {
+    Server server(&pl.predictor(), &pl.model(), cfg);
+    EXPECT_TRUE(server.restore_clones(cfg.session).empty());
+    EXPECT_EQ(server.stats().clone_store.restore_skipped, 2u);
+  }
   EXPECT_FALSE(fs::exists(fuse::serve::layout::clone_path(dir, 1)));
+  EXPECT_FALSE(fs::exists(fuse::serve::layout::clone_path(dir, 2)));
+
+  write_fixture();
+  fuse::serve::ReshardConfig rcfg;
+  rcfg.dir = dir;
+  rcfg.to = 2;
+  ASSERT_EQ(rcfg.base, nullptr);
+  const auto report = fuse::serve::reshard(rcfg);
+  EXPECT_EQ(report.skipped, 1u);
+  EXPECT_EQ(report.clones_moved + report.clones_kept, 1u);
   fs::remove_all(dir);
 }
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -17,6 +18,7 @@
 #include "nn/module.h"
 #include "nn/registry.h"
 #include "nn/sequential.h"
+#include "util/fault.h"
 #include "util/rng.h"
 
 namespace {
@@ -247,21 +249,99 @@ TEST(Module, CopyParamsFromMismatchedArchitectureThrows) {
 
 // ----------------------------------------------------------- serialization --
 
+/// Parameters compared by their bits: a float == would pass +0.0 against
+/// -0.0 and fail NaN against itself.
+void expect_params_bitwise_equal(const fuse::nn::Module& a,
+                                 const fuse::nn::Module& b) {
+  const auto pa = a.params();
+  const auto pb = b.params();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    ASSERT_EQ(pa[i]->shape(), pb[i]->shape());
+    EXPECT_EQ(std::memcmp(pa[i]->data(), pb[i]->data(),
+                          pa[i]->numel() * sizeof(float)),
+              0)
+        << "tensor " << i << " differs in bits";
+  }
+}
+
 TEST(Serialization, RoundTripForEveryRegisteredArchitecture) {
-  fuse::util::Rng rng(77);
-  const Tensor x = random_tensor({2, 5, 8, 8}, rng);
+  // One -0.0f and one NaN with a payload: a checkpoint is a raw fp32 dump,
+  // so both must come back bit for bit.
+  const std::uint32_t nan_bits = 0x7fc01234u;
+  float nan;
+  std::memcpy(&nan, &nan_bits, sizeof(nan));
   for (const auto& name : fuse::nn::registered_models()) {
+    SCOPED_TRACE(name);
     const auto a = fuse::nn::build_model(name, small_cfg(31));
+    (*a->params().front())[0] = -0.0f;
+    (*a->params().back())[0] = nan;
     std::stringstream ss;
     a->save(ss);
     // Load into a differently-seeded instance of the same architecture.
     const auto b = fuse::nn::build_model(name, small_cfg(32));
     b->load(ss);
-    const Tensor ya = a->infer(x);
-    const Tensor yb = b->infer(x);
-    for (std::size_t i = 0; i < ya.numel(); ++i)
-      ASSERT_EQ(ya[i], yb[i]) << name << " element " << i;
+    expect_params_bitwise_equal(*a, *b);
+    EXPECT_TRUE(std::signbit((*b->params().front())[0]));
   }
+}
+
+TEST(Serialization, SameLengthOtherShapesThrowAndLeaveModelIntact) {
+  // Same architecture tag and payload length, shapes that differ only
+  // after the first tensor: load checks every shape header before it
+  // copies a single value.
+  fuse::util::Rng rng(5);
+  const auto build = [&](std::size_t a, std::size_t b) {
+    fuse::nn::Sequential m;
+    m.add(fuse::nn::Linear(2, 2, rng));
+    m.add(fuse::nn::Linear(a, b, rng));
+    m.add(fuse::nn::Linear(b, a, rng));
+    return m;
+  };
+  const auto src = build(3, 5);
+  auto dst = build(5, 3);
+  const auto before = dst;
+  std::stringstream ss;
+  src.save(ss);
+  try {
+    dst.load(ss);
+    FAIL() << "mismatched shapes loaded without error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("shape"), std::string::npos)
+        << e.what();
+  }
+  expect_params_bitwise_equal(before, dst);
+}
+
+TEST(Serialization, SaveFileFailsLoudlyAndKeepsThePreviousFile) {
+  // save_file writes through util::write_file_atomic: a failed write
+  // throws and leaves the previous checkpoint loadable, and a torn one
+  // (the rename landed, the data did not) throws at load_file.
+  using fuse::util::FaultConfig;
+  using fuse::util::FaultPoint;
+  const std::string path = ::testing::TempDir() + "fuse_module_save_file";
+  const auto first = fuse::nn::build_model("mars_mlp", small_cfg(21));
+  const auto second = fuse::nn::build_model("mars_mlp", small_cfg(22));
+  const auto back = fuse::nn::build_model("mars_mlp", small_cfg(23));
+  first->save_file(path);
+  FaultConfig disk;
+  disk.p(FaultPoint::kDiskWrite) = 1.0;
+  {
+    fuse::util::ScopedFaults faults(disk);
+    EXPECT_THROW(second->save_file(path), std::runtime_error);
+  }
+  back->load_file(path);
+  expect_params_bitwise_equal(*first, *back);
+
+  FaultConfig torn;
+  torn.p(FaultPoint::kTornWrite) = 1.0;
+  {
+    fuse::util::ScopedFaults faults(torn);
+    second->save_file(path);
+  }
+  EXPECT_THROW(back->load_file(path), std::runtime_error);
+  expect_params_bitwise_equal(*first, *back);  // the failed load committed nothing
+  std::filesystem::remove(path);
 }
 
 TEST(Serialization, MismatchedArchitectureLoadThrows) {

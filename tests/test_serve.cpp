@@ -28,7 +28,6 @@
 
 #include "core/pipeline.h"
 #include "core/tracking.h"
-#include "nn/delta.h"
 #include "nn/layers.h"
 #include "nn/sequential.h"
 #include "serve/clone_store/layout.h"
@@ -620,8 +619,8 @@ TEST(Serve, MixedModelPassMatchesBatchOnePredict) {
   EXPECT_EQ(stats.in_flight, 0u);
 
   // The heads each session holds after the pass: the clone store's
-  // bit-exact checkpoints of the two surviving heads, taken against the
-  // shared head; none for the quarantined session.
+  // bit-exact checkpoints of the two surviving heads; none for the
+  // quarantined session.
   server.persist_clones();
   std::vector<std::unique_ptr<fuse::nn::Module>> heads;
   for (const auto& s : subjects) {
@@ -631,9 +630,8 @@ TEST(Serve, MixedModelPassMatchesBatchOnePredict) {
       heads.push_back(nullptr);
       continue;
     }
-    heads.push_back(fuse::nn::rehydrate_from_delta(
-        fuse::serve::shared_head(pl.model()),
-        fuse::nn::ParamDelta::load_file(path)));
+    heads.push_back(fuse::serve::shared_head(pl.model()).clone());
+    heads.back()->load_file(path);
   }
   // The two heads differ, so a row served by the wrong one would show.
   const auto* w_a = std::as_const(*heads[2]).params().front();
@@ -1777,8 +1775,8 @@ TEST(Migrate, EverySubmitResultVariantReachableAroundMigration) {
 }
 
 TEST(Migrate, AdaptedClonePredictsBitExactlyAfterMigration) {
-  // The clone travels through the delta codec (fp32 = bit-exact), so an
-  // adapted session predicts identically on its new shard: same stream on
+  // The head object travels with the session (no copy, no re-encode), so
+  // an adapted session predicts identically on its new shard: same stream on
   // a never-migrated control server, exact float equality.
   auto& pl = world();
   ServeConfig cfg;
