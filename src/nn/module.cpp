@@ -1,7 +1,6 @@
 #include "nn/module.h"
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -33,34 +32,76 @@ std::uint64_t read_u64(std::istream& is) {
   return v;
 }
 
-/// Copies a payload read_checkpoint verified against `m` into its
-/// parameters.  The length matched the one `m` writes, so the walk stays
-/// in bounds while the shape headers match; all of them are checked
-/// before any value is copied, so a mismatch leaves `m` untouched.
-void commit_payload(Module& m, const std::string& payload) {
-  const auto ps = m.params();
-  std::size_t off = 0;
-  const auto next_u64 = [&] {
-    std::uint64_t v = 0;
-    std::memcpy(&v, payload.data() + off, sizeof(v));
-    off += sizeof(v);
-    return v;
-  };
-  if (next_u64() != ps.size())
-    throw std::runtime_error("Module::load: parameter count mismatch");
-  std::vector<std::size_t> values_at;
-  for (const Tensor* p : ps) {
-    bool same = next_u64() == p->ndim();
-    for (std::size_t k = 0; same && k < p->ndim(); ++k)
-      same = next_u64() == p->shape()[k];
-    if (!same)
-      throw std::runtime_error("Module::load: parameter shape mismatch");
-    values_at.push_back(off);
-    off += p->numel() * sizeof(float);
+/// Validates one stream written by Module::save: magic, architecture tag,
+/// payload length and FNV-1a checksum.  With a non-null `model`, the tag
+/// and the length must also be the ones `model` writes.  Returns the
+/// verified payload; throws std::runtime_error otherwise.
+std::string read_checkpoint(std::istream& is, const Module* model) {
+  char magic[sizeof(kMagic)] = {};
+  is.read(magic, sizeof(magic));
+  if (!is) throw std::runtime_error("Module::load: not a FUSE model stream");
+  if (std::string(magic, sizeof(magic)) ==
+      std::string(kMagicV1, sizeof(kMagicV1)))
+    throw std::runtime_error(
+        "Module::load: legacy unchecksummed FUSEMOD1 stream (re-save the "
+        "checkpoint with this build)");
+  if (std::string(magic, sizeof(magic)) != std::string(kMagic, sizeof(kMagic)))
+    throw std::runtime_error("Module::load: not a FUSE model stream");
+  const std::uint64_t arch_len = read_u64(is);
+  if (arch_len > 4096)
+    throw std::runtime_error("Module::load: corrupt architecture tag");
+  std::string arch(arch_len, '\0');
+  is.read(arch.data(), static_cast<std::streamsize>(arch_len));
+  if (!is) throw std::runtime_error("Module::load: truncated stream");
+  if (model != nullptr && arch != model->arch_name())
+    throw std::runtime_error("Module::load: architecture mismatch (stream '" +
+                             arch + "' vs model '" + model->arch_name() +
+                             "')");
+  // Integrity gate before the allocation below trusts the stored length:
+  // a model fully determines its payload length, so any other is
+  // corruption; without a model, 1 GiB bounds a corrupt length.
+  const std::uint64_t payload_len = read_u64(is);
+  if (model != nullptr) {
+    std::uint64_t expect_len = sizeof(std::uint64_t);
+    for (const Tensor* p : model->params())
+      expect_len += sizeof(std::uint64_t) * (1 + p->ndim()) +
+                    p->numel() * sizeof(float);
+    if (payload_len != expect_len)
+      throw std::runtime_error("Module::load: payload length mismatch (" +
+                               std::to_string(payload_len) + " vs expected " +
+                               std::to_string(expect_len) +
+                               " bytes — truncated or corrupt stream)");
+  } else if (payload_len > (1ull << 30)) {
+    throw std::runtime_error("Module::load: implausible payload length");
   }
-  for (std::size_t i = 0; i < ps.size(); ++i)
-    std::memcpy(ps[i]->data(), payload.data() + values_at[i],
-                ps[i]->numel() * sizeof(float));
+  const std::uint64_t stored_sum = read_u64(is);
+  std::string payload(payload_len, '\0');
+  is.read(payload.data(), static_cast<std::streamsize>(payload_len));
+  if (!is || static_cast<std::uint64_t>(is.gcount()) != payload_len)
+    throw std::runtime_error("Module::load: truncated stream");
+  if (fuse::util::fnv1a(payload.data(), payload.size()) != stored_sum)
+    throw std::runtime_error(
+        "Module::load: payload checksum mismatch (corrupt checkpoint)");
+  return payload;
+}
+
+/// Deserializes a payload read_checkpoint verified against `m` into its
+/// parameters.  Every tensor is staged and shape-checked before any is
+/// committed, so a mismatch throws without leaving `m` half-loaded.
+void load_payload(Module& m, const std::string& payload) {
+  const auto ps = m.params();
+  std::istringstream payload_is(payload, std::ios::binary);
+  if (read_u64(payload_is) != ps.size())
+    throw std::runtime_error("Module::load: parameter count mismatch");
+  std::vector<Tensor> staged;
+  staged.reserve(ps.size());
+  for (const Tensor* p : ps) {
+    Tensor t = Tensor::load(payload_is);
+    if (t.shape() != p->shape())
+      throw std::runtime_error("Module::load: parameter shape mismatch");
+    staged.push_back(std::move(t));
+  }
+  for (std::size_t i = 0; i < ps.size(); ++i) *ps[i] = std::move(staged[i]);
 }
 
 }  // namespace
@@ -135,55 +176,6 @@ void Module::save(std::ostream& os) const {
   os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
 }
 
-std::string read_checkpoint(std::istream& is, const Module* model) {
-  char magic[sizeof(kMagic)] = {};
-  is.read(magic, sizeof(magic));
-  if (!is) throw std::runtime_error("Module::load: not a FUSE model stream");
-  if (std::string(magic, sizeof(magic)) ==
-      std::string(kMagicV1, sizeof(kMagicV1)))
-    throw std::runtime_error(
-        "Module::load: legacy unchecksummed FUSEMOD1 stream (re-save the "
-        "checkpoint with this build)");
-  if (std::string(magic, sizeof(magic)) != std::string(kMagic, sizeof(kMagic)))
-    throw std::runtime_error("Module::load: not a FUSE model stream");
-  const std::uint64_t arch_len = read_u64(is);
-  if (arch_len > 4096)
-    throw std::runtime_error("Module::load: corrupt architecture tag");
-  std::string arch(arch_len, '\0');
-  is.read(arch.data(), static_cast<std::streamsize>(arch_len));
-  if (!is) throw std::runtime_error("Module::load: truncated stream");
-  if (model != nullptr && arch != model->arch_name())
-    throw std::runtime_error("Module::load: architecture mismatch (stream '" +
-                             arch + "' vs model '" + model->arch_name() +
-                             "')");
-  // Integrity gate before the allocation below trusts the stored length:
-  // a model fully determines its payload length, so any other is
-  // corruption; without a model, 1 GiB bounds a corrupt length.
-  const std::uint64_t payload_len = read_u64(is);
-  if (model != nullptr) {
-    std::uint64_t expect_len = sizeof(std::uint64_t);
-    for (const Tensor* p : model->params())
-      expect_len += sizeof(std::uint64_t) * (1 + p->ndim()) +
-                    p->numel() * sizeof(float);
-    if (payload_len != expect_len)
-      throw std::runtime_error("Module::load: payload length mismatch (" +
-                               std::to_string(payload_len) + " vs expected " +
-                               std::to_string(expect_len) +
-                               " bytes — truncated or corrupt stream)");
-  } else if (payload_len > (1ull << 30)) {
-    throw std::runtime_error("Module::load: implausible payload length");
-  }
-  const std::uint64_t stored_sum = read_u64(is);
-  std::string payload(payload_len, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(payload_len));
-  if (!is || static_cast<std::uint64_t>(is.gcount()) != payload_len)
-    throw std::runtime_error("Module::load: truncated stream");
-  if (fuse::util::fnv1a(payload.data(), payload.size()) != stored_sum)
-    throw std::runtime_error(
-        "Module::load: payload checksum mismatch (corrupt checkpoint)");
-  return payload;
-}
-
 std::string read_checkpoint_file(const std::string& path,
                                  const Module* model) {
   if (fuse::util::fault_fire(fuse::util::FaultPoint::kDiskRead))
@@ -196,7 +188,7 @@ std::string read_checkpoint_file(const std::string& path,
 }
 
 void Module::load(std::istream& is) {
-  commit_payload(*this, read_checkpoint(is, this));
+  load_payload(*this, read_checkpoint(is, this));
 }
 
 void Module::save_file(const std::string& path) const {
@@ -211,7 +203,7 @@ void Module::save_file(const std::string& path) const {
 }
 
 void Module::load_file(const std::string& path) {
-  commit_payload(*this, read_checkpoint_file(path, this));
+  load_payload(*this, read_checkpoint_file(path, this));
 }
 
 }  // namespace fuse::nn

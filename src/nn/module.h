@@ -137,14 +137,12 @@ class Module {
   friend class Sequential;  // containers drive do_infer/do_infer_inplace
 };
 
-/// Validates one stream written by Module::save, with no model needed to
-/// load it into (the offline re-shard tool has none): magic, architecture
-/// tag, payload length and FNV-1a checksum.  With a non-null `model`, the
-/// tag and the length must also be the ones `model` writes.  Returns the verified
-/// payload; throws std::runtime_error otherwise.  Module::load is this
-/// plus copying the payload into the parameters.
-std::string read_checkpoint(std::istream& is, const Module* model);
-/// read_checkpoint on a file, behind the same kDiskRead site as load_file.
+/// Validates one checkpoint file written by Module::save_file, with no
+/// model needed to load it into (the offline re-shard tool has none):
+/// magic, architecture tag, payload length and FNV-1a checksum.  With a
+/// non-null `model`, the tag and the length must also be the ones `model`
+/// writes.  Returns the verified payload; throws std::runtime_error
+/// otherwise.  The same kDiskRead site and reader as Module::load_file.
 std::string read_checkpoint_file(const std::string& path,
                                  const Module* model);
 
