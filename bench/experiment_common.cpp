@@ -248,4 +248,24 @@ std::string fmt_cm(double v) {
   return buf;
 }
 
+std::string fmt_intersection(const fuse::core::Intersection& x) {
+  using Outcome = fuse::core::Intersection::Outcome;
+  char buf[96] = "";
+  switch (x.outcome) {
+    case Outcome::kCrossed:
+      std::snprintf(buf, sizeof(buf), "epoch %zu", x.epoch);
+      break;
+    case Outcome::kBaselineNeverCaughtUp:
+      std::snprintf(buf, sizeof(buf),
+                    "none (the baseline never caught up within %zu epochs)",
+                    x.epoch);
+      break;
+    case Outcome::kFuseNeverAhead:
+      std::snprintf(buf, sizeof(buf),
+                    "none (FUSE was never ahead of the baseline)");
+      break;
+  }
+  return buf;
+}
+
 }  // namespace fuse::bench

@@ -125,4 +125,8 @@ class AdaptationLab {
 /// Formats a MAE curve entry (cm) for console tables.
 std::string fmt_cm(double v);
 
+/// Names an intersection for a console summary: the epoch when the
+/// baseline caught up, else which of the two curves never moved.
+std::string fmt_intersection(const fuse::core::Intersection& x);
+
 }  // namespace fuse::bench

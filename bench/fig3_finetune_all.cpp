@@ -45,16 +45,16 @@ int main(int argc, char** argv) {
   ta.print();
   tb.print();
 
-  const std::size_t cross =
-      fuse::core::intersection_epoch(base.new_data_cm,
-                                     fuse_curve.new_data_cm);
+  const auto cross = fuse::core::intersection_epoch(base.new_data_cm,
+                                                   fuse_curve.new_data_cm);
   const std::size_t last = base.new_data_cm.size() - 1;
   std::printf("\nSummary (all layers):\n");
   std::printf("  FUSE new-data MAE @5 epochs:      %.1f cm (paper 6.0)\n",
               fuse_curve.new_data_cm[std::min<std::size_t>(5, last)]);
   std::printf("  baseline new-data MAE @5 epochs:  %.1f cm (paper 9.0)\n",
               base.new_data_cm[std::min<std::size_t>(5, last)]);
-  std::printf("  intersection epoch:               %zu (paper 26)\n", cross);
+  std::printf("  intersection:                     %s (paper epoch 26)\n",
+              fuse::bench::fmt_intersection(cross).c_str());
   std::printf("  baseline original MAE @%zu:        %.1f cm (paper 18.7 — "
               "forgetting)\n",
               last, base.original_cm[last]);

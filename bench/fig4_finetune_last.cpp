@@ -40,16 +40,16 @@ int main(int argc, char** argv) {
   ta.print();
   tb.print();
 
-  const std::size_t cross =
-      fuse::core::intersection_epoch(base.new_data_cm,
-                                     fuse_curve.new_data_cm);
+  const auto cross = fuse::core::intersection_epoch(base.new_data_cm,
+                                                   fuse_curve.new_data_cm);
   const std::size_t last = base.new_data_cm.size() - 1;
   std::printf("\nSummary (last layer):\n");
   std::printf("  FUSE new-data MAE @5 epochs:      %.1f cm (paper 8.3)\n",
               fuse_curve.new_data_cm[std::min<std::size_t>(5, last)]);
   std::printf("  baseline new-data MAE @5 epochs:  %.1f cm (paper 9.6)\n",
               base.new_data_cm[std::min<std::size_t>(5, last)]);
-  std::printf("  intersection epoch:               %zu (paper 16)\n", cross);
+  std::printf("  intersection:                     %s (paper epoch 16)\n",
+              fuse::bench::fmt_intersection(cross).c_str());
   std::printf("  baseline original MAE @%zu:        %.1f cm (paper 31.0)\n",
               last, base.original_cm[last]);
   std::printf("  FUSE original MAE @%zu:            %.1f cm (paper 7.8)\n",

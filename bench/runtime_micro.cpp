@@ -207,18 +207,23 @@ void BM_ConvForward(benchmark::State& state) {
 BENCHMARK(BM_ConvForward)
     ->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
 
-// conv2's backward (dW, db and dx) after one forward at the same batch; the
-// gradients accumulate across iterations, as over training steps.
+// conv2's backward (dW, db and dx), each after an untimed forward at the
+// same batch; the gradients accumulate across iterations, as over
+// training steps.
 void BM_ConvBackward(benchmark::State& state) {
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   fuse::util::Rng rng(9);
   fuse::nn::Conv2d conv(16, 32, 3, 1, rng);
   fuse::tensor::Tensor x({batch, 16, 8, 8});
   for (std::size_t i = 0; i < x.numel(); ++i) x[i] = rng.uniformf(-1, 1);
-  fuse::tensor::Tensor dy = conv.forward(x);
+  fuse::nn::Tape tape;
+  fuse::tensor::Tensor dy = conv.forward(x, tape);
   for (std::size_t i = 0; i < dy.numel(); ++i) dy[i] = rng.uniformf(-1, 1);
   for (auto _ : state) {
-    auto dx = conv.backward(dy);
+    state.PauseTiming();  // a backward consumes its forward's tape record
+    (void)conv.forward(x, tape);
+    state.ResumeTiming();
+    const auto& dx = conv.backward(dy, tape);
     benchmark::DoNotOptimize(dx.data());
     benchmark::ClobberMemory();  // the gradients accumulate in the layer
   }
@@ -251,12 +256,13 @@ void BM_CnnTrainStep(benchmark::State& state) {
   fuse::tensor::Tensor t({128, 57});
   for (std::size_t i = 0; i < x.numel(); ++i) x[i] = rng.uniformf(-1, 1);
   for (std::size_t i = 0; i < t.numel(); ++i) t[i] = rng.uniformf(-1, 1);
+  fuse::nn::Tape tape;
+  fuse::nn::Tensor dy;
   for (auto _ : state) {
-    auto y = model->forward(x);
-    fuse::nn::Tensor dy;
+    const auto& y = model->forward(x, tape);
     (void)fuse::nn::l1_loss(y, t, &dy);
     model->zero_grad();
-    model->backward(dy);
+    model->backward(dy, tape, fuse::nn::InputGrad::kSkip);
     adam.step(model->params(), model->grads());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -28,7 +28,7 @@ namespace {
 struct RegimeResult {
   fuse::core::FineTuneCurve baseline;
   fuse::core::FineTuneCurve fuse_curve;
-  std::size_t intersection = 0;
+  fuse::core::Intersection intersection;
 };
 
 }  // namespace
@@ -45,13 +45,13 @@ int main(int argc, char** argv) {
   RegimeResult all, last;
   {
     auto [b, f] = lab.run_finetune(/*last_layer_only=*/false);
-    all = {std::move(b), std::move(f), 0};
+    all = {std::move(b), std::move(f), {}};
     all.intersection = fuse::core::intersection_epoch(
         all.baseline.new_data_cm, all.fuse_curve.new_data_cm);
   }
   {
     auto [b, f] = lab.run_finetune(/*last_layer_only=*/true);
-    last = {std::move(b), std::move(f), 0};
+    last = {std::move(b), std::move(f), {}};
     last.intersection = fuse::core::intersection_epoch(
         last.baseline.new_data_cm, last.fuse_curve.new_data_cm);
   }
@@ -60,7 +60,10 @@ int main(int argc, char** argv) {
   auto at = [&](const std::vector<double>& curve, std::size_t e) {
     return fuse::bench::fmt_cm(curve[std::min(e, end)]);
   };
-  auto clamp_x = [&](std::size_t e) { return std::min(e, end); };
+  // A curve that never crossed reports its last epoch in this row.
+  auto clamp_x = [&](const fuse::core::Intersection& x) {
+    return std::min(x.epoch, end);
+  };
 
   fuse::util::Table t("\nTable 2: MAE comparison between baseline and FUSE "
                       "(cm)");
@@ -95,19 +98,29 @@ int main(int argc, char** argv) {
              at(last.fuse_curve.new_data_cm, end)});
   t.print();
 
-  std::printf("\nIntersection epochs: all-layers %zu (paper 26), "
-              "last-layer %zu (paper 16)\n",
-              all.intersection, last.intersection);
+  std::printf("\nIntersection: all layers %s (paper epoch 26); last layer "
+              "%s (paper epoch 16)\n",
+              fuse::bench::fmt_intersection(all.intersection).c_str(),
+              fuse::bench::fmt_intersection(last.intersection).c_str());
   // The headline claim: FUSE reaches its 5-epoch MAE `intersection/5`-times
-  // faster than the baseline catches up.
-  if (all.intersection > 0 && all.intersection <= end) {
-    std::printf("Adaptation speedup (all layers): %.1fx "
-                "(paper ~4x: 26 epochs vs 5)\n",
-                static_cast<double>(all.intersection) / 5.0);
-  } else {
-    std::printf("Adaptation speedup (all layers): baseline never caught up "
-                "within %zu epochs (>%.1fx)\n",
-                end, static_cast<double>(end) / 5.0);
+  // faster than the baseline catches up.  Only a lead the baseline had to
+  // catch is a speed-up.
+  using Outcome = fuse::core::Intersection::Outcome;
+  switch (all.intersection.outcome) {
+    case Outcome::kCrossed:
+      std::printf("Adaptation speedup (all layers): %.1fx "
+                  "(paper ~4x: 26 epochs vs 5)\n",
+                  static_cast<double>(all.intersection.epoch) / 5.0);
+      break;
+    case Outcome::kBaselineNeverCaughtUp:
+      std::printf("Adaptation speedup (all layers): baseline never caught up "
+                  "within %zu epochs (>%.1fx)\n",
+                  end, static_cast<double>(end) / 5.0);
+      break;
+    case Outcome::kFuseNeverAhead:
+      std::printf("Adaptation speedup (all layers): none, FUSE was never "
+                  "ahead of the baseline (paper ~4x)\n");
+      break;
   }
   return 0;
 }

@@ -106,10 +106,11 @@ struct Bench {
     const auto x = feat.make_inputs(fused, batch_set);
     const auto y = feat.make_labels(fused, batch_set);
     const fuse::util::InlineScope inline_scope;  // one thread, as served
-    (void)fuse::core::sgd_step(*model, x, y, 0.02f);  // warm-up step
+    fuse::nn::Tape tape;  // one per serving shard, reused across rounds
+    (void)fuse::core::sgd_step(*model, tape, x, y, 0.02f);  // warm-up step
     fuse::util::Stopwatch sw;
     for (std::size_t s = 0; s < steps; ++s)
-      out.last_loss = fuse::core::sgd_step(*model, x, y, 0.02f);
+      out.last_loss = fuse::core::sgd_step(*model, tape, x, y, 0.02f);
     const double secs = sw.seconds();
     out.steps_per_sec = static_cast<double>(steps) / secs;
     return out;

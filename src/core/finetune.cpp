@@ -10,17 +10,24 @@ namespace fuse::core {
 
 using fuse::data::IndexSet;
 
-float sgd_step(fuse::nn::Module& model, const fuse::tensor::Tensor& x,
-               const fuse::tensor::Tensor& y, float lr, float grad_clip) {
-  const auto pred = model.forward(x);
+float sgd_step(fuse::nn::Module& model, fuse::nn::Tape& tape,
+               const fuse::tensor::Tensor& x, const fuse::tensor::Tensor& y,
+               float lr, float grad_clip) {
+  const auto& pred = model.forward(x, tape);
   fuse::nn::Tensor dpred;
   const float loss = fuse::nn::l1_loss(pred, y, &dpred);
   model.zero_grad();
-  model.backward(dpred);
+  model.backward(dpred, tape, fuse::nn::InputGrad::kSkip);
   const auto grads = model.grads();
   if (grad_clip > 0.0f) fuse::nn::clip_grad_norm(grads, grad_clip);
   fuse::nn::Sgd(lr).step(model.params(), grads);
   return loss;
+}
+
+float sgd_step(fuse::nn::Module& model, const fuse::tensor::Tensor& x,
+               const fuse::tensor::Tensor& y, float lr, float grad_clip) {
+  fuse::nn::Tape tape;
+  return sgd_step(model, tape, x, y, lr, grad_clip);
 }
 
 FineTuneCurve fine_tune(fuse::nn::Module& model,
@@ -52,6 +59,8 @@ FineTuneCurve fine_tune(fuse::nn::Module& model,
   fuse::util::Rng rng(cfg.seed);
 
   IndexSet indices = finetune_indices;
+  fuse::nn::Tape tape;
+  fuse::nn::Tensor x, y, dpred;
   for (std::size_t e = 0; e < cfg.epochs; ++e) {
     rng.shuffle(indices);
     for (std::size_t pos = 0; pos < indices.size(); pos += cfg.batch_size) {
@@ -59,13 +68,12 @@ FineTuneCurve fine_tune(fuse::nn::Module& model,
       const IndexSet batch(
           indices.begin() + static_cast<std::ptrdiff_t>(pos),
           indices.begin() + static_cast<std::ptrdiff_t>(hi));
-      const auto x = feat.make_inputs(fused, batch);
-      const auto y = feat.make_labels(fused, batch);
-      const auto pred = model.forward(x);
-      fuse::nn::Tensor dpred;
+      feat.make_inputs(fused, batch, x);
+      feat.make_labels(fused, batch, y);
+      const auto& pred = model.forward(x, tape);
       (void)fuse::nn::l1_loss(pred, y, &dpred);
       model.zero_grad();
-      model.backward(dpred);
+      model.backward(dpred, tape, fuse::nn::InputGrad::kSkip);
       if (cfg.grad_clip > 0.0f)
         fuse::nn::clip_grad_norm(grads, cfg.grad_clip);
       if (cfg.use_sgd) {

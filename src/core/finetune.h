@@ -19,8 +19,14 @@ namespace fuse::core {
 /// `y`, backward, clip, theta -= lr * grad.  Returns the pre-step batch
 /// loss.  This is the MAML inner update (Eq. 5) applied to deployment
 /// data; the serving runtime's per-session online adaptation
-/// (serve::Shard) is built on it.  fine_tune() below keeps its own
-/// step loop because it also supports Adam and last-layer-only updates.
+/// (serve::Shard, one tape per shard) is built on it.  The step's
+/// activations go to `tape`, whose storage the caller reuses across
+/// steps.  fine_tune() below keeps its own step loop because it also
+/// supports Adam and last-layer-only updates.
+float sgd_step(fuse::nn::Module& model, fuse::nn::Tape& tape,
+               const fuse::tensor::Tensor& x, const fuse::tensor::Tensor& y,
+               float lr, float grad_clip = 10.0f);
+/// sgd_step() on a tape of its own, for a one-off step.
 float sgd_step(fuse::nn::Module& model, const fuse::tensor::Tensor& x,
                const fuse::tensor::Tensor& y, float lr,
                float grad_clip = 10.0f);

@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <utility>
 
@@ -14,6 +15,7 @@ using fuse::data::IndexSet;
 using fuse::nn::Tensor;
 
 float MetaTrainer::task_adapt_and_query(fuse::nn::Module& clone,
+                                        fuse::nn::Tape& tape,
                                         const fuse::data::FusedDataset& fused,
                                         const fuse::data::Featurizer& feat,
                                         const IndexSet& support,
@@ -23,27 +25,29 @@ float MetaTrainer::task_adapt_and_query(fuse::nn::Module& clone,
   const auto grads = clone.grads();
 
   // Inner loop (lines 5-7 of Algorithm 1): adapt on the support set.
-  for (std::size_t step = 0; step < cfg_.inner_steps; ++step) {
+  Tensor dpred;
+  if (cfg_.inner_steps > 0) {
     const auto xs = feat.make_inputs(fused, support);
     const auto ys = feat.make_labels(fused, support);
-    const auto pred = clone.forward(xs);
-    Tensor dpred;
-    (void)fuse::nn::l1_loss(pred, ys, &dpred);
-    clone.zero_grad();
-    clone.backward(dpred);
-    if (cfg_.grad_clip > 0.0f) fuse::nn::clip_grad_norm(grads, cfg_.grad_clip);
-    inner.step(params, grads);
+    for (std::size_t step = 0; step < cfg_.inner_steps; ++step) {
+      const auto& pred = clone.forward(xs, tape);
+      (void)fuse::nn::l1_loss(pred, ys, &dpred);
+      clone.zero_grad();
+      clone.backward(dpred, tape, fuse::nn::InputGrad::kSkip);
+      if (cfg_.grad_clip > 0.0f)
+        fuse::nn::clip_grad_norm(grads, cfg_.grad_clip);
+      inner.step(params, grads);
+    }
   }
 
   // Query evaluation at the adapted parameters (lines 8-9): leaves the
   // first-order meta-gradient in the clone's grad tensors.
   const auto xq = feat.make_inputs(fused, query);
   const auto yq = feat.make_labels(fused, query);
-  const auto pred = clone.forward(xq);
-  Tensor dpred;
+  const auto& pred = clone.forward(xq, tape);
   const float qloss = fuse::nn::l1_loss(pred, yq, &dpred);
   clone.zero_grad();
-  clone.backward(dpred);
+  clone.backward(dpred, tape, fuse::nn::InputGrad::kSkip);
   return qloss;
 }
 
@@ -70,6 +74,13 @@ MetaHistory MetaTrainer::run(const fuse::data::FusedDataset& fused,
   const auto grads = model_->grads();
 
   const std::size_t n_tasks = cfg_.tasks_per_iteration;
+  // One tape per task worker, kept across meta-iterations: a worker takes
+  // a free one for its chunk of tasks and puts it back after, so no more
+  // tapes exist than chunks ever ran at once (at most one per task, which
+  // the reserve covers: putting one back never allocates in a worker).
+  std::vector<std::unique_ptr<fuse::nn::Tape>> free_tapes;
+  free_tapes.reserve(n_tasks);
+  std::mutex tapes_mu;
   for (std::size_t it = 0; it < cfg_.iterations; ++it) {
     // Meta-gradient accumulator (Eq. 6 sums query-task losses).
     std::vector<Tensor> meta_grad;
@@ -94,28 +105,39 @@ MetaHistory MetaTrainer::run(const fuse::data::FusedDataset& fused,
     }
 
     // Lines 4-9, embarrassingly parallel: each task adapts its own clone
-    // (private parameters/gradients/caches; the shared model is only read
-    // by clone()).  Kernel-level parallel_for calls inside the workers
-    // serialize inline, so the pool is never oversubscribed.  Exceptions
-    // (shape mismatches, bad_alloc under tasks_per_iteration clones) must
-    // not escape a pool worker — that would std::terminate — so the first
-    // one is captured and rethrown on this thread, preserving the serial
-    // loop's error behaviour.
+    // (private parameters and gradients, on its worker's tape; the shared
+    // model is only read by clone()).  Kernel-level parallel_for calls
+    // inside the workers serialize inline, so the pool is never
+    // oversubscribed.  Exceptions (shape mismatches, bad_alloc under
+    // tasks_per_iteration clones) must not escape a pool worker — that
+    // would std::terminate — so the first one is captured and rethrown on
+    // this thread, preserving the serial loop's error behaviour.
     std::vector<std::unique_ptr<fuse::nn::Module>> clones(n_tasks);
     std::vector<float> qloss(n_tasks, 0.0f);
     std::exception_ptr task_error = nullptr;
     std::mutex error_mu;
     const auto adapt_range = [&](std::size_t lo, std::size_t hi) {
+      std::unique_ptr<fuse::nn::Tape> tape;
+      {
+        std::lock_guard<std::mutex> lock(tapes_mu);
+        if (!free_tapes.empty()) {
+          tape = std::move(free_tapes.back());
+          free_tapes.pop_back();
+        }
+      }
       for (std::size_t t = lo; t < hi; ++t) {
         try {
+          if (!tape) tape = std::make_unique<fuse::nn::Tape>();
           clones[t] = model_->clone();
-          qloss[t] = task_adapt_and_query(*clones[t], fused, feat,
+          qloss[t] = task_adapt_and_query(*clones[t], *tape, fused, feat,
                                           supports[t], queries[t]);
         } catch (...) {
           std::lock_guard<std::mutex> lock(error_mu);
           if (!task_error) task_error = std::current_exception();
         }
       }
+      std::lock_guard<std::mutex> lock(tapes_mu);
+      if (tape) free_tapes.push_back(std::move(tape));
     };
     if (pool_) {
       pool_->parallel_for(0, n_tasks, adapt_range, 1);

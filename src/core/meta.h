@@ -89,8 +89,9 @@ class MetaTrainer {
 
   /// Adapts a *clone* of the given model on a support set for a number of
   /// SGD steps and returns the query loss of the adapted clone, leaving the
-  /// clone's gradients populated (exposed for tests and ablations).
-  float task_adapt_and_query(fuse::nn::Module& clone,
+  /// clone's gradients populated (exposed for tests and ablations).  Its
+  /// steps run on `tape`, which run() keeps one of per task worker.
+  float task_adapt_and_query(fuse::nn::Module& clone, fuse::nn::Tape& tape,
                              const fuse::data::FusedDataset& fused,
                              const fuse::data::Featurizer& feat,
                              const fuse::data::IndexSet& support,

@@ -67,17 +67,19 @@ std::vector<double> per_joint_mae_cm(const fuse::nn::Module& model,
   return acc;
 }
 
-std::size_t intersection_epoch(const std::vector<double>& a,
-                               const std::vector<double>& b) {
+Intersection intersection_epoch(const std::vector<double>& a,
+                                const std::vector<double>& b) {
+  using Outcome = Intersection::Outcome;
   const std::size_t n = std::min(a.size(), b.size());
   // Find where b (FUSE) first drops below a (baseline) — in the paper FUSE
   // starts above the baseline and crosses early — then report the first
   // epoch at which the baseline catches back up.
   std::size_t start = 0;
   while (start < n && b[start] >= a[start]) ++start;
+  if (start == n) return {Outcome::kFuseNeverAhead, n};
   for (std::size_t e = start; e < n; ++e)
-    if (a[e] <= b[e]) return e;
-  return n;
+    if (a[e] <= b[e]) return {Outcome::kCrossed, e};
+  return {Outcome::kBaselineNeverCaughtUp, n};
 }
 
 }  // namespace fuse::core

@@ -40,11 +40,21 @@ struct FineTuneCurve {
   std::vector<double> original_cm;
 };
 
-/// The paper's "intersection": with `a` the baseline's new-data curve and
-/// `b` FUSE's, finds where b first drops below a, then returns the first
-/// subsequent epoch at which a catches back up (a[e] <= b[e]).  Returns the
-/// curve size if the baseline never catches up.
-std::size_t intersection_epoch(const std::vector<double>& a,
-                               const std::vector<double>& b);
+/// The paper's "intersection" of two new-data curves, `a` the baseline's
+/// and `b` FUSE's: where b first drops below a, then the first epoch from
+/// there at which a catches back up (a[e] <= b[e]).
+struct Intersection {
+  enum class Outcome {
+    kCrossed,                ///< FUSE led, and the baseline caught up
+    kBaselineNeverCaughtUp,  ///< FUSE led to the end of the curves
+    kFuseNeverAhead,         ///< b never dropped below a: no lead at all
+  };
+  Outcome outcome = Outcome::kFuseNeverAhead;
+  /// kCrossed: the epoch the baseline caught up; otherwise the curves'
+  /// common length.
+  std::size_t epoch = 0;
+};
+Intersection intersection_epoch(const std::vector<double>& a,
+                                const std::vector<double>& b);
 
 }  // namespace fuse::core

@@ -11,7 +11,7 @@ using fuse::data::IndexSet;
 
 float Trainer::run_epoch(const fuse::data::FusedDataset& fused,
                          const fuse::data::Featurizer& feat,
-                         IndexSet indices) {
+                         IndexSet indices, StepBuffers& buf) {
   rng_.shuffle(indices);
   double loss_acc = 0.0;
   std::size_t n_batches = 0;
@@ -22,14 +22,13 @@ float Trainer::run_epoch(const fuse::data::FusedDataset& fused,
     const std::size_t hi = std::min(indices.size(), pos + cfg_.batch_size);
     const IndexSet batch(indices.begin() + static_cast<std::ptrdiff_t>(pos),
                          indices.begin() + static_cast<std::ptrdiff_t>(hi));
-    const auto x = feat.make_inputs(fused, batch);
-    const auto y = feat.make_labels(fused, batch);
+    feat.make_inputs(fused, batch, buf.x);
+    feat.make_labels(fused, batch, buf.y);
 
-    const auto pred = model_->forward(x);
-    fuse::nn::Tensor dpred;
-    const float loss = fuse::nn::l1_loss(pred, y, &dpred);
+    const auto& pred = model_->forward(buf.x, buf.tape);
+    const float loss = fuse::nn::l1_loss(pred, buf.y, &buf.dpred);
     model_->zero_grad();
-    model_->backward(dpred);
+    model_->backward(buf.dpred, buf.tape, fuse::nn::InputGrad::kSkip);
     if (cfg_.grad_clip > 0.0f)
       fuse::nn::clip_grad_norm(grads, cfg_.grad_clip);
     optim_.step(params, grads);
@@ -45,8 +44,9 @@ TrainHistory Trainer::fit(const fuse::data::FusedDataset& fused,
                           const IndexSet& train_indices) {
   TrainHistory hist;
   hist.train_loss.reserve(cfg_.epochs);
+  StepBuffers buf;
   for (std::size_t e = 0; e < cfg_.epochs; ++e) {
-    const float loss = run_epoch(fused, feat, train_indices);
+    const float loss = run_epoch(fused, feat, train_indices, buf);
     hist.train_loss.push_back(loss);
     if (!cfg_.eval_indices.empty()) {
       const MaeCm mae = evaluate(*model_, fused, feat, cfg_.eval_indices);

@@ -36,16 +36,24 @@ class Trainer {
       : model_(model), cfg_(cfg), optim_(cfg.lr), rng_(cfg.seed) {}
 
   /// Trains on the given fused-sample indices; returns per-epoch history.
+  /// Its steps share one tape and one set of batch tensors, so after the
+  /// first full batch a step allocates nothing of size.
   TrainHistory fit(const fuse::data::FusedDataset& fused,
                    const fuse::data::Featurizer& feat,
                    const fuse::data::IndexSet& train_indices);
 
+ private:
+  /// What the steps of one fit() reuse.
+  struct StepBuffers {
+    fuse::nn::Tape tape;
+    fuse::nn::Tensor x, y, dpred;
+  };
+
   /// One epoch over the given indices; returns the mean batch loss.
   float run_epoch(const fuse::data::FusedDataset& fused,
                   const fuse::data::Featurizer& feat,
-                  fuse::data::IndexSet indices);
+                  fuse::data::IndexSet indices, StepBuffers& buf);
 
- private:
   fuse::nn::Module* model_;
   TrainConfig cfg_;
   fuse::nn::Adam optim_;

@@ -113,8 +113,22 @@ void Featurizer::frame_block(const fuse::radar::PointCloud& cloud, float* out,
 
 Tensor Featurizer::make_inputs(const FusedDataset& fused,
                                const IndexSet& sample_indices) const {
+  Tensor x;
+  make_inputs(fused, sample_indices, x);
+  return x;
+}
+
+Tensor Featurizer::make_labels(const FusedDataset& fused,
+                               const IndexSet& sample_indices) const {
+  Tensor y;
+  make_labels(fused, sample_indices, y);
+  return y;
+}
+
+void Featurizer::make_inputs(const FusedDataset& fused,
+                             const IndexSet& sample_indices, Tensor& x) const {
   const std::size_t n = sample_indices.size();
-  Tensor x({n, kChannelsPerFrame, kGridH, kGridW});
+  x.resize({n, kChannelsPerFrame, kGridH, kGridW});
   const std::size_t block_size = kChannelsPerFrame * kPointsPerFrame;
 
   fuse::util::parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
@@ -124,18 +138,16 @@ Tensor Featurizer::make_inputs(const FusedDataset& fused,
       frame_block(pool, x.data() + i * block_size, scratch);
     }
   }, 16);
-  return x;
 }
 
-Tensor Featurizer::make_labels(const FusedDataset& fused,
-                               const IndexSet& sample_indices) const {
+void Featurizer::make_labels(const FusedDataset& fused,
+                             const IndexSet& sample_indices, Tensor& y) const {
   const std::size_t n = sample_indices.size();
-  Tensor y({n, fuse::human::kNumCoords});
+  y.resize({n, fuse::human::kNumCoords});
   for (std::size_t i = 0; i < n; ++i) {
     const auto v = normalize_pose(fused.centre_frame(sample_indices[i]).label);
     std::copy(v.begin(), v.end(), y.data() + i * fuse::human::kNumCoords);
   }
-  return y;
 }
 
 std::array<float, fuse::human::kNumCoords>

@@ -93,6 +93,13 @@ class Featurizer {
   fuse::tensor::Tensor
   make_labels(const FusedDataset& fused, const IndexSet& sample_indices) const;
 
+  /// make_inputs() / make_labels() into a caller's tensor, resized and
+  /// every element written: a training loop reuses one batch's storage.
+  void make_inputs(const FusedDataset& fused, const IndexSet& sample_indices,
+                   fuse::tensor::Tensor& x) const;
+  void make_labels(const FusedDataset& fused, const IndexSet& sample_indices,
+                   fuse::tensor::Tensor& y) const;
+
   /// Converts a normalized [N, 57] prediction back to metres.
   fuse::tensor::Tensor denormalize_labels(const fuse::tensor::Tensor& y) const;
 

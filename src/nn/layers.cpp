@@ -1,5 +1,6 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -32,36 +33,12 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
   fuse::tensor::init_he_normal(w_, in_channels * kernel * kernel, rng);
 }
 
-Conv2d::Conv2d(const Conv2d& other)
-    : Module(other),
-      in_channels_(other.in_channels_),
-      out_channels_(other.out_channels_),
-      kernel_(other.kernel_),
-      pad_(other.pad_),
-      w_(other.w_),
-      b_(other.b_),
-      gw_(other.gw_),
-      gb_(other.gb_) {}  // x_ starts empty: the cache is not copied
-
-Conv2d& Conv2d::operator=(const Conv2d& other) {
-  if (this == &other) return *this;
-  Module::operator=(other);
-  in_channels_ = other.in_channels_;
-  out_channels_ = other.out_channels_;
-  kernel_ = other.kernel_;
-  pad_ = other.pad_;
-  w_ = other.w_;
-  b_ = other.b_;
-  gw_ = other.gw_;
-  gb_ = other.gb_;
-  x_ = Tensor();
-  return *this;
-}
-
-Tensor Conv2d::forward(const Tensor& x) {
+const Tensor& Conv2d::do_forward(const Tensor& x, Tape& tape) {
   check_conv_input(x, in_channels_, "Conv2d::forward");
-  x_ = x;  // backward() gathers its columns from the input again
-  return fuse::tensor::conv2d(x, w_, b_, kernel_, pad_);
+  Tape::Record& r = tape.push(*this);
+  // The padded copy the forward gathers from is what backward needs.
+  fuse::tensor::conv2d(x, w_, b_, kernel_, pad_, r.saved, r.out);
+  return r.out;
 }
 
 Tensor Conv2d::do_infer(const Tensor& x) const {
@@ -69,12 +46,12 @@ Tensor Conv2d::do_infer(const Tensor& x) const {
   return fuse::tensor::conv2d(x, w_, b_, kernel_, pad_);
 }
 
-Tensor Conv2d::backward(const Tensor& dy) {
-  if (x_.ndim() != 4)
-    throw std::logic_error(
-        "Conv2d::backward: no cached forward (run forward() first — clones "
-        "drop the input cache)");
-  return fuse::tensor::conv2d_backward(x_, w_, dy, kernel_, pad_, gw_, gb_);
+const Tensor& Conv2d::do_backward(const Tensor& dy, Tape& tape,
+                                  InputGrad input) {
+  const Tape::Record& r = tape.pop(*this);
+  Tensor* dx = input == InputGrad::kCompute ? &tape.grad_for(dy) : nullptr;
+  fuse::tensor::conv2d_backward(r.saved, w_, dy, kernel_, pad_, gw_, gb_, dx);
+  return dx != nullptr ? *dx : tape.no_grad();
 }
 
 Tensor conv2d_reference_forward(const Conv2d& conv, const Tensor& x) {
@@ -159,13 +136,15 @@ Linear::Linear(std::size_t in_features, std::size_t out_features,
   fuse::tensor::init_he_normal(w_, in_features, rng);
 }
 
-Tensor Linear::forward(const Tensor& x) {
+const Tensor& Linear::do_forward(const Tensor& x, Tape& tape) {
   if (x.ndim() != 2 || x.dim(1) != in_features_)
     throw std::invalid_argument("Linear::forward: bad input shape");
-  x_ = x;
-  Tensor y = fuse::tensor::matmul(x, w_, Trans::kNo, Trans::kYes);
-  fuse::tensor::add_row_bias(y, b_);
-  return y;
+  Tape::Record& r = tape.push(*this);
+  r.read = &x;
+  r.out.resize({x.dim(0), out_features_});
+  fuse::tensor::gemm(Trans::kNo, Trans::kYes, 1.0f, x, w_, 0.0f, r.out);
+  fuse::tensor::add_row_bias(r.out, b_);
+  return r.out;
 }
 
 Tensor Linear::do_infer(const Tensor& x) const {
@@ -176,22 +155,50 @@ Tensor Linear::do_infer(const Tensor& x) const {
   return y;
 }
 
-Tensor Linear::backward(const Tensor& dy) {
-  if (dy.ndim() != 2 || dy.dim(0) != x_.dim(0) || dy.dim(1) != out_features_)
+const Tensor& Linear::do_backward(const Tensor& dy, Tape& tape,
+                                  InputGrad input) {
+  const Tensor& x = *tape.pop(*this).read;
+  if (dy.ndim() != 2 || dy.dim(0) != x.dim(0) || dy.dim(1) != out_features_)
     throw std::invalid_argument("Linear::backward: bad gradient shape");
   // gw += dy^T x ; gb += column sums of dy ; dx = dy W.
-  fuse::tensor::gemm(Trans::kYes, Trans::kNo, 1.0f, dy, x_, 1.0f, gw_);
+  fuse::tensor::gemm(Trans::kYes, Trans::kNo, 1.0f, dy, x, 1.0f, gw_);
   gb_ += fuse::tensor::sum_rows(dy);
-  return fuse::tensor::matmul(dy, w_, Trans::kNo, Trans::kNo);
+  if (input == InputGrad::kSkip) return tape.no_grad();
+  Tensor& dx = tape.grad_for(dy);
+  dx.resize({dy.dim(0), in_features_});
+  fuse::tensor::gemm(Trans::kNo, Trans::kNo, 1.0f, dy, w_, 0.0f, dx);
+  return dx;
 }
 
-Tensor ReLU::forward(const Tensor& x) {
-  x_ = x;
-  return fuse::tensor::relu(x);
+namespace {
+
+// `t` where the tape owns it, else a copy of it in `copy` (tape storage):
+// the in-place layers never write a caller's tensor.
+Tensor& writable(Tensor* owned, const Tensor& t, Tensor& copy) {
+  if (owned != nullptr) return *owned;
+  copy.resize(t.shape());
+  std::copy_n(t.data(), t.numel(), copy.data());
+  return copy;
 }
 
-Tensor ReLU::backward(const Tensor& dy) {
-  return fuse::tensor::relu_backward(dy, x_);
+}  // namespace
+
+const Tensor& ReLU::do_forward(const Tensor& x, Tape& tape) {
+  Tensor* owned = tape.own_activation(x);
+  Tape::Record& r = tape.push(*this);
+  Tensor& y = writable(owned, x, r.out);
+  fuse::tensor::relu_inplace(y);
+  r.read = &y;
+  return y;
+}
+
+const Tensor& ReLU::do_backward(const Tensor& dy, Tape& tape,
+                                InputGrad input) {
+  const Tape::Record& r = tape.pop(*this);
+  if (input == InputGrad::kSkip) return tape.no_grad();
+  Tensor& dx = writable(tape.own_grad(dy), dy, tape.grad_for(dy));
+  fuse::tensor::relu_backward_inplace(dx, *r.read);
+  return dx;
 }
 
 Tensor ReLU::do_infer(const Tensor& x) const {
@@ -203,15 +210,24 @@ bool ReLU::do_infer_inplace(Tensor& x) const {
   return true;
 }
 
-Tensor Flatten::forward(const Tensor& x) {
-  in_shape_ = x.shape();
+const Tensor& Flatten::do_forward(const Tensor& x, Tape& tape) {
+  Tensor* owned = tape.own_activation(x);
+  Tape::Record& r = tape.push(*this);
+  r.shape = x.shape();
   std::size_t features = 1;
   for (std::size_t d = 1; d < x.ndim(); ++d) features *= x.dim(d);
-  return x.reshaped({x.dim(0), features});
+  Tensor& y = writable(owned, x, r.out);
+  y.reshape({r.shape.at(0), features});
+  return y;
 }
 
-Tensor Flatten::backward(const Tensor& dy) {
-  return dy.reshaped(in_shape_);
+const Tensor& Flatten::do_backward(const Tensor& dy, Tape& tape,
+                                   InputGrad input) {
+  const Tape::Record& r = tape.pop(*this);
+  if (input == InputGrad::kSkip) return tape.no_grad();
+  Tensor& dx = writable(tape.own_grad(dy), dy, tape.grad_for(dy));
+  dx.reshape(r.shape);
+  return dx;
 }
 
 Tensor Flatten::do_infer(const Tensor& x) const {

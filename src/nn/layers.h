@@ -1,20 +1,22 @@
 #pragma once
 // Neural-network layers with explicit forward/backward passes.
 //
-// There is intentionally no tape-based autograd: each layer caches what its
-// backward pass needs and exposes its parameters and gradients directly.
-// This makes the MAML inner/outer-loop parameter bookkeeping (clone, adapt,
-// evaluate at adapted parameters, apply outer gradient) completely explicit
-// — the core subtlety of the paper's Algorithm 1.
+// There is intentionally no autograd: each layer writes its own backward
+// and exposes its parameters and gradients directly.  What a backward
+// needs from its forward goes to the caller's nn::Tape (nn/tape.h), not
+// into the layer.  This makes the MAML inner/outer-loop parameter
+// bookkeeping (clone, adapt, evaluate at adapted parameters, apply outer
+// gradient) completely explicit — the core subtlety of the paper's
+// Algorithm 1.
 //
 // Every layer is a Module, so networks compose through nn::Sequential and
 // the registry (nn/registry.h) without the rest of the codebase knowing
 // concrete layer types.
 //
 // All layers operate on batches: Conv2d on [N, C, H, W], Linear on [N, F].
-// Layers are value types; copying a layer deep-copies parameters, gradients
-// and caches (Tensor is value-semantic), which is exactly what model
-// cloning for meta-learning needs.
+// Layers are value types; copying a layer deep-copies its parameters and
+// gradients, all it holds (Tensor is value-semantic), which is exactly
+// what model cloning for meta-learning needs.
 
 #include <memory>
 #include <vector>
@@ -34,31 +36,16 @@ using fuse::tensor::Tensor;
 /// implicit-GEMM convolution of tensor::conv2d, whose GEMM gathers its
 /// im2col panels from the (zero-padded) input as it packs them, so the
 /// whole batch runs through the register-tiled microkernel without a
-/// column matrix.  forward()
-/// caches its input, as Linear does; backward() (tensor::conv2d_backward)
-/// gathers the columns from it again for dW = dy·colᵀ and computes dx
-/// image by image (Wᵀ·dy_i into a one-image scratch, then col2im's
-/// scatter-add).  conv2d_reference_forward/backward below are the
+/// column matrix.  forward() keeps that zero-padded input in its tape
+/// record; backward (tensor::conv2d_backward) gathers the columns
+/// from it again for dW = dy·colᵀ and computes dx image by image (Wᵀ·dy_i
+/// into a one-image scratch, then col2im's scatter-add into the zeroed
+/// tape buffer).  conv2d_reference_forward/backward below are the
 /// per-sample loops the tests hold this path to.
 class Conv2d : public Module {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels,
          std::size_t kernel, std::size_t pad, fuse::util::Rng& rng);
-
-  // Copies carry parameters and gradients but drop the forward cache —
-  // per-task MAML clones and adapted per-user models never reuse the
-  // parent's forward, so they do not carry its input batch.
-  Conv2d(const Conv2d& other);
-  Conv2d& operator=(const Conv2d& other);
-  Conv2d(Conv2d&&) = default;
-  Conv2d& operator=(Conv2d&&) = default;
-
-  Tensor forward(const Tensor& x) override;
-  /// dy: [N, out_channels, H, W]; accumulates weight/bias gradients and
-  /// returns dx.  A cloned layer must run forward() before backward()
-  /// (clones drop the input cache, so per-task MAML clones copy
-  /// parameters and gradients only); otherwise it throws std::logic_error.
-  Tensor backward(const Tensor& dy) override;
 
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&gw_, &gb_}; }
@@ -78,6 +65,10 @@ class Conv2d : public Module {
   const Tensor& bias() const { return b_; }
 
  protected:
+  const Tensor& do_forward(const Tensor& x, Tape& tape) override;
+  /// dy: [N, out_channels, H, W]; accumulates weight/bias gradients.
+  const Tensor& do_backward(const Tensor& dy, Tape& tape,
+                            InputGrad input) override;
   Tensor do_infer(const Tensor& x) const override;
 
  private:
@@ -85,7 +76,6 @@ class Conv2d : public Module {
   Tensor w_;   ///< [out_channels, in_channels * k * k]
   Tensor b_;   ///< [out_channels]
   Tensor gw_, gb_;
-  Tensor x_;  ///< forward cache: the input batch
 };
 
 /// Reference convolution: per-sample im2col and plain loops, each output
@@ -105,14 +95,13 @@ struct Conv2dGrads {
 Conv2dGrads conv2d_reference_backward(const Conv2d& conv, const Tensor& x,
                                       const Tensor& dy);
 
-/// Fully connected layer y = x W^T + b.
+/// Fully connected layer y = x W^T + b.  Its backward reads the forward's
+/// input where it lies (the previous layer's tape record, or the caller's
+/// batch); nothing is copied.
 class Linear : public Module {
  public:
   Linear(std::size_t in_features, std::size_t out_features,
          fuse::util::Rng& rng);
-
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& dy) override;
 
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&gw_, &gb_}; }
@@ -128,6 +117,9 @@ class Linear : public Module {
   Tensor& bias() { return b_; }
 
  protected:
+  const Tensor& do_forward(const Tensor& x, Tape& tape) override;
+  const Tensor& do_backward(const Tensor& dy, Tape& tape,
+                            InputGrad input) override;
   Tensor do_infer(const Tensor& x) const override;
 
  private:
@@ -135,14 +127,12 @@ class Linear : public Module {
   Tensor w_;  ///< [out_features, in_features]
   Tensor b_;  ///< [out_features]
   Tensor gw_, gb_;
-  Tensor x_;  ///< forward cache
 };
 
-/// Elementwise rectifier.
+/// Elementwise rectifier.  In training it runs in place on tape storage
+/// and masks its backward with its output (y > 0 exactly where x > 0).
 class ReLU : public Module {
  public:
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& dy) override;
 
   std::vector<Tensor*> params() override { return {}; }
   std::vector<Tensor*> grads() override { return {}; }
@@ -152,18 +142,17 @@ class ReLU : public Module {
   std::string arch_name() const override { return "relu"; }
 
  protected:
+  const Tensor& do_forward(const Tensor& x, Tape& tape) override;
+  const Tensor& do_backward(const Tensor& dy, Tape& tape,
+                            InputGrad input) override;
   Tensor do_infer(const Tensor& x) const override;
   bool do_infer_inplace(Tensor& x) const override;
-
- private:
-  Tensor x_;
 };
 
-/// [N, C, H, W] <-> [N, C*H*W].
+/// [N, C, H, W] <-> [N, C*H*W].  In training it reshapes tape storage in
+/// place.
 class Flatten : public Module {
  public:
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& dy) override;
 
   std::vector<Tensor*> params() override { return {}; }
   std::vector<Tensor*> grads() override { return {}; }
@@ -173,11 +162,11 @@ class Flatten : public Module {
   std::string arch_name() const override { return "flatten"; }
 
  protected:
+  const Tensor& do_forward(const Tensor& x, Tape& tape) override;
+  const Tensor& do_backward(const Tensor& dy, Tape& tape,
+                            InputGrad input) override;
   Tensor do_infer(const Tensor& x) const override;
   bool do_infer_inplace(Tensor& x) const override;
-
- private:
-  fuse::tensor::Shape in_shape_;
 };
 
 }  // namespace fuse::nn

@@ -7,7 +7,7 @@ namespace fuse::nn {
 float l1_loss(const Tensor& pred, const Tensor& target, Tensor* grad) {
   fuse::tensor::check_same_shape(pred, target, "l1_loss");
   const std::size_t n = pred.numel();
-  if (grad != nullptr) *grad = Tensor(pred.shape());
+  if (grad != nullptr) grad->resize(pred.shape());
   double acc = 0.0;
   const float inv = 1.0f / static_cast<float>(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -22,7 +22,7 @@ float l1_loss(const Tensor& pred, const Tensor& target, Tensor* grad) {
 float l2_loss(const Tensor& pred, const Tensor& target, Tensor* grad) {
   fuse::tensor::check_same_shape(pred, target, "l2_loss");
   const std::size_t n = pred.numel();
-  if (grad != nullptr) *grad = Tensor(pred.shape());
+  if (grad != nullptr) grad->resize(pred.shape());
   double acc = 0.0;
   const float inv = 2.0f / static_cast<float>(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -37,7 +37,7 @@ float huber_loss(const Tensor& pred, const Tensor& target, float delta,
                  Tensor* grad) {
   fuse::tensor::check_same_shape(pred, target, "huber_loss");
   const std::size_t n = pred.numel();
-  if (grad != nullptr) *grad = Tensor(pred.shape());
+  if (grad != nullptr) grad->resize(pred.shape());
   double acc = 0.0;
   const float inv = 1.0f / static_cast<float>(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -11,7 +11,7 @@ namespace fuse::nn {
 using fuse::tensor::Tensor;
 
 /// Mean absolute error over all elements; writes dL/dpred into grad
-/// (same shape as pred).
+/// (resized to pred's shape, so a training loop reuses its storage).
 float l1_loss(const Tensor& pred, const Tensor& target, Tensor* grad);
 
 /// Mean squared error over all elements; writes dL/dpred into grad.

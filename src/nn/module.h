@@ -9,10 +9,14 @@
 // the concrete MARS CNN.  Concrete architectures are built by name through
 // nn::build_model (see nn/registry.h).
 //
-// The contract mirrors the explicit-backward design of the layers (no
-// tape):
-//  * forward() caches whatever backward() needs; backward() accumulates
-//    parameter gradients and returns dL/dx.
+// The contract mirrors the explicit-backward design of the layers: each
+// layer writes its own backward, and a caller-owned nn::Tape (nn/tape.h)
+// holds what a step's backward needs.
+//  * forward(x, tape) records in the tape whatever backward() needs;
+//    backward(dy, tape) reads it back, accumulates parameter gradients and
+//    returns dL/dx, or skips dx when the caller has no use for it.  The
+//    tape, not the model, owns the activations, and reuses their storage
+//    from step to step.
 //  * infer() is const and cache-free — the same kernels as forward(), so
 //    bit-identical outputs — and one model instance can serve many reader
 //    threads concurrently (the serving hot path).
@@ -21,10 +25,8 @@
 //    (one per parameterised layer) so regimes like last-layer fine-tuning
 //    (Section 4.3.2) need no knowledge of the concrete architecture.
 //  * clone() deep-copies the model's parameters and gradients — the MAML
-//    inner loop adapts a per-task clone.  Layer forward caches/scratch are
-//    NOT copied (they are megabytes per conv layer and a clone never
-//    reuses the parent's forward): run forward() on a clone before
-//    backward().
+//    inner loop adapts a per-task clone.  A model holds no activation, so
+//    a clone carries none either.
 //  * save()/load() serialize parameters behind an architecture-tag header
 //    (FUSEMOD2, the one checkpoint format: models and per-user heads
 //    alike); loading a file written by a different architecture throws
@@ -36,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "nn/tape.h"
 #include "tensor/tensor.h"
 
 namespace fuse::nn {
@@ -48,6 +51,14 @@ using fuse::tensor::Tensor;
 /// infer() and Predictor::predict() and sets ServeConfig::backend.
 enum class Backend {
   kGemm,
+};
+
+/// Whether backward() computes the gradient of the module's input.  A
+/// trainer has no use for the gradient of its batch, and for the MARS CNN
+/// it is half of conv1's backward.
+enum class InputGrad {
+  kCompute,
+  kSkip,
 };
 
 /// A named, coherent slice of a model's parameters (typically one layer).
@@ -65,14 +76,27 @@ class Module {
   virtual ~Module() = default;
 
   // ------------------------------------------------------------ compute --
-  /// Training forward: x -> y, caching activations for backward().
-  virtual Tensor forward(const Tensor& x) = 0;
-  /// Backward from dL/dy; accumulates parameter gradients, returns dL/dx.
-  virtual Tensor backward(const Tensor& dy) = 0;
+  /// Training forward: x -> y, recording in `tape` what backward() needs
+  /// (the tape is rewound first: it holds one step).  The result lives in
+  /// the tape until its next forward; `x` is read again by backward(), so
+  /// it must stay alive and unchanged until then.
+  const Tensor& forward(const Tensor& x, Tape& tape) {
+    tape.rewind();
+    return do_forward(x, tape);
+  }
+  /// Backward from dL/dy through the forward recorded in `tape`:
+  /// accumulates parameter gradients and returns dL/dx, held in the tape
+  /// until its next backward.  With InputGrad::kSkip, dx is not computed
+  /// and the result is empty.  Throws std::logic_error when the tape holds
+  /// no forward of this module.
+  const Tensor& backward(const Tensor& dy, Tape& tape,
+                         InputGrad input = InputGrad::kCompute) {
+    return do_backward(dy, tape, input);
+  }
 
-  /// Batched inference-only forward: no caches are touched, so it is const
-  /// and safe to call concurrently from many threads on a shared model.
-  /// Bit-identical to forward() on the same input.
+  /// Batched inference-only forward: no tape, nothing recorded, so it is
+  /// const and safe to call concurrently from many threads on a shared
+  /// model.  Bit-identical to forward() on the same input.
   Tensor infer(const Tensor& x, Backend = Backend::kGemm) const {
     return do_infer(x);
   }
@@ -102,8 +126,7 @@ class Module {
   void copy_params_from(const Module& other);
 
   // -------------------------------------------------------------- clone --
-  /// Deep copy of parameters and gradients; layer caches/scratch are
-  /// dropped, so run forward() on a clone before backward().
+  /// Deep copy of parameters and gradients (a model holds nothing else).
   virtual std::unique_ptr<Module> clone() const = 0;
 
   /// Stable architecture tag used by the registry and the serialization
@@ -126,6 +149,13 @@ class Module {
   void load_file(const std::string& path);
 
  protected:
+  /// forward() and backward() without the rewind: containers chain their
+  /// children through these on one tape, each child pushing its records
+  /// in forward order and popping them in reverse.
+  virtual const Tensor& do_forward(const Tensor& x, Tape& tape) = 0;
+  virtual const Tensor& do_backward(const Tensor& dy, Tape& tape,
+                                    InputGrad input) = 0;
+
   /// Inference; implementations must not mutate state.
   virtual Tensor do_infer(const Tensor& x) const = 0;
 
@@ -134,7 +164,7 @@ class Module {
   /// false when the module has no in-place path.
   virtual bool do_infer_inplace(Tensor& /*x*/) const { return false; }
 
-  friend class Sequential;  // containers drive do_infer/do_infer_inplace
+  friend class Sequential;  // containers drive the do_* hooks
 };
 
 /// Validates one checkpoint file written by Module::save_file, with no

@@ -26,19 +26,20 @@ Sequential& Sequential::append(std::unique_ptr<Module> child) {
   return *this;
 }
 
-Tensor Sequential::forward(const Tensor& x) {
-  if (children_.empty()) return x;
-  Tensor h = children_.front()->forward(x);
-  for (std::size_t i = 1; i < children_.size(); ++i)
-    h = children_[i]->forward(h);
-  return h;
+const Tensor& Sequential::do_forward(const Tensor& x, Tape& tape) {
+  const Tensor* h = &x;
+  for (const auto& c : children_) h = &c->do_forward(*h, tape);
+  return *h;
 }
 
-Tensor Sequential::backward(const Tensor& dy) {
-  Tensor d = dy;
-  for (auto it = children_.rbegin(); it != children_.rend(); ++it)
-    d = (*it)->backward(d);
-  return d;
+const Tensor& Sequential::do_backward(const Tensor& dy, Tape& tape,
+                                      InputGrad input) {
+  // Only the first child's dx is the container's own input gradient.
+  const Tensor* d = &dy;
+  for (std::size_t i = children_.size(); i-- > 0;)
+    d = &children_[i]->do_backward(*d, tape,
+                                   i == 0 ? input : InputGrad::kCompute);
+  return *d;
 }
 
 Tensor Sequential::do_infer(const Tensor& x) const {

@@ -3,7 +3,9 @@
 //
 // A Sequential owns an ordered list of child Modules and implements the
 // whole Module contract by composition: forward/backward chain through the
-// children, params/grads concatenate in forward order, param_groups yields
+// children on the caller's tape (each child's activation is a tape record
+// the next child reads in place; backward ping-pongs the tape's two
+// gradient buffers), params/grads concatenate in forward order, param_groups yields
 // one named group per parameterised child (so "last layer" is architecture
 // -independent), and infer() threads a cache-free activation through the
 // children, using their in-place hooks to avoid copies for ReLU/Flatten.
@@ -45,8 +47,6 @@ class Sequential : public Module {
   const Module& child(std::size_t i) const { return *children_.at(i); }
 
   // ------------------------------------------------------------- Module --
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& dy) override;
   std::vector<Tensor*> params() override;
   std::vector<Tensor*> grads() override;
   std::vector<ParamGroup> param_groups() override;
@@ -61,6 +61,10 @@ class Sequential : public Module {
                         const Tensor& x) const;
 
  protected:
+  const Tensor& do_forward(const Tensor& x, Tape& tape) override;
+  /// Children in reverse; the first child's dx only when `input` asks.
+  const Tensor& do_backward(const Tensor& dy, Tape& tape,
+                            InputGrad input) override;
   Tensor do_infer(const Tensor& x) const override;
 
  private:

@@ -489,18 +489,18 @@ bool Shard::maybe_adapt(Session& s) {
 
   // The buffer holds trunk activations, so a round trains the head alone.
   const std::size_t width = buffer.front().x.size();
-  fuse::tensor::Tensor x({buffer.size(), width});
-  fuse::tensor::Tensor y({buffer.size(), fuse::human::kNumCoords});
+  adapt_x_.resize({buffer.size(), width});
+  adapt_y_.resize({buffer.size(), fuse::human::kNumCoords});
   for (std::size_t i = 0; i < buffer.size(); ++i) {
-    std::memcpy(x.data() + i * width, buffer[i].x.data(),
+    std::memcpy(adapt_x_.data() + i * width, buffer[i].x.data(),
                 width * sizeof(float));
-    std::memcpy(y.data() + i * fuse::human::kNumCoords, buffer[i].y.data(),
-                fuse::human::kNumCoords * sizeof(float));
+    std::memcpy(adapt_y_.data() + i * fuse::human::kNumCoords,
+                buffer[i].y.data(), fuse::human::kNumCoords * sizeof(float));
   }
   float loss = 0.0f;
   for (std::size_t step = 0; step < cfg.steps_per_round; ++step)
-    loss = fuse::core::sgd_step(*s.adapted_slot(), x, y, cfg.lr,
-                                cfg.grad_clip);
+    loss = fuse::core::sgd_step(*s.adapted_slot(), adapt_tape_, adapt_x_,
+                                adapt_y_, cfg.lr, cfg.grad_clip);
   // A non-finite loss means the head's parameters are compromised (every
   // buffered sample was finite, so this is numeric blow-up, not input
   // corruption): quarantine the session and discard the head AND its

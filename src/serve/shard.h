@@ -271,6 +271,10 @@ class Shard {
   std::vector<const fuse::radar::PointCloud*> window_ptrs_;
   std::vector<Collected> collected_;
   std::vector<float> rows_;  ///< featurized rows of collected_, in order
+  // A head round's batch and tape: rounds on a shard run one after
+  // another, so one of each serves every session it adapts.
+  fuse::tensor::Tensor adapt_x_, adapt_y_;
+  fuse::nn::Tape adapt_tape_;
 };
 
 }  // namespace fuse::serve

@@ -516,26 +516,45 @@ void check_conv(const Tensor& x, const Tensor& w, std::size_t kernel,
     throw std::invalid_argument(std::string(fn) + ": image too large");
 }
 
-// The implicit column matrices of batch x [N, C, H, W]: their panels are
-// gathered from x zero-padded by `pad` on every side of each image,
-// [N, C, H + 2 pad, W + 2 pad], which is written to `store` (x itself is
-// used when pad is 0).  That copy is 1.56 times the input at 8 x 8 with
-// pad 1, where the column matrices would be 9 times it.
-Im2col implicit_columns(const Tensor& x, std::size_t kernel, std::size_t pad,
-                        Tensor& store) {
+// Writes x [N, C, H, W], zero-padded by `pad` on every side of each
+// image, into xp [N, C, H + 2 pad, W + 2 pad].  Every element is written,
+// so a reused xp needs no clearing.
+void pad_images(const Tensor& x, std::size_t pad, Tensor& xp) {
   const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const std::size_t hp = h + 2 * pad, wp = w + 2 * pad;
-  if (pad > 0) {
-    store = Tensor({n, c, hp, wp});
-    fuse::util::parallel_for(0, n * c, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t plane = lo; plane < hi; ++plane)
-        for (std::size_t y = 0; y < h; ++y)
-          std::copy_n(x.data() + (plane * h + y) * w, w,
-                      store.data() + (plane * hp + y + pad) * wp + pad);
-    }, std::max<std::size_t>(1, (1 << 14) / (hp * wp)));
-  }
-  return {pad > 0 ? store.data() : x.data(), c, hp, wp, kernel,
-          hp - kernel + 1, wp - kernel + 1};
+  xp.resize({n, c, hp, wp});
+  fuse::util::parallel_for(0, n * c, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t plane = lo; plane < hi; ++plane) {
+      const float* src = x.data() + plane * h * w;
+      float* dst = xp.data() + plane * hp * wp;
+      std::fill_n(dst, pad * wp, 0.0f);
+      for (std::size_t y = 0; y < h; ++y) {
+        float* row = dst + (y + pad) * wp;
+        std::fill_n(row, pad, 0.0f);
+        std::copy_n(src + y * w, w, row + pad);
+        std::fill_n(row + pad + w, pad, 0.0f);
+      }
+      std::fill_n(dst + (h + pad) * wp, pad * wp, 0.0f);
+    }
+  }, std::max<std::size_t>(1, (1 << 14) / (hp * wp)));
+}
+
+// The implicit column matrices of a batch already padded, xp [N, C, hp, wp].
+Im2col padded_columns(const Tensor& xp, std::size_t kernel) {
+  const std::size_t hp = xp.dim(2), wp = xp.dim(3);
+  return {xp.data(), xp.dim(1), hp, wp, kernel, hp - kernel + 1,
+          wp - kernel + 1};
+}
+
+// The implicit column matrices of batch x [N, C, H, W]: their panels are
+// gathered from x zero-padded by `pad`, which is written to `store` (x
+// itself is used when pad is 0).  That copy is 1.56 times the input at
+// 8 x 8 with pad 1, where the column matrices would be 9 times it.
+Im2col implicit_columns(const Tensor& x, std::size_t kernel, std::size_t pad,
+                        Tensor& store) {
+  if (pad == 0) return padded_columns(x, kernel);
+  pad_images(x, pad, store);
+  return padded_columns(store, kernel);
 }
 
 // Adds one image's column gradients [C*kernel*kernel, oh*ow] into its
@@ -567,46 +586,59 @@ void col2im_add(const float* col, std::size_t c, std::size_t h, std::size_t w,
   }
 }
 
+void check_conv_bias(const Tensor& w, const Tensor& b) {
+  if (b.ndim() != 1 || b.dim(0) != w.dim(0))
+    throw std::invalid_argument("conv2d: bias shape mismatch");
+}
+
+// y [N, OC, oh, ow] (resized) = the convolution whose columns `im` holds.
+void conv_into(fuse::util::Isa isa, const Im2col& im, std::size_t n,
+               const Tensor& w, const Tensor& b, Tensor& y) {
+  const std::size_t oc = w.dim(0), k = w.dim(1), hw = im.oh * im.ow;
+  y.resize({n, oc, im.oh, im.ow});
+  if (y.numel() == 0) return;
+  Job g{.m = oc, .n = hw, .k = k, .a = w.data(), .a_rs = k, .a_ks = 1,
+        .c = y.data(), .ldc = hw, .bias = b.data(), .n_images = n,
+        .c_image = oc * hw, .im = &im};
+  run(isa, g);
+}
+
 Tensor conv2d_on(fuse::util::Isa isa, const Tensor& x, const Tensor& w,
                  const Tensor& b, std::size_t kernel, std::size_t pad) {
   check_conv(x, w, kernel, pad, "conv2d");
-  const std::size_t oc = w.dim(0), k = w.dim(1);
-  if (b.ndim() != 1 || b.dim(0) != oc)
-    throw std::invalid_argument("conv2d: bias shape mismatch");
-  Tensor xp;
-  const Im2col im = implicit_columns(x, kernel, pad, xp);
-  const std::size_t hw = im.oh * im.ow;
-  Tensor y({x.dim(0), oc, im.oh, im.ow});
-  if (y.numel() == 0) return y;
-  Job g{.m = oc, .n = hw, .k = k, .a = w.data(), .a_rs = k, .a_ks = 1,
-        .c = y.data(), .ldc = hw, .bias = b.data(), .n_images = x.dim(0),
-        .c_image = oc * hw, .im = &im};
-  run(isa, g);
+  check_conv_bias(w, b);
+  Tensor xp, y;
+  conv_into(isa, implicit_columns(x, kernel, pad, xp), x.dim(0), w, b, y);
   return y;
 }
 
-Tensor conv2d_backward_on(fuse::util::Isa isa, const Tensor& x,
-                          const Tensor& w, const Tensor& dy,
-                          std::size_t kernel, std::size_t pad, Tensor& gw,
-                          Tensor& gb) {
-  check_conv(x, w, kernel, pad, "conv2d_backward");
-  const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), wd = x.dim(3);
-  const std::size_t oc = w.dim(0), k = w.dim(1);
-  const std::size_t oh = conv_out_size(h, kernel, 1, pad);
-  const std::size_t ow = conv_out_size(wd, kernel, 1, pad), hw = oh * ow;
+// The backward from xp, the input zero-padded by `pad`; dx, when asked
+// for, is resized and zeroed before its scatter-add.
+void conv2d_backward_on(fuse::util::Isa isa, const Tensor& xp,
+                        std::size_t pad, const Tensor& w, const Tensor& dy,
+                        std::size_t kernel, Tensor& gw, Tensor& gb,
+                        Tensor* dx) {
+  check_conv(xp, w, kernel, 0, "conv2d_backward");
+  if (xp.dim(2) < 2 * pad + 1 || xp.dim(3) < 2 * pad + 1)
+    throw std::invalid_argument("conv2d_backward: input smaller than its pad");
+  const Im2col im = padded_columns(xp, kernel);
+  const std::size_t n = xp.dim(0), c = im.c;
+  const std::size_t h = im.hp - 2 * pad, wd = im.wp - 2 * pad;
+  const std::size_t oc = w.dim(0), k = w.dim(1), hw = im.oh * im.ow;
   if (dy.ndim() != 4 || dy.dim(0) != n || dy.dim(1) != oc ||
-      dy.dim(2) != oh || dy.dim(3) != ow)
+      dy.dim(2) != im.oh || dy.dim(3) != im.ow)
     throw std::invalid_argument("conv2d_backward: bad gradient shape");
   if (gw.shape() != w.shape() || gb.ndim() != 1 || gb.dim(0) != oc)
     throw std::invalid_argument("conv2d_backward: bad parameter gradients");
-  Tensor dx({n, c, h, wd});
-  if (dy.numel() == 0 || k == 0) return dx;
+  if (dx != nullptr) dx->resize({n, c, h, wd});
+  if (dy.numel() == 0 || k == 0) {
+    if (dx != nullptr) dx->zero();
+    return;
+  }
 
   // gw += dy · col(x)ᵀ: one GEMM whose k runs over every image's pixels,
   // image after image.
   {
-    Tensor xp;
-    const Im2col im = implicit_columns(x, kernel, pad, xp);
     Job g{.m = oc, .n = k, .k = hw, .a = dy.data(), .a_rs = hw, .a_ks = 1,
           .tb = true, .c = gw.data(), .ldc = k, .beta = 1.0f,
           .k_images = n, .a_image = oc * hw, .im = &im};
@@ -622,10 +654,11 @@ Tensor conv2d_backward_on(fuse::util::Isa isa, const Tensor& x,
     }
     gb[o] += static_cast<float>(acc);
   }
+  if (dx == nullptr) return;
 
   // dx image by image: the column gradients Wᵀ · dy_i go to a scratch the
-  // size of one image's columns, then scatter-add into dx_i.  Each worker
-  // runs its images' GEMMs inline.
+  // size of one image's columns, then scatter-add into dx_i, zeroed first.
+  // Each worker runs its images' GEMMs inline.
   const Variant v = variant(isa);
   fuse::util::parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
     std::vector<float> dcol(k * hw);
@@ -634,11 +667,11 @@ Tensor conv2d_backward_on(fuse::util::Isa isa, const Tensor& x,
             .b = dy.data() + img * oc * hw, .ldb = hw, .c = dcol.data(),
             .ldc = hw};
       v.run(g, 0, plan(v, g));
-      col2im_add(dcol.data(), c, h, wd, kernel, pad,
-                 dx.data() + img * c * h * wd);
+      float* dx_img = dx->data() + img * c * h * wd;
+      std::fill_n(dx_img, c * h * wd, 0.0f);
+      col2im_add(dcol.data(), c, h, wd, kernel, pad, dx_img);
     }
   });
-  return dx;
 }
 
 }  // namespace
@@ -666,18 +699,27 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
   return conv2d_on(isa, x, w, b, kernel, pad);
 }
 
-Tensor conv2d_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
-                       std::size_t kernel, std::size_t pad, Tensor& gw,
-                       Tensor& gb) {
-  return conv2d_backward_on(fuse::util::dispatched_isa(), x, w, dy, kernel,
-                            pad, gw, gb);
+void conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
+            std::size_t kernel, std::size_t pad, Tensor& xp, Tensor& y) {
+  check_conv(x, w, kernel, pad, "conv2d");
+  check_conv_bias(w, b);
+  pad_images(x, pad, xp);
+  conv_into(fuse::util::dispatched_isa(), padded_columns(xp, kernel),
+            x.dim(0), w, b, y);
 }
 
-Tensor conv2d_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
-                       std::size_t kernel, std::size_t pad, Tensor& gw,
-                       Tensor& gb, fuse::util::Isa isa) {
+void conv2d_backward(const Tensor& xp, const Tensor& w, const Tensor& dy,
+                     std::size_t kernel, std::size_t pad, Tensor& gw,
+                     Tensor& gb, Tensor* dx) {
+  conv2d_backward_on(fuse::util::dispatched_isa(), xp, pad, w, dy, kernel,
+                     gw, gb, dx);
+}
+
+void conv2d_backward(const Tensor& xp, const Tensor& w, const Tensor& dy,
+                     std::size_t kernel, std::size_t pad, Tensor& gw,
+                     Tensor& gb, Tensor* dx, fuse::util::Isa isa) {
   check_isa(isa, "conv2d_backward");
-  return conv2d_backward_on(isa, x, w, dy, kernel, pad, gw, gb);
+  conv2d_backward_on(isa, xp, pad, w, dy, kernel, gw, gb, dx);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, Trans trans_a, Trans trans_b) {
@@ -806,17 +848,15 @@ void relu_inplace(Tensor& x) {
   }, kElemwiseMinChunk);
 }
 
-Tensor relu_backward(const Tensor& dy, const Tensor& x) {
-  check_same_shape(dy, x, "relu_backward");
-  Tensor dx(dy.shape());
-  const float* dyp = dy.data();
-  const float* xp = x.data();
-  float* dxp = dx.data();
-  fuse::util::parallel_for(0, dx.numel(), [&](std::size_t lo, std::size_t hi) {
+void relu_backward_inplace(Tensor& dy, const Tensor& y) {
+  if (dy.numel() != y.numel())
+    throw std::invalid_argument("relu_backward_inplace: size mismatch");
+  float* dyp = dy.data();
+  const float* yp = y.data();
+  fuse::util::parallel_for(0, dy.numel(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i)
-      dxp[i] = xp[i] > 0.0f ? dyp[i] : 0.0f;
+      dyp[i] = yp[i] > 0.0f ? dyp[i] : 0.0f;
   }, kElemwiseMinChunk);
-  return dx;
 }
 
 Tensor hadamard(const Tensor& a, const Tensor& b) {

@@ -57,20 +57,29 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
               std::size_t kernel, std::size_t pad);
 Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
               std::size_t kernel, std::size_t pad, fuse::util::Isa isa);
+/// conv2d() for training, into caller-owned tensors that are resized and
+/// reused: y, and xp, x zero-padded by `pad` on every side of each image
+/// ([N, C, H + 2 pad, W + 2 pad]), which conv2d_backward() gathers its
+/// columns from.  The same bits as conv2d().
+void conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
+            std::size_t kernel, std::size_t pad, Tensor& xp, Tensor& y);
 
-/// Backward of conv2d() for upstream gradient dy [N, OC, oh, ow]:
+/// Backward of conv2d() for upstream gradient dy [N, OC, oh, ow], from xp,
+/// the input zero-padded by `pad` that the training conv2d() above left:
 ///  - gw += dy · col(x)ᵀ, one implicit GEMM whose sum runs over every
 ///    image's pixels in order, from zero, before it is added to gw;
 ///  - gb += each channel's sum of dy over (n, oy, ox), in double;
-///  - returns dx [N, C, H, W]: per image, the column gradients Wᵀ · dy_i
-///    in a one-image scratch, scatter-added back as col2im does.
+///  - dx, when non-null, is resized to [N, C, H, W], zeroed, and gets per
+///    image the column gradients Wᵀ · dy_i (a one-image scratch),
+///    scatter-added back as col2im does; when null, the input gradient is
+///    not computed.
 /// The bits equal the explicit-column path (im2col, gemm, col2im).
-Tensor conv2d_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
-                       std::size_t kernel, std::size_t pad, Tensor& gw,
-                       Tensor& gb);
-Tensor conv2d_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
-                       std::size_t kernel, std::size_t pad, Tensor& gw,
-                       Tensor& gb, fuse::util::Isa isa);
+void conv2d_backward(const Tensor& xp, const Tensor& w, const Tensor& dy,
+                     std::size_t kernel, std::size_t pad, Tensor& gw,
+                     Tensor& gb, Tensor* dx);
+void conv2d_backward(const Tensor& xp, const Tensor& w, const Tensor& dy,
+                     std::size_t kernel, std::size_t pad, Tensor& gw,
+                     Tensor& gb, Tensor* dx, fuse::util::Isa isa);
 
 /// im2col for NCHW batches, one column matrix per sample: the explicit
 /// lowering conv2d() gathers on the fly, kept as the tests' oracle.
@@ -91,8 +100,10 @@ Tensor col2im(const Tensor& col, std::size_t n, std::size_t c, std::size_t h,
 Tensor relu(const Tensor& x);
 /// x = relu(x) in place (allocation-free variant for inference hot paths).
 void relu_inplace(Tensor& x);
-/// dx = dy where x > 0 else 0 (uses the forward input).
-Tensor relu_backward(const Tensor& dy, const Tensor& x);
+/// dy = 0 where y <= 0, in place, from the forward output y = relu(x)
+/// (y > 0 exactly where x > 0).  Only the element counts must agree: a
+/// flattened output masks a 4-D gradient.
+void relu_backward_inplace(Tensor& dy, const Tensor& y);
 
 /// Elementwise a * b (Hadamard).
 Tensor hadamard(const Tensor& a, const Tensor& b);

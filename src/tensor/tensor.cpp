@@ -70,6 +70,11 @@ void Tensor::reshape(Shape shape) {
   shape_ = std::move(shape);
 }
 
+void Tensor::resize(const Shape& shape) {
+  data_.resize(shape_numel(shape));
+  shape_ = shape;
+}
+
 void Tensor::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }

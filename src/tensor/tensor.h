@@ -72,6 +72,11 @@ class Tensor {
   Tensor reshaped(Shape shape) const;
   /// In-place reshape; numel must match.
   void reshape(Shape shape);
+  /// Gives the tensor `shape`, keeping its storage when that has room:
+  /// elements below the old size keep their values, any beyond it are
+  /// zero.  Reused buffers (nn::Tape) are sized this way, so a kernel that
+  /// accumulates into one zeroes it first.
+  void resize(const Shape& shape);
 
   /// Fill with a constant.
   void fill(float value);

@@ -76,13 +76,37 @@ TEST(Metrics, PerJointMaeHasOneEntryPerJoint) {
   for (const auto v : per_joint) EXPECT_GT(v, 0.0);
 }
 
+using Outcome = fuse::core::Intersection::Outcome;
+
 TEST(Metrics, IntersectionEpochFindsFirstCrossing) {
   const std::vector<double> baseline = {10, 8, 6, 4, 3};
   const std::vector<double> fuse_curve = {12, 6, 5, 5, 5};
   // First epoch where baseline <= fuse: epoch 2 (6 <= 5 is false; 6 vs 5 ->
   // no; 4 <= 5 -> epoch 3).
-  EXPECT_EQ(fuse::core::intersection_epoch(baseline, fuse_curve), 3u);
-  EXPECT_EQ(fuse::core::intersection_epoch({5, 5}, {1, 1}), 2u);  // never
+  const auto crossed = fuse::core::intersection_epoch(baseline, fuse_curve);
+  EXPECT_EQ(crossed.outcome, Outcome::kCrossed);
+  EXPECT_EQ(crossed.epoch, 3u);
+  const auto never = fuse::core::intersection_epoch({5, 5}, {1, 1});
+  EXPECT_EQ(never.outcome, Outcome::kBaselineNeverCaughtUp);
+  EXPECT_EQ(never.epoch, 2u);
+}
+
+TEST(Metrics, IntersectionEpochBaselineNeverCaughtUpAfterFuseLed) {
+  // FUSE starts behind, leads from epoch 1 and keeps the lead.
+  const auto r =
+      fuse::core::intersection_epoch({10, 8, 6, 4}, {12, 7, 5, 3.5});
+  EXPECT_EQ(r.outcome, Outcome::kBaselineNeverCaughtUp);
+  EXPECT_EQ(r.epoch, 4u);
+}
+
+TEST(Metrics, IntersectionEpochFuseNeverAheadIsNotASpeedup) {
+  // The baseline is never behind (a tie is not a lead): FUSE had no lead
+  // for the baseline to catch, which a report must not call a speed-up.
+  const auto r = fuse::core::intersection_epoch({6, 5, 3, 2}, {8, 5, 4, 2});
+  EXPECT_EQ(r.outcome, Outcome::kFuseNeverAhead);
+  EXPECT_EQ(r.epoch, 4u);
+  EXPECT_EQ(fuse::core::intersection_epoch({}, {}).outcome,
+            Outcome::kFuseNeverAhead);
 }
 
 // ---------------------------------------------------------------- trainer --
@@ -171,8 +195,9 @@ TEST(Meta, TaskAdaptReducesSupportLossAndPopulatesGrads) {
     query.push_back(world().split.train[100 + i]);
   }
   fuse::nn::Sequential clone = model;
-  const float qloss = meta.task_adapt_and_query(clone, *world().fused,
-                                                world().feat, support, query);
+  fuse::nn::Tape tape;
+  const float qloss = meta.task_adapt_and_query(
+      clone, tape, *world().fused, world().feat, support, query);
   EXPECT_GT(qloss, 0.0f);
   EXPECT_GT(fuse::nn::grad_norm(clone.grads()), 0.0f);
   // The clone's parameters moved away from the initial model's.

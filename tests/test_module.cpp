@@ -48,6 +48,7 @@ TEST(Registry, ServesAtLeastThreeArchitectures) {
 }
 
 TEST(Registry, EveryArchitectureRunsTheFullContract) {
+  fuse::nn::Tape tape;
   fuse::util::Rng rng(1);
   const Tensor x = random_tensor({3, 5, 8, 8}, rng);
   const Tensor target = random_tensor({3, 57}, rng);
@@ -57,12 +58,12 @@ TEST(Registry, EveryArchitectureRunsTheFullContract) {
     EXPECT_GT(model->num_params(), 0u) << name;
 
     // forward/backward/infer shapes.
-    const Tensor y = model->forward(x);
+    const Tensor y = model->forward(x, tape);
     ASSERT_EQ(y.shape(), (fuse::tensor::Shape{3, 57})) << name;
     Tensor dy;
     (void)fuse::nn::l1_loss(y, target, &dy);
     model->zero_grad();
-    model->backward(dy);
+    model->backward(dy, tape);
     float gnorm = 0.0f;
     for (const Tensor* g : std::as_const(*model).grads())
       gnorm += g->squared_norm();
@@ -110,6 +111,7 @@ TEST(Registry, RuntimeRegistration) {
 // -------------------------------------------------- Sequential equivalence --
 
 TEST(Sequential, MarsCnnBitIdenticalToLegacyLayerComposition) {
+  fuse::nn::Tape tape;
   // The registry-built mars_cnn must reproduce the original hand-rolled
   // model exactly: same RNG draw order at construction, same forward
   // arithmetic.  The reference composes the layers by hand in the legacy
@@ -131,15 +133,15 @@ TEST(Sequential, MarsCnnBitIdenticalToLegacyLayerComposition) {
   fuse::nn::ReLU r1, r2, r3;
   fuse::nn::Flatten fl;
   Tensor ref = fuse::nn::conv2d_reference_forward(conv1, x);
-  ref = r1.forward(ref);
+  ref = r1.forward(ref, tape);
   ref = fuse::nn::conv2d_reference_forward(conv2, ref);
-  ref = r2.forward(ref);
-  ref = fl.forward(ref);
-  ref = fc1.forward(ref);
-  ref = r3.forward(ref);
-  ref = fc2.forward(ref);
+  ref = r2.forward(ref, tape);
+  ref = fl.forward(ref, tape);
+  ref = fc1.forward(ref, tape);
+  ref = r3.forward(ref, tape);
+  ref = fc2.forward(ref, tape);
 
-  const Tensor got_fwd = model.forward(x);
+  const Tensor got_fwd = model.forward(x, tape);
   const Tensor got_inf = model.infer(x);
   ASSERT_EQ(got_fwd.shape(), ref.shape());
   for (std::size_t i = 0; i < ref.numel(); ++i) {
@@ -202,6 +204,7 @@ TEST(ReferenceConv, EveryModelInferEqualsTheReferenceComposition) {
 }
 
 TEST(ReferenceConv, ForwardAndInferEqualTheReferenceOnRaggedShapes) {
+  fuse::nn::Tape tape;
   // Odd channel/filter counts exercise the tile-tail paths of the GEMM
   // kernel; odd spatial sizes and pad 0/1/2 exercise the padding.
   fuse::util::Rng rng(43);
@@ -221,7 +224,7 @@ TEST(ReferenceConv, ForwardAndInferEqualTheReferenceOnRaggedShapes) {
                                std::to_string(pad) + " batch " +
                                std::to_string(batch);
       expect_bits_equal(conv.infer(x), ref, "infer " + what);
-      expect_bits_equal(conv.forward(x), ref, "forward " + what);
+      expect_bits_equal(conv.forward(x, tape), ref, "forward " + what);
     }
   }
 }

@@ -34,48 +34,53 @@ Tensor random_tensor(fuse::tensor::Shape shape, fuse::util::Rng& rng) {
 // ---------------------------------------------------------------- shapes --
 
 TEST(Layers, Conv2dOutputShape) {
+  fuse::nn::Tape tape;
   fuse::util::Rng rng(1);
   fuse::nn::Conv2d conv(3, 8, 3, 1, rng);
   const Tensor x = random_tensor({2, 3, 8, 8}, rng);
-  const Tensor y = conv.forward(x);
+  const Tensor y = conv.forward(x, tape);
   EXPECT_EQ(y.shape(), (fuse::tensor::Shape{2, 8, 8, 8}));
 }
 
 TEST(Layers, Conv2dRejectsWrongChannels) {
+  fuse::nn::Tape tape;
   fuse::util::Rng rng(2);
   fuse::nn::Conv2d conv(3, 8, 3, 1, rng);
   const Tensor x = random_tensor({2, 4, 8, 8}, rng);
-  EXPECT_THROW(conv.forward(x), std::invalid_argument);
+  EXPECT_THROW(conv.forward(x, tape), std::invalid_argument);
 }
 
 TEST(Layers, LinearShapes) {
+  fuse::nn::Tape tape;
   fuse::util::Rng rng(3);
   fuse::nn::Linear fc(10, 4, rng);
   const Tensor x = random_tensor({5, 10}, rng);
-  const Tensor y = fc.forward(x);
+  const Tensor y = fc.forward(x, tape);
   EXPECT_EQ(y.shape(), (fuse::tensor::Shape{5, 4}));
-  EXPECT_THROW(fc.forward(random_tensor({5, 11}, rng)),
+  EXPECT_THROW(fc.forward(random_tensor({5, 11}, rng), tape),
                std::invalid_argument);
 }
 
 TEST(Layers, LinearMatchesHandComputation) {
+  fuse::nn::Tape tape;
   fuse::util::Rng rng(4);
   fuse::nn::Linear fc(2, 2, rng);
   fc.weight() = Tensor({2, 2}, {1.0f, 2.0f, 3.0f, 4.0f});
   fc.bias() = Tensor({2}, {0.5f, -0.5f});
   const Tensor x({1, 2}, {1.0f, 1.0f});
-  const Tensor y = fc.forward(x);
+  const Tensor y = fc.forward(x, tape);
   EXPECT_FLOAT_EQ(y[0], 1.0f + 2.0f + 0.5f);
   EXPECT_FLOAT_EQ(y[1], 3.0f + 4.0f - 0.5f);
 }
 
 TEST(Layers, FlattenRoundTrip) {
+  fuse::nn::Tape tape;
   fuse::util::Rng rng(5);
   fuse::nn::Flatten fl;
   const Tensor x = random_tensor({3, 2, 4, 4}, rng);
-  const Tensor y = fl.forward(x);
+  const Tensor y = fl.forward(x, tape);
   EXPECT_EQ(y.shape(), (fuse::tensor::Shape{3, 32}));
-  const Tensor back = fl.backward(y);
+  const Tensor back = fl.backward(y, tape);
   EXPECT_EQ(back.shape(), x.shape());
 }
 
@@ -88,10 +93,11 @@ TEST(Model, ParameterCountMatchesPaperScale) {
 }
 
 TEST(Model, ForwardShape) {
+  fuse::nn::Tape tape;
   fuse::util::Rng rng(7);
   const auto model = fuse::nn::build_model("mars_cnn", {.seed = 7});
   const Tensor x = random_tensor({4, 5, 8, 8}, rng);
-  const Tensor y = model->forward(x);
+  const Tensor y = model->forward(x, tape);
   EXPECT_EQ(y.shape(), (fuse::tensor::Shape{4, 57}));
 }
 
@@ -119,6 +125,7 @@ TEST(Model, CopyParamsFrom) {
 }
 
 TEST(Model, SaveLoadRoundTrip) {
+  fuse::nn::Tape tape;
   fuse::util::Rng rng(11);
   const auto a = fuse::nn::build_model("mars_cnn", {.seed = 11});
   std::stringstream ss;
@@ -126,29 +133,30 @@ TEST(Model, SaveLoadRoundTrip) {
   const auto b = fuse::nn::build_model("mars_cnn", {.seed = 12});
   b->load(ss);
   const Tensor x = random_tensor({2, 5, 8, 8}, rng);
-  const Tensor ya = a->forward(x);
-  const Tensor yb = b->forward(x);
+  const Tensor ya = a->forward(x, tape);
+  const Tensor yb = b->forward(x, tape);
   for (std::size_t i = 0; i < ya.numel(); ++i) EXPECT_EQ(ya[i], yb[i]);
 }
 
 // ------------------------------------------------------------ gradients --
 
 TEST(GradCheck, LinearWeightsBiasAndInput) {
+  fuse::nn::Tape tape;
   fuse::util::Rng rng(20);
   fuse::nn::Linear fc(6, 4, rng);
   Tensor x = random_tensor({3, 6}, rng);
   const Tensor target = random_tensor({3, 4}, rng);
 
   auto loss_fn = [&] {
-    const Tensor y = fc.forward(x);
+    const Tensor y = fc.forward(x, tape);
     return fuse::nn::l2_loss(y, target, nullptr);
   };
   // Analytic gradients.
-  const Tensor y = fc.forward(x);
+  const Tensor y = fc.forward(x, tape);
   Tensor dy;
   (void)fuse::nn::l2_loss(y, target, &dy);
   fuse::nn::zero_grads(fc.grads());
-  const Tensor dx = fc.backward(dy);
+  const Tensor dx = fc.backward(dy, tape);
 
   EXPECT_TRUE(fuse::nn::check_gradient(loss_fn, fc.weight(),
                                        *fc.grads()[0]).ok())
@@ -161,20 +169,21 @@ TEST(GradCheck, LinearWeightsBiasAndInput) {
 }
 
 TEST(GradCheck, Conv2dWeightsBiasAndInput) {
+  fuse::nn::Tape tape;
   fuse::util::Rng rng(21);
   fuse::nn::Conv2d conv(2, 3, 3, 1, rng);
   Tensor x = random_tensor({2, 2, 5, 5}, rng);
   const Tensor target = random_tensor({2, 3, 5, 5}, rng);
 
   auto loss_fn = [&] {
-    const Tensor y = conv.forward(x);
+    const Tensor y = conv.forward(x, tape);
     return fuse::nn::l2_loss(y, target, nullptr);
   };
-  const Tensor y = conv.forward(x);
+  const Tensor y = conv.forward(x, tape);
   Tensor dy;
   (void)fuse::nn::l2_loss(y, target, &dy);
   fuse::nn::zero_grads(conv.grads());
-  const Tensor dx = conv.backward(dy);
+  const Tensor dx = conv.backward(dy, tape);
 
   EXPECT_TRUE(fuse::nn::check_gradient(loss_fn, conv.weight(),
                                        *conv.grads()[0]).ok())
@@ -187,6 +196,7 @@ TEST(GradCheck, Conv2dWeightsBiasAndInput) {
 }
 
 TEST(GradCheck, FullModelEndToEnd) {
+  fuse::nn::Tape tape;
   // The MARS CNN on a small input and output end-to-end: checks layer
   // composition order.
   fuse::util::Rng rng(22);
@@ -198,14 +208,14 @@ TEST(GradCheck, FullModelEndToEnd) {
   const Tensor target = random_tensor({2, 6}, rng);
 
   auto loss_fn = [&] {
-    const Tensor y = model.forward(x);
+    const Tensor y = model.forward(x, tape);
     return fuse::nn::l2_loss(y, target, nullptr);
   };
-  const Tensor y = model.forward(x);
+  const Tensor y = model.forward(x, tape);
   Tensor dy;
   (void)fuse::nn::l2_loss(y, target, &dy);
   model.zero_grad();
-  model.backward(dy);
+  model.backward(dy, tape);
 
   // ReLU kinks make isolated finite-difference probes step across
   // activation boundaries, so require a large majority of coordinates to
@@ -473,6 +483,7 @@ TEST(Optim, ZeroGrads) {
 // ----------------------------------------------------- training property --
 
 TEST(Training, GradientStepReducesLossOnFixedBatch) {
+  fuse::nn::Tape tape;
   fuse::util::Rng rng(40);
   const auto built = fuse::nn::build_model("mars_cnn", {.seed = 40});
   fuse::nn::Module& model = *built;
@@ -483,12 +494,12 @@ TEST(Training, GradientStepReducesLossOnFixedBatch) {
   Tensor dy;
   float first = 0.0f, last = 0.0f;
   for (int it = 0; it < 60; ++it) {
-    const Tensor y = model.forward(x);
+    const Tensor y = model.forward(x, tape);
     const float loss = fuse::nn::l1_loss(y, target, &dy);
     if (it == 0) first = loss;
     last = loss;
     model.zero_grad();
-    model.backward(dy);
+    model.backward(dy, tape);
     adam.step(model.params(), model.grads());
   }
   EXPECT_LT(last, 0.7f * first);
@@ -571,6 +582,7 @@ void expect_rows_match_batch_one(const Tensor& batched, const Tensor& x,
 }
 
 TEST(Determinism, BatchedRowsEqualBatchOneBitExactly) {
+  fuse::nn::Tape tape, row_tape;
   fuse::util::Rng rng(42);
   const auto model = fuse::nn::build_model("mars_cnn", {.seed = 42});
   fuse::nn::Conv2d conv(16, 32, 3, 1, rng);
@@ -582,14 +594,18 @@ TEST(Determinism, BatchedRowsEqualBatchOneBitExactly) {
         [&](const Tensor& xr) { return model->infer(xr); },
         "Sequential::infer");
 
+    // The batch and its rows run on separate tapes: a forward's result
+    // lives in its tape only until that tape's next forward.
     const Tensor xc = random_tensor({n, 16, 8, 8}, rng);
     expect_rows_match_batch_one(
-        conv.forward(xc), xc,
-        [&](const Tensor& xr) { return conv.forward(xr); }, "Conv2d::forward");
+        conv.forward(xc, tape), xc,
+        [&](const Tensor& xr) { return conv.forward(xr, row_tape); },
+        "Conv2d::forward");
 
     const Tensor xl = random_tensor({n, 2048}, rng);
     expect_rows_match_batch_one(
-        fc.forward(xl), xl, [&](const Tensor& xr) { return fc.forward(xr); },
+        fc.forward(xl, tape), xl,
+        [&](const Tensor& xr) { return fc.forward(xr, row_tape); },
         "Linear::forward");
   }
 }

@@ -130,7 +130,8 @@ TEST(Serve, InferMatchesForwardExactly) {
     x[i] = static_cast<float>(rng.gauss());
   // forward() and infer() share one kernel path, so inference reproduces
   // the training outputs exactly.
-  const auto y_train = model.forward(x);
+  fuse::nn::Tape tape;
+  const auto& y_train = model.forward(x, tape);
   const auto y_infer = model.infer(x);
   ASSERT_EQ(y_train.shape(), y_infer.shape());
   for (std::size_t i = 0; i < y_train.numel(); ++i)
@@ -1230,10 +1231,6 @@ struct ThreadLog {
 class ProbeLayer : public fuse::nn::Module {
  public:
   explicit ProbeLayer(std::shared_ptr<ThreadLog> log) : log_(std::move(log)) {}
-  fuse::nn::Tensor forward(const fuse::nn::Tensor& x) override { return x; }
-  fuse::nn::Tensor backward(const fuse::nn::Tensor& dy) override {
-    return dy;
-  }
   std::vector<fuse::nn::Tensor*> params() override { return {}; }
   std::vector<fuse::nn::Tensor*> grads() override { return {}; }
   std::unique_ptr<Module> clone() const override {
@@ -1242,6 +1239,15 @@ class ProbeLayer : public fuse::nn::Module {
   std::string arch_name() const override { return "thread_probe"; }
 
  protected:
+  const fuse::nn::Tensor& do_forward(const fuse::nn::Tensor& x,
+                                     fuse::nn::Tape&) override {
+    return x;
+  }
+  const fuse::nn::Tensor& do_backward(const fuse::nn::Tensor& dy,
+                                      fuse::nn::Tape&,
+                                      fuse::nn::InputGrad) override {
+    return dy;
+  }
   fuse::nn::Tensor do_infer(const fuse::nn::Tensor& x) const override {
     std::mutex mu;
     std::set<std::thread::id> ran;

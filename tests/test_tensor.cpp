@@ -467,8 +467,8 @@ TEST(Ops, ReluClampsNegatives) {
 
 TEST(Ops, ReluBackwardMasks) {
   const Tensor x({3}, {-1.0f, 0.0f, 2.0f});
-  const Tensor dy({3}, {5.0f, 5.0f, 5.0f});
-  const Tensor dx = fuse::tensor::relu_backward(dy, x);
+  Tensor dx({3}, {5.0f, 5.0f, 5.0f});
+  fuse::tensor::relu_backward_inplace(dx, fuse::tensor::relu(x));
   EXPECT_EQ(dx[0], 0.0f);
   EXPECT_EQ(dx[1], 0.0f);  // subgradient 0 at x == 0
   EXPECT_EQ(dx[2], 5.0f);
@@ -542,13 +542,14 @@ TEST(Conv2d, RejectsShapeMismatch) {
   EXPECT_THROW(fuse::tensor::conv2d(x, w, Tensor({3}), 3, 1),
                std::invalid_argument);
   EXPECT_THROW(fuse::tensor::conv2d(x, w, b, 7, 0), std::invalid_argument);
-  Tensor gw({4, 18}), gb({4});
-  EXPECT_THROW(fuse::tensor::conv2d_backward(x, w, Tensor({1, 4, 4, 5}), 3, 1,
-                                             gw, gb),
+  Tensor xp, y, dx, gw({4, 18}), gb({4});
+  fuse::tensor::conv2d(x, w, b, 3, 1, xp, y);
+  EXPECT_THROW(fuse::tensor::conv2d_backward(xp, w, Tensor({1, 4, 4, 5}), 3,
+                                             1, gw, gb, &dx),
                std::invalid_argument);
   Tensor bad_gw({4, 10});
-  EXPECT_THROW(fuse::tensor::conv2d_backward(x, w, Tensor({1, 4, 5, 5}), 3, 1,
-                                             bad_gw, gb),
+  EXPECT_THROW(fuse::tensor::conv2d_backward(xp, w, Tensor({1, 4, 5, 5}), 3,
+                                             1, bad_gw, gb, &dx),
                std::invalid_argument);
 }
 
@@ -560,7 +561,8 @@ TEST(Ops, VectorizedElementwiseHandleLargeTensors) {
   const Tensor x = random_tensor({n}, rng);
   const Tensor dy = random_tensor({n}, rng);
   const Tensor relu = fuse::tensor::relu(x);
-  const Tensor masked = fuse::tensor::relu_backward(dy, x);
+  Tensor masked = dy;
+  fuse::tensor::relu_backward_inplace(masked, relu);
   const Tensor prod = fuse::tensor::hadamard(x, dy);
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(relu[i], x[i] > 0.0f ? x[i] : 0.0f);

@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -24,12 +27,29 @@
 #include "nn/gradcheck.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
+#include "nn/optim.h"
 #include "nn/registry.h"
 #include "nn/sequential.h"
 #include "tensor/ops.h"
 #include "util/isa.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+
+// This binary counts its large heap allocations: every operator new of
+// 64 KiB or more (a batch-128 activation is 128 KiB to 1 MiB) ticks
+// g_large_news.  new[] and the nothrow forms forward here.
+std::atomic<std::size_t> g_large_news{0};
+
+// Out of line, so the compiler never pairs a new-expression with free().
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (n >= 64 * 1024) g_large_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -55,6 +75,7 @@ void assert_grad_close(const Tensor& got, const Tensor& want,
 // ------------------------------------------ gradients vs the reference --
 
 TEST(TrainBackend, Conv2dBackwardMatchesReference) {
+  fuse::nn::Tape tape;
   // Shapes chosen to hit the GEMM tile tails (odd channel/filter counts,
   // odd spatial sizes) and pad in {0, 1, 2}.
   for (const auto& [cin, cout, hw, pad] :
@@ -70,13 +91,13 @@ TEST(TrainBackend, Conv2dBackwardMatchesReference) {
     for (const std::size_t batch : {1u, 5u}) {
       fuse::util::Rng rng_x(97 + batch);
       const Tensor x = random_tensor({batch, cin, hw, hw}, rng_x);
-      const Tensor y = conv.forward(x);
+      const Tensor y = conv.forward(x, tape);
       assert_grad_close(y, fuse::nn::conv2d_reference_forward(conv, x),
                         "forward");
 
       const Tensor dy = random_tensor(y.shape(), rng_x);
       conv.zero_grad();
-      const Tensor dx = conv.backward(dy);
+      const Tensor dx = conv.backward(dy, tape);
       const auto ref = fuse::nn::conv2d_reference_backward(conv, x, dy);
       assert_grad_close(dx, ref.dx, "dx");
       assert_grad_close(*conv.grads()[0], ref.dw, "dW");
@@ -86,6 +107,7 @@ TEST(TrainBackend, Conv2dBackwardMatchesReference) {
 }
 
 TEST(TrainBackend, FullModelBackwardMatchesReferenceComposition) {
+  fuse::nn::Tape tape;
   // mars_cnn's backward against the same layers run child by child, with
   // each Conv2d's forward and backward replaced by the reference.
   fuse::nn::ModelConfig cfg;
@@ -99,14 +121,16 @@ TEST(TrainBackend, FullModelBackwardMatchesReferenceComposition) {
   const Tensor target = random_tensor({6, 57}, rng);
 
   std::vector<Tensor> inputs;  // each child's input, for the backward
+  std::vector<fuse::nn::Tape> tapes(seq.size());  // each child's forward
+  inputs.reserve(seq.size());  // a Linear's backward reads its input there
   Tensor ref = x;
   for (std::size_t i = 0; i < seq.size(); ++i) {
     inputs.push_back(ref);
     const auto* conv = dynamic_cast<const fuse::nn::Conv2d*>(&seq.child(i));
     ref = conv ? fuse::nn::conv2d_reference_forward(*conv, ref)
-               : seq.child(i).forward(ref);
+               : seq.child(i).forward(inputs.back(), tapes[i]);
   }
-  const Tensor y = model->forward(x);
+  const Tensor y = model->forward(x, tape);
   assert_grad_close(y, ref, "forward");
 
   Tensor dy, dref;
@@ -114,11 +138,11 @@ TEST(TrainBackend, FullModelBackwardMatchesReferenceComposition) {
   (void)fuse::nn::l1_loss(ref, target, &dref);
   model->zero_grad();
   twin->zero_grad();
-  model->backward(dy);
+  model->backward(dy, tape);
   for (std::size_t i = seq.size(); i-- > 0;) {
     auto* conv = dynamic_cast<fuse::nn::Conv2d*>(&seq.child(i));
     if (!conv) {
-      dref = seq.child(i).backward(dref);
+      dref = seq.child(i).backward(dref, tapes[i]);
       continue;
     }
     auto g = fuse::nn::conv2d_reference_backward(*conv, inputs[i], dref);
@@ -185,12 +209,14 @@ ColumnGrads column_backward(const Tensor& x, const Tensor& w,
 void expect_same_bits(const Tensor& got, const Tensor& want,
                       const std::string& what) {
   ASSERT_EQ(got.shape(), want.shape()) << what;
+  if (got.numel() == 0) return;  // memcmp of empty storage's nullptr is UB
   EXPECT_EQ(std::memcmp(got.data(), want.data(), got.numel() * sizeof(float)),
             0)
       << what;
 }
 
 TEST(TrainBackend, Conv2dBackwardIsBitIdenticalToTheColumnPath) {
+  fuse::nn::Tape tape;
   // Conv2d::backward runs the dispatched variant; tensor::conv2d_backward
   // is run on each host variant, and both must equal the oracle on each.
   // The model's conv1/conv2 shapes, output channels below every variant's
@@ -215,11 +241,11 @@ TEST(TrainBackend, Conv2dBackwardIsBitIdenticalToTheColumnPath) {
           " " + std::to_string(c.h) + "x" + std::to_string(c.w) +
           " pad=" + std::to_string(c.pad) + " batch=" + std::to_string(batch);
       const Tensor x = random_tensor({batch, c.cin, c.h, c.w}, rng);
-      const Tensor y = conv.forward(x);
+      const Tensor y = conv.forward(x, tape);
       const Tensor dy = random_tensor(y.shape(), rng);
       *conv.grads()[0] = gw0;
       *conv.grads()[1] = gb0;
-      const Tensor dx = conv.backward(dy);
+      const Tensor dx = conv.backward(dy, tape);
       for (const fuse::util::Isa isa : fuse::util::host_isas()) {
         const ColumnGrads want = column_backward(
             x, conv.weight(), dy, 3, c.pad, gw0, gb0, isa);
@@ -228,9 +254,11 @@ TEST(TrainBackend, Conv2dBackwardIsBitIdenticalToTheColumnPath) {
         expect_same_bits(*conv.grads()[1], want.db, "Conv2d db, " + on);
         expect_same_bits(dx, want.dx, "Conv2d dx, " + on);
 
-        Tensor gw = gw0, gb = gb0;
-        const Tensor dx_isa = fuse::tensor::conv2d_backward(
-            x, conv.weight(), dy, 3, c.pad, gw, gb, isa);
+        Tensor gw = gw0, gb = gb0, xp, y_isa, dx_isa;
+        fuse::tensor::conv2d(x, conv.weight(), conv.bias(), 3, c.pad, xp,
+                             y_isa);
+        fuse::tensor::conv2d_backward(xp, conv.weight(), dy, 3, c.pad, gw, gb,
+                                      &dx_isa, isa);
         expect_same_bits(gw, want.dw, "conv2d_backward dW, " + on);
         expect_same_bits(gb, want.db, "conv2d_backward db, " + on);
         expect_same_bits(dx_isa, want.dx, "conv2d_backward dx, " + on);
@@ -242,6 +270,7 @@ TEST(TrainBackend, Conv2dBackwardIsBitIdenticalToTheColumnPath) {
 // --------------------------------------------------------- gradcheck --
 
 TEST(TrainBackend, GradCheckConv2d) {
+  fuse::nn::Tape tape;
   for (const std::size_t pad : {0u, 1u}) {
     SCOPED_TRACE("pad=" + std::to_string(pad));
     fuse::util::Rng rng(21 + pad);
@@ -251,14 +280,14 @@ TEST(TrainBackend, GradCheckConv2d) {
     const Tensor target = random_tensor({2, 3, oh, oh}, rng);
 
     auto loss_fn = [&] {
-      const Tensor y = conv.forward(x);
+      const Tensor y = conv.forward(x, tape);
       return fuse::nn::l2_loss(y, target, nullptr);
     };
-    const Tensor y = conv.forward(x);
+    const Tensor y = conv.forward(x, tape);
     Tensor dy;
     (void)fuse::nn::l2_loss(y, target, &dy);
     conv.zero_grad();
-    const Tensor dx = conv.backward(dy);
+    const Tensor dx = conv.backward(dy, tape);
 
     // fraction_within: float32 central differences leave an outlier or two
     // at small-gradient coordinates (the reference backward scores
@@ -279,22 +308,116 @@ TEST(TrainBackend, GradCheckConv2d) {
   }
 }
 
-// ------------------------------------------ clone/forward-cache contract --
+// ------------------------------------------------- clone/tape contract --
 
 TEST(TrainBackend, CloneMustForwardBeforeBackward) {
+  fuse::nn::Tape tape;
   fuse::util::Rng rng(3);
   fuse::nn::Conv2d conv(2, 4, 3, 1, rng);
   const Tensor x = random_tensor({2, 2, 6, 6}, rng);
-  const Tensor y = conv.forward(x);
+  const Tensor y = conv.forward(x, tape);
   const Tensor dy = random_tensor(y.shape(), rng);
-  EXPECT_NO_THROW(conv.backward(dy));
+  EXPECT_NO_THROW(conv.backward(dy, tape));
 
-  // Copies drop the forward cache (parameters and gradients only), so
-  // backward without a fresh forward must throw, not misread.
+  // The tape holds the forward, not the layer: a backward finds only the
+  // forward it pairs with, so a second backward, or a clone's backward on
+  // its original's forward or on a fresh tape, throws instead of misreading.
+  EXPECT_THROW(conv.backward(dy, tape), std::logic_error);
   const auto clone = conv.clone();
-  EXPECT_THROW(clone->backward(dy), std::logic_error);
-  EXPECT_NO_THROW(clone->forward(x));
-  EXPECT_NO_THROW(clone->backward(dy));
+  (void)conv.forward(x, tape);
+  EXPECT_THROW(clone->backward(dy, tape), std::logic_error);
+  fuse::nn::Tape fresh;
+  EXPECT_THROW(clone->backward(dy, fresh), std::logic_error);
+  EXPECT_NO_THROW(clone->forward(x, fresh));
+  EXPECT_NO_THROW(clone->backward(dy, fresh));
+}
+
+// ------------------------------------------------------------ tape reuse --
+
+/// A Trainer-shaped step: forward, L1, backward, clip, Adam.  Returns the
+/// input gradient (empty unless `input` asks for it).
+const Tensor& train_step(
+    fuse::nn::Module& model, fuse::nn::Tape& tape, fuse::nn::Adam& adam,
+    const Tensor& x, const Tensor& target, Tensor& dpred,
+    fuse::nn::InputGrad input = fuse::nn::InputGrad::kSkip) {
+  const Tensor& y = model.forward(x, tape);
+  (void)fuse::nn::l1_loss(y, target, &dpred);
+  model.zero_grad();
+  const Tensor& dx = model.backward(dpred, tape, input);
+  fuse::nn::clip_grad_norm(model.grads(), 10.0f);
+  adam.step(model.params(), model.grads());
+  return dx;
+}
+
+TEST(Tape, SteadyTrainingStepAllocatesNothingLarge) {
+  // Batch 128 twice, then 128 -> 64 -> 128 (an epoch's short last batch
+  // and the next epoch's first) on the storage those first steps sized.
+  fuse::util::Rng rng(61);
+  const auto model = fuse::nn::build_model("mars_cnn", {.seed = 61});
+  const Tensor x128 = random_tensor({128, 5, 8, 8}, rng);
+  const Tensor t128 = random_tensor({128, 57}, rng);
+  const Tensor x64 = random_tensor({64, 5, 8, 8}, rng);
+  const Tensor t64 = random_tensor({64, 57}, rng);
+  fuse::nn::Tape tape;
+  fuse::nn::Adam adam(1e-3f);
+  Tensor dpred;
+  train_step(*model, tape, adam, x128, t128, dpred);
+  train_step(*model, tape, adam, x128, t128, dpred);
+  const std::size_t before = g_large_news.load();
+  train_step(*model, tape, adam, x128, t128, dpred);
+  train_step(*model, tape, adam, x64, t64, dpred);
+  train_step(*model, tape, adam, x128, t128, dpred);
+  EXPECT_EQ(g_large_news.load() - before, 0u);
+}
+
+// Steps `model` through one tape and a copy of it through a fresh tape per
+// step, on batches of 128, 64 and 128 rows; the parameters, gradients and
+// input gradients must agree bit for bit after every step.
+void expect_reuse_is_exact(const fuse::nn::Module& model,
+                           fuse::tensor::Shape x_row,
+                           fuse::tensor::Shape y_row,
+                           fuse::nn::InputGrad input, fuse::util::Rng& rng) {
+  const auto reused = model.clone();
+  const auto fresh = model.clone();
+  fuse::nn::Tape tape;
+  fuse::nn::Adam adam_reused(1e-3f), adam_fresh(1e-3f);
+  Tensor dpred;
+  for (const std::size_t batch : {128u, 64u, 128u}) {
+    x_row[0] = y_row[0] = batch;
+    const Tensor x = random_tensor(x_row, rng);
+    const Tensor target = random_tensor(y_row, rng);
+    const Tensor dx_reused =
+        train_step(*reused, tape, adam_reused, x, target, dpred, input);
+    fuse::nn::Tape once;
+    const Tensor dx_fresh =
+        train_step(*fresh, once, adam_fresh, x, target, dpred, input);
+    const std::string what = model.arch_name() + " after the batch-" +
+                             std::to_string(batch) + " step, ";
+    expect_same_bits(dx_reused, dx_fresh, what + "dx");
+    const auto pr = reused->params(), pf = fresh->params();
+    const auto gr = reused->grads(), gf = fresh->grads();
+    for (std::size_t i = 0; i < pr.size(); ++i) {
+      expect_same_bits(*pr[i], *pf[i], what + "param " + std::to_string(i));
+      expect_same_bits(*gr[i], *gf[i], what + "grad " + std::to_string(i));
+    }
+  }
+}
+
+TEST(Tape, ReusedTapeMatchesFreshTapesBitForBit) {
+  fuse::util::Rng rng(62);
+  // The trainer's model and step (no input gradient).
+  expect_reuse_is_exact(*fuse::nn::build_model("mars_cnn", {.seed = 62}),
+                        {0, 5, 8, 8}, {0, 57}, fuse::nn::InputGrad::kSkip,
+                        rng);
+  // Two convolutions with the input gradient asked for: each scatter-add
+  // lands in a buffer that still holds the previous step's dx of the same
+  // size, so a reused buffer that is not zeroed first shows here.
+  fuse::nn::Sequential convs("conv_stack");
+  convs.add(fuse::nn::Conv2d(5, 6, 3, 1, rng));
+  convs.add(fuse::nn::ReLU{});
+  convs.add(fuse::nn::Conv2d(6, 4, 3, 1, rng));
+  expect_reuse_is_exact(convs, {0, 5, 8, 8}, {0, 4, 8, 8},
+                        fuse::nn::InputGrad::kCompute, rng);
 }
 
 // --------------------------------------------- MetaTrainer determinism --
