@@ -216,9 +216,9 @@ int main(int argc, char** argv) {
               static_cast<double>(cs.disk_bytes) / (1024.0 * 1024.0));
 
   // ------------------------------------------------------ warm restart --
-  // The clinic closes: checkpoint every patient's adapted model + the
-  // manifest, tear the whole server down, and boot a fresh one against
-  // the same store directory — the "next morning" process.  Each adapted
+  // The clinic closes: checkpoint every patient's adapted head, tear the
+  // whole server down, and boot a fresh one against the same store
+  // directory — the "next morning" process.  Each adapted
   // patient resumes from their own fine-tuned model (rehydrated on their
   // first frame), not from the shared meta-init.
   std::printf("\nclinic closing: persisting adapted clones...\n");

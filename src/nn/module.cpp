@@ -32,11 +32,10 @@ std::uint64_t read_u64(std::istream& is) {
   return v;
 }
 
-/// Validates one stream written by Module::save: magic, architecture tag,
-/// payload length and FNV-1a checksum.  With a non-null `model`, the tag
-/// and the length must also be the ones `model` writes.  Returns the
+/// Validates one stream written by Module::save against `model`: magic,
+/// architecture tag, payload length and FNV-1a checksum.  Returns the
 /// verified payload; throws std::runtime_error otherwise.
-std::string read_checkpoint(std::istream& is, const Module* model) {
+std::string read_checkpoint(std::istream& is, const Module& model) {
   char magic[sizeof(kMagic)] = {};
   is.read(magic, sizeof(magic));
   if (!is) throw std::runtime_error("Module::load: not a FUSE model stream");
@@ -53,27 +52,23 @@ std::string read_checkpoint(std::istream& is, const Module* model) {
   std::string arch(arch_len, '\0');
   is.read(arch.data(), static_cast<std::streamsize>(arch_len));
   if (!is) throw std::runtime_error("Module::load: truncated stream");
-  if (model != nullptr && arch != model->arch_name())
+  if (arch != model.arch_name())
     throw std::runtime_error("Module::load: architecture mismatch (stream '" +
-                             arch + "' vs model '" + model->arch_name() +
+                             arch + "' vs model '" + model.arch_name() +
                              "')");
   // Integrity gate before the allocation below trusts the stored length:
   // a model fully determines its payload length, so any other is
-  // corruption; without a model, 1 GiB bounds a corrupt length.
+  // corruption.
   const std::uint64_t payload_len = read_u64(is);
-  if (model != nullptr) {
-    std::uint64_t expect_len = sizeof(std::uint64_t);
-    for (const Tensor* p : model->params())
-      expect_len += sizeof(std::uint64_t) * (1 + p->ndim()) +
-                    p->numel() * sizeof(float);
-    if (payload_len != expect_len)
-      throw std::runtime_error("Module::load: payload length mismatch (" +
-                               std::to_string(payload_len) + " vs expected " +
-                               std::to_string(expect_len) +
-                               " bytes — truncated or corrupt stream)");
-  } else if (payload_len > (1ull << 30)) {
-    throw std::runtime_error("Module::load: implausible payload length");
-  }
+  std::uint64_t expect_len = sizeof(std::uint64_t);
+  for (const Tensor* p : model.params())
+    expect_len += sizeof(std::uint64_t) * (1 + p->ndim()) +
+                  p->numel() * sizeof(float);
+  if (payload_len != expect_len)
+    throw std::runtime_error("Module::load: payload length mismatch (" +
+                             std::to_string(payload_len) + " vs expected " +
+                             std::to_string(expect_len) +
+                             " bytes — truncated or corrupt stream)");
   const std::uint64_t stored_sum = read_u64(is);
   std::string payload(payload_len, '\0');
   is.read(payload.data(), static_cast<std::streamsize>(payload_len));
@@ -177,7 +172,7 @@ void Module::save(std::ostream& os) const {
 }
 
 std::string read_checkpoint_file(const std::string& path,
-                                 const Module* model) {
+                                 const Module& model) {
   if (fuse::util::fault_fire(fuse::util::FaultPoint::kDiskRead))
     throw std::runtime_error("Module::load_file: injected read fault for " +
                              path);
@@ -188,7 +183,7 @@ std::string read_checkpoint_file(const std::string& path,
 }
 
 void Module::load(std::istream& is) {
-  load_payload(*this, read_checkpoint(is, this));
+  load_payload(*this, read_checkpoint(is, *this));
 }
 
 void Module::save_file(const std::string& path) const {
@@ -203,7 +198,7 @@ void Module::save_file(const std::string& path) const {
 }
 
 void Module::load_file(const std::string& path) {
-  load_payload(*this, read_checkpoint_file(path, this));
+  load_payload(*this, read_checkpoint_file(path, *this));
 }
 
 }  // namespace fuse::nn

@@ -167,13 +167,12 @@ class Module {
   friend class Sequential;  // containers drive the do_* hooks
 };
 
-/// Validates one checkpoint file written by Module::save_file, with no
-/// model needed to load it into (the offline re-shard tool has none):
-/// magic, architecture tag, payload length and FNV-1a checksum.  With a
-/// non-null `model`, the tag and the length must also be the ones `model`
-/// writes.  Returns the verified payload; throws std::runtime_error
-/// otherwise.  The same kDiskRead site and reader as Module::load_file.
+/// Validates one checkpoint file written by Module::save_file without
+/// loading it: magic, FNV-1a checksum, and the architecture tag and
+/// payload length `model` writes.  Returns the verified payload; throws
+/// std::runtime_error otherwise.  The same kDiskRead site and reader as
+/// Module::load_file.
 std::string read_checkpoint_file(const std::string& path,
-                                 const Module* model);
+                                 const Module& model);
 
 }  // namespace fuse::nn

@@ -107,6 +107,26 @@ void CloneStore::forget(SessionId id) {
   }
 }
 
+void CloneStore::hand_over(SessionId id, CloneStore& to) {
+  auto node = entries_.extract(id);
+  if (node.empty()) return;
+  const Entry e = node.mapped();
+  tracked_.fetch_sub(1, std::memory_order_relaxed);
+  to.tracked_.fetch_add(1, std::memory_order_relaxed);
+  if (e.resident) {
+    resident_.fetch_sub(1, std::memory_order_relaxed);
+    resident_bytes_.fetch_sub(clone_bytes_, std::memory_order_relaxed);
+    to.resident_.fetch_add(1, std::memory_order_relaxed);
+    to.resident_bytes_.fetch_add(clone_bytes_, std::memory_order_relaxed);
+  }
+  if (e.on_disk) {
+    disk_bytes_.fetch_sub(e.file_bytes, std::memory_order_relaxed);
+    to.disk_bytes_.fetch_add(e.file_bytes, std::memory_order_relaxed);
+  }
+  node.mapped().last_used = to.clock_;
+  to.entries_.insert(std::move(node));
+}
+
 void CloneStore::request_forget(SessionId id) {
   if (!enabled_) return;
   std::lock_guard<std::mutex> lock(forget_mu_);
@@ -205,82 +225,40 @@ void CloneStore::persist(const std::vector<Session*>& sessions) {
       checkpoint(*it->second, e);
     } catch (const std::exception& ex) {
       // save_file replaces atomically, so a failed write leaves the
-      // PREVIOUS checkpoint intact; the manifest below still lists it
-      // (e.on_disk unchanged) — a stale adaptation state beats losing the
-      // user entirely.
+      // PREVIOUS checkpoint intact (e.on_disk unchanged) — a stale
+      // adaptation state beats losing the user entirely.  Persisting is
+      // best-effort at shutdown; it must not take the process down.
       checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
       FUSE_LOG_WARN("clone_store: persist checkpoint of session %zu failed "
                     "(%s)%s",
                     id, ex.what(),
-                    e.on_disk ? "; manifest keeps its previous checkpoint"
+                    e.on_disk ? "; its previous checkpoint stays"
                               : "; clone not persisted");
     }
   }
-  // The manifest replaces atomically too: a crash anywhere in persist()
-  // leaves the previous (manifest, checkpoints) generation readable —
-  // checkpoints the old manifest names are never deleted by persist().
-  std::vector<SessionId> on_disk_ids;
-  for (const auto& [id, e] : entries_)
-    if (e.on_disk) on_disk_ids.push_back(id);
-  try {
-    layout::write_manifest(cfg_.dir, std::move(on_disk_ids));
-  } catch (const std::exception& ex) {
-    // A failed manifest write leaves the previous generation's manifest in
-    // place — restore() then recovers that older-but-consistent view (or
-    // dir-scans if there never was one).  Persisting is best-effort at
-    // shutdown; it must not take the process down with it.
-    checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
-    FUSE_LOG_WARN("clone_store: manifest write failed (%s); previous "
-                  "manifest generation left in place", ex.what());
-  }
 }
 
-std::vector<SessionId> CloneStore::restore() {
-  std::vector<SessionId> ids;
-  if (!enabled_) return ids;
-  // Candidate ids come from the manifest when it is complete; otherwise —
-  // missing manifest (crash before its rename), torn or corrupt — from
-  // scanning the directory for checkpoint files, so every valid
-  // checkpoint on disk is still recovered.
-  auto manifest = layout::read_manifest(cfg_.dir);
-  if (manifest.status == layout::FileStatus::kInvalid) {
-    restore_skipped_.fetch_add(1, std::memory_order_relaxed);
-    FUSE_LOG_WARN("clone_store: torn or corrupt manifest in %s; falling "
-                  "back to directory scan",
-                  cfg_.dir.c_str());
-  }
-  const std::vector<SessionId> candidates =
-      manifest.status == layout::FileStatus::kValid
-          ? std::move(manifest.ids)
-          : layout::scan_clone_ids(cfg_.dir);
-  // Register only checkpoints that decode cleanly; skip (and count) the
-  // rest instead of aborting the whole warm restart over one bad file.
-  std::uint64_t skipped = 0;
-  for (const SessionId id : candidates) {
-    const std::string path = layout::clone_path(cfg_.dir, id);
-    if (!layout::checkpoint_decodes(path, base_)) {
-      ++skipped;
-      FUSE_LOG_WARN("clone_store: skipping corrupt/missing checkpoint %s",
-                    path.c_str());
-      std::error_code ec;
-      fs::remove(path, ec);  // best-effort: don't re-skip it every restart
-      continue;
-    }
-    Entry e;
-    e.on_disk = true;
-    e.file_bytes = static_cast<std::size_t>(fs::file_size(path));
-    entries_.emplace(id, e);
-    tracked_.fetch_add(1, std::memory_order_relaxed);
-    disk_bytes_.fetch_add(e.file_bytes, std::memory_order_relaxed);
-    ids.push_back(id);
-  }
-  restore_skipped_.fetch_add(skipped, std::memory_order_relaxed);
-  if (skipped > 0)
-    FUSE_LOG_WARN("clone_store: restore skipped %llu corrupt/missing "
-                  "checkpoint(s), recovered %zu",
-                  static_cast<unsigned long long>(skipped), ids.size());
-  FUSE_LOG_DEBUG("clone_store: restored %zu clone checkpoints", ids.size());
-  return ids;
+bool CloneStore::validate_checkpoint(SessionId id) {
+  const std::string path = layout::clone_path(cfg_.dir, id);
+  if (layout::checkpoint_decodes(path, *base_)) return true;
+  // Skip (and count) a bad file instead of aborting the whole warm
+  // restart over it.
+  restore_skipped_.fetch_add(1, std::memory_order_relaxed);
+  FUSE_LOG_WARN("clone_store: skipping corrupt checkpoint %s", path.c_str());
+  std::error_code ec;
+  fs::remove(path, ec);  // best-effort: don't re-skip it every restart
+  return false;
+}
+
+void CloneStore::restore(SessionId id) {
+  std::error_code ec;
+  const auto bytes = fs::file_size(layout::clone_path(cfg_.dir, id), ec);
+  Entry e;
+  e.on_disk = true;
+  e.file_bytes = ec ? 0 : static_cast<std::size_t>(bytes);
+  entries_.emplace(id, e);
+  tracked_.fetch_add(1, std::memory_order_relaxed);
+  disk_bytes_.fetch_add(e.file_bytes, std::memory_order_relaxed);
 }
 
 CloneStoreSnapshot CloneStore::stats_snapshot() const {

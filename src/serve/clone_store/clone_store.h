@@ -19,11 +19,22 @@
 //    before an adaptation round), an evicted clone is rebuilt as a clone
 //    of the shared head with the file loaded into it.  The rehydrated
 //    clone is bit-exact, so eviction is invisible to pose outputs;
-//  * warm restart — persist() checkpoints every live clone plus a manifest;
-//    restore() re-registers them so a freshly constructed server resumes
-//    every user's adapted head from disk (a full-model checkpoint written
-//    before heads fails the arch check, and a retired FUSEDLT1 delta file
-//    the magic check; both are skipped and deleted).
+//  * warm restart — persist() checkpoints every live clone; on a freshly
+//    constructed server, Server::restore_clones scans the directory once
+//    and each id's home shard store validates it (validate_checkpoint)
+//    and re-registers it (restore), so the server resumes every user's
+//    adapted head from disk (a full-model checkpoint written before heads
+//    fails the arch check, and a retired FUSEDLT1 delta file the magic
+//    check; both are skipped and deleted);
+//  * migration hand-over — hand_over() moves a session's entry to another
+//    shard's store as it is.  Every shard's store shares one flat
+//    directory (serve/clone_store/layout.h), so no file moves.
+//
+// Crash safety: every checkpoint is replaced atomically and validates
+// itself, and a store deletes a file only when its session is closed,
+// recycled or quarantined, or the file fails to decode.  A crash at any
+// point of persist, migration or restore therefore leaves every session
+// with its last complete checkpoint restorable.
 //
 // Thread contract (mirrors Session's scheduler side): every mutating method
 // runs on the scheduler thread only — except request_forget(), which any
@@ -92,6 +103,13 @@ class CloneStore {
   /// next subject must not inherit the previous subject's adaptation).
   void forget(SessionId id);
 
+  /// Live migration's commit: moves the session's entry (resident flag,
+  /// stale flag, on-disk size) to `to`, the target shard's store, and
+  /// touches it there.  The checkpoint file stays where it is: both
+  /// stores share the directory.  No-op for an untracked session.  The
+  /// caller holds both shards' pass locks (Server::migrate_session).
+  void hand_over(SessionId id, CloneStore& to);
+
   /// Any-thread variant of forget() (close_session): queues the id; the
   /// scheduler drains the queue at the start of its next pass.
   void request_forget(SessionId id);
@@ -108,30 +126,25 @@ class CloneStore {
   std::size_t enforce_budget(const std::vector<Session*>& sessions);
 
   // ------------------------------------------------------- warm restart --
-  /// Checkpoints every tracked clone that is resident-and-stale and writes
-  /// the manifest, so a new process can restore().  Server must be
-  /// stopped (scheduler-thread contract).  Both the checkpoint files and the
-  /// manifest are replaced atomically (tmp + flush + rename), so a crash
-  /// mid-persist leaves the previous consistent generation on disk.  A
-  /// clone whose checkpoint write fails keeps its previous checkpoint (if
-  /// any) in the manifest — stale beats absent.
+  /// Checkpoints every tracked clone that is resident and stale (or was
+  /// never written), so a new process can restore it.  Server must be
+  /// stopped (scheduler-thread contract).  Each file is replaced
+  /// atomically (tmp + flush + rename), so a crash mid-persist leaves
+  /// every session's previous checkpoint (if any) or its new one.  A
+  /// clone whose checkpoint write fails keeps its previous checkpoint —
+  /// stale beats absent.
   void persist(const std::vector<Session*>& sessions);
 
-  /// Reads the manifest written by persist() and registers every
-  /// checkpoint as an evicted clone; returns the session ids, which the
-  /// caller (Shard::restore_clones) re-creates.  The first frame
-  /// of each session rehydrates its clone transparently.
-  ///
-  /// Tolerant by contract (PR 8): every checkpoint is validated (decoded
-  /// end to end against the shared head: FUSEMOD2 magic, arch tag,
-  /// length and checksum) before registration;
-  /// corrupt, truncated or missing entries are skipped and counted
-  /// (restore_skipped), never thrown.  A missing manifest, or a torn or
-  /// corrupt one (also counted in restore_skipped), falls back to
-  /// scanning the directory for checkpoint files, so a crash before or
-  /// during the manifest write still recovers every valid checkpoint on
-  /// disk.
-  std::vector<SessionId> restore();
+  /// Warm restart, step 1: true iff session `id`'s checkpoint decodes end
+  /// to end against the shared head (FUSEMOD2 magic, arch tag, length and
+  /// checksum).  A checkpoint that does not — corrupt, truncated, or a
+  /// retired format — is deleted and counted (restore_skipped), never
+  /// thrown.  Registers nothing, so the caller can refuse the whole
+  /// restore before any session opens.  Enabled stores only, as restore.
+  bool validate_checkpoint(SessionId id);
+  /// Warm restart, step 2: registers a validated checkpoint as an evicted
+  /// clone; the first frame of its session rehydrates it transparently.
+  void restore(SessionId id);
 
   // ---------------------------------------------------------- telemetry --
   /// Relaxed-atomic snapshot; callable from any thread.

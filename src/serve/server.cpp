@@ -5,7 +5,6 @@
 #include <new>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 
 #include "nn/sequential.h"
 #include "serve/clone_store/layout.h"
@@ -251,15 +250,15 @@ bool Server::execute_migration(SessionId id, std::size_t target_shard) {
     from.record_migration(mono_seconds() - t0);
     return false;
   }
-  // Commit point: the steps below only relink the session (the source's
-  // checkpoint removal is best-effort), so it is never observed half-moved.
-  from.store().forget(id);
+  // Commit point: the steps below only relink the session, so it is never
+  // observed half-moved.  The target's store adopts the clone entry as it
+  // is; its checkpoint file stays put in the shared flat directory.
+  from.store().hand_over(id, to.store());
   to.attach_session(s);
   set_shard_override(id, target_shard);  // route new submits to the target
   from.detach_session(id);
   s->rebind_shard_gauge(to.gauge());
   s->requeue(std::move(frames));  // replay the drained backlog, in order
-  if (s->adapted_head() != nullptr) to.store().note_adapted(*s);
   s->end_migration();
   from.note_migration_out();
   to.note_migration_in();
@@ -291,105 +290,44 @@ void Server::stop() {
   for (auto& sh : shards_) sh->stop();
 }
 
-namespace {
-
-[[noreturn]] void throw_reshard_needed(const std::string& dir,
-                                       const std::string& detail) {
-  throw std::logic_error(
-      "serve::Server::restore_clones: the clone store at '" + dir +
-      "' was persisted under a different shard layout (" + detail +
-      ") — changing num_shards is an offline data migration: run "
-      "`tools/reshard --to <num_shards> " + dir + "` first");
-}
-
-}  // namespace
-
 void Server::persist_clones() {
   for (auto& sh : shards_) sh->persist_clones();
-  const std::string& dir = cfg_.clone_store.dir;
-  if (dir.empty() || shards_.size() < 2) return;
-  // Persist the placement table next to the per-shard stores so migrated
-  // sessions restore onto the shard that holds their checkpoint.  Its
-  // shard count doubles as the topology stamp restore_clones checks.
-  layout::ShardMap map;
-  map.shards = shards_.size();
-  {
-    std::lock_guard<std::mutex> lock(map_mu_);
-    map.pins = shard_overrides_;
-  }
-  try {
-    layout::write_map(dir, map, true);
-  } catch (const std::exception& e) {
-    // Same best-effort contract as clone checkpoints: a failed map write
-    // leaves the previous generation in place (stale beats absent), and a
-    // torn one reads as invalid, so restore trusts the checkpoints.
-    FUSE_LOG_DEBUG("serve: shard map write failed: %s", e.what());
-  }
 }
 
 std::vector<SessionId> Server::restore_clones(const SessionConfig& scfg) {
   validate_session_config(scfg);
-  std::vector<SessionId> out;
+  if (running())
+    throw std::logic_error("Server::restore_clones: call before start()");
   std::lock_guard<std::mutex> lock(open_mu_);
   const std::string& dir = cfg_.clone_store.dir;
+  if (dir.empty()) return {};
+  const auto ids = layout::scan_clone_ids(dir);
+  // Refuse before any session opens, so a throw leaves the server as it
+  // was: an id already open first, then (once the home shards' stores have
+  // validated their checkpoints) the session cap.
+  for (const SessionId id : ids)
+    if (shards_[shard_of(id)]->find(id))
+      throw std::logic_error("Server::restore_clones: session id " +
+                             std::to_string(id) + " already open");
   const std::size_t n = shards_.size();
-  layout::ShardMap map;
-  if (!dir.empty()) {
-    map = layout::read_map(dir);
-    if (map.status == layout::FileStatus::kValid && map.shards != n)
-      throw_reshard_needed(dir, "its shard map says shards=" +
-                                    std::to_string(map.shards) +
-                                    ", this server runs " +
-                                    std::to_string(n));
-    // Layout sanity independent of the map file (covers torn maps and
-    // pre-map stores): shard dirs holding data beyond our count, or a
-    // flat single-shard store under a multi-shard server (and vice
-    // versa), mean the data belongs to a different topology.
-    const auto sharded = layout::shards_with_data(dir);
-    if (!sharded.empty() && (n == 1 || sharded.back() >= n))
-      throw_reshard_needed(dir, "checkpoints on shard " +
-                                    std::to_string(sharded.back()) +
-                                    " under a " + std::to_string(n) +
-                                    "-shard server");
-    if (n > 1 && layout::has_store_data(dir))
-      throw_reshard_needed(dir, "flat single-shard checkpoints under a " +
-                                    std::to_string(n) + "-shard server");
+  std::vector<std::vector<SessionId>> per_shard(n);
+  std::vector<SessionId> out;
+  for (const SessionId id : ids) {
+    const std::size_t home = layout::home_shard(id, n);
+    if (!shards_[home]->store().validate_checkpoint(id)) continue;
+    per_shard[home].push_back(id);
+    out.push_back(id);
   }
-  std::unordered_set<SessionId> seen;
-  for (std::size_t k = 0; k < n; ++k) {
-    const auto ids = shards_[k]->restore_clones(scfg);
-    for (const SessionId id : ids) {
-      if (!seen.insert(id).second)
-        throw_reshard_needed(dir, "session " + std::to_string(id) +
-                                      " has checkpoints on two shards "
-                                      "(mixed layout)");
-      if (layout::home_shard(id, n) != k) {
-        // Off-home checkpoint: legal only when the placement table pins
-        // it here (a migrated session) or the table was torn — then the
-        // on-disk placement is the best available truth.
-        const auto pin = map.pins.find(id);
-        const bool pinned =
-            map.status == layout::FileStatus::kInvalid ||
-            (pin != map.pins.end() && pin->second == k);
-        if (!pinned)
-          throw_reshard_needed(
-              dir, "checkpoint for session " + std::to_string(id) +
-                       " found on shard " + std::to_string(k) +
-                       " but hashes to shard " +
-                       std::to_string(layout::home_shard(id, n)) +
-                       " with no shard-map entry");
-        set_shard_override(id, k);
-      }
-      // Fresh ids must never collide with a restored one.
-      next_id_ = std::max(next_id_, id + 1);
-      out.push_back(id);
-    }
-  }
-  if (session_count_unlocked() > cfg_.max_sessions)
+  if (session_count_unlocked() + out.size() > cfg_.max_sessions)
     throw std::runtime_error("serve::Server: max_sessions reached");
-  std::sort(out.begin(), out.end());
-  FUSE_LOG_DEBUG("serve: restored %zu clone sessions across %zu shards",
-                 out.size(), shards_.size());
+  // Every session restores on its home shard: a migrated one goes home.
+  for (std::size_t k = 0; k < n; ++k)
+    shards_[k]->restore_clones(per_shard[k], scfg);
+  // Fresh ids must never collide with a restored one.
+  if (!out.empty()) next_id_ = std::max(next_id_, out.back() + 1);
+  FUSE_LOG_DEBUG("serve: restored %zu of %zu clone checkpoints across %zu "
+                 "shards",
+                 out.size(), ids.size(), n);
   return out;
 }
 

@@ -7,7 +7,7 @@
 // scheduler shards.  Each shard owns its own scheduler thread, frame
 // workspace, result queues, clone-store instance and overload detector,
 // so batching/adaptation work scales with cores instead of capping at
-// one.  Placement is an explicit shard-map table: every session starts
+// one.  Placement is an in-memory override table: every session starts
 // on its home shard `layout::home_shard(id, num_shards)` (ids round-robin
 // the shards; stable across close_session/recycle_session), and
 // migrate_session() may later record an override moving it elsewhere.
@@ -23,11 +23,11 @@
 // both shards' pass locks; for its duration submits to the session return
 // SubmitResult::kMigrating (retry-after semantics).  There is no built-in
 // load balancer: a caller that wants balancing reads stats().per_shard and
-// calls migrate_session().  Migrated placements persist with the clones (a
-// shard-map file next to the per-shard stores; the disk format is
-// serve/clone_store/layout.h) and are re-installed by restore_clones();
-// changing num_shards itself remains an offline re-shard (tools/reshard,
-// serve/reshard.h).
+// calls migrate_session().  A move writes and deletes no file: every
+// shard's clone store shares one flat directory (serve/clone_store/
+// layout.h), and the target's store adopts the session's entry as it is.
+// Placements live in memory only; restore_clones() opens every session on
+// its home shard, so changing num_shards is a plain restart.
 //
 // In-flight gauge / overload-detector contract (multi-shard):
 //  * admission (`max_in_flight`) is GLOBAL — one shared atomic gauge of
@@ -134,10 +134,8 @@ struct ServeConfig {
   /// max_resident_clones, then transparently rehydrated (bit-exact) when
   /// their session is next served or adapted.  Empty dir (default) keeps
   /// every head resident.  With num_shards > 1 each shard keeps its own
-  /// store instance in its own shard dir (the cap applies per shard); a
-  /// warm restart must use the same num_shards the checkpoints were
-  /// persisted with — changing the shard count is an offline re-shard
-  /// (tools/reshard).
+  /// store instance (the cap applies per shard), all in the one flat dir;
+  /// a warm restart may use any num_shards.
   CloneStoreConfig clone_store;
   /// Global admission budget: total queued frames across every session on
   /// every shard.  A submit over it is refused at the door
@@ -167,7 +165,7 @@ void validate_session_config(const SessionConfig& cfg);
 
 /// The head a session adapts: the last child of `model`, an nn::Sequential
 /// whose last child has parameters (else std::invalid_argument).  Clone
-/// checkpoints and ReshardConfig::base are relative to it.
+/// checkpoints are relative to it.
 const fuse::nn::Module& shared_head(const fuse::nn::Module& model);
 
 class Server {
@@ -183,11 +181,10 @@ class Server {
 
   // ------------------------------------------------------------- shards --
   std::size_t num_shards() const { return shards_.size(); }
-  /// The shard owning session `id`: the explicit shard-map table when the
+  /// The shard owning session `id`: the override table when the
   /// session has been migrated, else its home shard (layout::home_shard).
-  /// Stable across close_session/recycle_session and across warm restarts
-  /// with the same num_shards (restore_clones re-installs migrated
-  /// placements from the persisted shard map).
+  /// Stable across close_session/recycle_session; a warm restart places
+  /// every restored session on its home shard.
   std::size_t shard_of(SessionId id) const;
 
   /// Moves the session to `target_shard`: drains its queue, rebinds the
@@ -264,23 +261,19 @@ class Server {
   std::string stats_json() const { return stats_to_json(stats()); }
 
   // -------------------------------------------------------- warm restart --
-  /// Checkpoints every session's adapted clone to its shard's clone store
-  /// and writes per-shard manifests plus the shard map (migrated
-  /// placements), so a new process pointed at the same clone_store.dir
-  /// (and the same num_shards) can restore_clones().  Requires a
-  /// configured store and a stopped server (throws std::logic_error
+  /// Checkpoints every session's adapted clone that changed since its last
+  /// checkpoint, so a new process pointed at the same clone_store.dir
+  /// (with any num_shards) can restore_clones().  Each file is replaced
+  /// atomically.  Requires a stopped server (throws std::logic_error
   /// otherwise); no-op when the store is disabled.
   void persist_clones();
-  /// Re-creates one session (with `scfg`, under its original id and on
-  /// the shard whose store holds its checkpoint) per clone checkpoint in
-  /// each shard's manifest, re-installing migrated placements from the
-  /// persisted shard map.  Call on a fresh server before start(); throws
-  /// std::logic_error while running, or when the layout on disk belongs
-  /// to a different num_shards (run tools/reshard first — re-sharding is
-  /// a data migration, not a restart).  A torn/corrupt shard-map file is
-  /// tolerated: the placement found on disk is the truth and off-home
-  /// ids are re-pinned where their checkpoints live.  Returns the
-  /// restored session ids, sorted.
+  /// Scans clone_store.dir once and re-creates one session (with `scfg`,
+  /// under its original id, on its home shard) per checkpoint that
+  /// decodes; the rest are deleted and counted (restore_skipped).  Call
+  /// on a fresh server before start().  Throws before opening any session
+  /// — std::logic_error while running or when a checkpoint's id is
+  /// already open, std::runtime_error when the restored sessions would
+  /// exceed max_sessions.  Returns the restored session ids, sorted.
   std::vector<SessionId> restore_clones(const SessionConfig& scfg);
 
  private:
@@ -307,7 +300,7 @@ class Server {
   mutable std::mutex open_mu_;
   SessionId next_id_ = 1;
 
-  /// Explicit shard-map table: overrides for sessions migrated off their
+  /// Override table: placements of sessions migrated off their
   /// home shard (absent id = home hash).  The submit hot path skips the
   /// lock entirely while the table is empty (the common case), via the
   /// relaxed override counter.

@@ -11,7 +11,6 @@
 
 #include "core/finetune.h"
 #include "data/featurize.h"
-#include "serve/clone_store/layout.h"
 #include "util/fault.h"
 #include "util/log.h"
 #include "util/thread_pool.h"
@@ -28,12 +27,8 @@ Shard::Shard(const fuse::core::Predictor* predictor,
       index_(index),
       global_in_flight_(global_in_flight),
       detector_(cfg.overload) {
-  // Per-shard clone store: shards must never share checkpoint files, so
-  // each one owns its own shard dir.  The 1-shard layout stays flat —
-  // backward compatible with checkpoints persisted before sharding.
-  if (!cfg_.clone_store.dir.empty())
-    cfg_.clone_store.dir = layout::shard_dir(cfg_.clone_store.dir, index_,
-                                             cfg_.num_shards);
+  // Every shard's store shares the one flat directory; each writes and
+  // deletes only the files of the sessions it tracks.
   clone_store_.configure(cfg_.clone_store, shared_head_);
 }
 
@@ -572,7 +567,7 @@ void Shard::persist_clones() {
     throw std::logic_error("Server::persist_clones: stop() the server first");
   // The store's scheduler-thread contract holds here: no scheduler thread
   // is running, so this caller IS the scheduler side.  Queued forgets are
-  // drained first so closed sessions never reach the manifest.
+  // drained first so closed sessions leave no checkpoint behind.
   clone_store_.begin_pass();
   const auto snapshot = snapshot_sessions();
   std::vector<Session*> sessions;
@@ -581,22 +576,17 @@ void Shard::persist_clones() {
   clone_store_.persist(sessions);
 }
 
-std::vector<SessionId> Shard::restore_clones(const SessionConfig& scfg) {
-  if (running_)
-    throw std::logic_error("Server::restore_clones: call before start()");
-  const auto ids = clone_store_.restore();
+void Shard::restore_clones(const std::vector<SessionId>& ids,
+                           const SessionConfig& scfg) {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   for (const SessionId id : ids) {
-    if (sessions_.count(id))
-      throw std::logic_error("Server::restore_clones: session id " +
-                             std::to_string(id) + " already open");
+    clone_store_.restore(id);
     auto s = std::make_shared<Session>(id, scfg);
     s->bind_in_flight(global_in_flight_, &shard_in_flight_);
     sessions_.emplace(id, std::move(s));
   }
   FUSE_LOG_DEBUG("serve: shard %zu restored %zu clone sessions", index_,
                  ids.size());
-  return ids;
 }
 
 ShardRawStats Shard::raw_stats() const {

@@ -77,9 +77,8 @@ struct ShardRawStats {
 
 class Shard {
  public:
-  /// `cfg` is the server-wide config; the shard rewrites its clone-store
-  /// dir to its own shard dir (layout::shard_dir) so stores never share
-  /// checkpoint files.  `global_in_flight` is the server's
+  /// `cfg` is the server-wide config; every shard's clone store uses its
+  /// one flat directory.  `global_in_flight` is the server's
   /// admission gauge (borrowed; outlives the shard).
   /// `shared_model`'s last child is the shared head (Server checks it).
   Shard(const fuse::core::Predictor* predictor,
@@ -119,10 +118,11 @@ class Shard {
 
   // -------------------------------------------------------- warm restart --
   void persist_clones();
-  /// Registers the shard store's checkpoints and re-creates their
-  /// sessions; returns the restored ids (Server validates the id -> shard
-  /// mapping and enforces max_sessions).
-  std::vector<SessionId> restore_clones(const SessionConfig& scfg);
+  /// Registers `ids` (checkpoints this shard's store validated) as
+  /// evicted clones and opens their sessions with `scfg`.  Server checks
+  /// that no shard runs, and placement, open ids and max_sessions, first.
+  void restore_clones(const std::vector<SessionId>& ids,
+                      const SessionConfig& scfg);
 
   // ----------------------------------------------------------- telemetry --
   ShardRawStats raw_stats() const;
@@ -217,7 +217,7 @@ class Shard {
   const fuse::core::Predictor* predictor_;
   const fuse::nn::Sequential* shared_model_;
   const fuse::nn::Module* shared_head_;  ///< shared_model_'s last child
-  ServeConfig cfg_;  ///< server config with this shard's clone-store dir
+  ServeConfig cfg_;  ///< the server-wide config
   const std::size_t index_;
   /// Server-global admission gauge (max_in_flight) — shared across
   /// shards.  Declared before sessions_ so sessions (which drain it on

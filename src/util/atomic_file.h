@@ -14,8 +14,9 @@
 //  * kTornWrite — only a prefix of the payload reaches disk yet the
 //    rename still lands (a crash after rename on a filesystem that
 //    reorders data and metadata writes).  This is the corruption the
-//    checksummed load paths (Module::load_file, clone-store manifest)
-//    catch and skip — not something the writer can prevent.
+//    checksummed load path (Module::load_file, and the clone store's
+//    restore, which validates every checkpoint it scans) catches and
+//    skips — not something the writer can prevent.
 
 #include <cstddef>
 #include <filesystem>

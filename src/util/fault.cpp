@@ -12,7 +12,6 @@ const char* fault_point_name(FaultPoint p) {
     case FaultPoint::kCorruptLabel: return "corrupt_label";
     case FaultPoint::kLatencySpike: return "latency_spike";
     case FaultPoint::kMigrationKill: return "migration_kill";
-    case FaultPoint::kTornShardMap: return "torn_shard_map";
     case FaultPoint::kTargetShardCrash: return "target_shard_crash";
     case FaultPoint::kMigrationOom: return "migration_oom";
   }

@@ -28,24 +28,21 @@
 namespace fuse::util {
 
 /// The injection-point taxonomy.  Sites live in nn/module.cpp and
-/// util/atomic_file.h (checkpoint and manifest disk I/O),
-/// serve/clone_store/layout (torn shard map), serve/shard (input
-/// corruption, latency spikes), serve/server (live migration) and
-/// serve/reshard (offline re-shard).
+/// util/atomic_file.h (checkpoint disk I/O), serve/shard (input
+/// corruption, latency spikes) and serve/server (live migration).
 enum class FaultPoint : std::size_t {
-  kDiskWrite = 0,    ///< checkpoint/manifest write throws (ENOSPC, EIO, ...)
+  kDiskWrite = 0,    ///< checkpoint write throws (ENOSPC, EIO, ...)
   kTornWrite,        ///< write persists only a prefix (crash mid-write)
-  kDiskRead,         ///< checkpoint/manifest read throws
+  kDiskRead,         ///< checkpoint read throws
   kCorruptCloud,     ///< NaN/Inf poked into a submitted point cloud
   kCorruptCube,      ///< NaN/Inf poked into a submitted raw radar cube
   kCorruptLabel,     ///< NaN/Inf poked into a submitted ground-truth label
   kLatencySpike,     ///< scheduler stage stalls for spike_ms
-  kMigrationKill,    ///< live migration / re-shard killed mid-move
-  kTornShardMap,     ///< re-shard journal (shard map) write torn on disk
+  kMigrationKill,    ///< live migration killed mid-move
   kTargetShardCrash, ///< target shard crashes while adopting a session
   kMigrationOom,     ///< live migration of a head throws std::bad_alloc
 };
-inline constexpr std::size_t kNumFaultPoints = 11;
+inline constexpr std::size_t kNumFaultPoints = 10;
 
 const char* fault_point_name(FaultPoint p);
 

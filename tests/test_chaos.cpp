@@ -1,6 +1,7 @@
 // Chaos suite for the overload-hardened serving plane: multi-seed fault-
 // matrix soak on the threaded server, crash-consistent clone persistence
-// (mid-checkpoint kill, torn writes, deleted/truncated checkpoints),
+// (mid-checkpoint kill, torn writes, deleted/truncated checkpoints, crashes
+// during a migration or a persist),
 // NaN/Inf input guards with session quarantine, global admission control,
 // and the graceful-degradation ladder end to end.
 //
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "core/pipeline.h"
-#include "serve/reshard.h"
 #include "serve/server.h"
 #include "util/fault.h"
 
@@ -249,42 +249,39 @@ struct RestoreWorld {
   std::vector<LabeledFrame> probe;
   std::vector<std::vector<fuse::serve::PoseResult>> ref;
 
-  explicit RestoreWorld(const char* name, std::size_t num_shards = 1,
-                        std::size_t sessions = kSessions) {
+  explicit RestoreWorld(const char* name) {
     auto& pl = world();
     dir = fresh_dir(name);
     cfg = adapting_cfg();
-    cfg.num_shards = num_shards;
     cfg.clone_store.dir = dir;
     cfg.session.tracking = false;  // tracker state is not persisted
     probe = labeled_frames(3, kProbe);
-    ref.resize(sessions);
+    ref.resize(kSessions);
 
     Server server(&pl.predictor(), &pl.model(), cfg);
-    const std::size_t sequences = pl.dataset().sequences.size();
     std::vector<std::vector<LabeledFrame>> streams;
-    for (std::size_t s = 0; s < sessions; ++s) {
+    for (std::size_t s = 0; s < kSessions; ++s) {
       ids.push_back(server.open_session());
-      streams.push_back(labeled_frames(s % sequences, 12));
+      streams.push_back(labeled_frames(s, 12));
     }
     for (std::size_t i = 0; i < streams[0].size(); ++i) {
-      for (std::size_t s = 0; s < sessions; ++s)
+      for (std::size_t s = 0; s < kSessions; ++s)
         server.submit_frame(ids[s], streams[s][i].cloud,
                             &streams[s][i].label);
       server.drain();
     }
-    for (std::size_t s = 0; s < sessions; ++s) {
+    for (std::size_t s = 0; s < kSessions; ++s) {
       EXPECT_EQ(server.stats().per_session[s].adapt_state,
                 AdaptState::kAdapted);
       (void)server.poll_results(ids[s]);
     }
     // Unlabeled probe on the original server = the recovery reference.
     for (std::size_t i = 0; i < kProbe; ++i) {
-      for (std::size_t s = 0; s < sessions; ++s)
+      for (std::size_t s = 0; s < kSessions; ++s)
         server.submit_frame(ids[s], probe[i].cloud);
       server.drain();
     }
-    for (std::size_t s = 0; s < sessions; ++s)
+    for (std::size_t s = 0; s < kSessions; ++s)
       ref[s] = server.poll_results(ids[s]);
     server.persist_clones();
   }
@@ -344,8 +341,8 @@ TEST(Chaos, MidCheckpointKillRecoversUncorruptedClonesBitExactly) {
   fs::remove_all(w.dir);
 }
 
-// Satellite: a checkpoint DELETED between persist and restore (manifest
-// still names it) is skipped and reported the same way.
+// A checkpoint DELETED between persist and restore: the directory scan
+// no longer finds it, and every other session restores bit-exactly.
 TEST(Chaos, RestoreToleratesDeletedCheckpoint) {
   auto& pl = world();
   RestoreWorld w("fuse_chaos_deleted");
@@ -356,64 +353,13 @@ TEST(Chaos, RestoreToleratesDeletedCheckpoint) {
   ASSERT_EQ(restored.size(), RestoreWorld::kSessions - 1);
   EXPECT_EQ(std::find(restored.begin(), restored.end(), w.ids[1]),
             restored.end());
-  EXPECT_EQ(server.stats().clone_store.restore_skipped, 1u);
   w.expect_recovered(server, 0);
   w.expect_recovered(server, 2);
   fs::remove_all(w.dir);
 }
 
-// A crash BEFORE the manifest rename: checkpoints on disk, no manifest.
-// restore falls back to scanning the directory and recovers all of them.
-TEST(Chaos, MissingManifestFallsBackToDirectoryScan) {
-  auto& pl = world();
-  RestoreWorld w("fuse_chaos_manifest");
-  fs::remove(w.dir + "/clones.manifest");
-
-  Server server(&pl.predictor(), &pl.model(), w.cfg);
-  const auto restored = server.restore_clones(w.cfg.session);
-  ASSERT_EQ(restored.size(), RestoreWorld::kSessions);
-  for (std::size_t s = 0; s < RestoreWorld::kSessions; ++s)
-    w.expect_recovered(server, s);
-  fs::remove_all(w.dir);
-}
-
-// A manifest torn at a line boundary is a well-formed prefix: every line
-// it kept parses.  Only its missing `end` line tells it apart from a
-// complete manifest, so each such cut must fall back to the directory
-// scan (and count as skipped), not restore the sessions it happened to
-// keep.
-TEST(Chaos, ManifestCutAtALineBoundaryFallsBackToDirectoryScan) {
-  auto& pl = world();
-  RestoreWorld w("fuse_chaos_manifest_cut");
-  const std::string path = w.dir + "/clones.manifest";
-  std::string full;
-  {
-    std::ifstream is(path, std::ios::binary);
-    full.assign(std::istreambuf_iterator<char>(is),
-                std::istreambuf_iterator<char>());
-  }
-  // Every cut just after a newline, short of the whole file.
-  std::size_t cuts = 0;
-  for (std::size_t cut = full.find('\n'); cut + 1 < full.size();
-       cut = full.find('\n', cut + 1), ++cuts) {
-    SCOPED_TRACE("manifest cut after byte " + std::to_string(cut + 1));
-    {
-      std::ofstream os(path, std::ios::binary | std::ios::trunc);
-      os.write(full.data(), static_cast<std::streamsize>(cut + 1));
-    }
-    Server server(&pl.predictor(), &pl.model(), w.cfg);
-    const auto restored = server.restore_clones(w.cfg.session);
-    ASSERT_EQ(restored.size(), RestoreWorld::kSessions);
-    EXPECT_EQ(server.stats().clone_store.restore_skipped, 1u);
-    for (std::size_t s = 0; s < RestoreWorld::kSessions; ++s)
-      w.expect_recovered(server, s);
-  }
-  EXPECT_GE(cuts, RestoreWorld::kSessions);  // after the magic and each id
-  fs::remove_all(w.dir);
-}
-
-// Injected torn writes on EVERY file of a persist (manifest included):
-// restore finds only garbage, reports all of it, recovers nothing — and
+// Injected torn writes on EVERY checkpoint of a persist: restore finds
+// only garbage, reports all of it, recovers nothing — and
 // the server still cold-starts cleanly.
 TEST(Chaos, FullyTornPersistIsReportedNotFatal) {
   auto& pl = world();
@@ -476,11 +422,122 @@ TEST(Chaos, CheckpointWriteFailuresAreContainedAndCounted) {
     ScopedFaults faults(fc);
     ASSERT_NO_THROW(server.persist_clones());
   }
-  // checkpoint + manifest both failed, both counted; nothing landed.
-  EXPECT_GE(server.stats().clone_store.checkpoint_failures, 2u);
+  // The checkpoint write failed and was counted; nothing landed.
+  EXPECT_EQ(server.stats().clone_store.checkpoint_failures, 1u);
   Server server2(&pl.predictor(), &pl.model(), cfg);
   EXPECT_TRUE(server2.restore_clones(cfg.session).empty());
   fs::remove_all(dir);
+}
+
+/// True when `got` serves bit-exactly what `want` served, from probe
+/// index 2 on (RestoreWorld::expect_recovered's window rule).
+bool same_poses(const std::vector<fuse::serve::PoseResult>& got,
+                const std::vector<fuse::serve::PoseResult>& want) {
+  if (got.size() != want.size()) return false;
+  for (std::size_t i = 2; i < got.size(); ++i)
+    for (std::size_t j = 0; j < fuse::human::kNumJoints; ++j) {
+      const auto& a = got[i].raw.joints[j];
+      const auto& b = want[i].raw.joints[j];
+      if (a.x != b.x || a.y != b.y || a.z != b.z) return false;
+    }
+  return true;
+}
+
+// The flat store's crash-safety statement: a crash at any point of a
+// migration or a persist leaves every session restorable, under any shard
+// count.  A migration writes and deletes no file, whether it is killed
+// mid-move or lands; a persist replaces each checkpoint atomically, so a
+// crash part-way (modelled by failing a random subset of the writes)
+// leaves each session with either its previous or its new head.
+TEST(Chaos, CrashDuringMigrationOrPersistLeavesEverySessionRestorable) {
+  auto& pl = world();
+  RestoreWorld w("fuse_chaos_flat_crash");
+  ServeConfig two = w.cfg;
+  two.num_shards = 2;  // ids 1, 2, 3 -> home shards 0, 1, 0
+
+  // Migrations: one killed at each fault point, then one that lands, and
+  // the process dies without persisting.
+  for (const FaultPoint point :
+       {FaultPoint::kMigrationKill, FaultPoint::kTargetShardCrash,
+        FaultPoint::kMigrationOom}) {
+    SCOPED_TRACE(fuse::util::fault_point_name(point));
+    {
+      Server server(&pl.predictor(), &pl.model(), two);
+      ASSERT_EQ(server.restore_clones(two.session).size(),
+                RestoreWorld::kSessions);
+      {
+        FaultConfig fc;
+        fc.p(point) = 1.0;
+        ScopedFaults faults(fc);
+        EXPECT_FALSE(server.migrate_session(w.ids[0], 1));
+        EXPECT_EQ(fuse::util::fault_fired(point), 1u);
+      }
+      EXPECT_TRUE(server.migrate_session(w.ids[2], 1));
+    }
+    for (const std::size_t shards : {1u, 2u}) {
+      ServeConfig cfg = w.cfg;
+      cfg.num_shards = shards;
+      Server server(&pl.predictor(), &pl.model(), cfg);
+      ASSERT_EQ(server.restore_clones(cfg.session).size(),
+                RestoreWorld::kSessions);
+      for (std::size_t s = 0; s < RestoreWorld::kSessions; ++s)
+        w.expect_recovered(server, s);
+    }
+  }
+
+  // Persists that die part-way: every session re-adapts, then a random
+  // half of the checkpoint writes fail.  Each session restores with its
+  // new head where its write landed and its previous head where it did
+  // not — never without one.
+  std::size_t landed = 0, failed = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ServeConfig run = two;
+    run.clone_store.dir = fresh_dir("fuse_chaos_flat_crash_run");
+    fs::copy(w.dir, run.clone_store.dir);
+    std::vector<std::vector<fuse::serve::PoseResult>> fresh;
+    {
+      Server server(&pl.predictor(), &pl.model(), run);
+      ASSERT_EQ(server.restore_clones(run.session).size(),
+                RestoreWorld::kSessions);
+      const auto stream = labeled_frames(4, 12);
+      for (const auto& f : stream) {
+        for (const auto id : w.ids) server.submit_frame(id, f.cloud, &f.label);
+        server.drain();
+      }
+      for (const auto id : w.ids) (void)server.poll_results(id);
+      for (const auto& f : w.probe) {
+        for (const auto id : w.ids) server.submit_frame(id, f.cloud);
+        server.drain();
+      }
+      for (const auto id : w.ids) fresh.push_back(server.poll_results(id));
+      FaultConfig fc;
+      fc.seed = seed;
+      fc.p(FaultPoint::kDiskWrite) = 0.5;
+      ScopedFaults faults(fc);
+      ASSERT_NO_THROW(server.persist_clones());
+      failed += fuse::util::fault_fired(FaultPoint::kDiskWrite);
+      landed += RestoreWorld::kSessions -
+                fuse::util::fault_fired(FaultPoint::kDiskWrite);
+    }
+    Server server(&pl.predictor(), &pl.model(), run);
+    ASSERT_EQ(server.restore_clones(run.session).size(),
+              RestoreWorld::kSessions);
+    for (const auto& f : w.probe) {
+      for (const auto id : w.ids) server.submit_frame(id, f.cloud);
+      server.drain();
+    }
+    for (std::size_t s = 0; s < RestoreWorld::kSessions; ++s) {
+      const auto got = server.poll_results(w.ids[s]);
+      EXPECT_TRUE(same_poses(got, fresh[s]) || same_poses(got, w.ref[s]))
+          << "session " << w.ids[s] << " restored neither head";
+      EXPECT_FALSE(same_poses(fresh[s], w.ref[s]));  // the heads differ
+    }
+    fs::remove_all(run.clone_store.dir);
+  }
+  EXPECT_GT(landed, 0u);
+  EXPECT_GT(failed, 0u);
+  fs::remove_all(w.dir);
 }
 
 // Satellite: a NaN label must never reach the adaptation buffer — the
@@ -523,131 +580,6 @@ TEST(Chaos, NanLabelsNeverPoisonAdaptation) {
     EXPECT_FALSE(rp[i].adapted_model);
     expect_pose_eq(rp[i].raw, rc[i].raw);
   }
-}
-
-// ------------------------------------------------ re-shard crash matrix --
-
-// Tentpole acceptance: kill the offline re-shard at every fault point it
-// crosses — mid-copy kill, torn journal write, failed and torn destination
-// writes — across seeds.  Whatever state the crash left behind, (a) a
-// sharded server refuses a half-migrated store loudly instead of serving
-// from it, and (b) re-running the tool completes the migration, after
-// which every clone restores bit-exactly.
-TEST(Chaos, ReshardCrashAtEveryFaultPointIsRecoverable) {
-  auto& pl = world();
-  RestoreWorld w("fuse_chaos_reshard", 2);  // pristine 2-shard store
-  const struct {
-    FaultPoint point;
-    const char* name;
-    double p;
-  } kPoints[] = {
-      // p = 1.0 where the point has a single deterministic site (first
-      // copy / first journal write); 0.7 on the generic disk points so the
-      // seeds crash at different stages of the protocol.
-      {FaultPoint::kMigrationKill, "kMigrationKill", 1.0},
-      {FaultPoint::kTornShardMap, "kTornShardMap", 1.0},
-      {FaultPoint::kDiskWrite, "kDiskWrite", 0.7},
-      {FaultPoint::kTornWrite, "kTornWrite", 0.7},
-  };
-  for (const auto& [point, name, p] : kPoints) {
-    std::size_t crashes = 0;
-    for (const std::uint64_t seed : {1u, 2u, 3u}) {
-      SCOPED_TRACE(std::string(name) + " seed " + std::to_string(seed));
-      const std::string dir = fresh_dir("fuse_chaos_reshard_run");
-      fs::copy(w.dir, dir, fs::copy_options::recursive);
-      fuse::serve::ReshardConfig rcfg;
-      rcfg.dir = dir;
-      rcfg.to = 4;
-      rcfg.base = &fuse::serve::shared_head(pl.model());
-      {
-        FaultConfig fc;
-        fc.seed = seed;
-        fc.p(point) = p;
-        ScopedFaults faults(fc);
-        try {
-          (void)fuse::serve::reshard(rcfg);
-        } catch (const std::exception&) {
-          ++crashes;  // the injected crash; the store must survive it
-        }
-      }
-      // If checkpoints already landed beyond the old layout, a 2-shard
-      // server must refuse the half-migrated store by name — restoring
-      // from it would silently split sessions across topologies.
-      const bool stale_new_shards = [&] {
-        for (std::size_t k = 2; k < 4; ++k) {
-          std::error_code ec;
-          for (const auto& e : fs::directory_iterator(
-                   fs::path(dir) / ("shard_" + std::to_string(k)), ec))
-            if (e.path().extension() == ".delta") return true;
-        }
-        return false;
-      }();
-      if (stale_new_shards) {
-        ServeConfig cfg2 = w.cfg;
-        cfg2.clone_store.dir = dir;
-        Server refuse(&pl.predictor(), &pl.model(), cfg2);
-        EXPECT_THROW(refuse.restore_clones(cfg2.session), std::logic_error);
-      }
-      // Faults cleared: one clean re-run always finishes the migration
-      // (resuming the journal when its plan or commit survived)...
-      const auto report = fuse::serve::reshard(rcfg);
-      EXPECT_EQ(report.to, 4u);
-      // ...and the 4-shard layout restores every clone bit-exactly.
-      ServeConfig cfg4 = w.cfg;
-      cfg4.num_shards = 4;
-      cfg4.clone_store.dir = dir;
-      Server server(&pl.predictor(), &pl.model(), cfg4);
-      std::vector<fuse::serve::SessionId> restored;
-      ASSERT_NO_THROW(restored = server.restore_clones(cfg4.session));
-      ASSERT_EQ(restored.size(), RestoreWorld::kSessions);
-      for (std::size_t s = 0; s < RestoreWorld::kSessions; ++s)
-        w.expect_recovered(server, s);
-      fs::remove_all(dir);
-    }
-    EXPECT_GT(crashes, 0u) << name << " never fired across the seed sweep";
-  }
-  fs::remove_all(w.dir);
-}
-
-// A torn plan journal must never be resumed.  With 40 sessions the
-// half-length tear lands well past the journal header, inside the move
-// list: the surviving prefix is a plausible plan for only some of the
-// sessions, and resuming it would publish manifests for those alone and
-// sweep every other checkpoint.  The re-run must discard it and re-plan.
-TEST(Chaos, TornReshardPlanOverManySessionsLosesNoCheckpoint) {
-  auto& pl = world();
-  constexpr std::size_t kMany = 40;
-  RestoreWorld w("fuse_chaos_torn_plan", 2, kMany);
-  fuse::serve::ReshardConfig rcfg;
-  rcfg.dir = w.dir;
-  rcfg.to = 4;
-  rcfg.base = &fuse::serve::shared_head(pl.model());
-  {
-    FaultConfig fc;
-    fc.p(FaultPoint::kTornShardMap) = 1.0;  // the plan write tears
-    ScopedFaults faults(fc);
-    EXPECT_THROW((void)fuse::serve::reshard(rcfg), std::runtime_error);
-  }
-  ASSERT_TRUE(fs::exists(w.dir + "/reshard.journal"));
-  const auto report = fuse::serve::reshard(rcfg);
-  EXPECT_FALSE(report.resumed);
-  EXPECT_EQ(report.from, 2u);
-  EXPECT_EQ(report.clones_moved + report.clones_kept, kMany);
-  std::size_t checkpoints = 0;
-  for (const auto& e : fs::recursive_directory_iterator(w.dir))
-    if (e.path().extension() == ".delta") ++checkpoints;
-  EXPECT_EQ(checkpoints, kMany);
-
-  ServeConfig cfg4 = w.cfg;
-  cfg4.num_shards = 4;
-  Server server(&pl.predictor(), &pl.model(), cfg4);
-  const auto restored = server.restore_clones(cfg4.session);
-  ASSERT_EQ(restored.size(), kMany);
-  for (std::size_t s = 0; s < kMany; ++s) {
-    EXPECT_EQ(server.shard_of(w.ids[s]), (w.ids[s] - 1) % 4);
-    w.expect_recovered(server, s);
-  }
-  fs::remove_all(w.dir);
 }
 
 // --------------------------------------------- live-migration rollback --

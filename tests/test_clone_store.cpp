@@ -1,9 +1,9 @@
 // Tests for the adapted-clone lifecycle: LRU eviction + transparent
 // rehydration under a resident-clone count cap (capped serving must be
 // bit-identical to uncapped), recycle/close cleanup, threaded eviction
-// stress, warm restart, retired checkpoint formats, and the offline
-// re-shard.  The head checkpoint format itself (Module::save_file) is
-// tested in test_module.
+// stress, warm restart under any shard count, retired checkpoint formats,
+// and the migration hand-over.  The head checkpoint format itself
+// (Module::save_file) is tested in test_module.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -22,7 +21,6 @@
 #include "nn/registry.h"
 #include "serve/clone_store/clone_store.h"
 #include "serve/clone_store/layout.h"
-#include "serve/reshard.h"
 #include "serve/server.h"
 #include "util/checksum.h"
 
@@ -259,7 +257,7 @@ TEST(CloneStore, IdlePassDeletesClosedSessionsCheckpoint) {
 }
 
 // ...and consumes a recycle of an idle session, so a persist right after
-// it leaves the previous subject's clone out of the manifest.
+// it leaves no checkpoint of the previous subject behind.
 TEST(CloneStore, IdlePassConsumesRecycleBeforePersist) {
   auto& pl = world();
   const std::string dir = fresh_dir("fuse_clone_idle_recycle");
@@ -424,7 +422,8 @@ TEST(CloneStore, WarmRestartServesRestoredClonesBitExactly) {
   for (std::size_t s = 0; s < kSessions; ++s)
     ref[s] = server1->poll_results(ids[s]);
   server1->persist_clones();
-  EXPECT_TRUE(fs::exists(dir + "/clones.manifest"));
+  for (const auto id : ids)
+    EXPECT_TRUE(fs::exists(fuse::serve::layout::clone_path(dir, id)));
   server1.reset();
 
   // A fresh process: same store dir, same shared model.  Sessions come
@@ -468,80 +467,176 @@ TEST(CloneStore, WarmRestartServesRestoredClonesBitExactly) {
   fs::remove_all(dir);
 }
 
-TEST(CloneStore, ShardedWarmRestartKeepsShardLayoutAndMapping) {
-  auto& pl = world();
-  const std::string dir = fresh_dir("fuse_clone_shards");
-  ServeConfig cfg = adapting_cfg();
-  cfg.num_shards = 2;
-  cfg.clone_store.dir = dir;
-  cfg.session.tracking = false;  // tracker state is NOT persisted
-
-  constexpr std::size_t kSessions = 3;  // ids 1,2,3 -> shards 0,1,0
-  constexpr std::size_t kProbe = 5;
-  const auto probe = labeled_frames(3, kProbe);
-  std::vector<fuse::serve::SessionId> ids;
-  std::vector<std::vector<fuse::serve::PoseResult>> ref(kSessions);
-  auto server1 = std::make_unique<Server>(&pl.predictor(), &pl.model(), cfg);
+/// Adapts `sessions` new sessions on `server` with labeled streams.
+void adapt_sessions(Server& server, std::size_t sessions,
+                    std::vector<fuse::serve::SessionId>* ids) {
   std::vector<std::vector<LabeledFrame>> streams;
-  for (std::size_t s = 0; s < kSessions; ++s) {
-    ids.push_back(server1->open_session());
+  for (std::size_t s = 0; s < sessions; ++s) {
+    ids->push_back(server.open_session());
     streams.push_back(labeled_frames(s, 12));
   }
   for (std::size_t i = 0; i < 12; ++i) {
-    for (std::size_t s = 0; s < kSessions; ++s)
-      server1->submit_frame(ids[s], streams[s][i].cloud,
-                            &streams[s][i].label);
-    server1->drain();
+    for (std::size_t s = 0; s < sessions; ++s)
+      server.submit_frame((*ids)[s], streams[s][i].cloud,
+                          &streams[s][i].label);
+    server.drain();
   }
-  for (std::size_t s = 0; s < kSessions; ++s)
-    (void)server1->poll_results(ids[s]);
-  for (std::size_t i = 0; i < kProbe; ++i) {
-    for (std::size_t s = 0; s < kSessions; ++s)
-      server1->submit_frame(ids[s], probe[i].cloud);
-    server1->drain();
-  }
-  for (std::size_t s = 0; s < kSessions; ++s)
-    ref[s] = server1->poll_results(ids[s]);
-  server1->persist_clones();
-  server1.reset();
+  for (const auto id : *ids) (void)server.poll_results(id);
+}
 
-  // Shards never share checkpoint files: each owns its own generation
-  // under <dir>/shard_<k>, holding exactly its own sessions' clones.
-  EXPECT_TRUE(fs::exists(dir + "/shard_0/clones.manifest"));
-  EXPECT_TRUE(fs::exists(dir + "/shard_1/clones.manifest"));
-  EXPECT_TRUE(fs::exists(dir + "/shard_0/clone_" + std::to_string(ids[0]) +
-                         ".delta"));
-  EXPECT_TRUE(fs::exists(dir + "/shard_1/clone_" + std::to_string(ids[1]) +
-                         ".delta"));
-  EXPECT_TRUE(fs::exists(dir + "/shard_0/clone_" + std::to_string(ids[2]) +
-                         ".delta"));
-
-  // Restart with the same num_shards: every session returns to its
-  // original shard and serves its restored clone bit-exactly.
-  Server server2(&pl.predictor(), &pl.model(), cfg);
-  const auto restored = server2.restore_clones(cfg.session);
-  ASSERT_EQ(restored.size(), kSessions);
-  for (std::size_t i = 0; i < kProbe; ++i) {
-    for (std::size_t s = 0; s < kSessions; ++s)
-      server2.submit_frame(ids[s], probe[i].cloud);
-    server2.drain();
+/// Serves the unlabeled `probe` on every session of `ids`; returns each
+/// session's results.
+std::vector<std::vector<fuse::serve::PoseResult>> probe_sessions(
+    Server& server, const std::vector<fuse::serve::SessionId>& ids,
+    const std::vector<LabeledFrame>& probe) {
+  for (const auto& f : probe) {
+    for (const auto id : ids) server.submit_frame(id, f.cloud);
+    server.drain();
   }
-  for (std::size_t s = 0; s < kSessions; ++s) {
-    const auto results = server2.poll_results(ids[s]);
-    ASSERT_EQ(results.size(), kProbe);
-    for (std::size_t i = 0; i < kProbe; ++i)
-      EXPECT_TRUE(results[i].adapted_model) << "session " << s;
-    for (std::size_t i = 2; i < kProbe; ++i)  // window refill, as above
-      expect_pose_eq(results[i].raw, ref[s][i].raw);
-  }
+  std::vector<std::vector<fuse::serve::PoseResult>> out;
+  for (const auto id : ids) out.push_back(server.poll_results(id));
+  return out;
+}
 
-  // A different num_shards is a data migration, not a restart: session 3
-  // sits in shard_0's manifest but hashes to shard 2 of 3, so the restore
-  // refuses loudly instead of serving it from the wrong shard's thread.
-  ServeConfig resharded = cfg;
-  resharded.num_shards = 3;
-  Server server3(&pl.predictor(), &pl.model(), resharded);
-  EXPECT_THROW(server3.restore_clones(resharded.session), std::logic_error);
+/// Restores `cfg`'s store on a fresh server and asserts that exactly
+/// `ids` come back, each on its home shard, each serving its adapted
+/// clone bit-exactly against `ref` (from probe index 2 on — the 3-frame
+/// fusion window refills first, as in the warm restart test above).
+void expect_restore_bit_exact(
+    const ServeConfig& cfg, const std::vector<fuse::serve::SessionId>& ids,
+    const std::vector<LabeledFrame>& probe,
+    const std::vector<std::vector<fuse::serve::PoseResult>>& ref) {
+  auto& pl = world();
+  Server server(&pl.predictor(), &pl.model(), cfg);
+  EXPECT_EQ(server.restore_clones(cfg.session), ids);
+  for (const auto id : ids)
+    EXPECT_EQ(server.shard_of(id),
+              fuse::serve::layout::home_shard(id, cfg.num_shards))
+        << "session " << id;
+  const auto got = probe_sessions(server, ids, probe);
+  for (std::size_t s = 0; s < ids.size(); ++s) {
+    ASSERT_EQ(got[s].size(), probe.size());
+    for (std::size_t i = 0; i < probe.size(); ++i)
+      EXPECT_TRUE(got[s][i].adapted_model) << "session " << ids[s];
+    for (std::size_t i = 2; i < probe.size(); ++i)
+      expect_pose_eq(got[s][i].raw, ref[s][i].raw);
+  }
+}
+
+TEST(CloneStore, ShardedStoreRestoresBitExactlyUnderAnyShardCount) {
+  // One flat directory for any num_shards: a store persisted under 4
+  // shards, with one session migrated off its home shard and one evicted
+  // to disk, restores under 1, 2, 3 and 4 shards.  Every session comes
+  // back on its home shard and serves its head bit-exactly.
+  auto& pl = world();
+  const std::string dir = fresh_dir("fuse_clone_shards");
+  ServeConfig cfg = adapting_cfg();
+  cfg.num_shards = 4;
+  cfg.clone_store.dir = dir;
+  cfg.clone_store.max_resident_clones = 1;  // per shard
+  cfg.session.tracking = false;  // tracker state is NOT persisted
+
+  constexpr std::size_t kSessions = 5;  // ids 1..5 -> shards 0,1,2,3,0
+  const auto probe = labeled_frames(3, 5);
+  std::vector<fuse::serve::SessionId> ids;
+  std::vector<std::vector<fuse::serve::PoseResult>> ref;
+  {
+    Server server(&pl.predictor(), &pl.model(), cfg);
+    adapt_sessions(server, kSessions, &ids);
+    ASSERT_TRUE(server.migrate_session(ids[1], 3));  // off home shard 1
+    ref = probe_sessions(server, ids, probe);
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.migrations, 1u);
+    // Shard 0 holds sessions 1 and 5 under a one-clone budget.
+    EXPECT_LT(stats.clone_store.resident, stats.clone_store.tracked);
+    server.persist_clones();
+  }
+  // Flat: exactly one checkpoint file per session, no shard dirs.
+  std::vector<std::string> files;
+  for (const auto& e : fs::directory_iterator(dir))
+    files.push_back(e.path().filename().string());
+  std::sort(files.begin(), files.end());
+  std::vector<std::string> want;
+  for (const auto id : ids)
+    want.push_back(fs::path(fuse::serve::layout::clone_path(dir, id))
+                       .filename()
+                       .string());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(files, want);
+
+  for (const std::size_t shards : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    ServeConfig restart = cfg;
+    restart.num_shards = shards;
+    expect_restore_bit_exact(restart, ids, probe, ref);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(CloneStore, LiveMigrationKeepsTheCheckpointForTheNextRestart) {
+  // A migration after the last persist moves no file and deletes none:
+  // a restart restores the migrated session from that checkpoint.
+  auto& pl = world();
+  const std::string dir = fresh_dir("fuse_clone_migrate_keep");
+  ServeConfig cfg = adapting_cfg();
+  cfg.num_shards = 2;
+  cfg.clone_store.dir = dir;
+  cfg.session.tracking = false;
+
+  const auto probe = labeled_frames(3, 5);
+  std::vector<fuse::serve::SessionId> ids;
+  std::vector<std::vector<fuse::serve::PoseResult>> ref;
+  {
+    Server server(&pl.predictor(), &pl.model(), cfg);
+    adapt_sessions(server, 1, &ids);  // id 1 -> home shard 0
+    server.persist_clones();
+    ref = probe_sessions(server, ids, probe);
+    ASSERT_TRUE(server.migrate_session(ids[0], 1));
+    // The target adopted the entry with its on-disk size; the file stays.
+    const std::string path = fuse::serve::layout::clone_path(dir, ids[0]);
+    EXPECT_TRUE(fs::exists(path));
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.clone_store.tracked, 1u);
+    std::error_code ec;
+    EXPECT_EQ(stats.clone_store.disk_bytes, fs::file_size(path, ec));
+  }  // no second persist
+  expect_restore_bit_exact(cfg, ids, probe, ref);
+  fs::remove_all(dir);
+}
+
+TEST(CloneStore, RestoreThatThrowsOpensNoSession) {
+  // Both refusals come before any session opens: restoring 3 checkpoints
+  // into a 2-session cap, and restoring an id that is already open.
+  auto& pl = world();
+  const std::string dir = fresh_dir("fuse_clone_restore_refused");
+  fs::create_directories(dir);
+  const auto& head = fuse::serve::shared_head(pl.model());
+  for (const fuse::serve::SessionId id : {1u, 2u, 3u})
+    head.save_file(fuse::serve::layout::clone_path(dir, id));
+  ServeConfig cfg = adapting_cfg();
+  cfg.clone_store.dir = dir;
+  {
+    ServeConfig capped = cfg;
+    capped.max_sessions = 2;
+    Server server(&pl.predictor(), &pl.model(), capped);
+    EXPECT_THROW(server.restore_clones(capped.session), std::runtime_error);
+    EXPECT_EQ(server.session_count(), 0u);
+    EXPECT_EQ(server.stats().clone_store.tracked, 0u);
+    EXPECT_NO_THROW(server.open_session());
+    EXPECT_EQ(server.session_count(), 1u);
+  }
+  {
+    cfg.num_shards = 2;
+    Server server(&pl.predictor(), &pl.model(), cfg);
+    ASSERT_EQ(server.open_session(), 1u);
+    EXPECT_THROW(server.restore_clones(cfg.session), std::logic_error);
+    EXPECT_EQ(server.session_count(), 1u);
+    EXPECT_EQ(server.stats().clone_store.tracked, 0u);
+  }
+  // Refusing deleted nothing: all three still restore.
+  Server server(&pl.predictor(), &pl.model(), cfg);
+  EXPECT_EQ(server.restore_clones(cfg.session),
+            (std::vector<fuse::serve::SessionId>{1, 2, 3}));
   fs::remove_all(dir);
 }
 
@@ -597,21 +692,14 @@ TEST(CloneStore, RetiredCheckpointFormatsAreSkippedNotMisloaded) {
   // Older binaries left two other formats under clone_<id>.delta: a
   // FUSEDLT1 delta of the head, and a full-model FUSEMOD2 file from when a
   // clone was the whole network.  Restore skips, counts and deletes both,
-  // never loading either into a head.  The offline re-shard runs without
-  // a model, so it checks format and checksum only: it skips the FUSEDLT1
-  // file and moves the full-model one.
+  // never loading either into a head.
   auto& pl = world();
   const auto& head = fuse::serve::shared_head(pl.model());
   const std::string dir = fresh_dir("fuse_clone_retired_formats");
-  const auto write_fixture = [&] {
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    std::ofstream(fuse::serve::layout::clone_path(dir, 1), std::ios::binary)
-        << fusedlt1_stream(head);
-    pl.model().save_file(fuse::serve::layout::clone_path(dir, 2));
-    fuse::serve::layout::write_manifest(dir, {1, 2});
-  };
-  write_fixture();
+  fs::create_directories(dir);
+  std::ofstream(fuse::serve::layout::clone_path(dir, 1), std::ios::binary)
+      << fusedlt1_stream(head);
+  pl.model().save_file(fuse::serve::layout::clone_path(dir, 2));
   ServeConfig cfg = adapting_cfg();
   cfg.clone_store.dir = dir;
   {
@@ -621,301 +709,6 @@ TEST(CloneStore, RetiredCheckpointFormatsAreSkippedNotMisloaded) {
   }
   EXPECT_FALSE(fs::exists(fuse::serve::layout::clone_path(dir, 1)));
   EXPECT_FALSE(fs::exists(fuse::serve::layout::clone_path(dir, 2)));
-
-  write_fixture();
-  fuse::serve::ReshardConfig rcfg;
-  rcfg.dir = dir;
-  rcfg.to = 2;
-  ASSERT_EQ(rcfg.base, nullptr);
-  const auto report = fuse::serve::reshard(rcfg);
-  EXPECT_EQ(report.skipped, 1u);
-  EXPECT_EQ(report.clones_moved + report.clones_kept, 1u);
-  fs::remove_all(dir);
-}
-
-// --------------------------------------------------- offline re-shard ----
-
-std::string slurp(const fs::path& p) {
-  std::ifstream in(p, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-/// Adapts `sessions` sessions on a store-backed server, records a probe
-/// reference per session, persists the store, and returns the refs.
-std::vector<std::vector<fuse::serve::PoseResult>> adapt_and_persist(
-    const ServeConfig& cfg, std::size_t sessions,
-    const std::vector<LabeledFrame>& probe,
-    std::vector<fuse::serve::SessionId>* ids) {
-  auto& pl = world();
-  Server server(&pl.predictor(), &pl.model(), cfg);
-  std::vector<std::vector<LabeledFrame>> streams;
-  for (std::size_t s = 0; s < sessions; ++s) {
-    ids->push_back(server.open_session());
-    streams.push_back(labeled_frames(s, 12));
-  }
-  for (std::size_t i = 0; i < 12; ++i) {
-    for (std::size_t s = 0; s < sessions; ++s)
-      server.submit_frame((*ids)[s], streams[s][i].cloud,
-                          &streams[s][i].label);
-    server.drain();
-  }
-  for (std::size_t s = 0; s < sessions; ++s)
-    (void)server.poll_results((*ids)[s]);
-  std::vector<std::vector<fuse::serve::PoseResult>> ref(sessions);
-  for (std::size_t i = 0; i < probe.size(); ++i) {
-    for (std::size_t s = 0; s < sessions; ++s)
-      server.submit_frame((*ids)[s], probe[i].cloud);
-    server.drain();
-  }
-  for (std::size_t s = 0; s < sessions; ++s)
-    ref[s] = server.poll_results((*ids)[s]);
-  server.persist_clones();
-  return ref;
-}
-
-/// Restores `cfg`'s store, replays the probe, and asserts every session
-/// serves its adapted clone bit-exactly against `ref` (from probe index
-/// 2 on — the 3-frame fusion window refills first, as in the warm
-/// restart tests above).
-void expect_restore_bit_exact(
-    const ServeConfig& cfg, const std::vector<fuse::serve::SessionId>& ids,
-    const std::vector<LabeledFrame>& probe,
-    const std::vector<std::vector<fuse::serve::PoseResult>>& ref) {
-  auto& pl = world();
-  Server server(&pl.predictor(), &pl.model(), cfg);
-  const auto restored = server.restore_clones(cfg.session);
-  ASSERT_EQ(restored.size(), ids.size());
-  for (std::size_t i = 0; i < probe.size(); ++i) {
-    for (const auto id : ids) server.submit_frame(id, probe[i].cloud);
-    server.drain();
-  }
-  for (std::size_t s = 0; s < ids.size(); ++s) {
-    const auto results = server.poll_results(ids[s]);
-    ASSERT_EQ(results.size(), probe.size());
-    for (std::size_t i = 0; i < probe.size(); ++i)
-      EXPECT_TRUE(results[i].adapted_model) << "session " << s;
-    for (std::size_t i = 2; i < probe.size(); ++i)
-      expect_pose_eq(results[i].raw, ref[s][i].raw);
-  }
-}
-
-TEST(Reshard, FourToTwoToFourRoundTripIsBitIdentical) {
-  // The acceptance path: a 4-shard store re-sharded to 2 must serve
-  // bit-identical fp32 results after restore, and re-sharding back to 4
-  // must reproduce the original checkpoint files bit-for-bit.
-  auto& pl = world();
-  const std::string dir = fresh_dir("fuse_reshard_42");
-  ServeConfig cfg = adapting_cfg();
-  cfg.num_shards = 4;
-  cfg.clone_store.dir = dir;
-  cfg.session.tracking = false;
-
-  constexpr std::size_t kSessions = 5;  // ids 1..5 -> shards 0,1,2,3,0
-  const auto probe = labeled_frames(3, 5);
-  std::vector<fuse::serve::SessionId> ids;
-  const auto ref = adapt_and_persist(cfg, kSessions, probe, &ids);
-
-  // Snapshot every checkpoint's bytes in the original 4-shard layout.
-  std::vector<std::string> original(kSessions);
-  for (std::size_t s = 0; s < kSessions; ++s) {
-    const std::size_t home = ids[s] == 0 ? 0 : (ids[s] - 1) % 4;
-    original[s] = slurp(fs::path(dir) / ("shard_" + std::to_string(home)) /
-                        ("clone_" + std::to_string(ids[s]) + ".delta"));
-    ASSERT_FALSE(original[s].empty());
-  }
-
-  // Without the migration, a 2-shard server refuses the 4-shard store.
-  ServeConfig two = cfg;
-  two.num_shards = 2;
-  {
-    Server refuse(&pl.predictor(), &pl.model(), two);
-    EXPECT_THROW(refuse.restore_clones(two.session), std::logic_error);
-  }
-
-  // 4 -> 2: ids 3 and 4 move to their new homes, 1/2/5 stay put.
-  fuse::serve::ReshardConfig rcfg;
-  rcfg.dir = dir;
-  rcfg.to = 2;
-  rcfg.base = &fuse::serve::shared_head(pl.model());
-  const auto report = fuse::serve::reshard(rcfg);
-  EXPECT_EQ(report.from, 4u);
-  EXPECT_EQ(report.to, 2u);
-  EXPECT_EQ(report.clones_moved, 2u);
-  EXPECT_EQ(report.clones_kept, 3u);
-  EXPECT_EQ(report.skipped, 0u);
-  EXPECT_FALSE(report.resumed);
-  EXPECT_FALSE(fs::exists(dir + "/shard_2"));
-  EXPECT_FALSE(fs::exists(dir + "/shard_3"));
-  EXPECT_FALSE(fs::exists(dir + "/reshard.journal"));
-  EXPECT_TRUE(fs::exists(dir + "/shard_map"));
-
-  expect_restore_bit_exact(two, ids, probe, ref);
-
-  // 2 -> 4: back to the original topology; every checkpoint lands on its
-  // old shard with its exact original bytes (copies, never re-encoded).
-  rcfg.to = 4;
-  const auto back = fuse::serve::reshard(rcfg);
-  EXPECT_EQ(back.from, 2u);
-  EXPECT_EQ(back.to, 4u);
-  for (std::size_t s = 0; s < kSessions; ++s) {
-    const std::size_t home = ids[s] == 0 ? 0 : (ids[s] - 1) % 4;
-    EXPECT_EQ(slurp(fs::path(dir) / ("shard_" + std::to_string(home)) /
-                    ("clone_" + std::to_string(ids[s]) + ".delta")),
-              original[s])
-        << "session " << ids[s] << " bytes changed across the round trip";
-  }
-  expect_restore_bit_exact(cfg, ids, probe, ref);
-  fs::remove_all(dir);
-}
-
-TEST(Reshard, FlatAndMigratedPlacementTransitions) {
-  // Flat (1-shard) <-> sharded transitions, plus a live-migrated
-  // placement surviving persist / restore / re-shard.
-  auto& pl = world();
-  const std::string dir = fresh_dir("fuse_reshard_flat");
-  ServeConfig cfg = adapting_cfg();
-  cfg.clone_store.dir = dir;
-  cfg.session.tracking = false;
-
-  constexpr std::size_t kSessions = 2;  // ids 1,2
-  const auto probe = labeled_frames(3, 5);
-  std::vector<fuse::serve::SessionId> ids;
-  const auto ref = adapt_and_persist(cfg, kSessions, probe, &ids);
-  ASSERT_TRUE(fs::exists(dir + "/clones.manifest"));
-
-  // A 2-shard server refuses the flat store...
-  ServeConfig two = cfg;
-  two.num_shards = 2;
-  {
-    Server refuse(&pl.predictor(), &pl.model(), two);
-    EXPECT_THROW(refuse.restore_clones(two.session), std::logic_error);
-  }
-  // ...until reshard rewrites it (source count autodetected as 1).
-  fuse::serve::ReshardConfig rcfg;
-  rcfg.dir = dir;
-  rcfg.to = 2;
-  const auto up = fuse::serve::reshard(rcfg);
-  EXPECT_EQ(up.from, 1u);
-  EXPECT_EQ(up.clones_moved, kSessions);  // flat files always move
-  EXPECT_FALSE(fs::exists(dir + "/clones.manifest"));
-  expect_restore_bit_exact(two, ids, probe, ref);
-
-  // Live-migrate session 1 off its home shard and persist: the shard_map
-  // pins the placement, and a warm restart honours it.
-  {
-    Server server(&pl.predictor(), &pl.model(), two);
-    ASSERT_EQ(server.restore_clones(two.session).size(), kSessions);
-    ASSERT_EQ(server.shard_of(ids[0]), 0u);
-    // Touch the clone so it is resident, then move it across shards.
-    server.submit_frame(ids[0], probe[0].cloud);
-    server.drain();
-    ASSERT_TRUE(server.migrate_session(ids[0], 1));
-    server.run_once();
-    ASSERT_EQ(server.shard_of(ids[0]), 1u);
-    (void)server.poll_results(ids[0]);
-    server.persist_clones();
-  }
-  EXPECT_TRUE(
-      fs::exists(dir + "/shard_1/clone_" + std::to_string(ids[0]) +
-                 ".delta"));
-  {
-    Server server(&pl.predictor(), &pl.model(), two);
-    const auto restored = server.restore_clones(two.session);
-    ASSERT_EQ(restored.size(), kSessions);
-    EXPECT_EQ(server.shard_of(ids[0]), 1u);  // pinned by the map
-    EXPECT_EQ(server.shard_of(ids[1]), 1u);  // its home
-  }
-
-  // Re-shard back to flat: the pinned placement folds away (1 shard has
-  // no map) and the store serves bit-exactly as a plain 1-shard restore.
-  rcfg.to = 1;
-  const auto down = fuse::serve::reshard(rcfg);
-  EXPECT_EQ(down.from, 2u);
-  EXPECT_FALSE(fs::exists(dir + "/shard_0"));
-  EXPECT_FALSE(fs::exists(dir + "/shard_1"));
-  EXPECT_FALSE(fs::exists(dir + "/shard_map"));
-  expect_restore_bit_exact(cfg, ids, probe, ref);
-  fs::remove_all(dir);
-}
-
-TEST(Reshard, StrayFileIsNotStoreDataForServerOrReshard) {
-  // The server's layout check and reshard's source autodetection must
-  // agree on what a checkpoint is.  A file that only looks like one
-  // (no numeric id) in a shard dir beyond the layout is not store data:
-  // the server restores, and reshard does not count that dir either.
-  const std::string dir = fresh_dir("fuse_reshard_stray");
-  ServeConfig cfg = adapting_cfg();
-  cfg.num_shards = 2;
-  cfg.clone_store.dir = dir;
-  cfg.session.tracking = false;
-
-  const auto probe = labeled_frames(3, 5);
-  std::vector<fuse::serve::SessionId> ids;
-  const auto ref = adapt_and_persist(cfg, 2, probe, &ids);
-  fs::create_directories(dir + "/shard_2");
-  std::ofstream(dir + "/shard_2/clone_x.delta") << "not a checkpoint";
-
-  expect_restore_bit_exact(cfg, ids, probe, ref);
-  fuse::serve::ReshardConfig rcfg;
-  rcfg.dir = dir;
-  rcfg.to = 1;
-  const auto report = fuse::serve::reshard(rcfg);
-  EXPECT_EQ(report.from, 2u);
-  EXPECT_EQ(report.clones_moved, 2u);
-  fs::remove_all(dir);
-}
-
-TEST(Reshard, TornShardMapPrefixesRestoreWhereCheckpointsLive) {
-  // A shard map torn anywhere, even on a boundary where every surviving
-  // token still parses, must read as torn: the checkpoints on disk then
-  // decide placement.  Read as complete, the prefix would lose the
-  // migrated session's pin and the restore would refuse the store.
-  auto& pl = world();
-  const std::string dir = fresh_dir("fuse_reshard_torn_map");
-  ServeConfig cfg = adapting_cfg();
-  cfg.num_shards = 2;
-  cfg.clone_store.dir = dir;
-  cfg.session.tracking = false;
-
-  const auto probe = labeled_frames(3, 5);
-  std::vector<fuse::serve::SessionId> ids;
-  const auto ref = adapt_and_persist(cfg, 2, probe, &ids);  // ids 1, 2
-  {
-    // Migrate session 1 off its home shard 0 and persist the pin.
-    Server server(&pl.predictor(), &pl.model(), cfg);
-    ASSERT_EQ(server.restore_clones(cfg.session).size(), 2u);
-    server.submit_frame(ids[0], probe[0].cloud);
-    server.drain();
-    ASSERT_TRUE(server.migrate_session(ids[0], 1));
-    (void)server.poll_results(ids[0]);
-    server.persist_clones();
-  }
-  const std::string id = std::to_string(ids[0]);
-  const std::string head = "FUSESHMAP1\nshards 2";
-  for (const std::string& prefix :
-       {head, head + "\n" + id, head + "\n" + id + " "}) {
-    SCOPED_TRACE("shard_map prefix \"" + prefix + "\"");
-    std::ofstream(dir + "/shard_map", std::ios::binary | std::ios::trunc)
-        << prefix;
-    Server server(&pl.predictor(), &pl.model(), cfg);
-    std::vector<fuse::serve::SessionId> restored;
-    ASSERT_NO_THROW(restored = server.restore_clones(cfg.session));
-    ASSERT_EQ(restored.size(), 2u);
-    EXPECT_EQ(server.shard_of(ids[0]), 1u);  // where its checkpoint lives
-    EXPECT_EQ(server.shard_of(ids[1]), 1u);  // its home
-    for (std::size_t i = 0; i < probe.size(); ++i) {
-      for (const auto sid : ids) server.submit_frame(sid, probe[i].cloud);
-      server.drain();
-    }
-    for (std::size_t s = 0; s < ids.size(); ++s) {
-      const auto results = server.poll_results(ids[s]);
-      ASSERT_EQ(results.size(), probe.size());
-      for (std::size_t i = 2; i < probe.size(); ++i)
-        expect_pose_eq(results[i].raw, ref[s][i].raw);
-    }
-  }
   fs::remove_all(dir);
 }
 
